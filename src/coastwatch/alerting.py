@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -250,7 +249,6 @@ def run_scene(
     masks: MaskSet | None = None,
     scene_id: str = "scene",
     timestamp: str | None = None,
-    jobs: int = 1,
 ) -> SceneAlertResult:
     """Tile a scene, infer every patch, threshold, and mosaic the results.
 
@@ -260,11 +258,7 @@ def run_scene(
     per-patch alert cells exactly.
     """
     tiles = tile_scene(scene, scene_georef, patch_id_prefix=scene_id)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            maps = list(pool.map(lambda p: infer_patch(net, p), tiles.patches))
-    else:
-        maps = [infer_patch(net, p) for p in tiles.patches]
+    maps = [infer_patch(net, p) for p in tiles.patches]
 
     if masks is not None:
         ps = tiles.index.patch_size

@@ -2,8 +2,9 @@
 
 Commands compose through the documented file formats (PAT1 rasters, SMP1
 sample stores, MDL1/CNN1 models, JSON-lines alerts) and never mutate their
-inputs; every command honors ``--seed`` and exits nonzero on error. See
-docs/formats/ for the JSON schemas.
+inputs; every command exits nonzero on error. The commands that draw
+random numbers (simulate, train, transfer, quantize, bench) take ``--seed``.
+Each binary format is described in the module that writes it.
 """
 
 from __future__ import annotations
@@ -411,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output map directory")
     p.add_argument("--masks", help="optional mask PAT1 (u8; 1 or 3 bands)")
     p.add_argument("--cloud-fraction", type=float, default=INVALID_CLOUD_FRACTION)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("alert", help="threshold maps into alert messages")
@@ -420,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True, help="policy JSON")
     p.add_argument("--out", required=True, help="output JSON-lines alerts")
     p.add_argument("--mosaic", help="output u8 mosaic PAT1")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_alert)
 
     p = sub.add_parser("quantize", help="fp16-quantize a CNN1 network")
@@ -445,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--band", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_plot)
 
     return parser

@@ -38,6 +38,15 @@ from .raster import WINDOW, BandStack, GeoRef, Patch, window_average
 
 @dataclass
 class ConvLayer:
+    """One 1x1 convolution layer.
+
+    ``kernel`` and ``bias`` are held as float64 arrays whose values are
+    exactly representable in the network's deployed dtype (f32 or f16): the
+    builders (``fc_to_cnn``, ``load_cnn1``, ``quantize_fp16``) round to that
+    dtype and widen once, so inference never re-casts and the CNN1 file
+    stores the deployed values unchanged.
+    """
+
     kernel: np.ndarray   # (out_channels, in_channels), a 1x1 convolution
     bias: np.ndarray     # (out_channels,)
     relu: bool
@@ -75,16 +84,8 @@ class ConvNet:
             raise ValueError(f"unknown dtype {self.dtype!r}")
 
     @property
-    def n_layers(self) -> int:
-        """Total layer count including the fixed averaging front layer."""
-        return len(self.layers) + 1
-
-    @property
     def front_weight(self) -> float:
         return 1.0 / self.window**2
-
-    def parameter_count(self) -> int:
-        return sum(l.kernel.size + l.bias.size for l in self.layers)
 
 
 @dataclass
@@ -111,12 +112,17 @@ class ContaminantMap:
         return self.georef.offset_latlon(north_m, east_m)
 
 
+def _as_f32(arr: np.ndarray) -> np.ndarray:
+    """Round to float32 and hold the result as float64."""
+    return arr.astype(np.float32).astype(np.float64)
+
+
 def fc_to_cnn(params: MLPParams, stats: NormStats, parameter: str) -> ConvNet:
     """Transplant the trained regressor into the convolutional form.
 
     Requires populated batch-norm running statistics (eval mode is what the
     conversion reproduces). All folding algebra runs in float64; kernels are
-    emitted as float32.
+    rounded to float32, the deployed dtype, and held as float64.
     """
     if not params.bn_stats_tracked:
         raise TransferError(
@@ -134,15 +140,13 @@ def fc_to_cnn(params: MLPParams, stats: NormStats, parameter: str) -> ConvNet:
         scale = params.bn_gamma[k] / np.sqrt(params.bn_var[k] + BN_EPS)
         kernel = w * scale[:, None]
         bias = (b - params.bn_mean[k]) * scale + params.bn_beta[k]
-        layers.append(ConvLayer(kernel.astype(np.float32),
-                                bias.astype(np.float32), relu=True))
+        layers.append(ConvLayer(_as_f32(kernel), _as_f32(bias), relu=True))
     # output layer: no batch-norm, no activation; absorb target
     # de-standardization so the map is in physical units
     w_out = params.weights[-1].astype(np.float64) * stats.target_std
     b_out = params.biases[-1].astype(np.float64) * stats.target_std
     b_out = b_out + stats.target_mean
-    layers.append(ConvLayer(w_out.astype(np.float32),
-                            b_out.astype(np.float32), relu=False))
+    layers.append(ConvLayer(_as_f32(w_out), _as_f32(b_out), relu=False))
     return ConvNet(
         channels=tuple(params.layer_dims),
         layers=layers,
@@ -154,15 +158,15 @@ def fc_to_cnn(params: MLPParams, stats: NormStats, parameter: str) -> ConvNet:
 def _run_stack(net: ConvNet, grid: np.ndarray) -> np.ndarray:
     """Apply the 1x1 stack to a (channels, cells) activation matrix.
 
-    Parameters stay in the deployed dtype (f32, or f16 values re-expanded to
-    f32); the arithmetic runs in float64 so deviations against the reference
-    regressor measure parameter rounding, not accumulator noise.
+    Parameters hold deployed-dtype values (f32, or f16) stored as float64
+    (see ``ConvLayer``), so they are used as they are; the arithmetic runs
+    in float64 so deviations against the reference regressor measure
+    parameter rounding, not accumulator noise.
     """
     act = grid.astype(np.float64)
     for k, layer in enumerate(net.layers):
-        act = layer.kernel.astype(np.float64) @ act + layer.bias.astype(
-            np.float64
-        )[:, None]
+        act = layer.kernel @ act
+        act += layer.bias[:, None]
         if not np.isfinite(act).all():
             raise NumericError(f"non-finite activations at conv layer {k + 1}")
         if layer.relu:
@@ -338,7 +342,7 @@ def load_cnn1(path: str | Path) -> tuple[ConvNet, dict]:
         kernel = np.frombuffer(chunk[:ksize], dtype=dtype).reshape(out_c, in_c)
         bias = np.frombuffer(chunk[ksize:], dtype=dtype)
         layers.append(
-            ConvLayer(kernel.astype(np.float32), bias.astype(np.float32),
+            ConvLayer(kernel.astype(np.float64), bias.astype(np.float64),
                       relu=bool(spec["relu"]))
         )
         offset += ksize + bsize

@@ -25,16 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, SchemaError
-from .raster import PATCH_SIZE, WINDOW, BandStack, GeoRef, Patch, window_average
+from .raster import (PATCH_SIZE, WINDOW, BandStack, GeoRef, Patch,
+                     meters_per_degree, window_average)
 from .sensor import PARAMETERS, PH, TURBIDITY, SceneTruth
 
 CSV_COLUMNS = (
     "station_id", "municipality", "location_name", "distance_from_coast_m",
     "date", "depth_m", "parameter", "value", "lat", "lon",
 )
-
-# half of the 1216 m patch footprint, per axis
-HALF_PATCH_EXTENT_M = PATCH_SIZE / 2 * 4.75
 
 
 @dataclass(frozen=True)
@@ -200,27 +198,37 @@ def match(
     date, then by catalog order. Unmatched records are reported, not fatal.
     Output does not depend on record ordering beyond per-record results.
     """
+    # One pass per catalog patch over all records, with the float formulas
+    # of GeoRef.latlon_offset_m. A patch replaces a record's best match only
+    # on a strictly smaller (dist, |days|), so full ties keep catalog order.
+    lat = np.array([rec.lat for rec in records], dtype=np.float64)
+    lon = np.array([rec.lon for rec in records], dtype=np.float64)
+    ordinal = np.array([rec.date.toordinal() for rec in records], dtype=np.int64)
+    best_dist = np.full(len(records), np.inf)
+    best_days = np.zeros(len(records), dtype=np.int64)
+    best_idx = np.full(len(records), -1, dtype=np.int64)
+    for idx, patch in enumerate(patch_catalog):
+        georef = patch.georef
+        days = np.abs(georef.acquisition_date.toordinal() - ordinal)
+        m_lat, m_lon = meters_per_degree(georef.center_lat)
+        north = np.abs((lat - georef.center_lat) * m_lat)
+        east = np.abs((lon - georef.center_lon) * m_lon)
+        half = patch.raster.width / 2 * georef.gsd
+        dist = np.maximum(north, east)
+        better = ((days <= tolerance_days) & (north <= half) & (east <= half)
+                  & ((dist < best_dist)
+                     | ((dist == best_dist) & (days < best_days))))
+        best_dist[better] = dist[better]
+        best_days[better] = days[better]
+        best_idx[better] = idx
+
     features_cache: dict[int, np.ndarray] = {}
     samples: list[Sample] = []
     unmatched: list[tuple[InSituRecord, str]] = []
-    for rec in records:
-        best: tuple[float, int, int] | None = None  # (dist, |days|, idx)
-        for idx, patch in enumerate(patch_catalog):
-            days = abs((patch.georef.acquisition_date - rec.date).days)
-            if days > tolerance_days:
-                continue
-            north_m, east_m = patch.georef.latlon_offset_m(rec.lat, rec.lon)
-            half = patch.raster.width / 2 * patch.georef.gsd
-            if abs(north_m) > half or abs(east_m) > half:
-                continue
-            dist = max(abs(north_m), abs(east_m))
-            key = (dist, days, idx)
-            if best is None or key < best:
-                best = key
-        if best is None:
+    for rec, idx in zip(records, best_idx.tolist()):
+        if idx < 0:
             unmatched.append((rec, "no patch within footprint and tolerance"))
             continue
-        idx = best[2]
         patch = patch_catalog[idx]
         window = locate_window(patch.georef, rec.lat, rec.lon)
         if idx not in features_cache:

@@ -83,11 +83,6 @@ class MLPParams:
     def n_hidden(self) -> int:
         return len(self.layer_dims) - 2
 
-    def parameter_count(self) -> int:
-        n = sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-        n += 4 * sum(g.size for g in self.bn_gamma)
-        return n
-
     def trainable_arrays(self) -> list[np.ndarray]:
         """Arrays updated by the optimizer, in a fixed documented order."""
         return [*self.weights, *self.biases, *self.bn_gamma, *self.bn_beta]
@@ -263,8 +258,9 @@ def _forward_full(
     return out[:, 0], cache
 
 
-def _forward_eval_fast(params: MLPParams, X: np.ndarray) -> np.ndarray:
-    """Eval-mode forward with the batch-norm affine folded per layer."""
+def _forward_eval_folded(params: MLPParams, X: np.ndarray) -> np.ndarray:
+    """Eval-mode forward with the batch-norm affine folded per layer, in
+    place on one activation buffer per layer."""
     dtype = params.weights[0].dtype
     act = np.ascontiguousarray(np.asarray(X), dtype=dtype)
     for k in range(params.n_hidden):
@@ -272,9 +268,38 @@ def _forward_eval_fast(params: MLPParams, X: np.ndarray) -> np.ndarray:
         scale = (params.bn_gamma[k] * inv).astype(dtype)
         shift = (params.bn_beta[k] - params.bn_mean[k] * params.bn_gamma[k] * inv
                  ).astype(dtype)
-        Z = act @ params.weights[k].T + params.biases[k]
-        act = np.maximum(Z * scale + shift, 0.0)
+        Z = act @ params.weights[k].T
+        Z += params.biases[k]
+        Z *= scale
+        Z += shift
+        act = np.maximum(Z, 0.0, out=Z)
     return (act @ params.weights[-1].T + params.biases[-1])[:, 0]
+
+
+def _forward_eval(params: MLPParams, X: np.ndarray) -> np.ndarray:
+    """Eval-mode predictions of ``_forward_full`` without its backward cache.
+
+    The same unfolded arithmetic in the same order, done in place on one
+    activation buffer per layer, so the result is bit-identical to
+    ``_forward_full(params, X, "eval")[0]``.
+    """
+    dtype = params.weights[0].dtype
+    act = np.ascontiguousarray(np.asarray(X), dtype=dtype)
+    for k in range(params.n_hidden):
+        Z = act @ params.weights[k].T
+        Z += params.biases[k]
+        if not np.isfinite(Z).all():
+            raise NumericError(f"non-finite activations at hidden layer {k}")
+        var = params.bn_var[k].astype(dtype)
+        Z -= params.bn_mean[k].astype(dtype)
+        Z *= 1.0 / np.sqrt(var + dtype.type(BN_EPS))
+        Z *= params.bn_gamma[k]
+        Z += params.bn_beta[k]
+        act = np.maximum(Z, 0.0, out=Z)
+    out = act @ params.weights[-1].T + params.biases[-1]
+    if not np.isfinite(out).all():
+        raise NumericError(f"non-finite output at layer {len(params.weights) - 1}")
+    return out[:, 0]
 
 
 def forward(
@@ -290,7 +315,11 @@ def forward(
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    preds, _ = _forward_full(params, x[None] if single else x, mode, rng)
+    x = x[None] if single else x
+    if mode == "eval":
+        preds = _forward_eval(params, x)
+    else:
+        preds, _ = _forward_full(params, x, mode, rng)
     return float(preds[0]) if single else preds
 
 
@@ -373,24 +402,65 @@ def _grad_arrays(grads: dict) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+# elements per Adam chunk: the chunk's operands and scratch stay in cache
+_ADAM_CHUNK = 1 << 16
+
+
 class _Adam:
+    """Adam, updating the arrays in place chunk by chunk.
+
+    Each chunk runs the textbook step in its operation order,
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        a -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+
+    with the same dtype promotion (a numpy float64 ``lr`` from the cosine
+    schedule makes the step itself float64), so results are bit-identical
+    to the unchunked expressions; the two scratch buffers are reused.
+    """
+
     def __init__(self, arrays: list[np.ndarray], cfg: TrainConfig):
         self.cfg = cfg
         self.m = [np.zeros_like(a) for a in arrays]
         self.v = [np.zeros_like(a) for a in arrays]
         self.t = 0
+        # chunk along the first axis, so slices are views whatever the layout
+        row_sizes = [a[0].size if a.ndim > 1 else 1 for a in arrays]
+        self._rows = [max(1, _ADAM_CHUNK // n) for n in row_sizes]
+        size = max(min(len(a), r) * n
+                   for a, r, n in zip(arrays, self._rows, row_sizes))
+        self._num = np.empty(size, arrays[0].dtype)
+        self._den = np.empty(size, arrays[0].dtype)
 
     def step(self, arrays: list[np.ndarray], grads: list[np.ndarray], lr: float):
         c = self.cfg
         self.t += 1
         bc1 = 1.0 - c.adam_beta1**self.t
         bc2 = 1.0 - c.adam_beta2**self.t
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= c.adam_beta1
-            m += (1.0 - c.adam_beta1) * g
-            v *= c.adam_beta2
-            v += (1.0 - c.adam_beta2) * g * g
-            a -= lr * (m / bc1) / (np.sqrt(v / bc2) + c.adam_eps)
+        num_dtype = np.result_type(lr, self._num.dtype)
+        num_buf = (self._num if num_dtype == self._num.dtype
+                   else np.empty(self._num.size, num_dtype))
+        for a, g, m, v, rows in zip(arrays, grads, self.m, self.v, self._rows):
+            for r0 in range(0, len(a), rows):
+                rs = slice(r0, r0 + rows)
+                ac, gc, mc, vc = a[rs], g[rs], m[rs], v[rs]
+                num = num_buf[:ac.size].reshape(ac.shape)
+                den = self._den[:ac.size].reshape(ac.shape)
+                mc *= c.adam_beta1
+                np.multiply(1.0 - c.adam_beta1, gc, out=den)
+                mc += den
+                vc *= c.adam_beta2
+                np.multiply(1.0 - c.adam_beta2, gc, out=den)
+                den *= gc
+                vc += den
+                np.divide(mc, bc1, out=num)
+                num *= lr
+                np.divide(vc, bc2, out=den)
+                np.sqrt(den, out=den)
+                den += c.adam_eps
+                num /= den
+                ac -= num
 
 
 def recalibrate_bn(params: MLPParams, X: np.ndarray) -> None:
@@ -487,7 +557,7 @@ def train(
             adam.step(params.trainable_arrays(), _grad_arrays(grads), lr)
         params.bn_stats_tracked = True
 
-        train_rmse = loss_rmse(_forward_eval_fast(params, X), y)
+        train_rmse = loss_rmse(_forward_eval_folded(params, X), y)
         history["train_rmse"].append(train_rmse)
         history["lr"].append(lr)
         history["epochs_run"] = epoch + 1
@@ -495,7 +565,7 @@ def train(
             raise NumericError(f"training diverged at epoch {epoch} (loss NaN)")
         monitored = train_rmse
         if Xv is not None:
-            val_rmse = loss_rmse(_forward_eval_fast(params, Xv), yv)
+            val_rmse = loss_rmse(_forward_eval_folded(params, Xv), yv)
             history["val_rmse"].append(val_rmse)
             monitored = val_rmse
             if val_rmse < best_val - 1e-12:

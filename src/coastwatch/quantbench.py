@@ -32,7 +32,7 @@ REFERENCE_VPU = {
 
 
 def quantize_fp16(net: ConvNet) -> ConvNet:
-    """Round every parameter to binary16 and re-expand.
+    """Round every parameter to binary16 and re-expand to float64.
 
     Round-to-nearest-even (the IEEE default, numpy's cast). Values whose
     magnitude exceeds the binary16 range overflow to infinity and raise.
@@ -46,7 +46,7 @@ def quantize_fp16(net: ConvNet) -> ConvNet:
                 raise NumericError(
                     f"layer {k + 1} {name}: value overflows binary16 range"
                 )
-            setattr(layer, name, arr.astype(np.float32))
+            setattr(layer, name, arr.astype(np.float64))
     out.dtype = "f16"
     out.meta = dict(net.meta, quantized="fp16_round_nearest_even")
     return out

@@ -49,6 +49,36 @@ def make_patch(lat, lon, date, patch_id, seed=0):
     return Patch(BandStack.from_array(data, 4.75), georef, patch_id=patch_id)
 
 
+def match_reference(records, patch_catalog, tolerance_days):
+    """Per-record, per-patch scalar join with the tuple tie order
+    (dist, |days|, catalog index); returns (samples, unmatched)."""
+    samples, unmatched = [], []
+    for r in records:
+        best = None
+        for idx, p in enumerate(patch_catalog):
+            days = abs((p.georef.acquisition_date - r.date).days)
+            if days > tolerance_days:
+                continue
+            north, east = p.georef.latlon_offset_m(r.lat, r.lon)
+            half = p.raster.width / 2 * p.georef.gsd
+            if abs(north) > half or abs(east) > half:
+                continue
+            key = (max(abs(north), abs(east)), days, idx)
+            if best is None or key < best:
+                best = key
+        if best is None:
+            unmatched.append((r, "no patch within footprint and tolerance"))
+            continue
+        p = patch_catalog[best[2]]
+        wr, wc = locate_window(p.georef, r.lat, r.lon)
+        samples.append(Sample(
+            features=window_average(p.raster, 10).data[:, wr, wc],
+            target=r.value, parameter=r.parameter, patch_id=p.patch_id,
+            window=(wr, wc), station_id=r.station_id,
+            date=p.georef.acquisition_date))
+    return samples, unmatched
+
+
 class TestIngest:
     def test_well_formed_rows(self, tmp_path):
         csv = write_csv(tmp_path / "in.csv", [
@@ -234,6 +264,72 @@ class TestMatch:
         got = {s.station_id: s.patch_id for s in result.samples}
         assert got == expected
         assert len(result.unmatched) == 50 - len(expected)
+
+    def test_equals_per_record_reference_on_edges(self):
+        half = 128 * 4.75
+        m_lat, m_lon = meters_per_degree(44.0)
+        # same centre on three dates (distance ties), a duplicate of the
+        # first patch (full tie: catalog order), and a patch 1.2 km north
+        # and 1.2 km east
+        patches = [
+            make_patch(44.0, 9.0, "2024-06-15", "a", seed=1),
+            make_patch(44.0, 9.0, "2024-06-13", "b", seed=2),
+            make_patch(44.0, 9.0, "2024-06-17", "c", seed=3),
+            make_patch(44.0, 9.0, "2024-06-15", "a2", seed=4),
+            make_patch(44.0 + 1200.0 / m_lat, 9.0 + 1200.0 / m_lon, "2024-06-15",
+                       "n", seed=5),
+        ]
+
+        def steps(x, n):
+            out = [x]
+            for _ in range(n):
+                out = [np.nextafter(out[0], -np.inf), *out,
+                       np.nextafter(out[-1], np.inf)]
+            return [float(v) for v in out]
+
+        records = []
+        for d in range(9, 22):  # every day offset across the +-3 day edge
+            records.append(rec(station=f"d{d}", date=f"2024-06-{d:02d}"))
+        # a few ulps on both sides of each footprint edge
+        for i, lat in enumerate(steps(44.0 + half / m_lat, 3)
+                                + steps(44.0 - half / m_lat, 3)):
+            records.append(rec(station=f"lat{i}", lat=lat, date="2024-06-16"))
+        for i, lon in enumerate(steps(9.0 + half / m_lon, 3)
+                                + steps(9.0 - half / m_lon, 3)):
+            records.append(rec(station=f"lon{i}", lon=lon, date="2024-06-14"))
+        # exactly on the footprint edge of a patch at (0, 0), and one ulp out
+        patches.append(make_patch(0.0, 0.0, "2024-06-15", "e", seed=6))
+        d = half / meters_per_degree(0.0)[0]
+        out = float(np.nextafter(d, np.inf))
+        assert patches[-1].georef.latlon_offset_m(d, -d) == (half, -half)
+        for i, (lat, lon) in enumerate([(d, 0.0), (-d, 0.0), (0.0, d), (0.0, -d),
+                                        (out, 0.0), (0.0, -out)]):
+            records.append(rec(station=f"edge{i}", lat=lat, lon=lon))
+        # halfway between "a" and "n": the distances tie up to rounding
+        for i, lat in enumerate(steps(44.0 + 600.0 / m_lat, 3)):
+            records.append(rec(station=f"mid{i}", lat=lat, lon=9.0 + 600.0 / m_lon,
+                               date="2024-06-15"))
+
+        got = match(records, patches)
+        want_samples, want_unmatched = match_reference(records, patches, 3)
+        assert got.unmatched == want_unmatched
+        assert len(got.samples) == len(want_samples)
+        for a, b in zip(got.samples, want_samples):
+            assert np.array_equal(a.features, b.features)
+            assert (a.target, a.parameter, a.patch_id, a.window, a.station_id,
+                    a.date) == (b.target, b.parameter, b.patch_id, b.window,
+                                b.station_id, b.date)
+        # the edges are really exercised: both outcomes occur at each
+        matched = {s.station_id: s.patch_id for s in got.samples}
+        unmatched = {r.station_id for r, _ in got.unmatched}
+        for prefix, lo in (("lat", 0), ("lat", 7), ("lon", 0), ("lon", 7)):
+            group = {f"{prefix}{i}" for i in range(lo, lo + 7)}
+            assert group & unmatched and group & matched.keys()
+        assert {"d9", "d21", "edge4", "edge5"} <= unmatched
+        assert [matched[f"edge{i}"] for i in range(4)] == ["e"] * 4
+        assert matched["d12"] == "b" and matched["d20"] == "c"
+        assert matched["d15"] == "a" and "a2" not in matched.values()
+        assert {matched[f"mid{i}"] for i in range(7)} == {"a", "n"}
 
     def test_record_order_invariance(self):
         rng = np.random.default_rng(31)
