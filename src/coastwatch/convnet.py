@@ -174,16 +174,23 @@ def _run_stack(net: ConvNet, grid: np.ndarray) -> np.ndarray:
     return act
 
 
+def _stack_on_means(net: ConvNet, means: np.ndarray) -> np.ndarray:
+    """The 1x1 stack over (bands, rows, cols) window means -> (rows, cols).
+
+    ``means`` is only read, so one set of window means can feed several
+    networks or routes.
+    """
+    bands, rows, cols = means.shape
+    if bands != net.channels[0]:
+        raise DimensionError(
+            f"raster has {bands} bands, network expects {net.channels[0]}"
+        )
+    return _run_stack(net, means.reshape(bands, -1)).reshape(rows, cols)
+
+
 def infer_raster(net: ConvNet, raster: BandStack) -> np.ndarray:
     """Forward a 7-band raster; returns the (rows, cols) prediction grid."""
-    if raster.bands != net.channels[0]:
-        raise DimensionError(
-            f"raster has {raster.bands} bands, network expects {net.channels[0]}"
-        )
-    avg = window_average(raster, net.window)
-    grid = avg.data.reshape(raster.bands, -1)
-    out = _run_stack(net, grid)
-    return out.reshape(avg.height, avg.width)
+    return _stack_on_means(net, window_average(raster, net.window).data)
 
 
 def infer_patch(net: ConvNet, patch: Patch) -> ContaminantMap:
@@ -235,20 +242,20 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Certify ConvNet(P)[w] == FC(mean window w of P) over all patches.
 
-    The FC route is computed independently (float64 window means,
-    standardization, eval-mode forward, de-standardization); deviations are
-    in physical units. An empty patch list passes vacuously with n = 0
-    flagged.
+    Both routes start from the same float64 window means, computed once
+    per patch; the FC route then runs independently (standardization,
+    eval-mode forward, de-standardization). Deviations are in physical
+    units. An empty patch list passes vacuously with n = 0 flagged.
     """
     max_dev = 0.0
     sum_dev = 0.0
     n_cells = 0
     worst = (-1, -1, -1)
     for p_idx, patch in enumerate(patches):
-        cnn_map = infer_raster(net, patch.raster)
         means = window_average(patch.raster, net.window).data
-        rows, cols = means.shape[1], means.shape[2]
-        feats = means.reshape(patch.raster.bands, -1).T
+        cnn_map = _stack_on_means(net, means)
+        rows, cols = cnn_map.shape
+        feats = means.reshape(means.shape[0], -1).T
         feats_norm = (feats - stats.feature_mean) / stats.feature_std
         fc = stats.denormalize_target(forward(params, feats_norm, "eval"))
         dev = np.abs(cnn_map.reshape(-1) - fc)

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .convnet import ConvNet, cnn1_bytes, infer_patch
-from .errors import NumericError
-from .raster import Patch
+from .convnet import ConvNet, _stack_on_means, cnn1_bytes, infer_patch
+from .errors import InconsistencyError, NumericError
+from .raster import Patch, window_average
 
 MISSION_SIZE_LIMIT_BYTES = 250 * 1024 * 1024
 REFERENCE_VPU = {
@@ -83,17 +83,23 @@ def compare_quantized(
 ) -> QuantReport:
     """Per-cell deviation statistics between the two precisions.
 
-    Both networks run through the same inference path; deviations are in
-    physical units. ``passed`` gates on the maximum deviation.
+    Both networks run the same inference path on one set of window means
+    per patch; deviations are in physical units. ``passed`` gates on the
+    maximum deviation.
     """
     if not patches:
         raise ValueError("need at least one patch to compare")
+    if net32.window != net16.window:
+        raise InconsistencyError(
+            f"networks average {net32.window} px and {net16.window} px windows"
+        )
     max_dev = 0.0
     total = 0.0
     cells = 0
     for patch in patches:
-        a = infer_patch(net32, patch).values
-        b = infer_patch(net16, patch).values
+        means = window_average(patch.raster, net32.window).data
+        a = _stack_on_means(net32, means)
+        b = _stack_on_means(net16, means)
         dev = np.abs(a - b)
         max_dev = max(max_dev, float(dev.max()))
         total += float(dev.sum())

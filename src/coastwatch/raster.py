@@ -12,6 +12,13 @@ Conventions used across the whole package:
 Containers are treated as immutable after construction: operations return
 new objects and never mutate their inputs, so everything here is safe to
 share across threads.
+
+Tiling copies nothing: each patch of :func:`tile_scene` is a read-only view
+into its scene's array. A live patch therefore keeps the whole scene buffer
+alive, and it shows any later write to the scene; copy a patch's data
+(``patch.raster.data.copy()``) to detach it. The PAT1 codec reads a payload
+straight into the returned array and writes an array band by band, without
+staging the file's bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -258,6 +266,11 @@ def tile_scene(
     reported in the result. Patch georefs are derived from the scene center
     when ``scene_georef`` is given, otherwise a placeholder at (0, 0) with
     the scene gsd is used.
+
+    Each patch's data is a read-only view into ``scene.data``, not a copy:
+    writing to a patch raises ``ValueError``, a live patch keeps the scene
+    buffer alive and reflects later writes to the scene. Copy a patch's data
+    to detach it.
     """
     if scene.bands != 7:
         raise DimensionError(f"scene must have 7 bands, got {scene.bands}")
@@ -280,7 +293,8 @@ def tile_scene(
         for j in range(across):
             r0, c0 = i * patch_size, j * patch_size
             placements.append((r0, c0))
-            chip = scene.data[:, r0 : r0 + patch_size, c0 : c0 + patch_size].copy()
+            chip = scene.data[:, r0 : r0 + patch_size, c0 : c0 + patch_size]
+            chip.flags.writeable = False
             # patch center offset from the scene center, in metres
             north_m = (scene.height / 2.0 - (r0 + patch_size / 2.0)) * scene.gsd
             east_m = ((c0 + patch_size / 2.0) - scene.width / 2.0) * scene.gsd
@@ -377,17 +391,21 @@ def write_pat1(
     georef: GeoRef | None = None,
     extra: dict | None = None,
 ) -> Path:
-    """Write a BandStack as a PAT1 file plus its JSON sidecar."""
+    """Write a BandStack as a PAT1 file plus its JSON sidecar.
+
+    u8 data is stored as u8, anything else as f32; the payload is written
+    band by band, so at most one band is ever converted or made contiguous.
+    """
     path = Path(path)
-    if stack.data.dtype == np.uint8:
-        tag, payload = 1, stack.data.astype("u1")
-    else:
-        tag, payload = 0, stack.data.astype("<f4")
+    tag = 1 if stack.data.dtype == np.uint8 else 0
     header = _PAT1_HEADER.pack(
         _PAT1_MAGIC, stack.width, stack.height, stack.bands,
         float(stack.gsd), tag, b"\x00" * 8,
     )
-    path.write_bytes(header + payload.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for plane in stack.data:
+            fh.write(np.ascontiguousarray(plane, dtype=_PAT1_DTYPES[tag]).data)
     sidecar = {"band_ids": list(stack.band_ids)}
     if georef is not None:
         sidecar["georef"] = georef.to_json()
@@ -398,30 +416,35 @@ def write_pat1(
 
 
 def read_pat1(path: str | Path) -> tuple[BandStack, dict]:
-    """Read a PAT1 file; returns the stack and its parsed sidecar (or {})."""
+    """Read a PAT1 file; returns the stack and its parsed sidecar (or {}).
+
+    The payload size is checked against the header before anything is
+    allocated, then read straight into the returned (writable) array.
+    """
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < _PAT1_HEADER.size:
-        raise FormatError(f"{path}: shorter than a PAT1 header")
-    magic, width, height, bands, gsd, tag, _ = _PAT1_HEADER.unpack_from(blob)
-    if magic != _PAT1_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if tag not in _PAT1_DTYPES:
-        raise FormatError(f"{path}: unknown dtype tag {tag}")
-    dtype = _PAT1_DTYPES[tag]
-    expected = width * height * bands * dtype.itemsize
-    payload = blob[_PAT1_HEADER.size :]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    data = np.frombuffer(payload, dtype=dtype).reshape(bands, height, width)
+    with open(path, "rb") as fh:
+        head = fh.read(_PAT1_HEADER.size)
+        if len(head) < _PAT1_HEADER.size:
+            raise FormatError(f"{path}: shorter than a PAT1 header")
+        magic, width, height, bands, gsd, tag, _ = _PAT1_HEADER.unpack(head)
+        if magic != _PAT1_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if tag not in _PAT1_DTYPES:
+            raise FormatError(f"{path}: unknown dtype tag {tag}")
+        dtype = _PAT1_DTYPES[tag]
+        expected = width * height * bands * dtype.itemsize
+        size = os.fstat(fh.fileno()).st_size - _PAT1_HEADER.size
+        if size != expected:
+            raise FormatError(f"{path}: payload is {size} bytes, expected {expected}")
+        data = np.empty((bands, height, width), dtype=dtype)
+        if fh.readinto(data) != expected:
+            raise FormatError(f"{path}: payload shorter than {expected} bytes")
 
     sidecar_path = path.with_suffix(".json")
     sidecar = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
     band_ids = tuple(sidecar.get("band_ids", (f"B{i}" for i in range(bands))))
     stack = BandStack(width=width, height=height, bands=bands, gsd=gsd,
-                      data=data.copy(), band_ids=band_ids)
+                      data=data, band_ids=band_ids)
     return stack, sidecar
 
 

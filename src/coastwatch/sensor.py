@@ -8,8 +8,14 @@ masks carried alongside. A synthetic-scene generator replaces external data
 access: it produces reflectance scenes whose turbidity/pH fields are known
 analytic functions, so downstream accuracy can be gated quantitatively.
 
-All functions are pure over immutable rasters; randomness is owned per call
-through an explicit seed.
+The public steps are pure over immutable rasters: each returns a new
+raster and never mutates its input. Each step has one implementation, a
+private helper that updates a float64 buffer in place band by band; the
+public function is a copy plus that helper. :func:`simulate_l1c` and
+:func:`generate_synthetic_scene` own one scene-sized working buffer and run
+the helpers in it, so the chain never holds a second copy of the scene, and
+the chips and PAN chips are read-only views into those buffers. Randomness
+is owned per call through an explicit seed.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .raster import (
     TileResult,
     tile_scene,
     window_average,
+    window_fraction,
 )
 
 TURBIDITY = "turbidity_NTU"
@@ -166,30 +173,29 @@ class DegradeConfig:
 # ---------------------------------------------------------------------------
 
 
+def _radiometric_scale(ctx: SolarContext, band: int) -> float:
+    """esun_b * cos(theta_s) / (pi d^2): radiance per unit reflectance."""
+    esun = ctx.esun_per_band[band]
+    scale = esun * ctx.cos_zenith / (math.pi * ctx.earth_sun_distance**2)
+    if scale <= 0.0 or not math.isfinite(scale):
+        raise SingularContextError(
+            f"non-invertible solar context for band {band}: scale={scale}"
+        )
+    return scale
+
+
 def reflectance_to_radiance(rho, ctx: SolarContext, band: int):
     """ToA radiance from reflectance: L = rho * esun_b * cos(theta_s) / (pi d^2).
 
     Works element-wise on scalars or arrays; exactly invertible by
     :func:`radiance_to_reflectance` for any valid context.
     """
-    esun = ctx.esun_per_band[band]
-    scale = esun * ctx.cos_zenith / (math.pi * ctx.earth_sun_distance**2)
-    if scale <= 0.0 or not math.isfinite(scale):
-        raise SingularContextError(
-            f"non-invertible solar context for band {band}: scale={scale}"
-        )
-    return rho * scale
+    return rho * _radiometric_scale(ctx, band)
 
 
 def radiance_to_reflectance(L, ctx: SolarContext, band: int):
     """Exact inverse of :func:`reflectance_to_radiance`."""
-    esun = ctx.esun_per_band[band]
-    scale = esun * ctx.cos_zenith / (math.pi * ctx.earth_sun_distance**2)
-    if scale <= 0.0 or not math.isfinite(scale):
-        raise SingularContextError(
-            f"non-invertible solar context for band {band}: scale={scale}"
-        )
-    return L / scale
+    return L / _radiometric_scale(ctx, band)
 
 
 def scene_to_radiance(scene: BandStack, ctx: SolarContext) -> BandStack:
@@ -201,11 +207,17 @@ def scene_to_radiance(scene: BandStack, ctx: SolarContext) -> BandStack:
     return BandStack.from_array(out, scene.gsd, scene.band_ids)
 
 
+def _to_reflectance(data: np.ndarray, ctx: SolarContext) -> None:
+    """Radiance to reflectance in place on a float64 (bands, h, w) buffer."""
+    for b in range(data.shape[0]):
+        data[b] /= _radiometric_scale(ctx, b)
+
+
 def scene_to_reflectance(scene: BandStack, ctx: SolarContext) -> BandStack:
-    out = np.empty_like(scene.data, dtype=np.float64)
-    for b in range(scene.bands):
-        out[b] = radiance_to_reflectance(scene.data[b], ctx, b)
-    return BandStack.from_array(out, scene.gsd, scene.band_ids)
+    """Float64 reflectance from a radiance raster, band by band."""
+    data = scene.data.astype(np.float64)
+    _to_reflectance(data, ctx)
+    return BandStack.from_array(data, scene.gsd, scene.band_ids)
 
 
 def synthesize_pan(scene: BandStack, weights=None) -> BandStack:
@@ -219,7 +231,7 @@ def synthesize_pan(scene: BandStack, weights=None) -> BandStack:
         )
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"pan weights must sum to 1, got {weights.sum()}")
-    pan = np.tensordot(weights, scene.data.astype(np.float64), axes=1)
+    pan = np.tensordot(weights, np.asarray(scene.data, dtype=np.float64), axes=1)
     return BandStack.from_array(pan[None], scene.gsd, ("PAN",))
 
 
@@ -241,7 +253,10 @@ def _interp_axis(data: np.ndarray, coords: np.ndarray, axis: int) -> np.ndarray:
     shape = [1] * data.ndim
     shape[axis] = frac.size
     f = frac.reshape(shape)
-    return a * (1.0 - f) + b * f
+    a *= 1.0 - f
+    b *= f
+    a += b
+    return a
 
 
 def resample(raster: BandStack, target_gsd: float) -> BandStack:
@@ -288,6 +303,22 @@ class MisalignReport:
     rms_m: float
 
 
+def _misalign(data: np.ndarray, gsd: float, cfg: DegradeConfig) -> None:
+    """Shift each band of a float64 (bands, h, w) buffer in place."""
+    bands, height, width = data.shape
+    if len(cfg.misalignment_per_band) < bands:
+        raise DimensionError("misalignment config has fewer entries than bands")
+    for b in range(bands):
+        east_m, south_m = cfg.misalignment_per_band[b]
+        dx = east_m / gsd   # columns
+        dy = south_m / gsd  # rows
+        if dx == 0.0 and dy == 0.0:
+            continue
+        # content moves by (+dy, +dx): sample the source at x - d
+        shifted = _interp_axis(data[b], np.arange(height) - dy, axis=0)
+        data[b] = _interp_axis(shifted, np.arange(width) - dx, axis=1)
+
+
 def apply_misalignment(
     scene: BandStack, cfg: DegradeConfig
 ) -> tuple[BandStack, MisalignReport]:
@@ -297,31 +328,15 @@ def apply_misalignment(
     The report records the applied offsets and their RMS magnitude, which by
     construction stays within the configured registration bound.
     """
-    if len(cfg.misalignment_per_band) < scene.bands:
-        raise DimensionError("misalignment config has fewer entries than bands")
-    out = np.empty_like(scene.data, dtype=np.float64)
-    mags = []
-    for b in range(scene.bands):
-        east_m, south_m = cfg.misalignment_per_band[b]
-        dx = east_m / scene.gsd   # columns
-        dy = south_m / scene.gsd  # rows
-        band = scene.data[b].astype(np.float64)
-        if dx == 0.0 and dy == 0.0:
-            out[b] = band
-        else:
-            # content moves by (+dy, +dx): sample the source at x - d
-            rows = np.arange(scene.height) - dy
-            cols = np.arange(scene.width) - dx
-            shifted = _interp_axis(band[None], rows, axis=1)
-            shifted = _interp_axis(shifted, cols, axis=2)
-            out[b] = shifted[0]
-        mags.append(math.hypot(east_m, south_m))
+    data = scene.data.astype(np.float64)
+    _misalign(data, scene.gsd, cfg)
+    mags = [math.hypot(*cfg.misalignment_per_band[b]) for b in range(scene.bands)]
     report = MisalignReport(
         applied_m=tuple(cfg.misalignment_per_band[: scene.bands]),
         per_band_magnitude_m=tuple(mags),
         rms_m=float(np.sqrt(np.mean(np.square(mags)))),
     )
-    return BandStack.from_array(out, scene.gsd, scene.band_ids), report
+    return BandStack.from_array(data, scene.gsd, scene.band_ids), report
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +364,28 @@ def gaussian_kernel(sigma_px: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _degrade(data: np.ndarray, cfg: DegradeConfig, seed: int) -> None:
+    """Blur then add noise in place, band by band, on a float64 buffer."""
+    bands = data.shape[0]
+    if len(cfg.snr_per_band) < bands:
+        raise DimensionError("snr config has fewer entries than bands")
+    rng = np.random.default_rng(seed)
+    sigma_px = mtf_blur_sigma_px(cfg.mtf_at_nyquist)
+    if sigma_px > 0.0:
+        kernel = gaussian_kernel(sigma_px)
+        plane = np.empty_like(data[0])
+    for b in range(bands):
+        if sigma_px > 0.0:
+            convolve1d(data[b], kernel, axis=0, output=plane, mode="nearest")
+            convolve1d(plane, kernel, axis=1, output=data[b], mode="nearest")
+        snr = cfg.snr_per_band[b]
+        if math.isinf(snr):
+            continue
+        sigma = abs(float(data[b].mean())) / snr
+        if sigma > 0.0:
+            data[b] += rng.normal(0.0, sigma, size=data[b].shape)
+
+
 def degrade(scene: BandStack, cfg: DegradeConfig, seed: int) -> BandStack:
     """Apply MTF blur then per-band Gaussian noise at sigma = mean / SNR.
 
@@ -357,25 +394,8 @@ def degrade(scene: BandStack, cfg: DegradeConfig, seed: int) -> BandStack:
     mtf_at_nyquist is 1. Noise is skipped for infinite SNR. Deterministic
     for a fixed seed.
     """
-    if len(cfg.snr_per_band) < scene.bands:
-        raise DimensionError("snr config has fewer entries than bands")
-    rng = np.random.default_rng(seed)
-    data = scene.data.astype(np.float64).copy()
-
-    sigma_px = mtf_blur_sigma_px(cfg.mtf_at_nyquist)
-    if sigma_px > 0.0:
-        kernel = gaussian_kernel(sigma_px)
-        for b in range(scene.bands):
-            plane = convolve1d(data[b], kernel, axis=0, mode="nearest")
-            data[b] = convolve1d(plane, kernel, axis=1, mode="nearest")
-
-    for b in range(scene.bands):
-        snr = cfg.snr_per_band[b]
-        if math.isinf(snr):
-            continue
-        sigma = abs(float(data[b].mean())) / snr
-        if sigma > 0.0:
-            data[b] = data[b] + rng.normal(0.0, sigma, size=data[b].shape)
+    data = scene.data.astype(np.float64)
+    _degrade(data, cfg, seed)
     return BandStack.from_array(data, scene.gsd, scene.band_ids)
 
 
@@ -417,6 +437,11 @@ def simulate_l1c(
     Masks (if any) are nearest-neighbour resampled and chipped alongside;
     ``min_coverage``, when set, drops chips whose cloud-free fraction is
     below the threshold.
+
+    The radiance raster is this call's one float64 working buffer:
+    misalignment, degradation and the reflectance conversion run in it in
+    place, and the chips and PAN chips are read-only views into it and into
+    the PAN raster. ``scene`` is not modified.
     """
     if scene.bands != 7:
         raise DimensionError(f"scene must have 7 multispectral bands, got {scene.bands}")
@@ -428,9 +453,10 @@ def simulate_l1c(
     if radiance.gsd != PRODUCT_GSD:
         radiance = resample(radiance, PRODUCT_GSD)
         pan = resample(pan, PRODUCT_GSD)
-    radiance, _ = apply_misalignment(radiance, cfg)
-    radiance = degrade(radiance, cfg, seed)
-    reflectance = scene_to_reflectance(radiance, ctx)
+    _misalign(radiance.data, radiance.gsd, cfg)
+    _degrade(radiance.data, cfg, seed)
+    _to_reflectance(radiance.data, ctx)
+    reflectance = radiance  # the same buffer, now holding reflectance
 
     if masks is None:
         masks = MaskSet.clear(reflectance.height, reflectance.width)
@@ -454,18 +480,11 @@ def simulate_l1c(
             continue
         keep_patches.append(patch)
         keep_placements.append((r0, c0))
-        pan_chips.append(
-            BandStack.from_array(
-                pan.data[:, r0 : r0 + ps, c0 : c0 + ps].copy(), pan.gsd, ("PAN",)
-            )
-        )
+        pan_chip = pan.data[:, r0 : r0 + ps, c0 : c0 + ps]
+        pan_chip.flags.writeable = False
+        pan_chips.append(BandStack.from_array(pan_chip, pan.gsd, ("PAN",)))
         mask_chips.append(MaskSet(cloud.copy(), shadow.copy(), cirrus.copy()))
-        cloud_fractions.append(
-            window_average(
-                BandStack.from_array(cloud.astype(np.float64), pan.gsd, ("cloud",)),
-                WINDOW,
-            ).data[0]
-        )
+        cloud_fractions.append(window_fraction(cloud))
 
     index = tiles.index
     kept = TileResult(
@@ -566,9 +585,8 @@ def _smooth_field(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     """Analytic scalar field in [0, 1]: optional linear ramp plus Gaussian
     blobs, min-max normalized (constant 0.5 if degenerate)."""
     h, w = spec.height, spec.width
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    yy /= max(h - 1, 1)
-    xx /= max(w - 1, 1)
+    yy = (np.arange(h, dtype=np.float64) / max(h - 1, 1))[:, None]
+    xx = (np.arange(w, dtype=np.float64) / max(w - 1, 1))[None, :]
     f = np.zeros((h, w))
     if spec.ramp:
         a, b = rng.uniform(-1.0, 1.0, size=2)
@@ -581,7 +599,9 @@ def _smooth_field(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     lo, hi = f.min(), f.max()
     if hi - lo < 1e-12:
         return np.full((h, w), 0.5)
-    return (f - lo) / (hi - lo)
+    f -= lo
+    f /= hi - lo
+    return f
 
 
 def _default_mixing(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -622,13 +642,15 @@ def generate_synthetic_scene(
     else:
         offsets, mix = _default_mixing(rng)
 
-    data = (
-        offsets[:, None, None]
-        + mix[:, 0, None, None] * turb01[None]
-        + mix[:, 1, None, None] * ph01[None]
-    )
-    if spec.noise_std > 0.0:
-        data = data + rng.normal(0.0, spec.noise_std, size=data.shape)
+    # one scene buffer, filled band by band: (offset + m0 * turb01) + m1 * ph01,
+    # then noise drawn per band, which continues the same normal stream
+    data = np.empty((7, spec.height, spec.width))
+    for b, band in enumerate(data):
+        np.multiply(mix[b, 0], turb01, out=band)
+        band += offsets[b]
+        band += mix[b, 1] * ph01
+        if spec.noise_std > 0.0:
+            band += rng.normal(0.0, spec.noise_std, size=band.shape)
     scene = BandStack.from_array(data, spec.gsd, MS_BAND_IDS)
 
     t_lo, t_hi = spec.turbidity_range

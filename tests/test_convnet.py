@@ -10,8 +10,9 @@ from coastwatch.convnet import (
     verify_equivalence,
 )
 from coastwatch.dataset import NormStats
-from coastwatch.mlp import init_mlp
-from coastwatch.quantbench import quantize_fp16
+from coastwatch.errors import InconsistencyError
+from coastwatch.mlp import forward, init_mlp
+from coastwatch.quantbench import compare_quantized, quantize_fp16
 from coastwatch.raster import random_patches, window_average
 
 DIMS = (7, 32, 16, 1)
@@ -121,3 +122,34 @@ def test_equivalence_certified():
     report = verify_equivalence(params, stats, net, random_patches(3, seed=5))
     assert report.passed and not report.vacuous
     assert report.n_cells == 3 * 625
+
+
+def test_equivalence_and_fp16_checks_equal_per_network_inference():
+    # both checks compute each patch's window means once and share them
+    params, stats = model(6)
+    net = fc_to_cnn(params, stats, "turbidity_NTU")
+    net16 = quantize_fp16(net)
+    patches = random_patches(3, seed=7)
+    eq_dev, q_dev = [], []
+    for patch in patches:
+        cnn = infer_patch(net, patch).values.reshape(-1)
+        feats = window_average(patch.raster, 10).data.reshape(7, -1).T
+        fc = stats.denormalize_target(
+            forward(params, (feats - stats.feature_mean) / stats.feature_std, "eval"))
+        eq_dev.append(np.abs(cnn - fc))
+        q_dev.append(np.abs(infer_patch(net, patch).values
+                            - infer_patch(net16, patch).values))
+    report = verify_equivalence(params, stats, net, patches)
+    assert report.max_abs_deviation == max(float(d.max()) for d in eq_dev)
+    assert report.mean_abs_deviation == sum(float(d.sum()) for d in eq_dev) / (3 * 625)
+    quant = compare_quantized(net, net16, patches)
+    assert quant.max_map_deviation == max(float(d.max()) for d in q_dev)
+    assert quant.mean_map_deviation == sum(float(d.sum()) for d in q_dev) / (3 * 625)
+
+
+def test_compare_quantized_rejects_different_windows():
+    net = fc_to_cnn(*model(7), "turbidity_NTU")
+    other = quantize_fp16(net)
+    other.window = 5
+    with pytest.raises(InconsistencyError):
+        compare_quantized(net, other, random_patches(1, seed=0))

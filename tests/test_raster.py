@@ -149,6 +149,24 @@ class TestTileScene:
         assert result.patches[0].georef.acquisition_date == georef.acquisition_date
 
 
+class TestTileSceneViews:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_patches_are_read_only_views_of_the_scene(self, dtype):
+        scene = BandStack.from_array(
+            RNG.uniform(0, 1, (7, 512, 768)).astype(dtype), 4.75)
+        before = scene.data.copy()
+        result = tile_scene(scene)
+        for patch, (r0, c0) in zip(result.patches, result.index.placements):
+            data = patch.raster.data
+            assert data.dtype == dtype
+            assert np.shares_memory(data, scene.data)
+            assert np.array_equal(data, before[:, r0 : r0 + 256, c0 : c0 + 256])
+            with pytest.raises(ValueError):
+                data[0, 0, 0] = 0.5
+        assert scene.data.flags.writeable
+        assert np.array_equal(scene.data, before)
+
+
 class TestMosaic:
     def test_single_grid_identity(self):
         scene = stack(RNG.uniform(0, 1, (7, 256, 256)))
@@ -242,6 +260,51 @@ class TestPat1Format:
         p = tmp_path / "bad.pat1"
         p.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(FormatError):
+            read_pat1(p)
+
+    def test_f32_roundtrip_bit_exact(self, tmp_path):
+        data = RNG.normal(0, 1e3, (3, 40, 24)).astype(np.float32)
+        data[0, 0, :6] = [0.0, -0.0, np.inf, -np.inf, 1e-45, -3.4e38]
+        path = write_pat1(tmp_path / "f.pat1", BandStack.from_array(data, 4.75))
+        back, _ = read_pat1(path)
+        assert back.data.dtype == np.float32
+        assert back.data.flags.writeable
+        assert np.array_equal(back.data.view(np.uint32), data.view(np.uint32))
+
+    def test_f64_is_stored_as_its_f32_rounding(self, tmp_path):
+        data = RNG.uniform(0, 1, (2, 16, 16))
+        back, _ = read_pat1(write_pat1(tmp_path / "d.pat1", stack(data)))
+        want = data.astype(np.float32)
+        assert np.array_equal(back.data.view(np.uint32), want.view(np.uint32))
+
+    def test_u8_roundtrip_bit_exact(self, tmp_path):
+        data = RNG.integers(0, 256, (3, 17, 9), dtype=np.uint8)
+        path = write_pat1(tmp_path / "u.pat1", BandStack.from_array(data, 4.75))
+        back, _ = read_pat1(path)
+        assert back.data.dtype == np.uint8
+        assert np.array_equal(back.data, data)
+
+    def test_patch_view_writes_the_bytes_of_its_copy(self, tmp_path):
+        scene = BandStack.from_array(
+            RNG.uniform(0, 1, (7, 256, 512)).astype(np.float32), 4.75)
+        view = tile_scene(scene).patches[1].raster
+        copy = BandStack.from_array(view.data.copy(), 4.75)
+        a = write_pat1(tmp_path / "view.pat1", view).read_bytes()
+        b = write_pat1(tmp_path / "copy.pat1", copy).read_bytes()
+        assert a == b and len(a) == 32 + view.data.nbytes
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_payload_one_byte_off_rejected(self, tmp_path, delta):
+        path = write_pat1(tmp_path / "o.pat1", stack(RNG.uniform(0, 1, (2, 8, 8))))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-1] if delta < 0 else blob + b"\x00")
+        with pytest.raises(FormatError, match="payload"):
+            read_pat1(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        p = tmp_path / "h.pat1"
+        p.write_bytes(b"PAT1" + b"\x00" * 20)
+        with pytest.raises(FormatError, match="header"):
             read_pat1(p)
 
     def test_truncated_payload(self, tmp_path):

@@ -1,12 +1,15 @@
 import datetime as dt
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from coastwatch import alerting, sensor
+from coastwatch.convnet import ConvLayer, ConvNet
 from coastwatch.errors import DimensionError, SingularContextError
-from coastwatch.raster import BandStack, MS_BAND_IDS, window_average
+from coastwatch.raster import BandStack, GeoRef, MS_BAND_IDS, tile_scene, window_average
 from coastwatch.sensor import (
     PH,
     TURBIDITY,
@@ -318,7 +321,161 @@ class TestSimulateL1c:
         assert product.pan_chips[0].data.shape == (1, 256, 256)
 
 
+class TestSimulateL1cWorkingBuffer:
+    """simulate_l1c runs the public steps in one buffer; same bits, no copies."""
+
+    CFG = DegradeConfig(
+        snr_per_band=(150.0, 120.0, math.inf, 90.0, 200.0, 150.0, 60.0),
+        mtf_at_nyquist=0.6,
+        misalignment_per_band=((0, 0), (2, -1), (-1.5, 2.25), (3, 0),
+                               (0, -2.5), (1.3, 0.7), (-2, -2)),
+    )
+    CTX = SolarContext(solar_zenith=35.0, earth_sun_distance=1.01)
+
+    def product(self):
+        spec = SceneSpec(width=512, height=512, noise_std=0.002)
+        scene, _ = generate_synthetic_scene(spec, 17)
+        before = scene.data.copy()
+        product = simulate_l1c(scene, self.CTX, self.CFG, seed=23,
+                               scene_georef=spec.georef())
+        return spec, scene, before, product
+
+    def test_chips_equal_the_chain_of_public_steps(self):
+        spec, scene, _, product = self.product()
+        radiance = scene_to_radiance(scene, self.CTX)
+        pan = synthesize_pan(radiance)
+        shifted, _ = apply_misalignment(radiance, self.CFG)
+        degraded = degrade(shifted, self.CFG, seed=23)
+        reference = tile_scene(scene_to_reflectance(degraded, self.CTX),
+                               spec.georef(), patch_id_prefix="chip")
+        assert len(product.patches) == len(reference.patches) == 4
+        for got, want, pan_chip, (r0, c0) in zip(
+                product.patches, reference.patches, product.pan_chips,
+                reference.index.placements):
+            assert got.patch_id == want.patch_id
+            assert got.georef == want.georef
+            assert got.flagged_values == want.flagged_values
+            assert np.array_equal(got.raster.data, want.raster.data)
+            assert np.array_equal(pan_chip.data,
+                                  pan.data[:, r0 : r0 + 256, c0 : c0 + 256])
+
+    def test_chips_are_read_only_views_of_one_buffer(self):
+        _, scene, _, product = self.product()
+
+        def owner(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        chips = [p.raster.data for p in product.patches]
+        pans = [p.data for p in product.pan_chips]
+        assert len({id(owner(a)) for a in chips}) == 1
+        assert owner(chips[0]).nbytes == 7 * 512 * 512 * 8
+        assert len({id(owner(a)) for a in pans}) == 1
+        assert owner(pans[0]).nbytes == 512 * 512 * 8
+        for chip, pan in zip(chips, pans):
+            assert not np.shares_memory(chip, scene.data)
+            assert not chip.flags.writeable and not pan.flags.writeable
+
+    def test_input_scene_unchanged(self):
+        _, scene, before, _ = self.product()
+        assert scene.data.flags.writeable
+        assert np.array_equal(scene.data, before)
+
+    def test_public_steps_leave_their_input_unchanged(self):
+        scene = stack(RNG.uniform(0.05, 0.5, (7, 64, 64)))
+        before = scene.data.copy()
+        apply_misalignment(scene, self.CFG)
+        degrade(scene, self.CFG, seed=1)
+        scene_to_reflectance(scene, self.CTX)
+        assert np.array_equal(scene.data, before)
+
+    def test_cloud_window_fraction_is_window_fraction_of_the_mask_chip(self):
+        spec = SceneSpec(width=512, height=256)
+        scene, _ = generate_synthetic_scene(spec, 3)
+        cloud = RNG.uniform(0, 1, (256, 512)) < 0.3
+        masks = MaskSet(cloud, np.zeros_like(cloud), np.zeros_like(cloud))
+        product = simulate_l1c(scene, SolarContext(), DegradeConfig(), seed=0,
+                               masks=masks)
+        for frac, chip in zip(product.cloud_window_fraction, product.mask_chips):
+            ref = window_average(
+                BandStack.from_array(chip.cloud.astype(np.float64), 4.75),
+                10).data[0]
+            assert np.array_equal(frac, ref)
+
+
+def _tiny_net() -> ConvNet:
+    rng = np.random.default_rng(0)
+    return ConvNet(
+        channels=(7, 8, 1),
+        layers=[ConvLayer(rng.normal(0, 1, (8, 7)), rng.normal(0, 1, 8), True),
+                ConvLayer(rng.normal(0, 1, (1, 8)), rng.normal(0, 1, 1), False)],
+        parameter=TURBIDITY,
+    )
+
+
+def test_run_scene_heap_peak_below_a_quarter_of_the_scene():
+    # tiling by view: a scene inference never holds a scene-sized copy
+    data = RNG.uniform(0, 0.4, (7, 1024, 1024)).astype(np.float32)
+    scene = BandStack.from_array(data, 4.75)
+    net = _tiny_net()
+    policy = alerting.ThresholdPolicy.default_for(TURBIDITY)
+    georef = GeoRef(44.0, 9.0, 4.75, dt.date(2024, 6, 15))
+    tracemalloc.start()
+    try:
+        result = alerting.run_scene(scene, net, policy, scene_georef=georef,
+                                    timestamp="2024-06-15T00:00:00+00:00")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.maps) == 16
+    assert peak < data.nbytes / 4
+
+
+def _former_scene(spec: SceneSpec, seed: int) -> np.ndarray:
+    """generate_synthetic_scene's reflectances as once written: mgrid fields
+    and whole-scene broadcasting, noise drawn in one call."""
+    rng = np.random.default_rng(seed)
+
+    def smooth_field():
+        h, w = spec.height, spec.width
+        yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+        yy /= max(h - 1, 1)
+        xx /= max(w - 1, 1)
+        f = np.zeros((h, w))
+        if spec.ramp:
+            a, b = rng.uniform(-1.0, 1.0, size=2)
+            f += a * xx + b * yy
+        for _ in range(spec.blobs):
+            cy, cx = rng.uniform(0.1, 0.9, size=2)
+            s = rng.uniform(0.05, 0.25)
+            amp = rng.uniform(0.5, 1.5)
+            f += amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * s**2))
+        lo, hi = f.min(), f.max()
+        return (f - lo) / (hi - lo)
+
+    turb01 = smooth_field()
+    ph01 = smooth_field()
+    offsets, mix = sensor._default_mixing(rng)
+    data = (
+        offsets[:, None, None]
+        + mix[:, 0, None, None] * turb01[None]
+        + mix[:, 1, None, None] * ph01[None]
+    )
+    if spec.noise_std > 0.0:
+        data = data + rng.normal(0.0, spec.noise_std, size=data.shape)
+    return data
+
+
 class TestSyntheticScene:
+    @pytest.mark.parametrize("width,height,noise", [
+        (256, 256, 0.01), (300, 170, 0.002), (128, 128, 0.0)])
+    def test_equals_the_former_broadcast_formula(self, width, height, noise):
+        spec = SceneSpec(width=width, height=height, noise_std=noise)
+        scene, _ = generate_synthetic_scene(spec, 31)
+        assert np.array_equal(scene.data, _former_scene(spec, 31))
+
+
     def test_seed_determinism(self):
         spec = SceneSpec(width=256, height=256, noise_std=0.01)
         a, ta = generate_synthetic_scene(spec, 42)
