@@ -2,8 +2,11 @@
 
 Only anomalous information leaves the pipeline: per-patch alert messages
 carry exceedance counts and summary statistics of the violating values,
-never a raster. The scene workflow is tile -> infer each patch ->
-threshold -> mosaic the binary maps back to scene extent.
+never a raster. The scene workflow, ``run_scene``, is tile -> infer each
+patch -> ``invalidate_clouded`` -> ``alert_scene`` (threshold, gated
+messages, mosaic of the binary maps back to scene extent). The CLI runs
+the same two steps: ``infer`` calls ``invalidate_clouded`` and ``alert``
+calls ``alert_scene`` on the maps it reads back.
 
 NaN map cells are invalid: they never alert and are counted separately.
 When cloud masks are available, any window at least half covered by cloud
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .convnet import ContaminantMap, ConvNet, infer_patch
-from .errors import InconsistencyError
+from .errors import InconsistencyError, SchemaError
 from .raster import WINDOW, BandStack, GeoRef, TileIndex, mosaic, tile_scene, window_fraction
 from .sensor import MaskSet, PARAMETERS, PH, TURBIDITY
 
@@ -54,14 +57,14 @@ class ThresholdPolicy:
 
     def __post_init__(self):
         if self.parameter not in PARAMETERS:
-            raise ValueError(f"unknown parameter {self.parameter!r}")
+            raise SchemaError(f"unknown parameter {self.parameter!r}")
         if self.lower_bound is None and self.upper_bound is None:
-            raise ValueError("policy needs at least one bound")
+            raise SchemaError("policy needs at least one bound")
         if (self.lower_bound is not None and self.upper_bound is not None
                 and not self.lower_bound < self.upper_bound):
-            raise ValueError("lower bound must be below upper bound")
+            raise SchemaError("lower bound must be below upper bound")
         if not 0.0 <= self.min_exceed_fraction <= 1.0:
-            raise ValueError("min_exceed_fraction must be in [0, 1]")
+            raise SchemaError("min_exceed_fraction must be in [0, 1]")
 
     @property
     def policy_id(self) -> str:
@@ -80,15 +83,25 @@ class ThresholdPolicy:
     def from_json(cls, doc: dict) -> "ThresholdPolicy":
         return cls(
             parameter=doc["parameter"],
-            lower_bound=doc.get("lower_bound"),
-            upper_bound=doc.get("upper_bound"),
-            min_exceed_fraction=float(doc.get("min_exceed_fraction", 0.0)),
-            cloud_invalid_fraction=float(doc.get("cloud_invalid_fraction", 0.5)),
+            lower_bound=_number(doc, "lower_bound", None),
+            upper_bound=_number(doc, "upper_bound", None),
+            min_exceed_fraction=_number(doc, "min_exceed_fraction", 0.0),
+            cloud_invalid_fraction=_number(doc, "cloud_invalid_fraction", 0.5),
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "ThresholdPolicy":
         return cls.from_json(json.loads(Path(path).read_text()))
+
+
+def _number(doc: dict, key: str, default: float | None) -> float | None:
+    value = doc.get(key, default)
+    if value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"policy {key} must be a number, got {value!r}") from None
 
 
 @dataclass
@@ -165,7 +178,7 @@ class AlertMessage:
 
     def __post_init__(self):
         if len(self.scene_id) > MAX_SCENE_ID_LEN:
-            raise ValueError(
+            raise SchemaError(
                 f"scene id longer than {MAX_SCENE_ID_LEN} characters"
             )
         if self.exceed_count <= 0:
@@ -196,7 +209,7 @@ def make_message(
         return None
     violating = cmap.values[amap.cells.astype(bool)]
     if timestamp is None:
-        timestamp = dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds")
+        timestamp = _utc_now()
     return AlertMessage(
         scene_id=scene_id,
         lat=cmap.georef.center_lat,
@@ -212,6 +225,10 @@ def make_message(
         violating_mean=float(violating.mean()),
         timestamp=timestamp,
     )
+
+
+def _utc_now() -> str:
+    return dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds")
 
 
 def serialize_alert(msg: AlertMessage) -> bytes:
@@ -241,6 +258,60 @@ class SceneAlertResult:
     index: TileIndex
 
 
+def invalidate_clouded(
+    maps: list[ContaminantMap],
+    index: TileIndex,
+    cloud: np.ndarray,
+    fraction: float,
+) -> None:
+    """Set map cells to NaN where their window's cloud fraction reaches
+    ``fraction``.
+
+    ``cloud`` is the scene's boolean cloud plane and ``maps[i]`` the map of
+    the patch at ``index.placements[i]``. ``fraction`` must lie in (0, 1]:
+    0 would invalidate every window and anything above 1 none.
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise SchemaError(f"cloud fraction must be in (0, 1], got {fraction}")
+    ps = index.patch_size
+    for cmap, (r0, c0) in zip(maps, index.placements):
+        frac = window_fraction(cloud[r0 : r0 + ps, c0 : c0 + ps], WINDOW)
+        cmap.values = np.where(frac >= fraction, np.nan, cmap.values)
+
+
+def alert_scene(
+    maps: list[ContaminantMap],
+    index: TileIndex,
+    policy: ThresholdPolicy,
+    scene_id: str,
+    timestamp: str | None = None,
+) -> SceneAlertResult:
+    """Threshold a scene's maps, build the gated messages and mosaic the cells.
+
+    Every message of the scene carries one timestamp: ``timestamp``, or the
+    current UTC time read once. The mosaic reproduces the per-patch alert
+    cells exactly.
+    """
+    if timestamp is None:
+        timestamp = _utc_now()
+    alert_maps = [threshold(m, policy) for m in maps]
+    messages = []
+    for cmap, amap in zip(maps, alert_maps):
+        msg = make_message(scene_id, cmap, amap, policy, timestamp)
+        if msg is not None:
+            messages.append(msg)
+    mosaicked = mosaic(
+        [a.cells for a in alert_maps], index, band_ids=(policy.policy_id,)
+    )
+    return SceneAlertResult(
+        mosaic=mosaicked,
+        messages=messages,
+        maps=maps,
+        alert_maps=alert_maps,
+        index=index,
+    )
+
+
 def run_scene(
     scene: BandStack,
     net: ConvNet,
@@ -250,38 +321,15 @@ def run_scene(
     scene_id: str = "scene",
     timestamp: str | None = None,
 ) -> SceneAlertResult:
-    """Tile a scene, infer every patch, threshold, and mosaic the results.
+    """Tile a scene, infer every patch, invalidate clouded windows, alert.
 
     Windows at least ``policy.cloud_invalid_fraction`` covered by cloud are
-    set to NaN before thresholding. Messages are emitted only for patches
-    whose exceedance clears the policy gate; the mosaic reproduces the
-    per-patch alert cells exactly.
+    set to NaN before thresholding (``invalidate_clouded``); the rest is
+    ``alert_scene``.
     """
     tiles = tile_scene(scene, scene_georef, patch_id_prefix=scene_id)
     maps = [infer_patch(net, p) for p in tiles.patches]
-
     if masks is not None:
-        ps = tiles.index.patch_size
-        for cmap, (r0, c0) in zip(maps, tiles.index.placements):
-            cloud = masks.cloud[r0 : r0 + ps, c0 : c0 + ps]
-            frac = window_fraction(cloud, WINDOW)
-            cmap.values = np.where(
-                frac >= policy.cloud_invalid_fraction, np.nan, cmap.values
-            )
-
-    alert_maps = [threshold(m, policy) for m in maps]
-    messages = []
-    for cmap, amap in zip(maps, alert_maps):
-        msg = make_message(scene_id, cmap, amap, policy, timestamp)
-        if msg is not None:
-            messages.append(msg)
-    mosaicked = mosaic(
-        [a.cells for a in alert_maps], tiles.index, band_ids=(policy.policy_id,)
-    )
-    return SceneAlertResult(
-        mosaic=mosaicked,
-        messages=messages,
-        maps=maps,
-        alert_maps=alert_maps,
-        index=tiles.index,
-    )
+        invalidate_clouded(maps, tiles.index, masks.cloud,
+                           policy.cloud_invalid_fraction)
+    return alert_scene(maps, tiles.index, policy, scene_id, timestamp)

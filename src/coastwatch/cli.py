@@ -2,15 +2,21 @@
 
 Commands compose through the documented file formats (PAT1 rasters, SMP1
 sample stores, MDL1/CNN1 models, JSON-lines alerts) and never mutate their
-inputs; every command exits nonzero on error. The commands that draw
-random numbers (simulate, train, transfer, quantize, bench) take ``--seed``.
-Each binary format is described in the module that writes it.
+inputs; every command exits nonzero on error, and invalid input (a
+malformed file, policy or config) exits 2 with a one-line message. The
+commands that draw random numbers (simulate, train, transfer, quantize,
+bench) take ``--seed``. Each binary format is described in the module that
+writes it; MDL1 and CNN1 share the ``_container`` framing.
+
+``infer`` and ``alert`` are the library's scene path split at the map
+files: ``infer`` tiles the scene, runs ``convnet.infer_patch`` and
+``alerting.invalidate_clouded``; ``alert`` reads the maps back and runs
+``alerting.alert_scene``, the same steps ``alerting.run_scene`` composes.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import json
 import sys
 from pathlib import Path
@@ -149,15 +155,15 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_train(args) -> int:
+    doc = json.loads(Path(args.config).read_text()) if args.config else {}
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    config = mlp.TrainConfig.from_json(doc)
     samples, _, _ = dataset.load_samples(args.samples)
     parameter = _parameter(args.parameter)
     samples = [s for s in samples if s.parameter == parameter]
     if not samples:
         raise CoastwatchError(f"no {parameter} samples in {args.samples}")
-    doc = json.loads(Path(args.config).read_text()) if args.config else {}
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    config = mlp.TrainConfig.from_json(doc)
 
     splits = dataset.split(samples, dataset.SplitSpec(seed=config.seed))
     train_n, stats = dataset.normalize(splits.train)
@@ -211,29 +217,20 @@ def cmd_infer(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     scene_id = Path(args.scene).stem
 
+    cloud = _load_cloud_plane(Path(args.masks), scene) if args.masks else None
+
     tiles = raster.tile_scene(scene, georef, patch_id_prefix=scene_id)
-    masks = None
-    if args.masks:
-        masks = _load_mask_scene(Path(args.masks), scene)
+    maps = [convnet.infer_patch(net, p) for p in tiles.patches]
+    if cloud is not None:
+        alerting.invalidate_clouded(maps, tiles.index, cloud, args.cloud_fraction)
 
     grids = []
-    for patch, placement in zip(tiles.patches, tiles.index.placements):
-        cmap = convnet.infer_patch(net, patch)
-        if masks is not None:
-            r0, c0 = placement
-            ps = tiles.index.patch_size
-            frac = raster.window_fraction(
-                masks.cloud[r0 : r0 + ps, c0 : c0 + ps], raster.WINDOW
-            )
-            cmap.values = np.where(
-                frac >= args.cloud_fraction, np.nan, cmap.values
-            )
+    for patch, placement, cmap in zip(tiles.patches, tiles.index.placements, maps):
         grids.append(cmap.values.astype(np.float32))
         raster.write_pat1(
             out / f"map_{patch.patch_id}.pat1",
             raster.BandStack.from_array(
-                cmap.values.astype(np.float32)[None],
-                gsd=cmap.window_gsd, band_ids=(net.parameter,),
+                grids[-1][None], gsd=cmap.window_gsd, band_ids=(net.parameter,),
             ),
             georef=raster.GeoRef(cmap.georef.center_lat, cmap.georef.center_lon,
                                  cmap.window_gsd, cmap.georef.acquisition_date),
@@ -257,23 +254,20 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _load_mask_scene(path: Path, scene: raster.BandStack) -> sensor.MaskSet:
+def _load_cloud_plane(path: Path, scene: raster.BandStack) -> np.ndarray:
+    """The cloud plane (band 0) of a 1-band (cloud) or 3-band mask PAT1."""
     stack, _ = raster.read_pat1(path)
     if (stack.height, stack.width) != (scene.height, scene.width):
         raise CoastwatchError("mask raster does not match the scene dimensions")
-    planes = stack.data.astype(bool)
-    if stack.bands == 1:
-        return sensor.MaskSet(planes[0], np.zeros_like(planes[0]),
-                              np.zeros_like(planes[0]))
-    if stack.bands == 3:
-        return sensor.MaskSet(planes[0], planes[1], planes[2])
-    raise CoastwatchError("mask raster must have 1 (cloud) or 3 bands")
+    if stack.bands not in (1, 3):
+        raise CoastwatchError("mask raster must have 1 (cloud) or 3 bands")
+    return stack.data[0].astype(bool)
 
 
 def cmd_alert(args) -> int:
+    policy = alerting.ThresholdPolicy.load(args.policy)
     maps_dir = Path(args.maps)
     index_doc = json.loads((maps_dir / "index.json").read_text())
-    policy = alerting.ThresholdPolicy.load(args.policy)
     if policy.parameter != index_doc["parameter"]:
         raise CoastwatchError(
             f"maps are {index_doc['parameter']!r}, policy is "
@@ -286,32 +280,26 @@ def cmd_alert(args) -> int:
         patch_size=index_doc["patch_size"],
         gsd=index_doc["gsd"],
     )
-    timestamp = dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds")
-    messages, cells = [], []
+    maps = []
     for name in index_doc["maps"]:
         stack, sidecar = raster.read_pat1(maps_dir / name)
         georef = raster.sidecar_georef(sidecar)
-        cmap = convnet.ContaminantMap(
+        maps.append(convnet.ContaminantMap(
             values=stack.data[0].astype(np.float64),
             parameter=index_doc["parameter"],
             georef=raster.GeoRef(georef.center_lat, georef.center_lon,
                                  index.gsd, georef.acquisition_date),
             window_gsd=stack.gsd,
-        )
-        amap = alerting.threshold(cmap, policy)
-        cells.append(amap.cells)
-        msg = alerting.make_message(index_doc["scene_id"], cmap, amap, policy,
-                                    timestamp)
-        if msg is not None:
-            messages.append(msg)
+        ))
+    result = alerting.alert_scene(maps, index, policy, index_doc["scene_id"])
 
     with open(args.out, "wb") as fh:
-        for msg in messages:
+        for msg in result.messages:
             fh.write(alerting.serialize_alert(msg) + b"\n")
     if args.mosaic:
-        mosaic = raster.mosaic(cells, index, band_ids=(policy.policy_id,))
-        raster.write_pat1(args.mosaic, mosaic)
-    print(f"alert: {len(messages)} messages ({sum(int(c.sum()) for c in cells)} "
+        raster.write_pat1(args.mosaic, result.mosaic)
+    cells = sum(a.exceed_count for a in result.alert_maps)
+    print(f"alert: {len(result.messages)} messages ({cells} "
           f"alerting cells) -> {args.out}")
     return 0
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import _container
 from .dataset import NormStats
 from .errors import DimensionError, FormatError, NumericError, TransferError
 from .mlp import BN_EPS, MLPParams, forward
@@ -216,16 +216,7 @@ class EquivalenceReport:
     worst: tuple[int, int, int]   # (patch index, cell row, cell col)
 
     def to_json(self) -> dict:
-        return {
-            "max_abs_deviation": self.max_abs_deviation,
-            "mean_abs_deviation": self.mean_abs_deviation,
-            "n_patches": self.n_patches,
-            "n_cells": self.n_cells,
-            "tol": self.tol,
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-            "worst": list(self.worst),
-        }
+        return asdict(self)
 
     def digest(self) -> str:
         return hashlib.sha256(
@@ -280,7 +271,7 @@ def verify_equivalence(
 # ---------------------------------------------------------------------------
 # CNN1 deployed-model file: "CNN1" magic, u32 manifest length, JSON manifest,
 # little-endian parameter blob (per layer: kernel then bias) in the
-# manifest-declared dtype (f32 or f16).
+# manifest-declared dtype (f32 or f16); the framing is ``_container``'s.
 # ---------------------------------------------------------------------------
 
 _CNN1_MAGIC = b"CNN1"
@@ -311,13 +302,8 @@ def cnn1_bytes(net: ConvNet, equivalence: EquivalenceReport | None = None) -> by
         "equivalence": equivalence.to_json() if equivalence else None,
         "equivalence_sha256": equivalence.digest() if equivalence else None,
     }
-    mbytes = json.dumps(manifest).encode()
-    blob = b"".join(
-        arr.astype(dtype).tobytes()
-        for l in net.layers
-        for arr in (l.kernel, l.bias)
-    )
-    return _CNN1_MAGIC + struct.pack("<I", len(mbytes)) + mbytes + blob
+    arrays = (arr for l in net.layers for arr in (l.kernel, l.bias))
+    return _container.pack(_CNN1_MAGIC, manifest, arrays, dtype)
 
 
 def save_cnn1(
@@ -330,33 +316,20 @@ def save_cnn1(
 
 def load_cnn1(path: str | Path) -> tuple[ConvNet, dict]:
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != _CNN1_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    (mlen,) = struct.unpack_from("<I", blob, 4)
-    manifest = json.loads(blob[8 : 8 + mlen])
-    dtype = _CNN1_DTYPES[manifest["dtype"]]
-    channels = tuple(manifest["channels"])
-    layers = []
-    offset = 8 + mlen
-    for spec in manifest["layers"]:
-        out_c, in_c = spec["out"], spec["in"]
-        ksize = out_c * in_c * dtype.itemsize
-        bsize = out_c * dtype.itemsize
-        chunk = blob[offset : offset + ksize + bsize]
-        if len(chunk) != ksize + bsize:
-            raise FormatError(f"{path}: truncated parameter blob")
-        kernel = np.frombuffer(chunk[:ksize], dtype=dtype).reshape(out_c, in_c)
-        bias = np.frombuffer(chunk[ksize:], dtype=dtype)
-        layers.append(
-            ConvLayer(kernel.astype(np.float64), bias.astype(np.float64),
-                      relu=bool(spec["relu"]))
-        )
-        offset += ksize + bsize
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
+    manifest, payload = _container.read(path.read_bytes(), _CNN1_MAGIC, path)
+    if manifest.get("dtype") not in _CNN1_DTYPES:
+        raise FormatError(f"{path}: unknown dtype {manifest.get('dtype')!r}")
+    specs = manifest["layers"]
+    shapes = [shape for spec in specs
+              for shape in ((spec["out"], spec["in"]), (spec["out"],))]
+    arrays = _container.split(payload, shapes, _CNN1_DTYPES[manifest["dtype"]], path)
+    layers = [
+        ConvLayer(kernel.astype(np.float64), bias.astype(np.float64),
+                  relu=bool(spec["relu"]))
+        for spec, kernel, bias in zip(specs, arrays[0::2], arrays[1::2])
+    ]
     net = ConvNet(
-        channels=channels,
+        channels=tuple(manifest["channels"]),
         layers=layers,
         window=int(manifest["window"]),
         dtype=manifest["dtype"],

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _container
 from .errors import FormatError, SchemaError
 from .raster import (PATCH_SIZE, WINDOW, BandStack, GeoRef, Patch,
                      meters_per_degree, window_average)
@@ -379,7 +380,8 @@ def samples_from_scene(
 #
 # Header (16 bytes): magic "SMP1", u32 record count, u32 manifest length,
 # 4 reserved bytes. Then the JSON manifest (string tables, provenance,
-# optional normalization stats), then fixed-width 88-byte records:
+# optional normalization stats; parsed by ``_container.manifest_at``), then
+# fixed-width 88-byte records:
 # 7 x f64 features, f64 target, u8 parameter code, u32 patch index,
 # u16 window row, u16 window col, u32 station index, i32 date ordinal,
 # 7 pad bytes. All little-endian.
@@ -433,7 +435,7 @@ def load_samples(path: str | Path) -> tuple[list[Sample], NormStats | None, dict
     if magic != _SMP1_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
     offset = _SMP1_HEADER.size
-    manifest = json.loads(blob[offset : offset + mlen])
+    manifest = _container.manifest_at(blob, offset, mlen, path)
     offset += mlen
     expected = count * _SMP1_RECORD.size
     if len(blob) - offset != expected:

@@ -16,15 +16,14 @@ in their weights.
 from __future__ import annotations
 
 import copy
-import json
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import _container
 from .dataset import NormStats, Sample, as_arrays
-from .errors import FormatError, NumericError
+from .errors import NumericError, SchemaError
 
 DEFAULT_LAYER_DIMS = (7, 512, 512, 512, 512, 43, 1)
 BN_EPS = 1e-5
@@ -150,15 +149,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise SchemaError("epochs must be >= 1")
         if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
+            raise SchemaError("learning rate must be >= 0")
         if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+            raise SchemaError("batch size must be >= 1")
         if self.lr_schedule not in ("constant", "cosine"):
-            raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
+            raise SchemaError(f"unknown lr schedule {self.lr_schedule!r}")
         if self.dtype not in ("f32", "f64"):
-            raise ValueError(f"unknown dtype {self.dtype!r}")
+            raise SchemaError(f"unknown dtype {self.dtype!r}")
 
     def lr_at(self, epoch: int) -> float:
         if self.lr_schedule == "constant":
@@ -169,6 +168,9 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrainConfig":
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise SchemaError(f"unknown train config keys: {', '.join(unknown)}")
         kwargs = dict(doc)
         if "layer_dims" in kwargs:
             kwargs["layer_dims"] = tuple(int(d) for d in kwargs["layer_dims"])
@@ -716,7 +718,8 @@ def evaluate(
 
 # ---------------------------------------------------------------------------
 # MDL1 model file: "MDL1" magic, u32 manifest length, JSON manifest, then a
-# little-endian float64 parameter blob in the manifest-declared order.
+# little-endian float64 parameter blob in the manifest-declared order (the
+# framing is ``_container``'s).
 # ---------------------------------------------------------------------------
 
 _MDL1_MAGIC = b"MDL1"
@@ -762,35 +765,20 @@ def save_mdl1(
         "param_order": [f"{kind}[{k}]" for kind, k in _param_order(params)],
         "training": training or {},
     }
-    mbytes = json.dumps(manifest).encode()
-    blob = b"".join(
-        _param_array(params, kind, k).astype("<f8").tobytes()
-        for kind, k in _param_order(params)
-    )
-    path.write_bytes(_MDL1_MAGIC + struct.pack("<I", len(mbytes)) + mbytes + blob)
+    arrays = (_param_array(params, kind, k) for kind, k in _param_order(params))
+    path.write_bytes(_container.pack(_MDL1_MAGIC, manifest, arrays, "<f8"))
     return path
 
 
 def load_mdl1(path: str | Path) -> tuple[MLPParams, NormStats, dict]:
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != _MDL1_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    (mlen,) = struct.unpack_from("<I", blob, 4)
-    manifest = json.loads(blob[8 : 8 + mlen])
+    manifest, payload = _container.read(path.read_bytes(), _MDL1_MAGIC, path)
     dims = tuple(manifest["layer_dims"])
     params = init_mlp(dims, seed=0, dropout_p=float(manifest["dropout_p"]))
-    offset = 8 + mlen
-    for kind, k in _param_order(params):
-        arr = _param_array(params, kind, k)
-        nbytes = arr.size * 8
-        chunk = blob[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise FormatError(f"{path}: truncated parameter blob at {kind}[{k}]")
-        arr[...] = np.frombuffer(chunk, dtype="<f8").reshape(arr.shape)
-        offset += nbytes
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
+    arrays = [_param_array(params, kind, k) for kind, k in _param_order(params)]
+    stored = _container.split(payload, [a.shape for a in arrays], "<f8", path)
+    for arr, values in zip(arrays, stored):
+        arr[...] = values
     params.bn_stats_tracked = bool(manifest.get("bn_stats_tracked", False))
     stats = NormStats.from_json(manifest["normalization"])
     return params, stats, manifest

@@ -14,7 +14,7 @@ import copy
 import json
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,16 +63,7 @@ class QuantReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "model_bytes_fp32": self.model_bytes_fp32,
-            "model_bytes_fp16": self.model_bytes_fp16,
-            "max_map_deviation": self.max_map_deviation,
-            "mean_map_deviation": self.mean_map_deviation,
-            "patches_tested": self.patches_tested,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "mission_size_limit_bytes": MISSION_SIZE_LIMIT_BYTES,
-        }
+        return dict(asdict(self), mission_size_limit_bytes=MISSION_SIZE_LIMIT_BYTES)
 
 
 def compare_quantized(
@@ -127,16 +118,7 @@ class BenchReport:
     reference: dict
 
     def to_json(self) -> dict:
-        return {
-            "ms_per_inference": self.ms_per_inference,
-            "ms_p95": self.ms_p95,
-            "fps": self.fps,
-            "patches": self.patches,
-            "reps": self.reps,
-            "warmup": self.warmup,
-            "hardware_descriptor": self.hardware_descriptor,
-            "reference": self.reference,
-        }
+        return asdict(self)
 
 
 def _hardware_descriptor() -> str:

@@ -96,3 +96,22 @@ def test_seven_command_chain(inputs, capsys):
     quant = json.loads((d / "quant.json").read_text())
     assert code == (0 if quant["passed"] else 1)
     assert quant["model_bytes_fp16"] < quant["model_bytes_fp32"]
+
+
+@pytest.mark.parametrize("name, content, argv, says", [
+    ("net.cnn1", b"CNN1\x00\x00",
+     ["quantize", "--net", "net.cnn1", "--out", "net16.cnn1"], "CNN1 header"),
+    ("policy.json", b'{"parameter": "turbidity_NTU", "lower_bound": 5, "upper_bound": 1}',
+     ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"],
+     "lower bound"),
+    ("train.json", b'{"epochz": 3}',
+     ["train", "--samples", "s.smp1", "--parameter", "ph", "--config", "train.json",
+      "--out", "m.mdl1"], "epochz"),
+], ids=["malformed_cnn1", "bad_policy", "unknown_config_key"])
+def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
+                                             name, content, argv, says):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(content)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and says in err

@@ -3,8 +3,8 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from coastwatch.dataset import Sample
-from coastwatch.errors import NumericError
+from coastwatch.dataset import NormStats, Sample
+from coastwatch.errors import NumericError, SchemaError
 from coastwatch.mlp import (
     BN_EPS,
     TrainConfig,
@@ -14,6 +14,8 @@ from coastwatch.mlp import (
     _forward_full,
     forward,
     init_mlp,
+    load_mdl1,
+    save_mdl1,
     train,
 )
 
@@ -161,3 +163,36 @@ class TestAdam:
         assert ha == hb
         for x, y in zip(a.trainable_arrays(), b.trainable_arrays()):
             assert np.array_equal(x, y)
+
+
+def test_mdl1_round_trips_bit_for_bit(tmp_path):
+    params = tracked_params()
+    rng = np.random.default_rng(7)
+    stats = NormStats(feature_mean=rng.uniform(0.1, 0.3, 7),
+                      feature_std=rng.uniform(0.01, 0.05, 7),
+                      target_mean=4.2, target_std=1.7)
+    training = {"epochs_run": 3, "test_rmse": 0.125}
+    path = save_mdl1(tmp_path / "m.mdl1", params, stats, "turbidity_NTU", training)
+    back, back_stats, manifest = load_mdl1(path)
+
+    for name in ("weights", "biases", "bn_gamma", "bn_beta", "bn_mean", "bn_var"):
+        for a, b in zip(getattr(params, name), getattr(back, name), strict=True):
+            assert a.dtype == b.dtype == np.float64
+            assert a.tobytes() == b.tobytes()
+    assert back.layer_dims == params.layer_dims
+    assert back.dropout_p == params.dropout_p
+    assert back.bn_stats_tracked
+    assert back_stats.feature_mean.tobytes() == stats.feature_mean.tobytes()
+    assert back_stats.feature_std.tobytes() == stats.feature_std.tobytes()
+    assert (back_stats.target_mean, back_stats.target_std) == (4.2, 1.7)
+    assert manifest["parameter"] == "turbidity_NTU"
+    assert manifest["training"] == training
+    again = save_mdl1(tmp_path / "again.mdl1", back, back_stats, "turbidity_NTU",
+                      training)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("doc", [{"epochz": 3}, {"epochs": 0}, {"dtype": "f16"}])
+def test_bad_train_config_is_a_schema_error(doc):
+    with pytest.raises(SchemaError):
+        TrainConfig.from_json(doc)
