@@ -4,11 +4,14 @@ Layout: 4-byte magic, u32 little-endian manifest length, UTF-8 JSON
 manifest, then little-endian arrays back to back in the order and shapes
 the manifest declares. The SMP1 sample store has its own 16-byte header
 (it carries the record count) and parses its manifest through
-``manifest_at``. Every malformed file raises ``FormatError``.
+``manifest_at``. Every malformed file raises ``FormatError``, a manifest
+that lacks a field or declares values the model rejects included
+(``parsing``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import struct
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, TransferError
 
 _LENGTH = struct.Struct("<I")
 _HEADER_BYTES = 4 + _LENGTH.size
@@ -64,15 +67,35 @@ def split(
     The payload must be exactly their size: a cut or a trailing byte raises.
     """
     dtype = np.dtype(dtype)
-    sizes = [math.prod(shape) for shape in shapes]
-    expected = sum(sizes) * dtype.itemsize
+    expected = sum(math.prod(shape) for shape in shapes) * dtype.itemsize
     if len(payload) != expected:
         raise FormatError(
             f"{path}: parameter payload is {len(payload)} bytes, expected {expected}"
         )
-    flat = np.frombuffer(payload, dtype=dtype)
+    return views(np.frombuffer(payload, dtype=dtype), shapes)
+
+
+def views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of ``shapes`` laid back to back in the 1-D array ``flat``."""
     arrays, start = [], 0
-    for shape, size in zip(shapes, sizes):
+    for shape in shapes:
+        size = math.prod(shape)
         arrays.append(flat[start : start + size].reshape(shape))
         start += size
     return arrays
+
+
+@contextlib.contextmanager
+def parsing(path: str | Path):
+    """Turn a missing manifest field (``KeyError``), a field of the wrong
+    kind or a value the model rejects (``TypeError``, ``ValueError``,
+    ``TransferError``) raised inside the block into a ``FormatError`` that
+    names ``path``."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except KeyError as exc:
+        raise FormatError(f"{path}: manifest lacks field {exc}") from None
+    except (TypeError, ValueError, TransferError) as exc:
+        raise FormatError(f"{path}: {exc}") from None

@@ -12,6 +12,9 @@ writes it; MDL1 and CNN1 share the ``_container`` framing.
 files: ``infer`` tiles the scene, runs ``convnet.infer_patch`` and
 ``alerting.invalidate_clouded``; ``alert`` reads the maps back and runs
 ``alerting.alert_scene``, the same steps ``alerting.run_scene`` composes.
+``infer`` records the cloud fraction it applied (``--cloud-fraction``, or
+null without masks) in the map index, and ``alert`` refuses a policy whose
+``cloud_invalid_fraction`` differs from it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alerting, convnet, dataset, mlp, quantbench, raster, sensor
-from .errors import CoastwatchError
+from .errors import CoastwatchError, InconsistencyError
 
 INVALID_CLOUD_FRACTION = 0.5
 PARAM_ALIASES = {
@@ -247,6 +250,7 @@ def cmd_infer(args) -> int:
         "gsd": tiles.index.gsd,
         "placements": [list(p) for p in tiles.index.placements],
         "maps": [f"map_{p.patch_id}.pat1" for p in tiles.patches],
+        "cloud_invalid_fraction": args.cloud_fraction if cloud is not None else None,
     }
     (out / "index.json").write_text(json.dumps(index_doc, indent=2))
     print(f"infer: {len(tiles.patches)} maps + mosaic "
@@ -272,6 +276,13 @@ def cmd_alert(args) -> int:
         raise CoastwatchError(
             f"maps are {index_doc['parameter']!r}, policy is "
             f"{policy.parameter!r}"
+        )
+    applied = index_doc.get("cloud_invalid_fraction")
+    if applied is not None and applied != policy.cloud_invalid_fraction:
+        raise InconsistencyError(
+            f"maps were cloud-invalidated at fraction {applied}, policy asks "
+            f"for {policy.cloud_invalid_fraction}; rerun infer with "
+            f"--cloud-fraction {policy.cloud_invalid_fraction}"
         )
     index = raster.TileIndex(
         scene_width=index_doc["scene_width"],

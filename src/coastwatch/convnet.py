@@ -317,23 +317,25 @@ def save_cnn1(
 def load_cnn1(path: str | Path) -> tuple[ConvNet, dict]:
     path = Path(path)
     manifest, payload = _container.read(path.read_bytes(), _CNN1_MAGIC, path)
-    if manifest.get("dtype") not in _CNN1_DTYPES:
-        raise FormatError(f"{path}: unknown dtype {manifest.get('dtype')!r}")
-    specs = manifest["layers"]
-    shapes = [shape for spec in specs
-              for shape in ((spec["out"], spec["in"]), (spec["out"],))]
-    arrays = _container.split(payload, shapes, _CNN1_DTYPES[manifest["dtype"]], path)
-    layers = [
-        ConvLayer(kernel.astype(np.float64), bias.astype(np.float64),
-                  relu=bool(spec["relu"]))
-        for spec, kernel, bias in zip(specs, arrays[0::2], arrays[1::2])
-    ]
-    net = ConvNet(
-        channels=tuple(manifest["channels"]),
-        layers=layers,
-        window=int(manifest["window"]),
-        dtype=manifest["dtype"],
-        parameter=manifest.get("parameter", "unknown"),
-        meta=manifest.get("meta", {}),
-    )
+    with _container.parsing(path):
+        if manifest.get("dtype") not in _CNN1_DTYPES:
+            raise FormatError(f"{path}: unknown dtype {manifest.get('dtype')!r}")
+        specs = manifest["layers"]
+        shapes = [shape for spec in specs
+                  for shape in ((spec["out"], spec["in"]), (spec["out"],))]
+        arrays = _container.split(payload, shapes, _CNN1_DTYPES[manifest["dtype"]],
+                                  path)
+        layers = [
+            ConvLayer(kernel.astype(np.float64), bias.astype(np.float64),
+                      relu=bool(spec["relu"]))
+            for spec, kernel, bias in zip(specs, arrays[0::2], arrays[1::2])
+        ]
+        net = ConvNet(
+            channels=tuple(manifest["channels"]),
+            layers=layers,
+            window=int(manifest["window"]),
+            dtype=manifest["dtype"],
+            parameter=manifest.get("parameter", "unknown"),
+            meta=manifest.get("meta", {}),
+        )
     return net, manifest

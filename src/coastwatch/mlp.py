@@ -8,6 +8,12 @@ numpy arrays so the weight transfer into the convolutional form (and its
 verification) has full access to every parameter, and so gradients can be
 checked against finite differences.
 
+Every trainable value lives in one vector, ``MLPParams.theta``, and the
+running batch-norm statistics in a second, ``bn_state``; the per-layer
+arrays are views into them. Adam steps over ``theta`` as one vector,
+``_backward`` returns one gradient vector in its layout, and the gradient
+check perturbs it entry by entry.
+
 Training is single-threaded and bit-deterministic for a fixed seed. One
 model per contaminant; the two models share hyperparameters and differ only
 in their weights.
@@ -15,8 +21,7 @@ in their weights.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,24 +35,47 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
+def _vector_sizes(dims: tuple[int, ...]) -> tuple[int, int]:
+    """Lengths of ``theta`` and ``bn_state`` for ``dims``."""
+    hidden = sum(dims[1:-1])
+    layers = sum((i + 1) * o for i, o in zip(dims[:-1], dims[1:]))
+    return layers + 2 * hidden, 2 * hidden
+
+
+def _theta_views(theta: np.ndarray, dims: tuple[int, ...]):
+    """Per-layer views of a vector in ``theta``'s layout: the weights, the
+    biases, the batch-norm gammas and the batch-norm betas."""
+    n_layers, n_hidden = len(dims) - 1, len(dims) - 2
+    layers = list(zip(dims[1:], dims[:-1]))
+    hidden = [(h,) for h in dims[1:-1]]
+    views = _container.views(
+        theta, [*layers, *[(o,) for o, _ in layers], *hidden, *hidden])
+    return (views[:n_layers], views[n_layers : 2 * n_layers],
+            views[2 * n_layers : 2 * n_layers + n_hidden],
+            views[2 * n_layers + n_hidden :])
+
+
 @dataclass
 class MLPParams:
-    """All parameters and batch-norm state of the regressor.
+    """All parameters and batch-norm state of the regressor, in two vectors.
 
     ``layer_dims`` chains input, hidden and output sizes; there is one
     weight/bias pair per adjacent pair of dims and one batch-norm parameter
-    set per hidden layer. ``bn_stats_tracked`` records whether the running
-    statistics have ever been updated by training (or load); the transfer
-    into convolutional form refuses to run on untracked stats.
+    set per hidden layer. ``theta`` holds every trainable value, flattened
+    and back to back: all weight matrices ``(out, in)``, then all biases,
+    then the batch-norm gammas, then the betas. ``bn_state`` holds the
+    running means, then the running variances. ``weights``, ``biases``,
+    ``bn_gamma``, ``bn_beta``, ``bn_mean`` and ``bn_var`` are per-layer
+    lists of views into those two vectors, built once: writing into a view
+    (``params.weights[k][...] = w``) writes the vector. ``clone`` and
+    ``astype`` copy the vectors. ``bn_stats_tracked`` records whether the
+    running statistics have ever been updated by training (or load); the
+    transfer into convolutional form refuses to run on untracked stats.
     """
 
     layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]       # (out, in) per layer
-    biases: list[np.ndarray]        # (out,) per layer
-    bn_gamma: list[np.ndarray]      # per hidden layer
-    bn_beta: list[np.ndarray]
-    bn_mean: list[np.ndarray]       # running statistics (eval mode)
-    bn_var: list[np.ndarray]
+    theta: np.ndarray       # weights, biases, bn_gamma, bn_beta
+    bn_state: np.ndarray    # running statistics (eval mode): means, variances
     dropout_p: float = 0.25
     bn_stats_tracked: bool = False
 
@@ -55,39 +83,32 @@ class MLPParams:
         dims = self.layer_dims
         if len(dims) < 2:
             raise ValueError("need at least input and output dims")
-        if len(self.weights) != len(dims) - 1:
-            raise ValueError("one weight matrix per layer transition required")
-        for k, w in enumerate(self.weights):
-            if w.shape != (dims[k + 1], dims[k]):
-                raise ValueError(
-                    f"layer {k}: weight shape {w.shape}, expected "
-                    f"{(dims[k + 1], dims[k])}"
-                )
-            if self.biases[k].shape != (dims[k + 1],):
-                raise ValueError(f"layer {k}: bias shape mismatch")
-        if len(self.bn_gamma) != self.n_hidden:
-            raise ValueError("one batch-norm set per hidden layer required")
-        for arrs in (self.weights, self.biases, self.bn_gamma, self.bn_beta,
-                     self.bn_mean, self.bn_var):
-            for a in arrs:
-                if not np.isfinite(a).all():
-                    raise ValueError("parameters must be finite")
-        for v in self.bn_var:
-            if not (v > 0).all():
-                raise ValueError("running variance must be positive")
+        for name, size in zip(("theta", "bn_state"), _vector_sizes(dims)):
+            shape = getattr(self, name).shape
+            if shape != (size,):
+                raise ValueError(f"{name} shape {shape}, expected {(size,)}")
+        if not (np.isfinite(self.theta).all() and np.isfinite(self.bn_state).all()):
+            raise ValueError("parameters must be finite")
+        if not (self.bn_state[self.bn_state.size // 2 :] > 0).all():
+            raise ValueError("running variance must be positive")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
+        self.weights, self.biases, self.bn_gamma, self.bn_beta = _theta_views(
+            self.theta, dims)
+        state = _container.views(self.bn_state, [(h,) for h in dims[1:-1]] * 2)
+        self.bn_mean, self.bn_var = state[: self.n_hidden], state[self.n_hidden :]
 
     @property
     def n_hidden(self) -> int:
         return len(self.layer_dims) - 2
 
-    def trainable_arrays(self) -> list[np.ndarray]:
-        """Arrays updated by the optimizer, in a fixed documented order."""
-        return [*self.weights, *self.biases, *self.bn_gamma, *self.bn_beta]
+    def astype(self, dtype) -> "MLPParams":
+        """A copy with both vectors cast to ``dtype``."""
+        return replace(self, theta=self.theta.astype(dtype),
+                       bn_state=self.bn_state.astype(dtype))
 
     def clone(self) -> "MLPParams":
-        return copy.deepcopy(self)
+        return self.astype(self.theta.dtype)
 
 
 def init_mlp(
@@ -98,20 +119,16 @@ def init_mlp(
     """He-uniform fan-in initialization for the ReLU stack; zero biases,
     identity batch-norm with unit running variance."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
+    weights = []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
         bound = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    hidden = layer_dims[1:-1]
+        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)).ravel())
+    hidden = sum(layer_dims[1:-1])
     return MLPParams(
         layer_dims=tuple(layer_dims),
-        weights=weights,
-        biases=biases,
-        bn_gamma=[np.ones(h) for h in hidden],
-        bn_beta=[np.zeros(h) for h in hidden],
-        bn_mean=[np.zeros(h) for h in hidden],
-        bn_var=[np.ones(h) for h in hidden],
+        theta=np.concatenate([*weights, np.zeros(sum(layer_dims[1:])),
+                              np.ones(hidden), np.zeros(hidden)]),
+        bn_state=np.concatenate([np.zeros(hidden), np.ones(hidden)]),
         dropout_p=dropout_p,
     )
 
@@ -349,34 +366,30 @@ def loss_rmse_grad(
     return loss, resid / (resid.size * loss)
 
 
-def _backward(params: MLPParams, cache: dict, dpred: np.ndarray) -> dict:
-    """Gradients of the scalar loss w.r.t. every trainable array.
+def _backward(params: MLPParams, cache: dict, dpred: np.ndarray) -> np.ndarray:
+    """Gradient of the scalar loss w.r.t. ``params.theta``, in its layout.
 
     Follows the cached forward pass; in train mode the batch-norm backward
     accounts for the dependence of the batch statistics on the inputs, in
     eval mode the statistics are constants.
     """
     mode = cache["mode"]
-    dtype = params.weights[0].dtype
-    grads = {
-        "weights": [None] * len(params.weights),
-        "biases": [None] * len(params.weights),
-        "bn_gamma": [None] * params.n_hidden,
-        "bn_beta": [None] * params.n_hidden,
-    }
+    dtype = params.theta.dtype
+    grad = np.empty_like(params.theta)
+    g_weights, g_biases, g_gamma, g_beta = _theta_views(grad, params.layer_dims)
     last = len(params.weights) - 1
     a_last = cache["A"][-1] if params.n_hidden else cache["X"]
     dout = dpred[:, None].astype(dtype)
-    grads["weights"][last] = dout.T @ a_last
-    grads["biases"][last] = dout.sum(axis=0)
+    np.matmul(dout.T, a_last, out=g_weights[last])
+    np.sum(dout, axis=0, out=g_biases[last])
     dA = dout @ params.weights[last]
 
     for k in range(params.n_hidden - 1, -1, -1):
         # comb already folds the ReLU derivative and the dropout scaling
         dH = dA * cache["comb"][k]
         Zhat = cache["Zhat"][k]
-        grads["bn_gamma"][k] = (dH * Zhat).sum(axis=0)
-        grads["bn_beta"][k] = dH.sum(axis=0)
+        np.sum(dH * Zhat, axis=0, out=g_gamma[k])
+        np.sum(dH, axis=0, out=g_beta[k])
         dZhat = dH * params.bn_gamma[k]
         inv = cache["inv"][k]
         if mode == "train":
@@ -388,15 +401,10 @@ def _backward(params: MLPParams, cache: dict, dpred: np.ndarray) -> dict:
         else:
             dZ = dZhat * inv
         a_prev = cache["A"][k - 1] if k > 0 else cache["X"]
-        grads["weights"][k] = dZ.T @ a_prev
-        grads["biases"][k] = dZ.sum(axis=0)
+        np.matmul(dZ.T, a_prev, out=g_weights[k])
+        np.sum(dZ, axis=0, out=g_biases[k])
         dA = dZ @ params.weights[k]
-    return grads
-
-
-def _grad_arrays(grads: dict) -> list[np.ndarray]:
-    return [*grads["weights"], *grads["biases"],
-            *grads["bn_gamma"], *grads["bn_beta"]]
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -409,33 +417,29 @@ _ADAM_CHUNK = 1 << 16
 
 
 class _Adam:
-    """Adam, updating the arrays in place chunk by chunk.
+    """Adam, updating the parameter vector in place chunk by chunk.
 
     Each chunk runs the textbook step in its operation order,
 
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
-        a -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
 
     with the same dtype promotion (a numpy float64 ``lr`` from the cosine
     schedule makes the step itself float64), so results are bit-identical
     to the unchunked expressions; the two scratch buffers are reused.
     """
 
-    def __init__(self, arrays: list[np.ndarray], cfg: TrainConfig):
+    def __init__(self, theta: np.ndarray, cfg: TrainConfig):
         self.cfg = cfg
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
         self.t = 0
-        # chunk along the first axis, so slices are views whatever the layout
-        row_sizes = [a[0].size if a.ndim > 1 else 1 for a in arrays]
-        self._rows = [max(1, _ADAM_CHUNK // n) for n in row_sizes]
-        size = max(min(len(a), r) * n
-                   for a, r, n in zip(arrays, self._rows, row_sizes))
-        self._num = np.empty(size, arrays[0].dtype)
-        self._den = np.empty(size, arrays[0].dtype)
+        size = min(theta.size, _ADAM_CHUNK)
+        self._num = np.empty(size, theta.dtype)
+        self._den = np.empty(size, theta.dtype)
 
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray], lr: float):
+    def step(self, theta: np.ndarray, grad: np.ndarray, lr: float):
         c = self.cfg
         self.t += 1
         bc1 = 1.0 - c.adam_beta1**self.t
@@ -443,26 +447,25 @@ class _Adam:
         num_dtype = np.result_type(lr, self._num.dtype)
         num_buf = (self._num if num_dtype == self._num.dtype
                    else np.empty(self._num.size, num_dtype))
-        for a, g, m, v, rows in zip(arrays, grads, self.m, self.v, self._rows):
-            for r0 in range(0, len(a), rows):
-                rs = slice(r0, r0 + rows)
-                ac, gc, mc, vc = a[rs], g[rs], m[rs], v[rs]
-                num = num_buf[:ac.size].reshape(ac.shape)
-                den = self._den[:ac.size].reshape(ac.shape)
-                mc *= c.adam_beta1
-                np.multiply(1.0 - c.adam_beta1, gc, out=den)
-                mc += den
-                vc *= c.adam_beta2
-                np.multiply(1.0 - c.adam_beta2, gc, out=den)
-                den *= gc
-                vc += den
-                np.divide(mc, bc1, out=num)
-                num *= lr
-                np.divide(vc, bc2, out=den)
-                np.sqrt(den, out=den)
-                den += c.adam_eps
-                num /= den
-                ac -= num
+        for start in range(0, theta.size, _ADAM_CHUNK):
+            cs = slice(start, start + _ADAM_CHUNK)
+            ac, gc, mc, vc = theta[cs], grad[cs], self.m[cs], self.v[cs]
+            num = num_buf[:ac.size]
+            den = self._den[:ac.size]
+            mc *= c.adam_beta1
+            np.multiply(1.0 - c.adam_beta1, gc, out=den)
+            mc += den
+            vc *= c.adam_beta2
+            np.multiply(1.0 - c.adam_beta2, gc, out=den)
+            den *= gc
+            vc += den
+            np.divide(mc, bc1, out=num)
+            num *= lr
+            np.divide(vc, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += c.adam_eps
+            num /= den
+            ac -= num
 
 
 def recalibrate_bn(params: MLPParams, X: np.ndarray) -> None:
@@ -487,20 +490,6 @@ def recalibrate_bn(params: MLPParams, X: np.ndarray) -> None:
             params.bn_gamma[k] * (Z - mu) * inv + params.bn_beta[k], 0.0
         )
     params.bn_stats_tracked = True
-
-
-def _cast_params(params: MLPParams, dtype) -> MLPParams:
-    return MLPParams(
-        layer_dims=params.layer_dims,
-        weights=[w.astype(dtype) for w in params.weights],
-        biases=[b.astype(dtype) for b in params.biases],
-        bn_gamma=[g.astype(dtype) for g in params.bn_gamma],
-        bn_beta=[b.astype(dtype) for b in params.bn_beta],
-        bn_mean=[m.astype(dtype) for m in params.bn_mean],
-        bn_var=[v.astype(dtype) for v in params.bn_var],
-        dropout_p=params.dropout_p,
-        bn_stats_tracked=params.bn_stats_tracked,
-    )
 
 
 def train(
@@ -528,12 +517,11 @@ def train(
         yv = yv.astype(dtype)
     else:
         Xv = yv = None
-    params = _cast_params(
-        init_mlp(config.layer_dims, seed=config.seed, dropout_p=config.dropout_p),
-        dtype,
-    )
+    params = init_mlp(
+        config.layer_dims, seed=config.seed, dropout_p=config.dropout_p
+    ).astype(dtype)
     rng = np.random.default_rng(config.seed + 1)
-    adam = _Adam(params.trainable_arrays(), config)
+    adam = _Adam(params.theta, config)
     history: dict = {"train_rmse": [], "val_rmse": [], "lr": [],
                      "epochs_run": 0, "stopped_early": False}
     n = len(samples)
@@ -555,8 +543,7 @@ def train(
             loss, dpred = loss_rmse_grad(preds, y[idx])
             if not np.isfinite(loss):
                 raise NumericError(f"training diverged at epoch {epoch} (loss NaN)")
-            grads = _backward(params, cache, dpred)
-            adam.step(params.trainable_arrays(), _grad_arrays(grads), lr)
+            adam.step(params.theta, _backward(params, cache, dpred), lr)
         params.bn_stats_tracked = True
 
         train_rmse = loss_rmse(_forward_eval_folded(params, X), y)
@@ -589,7 +576,7 @@ def train(
         params = best_params
     if config.recalibrate_bn:
         recalibrate_bn(params, X)
-    return _cast_params(params, np.float64), history
+    return params.astype(np.float64), history
 
 
 # ---------------------------------------------------------------------------
@@ -637,40 +624,38 @@ def gradient_check(
 
     preds, cache = _forward_full(params, X, mode, rng=None)
     _, dpred = loss_rmse_grad(preds, targets)
-    grads = _grad_arrays(_backward(params, cache, dpred))
-    arrays = params.trainable_arrays()
-    kinds = (
-        ["weights"] * len(params.weights) + ["biases"] * len(params.biases)
-        + ["bn_gamma"] * params.n_hidden + ["bn_beta"] * params.n_hidden
-    )
+    grad = _backward(params, cache, dpred)
+    theta = params.theta
 
     max_rel = 0.0
     within = 0
-    total = 0
+    worst_i = -1
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + h
+        lp = loss_at()
+        theta[i] = orig - h
+        lm = loss_at()
+        theta[i] = orig
+        fd = (lp - lm) / (2.0 * h)
+        denom = max(abs(fd), abs(grad[i]), 1e-10)
+        rel = abs(fd - grad[i]) / denom
+        if rel <= tol:
+            within += 1
+        if rel > max_rel:
+            max_rel = rel
+            worst_i = i
     worst = ("", -1, -1)
-    for a_idx, (arr, g) in enumerate(zip(arrays, grads)):
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = loss_at()
-            flat[i] = orig - h
-            lm = loss_at()
-            flat[i] = orig
-            fd = (lp - lm) / (2.0 * h)
-            denom = max(abs(fd), abs(gflat[i]), 1e-10)
-            rel = abs(fd - gflat[i]) / denom
-            total += 1
-            if rel <= tol:
-                within += 1
-            if rel > max_rel:
-                max_rel = rel
-                worst = (kinds[a_idx], a_idx, i)
+    if worst_i >= 0:
+        arrays = [(kind, a) for kind in ("weights", "biases", "bn_gamma", "bn_beta")
+                  for a in getattr(params, kind)]
+        starts = np.cumsum([0] + [a.size for _, a in arrays])
+        a_idx = int(np.searchsorted(starts, worst_i, side="right")) - 1
+        worst = (arrays[a_idx][0], a_idx, worst_i - int(starts[a_idx]))
     return GradCheckReport(
         max_rel_error=max_rel,
-        fraction_within_tol=within / total,
-        n_parameters=total,
+        fraction_within_tol=within / theta.size,
+        n_parameters=theta.size,
         tol=tol,
         passed=max_rel <= tol,
         worst=worst,
@@ -718,29 +703,23 @@ def evaluate(
 
 # ---------------------------------------------------------------------------
 # MDL1 model file: "MDL1" magic, u32 manifest length, JSON manifest, then a
-# little-endian float64 parameter blob in the manifest-declared order (the
-# framing is ``_container``'s).
+# little-endian float64 parameter blob in the manifest-declared order,
+# ``param_order``: per layer its weight and bias, then per hidden layer its
+# bn_gamma, bn_beta, bn_mean and bn_var (the framing is ``_container``'s).
 # ---------------------------------------------------------------------------
 
 _MDL1_MAGIC = b"MDL1"
 
 
-def _param_order(params: MLPParams) -> list[tuple[str, int]]:
-    order = []
-    for k in range(len(params.weights)):
-        order.append(("weight", k))
-        order.append(("bias", k))
+def _mdl1_arrays(params: MLPParams) -> list[tuple[str, np.ndarray]]:
+    """Every parameter view in MDL1 order, with its manifest name."""
+    named = []
+    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+        named += [(f"weight[{k}]", w), (f"bias[{k}]", b)]
     for k in range(params.n_hidden):
-        order += [("bn_gamma", k), ("bn_beta", k), ("bn_mean", k), ("bn_var", k)]
-    return order
-
-
-def _param_array(params: MLPParams, kind: str, k: int) -> np.ndarray:
-    return {
-        "weight": params.weights, "bias": params.biases,
-        "bn_gamma": params.bn_gamma, "bn_beta": params.bn_beta,
-        "bn_mean": params.bn_mean, "bn_var": params.bn_var,
-    }[kind][k]
+        named += [(f"{kind}[{k}]", getattr(params, kind)[k])
+                  for kind in ("bn_gamma", "bn_beta", "bn_mean", "bn_var")]
+    return named
 
 
 def save_mdl1(
@@ -751,6 +730,7 @@ def save_mdl1(
     training: dict | None = None,
 ) -> Path:
     path = Path(path)
+    named = _mdl1_arrays(params)
     manifest = {
         "format": "MDL1",
         "layer_dims": list(params.layer_dims),
@@ -762,23 +742,30 @@ def save_mdl1(
         "parameter": parameter,
         "normalization": stats.to_json(),
         "bn_stats_tracked": params.bn_stats_tracked,
-        "param_order": [f"{kind}[{k}]" for kind, k in _param_order(params)],
+        "param_order": [name for name, _ in named],
         "training": training or {},
     }
-    arrays = (_param_array(params, kind, k) for kind, k in _param_order(params))
+    arrays = (a for _, a in named)
     path.write_bytes(_container.pack(_MDL1_MAGIC, manifest, arrays, "<f8"))
     return path
 
 
 def load_mdl1(path: str | Path) -> tuple[MLPParams, NormStats, dict]:
+    """Read an MDL1 file; a malformed one, or one whose values ``MLPParams``
+    rejects (non-finite, running variance <= 0), raises ``FormatError``."""
     path = Path(path)
     manifest, payload = _container.read(path.read_bytes(), _MDL1_MAGIC, path)
-    dims = tuple(manifest["layer_dims"])
-    params = init_mlp(dims, seed=0, dropout_p=float(manifest["dropout_p"]))
-    arrays = [_param_array(params, kind, k) for kind, k in _param_order(params)]
-    stored = _container.split(payload, [a.shape for a in arrays], "<f8", path)
-    for arr, values in zip(arrays, stored):
-        arr[...] = values
-    params.bn_stats_tracked = bool(manifest.get("bn_stats_tracked", False))
-    stats = NormStats.from_json(manifest["normalization"])
+    with _container.parsing(path):
+        dims = tuple(int(d) for d in manifest["layer_dims"])
+        dropout_p = float(manifest["dropout_p"])
+        stats = NormStats.from_json(manifest["normalization"])
+        n_theta, n_state = _vector_sizes(dims)
+        theta, bn_state = np.zeros(n_theta), np.ones(n_state)
+        # the zero/one vectors pass validation; their views take the payload
+        named = _mdl1_arrays(MLPParams(dims, theta, bn_state, dropout_p))
+        stored = _container.split(payload, [a.shape for _, a in named], "<f8", path)
+        for (_, arr), values in zip(named, stored):
+            arr[...] = values
+        params = MLPParams(dims, theta, bn_state, dropout_p,
+                           bool(manifest.get("bn_stats_tracked", False)))
     return params, stats, manifest

@@ -228,7 +228,8 @@ def window_average(raster: BandStack, window: int) -> BandStack:
     Output size per axis is ``floor((size - window) / window) + 1``; trailing
     rows/columns not covered by a full window are dropped (for a 256 px patch
     and window 10 that is the last 6 rows and columns). Accumulation is in
-    float64. The output gsd is scaled by the window size.
+    float64; a float64 raster is read where it lies, without a copy. The
+    output gsd is scaled by the window size.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -238,7 +239,8 @@ def window_average(raster: BandStack, window: int) -> BandStack:
         )
     out_h = (raster.height - window) // window + 1
     out_w = (raster.width - window) // window + 1
-    cropped = raster.data[:, : out_h * window, : out_w * window].astype(np.float64)
+    cropped = raster.data[:, : out_h * window, : out_w * window].astype(
+        np.float64, copy=False)
     blocks = cropped.reshape(raster.bands, out_h, window, out_w, window)
     means = blocks.mean(axis=(2, 4))
     return BandStack(

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from coastwatch import alerting, cli, convnet, dataset, raster, sensor
+from coastwatch import alerting, cli, convnet, dataset, mlp, raster, sensor
 
 SIZE = 512
 SEED = 3
@@ -115,3 +115,50 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and says in err
+
+
+def test_alert_refuses_a_policy_whose_cloud_fraction_infer_did_not_apply(
+        tmp_path, capsys):
+    spec = sensor.SceneSpec.from_json({"width": 256, "height": 256})
+    scene, _ = sensor.generate_synthetic_scene(spec, SEED)
+    raster.write_pat1(tmp_path / "scene.pat1", scene, georef=spec.georef())
+    cloud = np.zeros((256, 256), dtype=np.uint8)
+    cloud[:100] = 1
+    raster.write_pat1(tmp_path / "mask.pat1", raster.BandStack.from_array(
+        cloud, spec.gsd, band_ids=("cloud",)))
+    params = mlp.init_mlp((7, 8, 1))
+    params.bn_stats_tracked = True
+    stats = dataset.NormStats(np.full(7, 0.2), np.full(7, 0.05), 5.0, 2.0)
+    convnet.save_cnn1(tmp_path / "net.cnn1",
+                      convnet.fc_to_cnn(params, stats, sensor.TURBIDITY))
+    for fraction in (0.3, 0.5):
+        (tmp_path / f"policy{fraction}.json").write_text(json.dumps(
+            {"parameter": sensor.TURBIDITY, "upper_bound": 10.0,
+             "cloud_invalid_fraction": fraction}))
+
+    def run(*argv):
+        code = cli.main([str(a) for a in argv])
+        return code, capsys.readouterr().err
+
+    infer = ["infer", "--net", tmp_path / "net.cnn1", "--scene",
+             tmp_path / "scene.pat1"]
+    assert run(*infer, "--out", tmp_path / "masked", "--masks",
+               tmp_path / "mask.pat1")[0] == 0
+    assert run(*infer, "--out", tmp_path / "clear")[0] == 0
+    index = json.loads((tmp_path / "masked" / "index.json").read_text())
+    assert index["cloud_invalid_fraction"] == cli.INVALID_CLOUD_FRACTION == 0.5
+    index = json.loads((tmp_path / "clear" / "index.json").read_text())
+    assert index["cloud_invalid_fraction"] is None
+
+    def alert(maps, fraction):
+        return run("alert", "--maps", tmp_path / maps, "--policy",
+                   tmp_path / f"policy{fraction}.json", "--out",
+                   tmp_path / f"{maps}{fraction}.jsonl")
+
+    code, err = alert("masked", 0.3)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "0.5" in err and "0.3" in err
+    assert alert("masked", 0.5) == (0, "")
+    # maps inferred without masks were invalidated at no fraction
+    assert alert("clear", 0.3) == (0, "")

@@ -1,11 +1,13 @@
 """Malformed MDL1, CNN1 and SMP1 files all raise FormatError."""
 
 import datetime as dt
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from coastwatch import _container
 from coastwatch.convnet import fc_to_cnn, load_cnn1, save_cnn1
 from coastwatch.dataset import NormStats, Sample, load_samples, save_samples
 from coastwatch.errors import FormatError
@@ -61,3 +63,55 @@ def test_malformed_file_raises_format_error(tmp_path, fmt, defect):
     path.write_bytes(DEFECTS[defect](path.read_bytes(), header, at))
     with pytest.raises(FormatError):
         load(path)
+
+
+def _edit_manifest(blob: bytes, magic: bytes, field: str, value=None) -> bytes:
+    """The file with ``field`` set to ``value``, or removed when None."""
+    manifest, payload = _container.read(blob, magic, "file")
+    if value is None:
+        del manifest[field]
+    else:
+        manifest[field] = value
+    mbytes = json.dumps(manifest).encode()
+    return magic + struct.pack("<I", len(mbytes)) + mbytes + bytes(payload)
+
+
+@pytest.mark.parametrize("fmt, field", [
+    ("MDL1", "layer_dims"), ("MDL1", "dropout_p"), ("MDL1", "normalization"),
+    ("CNN1", "layers"), ("CNN1", "channels"), ("CNN1", "window"),
+])
+def test_manifest_without_a_field_raises_format_error(tmp_path, fmt, field):
+    write, load, _, _ = FORMATS[fmt]
+    path = tmp_path / "model.bin"
+    write(path)
+    path.write_bytes(_edit_manifest(path.read_bytes(), fmt.encode(), field))
+    with pytest.raises(FormatError, match=f"{path}: manifest lacks field '{field}'"):
+        load(path)
+
+
+@pytest.mark.parametrize("fmt, field, value", [
+    ("MDL1", "layer_dims", "abc"), ("MDL1", "normalization", [1, 2]),
+    ("MDL1", "dropout_p", 1.5),
+    ("CNN1", "dtype", ["f32"]), ("CNN1", "layers", 3), ("CNN1", "channels", [7, 1]),
+])
+def test_manifest_field_of_the_wrong_kind_raises_format_error(tmp_path, fmt, field,
+                                                              value):
+    write, load, _, _ = FORMATS[fmt]
+    path = tmp_path / "model.bin"
+    write(path)
+    path.write_bytes(_edit_manifest(path.read_bytes(), fmt.encode(), field, value))
+    with pytest.raises(FormatError, match=str(path)):
+        load(path)
+
+
+@pytest.mark.parametrize("array, value, says", [
+    ("weights", np.nan, "finite"), ("bn_mean", np.inf, "finite"),
+    ("bn_var", 0.0, "running variance"), ("bn_var", -1.0, "running variance"),
+])
+def test_mdl1_with_values_mlp_params_rejects_raises_format_error(
+        tmp_path, array, value, says):
+    params, stats = _model()
+    getattr(params, array)[0].flat[3] = value
+    path = save_mdl1(tmp_path / "model.mdl1", params, stats, TURBIDITY)
+    with pytest.raises(FormatError, match=f"{path}: .*{says}"):
+        load_mdl1(path)

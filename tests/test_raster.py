@@ -1,4 +1,5 @@
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,31 @@ class TestWindowAverage:
         r = stack(RNG.uniform(0, 1, (2, 13, 17)))
         out = window_average(r, 1)
         assert np.array_equal(out.data, r.data)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_the_copy_then_mean_formula(self, dtype):
+        rng = np.random.default_rng(77)
+        for _ in range(10):
+            bands, h, w = rng.integers(1, 8), *rng.integers(10, 300, size=2)
+            data = rng.uniform(0.0, 1.0, (bands, h, w)).astype(dtype)
+            r = BandStack.from_array(data, 4.75)
+            out_h, out_w = h // 10, w // 10
+            cropped = data[:, : out_h * 10, : out_w * 10].astype(np.float64)
+            want = cropped.reshape(bands, out_h, 10, out_w, 10).mean(axis=(2, 4))
+            got = window_average(r, 10).data
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    def test_float64_raster_is_not_copied(self):
+        r = stack(RNG.uniform(0, 1, (7, 512, 512)))
+        nbytes = r.data.nbytes
+        tracemalloc.start()
+        try:
+            window_average(r, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes / 4
 
     def test_trailing_margin_dropped(self):
         r = stack(RNG.uniform(0, 1, (1, 26, 37)))
