@@ -3,10 +3,10 @@
 Layout: 4-byte magic, u32 little-endian manifest length, UTF-8 JSON
 manifest, then little-endian arrays back to back in the order and shapes
 the manifest declares. The SMP1 sample store has its own 16-byte header
-(it carries the record count) and parses its manifest through
-``manifest_at``. Every malformed file raises ``FormatError``, a manifest
-that lacks a field or declares values the model rejects included
-(``parsing``).
+(it carries the record count), parses its manifest through
+``manifest_at`` and decodes its records inside ``parsing``. Every
+malformed file raises ``FormatError``, a manifest that lacks a field or
+declares values the model rejects included (``parsing``).
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ def views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
 @contextlib.contextmanager
 def parsing(path: str | Path):
     """Turn a missing manifest field (``KeyError``), a field of the wrong
-    kind or a value the model rejects (``TypeError``, ``ValueError``,
+    kind, an index past the end of a manifest list or a value the model
+    rejects (``TypeError``, ``IndexError``, ``ValueError``,
     ``TransferError``) raised inside the block into a ``FormatError`` that
     names ``path``."""
     try:
@@ -97,5 +98,5 @@ def parsing(path: str | Path):
         raise
     except KeyError as exc:
         raise FormatError(f"{path}: manifest lacks field {exc}") from None
-    except (TypeError, ValueError, TransferError) as exc:
+    except (TypeError, IndexError, ValueError, TransferError) as exc:
         raise FormatError(f"{path}: {exc}") from None

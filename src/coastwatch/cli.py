@@ -107,8 +107,9 @@ def cmd_simulate(args) -> int:
             ps = product.tiles.index.patch_size
             grids = []
             for name in sensor.PARAMETERS:
-                field = truth.fields[name][r0 : r0 + ps, c0 : c0 + ps]
-                grids.append(truth.window_grid_for(field))
+                field = raster.BandStack.from_array(
+                    truth.fields[name][r0 : r0 + ps, c0 : c0 + ps], spec.gsd)
+                grids.append(raster.window_average(field, raster.WINDOW).data[0])
             gt = raster.BandStack.from_array(
                 np.stack(grids), gsd=spec.gsd * raster.WINDOW,
                 band_ids=tuple(sensor.PARAMETERS),

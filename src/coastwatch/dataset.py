@@ -390,8 +390,8 @@ def samples_from_scene(
 _SMP1_MAGIC = b"SMP1"
 _SMP1_HEADER = struct.Struct("<4sII4s")
 _SMP1_RECORD = struct.Struct("<8dBIHHIi7x")
-_PARAM_CODES = {TURBIDITY: 0, PH: 1}
-_PARAM_NAMES = {v: k for k, v in _PARAM_CODES.items()}
+_PARAM_NAMES = (TURBIDITY, PH)   # indexed by the record's parameter code
+_PARAM_CODES = {name: code for code, name in enumerate(_PARAM_NAMES)}
 
 
 def save_samples(
@@ -442,20 +442,22 @@ def load_samples(path: str | Path) -> tuple[list[Sample], NormStats | None, dict
         raise FormatError(
             f"{path}: {len(blob) - offset} record bytes, expected {expected}"
         )
-    patch_ids = manifest["patch_ids"]
-    station_ids = manifest["station_ids"]
     samples = []
-    for i in range(count):
-        fields = _SMP1_RECORD.unpack_from(blob, offset + i * _SMP1_RECORD.size)
-        feats = np.asarray(fields[:7], dtype=np.float64)
-        target, pcode, pidx, wr, wc, sidx, ordinal = fields[7:]
-        samples.append(
-            Sample(
-                features=feats, target=target, parameter=_PARAM_NAMES[pcode],
-                patch_id=patch_ids[pidx], window=(wr, wc),
-                station_id=station_ids[sidx], date=dt.date.fromordinal(ordinal),
+    # a missing manifest list, an index past its end, an unknown parameter
+    # code or a non-finite value raises FormatError naming the file
+    with _container.parsing(path):
+        patch_ids = manifest["patch_ids"]
+        station_ids = manifest["station_ids"]
+        for fields in _SMP1_RECORD.iter_unpack(memoryview(blob)[offset:]):
+            target, pcode, pidx, wr, wc, sidx, ordinal = fields[7:]
+            samples.append(
+                Sample(
+                    features=fields[:7], target=target,
+                    parameter=_PARAM_NAMES[pcode], patch_id=patch_ids[pidx],
+                    window=(wr, wc), station_id=station_ids[sidx],
+                    date=dt.date.fromordinal(ordinal),
+                )
             )
-        )
-    stats_doc = manifest.get("normalization")
-    stats = NormStats.from_json(stats_doc) if stats_doc else None
+        stats_doc = manifest.get("normalization")
+        stats = NormStats.from_json(stats_doc) if stats_doc else None
     return samples, stats, manifest

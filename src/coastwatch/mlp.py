@@ -14,6 +14,12 @@ arrays are views into them. Adam steps over ``theta`` as one vector,
 ``_backward`` returns one gradient vector in its layout, and the gradient
 check perturbs it entry by entry.
 
+Two forwards: ``_forward_full`` (train or eval mode, keeping the cache
+``_backward`` reads) runs training's mini-batches and the gradient check;
+``_forward_eval`` is the one eval forward, bit-identical to
+``_forward_full``'s eval mode, behind ``forward``, ``evaluate``, train's
+per-epoch monitor and ``recalibrate_bn``.
+
 Training is single-threaded and bit-deterministic for a fixed seed. One
 model per contaminant; the two models share hyperparameters and differ only
 in their weights.
@@ -142,8 +148,9 @@ class TrainConfig:
     epoch budget). ``dtype`` selects the compute precision of the training
     loop; parameters are always returned as float64. ``recalibrate_bn``
     replaces the running batch-norm statistics with exact population
-    statistics of the train set (dropout off) once training ends, which
-    removes the eval-time noise of the momentum estimates.
+    statistics of the train set once training ends, measured on the eval
+    forward's own activations, which removes the eval-time noise of the
+    momentum estimates.
     """
 
     layer_dims: tuple[int, ...] = DEFAULT_LAYER_DIMS
@@ -277,38 +284,29 @@ def _forward_full(
     return out[:, 0], cache
 
 
-def _forward_eval_folded(params: MLPParams, X: np.ndarray) -> np.ndarray:
-    """Eval-mode forward with the batch-norm affine folded per layer, in
-    place on one activation buffer per layer."""
-    dtype = params.weights[0].dtype
-    act = np.ascontiguousarray(np.asarray(X), dtype=dtype)
-    for k in range(params.n_hidden):
-        inv = 1.0 / np.sqrt(params.bn_var[k] + BN_EPS)
-        scale = (params.bn_gamma[k] * inv).astype(dtype)
-        shift = (params.bn_beta[k] - params.bn_mean[k] * params.bn_gamma[k] * inv
-                 ).astype(dtype)
-        Z = act @ params.weights[k].T
-        Z += params.biases[k]
-        Z *= scale
-        Z += shift
-        act = np.maximum(Z, 0.0, out=Z)
-    return (act @ params.weights[-1].T + params.biases[-1])[:, 0]
-
-
-def _forward_eval(params: MLPParams, X: np.ndarray) -> np.ndarray:
+def _forward_eval(
+    params: MLPParams, X: np.ndarray, store_bn_stats: bool = False
+) -> np.ndarray:
     """Eval-mode predictions of ``_forward_full`` without its backward cache.
 
     The same unfolded arithmetic in the same order, done in place on one
     activation buffer per layer, so the result is bit-identical to
-    ``_forward_full(params, X, "eval")[0]``.
+    ``_forward_full(params, X, "eval")[0]``. With ``store_bn_stats`` each
+    hidden layer first stores the mean and unbiased variance of its pre-BN
+    activations over ``X`` as its running statistics, then normalizes with
+    them, so layer k+1 measures what the eval forward feeds it.
     """
     dtype = params.weights[0].dtype
     act = np.ascontiguousarray(np.asarray(X), dtype=dtype)
+    n = len(act)
     for k in range(params.n_hidden):
         Z = act @ params.weights[k].T
         Z += params.biases[k]
         if not np.isfinite(Z).all():
             raise NumericError(f"non-finite activations at hidden layer {k}")
+        if store_bn_stats:
+            params.bn_mean[k][...] = Z.mean(axis=0)
+            params.bn_var[k][...] = Z.var(axis=0) * n / max(n - 1, 1)
         var = params.bn_var[k].astype(dtype)
         Z -= params.bn_mean[k].astype(dtype)
         Z *= 1.0 / np.sqrt(var + dtype.type(BN_EPS))
@@ -472,23 +470,14 @@ def recalibrate_bn(params: MLPParams, X: np.ndarray) -> None:
     """Replace the running batch-norm statistics with exact population
     statistics of ``X`` (dropout off), layer by layer.
 
-    The momentum-based running estimates chase dropout-noisy batch
-    statistics; a single full-set pass after training removes that source of
-    eval error. Mutates ``params`` in place.
+    One eval forward over ``X`` stores each layer's pre-BN mean and unbiased
+    variance before normalizing with them, so the statistics are measured on
+    the activations the eval forward itself produces. The momentum-based
+    running estimates chase dropout-noisy batch statistics; this single
+    full-set pass after training removes that source of eval error. Mutates
+    ``params`` in place.
     """
-    dtype = params.weights[0].dtype
-    act = np.ascontiguousarray(np.asarray(X), dtype=dtype)
-    n = len(act)
-    for k in range(params.n_hidden):
-        Z = act @ params.weights[k].T + params.biases[k]
-        mu = Z.mean(axis=0)
-        var = Z.var(axis=0)
-        params.bn_mean[k][...] = mu
-        params.bn_var[k][...] = var * n / max(n - 1, 1)
-        inv = 1.0 / np.sqrt(var + dtype.type(BN_EPS))
-        act = np.maximum(
-            params.bn_gamma[k] * (Z - mu) * inv + params.bn_beta[k], 0.0
-        )
+    _forward_eval(params, X, store_bn_stats=True)
     params.bn_stats_tracked = True
 
 
@@ -532,29 +521,29 @@ def train(
     for epoch in range(config.epochs):
         lr = config.lr_at(epoch)
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            try:
+        try:
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
                 preds, cache = _forward_full(
                     params, X[idx], "train", rng, update_running=True
                 )
-            except NumericError as exc:
-                raise NumericError(f"epoch {epoch}: {exc}") from None
-            loss, dpred = loss_rmse_grad(preds, y[idx])
-            if not np.isfinite(loss):
-                raise NumericError(f"training diverged at epoch {epoch} (loss NaN)")
-            adam.step(params.theta, _backward(params, cache, dpred), lr)
-        params.bn_stats_tracked = True
+                loss, dpred = loss_rmse_grad(preds, y[idx])
+                if not np.isfinite(loss):
+                    raise NumericError("training diverged (loss NaN)")
+                adam.step(params.theta, _backward(params, cache, dpred), lr)
+            params.bn_stats_tracked = True
+            # the monitor calls the private eval forward: ``forward`` would
+            # round-trip every epoch's inputs through float64
+            train_rmse = loss_rmse(_forward_eval(params, X), y)
+            val_rmse = None if Xv is None else loss_rmse(_forward_eval(params, Xv), yv)
+        except NumericError as exc:
+            raise NumericError(f"epoch {epoch}: {exc}") from None
 
-        train_rmse = loss_rmse(_forward_eval_folded(params, X), y)
         history["train_rmse"].append(train_rmse)
         history["lr"].append(lr)
         history["epochs_run"] = epoch + 1
-        if not np.isfinite(train_rmse):
-            raise NumericError(f"training diverged at epoch {epoch} (loss NaN)")
         monitored = train_rmse
-        if Xv is not None:
-            val_rmse = loss_rmse(_forward_eval_folded(params, Xv), yv)
+        if val_rmse is not None:
             history["val_rmse"].append(val_rmse)
             monitored = val_rmse
             if val_rmse < best_val - 1e-12:

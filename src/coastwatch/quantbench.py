@@ -10,11 +10,10 @@ along as metadata and are never an acceptance gate for desk hardware.
 
 from __future__ import annotations
 
-import copy
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,18 +37,19 @@ def quantize_fp16(net: ConvNet) -> ConvNet:
     magnitude exceeds the binary16 range overflow to infinity and raise.
     Idempotent: re-quantizing changes nothing.
     """
-    out = copy.deepcopy(net)
-    for k, layer in enumerate(out.layers):
+    layers = []
+    for k, layer in enumerate(net.layers):
+        rounded = {}
         for name in ("kernel", "bias"):
             arr = getattr(layer, name).astype(np.float16)
             if not np.isfinite(arr).all():
                 raise NumericError(
                     f"layer {k + 1} {name}: value overflows binary16 range"
                 )
-            setattr(layer, name, arr.astype(np.float64))
-    out.dtype = "f16"
-    out.meta = dict(net.meta, quantized="fp16_round_nearest_even")
-    return out
+            rounded[name] = arr.astype(np.float64)
+        layers.append(replace(layer, **rounded))
+    return replace(net, layers=layers, dtype="f16",
+                   meta=dict(net.meta, quantized="fp16_round_nearest_even"))
 
 
 @dataclass

@@ -184,11 +184,15 @@ class Patch:
             )
         if r.bands != 7:
             raise DimensionError(f"patch must have 7 bands, got {r.bands}")
-        if not np.isfinite(r.data).all():
+        # min and max propagate NaN and reach any infinity, so two reductions
+        # check finiteness and, on in-range chips, skip the flag count
+        lo, hi = r.data.min(), r.data.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError(f"patch {self.patch_id!r} contains non-finite values")
-        self.flagged_values = int(
-            np.count_nonzero((r.data < 0.0) | (r.data > REFLECTANCE_MAX))
-        )
+        if lo < 0.0 or hi > REFLECTANCE_MAX:
+            self.flagged_values = int(
+                np.count_nonzero((r.data < 0.0) | (r.data > REFLECTANCE_MAX))
+            )
 
 
 @dataclass(frozen=True)

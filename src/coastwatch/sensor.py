@@ -576,10 +576,6 @@ class SceneTruth:
     noise_std: float
     noise_floor: dict[str, float]         # best achievable RMSE per parameter
 
-    def window_grid_for(self, field: np.ndarray) -> np.ndarray:
-        stack = BandStack.from_array(field, gsd=1.0, band_ids=("f",))
-        return window_average(stack, WINDOW).data[0]
-
 
 def _smooth_field(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     """Analytic scalar field in [0, 1]: optional linear ramp plus Gaussian
@@ -661,15 +657,15 @@ def generate_synthetic_scene(
     }
     truth = SceneTruth(
         fields=fields,
-        window_grids={},
+        window_grids={name: window_average(BandStack.from_array(f, 1.0),
+                                           WINDOW).data[0]
+                      for name, f in fields.items()},
         ranges={TURBIDITY: (t_lo, t_hi), PH: (p_lo, p_hi)},
         mixing_offsets=offsets,
         mixing_matrix=mix,
         noise_std=spec.noise_std,
         noise_floor={},
     )
-    for name, f in fields.items():
-        truth.window_grids[name] = truth.window_grid_for(f)
 
     # Best linear estimator of each field from the 7 noisy window averages:
     # variance = sigma_avg^2 * [(M^T M)^-1]_kk scaled by the field range.

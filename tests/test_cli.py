@@ -98,6 +98,15 @@ def test_seven_command_chain(inputs, capsys):
     assert quant["model_bytes_fp16"] < quant["model_bytes_fp32"]
 
 
+def smp1_pointing_past_its_patch_list() -> bytes:
+    """An SMP1 file whose one record has patch index 1, but whose manifest
+    lists one patch."""
+    manifest = json.dumps({"patch_ids": ["p0"], "station_ids": ["s"]}).encode()
+    record = dataset._SMP1_RECORD.pack(*[0.1] * 7, 1.0, 0, 1, 0, 0, 0, 739000)
+    return (dataset._SMP1_HEADER.pack(b"SMP1", 1, len(manifest), bytes(4))
+            + manifest + record)
+
+
 @pytest.mark.parametrize("name, content, argv, says", [
     ("net.cnn1", b"CNN1\x00\x00",
      ["quantize", "--net", "net.cnn1", "--out", "net16.cnn1"], "CNN1 header"),
@@ -107,7 +116,10 @@ def test_seven_command_chain(inputs, capsys):
     ("train.json", b'{"epochz": 3}',
      ["train", "--samples", "s.smp1", "--parameter", "ph", "--config", "train.json",
       "--out", "m.mdl1"], "epochz"),
-], ids=["malformed_cnn1", "bad_policy", "unknown_config_key"])
+    ("s.smp1", smp1_pointing_past_its_patch_list(),
+     ["train", "--samples", "s.smp1", "--parameter", "turbidity", "--out", "m.mdl1"],
+     "s.smp1"),
+], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              name, content, argv, says):
     monkeypatch.chdir(tmp_path)

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from coastwatch import _container
+from coastwatch import _container, dataset
 from coastwatch.convnet import fc_to_cnn, load_cnn1, save_cnn1
 from coastwatch.dataset import NormStats, Sample, load_samples, save_samples
 from coastwatch.errors import FormatError
@@ -115,3 +115,34 @@ def test_mdl1_with_values_mlp_params_rejects_raises_format_error(
     path = save_mdl1(tmp_path / "model.mdl1", params, stats, TURBIDITY)
     with pytest.raises(FormatError, match=f"{path}: .*{says}"):
         load_mdl1(path)
+
+
+# record fields: 7 features, target, parameter code, patch index, window row,
+# window column, station index, date ordinal
+SMP1_DEFECTS = {
+    "no_station_ids": lambda manifest, record: manifest.pop("station_ids"),
+    "patch_index_out_of_range": lambda manifest, record: record.__setitem__(9, 3),
+    "unknown_parameter_code": lambda manifest, record: record.__setitem__(8, 7),
+    "nan_feature": lambda manifest, record: record.__setitem__(2, np.nan),
+}
+
+
+def edit_smp1(blob: bytes, defect: str) -> bytes:
+    """The SMP1 file with ``defect`` applied to its manifest or first record."""
+    header, record = dataset._SMP1_HEADER, dataset._SMP1_RECORD
+    _, count, length, pad = header.unpack_from(blob)
+    manifest = json.loads(blob[header.size : header.size + length])
+    start = header.size + length
+    first = list(record.unpack_from(blob, start))
+    SMP1_DEFECTS[defect](manifest, first)
+    mbytes = json.dumps(manifest).encode()
+    return (header.pack(b"SMP1", count, len(mbytes), pad) + mbytes
+            + record.pack(*first) + blob[start + record.size :])
+
+
+@pytest.mark.parametrize("defect", SMP1_DEFECTS)
+def test_malformed_smp1_record_raises_format_error(tmp_path, defect):
+    path = save_samples(tmp_path / "samples.smp1", _samples())
+    path.write_bytes(edit_smp1(path.read_bytes(), defect))
+    with pytest.raises(FormatError, match=str(path)):
+        load_samples(path)

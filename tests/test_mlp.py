@@ -12,13 +12,14 @@ from coastwatch.mlp import (
     _ADAM_CHUNK,
     _Adam,
     _backward,
-    _forward_eval_folded,
     _forward_full,
     forward,
     gradient_check,
     init_mlp,
     load_mdl1,
+    loss_rmse,
     loss_rmse_grad,
+    recalibrate_bn,
     save_mdl1,
     train,
 )
@@ -93,26 +94,81 @@ class TestEvalForward:
             forward(params, np.full((2, 7), np.inf), "eval")
 
 
-def folded_reference(params, X):
-    """Folded eval forward written as whole-array expressions."""
-    dtype = params.weights[0].dtype
-    act = np.asarray(X, dtype=dtype)
+def linear_split(seed, sizes=(256, 128)):
+    """(X, y, samples) per size from one noisy linear relation; X and y hold
+    float32 values, so training's float32 cast keeps them exactly."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(0.0, 1.0, 7)
+    out = []
+    for n in sizes:
+        X = rng.normal(0.0, 1.0, (n, 7)).astype(np.float32).astype(np.float64)
+        y = (X @ w + rng.normal(0.0, 0.1, n)).astype(np.float32).astype(np.float64)
+        out.append((X, y, [_sample(x, t) for x, t in zip(X, y)]))
+    return out
+
+
+def patience_stop(val_rmse, patience):
+    """Epochs train runs under ``patience``, from an unrestricted history."""
+    best, stale = np.inf, 0
+    for epoch, v in enumerate(val_rmse):
+        best, stale = (v, 0) if v < best - 1e-12 else (best, stale + 1)
+        if stale > patience:
+            return epoch + 1
+    return len(val_rmse)
+
+
+class TestTrainLoop:
+    CFG = TrainConfig(layer_dims=DIMS, epochs=8, seed=2, learning_rate=0.03)
+
+    def test_monitor_scores_with_the_eval_forward(self):
+        (X, y, train_s), (Xv, yv, val_s) = linear_split(11)
+        cfg = dataclasses.replace(self.CFG, recalibrate_bn=False)
+        params, history = train(train_s, cfg, val_s)
+        best = int(np.argmin(history["val_rmse"]))
+        assert 0 < best < cfg.epochs - 1  # keep-best returns a middle epoch
+        params32 = params.astype(np.float32)
+        assert history["val_rmse"][best] == loss_rmse(forward(params32, Xv), yv)
+        assert history["train_rmse"][best] == loss_rmse(forward(params32, X), y)
+
+    def test_early_stop_at_the_first_epoch_reaching_the_target(self):
+        (_, _, train_s), (_, _, val_s) = linear_split(11)
+        _, full = train(train_s, self.CFG, val_s)
+        target = 0.5
+        want = next(e for e, v in enumerate(full["val_rmse"]) if v <= target) + 1
+        assert want < self.CFG.epochs
+        cfg = dataclasses.replace(self.CFG, early_stop_val_rmse=target)
+        _, history = train(train_s, cfg, val_s)
+        assert history["stopped_early"] and history["epochs_run"] == want
+        assert history["val_rmse"] == full["val_rmse"][:want]
+        assert not full["stopped_early"]
+
+    @pytest.mark.parametrize("patience", [0, 1])
+    def test_patience_stops_after_that_many_stale_epochs(self, patience):
+        (_, _, train_s), (_, _, val_s) = linear_split(11)
+        _, full = train(train_s, self.CFG, val_s)
+        want = patience_stop(full["val_rmse"], patience)
+        assert want < self.CFG.epochs
+        cfg = dataclasses.replace(self.CFG, patience=patience)
+        _, history = train(train_s, cfg, val_s)
+        assert history["stopped_early"] and history["epochs_run"] == want
+        assert history["val_rmse"] == full["val_rmse"][:want]
+
+
+def test_recalibrated_statistics_describe_the_eval_forward():
+    """Each layer's stored statistics are the population mean and unbiased
+    variance of the pre-BN activations the eval forward feeds it."""
+    params = tracked_params((7, 64, 64, 43, 1))
+    X = np.random.default_rng(12).normal(0.0, 1.0, (500, 7))
+    recalibrate_bn(params, X)
+    assert params.bn_stats_tracked
+    act = X
     for k in range(params.n_hidden):
-        inv = 1.0 / np.sqrt(params.bn_var[k] + BN_EPS)
-        scale = (params.bn_gamma[k] * inv).astype(dtype)
-        shift = (params.bn_beta[k] - params.bn_mean[k] * params.bn_gamma[k] * inv
-                 ).astype(dtype)
         Z = act @ params.weights[k].T + params.biases[k]
-        act = np.maximum(Z * scale + shift, 0.0)
-    return (act @ params.weights[-1].T + params.biases[-1])[:, 0]
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_folded_eval_forward_matches_reference(dtype):
-    params = tracked_params(dtype=dtype)
-    X = np.random.default_rng(7).normal(0.0, 1.0, (500, 7))
-    assert np.array_equal(_forward_eval_folded(params, X),
-                          folded_reference(params, X))
+        mean, var = params.bn_mean[k], params.bn_var[k]
+        assert np.all(np.abs(Z.mean(axis=0) - mean) <= 1e-12 * np.sqrt(var))
+        assert np.all(np.abs(Z.var(axis=0, ddof=1) / var - 1.0) <= 1e-12)
+        H = params.bn_gamma[k] * (Z - mean) / np.sqrt(var + BN_EPS) + params.bn_beta[k]
+        act = np.maximum(H, 0.0)
 
 
 def textbook_adam(theta, grad_seq, lrs, cfg):

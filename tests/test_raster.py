@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from coastwatch.errors import DimensionError, FormatError, InconsistencyError
 from coastwatch.raster import (
     MS_BAND_IDS,
+    REFLECTANCE_MAX,
     BandStack,
     GeoRef,
     Patch,
@@ -253,6 +254,39 @@ class TestPatchInvariants:
         data[0, :2, :2] = 1.5
         patch = Patch(stack(data), GeoRef(0, 0, 4.75, dt.date(2024, 1, 1)))
         assert patch.flagged_values == 4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_anywhere_rejected(self, dtype, value):
+        for at in [(0, 0, 0), (3, 128, 77), (6, 255, 255)]:
+            data = RNG.uniform(0, 1, (7, 256, 256)).astype(dtype)
+            data[at] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                Patch(BandStack.from_array(data, 4.75),
+                      GeoRef(0, 0, 4.75, dt.date(2024, 1, 1)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flagged_values_at_the_bounds(self, dtype):
+        top = dtype(REFLECTANCE_MAX)
+        zero = dtype(0.0)
+        edges = [  # (value, flagged)
+            (zero, False), (-zero, False), (top, False),
+            (np.nextafter(zero, dtype(-1.0)), True),
+            (np.nextafter(top, dtype(2.0)), True),
+        ]
+        data = RNG.uniform(0.1, 0.9, (7, 256, 256)).astype(dtype)
+        for i, (value, flagged) in enumerate(edges):
+            one = data.copy()
+            one[i, 10:13, 20] = value
+            patch = Patch(BandStack.from_array(one, 4.75),
+                          GeoRef(0, 0, 4.75, dt.date(2024, 1, 1)))
+            want = np.count_nonzero((one < 0.0) | (one > REFLECTANCE_MAX))
+            assert patch.flagged_values == want == (3 if flagged else 0)
+        for i, (value, _) in enumerate(edges):  # all five edge values in one chip
+            data[i, 10:13, 20] = value
+        patch = Patch(BandStack.from_array(data, 4.75),
+                      GeoRef(0, 0, 4.75, dt.date(2024, 1, 1)))
+        assert patch.flagged_values == 6
 
     def test_random_patches_are_valid(self):
         patches = random_patches(2, seed=0)
