@@ -1,12 +1,14 @@
-"""The magic + manifest + blob framing shared by the MDL1 and CNN1 files.
+"""The one file framing of the package: PAT1 rasters, SMP1 sample stores,
+MDL1 models and CNN1 networks.
 
 Layout: 4-byte magic, u32 little-endian manifest length, UTF-8 JSON
-manifest, then little-endian arrays back to back in the order and shapes
-the manifest declares. The SMP1 sample store has its own 16-byte header
-(it carries the record count), parses its manifest through
-``manifest_at`` and decodes its records inside ``parsing``. Every
-malformed file raises ``FormatError``, a manifest that lacks a field or
-declares values the model rejects included (``parsing``).
+manifest, then the arrays back to back, C order, in the one dtype and the
+order and shapes the manifest declares. ``write`` streams each array plane
+by plane, so at most one plane is ever cast or made contiguous. ``load``
+checks the payload size against the declared shapes before it allocates
+anything, reads the payload into one writable buffer and returns views of
+it. Every malformed file raises ``FormatError``, a manifest that lacks a
+field or declares values the model rejects included (``parsing``).
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import struct
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -26,53 +30,60 @@ _LENGTH = struct.Struct("<I")
 _HEADER_BYTES = 4 + _LENGTH.size
 
 
-def pack(magic: bytes, manifest: dict, arrays: Iterable[np.ndarray], dtype) -> bytes:
-    """Frame ``manifest`` and ``arrays`` (each cast to ``dtype``)."""
+def write(
+    fh: BinaryIO, magic: bytes, manifest: dict, arrays: Iterable[np.ndarray], dtype
+) -> None:
+    """Frame ``manifest`` and ``arrays`` (each cast to ``dtype``) into ``fh``."""
     mbytes = json.dumps(manifest).encode()
-    return b"".join([magic, _LENGTH.pack(len(mbytes)), mbytes,
-                     *(a.astype(dtype).tobytes() for a in arrays)])
+    fh.write(magic + _LENGTH.pack(len(mbytes)) + mbytes)
+    for array in arrays:
+        # an array of three or more dimensions goes out one plane at a time
+        for plane in array if array.ndim > 2 else (array,):
+            fh.write(np.ascontiguousarray(plane, dtype=dtype).data)
 
 
-def manifest_at(blob: bytes, offset: int, length: int, path: str | Path) -> dict:
-    """The JSON object stored in ``blob[offset : offset + length]``."""
-    if offset + length > len(blob):
-        raise FormatError(
-            f"{path}: manifest of {length} bytes runs past the end of the file"
-        )
-    try:
-        manifest = json.loads(bytes(blob[offset : offset + length]).decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-        raise FormatError(f"{path}: manifest is not UTF-8 JSON ({exc})") from None
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{path}: manifest is not a JSON object")
-    return manifest
+def load(
+    path: str | Path,
+    magic: bytes,
+    layout: Callable[[dict], tuple[list[tuple[int, ...]], object]],
+) -> tuple[dict, list[np.ndarray]]:
+    """The manifest of the file at ``path`` and views of its payload.
 
-
-def read(blob: bytes, magic: bytes, path: str | Path) -> tuple[dict, memoryview]:
-    """Check the magic; return the manifest and the payload after it."""
-    if blob[:4] != magic:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < _HEADER_BYTES:
-        raise FormatError(f"{path}: shorter than a {magic.decode()} header")
-    (length,) = _LENGTH.unpack_from(blob, 4)
-    manifest = manifest_at(blob, _HEADER_BYTES, length, path)
-    return manifest, memoryview(blob)[_HEADER_BYTES + length :]
-
-
-def split(
-    payload: memoryview, shapes: list[tuple[int, ...]], dtype, path: str | Path
-) -> list[np.ndarray]:
-    """Read-only arrays of ``shapes`` laid back to back in ``payload``.
-
-    The payload must be exactly their size: a cut or a trailing byte raises.
+    ``layout`` turns the manifest into the payload's array shapes and its
+    dtype. The payload must be exactly their size: a cut or a trailing byte
+    raises, and nothing is allocated before the size is checked.
     """
-    dtype = np.dtype(dtype)
-    expected = sum(math.prod(shape) for shape in shapes) * dtype.itemsize
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: parameter payload is {len(payload)} bytes, expected {expected}"
-        )
-    return views(np.frombuffer(payload, dtype=dtype), shapes)
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER_BYTES)
+        if head[:4] != magic:
+            raise FormatError(f"{path}: bad magic {head[:4]!r}")
+        if len(head) < _HEADER_BYTES:
+            raise FormatError(f"{path}: shorter than a {magic.decode()} header")
+        (length,) = _LENGTH.unpack_from(head, 4)
+        size = os.fstat(fh.fileno()).st_size - _HEADER_BYTES - length
+        if size < 0:
+            raise FormatError(
+                f"{path}: manifest of {length} bytes runs past the end of the file"
+            )
+        try:
+            manifest = json.loads(fh.read(length).decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            raise FormatError(f"{path}: manifest is not UTF-8 JSON ({exc})") from None
+        if not isinstance(manifest, dict):
+            raise FormatError(f"{path}: manifest is not a JSON object")
+        with parsing(path):
+            shapes, dtype = layout(manifest)
+            if any(n < 0 for shape in shapes for n in shape):
+                raise ValueError(f"negative array dimension in {shapes}")
+            count = sum(math.prod(shape) for shape in shapes)
+            dtype = np.dtype(dtype)
+            if size != count * dtype.itemsize:
+                raise FormatError(f"{path}: payload is {size} bytes, "
+                                  f"expected {count * dtype.itemsize}")
+            flat = np.empty(count, dtype)
+            if fh.readinto(flat) != size:
+                raise FormatError(f"{path}: payload shorter than {size} bytes")
+            return manifest, views(flat, shapes)
 
 
 def views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:

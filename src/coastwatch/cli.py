@@ -2,11 +2,11 @@
 
 Commands compose through the documented file formats (PAT1 rasters, SMP1
 sample stores, MDL1/CNN1 models, JSON-lines alerts) and never mutate their
-inputs; every command exits nonzero on error, and invalid input (a
-malformed file, policy or config) exits 2 with a one-line message. The
+inputs; every command exits nonzero on error, and invalid input (a malformed
+file, policy, config or option value) exits 2 with a one-line message. The
 commands that draw random numbers (simulate, train, transfer, quantize,
 bench) take ``--seed``. Each binary format is described in the module that
-writes it; MDL1 and CNN1 share the ``_container`` framing.
+writes it; all four share the ``_container`` framing.
 
 ``infer`` and ``alert`` are the library's scene path split at the map
 files: ``infer`` tiles the scene, runs ``convnet.infer_patch`` and
@@ -44,6 +44,19 @@ def _parameter(name: str) -> str:
         raise CoastwatchError(f"unknown parameter {name!r}") from None
 
 
+def _at_least_one(value: int, flag: str) -> int:
+    if value < 1:
+        raise CoastwatchError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
+def _georef(path: Path, manifest: dict) -> raster.GeoRef:
+    georef = raster.sidecar_georef(manifest)
+    if georef is None:
+        raise CoastwatchError(f"{path}: PAT1 manifest lacks a georef")
+    return georef
+
+
 def _chip_paths(directory: Path, stem: str) -> list[Path]:
     paths = sorted(directory.glob(f"{stem}_*.pat1"))
     if not paths:
@@ -54,11 +67,8 @@ def _chip_paths(directory: Path, stem: str) -> list[Path]:
 def _load_patches(directory: Path) -> list[raster.Patch]:
     patches = []
     for path in _chip_paths(directory, "chip"):
-        stack, sidecar = raster.read_pat1(path)
-        georef = raster.sidecar_georef(sidecar)
-        if georef is None:
-            raise CoastwatchError(f"{path}: chip sidecar lacks a georef")
-        patches.append(raster.Patch(stack, georef, patch_id=path.stem))
+        stack, manifest = raster.read_pat1(path)
+        patches.append(raster.Patch(stack, _georef(path, manifest), patch_id=path.stem))
     return patches
 
 
@@ -70,6 +80,8 @@ def _load_patches(directory: Path) -> list[raster.Patch]:
 def cmd_simulate(args) -> int:
     spec_doc = json.loads(Path(args.spec).read_text())
     spec = sensor.SceneSpec.from_json(spec_doc)
+    ctx = sensor.SolarContext.from_json(spec_doc.get("solar", {}))
+    cfg = sensor.DegradeConfig.from_json(spec_doc.get("degrade", {}))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -77,11 +89,6 @@ def cmd_simulate(args) -> int:
     georef = spec.georef()
     raster.write_pat1(out / "scene.pat1", scene, georef=georef)
 
-    ctx = sensor.SolarContext(
-        solar_zenith=float(spec_doc.get("solar", {}).get("zenith", 0.0)),
-        earth_sun_distance=float(spec_doc.get("solar", {}).get("distance_au", 1.0)),
-    )
-    cfg = sensor.DegradeConfig.from_json(spec_doc.get("degrade", {}))
     product = sensor.simulate_l1c(
         scene, ctx, cfg, seed=args.seed + 1, scene_georef=georef,
         min_coverage=spec_doc.get("min_coverage"),
@@ -197,9 +204,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    # a certificate over no patch certifies nothing
+    n_check = _at_least_one(args.check_patches, "--check-patches")
     params, stats, manifest = mlp.load_mdl1(args.model)
     net = convnet.fc_to_cnn(params, stats, manifest["parameter"])
-    patches = raster.random_patches(args.check_patches, seed=args.seed)
+    patches = raster.random_patches(n_check, seed=args.seed)
     report = convnet.verify_equivalence(params, stats, net, patches, tol=args.tol)
     if not report.passed:
         raise CoastwatchError(
@@ -215,8 +224,8 @@ def cmd_transfer(args) -> int:
 
 def cmd_infer(args) -> int:
     net, _ = convnet.load_cnn1(args.net)
-    scene, sidecar = raster.read_pat1(args.scene)
-    georef = raster.sidecar_georef(sidecar)
+    scene, manifest = raster.read_pat1(args.scene)
+    georef = raster.sidecar_georef(manifest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scene_id = Path(args.scene).stem
@@ -294,8 +303,8 @@ def cmd_alert(args) -> int:
     )
     maps = []
     for name in index_doc["maps"]:
-        stack, sidecar = raster.read_pat1(maps_dir / name)
-        georef = raster.sidecar_georef(sidecar)
+        stack, manifest = raster.read_pat1(maps_dir / name)
+        georef = _georef(maps_dir / name, manifest)
         maps.append(convnet.ContaminantMap(
             values=stack.data[0].astype(np.float64),
             parameter=index_doc["parameter"],
@@ -317,9 +326,10 @@ def cmd_alert(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    n_check = _at_least_one(args.check_patches, "--check-patches")
     net, _ = convnet.load_cnn1(args.net)
     net16 = quantbench.quantize_fp16(net)
-    patches = raster.random_patches(args.check_patches, seed=args.seed)
+    patches = raster.random_patches(n_check, seed=args.seed)
     report = quantbench.compare_quantized(net, net16, patches,
                                           threshold=args.threshold)
     convnet.save_cnn1(args.out, net16)
@@ -333,12 +343,13 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    reps = _at_least_one(args.reps, "--reps")
     net, _ = convnet.load_cnn1(args.net)
     if args.patches:
         patches = _load_patches(Path(args.patches))
     else:
         patches = raster.random_patches(4, seed=args.seed)
-    report = quantbench.bench(net, patches, warmup=args.warmup, reps=args.reps)
+    report = quantbench.bench(net, patches, warmup=args.warmup, reps=reps)
     if args.report:
         quantbench.write_report(args.report, report)
     print(f"bench: median {report.ms_per_inference:.1f} ms/inference "
@@ -350,6 +361,9 @@ def cmd_bench(args) -> int:
 
 def cmd_plot(args) -> int:
     stack, _ = raster.read_pat1(args.map)
+    if not 0 <= args.band < stack.bands:
+        raise CoastwatchError(
+            f"--band {args.band} outside the {stack.bands} bands of {args.map}")
     plane = stack.data[args.band].astype(np.float64)
     if stack.data.dtype == np.uint8:
         img = np.where(plane > 0, 255, 0).astype(np.uint8)

@@ -23,6 +23,7 @@ report hash of the run that blessed a deployed model.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import _container
 from .dataset import NormStats
-from .errors import DimensionError, FormatError, NumericError, TransferError
+from .errors import DimensionError, NumericError, TransferError
 from .mlp import BN_EPS, MLPParams, forward
 from .raster import WINDOW, BandStack, GeoRef, Patch, window_average
 
@@ -103,13 +104,6 @@ class ContaminantMap:
             raise DimensionError(
                 f"contaminant map must be 25x25, got {self.values.shape}"
             )
-
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        """Lat/lon of the center of window (row, col)."""
-        half_cells = self.values.shape[0] / 2.0
-        north_m = (half_cells - (row + 0.5)) * self.window_gsd
-        east_m = ((col + 0.5) - half_cells) * self.window_gsd
-        return self.georef.offset_latlon(north_m, east_m)
 
 
 def _as_f32(arr: np.ndarray) -> np.ndarray:
@@ -303,7 +297,9 @@ def cnn1_bytes(net: ConvNet, equivalence: EquivalenceReport | None = None) -> by
         "equivalence_sha256": equivalence.digest() if equivalence else None,
     }
     arrays = (arr for l in net.layers for arr in (l.kernel, l.bias))
-    return _container.pack(_CNN1_MAGIC, manifest, arrays, dtype)
+    buffer = io.BytesIO()
+    _container.write(buffer, _CNN1_MAGIC, manifest, arrays, dtype)
+    return buffer.getvalue()
 
 
 def save_cnn1(
@@ -314,17 +310,20 @@ def save_cnn1(
     return path
 
 
+def _cnn1_layout(manifest: dict) -> tuple[list[tuple[int, ...]], np.dtype]:
+    """Per layer its kernel, then its bias, in the declared dtype."""
+    dtype = manifest["dtype"]
+    if dtype not in _CNN1_DTYPES:
+        raise ValueError(f"unknown dtype {dtype!r}")
+    shapes = [shape for spec in manifest["layers"]
+              for shape in ((spec["out"], spec["in"]), (spec["out"],))]
+    return shapes, _CNN1_DTYPES[dtype]
+
+
 def load_cnn1(path: str | Path) -> tuple[ConvNet, dict]:
-    path = Path(path)
-    manifest, payload = _container.read(path.read_bytes(), _CNN1_MAGIC, path)
+    manifest, arrays = _container.load(path, _CNN1_MAGIC, _cnn1_layout)
     with _container.parsing(path):
-        if manifest.get("dtype") not in _CNN1_DTYPES:
-            raise FormatError(f"{path}: unknown dtype {manifest.get('dtype')!r}")
         specs = manifest["layers"]
-        shapes = [shape for spec in specs
-                  for shape in ((spec["out"], spec["in"]), (spec["out"],))]
-        arrays = _container.split(payload, shapes, _CNN1_DTYPES[manifest["dtype"]],
-                                  path)
         layers = [
             ConvLayer(kernel.astype(np.float64), bias.astype(np.float64),
                       relu=bool(spec["relu"]))

@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
-import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import _container
-from .errors import FormatError, SchemaError
+from .errors import SchemaError
 from .raster import (PATCH_SIZE, WINDOW, BandStack, GeoRef, Patch,
                      meters_per_degree, window_average)
 from .sensor import PARAMETERS, PH, TURBIDITY, SceneTruth
@@ -376,20 +374,21 @@ def samples_from_scene(
 
 
 # ---------------------------------------------------------------------------
-# SMP1 sample store
-#
-# Header (16 bytes): magic "SMP1", u32 record count, u32 manifest length,
-# 4 reserved bytes. Then the JSON manifest (string tables, provenance,
-# optional normalization stats; parsed by ``_container.manifest_at``), then
-# fixed-width 88-byte records:
-# 7 x f64 features, f64 target, u8 parameter code, u32 patch index,
-# u16 window row, u16 window col, u32 station index, i32 date ordinal,
-# 7 pad bytes. All little-endian.
+# SMP1 sample store, in the ``_container`` framing. The manifest holds the
+# record count, the patch and station string tables, provenance and the
+# optional normalization stats; the payload is ``count`` packed 88-byte
+# little-endian records: 7 x f64 features, f64 target, u8 parameter code,
+# u32 patch index, u16 window row and column, u32 station index, i32 date
+# ordinal, 7 pad bytes.
 # ---------------------------------------------------------------------------
 
 _SMP1_MAGIC = b"SMP1"
-_SMP1_HEADER = struct.Struct("<4sII4s")
-_SMP1_RECORD = struct.Struct("<8dBIHHIi7x")
+_SMP1_RECORD = np.dtype({
+    "names": ["features", "target", "parameter", "patch", "window", "station",
+              "date"],
+    "formats": [("<f8", (7,)), "<f8", "u1", "<u4", ("<u2", (2,)), "<u4", "<i4"],
+    "itemsize": 88,
+})
 _PARAM_NAMES = (TURBIDITY, PH)   # indexed by the record's parameter code
 _PARAM_CODES = {name: code for code, name in enumerate(_PARAM_NAMES)}
 
@@ -406,58 +405,40 @@ def save_samples(
     p_idx = {p: i for i, p in enumerate(patch_ids)}
     s_idx = {s: i for i, s in enumerate(station_ids)}
     manifest = {
+        "count": len(samples),
         "patch_ids": patch_ids,
         "station_ids": station_ids,
         "normalization": stats.to_json() if stats else None,
         "provenance": provenance or {},
     }
-    mbytes = json.dumps(manifest).encode()
-    parts = [_SMP1_HEADER.pack(_SMP1_MAGIC, len(samples), len(mbytes), b"\x00" * 4),
-             mbytes]
-    for s in samples:
-        parts.append(
-            _SMP1_RECORD.pack(
-                *s.features.tolist(), s.target, _PARAM_CODES[s.parameter],
-                p_idx[s.patch_id], s.window[0], s.window[1],
-                s_idx[s.station_id], s.date.toordinal(),
-            )
-        )
-    path.write_bytes(b"".join(parts))
+    records = np.zeros(len(samples), _SMP1_RECORD)  # zeroed pad bytes
+    records[...] = [
+        (s.features, s.target, _PARAM_CODES[s.parameter], p_idx[s.patch_id],
+         s.window, s_idx[s.station_id], s.date.toordinal())
+        for s in samples
+    ]
+    with open(path, "wb") as fh:
+        _container.write(fh, _SMP1_MAGIC, manifest, [records], _SMP1_RECORD)
     return path
 
 
 def load_samples(path: str | Path) -> tuple[list[Sample], NormStats | None, dict]:
-    path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < _SMP1_HEADER.size:
-        raise FormatError(f"{path}: shorter than an SMP1 header")
-    magic, count, mlen, _ = _SMP1_HEADER.unpack_from(blob)
-    if magic != _SMP1_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    offset = _SMP1_HEADER.size
-    manifest = _container.manifest_at(blob, offset, mlen, path)
-    offset += mlen
-    expected = count * _SMP1_RECORD.size
-    if len(blob) - offset != expected:
-        raise FormatError(
-            f"{path}: {len(blob) - offset} record bytes, expected {expected}"
-        )
-    samples = []
+    manifest, (records,) = _container.load(
+        path, _SMP1_MAGIC, lambda m: ([(m["count"],)], _SMP1_RECORD))
     # a missing manifest list, an index past its end, an unknown parameter
     # code or a non-finite value raises FormatError naming the file
     with _container.parsing(path):
         patch_ids = manifest["patch_ids"]
         station_ids = manifest["station_ids"]
-        for fields in _SMP1_RECORD.iter_unpack(memoryview(blob)[offset:]):
-            target, pcode, pidx, wr, wc, sidx, ordinal = fields[7:]
-            samples.append(
-                Sample(
-                    features=fields[:7], target=target,
-                    parameter=_PARAM_NAMES[pcode], patch_id=patch_ids[pidx],
-                    window=(wr, wc), station_id=station_ids[sidx],
-                    date=dt.date.fromordinal(ordinal),
-                )
-            )
+        columns = (records[name].tolist() for name in
+                   ("target", "parameter", "patch", "window", "station", "date"))
+        samples = [
+            Sample(features=features, target=target, parameter=_PARAM_NAMES[pcode],
+                   patch_id=patch_ids[pidx], window=tuple(window),
+                   station_id=station_ids[sidx], date=dt.date.fromordinal(ordinal))
+            for features, target, pcode, pidx, window, sidx, ordinal
+            in zip(records["features"], *columns)
+        ]
         stats_doc = manifest.get("normalization")
         stats = NormStats.from_json(stats_doc) if stats_doc else None
     return samples, stats, manifest

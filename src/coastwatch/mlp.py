@@ -711,6 +711,12 @@ def _mdl1_arrays(params: MLPParams) -> list[tuple[str, np.ndarray]]:
     return named
 
 
+def _mdl1_layout(manifest: dict) -> tuple[list[tuple[int, ...]], str]:
+    """One f64 vector: every parameter, in MDL1 order."""
+    dims = tuple(int(d) for d in manifest["layer_dims"])
+    return [(sum(_vector_sizes(dims)),)], "<f8"
+
+
 def save_mdl1(
     path: str | Path,
     params: MLPParams,
@@ -734,16 +740,15 @@ def save_mdl1(
         "param_order": [name for name, _ in named],
         "training": training or {},
     }
-    arrays = (a for _, a in named)
-    path.write_bytes(_container.pack(_MDL1_MAGIC, manifest, arrays, "<f8"))
+    with open(path, "wb") as fh:
+        _container.write(fh, _MDL1_MAGIC, manifest, (a for _, a in named), "<f8")
     return path
 
 
 def load_mdl1(path: str | Path) -> tuple[MLPParams, NormStats, dict]:
     """Read an MDL1 file; a malformed one, or one whose values ``MLPParams``
     rejects (non-finite, running variance <= 0), raises ``FormatError``."""
-    path = Path(path)
-    manifest, payload = _container.read(path.read_bytes(), _MDL1_MAGIC, path)
+    manifest, (payload,) = _container.load(path, _MDL1_MAGIC, _mdl1_layout)
     with _container.parsing(path):
         dims = tuple(int(d) for d in manifest["layer_dims"])
         dropout_p = float(manifest["dropout_p"])
@@ -752,7 +757,7 @@ def load_mdl1(path: str | Path) -> tuple[MLPParams, NormStats, dict]:
         theta, bn_state = np.zeros(n_theta), np.ones(n_state)
         # the zero/one vectors pass validation; their views take the payload
         named = _mdl1_arrays(MLPParams(dims, theta, bn_state, dropout_p))
-        stored = _container.split(payload, [a.shape for _, a in named], "<f8", path)
+        stored = _container.views(payload, [a.shape for _, a in named])
         for (_, arr), values in zip(named, stored):
             arr[...] = values
         params = MLPParams(dims, theta, bn_state, dropout_p,

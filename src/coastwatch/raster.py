@@ -16,24 +16,23 @@ share across threads.
 Tiling copies nothing: each patch of :func:`tile_scene` is a read-only view
 into its scene's array. A live patch therefore keeps the whole scene buffer
 alive, and it shows any later write to the scene; copy a patch's data
-(``patch.raster.data.copy()``) to detach it. The PAT1 codec reads a payload
-straight into the returned array and writes an array band by band, without
-staging the file's bytes.
+(``patch.raster.data.copy()``) to detach it. A PAT1 file is one
+``_container`` file: its manifest carries the georef and band ids, the
+reader fills the returned array straight from the file and the writer
+converts one band at a time, without staging the file's bytes.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import json
 import math
-import os
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, InconsistencyError
+from . import _container
+from .errors import DimensionError, InconsistencyError
 
 PATCH_SIZE = 256        # px per patch side; 1216 m at 4.75 m/px
 WINDOW = 10             # averaging window of the inference front end
@@ -43,8 +42,7 @@ REFLECTANCE_MAX = 1.2   # ToA overshoot tolerated before a value is flagged
 
 _EARTH_RADIUS_M = 6_371_000.0
 _PAT1_MAGIC = b"PAT1"
-_PAT1_HEADER = struct.Struct("<4sIIIfI8s")  # 32 bytes
-_PAT1_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("u1")}
+_PAT1_DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 
 
 def meters_per_degree(lat: float) -> tuple[float, float]:
@@ -383,11 +381,9 @@ def random_patches(
 
 
 # ---------------------------------------------------------------------------
-# PAT1 file format
-#
-# 32-byte header: magic "PAT1", u32 width, u32 height, u32 bands, f32 gsd,
-# u32 dtype tag (0 = f32 LE, 1 = u8), 8 reserved bytes; then the band-planar
-# payload. A JSON sidecar (same basename, ".json") holds georef and band_ids.
+# PAT1 raster file, in the ``_container`` framing. The manifest holds width,
+# height, bands, gsd, dtype ("f32" little-endian or "u8"), band_ids and,
+# when given, georef and extra; the payload is the band-planar data.
 # ---------------------------------------------------------------------------
 
 
@@ -397,61 +393,45 @@ def write_pat1(
     georef: GeoRef | None = None,
     extra: dict | None = None,
 ) -> Path:
-    """Write a BandStack as a PAT1 file plus its JSON sidecar.
+    """Write a BandStack as one PAT1 file.
 
     u8 data is stored as u8, anything else as f32; the payload is written
     band by band, so at most one band is ever converted or made contiguous.
     """
     path = Path(path)
-    tag = 1 if stack.data.dtype == np.uint8 else 0
-    header = _PAT1_HEADER.pack(
-        _PAT1_MAGIC, stack.width, stack.height, stack.bands,
-        float(stack.gsd), tag, b"\x00" * 8,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for plane in stack.data:
-            fh.write(np.ascontiguousarray(plane, dtype=_PAT1_DTYPES[tag]).data)
-    sidecar = {"band_ids": list(stack.band_ids)}
+    dtype = "u8" if stack.data.dtype == np.uint8 else "f32"
+    manifest = {"width": stack.width, "height": stack.height, "bands": stack.bands,
+                "gsd": float(stack.gsd), "dtype": dtype,
+                "band_ids": list(stack.band_ids)}
     if georef is not None:
-        sidecar["georef"] = georef.to_json()
+        manifest["georef"] = georef.to_json()
     if extra:
-        sidecar["extra"] = extra
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
+        manifest["extra"] = extra
+    with open(path, "wb") as fh:
+        _container.write(fh, _PAT1_MAGIC, manifest, [stack.data], _PAT1_DTYPES[dtype])
     return path
 
 
+def _pat1_layout(manifest: dict) -> tuple[list[tuple[int, ...]], np.dtype]:
+    dtype = manifest["dtype"]
+    if dtype not in _PAT1_DTYPES:
+        raise ValueError(f"unknown dtype {dtype!r}")
+    shape = (manifest["bands"], manifest["height"], manifest["width"])
+    return [shape], _PAT1_DTYPES[dtype]
+
+
 def read_pat1(path: str | Path) -> tuple[BandStack, dict]:
-    """Read a PAT1 file; returns the stack and its parsed sidecar (or {}).
+    """Read a PAT1 file; returns the stack and its manifest.
 
-    The payload size is checked against the header before anything is
-    allocated, then read straight into the returned (writable) array.
+    The data is read straight from the file into the returned (writable)
+    array.
     """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        head = fh.read(_PAT1_HEADER.size)
-        if len(head) < _PAT1_HEADER.size:
-            raise FormatError(f"{path}: shorter than a PAT1 header")
-        magic, width, height, bands, gsd, tag, _ = _PAT1_HEADER.unpack(head)
-        if magic != _PAT1_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        if tag not in _PAT1_DTYPES:
-            raise FormatError(f"{path}: unknown dtype tag {tag}")
-        dtype = _PAT1_DTYPES[tag]
-        expected = width * height * bands * dtype.itemsize
-        size = os.fstat(fh.fileno()).st_size - _PAT1_HEADER.size
-        if size != expected:
-            raise FormatError(f"{path}: payload is {size} bytes, expected {expected}")
-        data = np.empty((bands, height, width), dtype=dtype)
-        if fh.readinto(data) != expected:
-            raise FormatError(f"{path}: payload shorter than {expected} bytes")
-
-    sidecar_path = path.with_suffix(".json")
-    sidecar = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
-    band_ids = tuple(sidecar.get("band_ids", (f"B{i}" for i in range(bands))))
-    stack = BandStack(width=width, height=height, bands=bands, gsd=gsd,
-                      data=data, band_ids=band_ids)
-    return stack, sidecar
+    manifest, (data,) = _container.load(path, _PAT1_MAGIC, _pat1_layout)
+    with _container.parsing(path):
+        stack = BandStack(width=manifest["width"], height=manifest["height"],
+                          bands=manifest["bands"], gsd=float(manifest["gsd"]),
+                          data=data, band_ids=manifest["band_ids"])
+    return stack, manifest
 
 
 def sidecar_georef(sidecar: dict) -> GeoRef | None:

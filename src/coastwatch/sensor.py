@@ -20,16 +20,15 @@ is owned per call through an explicit seed.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import convolve1d
 
-from .errors import DimensionError, SingularContextError
+from .errors import DimensionError, SchemaError, SingularContextError
 from .raster import (
     MS_BAND_IDS,
     PRODUCT_GSD,
@@ -46,9 +45,8 @@ TURBIDITY = "turbidity_NTU"
 PH = "pH"
 PARAMETERS = (TURBIDITY, PH)
 
-# Nominal VIS/NIR band table of the MultiScape100 payload: center wavelength
-# and FWHM bandwidth in nm, plus the panchromatic half-power cut-on/cut-off.
-BAND_CENTER_NM = (490.0, 560.0, 665.0, 705.0, 740.0, 783.0, 842.0)
+# Nominal VIS/NIR band table of the MultiScape100 payload: FWHM bandwidth and
+# half-power range in nm, plus the panchromatic half-power cut-on/cut-off.
 BAND_FWHM_NM = (65.0, 35.0, 30.0, 15.0, 15.0, 20.0, 115.0)
 BAND_RANGE_NM = (
     (457.5, 522.5), (542.5, 577.5), (650.0, 680.0), (697.5, 712.5),
@@ -60,6 +58,18 @@ PAN_CUT_NM = (500.0, 750.0)
 # Used only as a default context; the radiance conversion is exactly
 # invertible for any positive values.
 DEFAULT_ESUN = (1950.0, 1820.0, 1510.0, 1410.0, 1300.0, 1170.0, 960.0)
+
+
+@contextlib.contextmanager
+def _schema(what: str):
+    """Turn a missing key or a value of the wrong kind or range raised inside
+    the block into a ``SchemaError`` naming the document part ``what``."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise SchemaError(f"{what}: {exc}") from None
 
 
 def default_pan_weights() -> np.ndarray:
@@ -87,11 +97,17 @@ class SolarContext:
 
     def __post_init__(self):
         if any(e <= 0 for e in self.esun_per_band):
-            raise ValueError("esun must be positive for every band")
+            raise SchemaError("esun must be positive for every band")
         if not 0.98 <= self.earth_sun_distance <= 1.02:
-            raise ValueError("earth-sun distance outside [0.98, 1.02] AU")
+            raise SchemaError("earth-sun distance outside [0.98, 1.02] AU")
         if not 0.0 <= self.solar_zenith < 90.0:
-            raise ValueError("solar zenith must be in [0, 90) degrees")
+            raise SchemaError("solar zenith must be in [0, 90) degrees")
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "SolarContext":
+        with _schema("solar"):
+            return cls(solar_zenith=float(doc.get("zenith", 0.0)),
+                       earth_sun_distance=float(doc.get("distance_au", 1.0)))
 
     @property
     def cos_zenith(self) -> float:
@@ -137,35 +153,31 @@ class DegradeConfig:
 
     def __post_init__(self):
         if any(s <= 0 for s in self.snr_per_band):
-            raise ValueError("snr must be positive (use inf for noiseless)")
+            raise SchemaError("snr must be positive (use inf for noiseless)")
         if not 0.0 < self.mtf_at_nyquist <= 1.0:
-            raise ValueError("mtf_at_nyquist must be in (0, 1]")
+            raise SchemaError("mtf_at_nyquist must be in (0, 1]")
         for dx, dy in self.misalignment_per_band:
             if math.hypot(dx, dy) > MISALIGN_BOUND_M:
-                raise ValueError(
+                raise SchemaError(
                     f"misalignment ({dx}, {dy}) m exceeds the "
                     f"{MISALIGN_BOUND_M} m registration bound"
                 )
 
     @classmethod
     def from_json(cls, doc: dict, bands: int = 7) -> "DegradeConfig":
-        snr = doc.get("snr")
-        if snr is None or snr == "inf":
-            snr_t = (math.inf,) * bands
-        elif isinstance(snr, (int, float)):
-            snr_t = (float(snr),) * bands
-        else:
-            snr_t = tuple(math.inf if s in (None, "inf") else float(s) for s in snr)
-        mis = doc.get("misalign_m")
-        mis_t = (
-            tuple((float(dx), float(dy)) for dx, dy in mis)
-            if mis else ((0.0, 0.0),) * bands
-        )
-        return cls(
-            snr_per_band=snr_t,
-            mtf_at_nyquist=float(doc.get("mtf", 1.0)),
-            misalignment_per_band=mis_t,
-        )
+        with _schema("degrade"):
+            snr = doc.get("snr")
+            if snr is None or snr == "inf":
+                snr_t = (math.inf,) * bands
+            elif isinstance(snr, (int, float)):
+                snr_t = (float(snr),) * bands
+            else:
+                snr_t = tuple(math.inf if s in (None, "inf") else float(s)
+                              for s in snr)
+            mis = doc.get("misalign_m") or ((0.0, 0.0),) * bands
+            return cls(snr_per_band=snr_t, mtf_at_nyquist=float(doc.get("mtf", 1.0)),
+                       misalignment_per_band=tuple(
+                           (float(dx), float(dy)) for dx, dy in mis))
 
 
 # ---------------------------------------------------------------------------
@@ -538,30 +550,27 @@ class SceneSpec:
     @classmethod
     def from_json(cls, doc: dict) -> "SceneSpec":
         kwargs = {}
-        for key in ("width", "height", "blobs"):
-            if key in doc:
-                kwargs[key] = int(doc[key])
-        for key in ("gsd", "noise_std", "center_lat", "center_lon"):
-            if key in doc:
-                kwargs[key] = float(doc[key])
-        for key in ("turbidity_range", "ph_range"):
-            if key in doc:
-                kwargs[key] = (float(doc[key][0]), float(doc[key][1]))
-        if "ramp" in doc:
-            kwargs["ramp"] = bool(doc["ramp"])
-        if "date" in doc:
-            kwargs["date"] = dt.date.fromisoformat(doc["date"])
-        mixing = doc.get("mixing")
-        if mixing:
-            kwargs["mixing_offsets"] = tuple(float(x) for x in mixing["offsets"])
-            kwargs["mixing_matrix"] = tuple(
-                (float(a), float(b)) for a, b in mixing["matrix"]
-            )
+        with _schema("scene spec"):
+            for key in ("width", "height", "blobs"):
+                if key in doc:
+                    kwargs[key] = int(doc[key])
+            for key in ("gsd", "noise_std", "center_lat", "center_lon"):
+                if key in doc:
+                    kwargs[key] = float(doc[key])
+            for key in ("turbidity_range", "ph_range"):
+                if key in doc:
+                    kwargs[key] = (float(doc[key][0]), float(doc[key][1]))
+            if "ramp" in doc:
+                kwargs["ramp"] = bool(doc["ramp"])
+            if "date" in doc:
+                kwargs["date"] = dt.date.fromisoformat(doc["date"])
+            mixing = doc.get("mixing")
+            if mixing:
+                kwargs["mixing_offsets"] = tuple(float(x) for x in mixing["offsets"])
+                kwargs["mixing_matrix"] = tuple(
+                    (float(a), float(b)) for a, b in mixing["matrix"]
+                )
         return cls(**kwargs)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SceneSpec":
-        return cls.from_json(json.loads(Path(path).read_text()))
 
 
 @dataclass

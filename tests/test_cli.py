@@ -1,10 +1,13 @@
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coastwatch import alerting, cli, convnet, dataset, mlp, raster, sensor
+from coastwatch import _container, alerting, cli, convnet, dataset, mlp, raster, sensor
 
 SIZE = 512
 SEED = 3
@@ -101,32 +104,73 @@ def test_seven_command_chain(inputs, capsys):
 def smp1_pointing_past_its_patch_list() -> bytes:
     """An SMP1 file whose one record has patch index 1, but whose manifest
     lists one patch."""
-    manifest = json.dumps({"patch_ids": ["p0"], "station_ids": ["s"]}).encode()
-    record = dataset._SMP1_RECORD.pack(*[0.1] * 7, 1.0, 0, 1, 0, 0, 0, 739000)
-    return (dataset._SMP1_HEADER.pack(b"SMP1", 1, len(manifest), bytes(4))
-            + manifest + record)
+    record = np.zeros(1, dataset._SMP1_RECORD)
+    record[0] = ([0.1] * 7, 1.0, 0, 1, (0, 0), 0, 739000)
+    buffer = io.BytesIO()
+    _container.write(buffer, b"SMP1", {"count": 1, "patch_ids": ["p0"],
+                                       "station_ids": ["s"]},
+                     [record], dataset._SMP1_RECORD)
+    return buffer.getvalue()
 
 
-@pytest.mark.parametrize("name, content, argv, says", [
-    ("net.cnn1", b"CNN1\x00\x00",
+def pat1(stack: raster.BandStack, **kwargs) -> bytes:
+    """The bytes ``write_pat1`` writes for ``stack``."""
+    with tempfile.TemporaryDirectory() as d:
+        return raster.write_pat1(Path(d) / "x.pat1", stack, **kwargs).read_bytes()
+
+
+MAP = raster.BandStack.from_array(np.zeros((1, 25, 25), np.float32), 47.5,
+                                  band_ids=(sensor.TURBIDITY,))
+MAP_INDEX = json.dumps({
+    "scene_id": "s", "parameter": sensor.TURBIDITY, "scene_width": 256,
+    "scene_height": 256, "patch_size": 256, "gsd": 4.75, "placements": [[0, 0]],
+    "maps": ["map.pat1"], "cloud_invalid_fraction": None}).encode()
+POLICY = json.dumps({"parameter": sensor.TURBIDITY, "upper_bound": 10.0}).encode()
+
+
+@pytest.mark.parametrize("files, argv, says", [
+    ({"net.cnn1": b"CNN1\x00\x00"},
      ["quantize", "--net", "net.cnn1", "--out", "net16.cnn1"], "CNN1 header"),
-    ("policy.json", b'{"parameter": "turbidity_NTU", "lower_bound": 5, "upper_bound": 1}',
+    ({"policy.json": b'{"parameter": "turbidity_NTU", "lower_bound": 5, '
+                     b'"upper_bound": 1}'},
      ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"],
      "lower bound"),
-    ("train.json", b'{"epochz": 3}',
+    ({"train.json": b'{"epochz": 3}'},
      ["train", "--samples", "s.smp1", "--parameter", "ph", "--config", "train.json",
       "--out", "m.mdl1"], "epochz"),
-    ("s.smp1", smp1_pointing_past_its_patch_list(),
+    ({"s.smp1": smp1_pointing_past_its_patch_list()},
      ["train", "--samples", "s.smp1", "--parameter", "turbidity", "--out", "m.mdl1"],
      "s.smp1"),
-], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list"])
+    ({}, ["transfer", "--model", "m.mdl1", "--out", "net.cnn1",
+          "--check-patches", "0"], "--check-patches"),
+    ({}, ["quantize", "--net", "net.cnn1", "--out", "net16.cnn1",
+          "--check-patches", "0"], "--check-patches"),
+    ({}, ["bench", "--net", "net.cnn1", "--reps", "0"], "--reps"),
+    ({"map.pat1": pat1(MAP)}, ["plot", "--map", "map.pat1", "--out", "map.pgm",
+                               "--band", "9"], "--band 9"),
+    ({"map.pat1": pat1(MAP)}, ["plot", "--map", "map.pat1", "--out", "map.pgm",
+                               "--band", "-1"], "--band -1"),
+    ({"spec.json": b'{"degrade": {"mtf": 2}}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "mtf"),
+    ({"maps/index.json": MAP_INDEX, "maps/map.pat1": pat1(MAP),
+      "policy.json": POLICY},
+     ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"],
+     "georef"),
+], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
+        "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
+        "plot_band_past_last", "plot_negative_band", "simulate_bad_degrade",
+        "alert_map_without_georef"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
-                                             name, content, argv, says):
+                                             files, argv, says):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / name).write_bytes(content)
+    for name, content in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(content)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and says in err
+    if "--out" in argv:  # nothing is written
+        assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
 
 
 def test_alert_refuses_a_policy_whose_cloud_fraction_infer_did_not_apply(

