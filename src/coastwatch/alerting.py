@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .convnet import ContaminantMap, ConvNet, infer_patch
-from .errors import InconsistencyError, SchemaError
+from .errors import InconsistencyError, SchemaError, check_document
 from .raster import WINDOW, BandStack, GeoRef, TileIndex, mosaic, tile_scene, window_fraction
 from .sensor import MaskSet, PARAMETERS, PH, TURBIDITY
 
@@ -81,6 +81,7 @@ class ThresholdPolicy:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ThresholdPolicy":
+        check_document(doc, "policy", {f.name for f in fields(cls)})
         return cls(
             parameter=doc["parameter"],
             lower_bound=_number(doc, "lower_bound", None),

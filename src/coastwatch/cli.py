@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -167,9 +168,9 @@ def cmd_build_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     doc = json.loads(Path(args.config).read_text()) if args.config else {}
-    if args.seed is not None:
-        doc["seed"] = args.seed
     config = mlp.TrainConfig.from_json(doc)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     samples, _, _ = dataset.load_samples(args.samples)
     parameter = _parameter(args.parameter)
     samples = [s for s in samples if s.parameter == parameter]
@@ -225,7 +226,7 @@ def cmd_transfer(args) -> int:
 def cmd_infer(args) -> int:
     net, _ = convnet.load_cnn1(args.net)
     scene, manifest = raster.read_pat1(args.scene)
-    georef = raster.sidecar_georef(manifest)
+    georef = _georef(Path(args.scene), manifest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scene_id = Path(args.scene).stem
@@ -310,7 +311,6 @@ def cmd_alert(args) -> int:
             parameter=index_doc["parameter"],
             georef=raster.GeoRef(georef.center_lat, georef.center_lon,
                                  index.gsd, georef.acquisition_date),
-            window_gsd=stack.gsd,
         ))
     result = alerting.alert_scene(maps, index, policy, index_doc["scene_id"])
 

@@ -3,8 +3,10 @@
 The deployed network reproduces the regression pipeline as convolutions: a
 fixed front layer averages each band over non-overlapping 10x10 windows
 (depthwise, kernel weight 1/100, untrainable), and every fully-connected
-layer becomes a 1x1 convolution over the resulting 25x25 grid. The
-conversion is exact in eval mode:
+layer becomes a 1x1 convolution over the resulting 25x25 grid. The window
+is the package constant ``raster.WINDOW``, not a property of a network: a
+CNN1 file records it and the loader refuses any other. The conversion is
+exact in eval mode:
 
 * batch-norm is folded into the preceding layer's kernel and bias
   (w' = w * gamma / sqrt(var + eps), b' = (b - mean) * gamma /
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import _container
 from .dataset import NormStats
-from .errors import DimensionError, NumericError, TransferError
+from .errors import DimensionError, FormatError, NumericError, TransferError
 from .mlp import BN_EPS, MLPParams, forward
 from .raster import WINDOW, BandStack, GeoRef, Patch, window_average
 
@@ -57,15 +59,14 @@ class ConvLayer:
 class ConvNet:
     """The transferred network: fixed averaging front end + 1x1 conv stack.
 
-    ``layers`` excludes the front averaging layer, which is structural:
-    depthwise, kernel ``window x window``, stride ``window``, every weight
-    exactly ``1 / window**2``, bias 0, untrainable. No layer after it
-    changes the spatial dimensions.
+    ``layers`` excludes the front averaging layer, which is structural and
+    the same for every network: depthwise, kernel ``WINDOW x WINDOW``,
+    stride ``WINDOW``, every weight exactly ``1 / WINDOW**2``, bias 0,
+    untrainable. No layer after it changes the spatial dimensions.
     """
 
     channels: tuple[int, ...]
     layers: list[ConvLayer]
-    window: int = WINDOW
     dtype: str = "f32"
     parameter: str = "unknown"
     meta: dict = field(default_factory=dict)
@@ -84,10 +85,6 @@ class ConvNet:
         if self.dtype not in ("f32", "f16"):
             raise ValueError(f"unknown dtype {self.dtype!r}")
 
-    @property
-    def front_weight(self) -> float:
-        return 1.0 / self.window**2
-
 
 @dataclass
 class ContaminantMap:
@@ -96,7 +93,6 @@ class ContaminantMap:
     values: np.ndarray
     parameter: str
     georef: GeoRef
-    window_gsd: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -104,6 +100,11 @@ class ContaminantMap:
             raise DimensionError(
                 f"contaminant map must be 25x25, got {self.values.shape}"
             )
+
+    @property
+    def window_gsd(self) -> float:
+        """Ground size of one map cell: the patch gsd times ``WINDOW``."""
+        return self.georef.gsd * WINDOW
 
 
 def _as_f32(arr: np.ndarray) -> np.ndarray:
@@ -149,15 +150,21 @@ def fc_to_cnn(params: MLPParams, stats: NormStats, parameter: str) -> ConvNet:
     )
 
 
-def _run_stack(net: ConvNet, grid: np.ndarray) -> np.ndarray:
-    """Apply the 1x1 stack to a (channels, cells) activation matrix.
+def _stack_on_means(net: ConvNet, means: np.ndarray) -> np.ndarray:
+    """The 1x1 stack over (bands, rows, cols) window means -> (rows, cols).
 
-    Parameters hold deployed-dtype values (f32, or f16) stored as float64
-    (see ``ConvLayer``), so they are used as they are; the arithmetic runs
-    in float64 so deviations against the reference regressor measure
-    parameter rounding, not accumulator noise.
+    ``means`` is only read, so one set of window means can feed several
+    networks or routes. Parameters hold deployed-dtype values (f32, or f16)
+    stored as float64 (see ``ConvLayer``), so they are used as they are; the
+    arithmetic runs in float64 so deviations against the reference
+    regressor measure parameter rounding, not accumulator noise.
     """
-    act = grid.astype(np.float64)
+    bands, rows, cols = means.shape
+    if bands != net.channels[0]:
+        raise DimensionError(
+            f"raster has {bands} bands, network expects {net.channels[0]}"
+        )
+    act = means.reshape(bands, -1).astype(np.float64)
     for k, layer in enumerate(net.layers):
         act = layer.kernel @ act
         act += layer.bias[:, None]
@@ -165,37 +172,18 @@ def _run_stack(net: ConvNet, grid: np.ndarray) -> np.ndarray:
             raise NumericError(f"non-finite activations at conv layer {k + 1}")
         if layer.relu:
             np.maximum(act, 0.0, out=act)
-    return act
-
-
-def _stack_on_means(net: ConvNet, means: np.ndarray) -> np.ndarray:
-    """The 1x1 stack over (bands, rows, cols) window means -> (rows, cols).
-
-    ``means`` is only read, so one set of window means can feed several
-    networks or routes.
-    """
-    bands, rows, cols = means.shape
-    if bands != net.channels[0]:
-        raise DimensionError(
-            f"raster has {bands} bands, network expects {net.channels[0]}"
-        )
-    return _run_stack(net, means.reshape(bands, -1)).reshape(rows, cols)
+    return act.reshape(rows, cols)
 
 
 def infer_raster(net: ConvNet, raster: BandStack) -> np.ndarray:
     """Forward a 7-band raster; returns the (rows, cols) prediction grid."""
-    return _stack_on_means(net, window_average(raster, net.window).data)
+    return _stack_on_means(net, window_average(raster, WINDOW).data)
 
 
 def infer_patch(net: ConvNet, patch: Patch) -> ContaminantMap:
     """One forward pass over a 256x256x7 patch; 25x25 map, deterministic."""
-    values = infer_raster(net, patch.raster)
-    return ContaminantMap(
-        values=values,
-        parameter=net.parameter,
-        georef=patch.georef,
-        window_gsd=patch.georef.gsd * net.window,
-    )
+    return ContaminantMap(infer_raster(net, patch.raster), net.parameter,
+                          patch.georef)
 
 
 @dataclass
@@ -237,12 +225,12 @@ def verify_equivalence(
     n_cells = 0
     worst = (-1, -1, -1)
     for p_idx, patch in enumerate(patches):
-        means = window_average(patch.raster, net.window).data
+        means = window_average(patch.raster, WINDOW).data
         cnn_map = _stack_on_means(net, means)
         rows, cols = cnn_map.shape
         feats = means.reshape(means.shape[0], -1).T
         feats_norm = (feats - stats.feature_mean) / stats.feature_std
-        fc = stats.denormalize_target(forward(params, feats_norm, "eval"))
+        fc = stats.denormalize_target(forward(params, feats_norm))
         dev = np.abs(cnn_map.reshape(-1) - fc)
         idx = int(np.argmax(dev))
         if dev[idx] > max_dev:
@@ -276,12 +264,12 @@ def cnn1_bytes(net: ConvNet, equivalence: EquivalenceReport | None = None) -> by
     dtype = _CNN1_DTYPES[net.dtype]
     manifest = {
         "format": "CNN1",
-        "window": net.window,
+        "window": WINDOW,
         "front_layer": {
             "kind": "depthwise_average",
-            "kernel": [net.window, net.window],
-            "stride": net.window,
-            "weight": net.front_weight,
+            "kernel": [WINDOW, WINDOW],
+            "stride": WINDOW,
+            "weight": 1.0 / WINDOW**2,
             "trainable": False,
         },
         "channels": list(net.channels),
@@ -321,8 +309,13 @@ def _cnn1_layout(manifest: dict) -> tuple[list[tuple[int, ...]], np.dtype]:
 
 
 def load_cnn1(path: str | Path) -> tuple[ConvNet, dict]:
+    """Read a CNN1 file; a malformed one, or one whose front end averages
+    another window than ``WINDOW``, raises ``FormatError``."""
     manifest, arrays = _container.load(path, _CNN1_MAGIC, _cnn1_layout)
     with _container.parsing(path):
+        if manifest["window"] != WINDOW:
+            raise FormatError(f"{path}: front end averages "
+                              f"{manifest['window']!r} px windows, not {WINDOW}")
         specs = manifest["layers"]
         layers = [
             ConvLayer(kernel.astype(np.float64), bias.astype(np.float64),
@@ -332,7 +325,6 @@ def load_cnn1(path: str | Path) -> tuple[ConvNet, dict]:
         net = ConvNet(
             channels=tuple(manifest["channels"]),
             layers=layers,
-            window=int(manifest["window"]),
             dtype=manifest["dtype"],
             parameter=manifest.get("parameter", "unknown"),
             meta=manifest.get("meta", {}),

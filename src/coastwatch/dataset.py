@@ -82,17 +82,17 @@ class Sample:
             raise ValueError("sample features/target must be finite")
 
 
+# test and validation shares of the matched samples; train takes the rest
+# (0.55 before rounding)
+TEST_FRACTION = 0.20
+VAL_FRACTION = 0.25
+
+
 @dataclass(frozen=True)
 class SplitSpec:
-    train_fraction: float = 0.55
-    test_fraction: float = 0.20
-    val_fraction: float = 0.25
-    seed: int = 0
+    """The shuffle seed of a split; the shares are the module constants."""
 
-    def __post_init__(self):
-        total = self.train_fraction + self.test_fraction + self.val_fraction
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"split fractions sum to {total}, expected 1")
+    seed: int = 0
 
 
 @dataclass
@@ -255,12 +255,13 @@ class SplitResult:
 
 
 def split(samples: list[Sample], spec: SplitSpec) -> SplitResult:
-    """Deterministic shuffled split; sizes are rounded fractions with the
-    rounding remainder assigned to train. The three lists partition the
+    """Deterministic shuffled split; the test and validation sizes are
+    ``TEST_FRACTION`` and ``VAL_FRACTION`` of the samples, rounded, and
+    train takes the remainder. The three lists partition the
     input exactly."""
     n = len(samples)
-    n_test = int(round(n * spec.test_fraction))
-    n_val = int(round(n * spec.val_fraction))
+    n_test = int(round(n * TEST_FRACTION))
+    n_val = int(round(n * VAL_FRACTION))
     n_train = n - n_test - n_val
     perm = np.random.default_rng(spec.seed).permutation(n)
     train = [samples[i] for i in perm[:n_train]]

@@ -31,3 +31,14 @@ class TransferError(CoastwatchError, RuntimeError):
 
 class NumericError(CoastwatchError, ArithmeticError):
     """Non-finite values appeared; message carries the layer or epoch index."""
+
+
+def check_document(doc, what: str, keys=None) -> None:
+    """Raise ``SchemaError`` unless ``doc`` is a JSON object whose keys all
+    lie in ``keys`` (any keys when ``keys`` is None); ``what`` names the
+    document in the message."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    unknown = sorted(set(doc) - set(keys)) if keys is not None else []
+    if unknown:
+        raise SchemaError(f"unknown {what} keys: {', '.join(unknown)}")

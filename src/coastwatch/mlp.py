@@ -18,11 +18,15 @@ Two forwards: ``_forward_full`` (train or eval mode, keeping the cache
 ``_backward`` reads) runs training's mini-batches and the gradient check;
 ``_forward_eval`` is the one eval forward, bit-identical to
 ``_forward_full``'s eval mode, behind ``forward``, ``evaluate``, train's
-per-epoch monitor and ``recalibrate_bn``.
+per-epoch monitor and ``recalibrate_bn``. The public ``forward`` is
+eval-only: a deployed model never normalizes with batch statistics.
 
-Training is single-threaded and bit-deterministic for a fixed seed. One
-model per contaminant; the two models share hyperparameters and differ only
-in their weights.
+Training follows one recipe: Adam with the textbook constants
+(``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``) at a constant learning rate
+on the RMSE loss, computed in float32, keeping the best-validation snapshot.
+It is single-threaded and bit-deterministic for a fixed seed. One model per
+contaminant; the two models share hyperparameters and differ only in their
+weights.
 """
 
 from __future__ import annotations
@@ -34,11 +38,14 @@ import numpy as np
 
 from . import _container
 from .dataset import NormStats, Sample, as_arrays
-from .errors import NumericError, SchemaError
+from .errors import NumericError, SchemaError, check_document
 
 DEFAULT_LAYER_DIMS = (7, 512, 512, 512, 512, 43, 1)
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _vector_sizes(dims: tuple[int, ...]) -> tuple[int, int]:
@@ -141,35 +148,31 @@ def init_mlp(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters; architecture, optimizer, loss, dropout and the epoch
-    budget follow the fixed recipe, the rest are free knobs.
+    """The settings a training run can change; the rest of the recipe (Adam
+    and its constants, the RMSE loss, float32 compute, keeping the
+    best-validation snapshot) is fixed.
 
-    ``lr_schedule`` is "constant" or "cosine" (annealed to ``lr_min`` over the
-    epoch budget). ``dtype`` selects the compute precision of the training
-    loop; parameters are always returned as float64. ``recalibrate_bn``
-    replaces the running batch-norm statistics with exact population
-    statistics of the train set once training ends, measured on the eval
-    forward's own activations, which removes the eval-time noise of the
-    momentum estimates.
+    ``layer_dims``, ``epochs``, ``learning_rate``, ``batch_size`` and
+    ``dropout_p`` are the recipe's numbers, kept settable so a deviation
+    from them can be measured; ``seed`` drives the initialization and the
+    batch order. ``recalibrate_bn`` replaces the running batch-norm
+    statistics with exact population statistics of the train set once
+    training ends, measured on the eval forward's own activations, which
+    removes the eval-time noise of the momentum estimates.
+    ``early_stop_val_rmse`` and ``patience`` end a run before the epoch
+    budget.
     """
 
     layer_dims: tuple[int, ...] = DEFAULT_LAYER_DIMS
     epochs: int = 2000
     learning_rate: float = 1e-3
     batch_size: int = 64
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     dropout_p: float = 0.25
     seed: int = 0
-    lr_schedule: str = "constant"
-    lr_min: float = 1e-5
-    dtype: str = "f32"
     recalibrate_bn: bool = True
     # optional stopping aids; epochs remains the hard budget
     early_stop_val_rmse: float | None = None
     patience: int | None = None
-    keep_best: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -178,23 +181,10 @@ class TrainConfig:
             raise SchemaError("learning rate must be >= 0")
         if self.batch_size < 1:
             raise SchemaError("batch size must be >= 1")
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise SchemaError(f"unknown lr schedule {self.lr_schedule!r}")
-        if self.dtype not in ("f32", "f64"):
-            raise SchemaError(f"unknown dtype {self.dtype!r}")
-
-    def lr_at(self, epoch: int) -> float:
-        if self.lr_schedule == "constant":
-            return self.learning_rate
-        span = max(self.epochs - 1, 1)
-        cos = 0.5 * (1.0 + np.cos(np.pi * min(epoch, span) / span))
-        return self.lr_min + (self.learning_rate - self.lr_min) * cos
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrainConfig":
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise SchemaError(f"unknown train config keys: {', '.join(unknown)}")
+        check_document(doc, "train config", {f.name for f in fields(cls)})
         kwargs = dict(doc)
         if "layer_dims" in kwargs:
             kwargs["layer_dims"] = tuple(int(d) for d in kwargs["layer_dims"])
@@ -319,24 +309,13 @@ def _forward_eval(
     return out[:, 0]
 
 
-def forward(
-    params: MLPParams,
-    x: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-):
-    """Predictions for a batch ``(n, d)`` or a single ``(d,)`` input.
-
-    Eval mode is a pure function of the inputs (running batch-norm
-    statistics, no dropout); train mode normalizes with batch statistics.
-    """
+def forward(params: MLPParams, x: np.ndarray):
+    """Eval-mode predictions for a batch ``(n, d)`` or a single ``(d,)``
+    input: a pure function of the inputs (running batch-norm statistics, no
+    dropout)."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    x = x[None] if single else x
-    if mode == "eval":
-        preds = _forward_eval(params, x)
-    else:
-        preds, _ = _forward_full(params, x, mode, rng)
+    preds = _forward_eval(params, x[None] if single else x)
     return float(preds[0]) if single else preds
 
 
@@ -423,13 +402,12 @@ class _Adam:
         v = b2 * v + (1 - b2) * g * g
         theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
 
-    with the same dtype promotion (a numpy float64 ``lr`` from the cosine
-    schedule makes the step itself float64), so results are bit-identical
-    to the unchunked expressions; the two scratch buffers are reused.
+    with b1, b2 and eps the module's ``ADAM_*`` constants, so results are
+    bit-identical to the unchunked expressions; the two scratch buffers are
+    reused.
     """
 
-    def __init__(self, theta: np.ndarray, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, theta: np.ndarray):
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
         self.t = 0
@@ -438,30 +416,26 @@ class _Adam:
         self._den = np.empty(size, theta.dtype)
 
     def step(self, theta: np.ndarray, grad: np.ndarray, lr: float):
-        c = self.cfg
         self.t += 1
-        bc1 = 1.0 - c.adam_beta1**self.t
-        bc2 = 1.0 - c.adam_beta2**self.t
-        num_dtype = np.result_type(lr, self._num.dtype)
-        num_buf = (self._num if num_dtype == self._num.dtype
-                   else np.empty(self._num.size, num_dtype))
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for start in range(0, theta.size, _ADAM_CHUNK):
             cs = slice(start, start + _ADAM_CHUNK)
             ac, gc, mc, vc = theta[cs], grad[cs], self.m[cs], self.v[cs]
-            num = num_buf[:ac.size]
+            num = self._num[:ac.size]
             den = self._den[:ac.size]
-            mc *= c.adam_beta1
-            np.multiply(1.0 - c.adam_beta1, gc, out=den)
+            mc *= ADAM_BETA1
+            np.multiply(1.0 - ADAM_BETA1, gc, out=den)
             mc += den
-            vc *= c.adam_beta2
-            np.multiply(1.0 - c.adam_beta2, gc, out=den)
+            vc *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, gc, out=den)
             den *= gc
             vc += den
             np.divide(mc, bc1, out=num)
             num *= lr
             np.divide(vc, bc2, out=den)
             np.sqrt(den, out=den)
-            den += c.adam_eps
+            den += ADAM_EPS
             num /= den
             ac -= num
 
@@ -488,29 +462,25 @@ def train(
 ) -> tuple[MLPParams, dict]:
     """Mini-batch Adam on the RMSE loss; deterministic for a fixed seed.
 
-    ``samples`` must be normalized. The history records eval-mode train (and
-    val, when provided) RMSE per epoch in normalized target units. When
-    ``keep_best`` and a validation set are given, the parameter snapshot
-    with the lowest validation RMSE is returned instead of the final state.
-    Divergence (non-finite loss) aborts with the epoch index.
+    ``samples`` must be normalized. The loop computes in float32; the
+    returned parameters are float64. The history records eval-mode train
+    (and val, when provided) RMSE per epoch in normalized target units. When
+    a validation set is given, the parameter snapshot with the lowest
+    validation RMSE is returned instead of the final state. Divergence
+    (non-finite loss) aborts with the epoch index.
     """
     if not samples:
         raise ValueError("empty train split")
-    dtype = np.float32 if config.dtype == "f32" else np.float64
-    X, y = as_arrays(samples)
-    X = X.astype(dtype)
-    y = y.astype(dtype)
+    X, y = (a.astype(np.float32) for a in as_arrays(samples))
     if val_samples:
-        Xv, yv = as_arrays(val_samples)
-        Xv = Xv.astype(dtype)
-        yv = yv.astype(dtype)
+        Xv, yv = (a.astype(np.float32) for a in as_arrays(val_samples))
     else:
         Xv = yv = None
     params = init_mlp(
         config.layer_dims, seed=config.seed, dropout_p=config.dropout_p
-    ).astype(dtype)
+    ).astype(np.float32)
     rng = np.random.default_rng(config.seed + 1)
-    adam = _Adam(params.theta, config)
+    adam = _Adam(params.theta)
     history: dict = {"train_rmse": [], "val_rmse": [], "lr": [],
                      "epochs_run": 0, "stopped_early": False}
     n = len(samples)
@@ -518,8 +488,8 @@ def train(
     best_params: MLPParams | None = None
     stale = 0
 
+    lr = config.learning_rate
     for epoch in range(config.epochs):
-        lr = config.lr_at(epoch)
         order = rng.permutation(n)
         try:
             for start in range(0, n, config.batch_size):
@@ -549,8 +519,7 @@ def train(
             if val_rmse < best_val - 1e-12:
                 best_val = val_rmse
                 stale = 0
-                if config.keep_best:
-                    best_params = params.clone()
+                best_params = params.clone()
             else:
                 stale += 1
         if (config.early_stop_val_rmse is not None
@@ -561,7 +530,7 @@ def train(
             history["stopped_early"] = True
             break
 
-    if best_params is not None and config.keep_best and Xv is not None:
+    if best_params is not None:
         params = best_params
     if config.recalibrate_bn:
         recalibrate_bn(params, X)
@@ -679,7 +648,7 @@ def evaluate(
     ``stats`` before computing RMSE and MAE.
     """
     X, y = as_arrays(samples)
-    preds = stats.denormalize_target(forward(params, X, "eval"))
+    preds = stats.denormalize_target(forward(params, X))
     truth = stats.denormalize_target(y)
     resid = preds - truth
     return EvalReport(

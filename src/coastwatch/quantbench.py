@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .convnet import ConvNet, _stack_on_means, cnn1_bytes, infer_patch
-from .errors import InconsistencyError, NumericError
-from .raster import Patch, window_average
+from .errors import NumericError
+from .raster import WINDOW, Patch, window_average
 
 MISSION_SIZE_LIMIT_BYTES = 250 * 1024 * 1024
 REFERENCE_VPU = {
@@ -80,15 +80,11 @@ def compare_quantized(
     """
     if not patches:
         raise ValueError("need at least one patch to compare")
-    if net32.window != net16.window:
-        raise InconsistencyError(
-            f"networks average {net32.window} px and {net16.window} px windows"
-        )
     max_dev = 0.0
     total = 0.0
     cells = 0
     for patch in patches:
-        means = window_average(patch.raster, net32.window).data
+        means = window_average(patch.raster, WINDOW).data
         a = _stack_on_means(net32, means)
         b = _stack_on_means(net16, means)
         dev = np.abs(a - b)

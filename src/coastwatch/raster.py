@@ -220,8 +220,16 @@ class TileIndex:
 class TileResult:
     patches: list[Patch]
     index: TileIndex
-    margin_rows: int
-    margin_cols: int
+
+    @property
+    def margin_rows(self) -> int:
+        """Scene rows south of the last patch row, left untiled."""
+        return self.index.scene_height % self.index.patch_size
+
+    @property
+    def margin_cols(self) -> int:
+        """Scene columns east of the last patch column, left untiled."""
+        return self.index.scene_width % self.index.patch_size
 
 
 def window_average(raster: BandStack, window: int) -> BandStack:
@@ -260,13 +268,13 @@ def window_fraction(mask: np.ndarray, window: int = WINDOW) -> np.ndarray:
 def tile_scene(
     scene: BandStack,
     scene_georef: GeoRef | None = None,
-    patch_size: int = PATCH_SIZE,
     patch_id_prefix: str = "patch",
 ) -> TileResult:
-    """Cut a 7-band scene into non-overlapping 256 px patches.
+    """Cut a 7-band scene into non-overlapping ``PATCH_SIZE`` (256) px
+    patches, the one size a ``Patch`` takes.
 
     Patches cover the maximal patch-aligned sub-scene anchored at the
-    north-west corner; leftover margins (< patch_size px) are excluded and
+    north-west corner; leftover margins (< 256 px) are excluded and
     reported in the result. Patch georefs are derived from the scene center
     when ``scene_georef`` is given, otherwise a placeholder at (0, 0) with
     the scene gsd is used.
@@ -278,15 +286,13 @@ def tile_scene(
     """
     if scene.bands != 7:
         raise DimensionError(f"scene must have 7 bands, got {scene.bands}")
-    if scene.width < patch_size or scene.height < patch_size:
+    if scene.width < PATCH_SIZE or scene.height < PATCH_SIZE:
         raise DimensionError(
             f"scene {scene.width}x{scene.height} smaller than one "
-            f"{patch_size} px patch"
+            f"{PATCH_SIZE} px patch"
         )
-    down = scene.height // patch_size
-    across = scene.width // patch_size
-    margin_rows = scene.height - down * patch_size
-    margin_cols = scene.width - across * patch_size
+    down = scene.height // PATCH_SIZE
+    across = scene.width // PATCH_SIZE
 
     if scene_georef is None:
         scene_georef = GeoRef(0.0, 0.0, scene.gsd, dt.date(1970, 1, 1))
@@ -295,13 +301,13 @@ def tile_scene(
     patches = []
     for i in range(down):
         for j in range(across):
-            r0, c0 = i * patch_size, j * patch_size
+            r0, c0 = i * PATCH_SIZE, j * PATCH_SIZE
             placements.append((r0, c0))
-            chip = scene.data[:, r0 : r0 + patch_size, c0 : c0 + patch_size]
+            chip = scene.data[:, r0 : r0 + PATCH_SIZE, c0 : c0 + PATCH_SIZE]
             chip.flags.writeable = False
             # patch center offset from the scene center, in metres
-            north_m = (scene.height / 2.0 - (r0 + patch_size / 2.0)) * scene.gsd
-            east_m = ((c0 + patch_size / 2.0) - scene.width / 2.0) * scene.gsd
+            north_m = (scene.height / 2.0 - (r0 + PATCH_SIZE / 2.0)) * scene.gsd
+            east_m = ((c0 + PATCH_SIZE / 2.0) - scene.width / 2.0) * scene.gsd
             lat, lon = scene_georef.offset_latlon(north_m, east_m)
             georef = GeoRef(lat, lon, scene.gsd, scene_georef.acquisition_date)
             patches.append(
@@ -315,10 +321,9 @@ def tile_scene(
         scene_width=scene.width,
         scene_height=scene.height,
         placements=tuple(placements),
-        patch_size=patch_size,
         gsd=scene.gsd,
     )
-    return TileResult(patches, index, margin_rows, margin_cols)
+    return TileResult(patches, index)
 
 
 def mosaic(
@@ -363,20 +368,18 @@ def mosaic(
     )
 
 
-def random_patches(
-    n: int,
-    seed: int,
-    gsd: float = PRODUCT_GSD,
-    date: dt.date = dt.date(2024, 6, 15),
-) -> list[Patch]:
-    """Uniform-random reflectance patches in [0, 1]; seeded, for checks."""
+def random_patches(n: int, seed: int) -> list[Patch]:
+    """Uniform-random reflectance patches in [0, 1]; seeded, for checks.
+
+    Each sits at (0, 0) at the product gsd, acquired on 2024-06-15.
+    """
     rng = np.random.default_rng(seed)
+    georef = GeoRef(0.0, 0.0, PRODUCT_GSD, dt.date(2024, 6, 15))
     out = []
     for i in range(n):
         data = rng.uniform(0.0, 1.0, size=(7, PATCH_SIZE, PATCH_SIZE))
-        georef = GeoRef(0.0, 0.0, gsd, date)
-        out.append(Patch(BandStack.from_array(data, gsd, MS_BAND_IDS), georef,
-                         patch_id=f"random_{i:04d}"))
+        out.append(Patch(BandStack.from_array(data, PRODUCT_GSD, MS_BAND_IDS),
+                         georef, patch_id=f"random_{i:04d}"))
     return out
 
 

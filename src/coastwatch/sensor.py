@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import convolve1d
 
-from .errors import DimensionError, SchemaError, SingularContextError
+from .errors import DimensionError, SchemaError, SingularContextError, check_document
 from .raster import (
     MS_BAND_IDS,
     PRODUCT_GSD,
@@ -105,6 +105,7 @@ class SolarContext:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolarContext":
+        check_document(doc, "solar", ("zenith", "distance_au"))
         with _schema("solar"):
             return cls(solar_zenith=float(doc.get("zenith", 0.0)),
                        earth_sun_distance=float(doc.get("distance_au", 1.0)))
@@ -165,6 +166,7 @@ class DegradeConfig:
 
     @classmethod
     def from_json(cls, doc: dict, bands: int = 7) -> "DegradeConfig":
+        check_document(doc, "degrade", ("snr", "mtf", "misalign_m"))
         with _schema("degrade"):
             snr = doc.get("snr")
             if snr is None or snr == "inf":
@@ -506,8 +508,6 @@ def simulate_l1c(
             placements=tuple(keep_placements), patch_size=index.patch_size,
             gsd=index.gsd,
         ),
-        margin_rows=tiles.margin_rows,
-        margin_cols=tiles.margin_cols,
     )
     return SimulatedProduct(kept, pan_chips, mask_chips, cloud_fractions)
 
@@ -549,6 +549,9 @@ class SceneSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SceneSpec":
+        """The spec from a document that may hold more keys: ``simulate``
+        reads its solar, degrade and coverage settings from the same one."""
+        check_document(doc, "scene spec")
         kwargs = {}
         with _schema("scene spec"):
             for key in ("width", "height", "blobs"):

@@ -146,7 +146,7 @@ def test_cli_alerts_and_mosaic_equal_alert_scene_on_the_maps(tmp_path):
 def test_out_of_range_cloud_fraction_rejected(fraction):
     scene, cloud = scene_and_cloud()
     tiles = tile_scene(scene, GEOREF)
-    maps = [ContaminantMap(np.zeros((25, 25)), TURBIDITY, p.georef, GSD * 10)
+    maps = [ContaminantMap(np.zeros((25, 25)), TURBIDITY, p.georef)
             for p in tiles.patches]
     with pytest.raises(SchemaError, match="cloud fraction"):
         alerting.invalidate_clouded(maps, tiles.index, cloud, fraction)

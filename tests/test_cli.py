@@ -128,6 +128,17 @@ MAP_INDEX = json.dumps({
 POLICY = json.dumps({"parameter": sensor.TURBIDITY, "upper_bound": 10.0}).encode()
 
 
+def cnn1() -> bytes:
+    """A small valid CNN1 network."""
+    params = mlp.init_mlp((7, 8, 1))
+    params.bn_stats_tracked = True
+    stats = dataset.NormStats(np.full(7, 0.2), np.full(7, 0.05), 5.0, 2.0)
+    return convnet.cnn1_bytes(convnet.fc_to_cnn(params, stats, sensor.TURBIDITY))
+
+
+SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.75)
+
+
 @pytest.mark.parametrize("files, argv, says", [
     ({"net.cnn1": b"CNN1\x00\x00"},
      ["quantize", "--net", "net.cnn1", "--out", "net16.cnn1"], "CNN1 header"),
@@ -156,10 +167,32 @@ POLICY = json.dumps({"parameter": sensor.TURBIDITY, "upper_bound": 10.0}).encode
       "policy.json": POLICY},
      ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"],
      "georef"),
+    ({"net.cnn1": cnn1(), "scene.pat1": pat1(SCENE)},
+     ["infer", "--net", "net.cnn1", "--scene", "scene.pat1", "--out", "maps"],
+     "georef"),
+    ({"spec.json": b"[]"}, ["simulate", "--spec", "spec.json", "--out", "sim"],
+     "scene spec must be a JSON object"),
+    ({"spec.json": b'{"solar": {"zenit": 30}}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "zenit"),
+    ({"spec.json": b'{"degrade": {"mft": 0.5}}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "mft"),
+    ({"policy.json": b"[]"},
+     ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"],
+     "policy must be a JSON object"),
+    ({"policy.json": b'{"parameter": "turbidity_NTU", "upper_bound": 10, '
+                     b'"min_exceed_fracton": 0.5}'},
+     ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"],
+     "min_exceed_fracton"),
+    ({"train.json": b"[]"},
+     ["train", "--samples", "s.smp1", "--parameter", "ph", "--config", "train.json",
+      "--out", "m.mdl1", "--seed", "1"], "train config must be a JSON object"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "plot_band_past_last", "plot_negative_band", "simulate_bad_degrade",
-        "alert_map_without_georef"])
+        "alert_map_without_georef", "infer_scene_without_georef",
+        "simulate_spec_not_an_object", "simulate_unknown_solar_key",
+        "simulate_unknown_degrade_key", "alert_policy_not_an_object",
+        "alert_misspelt_policy_key", "train_config_not_an_object"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)
@@ -182,11 +215,7 @@ def test_alert_refuses_a_policy_whose_cloud_fraction_infer_did_not_apply(
     cloud[:100] = 1
     raster.write_pat1(tmp_path / "mask.pat1", raster.BandStack.from_array(
         cloud, spec.gsd, band_ids=("cloud",)))
-    params = mlp.init_mlp((7, 8, 1))
-    params.bn_stats_tracked = True
-    stats = dataset.NormStats(np.full(7, 0.2), np.full(7, 0.05), 5.0, 2.0)
-    convnet.save_cnn1(tmp_path / "net.cnn1",
-                      convnet.fc_to_cnn(params, stats, sensor.TURBIDITY))
+    (tmp_path / "net.cnn1").write_bytes(cnn1())
     for fraction in (0.3, 0.5):
         (tmp_path / f"policy{fraction}.json").write_text(json.dumps(
             {"parameter": sensor.TURBIDITY, "upper_bound": 10.0,

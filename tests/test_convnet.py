@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,10 @@ from coastwatch.convnet import (
     verify_equivalence,
 )
 from coastwatch.dataset import NormStats
-from coastwatch.errors import InconsistencyError
+from coastwatch.errors import FormatError
 from coastwatch.mlp import forward, init_mlp
 from coastwatch.quantbench import compare_quantized, quantize_fp16
-from coastwatch.raster import random_patches, window_average
+from coastwatch.raster import WINDOW, random_patches, window_average
 
 DIMS = (7, 32, 16, 1)
 
@@ -38,7 +40,7 @@ def model(seed=0):
 
 def stack_with_deployed_arrays(net, patch, deployed):
     """The 1x1 stack as run on deployed-dtype arrays widened per call."""
-    act = window_average(patch.raster, net.window).data.reshape(7, -1)
+    act = window_average(patch.raster, WINDOW).data.reshape(7, -1)
     act = act.astype(np.float64)
     for layer in net.layers:
         kernel = layer.kernel.astype(deployed)
@@ -135,7 +137,7 @@ def test_equivalence_and_fp16_checks_equal_per_network_inference():
         cnn = infer_patch(net, patch).values.reshape(-1)
         feats = window_average(patch.raster, 10).data.reshape(7, -1).T
         fc = stats.denormalize_target(
-            forward(params, (feats - stats.feature_mean) / stats.feature_std, "eval"))
+            forward(params, (feats - stats.feature_mean) / stats.feature_std))
         eq_dev.append(np.abs(cnn - fc))
         q_dev.append(np.abs(infer_patch(net, patch).values
                             - infer_patch(net16, patch).values))
@@ -147,9 +149,17 @@ def test_equivalence_and_fp16_checks_equal_per_network_inference():
     assert quant.mean_map_deviation == sum(float(d.sum()) for d in q_dev) / (3 * 625)
 
 
-def test_compare_quantized_rejects_different_windows():
-    net = fc_to_cnn(*model(7), "turbidity_NTU")
-    other = quantize_fp16(net)
-    other.window = 5
-    with pytest.raises(InconsistencyError):
-        compare_quantized(net, other, random_patches(1, seed=0))
+def test_cnn1_declaring_another_window_is_a_format_error(tmp_path):
+    """Any window but ``WINDOW`` gives maps of another size than 25x25; the
+    loader refuses such a file instead of a later map check."""
+    blob = cnn1_bytes(fc_to_cnn(*model(7), "turbidity_NTU"))
+    mlen = int.from_bytes(blob[4:8], "little")
+    manifest = json.loads(blob[8 : 8 + mlen])
+    assert manifest["window"] == WINDOW == 10
+    manifest["window"] = 8
+    mbytes = json.dumps(manifest).encode()
+    path = tmp_path / "net.cnn1"
+    path.write_bytes(blob[:4] + len(mbytes).to_bytes(4, "little") + mbytes
+                     + blob[8 + mlen :])
+    with pytest.raises(FormatError, match="8 px windows"):
+        load_cnn1(path)

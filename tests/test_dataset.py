@@ -393,10 +393,6 @@ class TestSplit:
             assert len(ids) == n and len(set(ids)) == n
             assert set(ids) == {id(s) for s in samples}
 
-    def test_fractions_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            SplitSpec(train_fraction=0.5, test_fraction=0.2, val_fraction=0.2)
-
 
 class TestNormalize:
     def _samples(self, n, seed=0):
