@@ -218,7 +218,8 @@ def cmd_transfer(args) -> int:
             f"patch {report.worst[0]} cell {report.worst[1:]}; refusing to emit"
         )
     convnet.save_cnn1(args.out, net, report)
-    print(f"transfer: equivalence max {report.max_abs_deviation:.3e} over "
+    print(f"transfer: equivalence max {report.max_abs_deviation:.3e} "
+          f"(served f32 {report.served_max_abs_deviation:.3e}) over "
           f"{report.n_patches} patches -> {args.out}")
     return 0
 
@@ -307,7 +308,7 @@ def cmd_alert(args) -> int:
         stack, manifest = raster.read_pat1(maps_dir / name)
         georef = _georef(maps_dir / name, manifest)
         maps.append(convnet.ContaminantMap(
-            values=stack.data[0].astype(np.float64),
+            values=stack.data[0],
             parameter=index_doc["parameter"],
             georef=raster.GeoRef(georef.center_lat, georef.center_lon,
                                  index.gsd, georef.acquisition_date),

@@ -20,6 +20,13 @@ For every patch P and window w the identity ConvNet(P)[w] =
 FC(mean_10x10(P, w)) holds up to float rounding; ``verify_equivalence``
 certifies it against the independent FC route and the CNN1 file records the
 report hash of the run that blessed a deployed model.
+
+Parameters are float32, the dtype a CNN1 file deploys, and the served path
+(``infer_raster``/``infer_patch``) runs the 1x1 stack in float32 on window
+means that ``window_average`` accumulates in float64. The certificate runs
+the same stack in float64 as its reference route, so its deviation measures
+the folding and the parameter rounding, not float32 arithmetic; the served
+route's own deviation is reported beside it.
 """
 
 from __future__ import annotations
@@ -43,16 +50,19 @@ from .raster import WINDOW, BandStack, GeoRef, Patch, window_average
 class ConvLayer:
     """One 1x1 convolution layer.
 
-    ``kernel`` and ``bias`` are held as float64 arrays whose values are
-    exactly representable in the network's deployed dtype (f32 or f16): the
-    builders (``fc_to_cnn``, ``load_cnn1``, ``quantize_fp16``) round to that
-    dtype and widen once, so inference never re-casts and the CNN1 file
-    stores the deployed values unchanged.
+    ``kernel`` and ``bias`` are float32 arrays; construction rounds whatever
+    it is given to float32 (round-to-nearest-even). A network quantized to
+    f16 holds binary16 values, which float32 represents exactly, so the CNN1
+    file stores the deployed values unchanged in either dtype.
     """
 
     kernel: np.ndarray   # (out_channels, in_channels), a 1x1 convolution
     bias: np.ndarray     # (out_channels,)
     relu: bool
+
+    def __post_init__(self):
+        self.kernel = np.asarray(self.kernel, dtype=np.float32)
+        self.bias = np.asarray(self.bias, dtype=np.float32)
 
 
 @dataclass
@@ -88,14 +98,19 @@ class ConvNet:
 
 @dataclass
 class ContaminantMap:
-    """Dense 25x25 prediction grid for one patch, in physical units."""
+    """Dense 25x25 prediction grid for one patch, in physical units.
+
+    ``values`` are held as float64, so thresholds and alert statistics come
+    out the same for a map served in float32 and for one read from a map
+    file.
+    """
 
     values: np.ndarray
     parameter: str
     georef: GeoRef
 
     def __post_init__(self):
-        self.values = np.asarray(self.values)
+        self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (25, 25):
             raise DimensionError(
                 f"contaminant map must be 25x25, got {self.values.shape}"
@@ -107,17 +122,12 @@ class ContaminantMap:
         return self.georef.gsd * WINDOW
 
 
-def _as_f32(arr: np.ndarray) -> np.ndarray:
-    """Round to float32 and hold the result as float64."""
-    return arr.astype(np.float32).astype(np.float64)
-
-
 def fc_to_cnn(params: MLPParams, stats: NormStats, parameter: str) -> ConvNet:
     """Transplant the trained regressor into the convolutional form.
 
     Requires populated batch-norm running statistics (eval mode is what the
-    conversion reproduces). All folding algebra runs in float64; kernels are
-    rounded to float32, the deployed dtype, and held as float64.
+    conversion reproduces). All folding algebra runs in float64; the layers
+    round the folded kernels and biases to float32, the deployed dtype.
     """
     if not params.bn_stats_tracked:
         raise TransferError(
@@ -135,13 +145,13 @@ def fc_to_cnn(params: MLPParams, stats: NormStats, parameter: str) -> ConvNet:
         scale = params.bn_gamma[k] / np.sqrt(params.bn_var[k] + BN_EPS)
         kernel = w * scale[:, None]
         bias = (b - params.bn_mean[k]) * scale + params.bn_beta[k]
-        layers.append(ConvLayer(_as_f32(kernel), _as_f32(bias), relu=True))
+        layers.append(ConvLayer(kernel, bias, relu=True))
     # output layer: no batch-norm, no activation; absorb target
     # de-standardization so the map is in physical units
     w_out = params.weights[-1].astype(np.float64) * stats.target_std
     b_out = params.biases[-1].astype(np.float64) * stats.target_std
     b_out = b_out + stats.target_mean
-    layers.append(ConvLayer(_as_f32(w_out), _as_f32(b_out), relu=False))
+    layers.append(ConvLayer(w_out, b_out, relu=False))
     return ConvNet(
         channels=tuple(params.layer_dims),
         layers=layers,
@@ -153,21 +163,21 @@ def fc_to_cnn(params: MLPParams, stats: NormStats, parameter: str) -> ConvNet:
 def _stack_on_means(net: ConvNet, means: np.ndarray) -> np.ndarray:
     """The 1x1 stack over (bands, rows, cols) window means -> (rows, cols).
 
-    ``means`` is only read, so one set of window means can feed several
-    networks or routes. Parameters hold deployed-dtype values (f32, or f16)
-    stored as float64 (see ``ConvLayer``), so they are used as they are; the
-    arithmetic runs in float64 so deviations against the reference
-    regressor measure parameter rounding, not accumulator noise.
+    The arithmetic runs in ``means.dtype``: float32 on the served path,
+    float64 on the certificate's reference route (the float32 parameters
+    widen exactly). ``means`` is only read, so one set of window means can
+    feed several networks or routes.
     """
     bands, rows, cols = means.shape
     if bands != net.channels[0]:
         raise DimensionError(
             f"raster has {bands} bands, network expects {net.channels[0]}"
         )
-    act = means.reshape(bands, -1).astype(np.float64)
+    dtype = means.dtype
+    act = means.reshape(bands, -1)
     for k, layer in enumerate(net.layers):
-        act = layer.kernel @ act
-        act += layer.bias[:, None]
+        act = layer.kernel.astype(dtype, copy=False) @ act
+        act += layer.bias.astype(dtype, copy=False)[:, None]
         if not np.isfinite(act).all():
             raise NumericError(f"non-finite activations at conv layer {k + 1}")
         if layer.relu:
@@ -175,9 +185,14 @@ def _stack_on_means(net: ConvNet, means: np.ndarray) -> np.ndarray:
     return act.reshape(rows, cols)
 
 
+def _served_means(raster: BandStack) -> np.ndarray:
+    """Window means accumulated in float64, served to the stack as float32."""
+    return window_average(raster, WINDOW).data.astype(np.float32)
+
+
 def infer_raster(net: ConvNet, raster: BandStack) -> np.ndarray:
-    """Forward a 7-band raster; returns the (rows, cols) prediction grid."""
-    return _stack_on_means(net, window_average(raster, WINDOW).data)
+    """Forward a 7-band raster; returns the float32 (rows, cols) grid."""
+    return _stack_on_means(net, _served_means(raster))
 
 
 def infer_patch(net: ConvNet, patch: Patch) -> ContaminantMap:
@@ -188,8 +203,12 @@ def infer_patch(net: ConvNet, patch: Patch) -> ContaminantMap:
 
 @dataclass
 class EquivalenceReport:
+    """The certificate (float64 stack against the FC route) and, ungated,
+    the served float32 stack's maximum deviation against the same route."""
+
     max_abs_deviation: float
     mean_abs_deviation: float
+    served_max_abs_deviation: float
     n_patches: int
     n_cells: int
     tol: float
@@ -215,12 +234,16 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Certify ConvNet(P)[w] == FC(mean window w of P) over all patches.
 
-    Both routes start from the same float64 window means, computed once
-    per patch; the FC route then runs independently (standardization,
-    eval-mode forward, de-standardization). Deviations are in physical
-    units. An empty patch list passes vacuously with n = 0 flagged.
+    All routes start from the same float64 window means, computed once
+    per patch. The certificate runs the 1x1 stack in float64; the FC route
+    runs independently (standardization, eval-mode forward,
+    de-standardization). The served float32 stack (``infer_patch``) is
+    measured against the same FC values and reported, not gated.
+    Deviations are in physical units. An empty patch list passes vacuously
+    with n = 0 flagged.
     """
     max_dev = 0.0
+    served_max = 0.0
     sum_dev = 0.0
     n_cells = 0
     worst = (-1, -1, -1)
@@ -238,9 +261,12 @@ def verify_equivalence(
             worst = (p_idx, idx // cols, idx % cols)
         sum_dev += float(dev.sum())
         n_cells += dev.size
+        served = _stack_on_means(net, means.astype(np.float32))
+        served_max = max(served_max, float(np.abs(served.reshape(-1) - fc).max()))
     return EquivalenceReport(
         max_abs_deviation=max_dev,
         mean_abs_deviation=sum_dev / n_cells if n_cells else 0.0,
+        served_max_abs_deviation=served_max,
         n_patches=len(patches),
         n_cells=n_cells,
         tol=tol,
@@ -318,8 +344,7 @@ def load_cnn1(path: str | Path) -> tuple[ConvNet, dict]:
                               f"{manifest['window']!r} px windows, not {WINDOW}")
         specs = manifest["layers"]
         layers = [
-            ConvLayer(kernel.astype(np.float64), bias.astype(np.float64),
-                      relu=bool(spec["relu"]))
+            ConvLayer(kernel, bias, relu=bool(spec["relu"]))
             for spec, kernel, bias in zip(specs, arrays[0::2], arrays[1::2])
         ]
         net = ConvNet(

@@ -31,7 +31,7 @@ weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +146,30 @@ def init_mlp(
     )
 
 
+def _is_json_kind(value, kind: str) -> bool:
+    """Whether a parsed JSON value is of ``kind``; a boolean is no number."""
+    if kind == "a boolean":
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if kind == "an integer":
+        return isinstance(value, int)
+    if kind == "a number":
+        return isinstance(value, (int, float))
+    return isinstance(value, list) and all(_is_json_kind(v, "an integer")
+                                           for v in value)
+
+
+# The JSON kind of each ``TrainConfig`` field; the optional ones also take null.
+_CONFIG_KINDS = {
+    "layer_dims": "a list of integers", "epochs": "an integer",
+    "learning_rate": "a number", "batch_size": "an integer",
+    "dropout_p": "a number", "seed": "an integer", "recalibrate_bn": "a boolean",
+    "early_stop_val_rmse": "a number", "patience": "an integer",
+}
+_OPTIONAL_CONFIG = ("early_stop_val_rmse", "patience")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """The settings a training run can change; the rest of the recipe (Adam
@@ -184,10 +208,17 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrainConfig":
-        check_document(doc, "train config", {f.name for f in fields(cls)})
+        check_document(doc, "train config", _CONFIG_KINDS)
+        for key, value in doc.items():
+            kind = _CONFIG_KINDS[key]
+            if value is None and key in _OPTIONAL_CONFIG:
+                continue
+            if not _is_json_kind(value, kind):
+                raise SchemaError(f"train config {key} must be {kind}, "
+                                  f"got {value!r}")
         kwargs = dict(doc)
         if "layer_dims" in kwargs:
-            kwargs["layer_dims"] = tuple(int(d) for d in kwargs["layer_dims"])
+            kwargs["layer_dims"] = tuple(kwargs["layer_dims"])
         return cls(**kwargs)
 
 

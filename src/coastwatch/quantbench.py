@@ -1,11 +1,13 @@
 """FP16 deployment checks: quantization, size accounting, latency benchmark.
 
 The flight accelerator is emulated numerically: parameters are rounded to
-IEEE-754 binary16 (round-to-nearest-even) and re-expanded, model size is
+IEEE-754 binary16 (round-to-nearest-even) and held as float32, both
+networks run the float32 stack they are served with, model size is
 measured on the serialized deployed file, and inference latency is a desk
-benchmark on the local host. The flight reference figures (40.5 ms per
-inference, 24 FPS on the mission VPU; 250 MB mission size ceiling) ride
-along as metadata and are never an acceptance gate for desk hardware.
+benchmark of the float32 served path on the local host. The flight
+reference figures (40.5 ms per inference, 24 FPS on the mission VPU;
+250 MB mission size ceiling) ride along as metadata and are never an
+acceptance gate for desk hardware.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .convnet import ConvNet, _stack_on_means, cnn1_bytes, infer_patch
+from .convnet import (ConvNet, _served_means, _stack_on_means, cnn1_bytes,
+                      infer_patch)
 from .errors import NumericError
-from .raster import WINDOW, Patch, window_average
+from .raster import Patch
 
 MISSION_SIZE_LIMIT_BYTES = 250 * 1024 * 1024
 REFERENCE_VPU = {
@@ -31,7 +34,8 @@ REFERENCE_VPU = {
 
 
 def quantize_fp16(net: ConvNet) -> ConvNet:
-    """Round every parameter to binary16 and re-expand to float64.
+    """Round every parameter to binary16; the layers hold the halves as
+    float32, which represents each exactly.
 
     Round-to-nearest-even (the IEEE default, numpy's cast). Values whose
     magnitude exceeds the binary16 range overflow to infinity and raise.
@@ -46,7 +50,7 @@ def quantize_fp16(net: ConvNet) -> ConvNet:
                 raise NumericError(
                     f"layer {k + 1} {name}: value overflows binary16 range"
                 )
-            rounded[name] = arr.astype(np.float64)
+            rounded[name] = arr
         layers.append(replace(layer, **rounded))
     return replace(net, layers=layers, dtype="f16",
                    meta=dict(net.meta, quantized="fp16_round_nearest_even"))
@@ -74,9 +78,9 @@ def compare_quantized(
 ) -> QuantReport:
     """Per-cell deviation statistics between the two precisions.
 
-    Both networks run the same inference path on one set of window means
-    per patch; deviations are in physical units. ``passed`` gates on the
-    maximum deviation.
+    Both networks run as served, in float32, on one set of window means per
+    patch (``infer_patch``'s); deviations are in physical units. ``passed``
+    gates on the maximum deviation.
     """
     if not patches:
         raise ValueError("need at least one patch to compare")
@@ -84,10 +88,10 @@ def compare_quantized(
     total = 0.0
     cells = 0
     for patch in patches:
-        means = window_average(patch.raster, WINDOW).data
+        means = _served_means(patch.raster)
         a = _stack_on_means(net32, means)
         b = _stack_on_means(net16, means)
-        dev = np.abs(a - b)
+        dev = np.abs(np.subtract(a, b, dtype=np.float64))
         max_dev = max(max_dev, float(dev.max()))
         total += float(dev.sum())
         cells += dev.size
@@ -129,7 +133,8 @@ def bench(
     warmup: int = 5,
     reps: int = 100,
 ) -> BenchReport:
-    """Wall-clock per single-patch inference; median and p95 over ``reps``.
+    """Wall-clock per single-patch inference (``infer_patch``, the float32
+    served path); median and p95 over ``reps``.
 
     The workload is deterministic (patches cycled in order); only the timing
     is nondeterministic. FPS is 1000 / median by definition.

@@ -165,18 +165,18 @@ class DegradeConfig:
                 )
 
     @classmethod
-    def from_json(cls, doc: dict, bands: int = 7) -> "DegradeConfig":
+    def from_json(cls, doc: dict) -> "DegradeConfig":
         check_document(doc, "degrade", ("snr", "mtf", "misalign_m"))
         with _schema("degrade"):
             snr = doc.get("snr")
             if snr is None or snr == "inf":
-                snr_t = (math.inf,) * bands
+                snr_t = (math.inf,) * 7
             elif isinstance(snr, (int, float)):
-                snr_t = (float(snr),) * bands
+                snr_t = (float(snr),) * 7
             else:
                 snr_t = tuple(math.inf if s in (None, "inf") else float(s)
                               for s in snr)
-            mis = doc.get("misalign_m") or ((0.0, 0.0),) * bands
+            mis = doc.get("misalign_m") or ((0.0, 0.0),) * 7
             return cls(snr_per_band=snr_t, mtf_at_nyquist=float(doc.get("mtf", 1.0)),
                        misalignment_per_band=tuple(
                            (float(dx), float(dy)) for dx, dy in mis))

@@ -112,12 +112,10 @@ def test_cli_alerts_and_mosaic_equal_alert_scene_on_the_maps(tmp_path):
         cloud.astype(np.uint8), GSD, band_ids=("cloud",)))
     save_cnn1(tmp_path / "net.cnn1", net)
 
-    # the maps the CLI writes: in-memory inference, invalidated, held as f32
+    # the maps the CLI writes are the in-memory ones: served in f32, invalidated
     tiles = tile_scene(scene, GEOREF, patch_id_prefix="scene")
     maps = [infer_patch(net, p) for p in tiles.patches]
     alerting.invalidate_clouded(maps, tiles.index, cloud, cli.INVALID_CLOUD_FRACTION)
-    for cmap in maps:
-        cmap.values = cmap.values.astype(np.float32).astype(np.float64)
     policy = policy_for(maps)
     expected = alerting.alert_scene(maps, tiles.index, policy, "scene", "")
     (tmp_path / "policy.json").write_text(json.dumps(

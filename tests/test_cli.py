@@ -73,6 +73,9 @@ def test_seven_command_chain(inputs, capsys):
     assert manifest["provenance"]["unmatched_records"] == 0
     _, cnn = convnet.load_cnn1(d / "net.cnn1")
     assert cnn["equivalence"]["passed"]
+    # the served f32 route's deviation rides along, ungated
+    served = cnn["equivalence"]["served_max_abs_deviation"]
+    assert isinstance(served, float) and 0.0 < served < 1.0
 
     index = json.loads((d / "maps" / "index.json").read_text())
     assert len(index["maps"]) == 4
@@ -186,13 +189,17 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
     ({"train.json": b"[]"},
      ["train", "--samples", "s.smp1", "--parameter", "ph", "--config", "train.json",
       "--out", "m.mdl1", "--seed", "1"], "train config must be a JSON object"),
+    ({"train.json": b'{"epochs": "3"}'},
+     ["train", "--samples", "s.smp1", "--parameter", "ph", "--config", "train.json",
+      "--out", "m.mdl1"], "train config epochs must be an integer"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "plot_band_past_last", "plot_negative_band", "simulate_bad_degrade",
         "alert_map_without_georef", "infer_scene_without_georef",
         "simulate_spec_not_an_object", "simulate_unknown_solar_key",
         "simulate_unknown_degrade_key", "alert_policy_not_an_object",
-        "alert_misspelt_policy_key", "train_config_not_an_object"])
+        "alert_misspelt_policy_key", "train_config_not_an_object",
+        "train_config_value_of_wrong_type"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from coastwatch.convnet import (
+    ConvLayer,
     cnn1_bytes,
     fc_to_cnn,
     infer_patch,
+    infer_raster,
     load_cnn1,
     save_cnn1,
     verify_equivalence,
@@ -38,36 +40,43 @@ def model(seed=0):
     return params, stats
 
 
-def stack_with_deployed_arrays(net, patch, deployed):
-    """The 1x1 stack as run on deployed-dtype arrays widened per call."""
+def stack_formula(net, patch, arithmetic, deployed=np.float32):
+    """The 1x1 stack written out: window means and the parameters, rounded
+    to ``deployed``, widened to ``arithmetic`` and run in it."""
     act = window_average(patch.raster, WINDOW).data.reshape(7, -1)
-    act = act.astype(np.float64)
+    act = act.astype(arithmetic)
     for layer in net.layers:
-        kernel = layer.kernel.astype(deployed)
-        bias = layer.bias.astype(deployed)
-        act = kernel.astype(np.float64) @ act + bias.astype(np.float64)[:, None]
+        kernel = layer.kernel.astype(deployed).astype(arithmetic)
+        bias = layer.bias.astype(deployed).astype(arithmetic)
+        act = kernel @ act + bias[:, None]
         if layer.relu:
-            np.maximum(act, 0.0, out=act)
+            act = np.maximum(act, arithmetic(0))
     return act.reshape(25, 25)
 
 
-def test_layers_hold_f32_values_as_f64():
+def test_layers_hold_float32():
     net = fc_to_cnn(*model(), "turbidity_NTU")
     for layer in net.layers:
-        for arr in (layer.kernel, layer.bias):
-            assert arr.dtype == np.float64
-            assert np.array_equal(arr.astype(np.float32).astype(np.float64), arr)
+        assert layer.kernel.dtype == layer.bias.dtype == np.float32
+    values = np.random.default_rng(0).normal(0.0, 1.0, (3, 7))
+    layer = ConvLayer(values, values[:, 0], relu=True)
+    assert layer.kernel.dtype == layer.bias.dtype == np.float32
+    assert np.array_equal(layer.kernel, values.astype(np.float32))
 
 
 @pytest.mark.parametrize("fp16", [False, True])
 def test_infer_patch_matches_deployed_dtype_formula(fp16):
+    # the served maps are the float32 stack, bit for bit
     net = fc_to_cnn(*model(1), "turbidity_NTU")
     deployed = np.float32
     if fp16:
         net, deployed = quantize_fp16(net), np.float16
     for patch in random_patches(2, seed=3):
-        got = infer_patch(net, patch).values
-        assert np.array_equal(got, stack_with_deployed_arrays(net, patch, deployed))
+        want = stack_formula(net, patch, np.float32, deployed)
+        grid = infer_raster(net, patch.raster)
+        assert grid.dtype == np.float32
+        assert np.array_equal(grid, want)
+        assert np.array_equal(infer_patch(net, patch).values, want)
 
 
 def test_fp16_rounding_from_f64_equals_rounding_from_f32():
@@ -94,8 +103,8 @@ def test_quantize_values_are_f16_of_the_f32_values():
     assert net16.dtype == "f16"
     for l32, l16 in zip(net.layers, net16.layers):
         for a32, a16 in ((l32.kernel, l16.kernel), (l32.bias, l16.bias)):
-            assert a16.dtype == np.float64
-            want = a32.astype(np.float32).astype(np.float16).astype(np.float64)
+            assert a16.dtype == np.float32
+            want = a32.astype(np.float16).astype(np.float32)
             assert np.array_equal(a16, want)
     assert quantize_fp16(net16).layers[0].kernel.tobytes() == \
         net16.layers[0].kernel.tobytes()
@@ -112,7 +121,7 @@ def test_cnn1_stores_deployed_dtype_and_round_trips(tmp_path, fp16, itemsize):
     assert len(blob) - 8 - mlen == n_params * itemsize
     loaded, _ = load_cnn1(save_cnn1(tmp_path / "net.cnn1", net))
     for a, b in zip(net.layers, loaded.layers):
-        assert b.kernel.dtype == np.float64
+        assert b.kernel.dtype == b.bias.dtype == np.float32
         assert np.array_equal(a.kernel, b.kernel)
         assert np.array_equal(a.bias, b.bias)
     assert cnn1_bytes(loaded) == blob
@@ -127,23 +136,27 @@ def test_equivalence_certified():
 
 
 def test_equivalence_and_fp16_checks_equal_per_network_inference():
-    # both checks compute each patch's window means once and share them
+    # the certificate is the float64 stack against the FC route; the served
+    # deviation and the fp16 check are what infer_patch serves, in float32
     params, stats = model(6)
     net = fc_to_cnn(params, stats, "turbidity_NTU")
     net16 = quantize_fp16(net)
     patches = random_patches(3, seed=7)
-    eq_dev, q_dev = [], []
+    eq_dev, served_dev, q_dev = [], [], []
     for patch in patches:
-        cnn = infer_patch(net, patch).values.reshape(-1)
-        feats = window_average(patch.raster, 10).data.reshape(7, -1).T
+        feats = window_average(patch.raster, WINDOW).data.reshape(7, -1).T
         fc = stats.denormalize_target(
             forward(params, (feats - stats.feature_mean) / stats.feature_std))
-        eq_dev.append(np.abs(cnn - fc))
+        cnn64 = stack_formula(net, patch, np.float64).reshape(-1)
+        eq_dev.append(np.abs(cnn64 - fc))
+        served_dev.append(np.abs(infer_patch(net, patch).values.reshape(-1) - fc))
         q_dev.append(np.abs(infer_patch(net, patch).values
                             - infer_patch(net16, patch).values))
     report = verify_equivalence(params, stats, net, patches)
     assert report.max_abs_deviation == max(float(d.max()) for d in eq_dev)
     assert report.mean_abs_deviation == sum(float(d.sum()) for d in eq_dev) / (3 * 625)
+    assert report.served_max_abs_deviation == max(float(d.max()) for d in served_dev)
+    assert report.served_max_abs_deviation != report.max_abs_deviation
     quant = compare_quantized(net, net16, patches)
     assert quant.max_map_deviation == max(float(d.max()) for d in q_dev)
     assert quant.mean_map_deviation == sum(float(d.sum()) for d in q_dev) / (3 * 625)

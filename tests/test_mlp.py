@@ -13,6 +13,7 @@ from coastwatch.mlp import (
     BN_EPS,
     TrainConfig,
     _ADAM_CHUNK,
+    _CONFIG_KINDS,
     _Adam,
     _backward,
     _forward_full,
@@ -377,7 +378,18 @@ def test_mdl1_round_trips_bit_for_bit(tmp_path):
     {"lr_schedule": "cosine"}, {"lr_min": 1e-5}, {"dtype": "f32"},
     {"keep_best": True}, {"adam_beta1": 0.9},
     [], 3,
+    # a value of the wrong JSON kind
+    {"epochs": "3"}, {"epochs": 2.5}, {"layer_dims": 5},
+    {"learning_rate": "x"},
 ])
 def test_bad_train_config_is_a_schema_error(doc):
     with pytest.raises(SchemaError):
         TrainConfig.from_json(doc)
+
+
+def test_every_train_config_field_has_a_json_kind():
+    assert set(_CONFIG_KINDS) == {f.name for f in dataclasses.fields(TrainConfig)}
+    doc = {"layer_dims": [7, 4, 1], "epochs": 2, "learning_rate": 1,
+           "batch_size": 8, "dropout_p": 0.0, "seed": 3, "recalibrate_bn": False,
+           "early_stop_val_rmse": None, "patience": None}
+    assert TrainConfig.from_json(doc) == TrainConfig(**dict(doc, layer_dims=(7, 4, 1)))
