@@ -57,13 +57,10 @@ from .sensor import (
     MaskSet,
     SceneSpec,
     SolarContext,
-    degrade,
     generate_synthetic_scene,
-    radiance_to_reflectance,
     reflectance_to_radiance,
     resample,
     simulate_l1c,
-    synthesize_pan,
 )
 
 __version__ = "0.1.0"

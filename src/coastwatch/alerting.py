@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,11 @@ DEFAULT_POLICIES = {
     TURBIDITY: {"upper_bound": 10.0},
     PH: {"lower_bound": 6.0, "upper_bound": 9.0},
 }
+
+# The JSON kind of each ``ThresholdPolicy`` field.
+_POLICY_KINDS = {"parameter": "a string", "lower_bound": "a number or null",
+                 "upper_bound": "a number or null", "min_exceed_fraction": "a number",
+                 "cloud_invalid_fraction": "a number"}
 
 
 @dataclass(frozen=True)
@@ -81,28 +86,14 @@ class ThresholdPolicy:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ThresholdPolicy":
-        check_document(doc, "policy", {f.name for f in fields(cls)})
-        return cls(
-            parameter=doc["parameter"],
-            lower_bound=_number(doc, "lower_bound", None),
-            upper_bound=_number(doc, "upper_bound", None),
-            min_exceed_fraction=_number(doc, "min_exceed_fraction", 0.0),
-            cloud_invalid_fraction=_number(doc, "cloud_invalid_fraction", 0.5),
-        )
+        check_document(doc, "policy", _POLICY_KINDS)
+        numbers = {key: None if value is None else float(value)
+                   for key, value in doc.items() if key != "parameter"}
+        return cls(parameter=doc.get("parameter"), **numbers)
 
     @classmethod
     def load(cls, path: str | Path) -> "ThresholdPolicy":
         return cls.from_json(json.loads(Path(path).read_text()))
-
-
-def _number(doc: dict, key: str, default: float | None) -> float | None:
-    value = doc.get(key, default)
-    if value is None:
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"policy {key} must be a number, got {value!r}") from None
 
 
 @dataclass

@@ -90,29 +90,23 @@ def cmd_simulate(args) -> int:
     georef = spec.georef()
     raster.write_pat1(out / "scene.pat1", scene, georef=georef)
 
-    product = sensor.simulate_l1c(
-        scene, ctx, cfg, seed=args.seed + 1, scene_georef=georef,
-        min_coverage=spec_doc.get("min_coverage"),
-    )
+    tiles = sensor.simulate_l1c(scene, ctx, cfg, seed=args.seed + 1,
+                                scene_georef=georef)
 
     chips_dir = out / "chips"
     chips_dir.mkdir(exist_ok=True)
     gt_aligned = spec.gsd == raster.PRODUCT_GSD
-    for patch, placement, cloud_frac in zip(
-        product.patches, product.tiles.index.placements,
-        product.cloud_window_fraction,
-    ):
+    for patch, placement in zip(tiles.patches, tiles.index.placements):
         extra = {
             "patch_id": patch.patch_id,
             "placement": list(placement),
-            "cloud_window_fraction_max": float(cloud_frac.max()),
             "flagged_values": patch.flagged_values,
         }
         raster.write_pat1(chips_dir / f"{patch.patch_id}.pat1", patch.raster,
                           georef=patch.georef, extra=extra)
         if gt_aligned:
             r0, c0 = placement
-            ps = product.tiles.index.patch_size
+            ps = tiles.index.patch_size
             grids = []
             for name in sensor.PARAMETERS:
                 field = raster.BandStack.from_array(
@@ -127,8 +121,8 @@ def cmd_simulate(args) -> int:
 
     manifest = {
         "scene": "scene.pat1",
-        "chips": len(product.patches),
-        "margins": [product.tiles.margin_rows, product.tiles.margin_cols],
+        "chips": len(tiles.patches),
+        "margins": [tiles.margin_rows, tiles.margin_cols],
         "gt_aligned": gt_aligned,
         "noise_std": truth.noise_std,
         "noise_floor": truth.noise_floor,
@@ -137,8 +131,8 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
     }
     (out / "truth.json").write_text(json.dumps(manifest, indent=2))
-    print(f"simulate: {len(product.patches)} chips -> {chips_dir} "
-          f"(margins {product.tiles.margin_rows}x{product.tiles.margin_cols} px)")
+    print(f"simulate: {len(tiles.patches)} chips -> {chips_dir} "
+          f"(margins {tiles.margin_rows}x{tiles.margin_cols} px)")
     return 0
 
 

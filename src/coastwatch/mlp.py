@@ -39,6 +39,7 @@ import numpy as np
 from . import _container
 from .dataset import NormStats, Sample, as_arrays
 from .errors import NumericError, SchemaError, check_document
+from .raster import MS_BAND_IDS
 
 DEFAULT_LAYER_DIMS = (7, 512, 512, 512, 512, 43, 1)
 BN_EPS = 1e-5
@@ -146,28 +147,13 @@ def init_mlp(
     )
 
 
-def _is_json_kind(value, kind: str) -> bool:
-    """Whether a parsed JSON value is of ``kind``; a boolean is no number."""
-    if kind == "a boolean":
-        return isinstance(value, bool)
-    if isinstance(value, bool):
-        return False
-    if kind == "an integer":
-        return isinstance(value, int)
-    if kind == "a number":
-        return isinstance(value, (int, float))
-    return isinstance(value, list) and all(_is_json_kind(v, "an integer")
-                                           for v in value)
-
-
-# The JSON kind of each ``TrainConfig`` field; the optional ones also take null.
+# The JSON kind of each ``TrainConfig`` field.
 _CONFIG_KINDS = {
     "layer_dims": "a list of integers", "epochs": "an integer",
     "learning_rate": "a number", "batch_size": "an integer",
     "dropout_p": "a number", "seed": "an integer", "recalibrate_bn": "a boolean",
-    "early_stop_val_rmse": "a number", "patience": "an integer",
+    "early_stop_val_rmse": "a number or null", "patience": "an integer or null",
 }
-_OPTIONAL_CONFIG = ("early_stop_val_rmse", "patience")
 
 
 @dataclass(frozen=True)
@@ -199,6 +185,16 @@ class TrainConfig:
     patience: int | None = None
 
     def __post_init__(self):
+        dims = self.layer_dims
+        if len(dims) < 2 or dims[0] != len(MS_BAND_IDS) or dims[-1] != 1:
+            raise SchemaError(f"layer_dims must run from {len(MS_BAND_IDS)} "
+                              f"bands to 1 output, got {list(dims)}")
+        if min(dims) < 1:
+            raise SchemaError(f"every layer width must be >= 1, got {list(dims)}")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise SchemaError("dropout_p must be in [0, 1)")
+        if self.patience is not None and self.patience < 0:
+            raise SchemaError("patience must be >= 0")
         if self.epochs < 1:
             raise SchemaError("epochs must be >= 1")
         if self.learning_rate < 0:
@@ -209,13 +205,6 @@ class TrainConfig:
     @classmethod
     def from_json(cls, doc: dict) -> "TrainConfig":
         check_document(doc, "train config", _CONFIG_KINDS)
-        for key, value in doc.items():
-            kind = _CONFIG_KINDS[key]
-            if value is None and key in _OPTIONAL_CONFIG:
-                continue
-            if not _is_json_kind(value, kind):
-                raise SchemaError(f"train config {key} must be {kind}, "
-                                  f"got {value!r}")
         kwargs = dict(doc)
         if "layer_dims" in kwargs:
             kwargs["layer_dims"] = tuple(kwargs["layer_dims"])

@@ -1,21 +1,21 @@
 """Desk-scale simulator for the satellite multispectral product chain.
 
 Takes an L1C-style top-of-atmosphere reflectance scene and emulates the
-product pipeline: reflectance to radiance, panchromatic synthesis, spatial
-resampling to the 4.75 m product pitch, band-to-band misalignment, SNR/MTF
-degradation, back to reflectance, and chipping into 256 px patches with
-masks carried alongside. A synthetic-scene generator replaces external data
-access: it produces reflectance scenes whose turbidity/pH fields are known
-analytic functions, so downstream accuracy can be gated quantitatively.
+product pipeline on its seven multispectral bands: reflectance to radiance,
+spatial resampling to the 4.75 m product pitch, band-to-band misalignment,
+SNR/MTF degradation, back to reflectance, and chipping into 256 px patches.
+A synthetic-scene generator replaces external data access: it produces
+reflectance scenes whose turbidity/pH fields are known analytic functions,
+so downstream accuracy can be gated quantitatively.
 
-The public steps are pure over immutable rasters: each returns a new
-raster and never mutates its input. Each step has one implementation, a
-private helper that updates a float64 buffer in place band by band; the
-public function is a copy plus that helper. :func:`simulate_l1c` and
+:func:`scene_to_radiance` and :func:`resample` return a new raster and never
+mutate their input. Each later step is one private helper that updates a
+float64 (bands, h, w) buffer in place band by band: ``_misalign``,
+``_degrade`` and ``_to_reflectance``. :func:`simulate_l1c` and
 :func:`generate_synthetic_scene` own one scene-sized working buffer and run
-the helpers in it, so the chain never holds a second copy of the scene, and
-the chips and PAN chips are read-only views into those buffers. Randomness
-is owned per call through an explicit seed.
+the steps in it, so the chain never holds a second copy of the scene, and
+the chips are read-only views into that buffer. Randomness is owned per
+call through an explicit seed.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from __future__ import annotations
 import contextlib
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import convolve1d
 
-from .errors import DimensionError, SchemaError, SingularContextError, check_document
+from .errors import (DimensionError, SchemaError, SingularContextError, check_document,
+                     is_json_kind)
 from .raster import (
     MS_BAND_IDS,
     PRODUCT_GSD,
@@ -38,21 +39,11 @@ from .raster import (
     TileResult,
     tile_scene,
     window_average,
-    window_fraction,
 )
 
 TURBIDITY = "turbidity_NTU"
 PH = "pH"
 PARAMETERS = (TURBIDITY, PH)
-
-# Nominal VIS/NIR band table of the MultiScape100 payload: FWHM bandwidth and
-# half-power range in nm, plus the panchromatic half-power cut-on/cut-off.
-BAND_FWHM_NM = (65.0, 35.0, 30.0, 15.0, 15.0, 20.0, 115.0)
-BAND_RANGE_NM = (
-    (457.5, 522.5), (542.5, 577.5), (650.0, 680.0), (697.5, 712.5),
-    (732.5, 747.5), (773.0, 793.0), (784.5, 899.5),
-)
-PAN_CUT_NM = (500.0, 750.0)
 
 # Nominal exo-atmospheric solar irradiance at the band centers, W m-2 um-1.
 # Used only as a default context; the radiance conversion is exactly
@@ -70,21 +61,6 @@ def _schema(what: str):
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"{what}: {exc}") from None
-
-
-def default_pan_weights() -> np.ndarray:
-    """Bandwidth-proportional weights over bands inside the PAN cut range.
-
-    A band contributes iff its half-power range lies fully inside the
-    panchromatic cut-on/cut-off; weights are proportional to FWHM and
-    normalized to sum to 1.
-    """
-    lo, hi = PAN_CUT_NM
-    w = np.array(
-        [fwhm if lo <= a and b <= hi else 0.0
-         for fwhm, (a, b) in zip(BAND_FWHM_NM, BAND_RANGE_NM)]
-    )
-    return w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -105,10 +81,9 @@ class SolarContext:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolarContext":
-        check_document(doc, "solar", ("zenith", "distance_au"))
-        with _schema("solar"):
-            return cls(solar_zenith=float(doc.get("zenith", 0.0)),
-                       earth_sun_distance=float(doc.get("distance_au", 1.0)))
+        check_document(doc, "solar", {"zenith": "a number", "distance_au": "a number"})
+        return cls(solar_zenith=float(doc.get("zenith", 0.0)),
+                   earth_sun_distance=float(doc.get("distance_au", 1.0)))
 
     @property
     def cos_zenith(self) -> float:
@@ -129,11 +104,6 @@ class MaskSet:
         self.cirrus = np.asarray(self.cirrus, dtype=bool)
         if not (self.cloud.shape == self.cloud_shadow.shape == self.cirrus.shape):
             raise DimensionError("mask rasters must share dimensions")
-
-    @classmethod
-    def clear(cls, height: int, width: int) -> "MaskSet":
-        z = np.zeros((height, width), dtype=bool)
-        return cls(z.copy(), z.copy(), z.copy())
 
 
 MISALIGN_BOUND_M = 10.0  # L1C band-to-band registration requirement
@@ -166,20 +136,25 @@ class DegradeConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DegradeConfig":
-        check_document(doc, "degrade", ("snr", "mtf", "misalign_m"))
+        check_document(doc, "degrade", {"snr": None, "mtf": "a number",
+                                        "misalign_m": "a list of number lists or null"})
+        snr = doc.get("snr")
         with _schema("degrade"):
-            snr = doc.get("snr")
-            if snr is None or snr == "inf":
-                snr_t = (math.inf,) * 7
-            elif isinstance(snr, (int, float)):
-                snr_t = (float(snr),) * 7
-            else:
-                snr_t = tuple(math.inf if s in (None, "inf") else float(s)
-                              for s in snr)
+            snr_t = tuple(map(_snr, snr)) if isinstance(snr, list) else (_snr(snr),) * 7
             mis = doc.get("misalign_m") or ((0.0, 0.0),) * 7
             return cls(snr_per_band=snr_t, mtf_at_nyquist=float(doc.get("mtf", 1.0)),
                        misalignment_per_band=tuple(
                            (float(dx), float(dy)) for dx, dy in mis))
+
+
+def _snr(value) -> float:
+    """One SNR entry of a degrade document: a number, or "inf" or null for
+    no noise."""
+    if value is None or value == "inf":
+        return math.inf
+    if not is_json_kind(value, "a number"):
+        raise SchemaError(f'degrade snr must be a number, "inf" or null, got {value!r}')
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +176,14 @@ def _radiometric_scale(ctx: SolarContext, band: int) -> float:
 def reflectance_to_radiance(rho, ctx: SolarContext, band: int):
     """ToA radiance from reflectance: L = rho * esun_b * cos(theta_s) / (pi d^2).
 
-    Works element-wise on scalars or arrays; exactly invertible by
-    :func:`radiance_to_reflectance` for any valid context.
+    Works element-wise on scalars or arrays; ``_to_reflectance`` divides by
+    the same scale, so the conversion is invertible for any valid context.
     """
     return rho * _radiometric_scale(ctx, band)
 
 
-def radiance_to_reflectance(L, ctx: SolarContext, band: int):
-    """Exact inverse of :func:`reflectance_to_radiance`."""
-    return L / _radiometric_scale(ctx, band)
-
-
 def scene_to_radiance(scene: BandStack, ctx: SolarContext) -> BandStack:
+    """Float64 radiance from a reflectance raster, band by band."""
     if len(ctx.esun_per_band) < scene.bands:
         raise DimensionError("solar context has fewer esun entries than bands")
     out = np.empty_like(scene.data, dtype=np.float64)
@@ -225,28 +196,6 @@ def _to_reflectance(data: np.ndarray, ctx: SolarContext) -> None:
     """Radiance to reflectance in place on a float64 (bands, h, w) buffer."""
     for b in range(data.shape[0]):
         data[b] /= _radiometric_scale(ctx, b)
-
-
-def scene_to_reflectance(scene: BandStack, ctx: SolarContext) -> BandStack:
-    """Float64 reflectance from a radiance raster, band by band."""
-    data = scene.data.astype(np.float64)
-    _to_reflectance(data, ctx)
-    return BandStack.from_array(data, scene.gsd, scene.band_ids)
-
-
-def synthesize_pan(scene: BandStack, weights=None) -> BandStack:
-    """Panchromatic band as a per-pixel linear combination of the MS bands."""
-    if weights is None:
-        weights = default_pan_weights()
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (scene.bands,):
-        raise DimensionError(
-            f"{weights.size} weights for {scene.bands} bands"
-        )
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError(f"pan weights must sum to 1, got {weights.sum()}")
-    pan = np.tensordot(weights, np.asarray(scene.data, dtype=np.float64), axes=1)
-    return BandStack.from_array(pan[None], scene.gsd, ("PAN",))
 
 
 # ---------------------------------------------------------------------------
@@ -297,28 +246,12 @@ def resample(raster: BandStack, target_gsd: float) -> BandStack:
     return BandStack.from_array(data, target_gsd, raster.band_ids)
 
 
-def resample_mask(mask: np.ndarray, source_gsd: float, target_gsd: float) -> np.ndarray:
-    """Nearest-neighbour counterpart of :func:`resample` for boolean masks."""
-    mask = np.asarray(mask, dtype=bool)
-    if target_gsd == source_gsd:
-        return mask.copy()
-    ratio = target_gsd / source_gsd
-    out_h = int(math.floor((mask.shape[0] - 1) / ratio)) + 1
-    out_w = int(math.floor((mask.shape[1] - 1) / ratio)) + 1
-    rows = np.clip(np.rint(np.arange(out_h) * ratio).astype(np.intp), 0, mask.shape[0] - 1)
-    cols = np.clip(np.rint(np.arange(out_w) * ratio).astype(np.intp), 0, mask.shape[1] - 1)
-    return mask[np.ix_(rows, cols)]
-
-
-@dataclass
-class MisalignReport:
-    applied_m: tuple[tuple[float, float], ...]
-    per_band_magnitude_m: tuple[float, ...]
-    rms_m: float
-
-
 def _misalign(data: np.ndarray, gsd: float, cfg: DegradeConfig) -> None:
-    """Shift each band of a float64 (bands, h, w) buffer in place."""
+    """Shift each band of a float64 (bands, h, w) buffer in place by its
+    (east_m, south_m) offset via bilinear resampling.
+
+    Integer-pixel offsets reduce to exact shifts with replicate edge fill.
+    """
     bands, height, width = data.shape
     if len(cfg.misalignment_per_band) < bands:
         raise DimensionError("misalignment config has fewer entries than bands")
@@ -331,26 +264,6 @@ def _misalign(data: np.ndarray, gsd: float, cfg: DegradeConfig) -> None:
         # content moves by (+dy, +dx): sample the source at x - d
         shifted = _interp_axis(data[b], np.arange(height) - dy, axis=0)
         data[b] = _interp_axis(shifted, np.arange(width) - dx, axis=1)
-
-
-def apply_misalignment(
-    scene: BandStack, cfg: DegradeConfig
-) -> tuple[BandStack, MisalignReport]:
-    """Shift each band by its (east_m, south_m) offset via bilinear resampling.
-
-    Integer-pixel offsets reduce to exact shifts with replicate edge fill.
-    The report records the applied offsets and their RMS magnitude, which by
-    construction stays within the configured registration bound.
-    """
-    data = scene.data.astype(np.float64)
-    _misalign(data, scene.gsd, cfg)
-    mags = [math.hypot(*cfg.misalignment_per_band[b]) for b in range(scene.bands)]
-    report = MisalignReport(
-        applied_m=tuple(cfg.misalignment_per_band[: scene.bands]),
-        per_band_magnitude_m=tuple(mags),
-        rms_m=float(np.sqrt(np.mean(np.square(mags)))),
-    )
-    return BandStack.from_array(data, scene.gsd, scene.band_ids), report
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +292,14 @@ def gaussian_kernel(sigma_px: float) -> np.ndarray:
 
 
 def _degrade(data: np.ndarray, cfg: DegradeConfig, seed: int) -> None:
-    """Blur then add noise in place, band by band, on a float64 buffer."""
+    """MTF blur then Gaussian noise at sigma = mean / SNR, in place band by
+    band on a float64 (bands, h, w) buffer.
+
+    The blur kernel is a unit-sum separable Gaussian parameterized by the
+    configured MTF at Nyquist, applied with replicate edges; identity when
+    mtf_at_nyquist is 1. Noise is skipped for infinite SNR. Deterministic
+    for a fixed seed.
+    """
     bands = data.shape[0]
     if len(cfg.snr_per_band) < bands:
         raise DimensionError("snr config has fewer entries than bands")
@@ -400,36 +320,9 @@ def _degrade(data: np.ndarray, cfg: DegradeConfig, seed: int) -> None:
             data[b] += rng.normal(0.0, sigma, size=data[b].shape)
 
 
-def degrade(scene: BandStack, cfg: DegradeConfig, seed: int) -> BandStack:
-    """Apply MTF blur then per-band Gaussian noise at sigma = mean / SNR.
-
-    The blur kernel is a unit-sum separable Gaussian parameterized by the
-    configured MTF at Nyquist, applied with replicate edges; identity when
-    mtf_at_nyquist is 1. Noise is skipped for infinite SNR. Deterministic
-    for a fixed seed.
-    """
-    data = scene.data.astype(np.float64)
-    _degrade(data, cfg, seed)
-    return BandStack.from_array(data, scene.gsd, scene.band_ids)
-
-
 # ---------------------------------------------------------------------------
 # Full product chain
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SimulatedProduct:
-    """Output of :func:`simulate_l1c`: reflectance chips plus carried extras."""
-
-    tiles: TileResult
-    pan_chips: list[BandStack]
-    mask_chips: list[MaskSet]
-    cloud_window_fraction: list[np.ndarray]
-
-    @property
-    def patches(self):
-        return self.tiles.patches
 
 
 def simulate_l1c(
@@ -437,84 +330,41 @@ def simulate_l1c(
     ctx: SolarContext,
     cfg: DegradeConfig,
     seed: int,
-    masks: MaskSet | None = None,
     scene_georef: GeoRef | None = None,
-    min_coverage: float | None = None,
-) -> SimulatedProduct:
+) -> TileResult:
     """Run the product chain and chip the result into 256 px patches.
 
-    reflectance -> radiance -> PAN synthesis -> resample to 4.75 m ->
-    band misalignment -> SNR/MTF degradation -> reflectance -> chips.
-    The panchromatic band is synthesized from the resampled radiances and
-    carried alongside, never entering the 7-band patches; geometric and
-    radiometric degradation is applied to the multispectral bands only.
-    Masks (if any) are nearest-neighbour resampled and chipped alongside;
-    ``min_coverage``, when set, drops chips whose cloud-free fraction is
-    below the threshold.
-
-    The radiance raster is this call's one float64 working buffer:
-    misalignment, degradation and the reflectance conversion run in it in
-    place, and the chips and PAN chips are read-only views into it and into
-    the PAN raster. ``scene`` is not modified.
+    reflectance -> radiance -> resample to 4.75 m -> band misalignment ->
+    SNR/MTF degradation -> reflectance -> chips. The radiance raster is this
+    call's one float64 working buffer: ``_misalign``, ``_degrade`` and
+    ``_to_reflectance`` run in it in place, and the chips are read-only
+    views into it. ``scene`` is not modified.
     """
     if scene.bands != 7:
         raise DimensionError(f"scene must have 7 multispectral bands, got {scene.bands}")
-    if masks is not None and masks.cloud.shape != (scene.height, scene.width):
-        raise DimensionError("masks do not share the scene dimensions")
-
     radiance = scene_to_radiance(scene, ctx)
-    pan = synthesize_pan(radiance)
     if radiance.gsd != PRODUCT_GSD:
         radiance = resample(radiance, PRODUCT_GSD)
-        pan = resample(pan, PRODUCT_GSD)
     _misalign(radiance.data, radiance.gsd, cfg)
     _degrade(radiance.data, cfg, seed)
     _to_reflectance(radiance.data, ctx)
-    reflectance = radiance  # the same buffer, now holding reflectance
-
-    if masks is None:
-        masks = MaskSet.clear(reflectance.height, reflectance.width)
-    else:
-        masks = MaskSet(
-            cloud=resample_mask(masks.cloud, scene.gsd, PRODUCT_GSD),
-            cloud_shadow=resample_mask(masks.cloud_shadow, scene.gsd, PRODUCT_GSD),
-            cirrus=resample_mask(masks.cirrus, scene.gsd, PRODUCT_GSD),
-        )
-
-    tiles = tile_scene(reflectance, scene_georef, patch_id_prefix="chip")
-    pan_chips, mask_chips, cloud_fractions = [], [], []
-    keep_patches, keep_placements = [], []
-    ps = tiles.index.patch_size
-    for patch, (r0, c0) in zip(tiles.patches, tiles.index.placements):
-        cloud = masks.cloud[r0 : r0 + ps, c0 : c0 + ps]
-        shadow = masks.cloud_shadow[r0 : r0 + ps, c0 : c0 + ps]
-        cirrus = masks.cirrus[r0 : r0 + ps, c0 : c0 + ps]
-        clear_fraction = 1.0 - float(cloud.mean())
-        if min_coverage is not None and clear_fraction < min_coverage:
-            continue
-        keep_patches.append(patch)
-        keep_placements.append((r0, c0))
-        pan_chip = pan.data[:, r0 : r0 + ps, c0 : c0 + ps]
-        pan_chip.flags.writeable = False
-        pan_chips.append(BandStack.from_array(pan_chip, pan.gsd, ("PAN",)))
-        mask_chips.append(MaskSet(cloud.copy(), shadow.copy(), cirrus.copy()))
-        cloud_fractions.append(window_fraction(cloud))
-
-    index = tiles.index
-    kept = TileResult(
-        patches=keep_patches,
-        index=type(index)(
-            scene_width=index.scene_width, scene_height=index.scene_height,
-            placements=tuple(keep_placements), patch_size=index.patch_size,
-            gsd=index.gsd,
-        ),
-    )
-    return SimulatedProduct(kept, pan_chips, mask_chips, cloud_fractions)
+    return tile_scene(radiance, scene_georef, patch_id_prefix="chip")
 
 
 # ---------------------------------------------------------------------------
 # Synthetic scenes with analytic ground truth
 # ---------------------------------------------------------------------------
+
+
+# The JSON kind of each key of a ``simulate`` document; the three objects are
+# checked where they are read.
+_SPEC_KINDS = {
+    "width": "an integer", "height": "an integer", "gsd": "a number",
+    "turbidity_range": "a list of numbers", "ph_range": "a list of numbers",
+    "noise_std": "a number", "blobs": "an integer", "ramp": "a boolean",
+    "center_lat": "a number", "center_lon": "a number", "date": "a string",
+    "mixing": None, "solar": None, "degrade": None,
+}
 
 
 @dataclass
@@ -549,26 +399,28 @@ class SceneSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SceneSpec":
-        """The spec from a document that may hold more keys: ``simulate``
-        reads its solar, degrade and coverage settings from the same one."""
-        check_document(doc, "scene spec")
-        kwargs = {}
+        """The spec from a ``simulate`` document: the keys of ``_SPEC_KINDS``,
+        where ``mixing`` holds ``offsets`` and ``matrix`` and ``solar`` and
+        ``degrade`` are the documents :meth:`SolarContext.from_json` and
+        :meth:`DegradeConfig.from_json` read. Any other key, and a value of
+        the wrong JSON kind, is a ``SchemaError``."""
+        check_document(doc, "scene spec", _SPEC_KINDS)
+        kwargs = {key: doc[key] for key in ("width", "height", "blobs", "ramp")
+                  if key in doc}
         with _schema("scene spec"):
-            for key in ("width", "height", "blobs"):
-                if key in doc:
-                    kwargs[key] = int(doc[key])
             for key in ("gsd", "noise_std", "center_lat", "center_lon"):
                 if key in doc:
                     kwargs[key] = float(doc[key])
             for key in ("turbidity_range", "ph_range"):
                 if key in doc:
-                    kwargs[key] = (float(doc[key][0]), float(doc[key][1]))
-            if "ramp" in doc:
-                kwargs["ramp"] = bool(doc["ramp"])
+                    lo, hi = doc[key]
+                    kwargs[key] = (float(lo), float(hi))
             if "date" in doc:
                 kwargs["date"] = dt.date.fromisoformat(doc["date"])
             mixing = doc.get("mixing")
             if mixing:
+                check_document(mixing, "scene spec mixing", {
+                    "offsets": "a list of numbers", "matrix": "a list of number lists"})
                 kwargs["mixing_offsets"] = tuple(float(x) for x in mixing["offsets"])
                 kwargs["mixing_matrix"] = tuple(
                     (float(a), float(b)) for a, b in mixing["matrix"]

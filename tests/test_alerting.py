@@ -158,6 +158,9 @@ def test_out_of_range_cloud_fraction_rejected(fraction):
     {"parameter": "salinity", "upper_bound": 1},
     {"parameter": TURBIDITY, "upper_bound": 10, "min_exceed_fraction": 2},
     {"parameter": TURBIDITY, "upper_bound": "ten"},
+    {"parameter": TURBIDITY, "upper_bound": True},
+    {"parameter": TURBIDITY, "upper_bound": "12"},
+    {"upper_bound": 10},
 ])
 def test_invalid_policy_is_a_schema_error(doc):
     with pytest.raises(SchemaError):

@@ -192,6 +192,18 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
     ({"train.json": b'{"epochs": "3"}'},
      ["train", "--samples", "s.smp1", "--parameter", "ph", "--config", "train.json",
       "--out", "m.mdl1"], "train config epochs must be an integer"),
+    ({"spec.json": b'{"min_coverage": 0.5}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "min_coverage"),
+    ({"spec.json": b'{"widht": 256}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "widht"),
+    ({"spec.json": b'{"ramp": "no"}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "ramp must be a boolean"),
+    ({"spec.json": b'{"width": 300.7}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "width must be an integer"),
+    ({"spec.json": b'{"blobs": 2.9}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "blobs must be an integer"),
+    ({"spec.json": b'{"width": true}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "width must be an integer"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "plot_band_past_last", "plot_negative_band", "simulate_bad_degrade",
@@ -199,7 +211,10 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
         "simulate_spec_not_an_object", "simulate_unknown_solar_key",
         "simulate_unknown_degrade_key", "alert_policy_not_an_object",
         "alert_misspelt_policy_key", "train_config_not_an_object",
-        "train_config_value_of_wrong_type"])
+        "train_config_value_of_wrong_type", "simulate_min_coverage_key",
+        "simulate_misspelt_spec_key", "simulate_ramp_string",
+        "simulate_fractional_width", "simulate_fractional_blobs",
+        "simulate_boolean_width"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)

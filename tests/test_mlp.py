@@ -381,6 +381,10 @@ def test_mdl1_round_trips_bit_for_bit(tmp_path):
     # a value of the wrong JSON kind
     {"epochs": "3"}, {"epochs": 2.5}, {"layer_dims": 5},
     {"learning_rate": "x"},
+    # a value out of range: layer_dims runs from the 7 bands to 1 output
+    {"layer_dims": [7]}, {"layer_dims": [8, 4, 1]}, {"layer_dims": [7, 8, 2]},
+    {"layer_dims": [7, 0, 1]}, {"dropout_p": 1.5}, {"dropout_p": -0.1},
+    {"patience": -1},
 ])
 def test_bad_train_config_is_a_schema_error(doc):
     with pytest.raises(SchemaError):

@@ -8,29 +8,21 @@ import pytest
 
 from coastwatch import alerting, sensor
 from coastwatch.convnet import ConvLayer, ConvNet
-from coastwatch.errors import DimensionError, SingularContextError
-from coastwatch.raster import BandStack, GeoRef, MS_BAND_IDS, tile_scene, window_average
+from coastwatch.errors import DimensionError, SchemaError, SingularContextError
+from coastwatch.raster import BandStack, GeoRef, tile_scene, window_average
 from coastwatch.sensor import (
     PH,
     TURBIDITY,
     DegradeConfig,
-    MaskSet,
     SceneSpec,
     SolarContext,
-    apply_misalignment,
-    default_pan_weights,
-    degrade,
     gaussian_kernel,
     generate_synthetic_scene,
     mtf_blur_sigma_px,
-    radiance_to_reflectance,
     reflectance_to_radiance,
     resample,
-    resample_mask,
     scene_to_radiance,
-    scene_to_reflectance,
     simulate_l1c,
-    synthesize_pan,
 )
 
 RNG = np.random.default_rng(99)
@@ -38,6 +30,14 @@ RNG = np.random.default_rng(99)
 
 def stack(data, gsd=4.75, band_ids=None):
     return BandStack.from_array(np.asarray(data, dtype=np.float64), gsd, band_ids)
+
+
+def in_copy(step, scene, *args):
+    """The data ``step`` leaves when run in place on a float64 copy of
+    ``scene``'s data, as ``simulate_l1c`` runs it on its working buffer."""
+    data = scene.data.astype(np.float64)
+    step(data, *args)
+    return data
 
 
 class TestRadiometry:
@@ -55,8 +55,8 @@ class TestRadiometry:
         ctx = SolarContext(solar_zenith=37.0, earth_sun_distance=1.013)
         rho = RNG.uniform(0, 1.2, (7, 40, 40))
         scene = stack(rho)
-        back = scene_to_reflectance(scene_to_radiance(scene, ctx), ctx)
-        rel = np.abs(back.data - rho) / np.maximum(np.abs(rho), 1e-12)
+        back = in_copy(sensor._to_reflectance, scene_to_radiance(scene, ctx), ctx)
+        rel = np.abs(back - rho) / np.maximum(np.abs(rho), 1e-12)
         assert rel.max() < 1e-6
 
     def test_singular_context_rejected_at_construction(self):
@@ -70,50 +70,9 @@ class TestRadiometry:
         ctx = SimpleNamespace(esun_per_band=(0.0,) * 7, earth_sun_distance=1.0,
                               cos_zenith=1.0)
         with pytest.raises(SingularContextError):
-            radiance_to_reflectance(1.0, ctx, 0)
+            sensor._to_reflectance(np.ones((1, 2, 2)), ctx)
         with pytest.raises(SingularContextError):
             reflectance_to_radiance(1.0, ctx, 0)
-
-
-class TestPanSynthesis:
-    def test_one_hot_projects_band(self):
-        scene = stack(RNG.uniform(0, 1, (7, 16, 16)))
-        weights = np.zeros(7)
-        weights[2] = 1.0
-        pan = synthesize_pan(scene, weights)
-        assert np.array_equal(pan.data[0], scene.data[2])
-
-    def test_uniform_weights_on_constant_bands(self):
-        consts = np.arange(1.0, 8.0)
-        scene = stack(np.broadcast_to(consts[:, None, None], (7, 8, 8)).copy())
-        pan = synthesize_pan(scene, np.full(7, 1 / 7))
-        assert np.allclose(pan.data, consts.mean())
-
-    def test_matches_dot_product_oracle(self):
-        scene = stack(RNG.uniform(0, 1, (7, 12, 9)))
-        w = default_pan_weights()
-        pan = synthesize_pan(scene)
-        for y in range(12):
-            for x in range(9):
-                expected = sum(w[b] * scene.data[b, y, x] for b in range(7))
-                assert pan.data[0, y, x] == pytest.approx(expected, rel=1e-12)
-
-    def test_default_weights_cover_pan_band_range(self):
-        w = default_pan_weights()
-        # only MS2..MS5 sit fully inside the 500-750 nm panchromatic range
-        assert w[0] == 0 and w[5] == 0 and w[6] == 0
-        assert np.all(w[1:5] > 0)
-        assert w.sum() == pytest.approx(1.0)
-
-    def test_weight_count_mismatch(self):
-        scene = stack(RNG.uniform(0, 1, (7, 8, 8)))
-        with pytest.raises(DimensionError):
-            synthesize_pan(scene, np.full(6, 1 / 6))
-
-    def test_weights_must_sum_to_one(self):
-        scene = stack(RNG.uniform(0, 1, (7, 8, 8)))
-        with pytest.raises(ValueError):
-            synthesize_pan(scene, np.full(7, 0.2))
 
 
 class TestResample:
@@ -142,21 +101,12 @@ class TestResample:
         with pytest.raises(DimensionError):
             resample(tiny, 5.0)
 
-    def test_mask_resample_nearest(self):
-        mask = np.zeros((10, 10), dtype=bool)
-        mask[:5] = True
-        out = resample_mask(mask, 10.0, 5.0)
-        assert out.shape == (19, 19)
-        assert out.dtype == bool
-        assert out[0].all() and not out[-1].any()
-
 
 class TestMisalignment:
     def test_zero_offsets_identity(self):
         scene = stack(RNG.uniform(0, 1, (7, 32, 32)))
-        out, report = apply_misalignment(scene, DegradeConfig())
-        assert np.array_equal(out.data, scene.data)
-        assert report.rms_m == 0.0
+        out = in_copy(sensor._misalign, scene, scene.gsd, DegradeConfig())
+        assert np.array_equal(out, scene.data)
 
     def test_integer_pixel_shift_exact(self):
         scene = stack(RNG.uniform(0, 1, (7, 24, 24)))
@@ -164,10 +114,10 @@ class TestMisalignment:
         cfg = DegradeConfig(
             misalignment_per_band=((4.75, 0.0),) + ((0.0, 0.0),) * 6
         )
-        out, _ = apply_misalignment(scene, cfg)
-        assert np.allclose(out.data[0][:, 1:], scene.data[0][:, :-1])
-        assert np.allclose(out.data[0][:, 0], scene.data[0][:, 0])  # edge fill
-        assert np.array_equal(out.data[1], scene.data[1])
+        out = in_copy(sensor._misalign, scene, scene.gsd, cfg)
+        assert np.allclose(out[0][:, 1:], scene.data[0][:, :-1])
+        assert np.allclose(out[0][:, 0], scene.data[0][:, 0])  # edge fill
+        assert np.array_equal(out[1], scene.data[1])
 
     def test_magnitude_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -187,8 +137,7 @@ class TestMisalignment:
             r = rng.uniform(6.5, 9.0)   # metres, RMS about 8
             offsets.append((r * math.cos(angle), r * math.sin(angle)))
         cfg = DegradeConfig(misalignment_per_band=tuple(offsets))
-        shifted, report = apply_misalignment(scene, cfg)
-        assert report.rms_m < 10.0
+        shifted = in_copy(sensor._misalign, scene, scene.gsd, cfg)
 
         def register(ref, moved, search=4, margin=8):
             """interior SSD search with quadratic sub-pixel refinement;
@@ -220,7 +169,7 @@ class TestMisalignment:
 
         errors = []
         for b in range(7):
-            south_px, east_px = register(scene.data[b], shifted.data[b])
+            south_px, east_px = register(scene.data[b], shifted[b])
             east_m, south_m = offsets[b]
             meas_east = east_px * scene.gsd
             meas_south = south_px * scene.gsd
@@ -232,14 +181,14 @@ class TestMisalignment:
 class TestDegrade:
     def test_identity_sentinels(self):
         scene = stack(RNG.uniform(0, 1, (7, 32, 32)))
-        out = degrade(scene, DegradeConfig(), seed=5)
-        assert np.array_equal(out.data, scene.data)
+        out = in_copy(sensor._degrade, scene, DegradeConfig(), 5)
+        assert np.array_equal(out, scene.data)
 
     def test_noise_sigma_matches_snr(self):
         scene = stack(np.full((1, 128, 128), 5.0), band_ids=("a",))
         cfg = DegradeConfig(snr_per_band=(100.0,))
-        out = degrade(scene, cfg, seed=3)
-        sigma = float((out.data[0] - 5.0).std())
+        out = in_copy(sensor._degrade, scene, cfg, 3)
+        sigma = float((out[0] - 5.0).std())
         assert abs(sigma - 0.05) / 0.05 < 0.15  # >= 1e4 pixels
 
     def test_blur_kernel_unit_sum(self):
@@ -250,8 +199,8 @@ class TestDegrade:
     def test_blur_preserves_constant_mean(self):
         scene = stack(np.full((1, 64, 64), 2.5), band_ids=("a",))
         cfg = DegradeConfig(mtf_at_nyquist=0.3)
-        out = degrade(scene, cfg, seed=0)
-        assert np.allclose(out.data, 2.5, rtol=1e-6)
+        out = in_copy(sensor._degrade, scene, cfg, 0)
+        assert np.allclose(out, 2.5, rtol=1e-6)
 
     def test_mtf_sigma_inversion(self):
         # the kernel's transfer function at Nyquist equals the configured mtf
@@ -262,11 +211,11 @@ class TestDegrade:
     def test_seed_bit_reproducible(self):
         scene = stack(RNG.uniform(0, 1, (7, 32, 32)))
         cfg = DegradeConfig(snr_per_band=(50.0,) * 7, mtf_at_nyquist=0.4)
-        a = degrade(scene, cfg, seed=11)
-        b = degrade(scene, cfg, seed=11)
-        assert np.array_equal(a.data, b.data)
-        c = degrade(scene, cfg, seed=12)
-        assert not np.array_equal(a.data, c.data)
+        a = in_copy(sensor._degrade, scene, cfg, 11)
+        b = in_copy(sensor._degrade, scene, cfg, 11)
+        assert np.array_equal(a, b)
+        c = in_copy(sensor._degrade, scene, cfg, 12)
+        assert not np.array_equal(a, c)
 
 
 class TestSimulateL1c:
@@ -288,41 +237,9 @@ class TestSimulateL1c:
             assert (p.raster.width, p.raster.height, p.raster.bands) == (256, 256, 7)
             assert p.raster.gsd == pytest.approx(4.75)
 
-    def test_cloud_mask_propagates_to_chips(self):
-        spec = SceneSpec(width=512, height=256)
-        scene, _ = generate_synthetic_scene(spec, 3)
-        cloud = np.zeros((256, 512), dtype=bool)
-        cloud[:40, :40] = True   # only inside the first chip
-        masks = MaskSet(cloud, np.zeros_like(cloud), np.zeros_like(cloud))
-        product = simulate_l1c(scene, SolarContext(), DegradeConfig(), seed=0,
-                               masks=masks)
-        assert product.mask_chips[0].cloud.any()
-        assert not product.mask_chips[1].cloud.any()
-        assert product.cloud_window_fraction[0][0, 0] == pytest.approx(1.0)
-        assert product.cloud_window_fraction[1].max() == 0.0
-
-    def test_min_coverage_drops_cloudy_chips(self):
-        spec = SceneSpec(width=512, height=256)
-        scene, _ = generate_synthetic_scene(spec, 3)
-        cloud = np.zeros((256, 512), dtype=bool)
-        cloud[:, :256] = True    # first chip fully cloudy
-        masks = MaskSet(cloud, np.zeros_like(cloud), np.zeros_like(cloud))
-        product = simulate_l1c(scene, SolarContext(), DegradeConfig(), seed=0,
-                               masks=masks, min_coverage=0.5)
-        assert len(product.patches) == 1
-        assert product.tiles.index.placements == ((0, 256),)
-
-    def test_pan_excluded_from_patches(self):
-        spec = SceneSpec(width=256, height=256)
-        scene, _ = generate_synthetic_scene(spec, 4)
-        product = simulate_l1c(scene, SolarContext(), DegradeConfig(), seed=0)
-        assert product.patches[0].raster.bands == 7
-        assert product.pan_chips[0].band_ids == ("PAN",)
-        assert product.pan_chips[0].data.shape == (1, 256, 256)
-
 
 class TestSimulateL1cWorkingBuffer:
-    """simulate_l1c runs the public steps in one buffer; same bits, no copies."""
+    """simulate_l1c runs the steps in one buffer; same bits, no copies."""
 
     CFG = DegradeConfig(
         snr_per_band=(150.0, 120.0, math.inf, 90.0, 200.0, 150.0, 60.0),
@@ -343,21 +260,19 @@ class TestSimulateL1cWorkingBuffer:
     def test_chips_equal_the_chain_of_public_steps(self):
         spec, scene, _, product = self.product()
         radiance = scene_to_radiance(scene, self.CTX)
-        pan = synthesize_pan(radiance)
-        shifted, _ = apply_misalignment(radiance, self.CFG)
-        degraded = degrade(shifted, self.CFG, seed=23)
-        reference = tile_scene(scene_to_reflectance(degraded, self.CTX),
+        data = radiance.data.copy()
+        sensor._misalign(data, radiance.gsd, self.CFG)
+        sensor._degrade(data, self.CFG, 23)
+        sensor._to_reflectance(data, self.CTX)
+        reference = tile_scene(BandStack.from_array(data, radiance.gsd),
                                spec.georef(), patch_id_prefix="chip")
+        assert product.index == reference.index
         assert len(product.patches) == len(reference.patches) == 4
-        for got, want, pan_chip, (r0, c0) in zip(
-                product.patches, reference.patches, product.pan_chips,
-                reference.index.placements):
+        for got, want in zip(product.patches, reference.patches):
             assert got.patch_id == want.patch_id
             assert got.georef == want.georef
             assert got.flagged_values == want.flagged_values
             assert np.array_equal(got.raster.data, want.raster.data)
-            assert np.array_equal(pan_chip.data,
-                                  pan.data[:, r0 : r0 + 256, c0 : c0 + 256])
 
     def test_chips_are_read_only_views_of_one_buffer(self):
         _, scene, _, product = self.product()
@@ -368,14 +283,11 @@ class TestSimulateL1cWorkingBuffer:
             return a
 
         chips = [p.raster.data for p in product.patches]
-        pans = [p.data for p in product.pan_chips]
         assert len({id(owner(a)) for a in chips}) == 1
         assert owner(chips[0]).nbytes == 7 * 512 * 512 * 8
-        assert len({id(owner(a)) for a in pans}) == 1
-        assert owner(pans[0]).nbytes == 512 * 512 * 8
-        for chip, pan in zip(chips, pans):
+        for chip in chips:
             assert not np.shares_memory(chip, scene.data)
-            assert not chip.flags.writeable and not pan.flags.writeable
+            assert not chip.flags.writeable
 
     def test_input_scene_unchanged(self):
         _, scene, before, _ = self.product()
@@ -385,23 +297,34 @@ class TestSimulateL1cWorkingBuffer:
     def test_public_steps_leave_their_input_unchanged(self):
         scene = stack(RNG.uniform(0.05, 0.5, (7, 64, 64)))
         before = scene.data.copy()
-        apply_misalignment(scene, self.CFG)
-        degrade(scene, self.CFG, seed=1)
-        scene_to_reflectance(scene, self.CTX)
+        scene_to_radiance(scene, self.CTX)
+        resample(scene, 3.0)
         assert np.array_equal(scene.data, before)
 
-    def test_cloud_window_fraction_is_window_fraction_of_the_mask_chip(self):
-        spec = SceneSpec(width=512, height=256)
-        scene, _ = generate_synthetic_scene(spec, 3)
-        cloud = RNG.uniform(0, 1, (256, 512)) < 0.3
-        masks = MaskSet(cloud, np.zeros_like(cloud), np.zeros_like(cloud))
-        product = simulate_l1c(scene, SolarContext(), DegradeConfig(), seed=0,
-                               masks=masks)
-        for frac, chip in zip(product.cloud_window_fraction, product.mask_chips):
-            ref = window_average(
-                BandStack.from_array(chip.cloud.astype(np.float64), 4.75),
-                10).data[0]
-            assert np.array_equal(frac, ref)
+
+@pytest.mark.parametrize("parse, doc", [
+    (SolarContext.from_json, {"zenith": True}),
+    (SolarContext.from_json, {"distance_au": "1"}),
+    (DegradeConfig.from_json, {"snr": True}),
+    (DegradeConfig.from_json, {"snr": "100"}),
+    (DegradeConfig.from_json, {"snr": [True] + [100] * 6}),
+    (DegradeConfig.from_json, {"mtf": True}),
+    (DegradeConfig.from_json, {"misalign_m": [[True, 0]] * 7}),
+    (SceneSpec.from_json, {"mixing": {"offsets": [0.1] * 7,
+                                      "matrix": [[0.1, False]] * 7}}),
+])
+def test_boolean_or_string_as_a_number_is_a_schema_error(parse, doc):
+    with pytest.raises(SchemaError):
+        parse(doc)
+
+
+def test_degrade_snr_takes_inf_null_and_integers():
+    assert DegradeConfig.from_json({"snr": "inf"}).snr_per_band == (math.inf,) * 7
+    assert DegradeConfig.from_json({"snr": 100}).snr_per_band == (100.0,) * 7
+    cfg = DegradeConfig.from_json({"snr": [None, "inf", 100, 50.5, 7, 8, 9],
+                                   "mtf": 1})
+    assert cfg.snr_per_band == (math.inf, math.inf, 100.0, 50.5, 7.0, 8.0, 9.0)
+    assert cfg.mtf_at_nyquist == 1.0
 
 
 def _tiny_net() -> ConvNet:

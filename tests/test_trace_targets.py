@@ -1,10 +1,13 @@
-"""Every function the benchmark's traced run wraps still exists.
+"""Every package name the benchmark uses still exists.
 
 ``perfbench/spans.Tracer.install`` skips a ``module.function`` name the
 package no longer has, and that function's per-layer metrics then read 0;
-this test fails instead.
+the first test fails instead. The second fails when a deletion removes any
+other name a perfbench script reads, which would otherwise break the
+benchmark only when it runs.
 """
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -28,4 +31,26 @@ def test_every_traced_name_is_a_coastwatch_function(monkeypatch):
         found = getattr(importlib.import_module(f"coastwatch.{module}"), function, None)
         if not callable(found):
             missing.append(name)
+    assert missing == []
+
+
+MODULES = ("alerting", "cli", "convnet", "dataset", "mlp", "quantbench", "raster",
+           "sensor")
+
+
+def test_every_name_perfbench_uses_still_exists():
+    used = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in MODULES):
+                used.add((f"coastwatch.{node.value.id}", node.attr))
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "coastwatch"):
+                used.update((node.module, alias.name) for alias in node.names)
+    assert len(used) > 50
+    for module in MODULES:  # binds each module on the package, as it runs
+        importlib.import_module(f"coastwatch.{module}")
+    missing = [f"{module}.{name}" for module, name in sorted(used)
+               if not hasattr(importlib.import_module(module), name)]
     assert missing == []
