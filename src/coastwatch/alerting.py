@@ -28,7 +28,7 @@ from .raster import WINDOW, BandStack, GeoRef, TileIndex, mosaic, tile_scene, wi
 from .sensor import MaskSet, PARAMETERS, PH, TURBIDITY
 
 MAX_ALERT_BYTES = 512
-MAX_SCENE_ID_LEN = 64
+MAX_SCENE_ID_BYTES = 64  # counted as serialized, JSON-escaped
 
 # Default policies, fully configurable: sustained turbidity above 10 NTU
 # pressures aquatic organisms; pH outside [6.0, 9.0] leaves the tolerance
@@ -169,10 +169,11 @@ class AlertMessage:
     timestamp: str                # ISO-8601 UTC, second resolution
 
     def __post_init__(self):
-        if len(self.scene_id) > MAX_SCENE_ID_LEN:
-            raise SchemaError(
-                f"scene id longer than {MAX_SCENE_ID_LEN} characters"
-            )
+        # serialize_alert escapes each non-ASCII character to 6 or 12 bytes
+        size = len(json.dumps(self.scene_id)) - 2
+        if size > MAX_SCENE_ID_BYTES:
+            raise SchemaError(f"scene id is {size} bytes as JSON, over "
+                              f"{MAX_SCENE_ID_BYTES}: {self.scene_id!r}")
         if self.exceed_count <= 0:
             raise ValueError("alert messages require at least one violation")
 

@@ -186,7 +186,7 @@ def cmd_train(args) -> int:
         "stopped_early": history["stopped_early"],
         "val_rmse": val_report.rmse, "val_mae": val_report.mae,
         "test_rmse": test_report.rmse, "test_mae": test_report.mae,
-        "seed": config.seed,
+        "seed": config.seed, "dropout_p": config.dropout_p,
     }
     mlp.save_mdl1(args.out, params, stats, parameter, training_meta)
     Path(args.out).with_suffix(".history.json").write_text(

@@ -2,24 +2,27 @@
 
 Maps the 7 window-averaged band reflectances to one contaminant value.
 Default architecture: hidden layers [512, 512, 512, 512, 43], each
-Linear -> BatchNorm -> ReLU -> Dropout(0.25), then a final Linear to one
-output. Forward, backward and the optimizer are implemented directly on
-numpy arrays so the weight transfer into the convolutional form (and its
-verification) has full access to every parameter, and so gradients can be
-checked against finite differences.
+Linear -> BatchNorm -> ReLU, then a final Linear to one output; training
+adds Dropout after each ReLU. Forward, backward and the optimizer are
+implemented directly on numpy arrays so the weight transfer into the
+convolutional form (and its verification) has full access to every
+parameter, and so gradients can be checked against finite differences.
 
-Every trainable value lives in one vector, ``MLPParams.theta``, and the
-running batch-norm statistics in a second, ``bn_state``; the per-layer
-arrays are views into them. Adam steps over ``theta`` as one vector,
-``_backward`` returns one gradient vector in its layout, and the gradient
-check perturbs it entry by entry.
+The model is two vectors: ``MLPParams.theta`` holds every trainable value
+and ``bn_state`` the running batch-norm statistics; the per-layer arrays are
+views into them, and only ``_vector_sizes``/``_theta_views`` know their
+layout. Adam steps over ``theta`` as one vector, ``_backward`` returns one
+gradient vector in its layout, the gradient check perturbs it entry by
+entry, and an MDL1 file stores both vectors as they lie.
 
 Two forwards: ``_forward_full`` (train or eval mode, keeping the cache
-``_backward`` reads) runs training's mini-batches and the gradient check;
-``_forward_eval`` is the one eval forward, bit-identical to
-``_forward_full``'s eval mode, behind ``forward``, ``evaluate``, train's
-per-epoch monitor and ``recalibrate_bn``. The public ``forward`` is
-eval-only: a deployed model never normalizes with batch statistics.
+``_backward`` reads) runs training's mini-batches, dropping units at
+``TrainConfig.dropout_p`` (dropout is a training setting, not part of the
+model), and the gradient check, without dropout; ``_forward_eval`` is the
+one eval forward, bit-identical to ``_forward_full``'s eval mode, behind
+``forward``, ``evaluate``, train's per-epoch monitor and ``recalibrate_bn``.
+The public ``forward`` is eval-only: a deployed model never normalizes with
+batch statistics and never drops units.
 
 Training follows one recipe: Adam with the textbook constants
 (``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``) at a constant learning rate
@@ -75,22 +78,21 @@ class MLPParams:
 
     ``layer_dims`` chains input, hidden and output sizes; there is one
     weight/bias pair per adjacent pair of dims and one batch-norm parameter
-    set per hidden layer. ``theta`` holds every trainable value, flattened
-    and back to back: all weight matrices ``(out, in)``, then all biases,
-    then the batch-norm gammas, then the betas. ``bn_state`` holds the
-    running means, then the running variances. ``weights``, ``biases``,
+    set per hidden layer. ``theta`` holds every trainable value and
+    ``bn_state`` the running means, then the running variances; the order
+    inside ``theta`` is ``_theta_views``'s. ``weights``, ``biases``,
     ``bn_gamma``, ``bn_beta``, ``bn_mean`` and ``bn_var`` are per-layer
     lists of views into those two vectors, built once: writing into a view
     (``params.weights[k][...] = w``) writes the vector. ``clone`` and
     ``astype`` copy the vectors. ``bn_stats_tracked`` records whether the
     running statistics have ever been updated by training (or load); the
     transfer into convolutional form refuses to run on untracked stats.
+    No training setting lives here: dropout belongs to ``TrainConfig``.
     """
 
     layer_dims: tuple[int, ...]
-    theta: np.ndarray       # weights, biases, bn_gamma, bn_beta
+    theta: np.ndarray       # every trainable value, in _theta_views' order
     bn_state: np.ndarray    # running statistics (eval mode): means, variances
-    dropout_p: float = 0.25
     bn_stats_tracked: bool = False
 
     def __post_init__(self):
@@ -105,8 +107,6 @@ class MLPParams:
             raise ValueError("parameters must be finite")
         if not (self.bn_state[self.bn_state.size // 2 :] > 0).all():
             raise ValueError("running variance must be positive")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must be in [0, 1)")
         self.weights, self.biases, self.bn_gamma, self.bn_beta = _theta_views(
             self.theta, dims)
         state = _container.views(self.bn_state, [(h,) for h in dims[1:-1]] * 2)
@@ -126,25 +126,21 @@ class MLPParams:
 
 
 def init_mlp(
-    layer_dims: tuple[int, ...] = DEFAULT_LAYER_DIMS,
-    seed: int = 0,
-    dropout_p: float = 0.25,
+    layer_dims: tuple[int, ...] = DEFAULT_LAYER_DIMS, seed: int = 0
 ) -> MLPParams:
-    """He-uniform fan-in initialization for the ReLU stack; zero biases,
-    identity batch-norm with unit running variance."""
+    """He-uniform fan-in initialization for the ReLU stack, drawn layer by
+    layer into a zero ``theta``; zero biases, identity batch-norm with unit
+    running variance."""
+    dims = tuple(layer_dims)
+    n_theta, n_state = _vector_sizes(dims)
+    params = MLPParams(dims, np.zeros(n_theta), np.ones(n_state))
     rng = np.random.default_rng(seed)
-    weights = []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        bound = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)).ravel())
-    hidden = sum(layer_dims[1:-1])
-    return MLPParams(
-        layer_dims=tuple(layer_dims),
-        theta=np.concatenate([*weights, np.zeros(sum(layer_dims[1:])),
-                              np.ones(hidden), np.zeros(hidden)]),
-        bn_state=np.concatenate([np.zeros(hidden), np.ones(hidden)]),
-        dropout_p=dropout_p,
-    )
+    for w in params.weights:
+        bound = np.sqrt(6.0 / w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    for gamma, mean in zip(params.bn_gamma, params.bn_mean):
+        gamma[...], mean[...] = 1.0, 0.0
+    return params
 
 
 # The JSON kind of each ``TrainConfig`` field.
@@ -233,17 +229,18 @@ def _forward_full(
     mode: str,
     rng: np.random.Generator | None = None,
     update_running: bool = False,
+    dropout_p: float = 0.0,
 ):
     """Batched forward pass returning (predictions, cache for backward).
 
     Train mode uses batch statistics for normalization (updating the running
-    statistics only when ``update_running``) and applies inverted-scaling
-    dropout; eval mode uses the running statistics and no dropout. Compute
-    dtype follows the parameter arrays.
+    statistics only when ``update_running``) and inverted-scaling dropout at
+    rate ``dropout_p``; eval mode uses the running statistics and no dropout.
+    Compute dtype follows the parameter arrays.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "train" and params.dropout_p > 0 and rng is None:
+    if mode == "train" and dropout_p > 0 and rng is None:
         raise ValueError("train mode with dropout needs an rng")
     dtype = params.weights[0].dtype
     X = np.ascontiguousarray(np.asarray(X), dtype=dtype)
@@ -251,7 +248,7 @@ def _forward_full(
     # comb fuses the ReLU derivative mask with the scaled dropout mask so
     # forward and backward share one multiplier
     cache = {"X": X, "Zhat": [], "inv": [], "A": [], "comb": [], "mode": mode}
-    keep = dtype.type(1.0 - params.dropout_p)
+    keep = dtype.type(1.0 - dropout_p)
     act = X
     for k in range(params.n_hidden):
         Z = act @ params.weights[k].T + params.biases[k]
@@ -277,7 +274,7 @@ def _forward_full(
         inv = 1.0 / np.sqrt(var + dtype.type(BN_EPS))
         Zhat = (Z - mu) * inv
         H = params.bn_gamma[k] * Zhat + params.bn_beta[k]
-        if mode == "train" and params.dropout_p > 0.0:
+        if mode == "train" and dropout_p > 0.0:
             mask = _dropout_mask(rng, H.shape, float(keep))
             comb = ((H > 0) & mask).astype(dtype) / keep
         else:
@@ -329,14 +326,10 @@ def _forward_eval(
     return out[:, 0]
 
 
-def forward(params: MLPParams, x: np.ndarray):
-    """Eval-mode predictions for a batch ``(n, d)`` or a single ``(d,)``
-    input: a pure function of the inputs (running batch-norm statistics, no
-    dropout)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    preds = _forward_eval(params, x[None] if single else x)
-    return float(preds[0]) if single else preds
+def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
+    """Eval-mode predictions ``(n,)`` for a batch ``(n, 7)``: a pure function
+    of the inputs (running batch-norm statistics, no dropout)."""
+    return _forward_eval(params, np.asarray(x, dtype=np.float64))
 
 
 def loss_rmse(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -496,9 +489,7 @@ def train(
         Xv, yv = (a.astype(np.float32) for a in as_arrays(val_samples))
     else:
         Xv = yv = None
-    params = init_mlp(
-        config.layer_dims, seed=config.seed, dropout_p=config.dropout_p
-    ).astype(np.float32)
+    params = init_mlp(config.layer_dims, seed=config.seed).astype(np.float32)
     rng = np.random.default_rng(config.seed + 1)
     adam = _Adam(params.theta)
     history: dict = {"train_rmse": [], "val_rmse": [], "lr": [],
@@ -515,8 +506,8 @@ def train(
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
                 preds, cache = _forward_full(
-                    params, X[idx], "train", rng, update_running=True
-                )
+                    params, X[idx], "train", rng, update_running=True,
+                    dropout_p=config.dropout_p)
                 loss, dpred = loss_rmse_grad(preds, y[idx])
                 if not np.isfinite(loss):
                     raise NumericError("training diverged (loss NaN)")
@@ -580,27 +571,22 @@ def gradient_check(
     h: float = 1e-4,
     mode: str = "eval",
 ) -> GradCheckReport:
-    """Analytic gradients vs central finite differences, parameter by
-    parameter, on float64.
+    """Analytic gradients vs central finite differences, entry by entry of
+    ``theta``, on float64, without dropout.
 
-    Meant for shrunken architectures (about 1k parameters or fewer); dropout
-    must be inactive or the comparison is meaningless, so a nonzero
-    dropout_p combined with train mode is rejected. Eval mode freezes the
-    batch-norm statistics; train mode exercises the full batch-statistics
-    backward.
+    Meant for shrunken architectures (about 1k parameters or fewer). Eval
+    mode freezes the batch-norm statistics; train mode exercises the full
+    batch-statistics backward. ``worst`` names the entry with the largest
+    relative error by its kind, the index of its array among all of
+    ``theta``'s arrays, and its flat position in that array.
     """
-    if mode == "train" and params.dropout_p > 0.0:
-        raise ValueError(
-            "gradient check requires dropout to be disabled in train mode"
-        )
     X = np.asarray(X, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
 
     def loss_at() -> float:
-        preds, _ = _forward_full(params, X, mode, rng=None)
-        return loss_rmse(preds, targets)
+        return loss_rmse(_forward_full(params, X, mode)[0], targets)
 
-    preds, cache = _forward_full(params, X, mode, rng=None)
+    preds, cache = _forward_full(params, X, mode)
     _, dpred = loss_rmse_grad(preds, targets)
     grad = _backward(params, cache, dpred)
     theta = params.theta
@@ -624,12 +610,13 @@ def gradient_check(
             max_rel = rel
             worst_i = i
     worst = ("", -1, -1)
-    if worst_i >= 0:
-        arrays = [(kind, a) for kind in ("weights", "biases", "bn_gamma", "bn_beta")
-                  for a in getattr(params, kind)]
-        starts = np.cumsum([0] + [a.size for _, a in arrays])
-        a_idx = int(np.searchsorted(starts, worst_i, side="right")) - 1
-        worst = (arrays[a_idx][0], a_idx, worst_i - int(starts[a_idx]))
+    # each array's view of theta's positions says where the worst entry lies
+    positions = _theta_views(np.arange(theta.size), params.layer_dims)
+    arrays = [(kind, a) for kind, views in zip(
+        ("weights", "biases", "bn_gamma", "bn_beta"), positions) for a in views]
+    for a_idx, (kind, a) in enumerate(arrays):
+        if a.flat[0] <= worst_i <= a.flat[-1]:
+            worst = (kind, a_idx, worst_i - int(a.flat[0]))
     return GradCheckReport(
         max_rel_error=max_rel,
         fraction_within_tol=within / theta.size,
@@ -680,30 +667,22 @@ def evaluate(
 
 
 # ---------------------------------------------------------------------------
-# MDL1 model file: "MDL1" magic, u32 manifest length, JSON manifest, then a
-# little-endian float64 parameter blob in the manifest-declared order,
-# ``param_order``: per layer its weight and bias, then per hidden layer its
-# bn_gamma, bn_beta, bn_mean and bn_var (the framing is ``_container``'s).
+# MDL1 model file: "MDL1" magic, u32 manifest length, JSON manifest, then the
+# little-endian float64 ``theta`` and ``bn_state``, each as it lies in memory
+# (the framing is ``_container``'s). ``param_order`` must name just those two:
+# the former per-layer order has the same payload size, so it is refused.
 # ---------------------------------------------------------------------------
 
 _MDL1_MAGIC = b"MDL1"
-
-
-def _mdl1_arrays(params: MLPParams) -> list[tuple[str, np.ndarray]]:
-    """Every parameter view in MDL1 order, with its manifest name."""
-    named = []
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        named += [(f"weight[{k}]", w), (f"bias[{k}]", b)]
-    for k in range(params.n_hidden):
-        named += [(f"{kind}[{k}]", getattr(params, kind)[k])
-                  for kind in ("bn_gamma", "bn_beta", "bn_mean", "bn_var")]
-    return named
+_MDL1_ORDER = ["theta", "bn_state"]
 
 
 def _mdl1_layout(manifest: dict) -> tuple[list[tuple[int, ...]], str]:
-    """One f64 vector: every parameter, in MDL1 order."""
+    """Two f64 vectors: ``theta``, then ``bn_state``."""
+    if manifest["param_order"] != _MDL1_ORDER:
+        raise ValueError(f"param_order is not {_MDL1_ORDER}: another MDL1 layout")
     dims = tuple(int(d) for d in manifest["layer_dims"])
-    return [(sum(_vector_sizes(dims)),)], "<f8"
+    return [(size,) for size in _vector_sizes(dims)], "<f8"
 
 
 def save_mdl1(
@@ -714,11 +693,9 @@ def save_mdl1(
     training: dict | None = None,
 ) -> Path:
     path = Path(path)
-    named = _mdl1_arrays(params)
     manifest = {
         "format": "MDL1",
         "layer_dims": list(params.layer_dims),
-        "dropout_p": params.dropout_p,
         "activation": "relu",
         "batchnorm": True,
         "bn_eps": BN_EPS,
@@ -726,29 +703,22 @@ def save_mdl1(
         "parameter": parameter,
         "normalization": stats.to_json(),
         "bn_stats_tracked": params.bn_stats_tracked,
-        "param_order": [name for name, _ in named],
+        "param_order": _MDL1_ORDER,
         "training": training or {},
     }
+    vectors = (params.theta, params.bn_state)
     with open(path, "wb") as fh:
-        _container.write(fh, _MDL1_MAGIC, manifest, (a for _, a in named), "<f8")
+        _container.write(fh, _MDL1_MAGIC, manifest, vectors, "<f8")
     return path
 
 
 def load_mdl1(path: str | Path) -> tuple[MLPParams, NormStats, dict]:
-    """Read an MDL1 file; a malformed one, or one whose values ``MLPParams``
-    rejects (non-finite, running variance <= 0), raises ``FormatError``."""
-    manifest, (payload,) = _container.load(path, _MDL1_MAGIC, _mdl1_layout)
+    """Read an MDL1 file; the model's vectors are views of the one payload
+    buffer. A malformed file, or one whose values ``MLPParams`` rejects
+    (non-finite, running variance <= 0), raises ``FormatError``."""
+    manifest, (theta, bn_state) = _container.load(path, _MDL1_MAGIC, _mdl1_layout)
     with _container.parsing(path):
-        dims = tuple(int(d) for d in manifest["layer_dims"])
-        dropout_p = float(manifest["dropout_p"])
         stats = NormStats.from_json(manifest["normalization"])
-        n_theta, n_state = _vector_sizes(dims)
-        theta, bn_state = np.zeros(n_theta), np.ones(n_state)
-        # the zero/one vectors pass validation; their views take the payload
-        named = _mdl1_arrays(MLPParams(dims, theta, bn_state, dropout_p))
-        stored = _container.views(payload, [a.shape for _, a in named])
-        for (_, arr), values in zip(named, stored):
-            arr[...] = values
-        params = MLPParams(dims, theta, bn_state, dropout_p,
-                           bool(manifest.get("bn_stats_tracked", False)))
+        params = MLPParams(tuple(int(d) for d in manifest["layer_dims"]), theta,
+                           bn_state, bool(manifest.get("bn_stats_tracked", False)))
     return params, stats, manifest

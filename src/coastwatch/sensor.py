@@ -394,6 +394,21 @@ class SceneSpec:
     center_lon: float = 9.8
     date: dt.date = dt.date(2024, 6, 15)
 
+    def __post_init__(self):
+        # the contaminant bounds are those InSituRecord accepts
+        (t_lo, t_hi), (p_lo, p_hi) = self.turbidity_range, self.ph_range
+        for ok, rule in [
+            (self.width >= 1 and self.height >= 1, "width and height must be >= 1"),
+            (self.gsd > 0, "gsd must be > 0"),
+            (-90 <= self.center_lat <= 90, "center_lat must be in [-90, 90]"),
+            (-180 <= self.center_lon <= 180, "center_lon must be in [-180, 180]"),
+            (self.noise_std >= 0 and self.blobs >= 0, "noise_std, blobs must be >= 0"),
+            (0 <= t_lo < t_hi, "turbidity_range must have 0 <= lo < hi"),
+            (0 <= p_lo < p_hi <= 14, "ph_range must have 0 <= lo < hi <= 14"),
+        ]:
+            if not ok:
+                raise SchemaError(f"scene spec: {rule}")
+
     def georef(self) -> GeoRef:
         return GeoRef(self.center_lat, self.center_lon, self.gsd, self.date)
 

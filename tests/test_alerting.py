@@ -165,3 +165,33 @@ def test_out_of_range_cloud_fraction_rejected(fraction):
 def test_invalid_policy_is_a_schema_error(doc):
     with pytest.raises(SchemaError):
         alerting.ThresholdPolicy.from_json(doc)
+
+
+def _message(scene_id: str) -> alerting.AlertMessage:
+    """An alert whose every other field takes about the longest text it can."""
+    policy = alerting.ThresholdPolicy(TURBIDITY, lower_bound=-1.2345678e-300,
+                                      upper_bound=-1.2345677e-300)
+    wide = -1.2345678901234567e-300
+    return alerting.AlertMessage(
+        scene_id=scene_id, lat=-89.12345678901234, lon=-179.12345678901234,
+        acquired=dt.date(2024, 12, 31), parameter=TURBIDITY,
+        policy_id=policy.policy_id, exceed_count=625, exceed_fraction=0.123456789012345,
+        invalid_count=625, violating_min=wide, violating_max=wide,
+        violating_mean=wide, timestamp=TIMESTAMP)
+
+
+@pytest.mark.parametrize("scene_id", ["a" * 64, "é" * 10, '"' * 32],
+                         ids=["ascii_64", "e_acute_10", "quote_32"])
+def test_a_scene_id_within_the_bound_fits_the_alert(scene_id):
+    line = alerting.serialize_alert(_message(scene_id))
+    assert len(line) <= alerting.MAX_ALERT_BYTES
+    assert alerting.parse_alert(line) == _message(scene_id)
+
+
+@pytest.mark.parametrize("scene_id", ["a" * 65, "é" * 11, '"' * 33, "\U0001F30A" * 6],
+                         ids=["ascii_65", "e_acute_11", "quote_33", "astral_6"])
+def test_a_scene_id_past_the_bound_in_json_bytes_is_a_schema_error(scene_id):
+    """The bound counts the bytes the id takes in the serialized alert: six
+    per non-ASCII character, twelve past the BMP, two per escaped quote."""
+    with pytest.raises(SchemaError, match="scene id"):
+        _message(scene_id)

@@ -71,6 +71,8 @@ def test_seven_command_chain(inputs, capsys):
     samples, _, manifest = dataset.load_samples(d / "samples.smp1")
     assert len(samples) == 400
     assert manifest["provenance"]["unmatched_records"] == 0
+    # dropout is a training setting: its rate is provenance of the model
+    assert mlp.load_mdl1(d / "model.mdl1")[2]["training"]["dropout_p"] == 0.25
     _, cnn = convnet.load_cnn1(d / "net.cnn1")
     assert cnn["equivalence"]["passed"]
     # the served f32 route's deviation rides along, ungated
@@ -204,6 +206,22 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
      ["simulate", "--spec", "spec.json", "--out", "sim"], "blobs must be an integer"),
     ({"spec.json": b'{"width": true}'},
      ["simulate", "--spec", "spec.json", "--out", "sim"], "width must be an integer"),
+    ({"spec.json": b'{"width": 0}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "width and height"),
+    ({"spec.json": b'{"gsd": 0}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "gsd"),
+    ({"spec.json": b'{"center_lat": 95}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "center_lat"),
+    ({"spec.json": b'{"center_lon": -180.5}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "center_lon"),
+    ({"spec.json": b'{"noise_std": -1}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "noise_std"),
+    ({"spec.json": b'{"blobs": -1}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "blobs"),
+    ({"spec.json": b'{"turbidity_range": [5, 1]}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "turbidity_range"),
+    ({"spec.json": b'{"ph_range": [6.5, 14.5]}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"], "ph_range"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "plot_band_past_last", "plot_negative_band", "simulate_bad_degrade",
@@ -214,7 +232,10 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
         "train_config_value_of_wrong_type", "simulate_min_coverage_key",
         "simulate_misspelt_spec_key", "simulate_ramp_string",
         "simulate_fractional_width", "simulate_fractional_blobs",
-        "simulate_boolean_width"])
+        "simulate_boolean_width", "simulate_zero_width", "simulate_zero_gsd",
+        "simulate_latitude_past_pole", "simulate_longitude_past_antimeridian",
+        "simulate_negative_noise", "simulate_negative_blobs",
+        "simulate_reversed_turbidity_range", "simulate_ph_range_past_14"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)
@@ -269,3 +290,23 @@ def test_alert_refuses_a_policy_whose_cloud_fraction_infer_did_not_apply(
     assert alert("masked", 0.5) == (0, "")
     # maps inferred without masks were invalidated at no fraction
     assert alert("clear", 0.3) == (0, "")
+
+
+def test_alert_on_a_scene_whose_id_overflows_the_message_exits_2(tmp_path, capsys):
+    """The scene id is the scene file's stem; 40 non-ASCII characters take
+    240 bytes in the serialized alert, so ``alert`` refuses the message."""
+    scene = tmp_path / f"{'é' * 40}.pat1"
+    raster.write_pat1(scene, SCENE, georef=raster.GeoRef(44.0, 9.0, 4.75,
+                                                         sensor.SceneSpec().date))
+    (tmp_path / "net.cnn1").write_bytes(cnn1())
+    (tmp_path / "policy.json").write_text(json.dumps(
+        {"parameter": sensor.TURBIDITY, "upper_bound": -1e30}))  # every cell alerts
+    assert cli.main(["infer", "--net", str(tmp_path / "net.cnn1"), "--scene",
+                     str(scene), "--out", str(tmp_path / "maps")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "alerts.jsonl"
+    assert cli.main(["alert", "--maps", str(tmp_path / "maps"), "--policy",
+                     str(tmp_path / "policy.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: scene id is 240 bytes")
+    assert not out.exists()

@@ -98,7 +98,7 @@ def _edit_manifest(blob: bytes, field: str, value=None) -> bytes:
 
 
 @pytest.mark.parametrize("fmt, field", [
-    ("MDL1", "layer_dims"), ("MDL1", "dropout_p"), ("MDL1", "normalization"),
+    ("MDL1", "layer_dims"), ("MDL1", "param_order"), ("MDL1", "normalization"),
     ("CNN1", "layers"), ("CNN1", "channels"), ("CNN1", "window"),
 ])
 def test_manifest_without_a_field_raises_format_error(tmp_path, fmt, field):
@@ -112,7 +112,7 @@ def test_manifest_without_a_field_raises_format_error(tmp_path, fmt, field):
 
 @pytest.mark.parametrize("fmt, field, value", [
     ("MDL1", "layer_dims", "abc"), ("MDL1", "normalization", [1, 2]),
-    ("MDL1", "dropout_p", 1.5),
+    ("MDL1", "param_order", "theta"),
     ("CNN1", "dtype", ["f32"]), ("CNN1", "layers", 3), ("CNN1", "channels", [7, 1]),
 ])
 def test_manifest_field_of_the_wrong_kind_raises_format_error(tmp_path, fmt, field,
@@ -178,3 +178,25 @@ def test_old_layouts_raise_format_error(tmp_path):
         read_pat1(pat1)
     with pytest.raises(FormatError):
         load_samples(smp1)
+
+
+def test_mdl1_in_the_per_layer_order_raises_format_error(tmp_path):
+    """An MDL1 in the former layout (per layer its weight and bias, then per
+    hidden layer its bn_gamma, bn_beta, bn_mean and bn_var) has exactly the
+    payload size of the current one, so only its param_order tells it apart;
+    it is refused, not loaded scrambled."""
+    params = init_mlp((7, 8, 6, 1), seed=0)
+    path = save_mdl1(tmp_path / "old.mdl1", params, _model()[1], TURBIDITY)
+    manifest, payload = _split(path.read_bytes())
+    named = []
+    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+        named += [(f"weight[{k}]", w), (f"bias[{k}]", b)]
+    for k in range(params.n_hidden):
+        named += [(f"{kind}[{k}]", getattr(params, kind)[k])
+                  for kind in ("bn_gamma", "bn_beta", "bn_mean", "bn_var")]
+    old = b"".join(a.astype("<f8").tobytes() for _, a in named)
+    assert len(old) == len(payload) and old != payload
+    manifest.update(dropout_p=0.25, param_order=[name for name, _ in named])
+    path.write_bytes(_join(b"MDL1", manifest, old))
+    with pytest.raises(FormatError, match=f"{path}: param_order"):
+        load_mdl1(path)

@@ -1,22 +1,29 @@
 import dataclasses
 import datetime as dt
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coastwatch.dataset import NormStats, Sample
-from coastwatch.errors import NumericError, SchemaError
+from coastwatch.errors import FormatError, NumericError, SchemaError
 from coastwatch.mlp import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     BN_EPS,
+    MLPParams,
     TrainConfig,
     _ADAM_CHUNK,
     _CONFIG_KINDS,
     _Adam,
     _backward,
     _forward_full,
+    _vector_sizes,
     forward,
     gradient_check,
     init_mlp,
@@ -314,7 +321,7 @@ class TestGradientCheck:
     DIMS = (7, 8, 6, 1)
 
     def _case(self):
-        params = dataclasses.replace(tracked_params(self.DIMS, seed=2), dropout_p=0.0)
+        params = tracked_params(self.DIMS, seed=2)
         rng = np.random.default_rng(5)
         return params, rng.normal(0.0, 1.0, (16, 7)), rng.normal(0.0, 1.0, 16)
 
@@ -360,7 +367,7 @@ def test_mdl1_round_trips_bit_for_bit(tmp_path):
             assert a.dtype == b.dtype == np.float64
             assert a.tobytes() == b.tobytes()
     assert back.layer_dims == params.layer_dims
-    assert back.dropout_p == params.dropout_p
+    assert manifest["param_order"] == ["theta", "bn_state"]
     assert back.bn_stats_tracked
     assert back_stats.feature_mean.tobytes() == stats.feature_mean.tobytes()
     assert back_stats.feature_std.tobytes() == stats.feature_std.tobytes()
@@ -370,6 +377,39 @@ def test_mdl1_round_trips_bit_for_bit(tmp_path):
     again = save_mdl1(tmp_path / "again.mdl1", back, back_stats, "turbidity_NTU",
                       training)
     assert again.read_bytes() == path.read_bytes()
+
+
+@st.composite
+def models(draw):
+    """A small 7 -> ... -> 1 model with any finite theta and running means and
+    any positive running variances."""
+    dims = (7, *draw(st.lists(st.integers(1, 6), max_size=3)), 1)
+    n_theta, n_state = _vector_sizes(dims)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    theta = draw(hnp.arrays(np.float64, n_theta, elements=finite))
+    means = draw(hnp.arrays(np.float64, n_state // 2, elements=finite))
+    variances = draw(hnp.arrays(np.float64, n_state // 2, elements=positive))
+    return MLPParams(dims, theta, np.concatenate([means, variances]),
+                     draw(st.booleans()))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(params=models())
+def test_mdl1_round_trips_any_model(params):
+    stats = NormStats(np.full(7, 0.2), np.full(7, 0.05), 5.0, 2.0)
+    with tempfile.TemporaryDirectory() as d:
+        path = save_mdl1(Path(d) / "m.mdl1", params, stats, "turbidity_NTU")
+        back, _, _ = load_mdl1(path)
+        assert back.layer_dims == params.layer_dims
+        assert back.bn_stats_tracked == params.bn_stats_tracked
+        assert back.theta.tobytes() == params.theta.tobytes()
+        assert back.bn_state.tobytes() == params.bn_state.tobytes()
+        again = save_mdl1(Path(d) / "again.mdl1", back, stats, "turbidity_NTU")
+        assert again.read_bytes() == path.read_bytes()
+        path.write_bytes(path.read_bytes()[:-1])  # one byte short
+        with pytest.raises(FormatError, match=str(path)):
+            load_mdl1(path)
 
 
 @pytest.mark.parametrize("doc", [
