@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alerting, convnet, dataset, mlp, quantbench, raster, sensor
-from .errors import CoastwatchError, InconsistencyError
+from .errors import CoastwatchError, InconsistencyError, SchemaError, check_document
 
 INVALID_CLOUD_FRACTION = 0.5
 PARAM_ALIASES = {
@@ -274,10 +274,30 @@ def _load_cloud_plane(path: Path, scene: raster.BandStack) -> np.ndarray:
     return stack.data[0].astype(bool)
 
 
+# the map index infer writes and alert reads; a missing cloud fraction reads
+# as maps that were not cloud-invalidated
+_MAP_INDEX_KINDS = {
+    "scene_id": "a string", "parameter": "a string", "scene_width": "an integer",
+    "scene_height": "an integer", "patch_size": "an integer", "gsd": "a number",
+    "placements": "a list of integer lists", "maps": "a list of strings",
+    "cloud_invalid_fraction": "a number or null",
+}
+
+
+def _load_map_index(path: Path) -> dict:
+    doc = json.loads(path.read_text())
+    what = f"map index {path}"
+    required = [key for key in _MAP_INDEX_KINDS if key != "cloud_invalid_fraction"]
+    check_document(doc, what, _MAP_INDEX_KINDS, required)
+    if any(len(p) != 2 for p in doc["placements"]):
+        raise SchemaError(f"{what} placements must be [row, col] pairs")
+    return doc
+
+
 def cmd_alert(args) -> int:
     policy = alerting.ThresholdPolicy.load(args.policy)
     maps_dir = Path(args.maps)
-    index_doc = json.loads((maps_dir / "index.json").read_text())
+    index_doc = _load_map_index(maps_dir / "index.json")
     if policy.parameter != index_doc["parameter"]:
         raise CoastwatchError(
             f"maps are {index_doc['parameter']!r}, policy is "

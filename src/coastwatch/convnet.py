@@ -23,10 +23,12 @@ report hash of the run that blessed a deployed model.
 
 Parameters are float32, the dtype a CNN1 file deploys, and the served path
 (``infer_raster``/``infer_patch``) runs the 1x1 stack in float32 on window
-means that ``window_average`` accumulates in float64. The certificate runs
-the same stack in float64 as its reference route, so its deviation measures
-the folding and the parameter rounding, not float32 arithmetic; the served
-route's own deviation is reported beside it.
+means that ``window_average`` accumulates in float64, reducing the patch
+where it lies without a float64 copy, in numpy's order; serving a patch
+therefore allocates little beyond the stack's two float32 activation planes.
+The certificate runs the same stack in float64 as its reference route, so
+its deviation measures the folding and the parameter rounding, not float32
+arithmetic; the served route's own deviation is reported beside it.
 """
 
 from __future__ import annotations

@@ -55,19 +55,24 @@ def is_json_kind(value, kind: str) -> bool:
 
 
 _ITEM_KINDS = {"a list of integers": "an integer", "a list of numbers": "a number",
-               "a list of number lists": "a list of numbers"}
+               "a list of strings": "a string",
+               "a list of number lists": "a list of numbers",
+               "a list of integer lists": "a list of integers"}
 
 
-def check_document(doc, what: str, kinds: dict) -> None:
+def check_document(doc, what: str, kinds: dict, required=()) -> None:
     """Raise ``SchemaError`` unless ``doc`` is a JSON object whose keys all
-    lie in ``kinds`` and whose values are of the JSON kind ``kinds`` maps
-    them to (a kind of None leaves the value to the caller); ``what`` names
-    the document in the message."""
+    lie in ``kinds``, that holds every key of ``required``, and whose values
+    are of the JSON kind ``kinds`` maps them to (a kind of None leaves the
+    value to the caller); ``what`` names the document in the message."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{what} must be a JSON object")
     unknown = sorted(set(doc) - set(kinds))
     if unknown:
         raise SchemaError(f"unknown {what} keys: {', '.join(unknown)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise SchemaError(f"{what} lacks keys: {', '.join(missing)}")
     for key, value in doc.items():
         kind = kinds[key]
         if kind is not None and not is_json_kind(value, kind):

@@ -20,6 +20,11 @@ alive, and it shows any later write to the scene; copy a patch's data
 ``_container`` file: its manifest carries the georef and band ids, the
 reader fills the returned array straight from the file and the writer
 converts one band at a time, without staging the file's bytes.
+
+Window means (:func:`window_average`, :func:`window_fraction`) copy nothing
+either: they reduce the blocks where they lie with a float64 accumulator, in
+numpy's own reduction order, so a float32 patch or a bool mask is never
+converted whole to float64.
 """
 
 from __future__ import annotations
@@ -237,32 +242,48 @@ def window_average(raster: BandStack, window: int) -> BandStack:
 
     Output size per axis is ``floor((size - window) / window) + 1``; trailing
     rows/columns not covered by a full window are dropped (for a 256 px patch
-    and window 10 that is the last 6 rows and columns). Accumulation is in
-    float64; a float64 raster is read where it lies, without a copy. The
-    output gsd is scaled by the window size.
+    and window 10 that is the last 6 rows and columns). The output gsd is
+    scaled by the window size.
+
+    Accumulation is in float64, with no copy of the raster: the cropped
+    blocks are reduced where they lie by ``np.add.reduce`` with a float64
+    accumulator, which casts a float32 raster a small buffer at a time, in
+    numpy's own reduction order. The means are therefore bit-identical to
+    copying the raster to float64 and taking ``mean`` over each block.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if raster.width < window or raster.height < window:
-        raise DimensionError(
-            f"window {window} larger than raster {raster.width}x{raster.height}"
-        )
-    out_h = (raster.height - window) // window + 1
-    out_w = (raster.width - window) // window + 1
-    cropped = raster.data[:, : out_h * window, : out_w * window].astype(
-        np.float64, copy=False)
-    blocks = cropped.reshape(raster.bands, out_h, window, out_w, window)
-    means = blocks.mean(axis=(2, 4))
+    means = _block_means(raster.data, window)
     return BandStack(
-        width=out_w, height=out_h, bands=raster.bands,
+        width=means.shape[2], height=means.shape[1], bands=raster.bands,
         gsd=raster.gsd * window, data=means, band_ids=raster.band_ids,
     )
 
 
 def window_fraction(mask: np.ndarray, window: int = WINDOW) -> np.ndarray:
-    """Fraction of true pixels per non-overlapping window of a 2-D mask."""
-    stack = BandStack.from_array(mask.astype(np.float64), gsd=1.0, band_ids=("mask",))
-    return window_average(stack, window).data[0]
+    """Fraction of true pixels per non-overlapping window of a 2-D mask.
+
+    The bool mask is reduced where it lies with a float64 accumulator, as in
+    :func:`window_average`, without a float64 copy.
+    """
+    if mask.ndim != 2:
+        raise DimensionError(f"expected a 2-D mask, got {mask.ndim}-D")
+    return _block_means(mask[None], window)[0]
+
+
+def _block_means(data: np.ndarray, window: int) -> np.ndarray:
+    """float64 means of the full window x window blocks of a band-planar
+    array: ``np.add.reduce`` over the blocks where they lie, then one
+    division, as ``mean`` does."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    bands, h, w = data.shape
+    if w < window or h < window:
+        raise DimensionError(f"window {window} larger than raster {w}x{h}")
+    out_h, out_w = h // window, w // window
+    blocks = data[:, : out_h * window, : out_w * window].reshape(
+        bands, out_h, window, out_w, window)
+    means = np.add.reduce(blocks, axis=(2, 4), dtype=np.float64)
+    means /= window * window
+    return means
 
 
 def tile_scene(

@@ -126,10 +126,11 @@ def pat1(stack: raster.BandStack, **kwargs) -> bytes:
 
 MAP = raster.BandStack.from_array(np.zeros((1, 25, 25), np.float32), 47.5,
                                   band_ids=(sensor.TURBIDITY,))
-MAP_INDEX = json.dumps({
+MAP_INDEX_DOC = {
     "scene_id": "s", "parameter": sensor.TURBIDITY, "scene_width": 256,
     "scene_height": 256, "patch_size": 256, "gsd": 4.75, "placements": [[0, 0]],
-    "maps": ["map.pat1"], "cloud_invalid_fraction": None}).encode()
+    "maps": ["map.pat1"], "cloud_invalid_fraction": None}
+MAP_INDEX = json.dumps(MAP_INDEX_DOC).encode()
 POLICY = json.dumps({"parameter": sensor.TURBIDITY, "upper_bound": 10.0}).encode()
 
 
@@ -222,6 +223,20 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
      ["simulate", "--spec", "spec.json", "--out", "sim"], "turbidity_range"),
     ({"spec.json": b'{"ph_range": [6.5, 14.5]}'},
      ["simulate", "--spec", "spec.json", "--out", "sim"], "ph_range"),
+    ({"maps/index.json": b"[]", "policy.json": POLICY},
+     ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"],
+     "map index maps/index.json must be a JSON object"),
+    ({"maps/index.json": b'{"scene_id": "s"}', "policy.json": POLICY},
+     ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"],
+     "map index maps/index.json lacks keys: parameter, scene_width"),
+    ({"maps/index.json": json.dumps({**MAP_INDEX_DOC, "maps": "oops"}).encode(),
+      "policy.json": POLICY},
+     ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"],
+     "map index maps/index.json maps must be a list of strings"),
+    ({"maps/index.json": json.dumps({**MAP_INDEX_DOC, "placements": [[0]]}).encode(),
+      "policy.json": POLICY},
+     ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"],
+     "map index maps/index.json placements must be [row, col] pairs"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "plot_band_past_last", "plot_negative_band", "simulate_bad_degrade",
@@ -235,7 +250,9 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
         "simulate_boolean_width", "simulate_zero_width", "simulate_zero_gsd",
         "simulate_latitude_past_pole", "simulate_longitude_past_antimeridian",
         "simulate_negative_noise", "simulate_negative_blobs",
-        "simulate_reversed_turbidity_range", "simulate_ph_range_past_14"])
+        "simulate_reversed_turbidity_range", "simulate_ph_range_past_14",
+        "alert_index_not_an_object", "alert_index_missing_keys",
+        "alert_index_maps_not_a_list", "alert_index_placement_not_a_pair"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)

@@ -31,6 +31,49 @@ def stack(data, gsd=4.75):
     return BandStack.from_array(np.asarray(data, dtype=np.float64), gsd)
 
 
+def _copy_then_mean(data: np.ndarray, window: int = 10) -> np.ndarray:
+    """Window means by the reference formula: copy the cropped raster to
+    float64, then take ``mean`` over each block."""
+    bands, h, w = data.shape
+    out_h, out_w = h // window, w // window
+    cropped = data[:, : out_h * window, : out_w * window].astype(np.float64)
+    return cropped.reshape(bands, out_h, window, out_w, window).mean(axis=(2, 4))
+
+
+def _wide_range_float32(rng, shape) -> np.ndarray:
+    """float32 of both signs from 1e-12 to 1e12 in magnitude, a tenth of
+    them exact zeros and a tenth subnormal."""
+    data = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-12, 13, shape)
+    data[rng.random(shape) < 0.1] = 0.0
+    subnormal = rng.random(shape) < 0.1
+    data[subnormal] = np.finfo(np.float32).smallest_normal * rng.uniform(
+        -1.0, 1.0, int(subnormal.sum()))
+    return data.astype(np.float32)
+
+
+def _rasters(kind: str) -> list[np.ndarray]:
+    """The (bands, h, w) rasters one case of the copy-then-mean check runs
+    on: ten of random size, or one scene-sized raster."""
+    rng = np.random.default_rng(77)
+    if kind == "float32_scene":
+        return [_wide_range_float32(rng, (7, 1024, 1030))]
+    out = []
+    for i in range(10):
+        shape = (rng.integers(1, 8), *rng.integers(10, 300, size=2))
+        if kind in ("float64", "float32"):
+            out.append(rng.uniform(0.0, 1.0, shape).astype(kind))
+        elif kind == "float32_wide_range":
+            out.append(_wide_range_float32(rng, shape))
+        elif kind == "offset_view":
+            # a view 3 rows and 7 columns into a larger raster, of either dtype
+            bands, h, w = shape
+            whole = _wide_range_float32(rng, (bands, h + 3, w + 7))
+            out.append(whole.astype(np.float64 if i % 2 else np.float32)[:, 3:, 7:])
+        else:
+            out.append(rng.random(shape) < rng.random())
+    return out
+
+
 class TestWindowAverage:
     def test_patch_window_shape(self):
         r = stack(RNG.uniform(0, 1, (7, 256, 256)))
@@ -62,22 +105,24 @@ class TestWindowAverage:
         out = window_average(r, 1)
         assert np.array_equal(out.data, r.data)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_equals_the_copy_then_mean_formula(self, dtype):
-        rng = np.random.default_rng(77)
-        for _ in range(10):
-            bands, h, w = rng.integers(1, 8), *rng.integers(10, 300, size=2)
-            data = rng.uniform(0.0, 1.0, (bands, h, w)).astype(dtype)
-            r = BandStack.from_array(data, 4.75)
-            out_h, out_w = h // 10, w // 10
-            cropped = data[:, : out_h * 10, : out_w * 10].astype(np.float64)
-            want = cropped.reshape(bands, out_h, 10, out_w, 10).mean(axis=(2, 4))
-            got = window_average(r, 10).data
+    @pytest.mark.parametrize("kind", ["float64", "float32", "float32_wide_range",
+                                      "offset_view", "float32_scene", "bool"])
+    def test_equals_the_copy_then_mean_formula(self, kind):
+        # the means are pinned to numpy's reduction order: any other order
+        # moves wide-range sums by ulps
+        for data in _rasters(kind):
+            want = _copy_then_mean(data)
+            got = window_average(BandStack.from_array(data, 4.75), 10).data
             assert got.dtype == np.float64
             assert np.array_equal(got, want)
+            if kind == "bool":
+                assert np.array_equal(window_fraction(data[0], 10), want[0])
 
-    def test_float64_raster_is_not_copied(self):
-        r = stack(RNG.uniform(0, 1, (7, 512, 512)))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+    def test_raster_is_not_copied(self, dtype):
+        data = RNG.uniform(0, 1, (7, 512, 512))
+        r = BandStack.from_array(data < 0.5 if dtype is bool else data.astype(dtype),
+                                 4.75)
         nbytes = r.data.nbytes
         tracemalloc.start()
         try:
@@ -122,6 +167,17 @@ class TestWindowFraction:
         assert frac.shape == (2, 2)
         assert frac[0, 0] == pytest.approx(0.5)
         assert frac[1, 1] == 0.0
+
+    def test_mask_is_not_copied(self):
+        mask = RNG.uniform(0, 1, (512, 512)) < 0.5
+        tracemalloc.start()
+        try:
+            window_fraction(mask, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float64 copy of the mask would take eight times its bytes
+        assert peak < mask.nbytes
 
 
 class TestTileScene:

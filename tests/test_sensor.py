@@ -337,8 +337,9 @@ def _tiny_net() -> ConvNet:
     )
 
 
-def test_run_scene_heap_peak_below_a_quarter_of_the_scene():
-    # tiling by view: a scene inference never holds a scene-sized copy
+def test_run_scene_heap_peak_below_one_float32_patch():
+    # tiling by view and window means reduced where they lie: a scene
+    # inference holds neither a scene-sized copy nor a patch-sized one
     data = RNG.uniform(0, 0.4, (7, 1024, 1024)).astype(np.float32)
     scene = BandStack.from_array(data, 4.75)
     net = _tiny_net()
@@ -352,7 +353,7 @@ def test_run_scene_heap_peak_below_a_quarter_of_the_scene():
     finally:
         tracemalloc.stop()
     assert len(result.maps) == 16
-    assert peak < data.nbytes / 4
+    assert peak < 7 * 256 * 256 * 4  # 1.75 MiB, one float32 patch
 
 
 def _former_scene(spec: SceneSpec, seed: int) -> np.ndarray:
