@@ -2,15 +2,16 @@
 
 Only anomalous information leaves the pipeline: per-patch alert messages
 carry exceedance counts and summary statistics of the violating values,
-never a raster. The scene workflow, ``run_scene``, is tile -> infer each
-patch -> ``invalidate_clouded`` -> ``alert_scene`` (threshold, gated
-messages, mosaic of the binary maps back to scene extent). The CLI runs
-the same two steps: ``infer`` calls ``invalidate_clouded`` and ``alert``
-calls ``alert_scene`` on the maps it reads back.
+never a raster. The scene workflow, ``run_scene``, is two steps:
+``infer_scene`` (tile, infer each patch, invalidate clouded windows) and
+``alert_scene`` (threshold, gated messages, mosaic of the binary maps back
+to scene extent). The CLI runs the same two steps: ``infer`` calls
+``infer_scene`` and ``alert`` calls ``alert_scene`` on the maps it reads
+back.
 
 NaN map cells are invalid: they never alert and are counted separately.
-When cloud masks are available, any window at least half covered by cloud
-is invalidated before thresholding (the fraction is configurable).
+When a cloud plane is given, any window at least ``CLOUD_INVALID_FRACTION``
+(half) covered by cloud is invalidated before thresholding.
 """
 
 from __future__ import annotations
@@ -19,16 +20,19 @@ import datetime as dt
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .convnet import ContaminantMap, ConvNet, infer_patch
-from .errors import InconsistencyError, SchemaError, check_document
-from .raster import WINDOW, BandStack, GeoRef, TileIndex, mosaic, tile_scene, window_fraction
+from .errors import DimensionError, InconsistencyError, SchemaError, check_document
+from .raster import (WINDOW, BandStack, GeoRef, TileIndex, TileResult, mosaic, tile_scene,
+                     window_fraction)
 from .sensor import MaskSet, PARAMETERS, PH, TURBIDITY
 
 MAX_ALERT_BYTES = 512
 MAX_SCENE_ID_BYTES = 64  # counted as serialized, JSON-escaped
+CLOUD_INVALID_FRACTION = 0.5  # window cloud cover at and above which it is invalid
 
 # Default policies, fully configurable: sustained turbidity above 10 NTU
 # pressures aquatic organisms; pH outside [6.0, 9.0] leaves the tolerance
@@ -40,8 +44,7 @@ DEFAULT_POLICIES = {
 
 # The JSON kind of each ``ThresholdPolicy`` field.
 _POLICY_KINDS = {"parameter": "a string", "lower_bound": "a number or null",
-                 "upper_bound": "a number or null", "min_exceed_fraction": "a number",
-                 "cloud_invalid_fraction": "a number"}
+                 "upper_bound": "a number or null", "min_exceed_fraction": "a number"}
 
 
 @dataclass(frozen=True)
@@ -50,15 +53,14 @@ class ThresholdPolicy:
 
     ``min_exceed_fraction`` is the fraction of valid cells that must violate
     before a patch emits a message (default 0: any violation alerts).
-    ``cloud_invalid_fraction`` is the window cloud coverage at and above
-    which a window is invalidated instead of thresholded.
     """
 
     parameter: str
     lower_bound: float | None = None
     upper_bound: float | None = None
     min_exceed_fraction: float = 0.0
-    cloud_invalid_fraction: float = 0.5
+    # not a field: the benchmark reads the fraction here
+    cloud_invalid_fraction: ClassVar[float] = CLOUD_INVALID_FRACTION
 
     def __post_init__(self):
         if self.parameter not in PARAMETERS:
@@ -251,25 +253,32 @@ class SceneAlertResult:
     index: TileIndex
 
 
-def invalidate_clouded(
-    maps: list[ContaminantMap],
-    index: TileIndex,
-    cloud: np.ndarray,
-    fraction: float,
-) -> None:
-    """Set map cells to NaN where their window's cloud fraction reaches
-    ``fraction``.
+def infer_scene(
+    scene: BandStack,
+    net: ConvNet,
+    scene_georef: GeoRef | None = None,
+    cloud: np.ndarray | None = None,
+    scene_id: str = "scene",
+) -> tuple[TileResult, list[ContaminantMap]]:
+    """Tile a scene, infer every patch and invalidate its clouded windows.
 
-    ``cloud`` is the scene's boolean cloud plane and ``maps[i]`` the map of
-    the patch at ``index.placements[i]``. ``fraction`` must lie in (0, 1]:
-    0 would invalidate every window and anything above 1 none.
+    ``cloud`` is the scene's boolean cloud plane, or None for a clear scene.
+    Map cells whose window is at least ``CLOUD_INVALID_FRACTION`` covered by
+    cloud are set to NaN. Returns the tiles and their maps, ``maps[i]``
+    being the map of the patch at ``tiles.index.placements[i]``.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise SchemaError(f"cloud fraction must be in (0, 1], got {fraction}")
-    ps = index.patch_size
-    for cmap, (r0, c0) in zip(maps, index.placements):
-        frac = window_fraction(cloud[r0 : r0 + ps, c0 : c0 + ps], WINDOW)
-        cmap.values = np.where(frac >= fraction, np.nan, cmap.values)
+    if cloud is not None and cloud.shape != (scene.height, scene.width):
+        raise DimensionError(f"cloud plane {cloud.shape} does not match the "
+                             f"scene {(scene.height, scene.width)}")
+    tiles = tile_scene(scene, scene_georef, patch_id_prefix=scene_id)
+    maps = [infer_patch(net, p) for p in tiles.patches]
+    if cloud is not None:
+        ps = tiles.index.patch_size
+        for cmap, (r0, c0) in zip(maps, tiles.index.placements):
+            frac = window_fraction(cloud[r0 : r0 + ps, c0 : c0 + ps], WINDOW)
+            cmap.values = np.where(frac >= CLOUD_INVALID_FRACTION, np.nan,
+                                   cmap.values)
+    return tiles, maps
 
 
 def alert_scene(
@@ -314,15 +323,7 @@ def run_scene(
     scene_id: str = "scene",
     timestamp: str | None = None,
 ) -> SceneAlertResult:
-    """Tile a scene, infer every patch, invalidate clouded windows, alert.
-
-    Windows at least ``policy.cloud_invalid_fraction`` covered by cloud are
-    set to NaN before thresholding (``invalidate_clouded``); the rest is
-    ``alert_scene``.
-    """
-    tiles = tile_scene(scene, scene_georef, patch_id_prefix=scene_id)
-    maps = [infer_patch(net, p) for p in tiles.patches]
-    if masks is not None:
-        invalidate_clouded(maps, tiles.index, masks.cloud,
-                           policy.cloud_invalid_fraction)
+    """``infer_scene`` on the cloud plane of ``masks``, then ``alert_scene``."""
+    tiles, maps = infer_scene(scene, net, scene_georef,
+                              None if masks is None else masks.cloud, scene_id)
     return alert_scene(maps, tiles.index, policy, scene_id, timestamp)

@@ -3,18 +3,15 @@
 Commands compose through the documented file formats (PAT1 rasters, SMP1
 sample stores, MDL1/CNN1 models, JSON-lines alerts) and never mutate their
 inputs; every command exits nonzero on error, and invalid input (a malformed
-file, policy, config or option value) exits 2 with a one-line message. The
-commands that draw random numbers (simulate, train, transfer, quantize,
-bench) take ``--seed``. Each binary format is described in the module that
-writes it; all four share the ``_container`` framing.
+file, policy, config, command line or option value) exits 2 with a one-line
+message. The commands that draw random numbers (simulate, train, transfer,
+quantize, bench) take ``--seed``. Each binary format is described in the
+module that writes it; all four share the ``_container`` framing.
 
 ``infer`` and ``alert`` are the library's scene path split at the map
-files: ``infer`` tiles the scene, runs ``convnet.infer_patch`` and
-``alerting.invalidate_clouded``; ``alert`` reads the maps back and runs
-``alerting.alert_scene``, the same steps ``alerting.run_scene`` composes.
-``infer`` records the cloud fraction it applied (``--cloud-fraction``, or
-null without masks) in the map index, and ``alert`` refuses a policy whose
-``cloud_invalid_fraction`` differs from it.
+files: ``infer`` runs ``alerting.infer_scene`` and writes its maps and their
+index; ``alert`` reads them back and runs ``alerting.alert_scene``, the two
+steps ``alerting.run_scene`` composes.
 """
 
 from __future__ import annotations
@@ -28,9 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import alerting, convnet, dataset, mlp, quantbench, raster, sensor
-from .errors import CoastwatchError, InconsistencyError, SchemaError, check_document
+from .errors import CoastwatchError, SchemaError, check_document
 
-INVALID_CLOUD_FRACTION = 0.5
+# not an option: the benchmark reads the fraction here
+INVALID_CLOUD_FRACTION = alerting.CLOUD_INVALID_FRACTION
 PARAM_ALIASES = {
     "turbidity": sensor.TURBIDITY, "turbidity_ntu": sensor.TURBIDITY,
     sensor.TURBIDITY: sensor.TURBIDITY,
@@ -95,7 +93,6 @@ def cmd_simulate(args) -> int:
 
     chips_dir = out / "chips"
     chips_dir.mkdir(exist_ok=True)
-    gt_aligned = spec.gsd == raster.PRODUCT_GSD
     for patch, placement in zip(tiles.patches, tiles.index.placements):
         extra = {
             "patch_id": patch.patch_id,
@@ -104,26 +101,11 @@ def cmd_simulate(args) -> int:
         }
         raster.write_pat1(chips_dir / f"{patch.patch_id}.pat1", patch.raster,
                           georef=patch.georef, extra=extra)
-        if gt_aligned:
-            r0, c0 = placement
-            ps = tiles.index.patch_size
-            grids = []
-            for name in sensor.PARAMETERS:
-                field = raster.BandStack.from_array(
-                    truth.fields[name][r0 : r0 + ps, c0 : c0 + ps], spec.gsd)
-                grids.append(raster.window_average(field, raster.WINDOW).data[0])
-            gt = raster.BandStack.from_array(
-                np.stack(grids), gsd=spec.gsd * raster.WINDOW,
-                band_ids=tuple(sensor.PARAMETERS),
-            )
-            raster.write_pat1(chips_dir / f"gt_{patch.patch_id[5:]}.pat1", gt,
-                              georef=patch.georef)
 
     manifest = {
         "scene": "scene.pat1",
         "chips": len(tiles.patches),
         "margins": [tiles.margin_rows, tiles.margin_cols],
-        "gt_aligned": gt_aligned,
         "noise_std": truth.noise_std,
         "noise_floor": truth.noise_floor,
         "mixing_offsets": truth.mixing_offsets.tolist(),
@@ -226,12 +208,8 @@ def cmd_infer(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     scene_id = Path(args.scene).stem
 
-    cloud = _load_cloud_plane(Path(args.masks), scene) if args.masks else None
-
-    tiles = raster.tile_scene(scene, georef, patch_id_prefix=scene_id)
-    maps = [convnet.infer_patch(net, p) for p in tiles.patches]
-    if cloud is not None:
-        alerting.invalidate_clouded(maps, tiles.index, cloud, args.cloud_fraction)
+    cloud = _load_cloud_plane(Path(args.masks)) if args.masks else None
+    tiles, maps = alerting.infer_scene(scene, net, georef, cloud, scene_id)
 
     grids = []
     for patch, placement, cmap in zip(tiles.patches, tiles.index.placements, maps):
@@ -256,7 +234,6 @@ def cmd_infer(args) -> int:
         "gsd": tiles.index.gsd,
         "placements": [list(p) for p in tiles.index.placements],
         "maps": [f"map_{p.patch_id}.pat1" for p in tiles.patches],
-        "cloud_invalid_fraction": args.cloud_fraction if cloud is not None else None,
     }
     (out / "index.json").write_text(json.dumps(index_doc, indent=2))
     print(f"infer: {len(tiles.patches)} maps + mosaic "
@@ -264,31 +241,26 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _load_cloud_plane(path: Path, scene: raster.BandStack) -> np.ndarray:
+def _load_cloud_plane(path: Path) -> np.ndarray:
     """The cloud plane (band 0) of a 1-band (cloud) or 3-band mask PAT1."""
     stack, _ = raster.read_pat1(path)
-    if (stack.height, stack.width) != (scene.height, scene.width):
-        raise CoastwatchError("mask raster does not match the scene dimensions")
     if stack.bands not in (1, 3):
         raise CoastwatchError("mask raster must have 1 (cloud) or 3 bands")
     return stack.data[0].astype(bool)
 
 
-# the map index infer writes and alert reads; a missing cloud fraction reads
-# as maps that were not cloud-invalidated
+# the map index infer writes and alert reads
 _MAP_INDEX_KINDS = {
     "scene_id": "a string", "parameter": "a string", "scene_width": "an integer",
     "scene_height": "an integer", "patch_size": "an integer", "gsd": "a number",
     "placements": "a list of integer lists", "maps": "a list of strings",
-    "cloud_invalid_fraction": "a number or null",
 }
 
 
 def _load_map_index(path: Path) -> dict:
     doc = json.loads(path.read_text())
     what = f"map index {path}"
-    required = [key for key in _MAP_INDEX_KINDS if key != "cloud_invalid_fraction"]
-    check_document(doc, what, _MAP_INDEX_KINDS, required)
+    check_document(doc, what, _MAP_INDEX_KINDS, _MAP_INDEX_KINDS)
     if any(len(p) != 2 for p in doc["placements"]):
         raise SchemaError(f"{what} placements must be [row, col] pairs")
     return doc
@@ -302,13 +274,6 @@ def cmd_alert(args) -> int:
         raise CoastwatchError(
             f"maps are {index_doc['parameter']!r}, policy is "
             f"{policy.parameter!r}"
-        )
-    applied = index_doc.get("cloud_invalid_fraction")
-    if applied is not None and applied != policy.cloud_invalid_fraction:
-        raise InconsistencyError(
-            f"maps were cloud-invalidated at fraction {applied}, policy asks "
-            f"for {policy.cloud_invalid_fraction}; rerun infer with "
-            f"--cloud-fraction {policy.cloud_invalid_fraction}"
         )
     index = raster.TileIndex(
         scene_width=index_doc["scene_width"],
@@ -398,8 +363,15 @@ def cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is invalid input too: one line, exit 2."""
+
+    def error(self, message):
+        raise CoastwatchError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coastwatch",
         description="Coastal water-contaminant monitoring pipeline",
     )
@@ -440,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True, help="scene PAT1")
     p.add_argument("--out", required=True, help="output map directory")
     p.add_argument("--masks", help="optional mask PAT1 (u8; 1 or 3 bands)")
-    p.add_argument("--cloud-fraction", type=float, default=INVALID_CLOUD_FRACTION)
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("alert", help="threshold maps into alert messages")
@@ -478,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (CoastwatchError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -203,7 +203,9 @@ class TileIndex:
     """Row-major placement record produced by :func:`tile_scene`.
 
     ``placements`` holds ``(patch_row_origin, patch_col_origin)`` pixel
-    origins into the source scene, stride ``patch_size``, zero overlap.
+    origins into the source scene, stride ``patch_size``, zero overlap:
+    each is a distinct multiple of ``patch_size`` whose patch lies inside
+    the scene.
     """
 
     scene_width: int
@@ -211,6 +213,21 @@ class TileIndex:
     placements: tuple[tuple[int, int], ...]
     patch_size: int = PATCH_SIZE
     gsd: float = PRODUCT_GSD
+
+    def __post_init__(self):
+        if self.patch_size < 1:
+            raise DimensionError(f"patch size must be >= 1, got {self.patch_size}")
+        if not self.gsd > 0:
+            raise DimensionError(f"gsd must be positive, got {self.gsd}")
+        ps = self.patch_size
+        for r0, c0 in self.placements:
+            if (r0 % ps or c0 % ps or not 0 <= r0 <= self.scene_height - ps
+                    or not 0 <= c0 <= self.scene_width - ps):
+                raise InconsistencyError(
+                    f"placement {[r0, c0]} is no {ps} px grid cell inside the "
+                    f"{self.scene_width}x{self.scene_height} scene")
+        if len(set(self.placements)) != len(self.placements):
+            raise InconsistencyError("placements repeat a grid cell")
 
     @property
     def tiles_down(self) -> int:

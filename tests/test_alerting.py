@@ -1,16 +1,15 @@
+import dataclasses
 import datetime as dt
 import json
-import math
 import types
 
 import numpy as np
 import pytest
 
 from coastwatch import alerting, cli, raster
-from coastwatch.convnet import (ContaminantMap, ConvLayer, ConvNet, infer_patch,
-                               save_cnn1)
+from coastwatch.convnet import ConvLayer, ConvNet, infer_patch, save_cnn1
 from coastwatch.errors import SchemaError
-from coastwatch.raster import BandStack, GeoRef, tile_scene
+from coastwatch.raster import BandStack, GeoRef, tile_scene, window_fraction
 from coastwatch.sensor import TURBIDITY, MaskSet
 
 SIZE = 512
@@ -83,25 +82,65 @@ def test_one_timestamp_per_scene(monkeypatch):
     assert {m.timestamp for m in result.messages} == {"2024-06-15T10:00:01+00:00"}
 
 
-def test_run_scene_is_tile_infer_invalidate_alert():
+def test_infer_scene_is_tile_infer_invalidate():
     scene, cloud = scene_and_cloud()
     net = tiny_net()
     tiles = tile_scene(scene, GEOREF, patch_id_prefix="s1")
     maps = [infer_patch(net, p) for p in tiles.patches]
-    alerting.invalidate_clouded(maps, tiles.index, cloud, 0.5)
-    policy = policy_for(maps)
-    steps = alerting.alert_scene(maps, tiles.index, policy, "s1", TIMESTAMP)
+    for cmap, (r0, c0) in zip(maps, tiles.index.placements):
+        frac = window_fraction(cloud[r0 : r0 + 256, c0 : c0 + 256], 10)
+        cmap.values = np.where(frac >= 0.5, np.nan, cmap.values)
 
+    got_tiles, got = alerting.infer_scene(scene, net, GEOREF, cloud, "s1")
+    assert got_tiles.index == tiles.index
+    assert [p.patch_id for p in got_tiles.patches] == [p.patch_id for p in tiles.patches]
+    for a, b in zip(got, maps, strict=True):
+        assert np.array_equal(a.values, b.values, equal_nan=True)
+        assert (a.parameter, a.georef) == (b.parameter, b.georef)
+    # clouded windows went invalid, the rest kept their values
+    assert np.isnan(got[0].values).any()
+    assert all(np.isfinite(m.values).any() for m in got)
+
+
+def test_run_scene_is_tile_infer_invalidate_alert():
+    scene, cloud = scene_and_cloud()
+    net = tiny_net()
     zeros = np.zeros_like(cloud)
-    result = alerting.run_scene(scene, net, policy, scene_georef=GEOREF,
-                                masks=MaskSet(cloud, zeros, zeros),
-                                scene_id="s1", timestamp=TIMESTAMP)
-    assert_same_result(result, steps)
-    # the steps did something: clouded windows, alerts and quiet cells
-    assert np.isnan(steps.maps[0].values).any()
-    assert all(np.isfinite(m.values).any() for m in steps.maps)
-    assert steps.messages
-    assert 0 < steps.mosaic.data.sum() < steps.mosaic.data.size
+    for masks in (MaskSet(cloud, zeros, zeros), None):
+        tiles, maps = alerting.infer_scene(
+            scene, net, GEOREF, None if masks is None else cloud, "s1")
+        policy = policy_for(maps)
+        steps = alerting.alert_scene(maps, tiles.index, policy, "s1", TIMESTAMP)
+        result = alerting.run_scene(scene, net, policy, scene_georef=GEOREF,
+                                    masks=masks, scene_id="s1", timestamp=TIMESTAMP)
+        assert_same_result(result, steps)
+        # the steps did something: alerts and quiet cells, clouded windows
+        # only with masks
+        assert steps.messages
+        assert 0 < steps.mosaic.data.sum() < steps.mosaic.data.size
+        assert np.isnan(steps.maps[0].values).any() == (masks is not None)
+
+
+def test_a_window_half_clouded_is_invalid_and_one_pixel_less_is_not():
+    scene, _ = scene_and_cloud()
+    net = tiny_net()
+    cloud = np.zeros((SIZE, SIZE), dtype=bool)
+    cloud[:5, :10] = True         # window (0, 0): 50 of its 100 px
+    cloud[:5, 10:20] = True
+    cloud[4, 19] = False          # window (0, 1): 49 px
+    _, clear = alerting.infer_scene(scene, net, GEOREF)
+    _, clouded = alerting.infer_scene(scene, net, GEOREF, cloud)
+    assert np.isnan(clouded[0].values[0, 0])
+    expected = clear[0].values.copy()
+    expected[0, 0] = np.nan
+    assert np.array_equal(clouded[0].values, expected, equal_nan=True)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(clouded[1:], clear[1:]))
+    # one fraction, and no policy field for it
+    policy = alerting.ThresholdPolicy.default_for(TURBIDITY)
+    assert (policy.cloud_invalid_fraction == cli.INVALID_CLOUD_FRACTION
+            == alerting.CLOUD_INVALID_FRACTION == 0.5)
+    assert "cloud_invalid_fraction" not in {
+        f.name for f in dataclasses.fields(alerting.ThresholdPolicy)}
 
 
 def test_cli_alerts_and_mosaic_equal_alert_scene_on_the_maps(tmp_path):
@@ -113,9 +152,7 @@ def test_cli_alerts_and_mosaic_equal_alert_scene_on_the_maps(tmp_path):
     save_cnn1(tmp_path / "net.cnn1", net)
 
     # the maps the CLI writes are the in-memory ones: served in f32, invalidated
-    tiles = tile_scene(scene, GEOREF, patch_id_prefix="scene")
-    maps = [infer_patch(net, p) for p in tiles.patches]
-    alerting.invalidate_clouded(maps, tiles.index, cloud, cli.INVALID_CLOUD_FRACTION)
+    tiles, maps = alerting.infer_scene(scene, net, GEOREF, cloud)
     policy = policy_for(maps)
     expected = alerting.alert_scene(maps, tiles.index, policy, "scene", "")
     (tmp_path / "policy.json").write_text(json.dumps(
@@ -138,18 +175,6 @@ def test_cli_alerts_and_mosaic_equal_alert_scene_on_the_maps(tmp_path):
     assert messages and messages == expected.messages
     mosaic, _ = raster.read_pat1(tmp_path / "mosaic.pat1")
     assert np.array_equal(mosaic.data, expected.mosaic.data)
-
-
-@pytest.mark.parametrize("fraction", [0.0, -0.25, 1.0 + 1e-9, 1.5, math.nan])
-def test_out_of_range_cloud_fraction_rejected(fraction):
-    scene, cloud = scene_and_cloud()
-    tiles = tile_scene(scene, GEOREF)
-    maps = [ContaminantMap(np.zeros((25, 25)), TURBIDITY, p.georef)
-            for p in tiles.patches]
-    with pytest.raises(SchemaError, match="cloud fraction"):
-        alerting.invalidate_clouded(maps, tiles.index, cloud, fraction)
-    alerting.invalidate_clouded(maps, tiles.index, cloud, 1.0)
-    assert np.isnan(maps[0].values).any()
 
 
 @pytest.mark.parametrize("doc", [

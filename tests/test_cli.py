@@ -79,6 +79,10 @@ def test_seven_command_chain(inputs, capsys):
     served = cnn["equivalence"]["served_max_abs_deviation"]
     assert isinstance(served, float) and 0.0 < served < 1.0
 
+    # simulate writes the chips the chain reads, and no ground-truth grids
+    assert sorted(p.name for p in (d / "sim" / "chips").iterdir()) == [
+        f"chip_000_00{j}.pat1" for j in range(2)] + [
+        f"chip_001_00{j}.pat1" for j in range(2)]
     index = json.loads((d / "maps" / "index.json").read_text())
     assert len(index["maps"]) == 4
     maps = [raster.read_pat1(d / "maps" / name)[0].data[0]
@@ -129,9 +133,17 @@ MAP = raster.BandStack.from_array(np.zeros((1, 25, 25), np.float32), 47.5,
 MAP_INDEX_DOC = {
     "scene_id": "s", "parameter": sensor.TURBIDITY, "scene_width": 256,
     "scene_height": 256, "patch_size": 256, "gsd": 4.75, "placements": [[0, 0]],
-    "maps": ["map.pat1"], "cloud_invalid_fraction": None}
+    "maps": ["map.pat1"]}
 MAP_INDEX = json.dumps(MAP_INDEX_DOC).encode()
 POLICY = json.dumps({"parameter": sensor.TURBIDITY, "upper_bound": 10.0}).encode()
+ALERT = ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"]
+
+
+def alert_maps(**index) -> dict:
+    """A readable one-map directory for ``alert`` whose index has ``index``."""
+    georef = raster.GeoRef(44.0, 9.0, 47.5, sensor.SceneSpec().date)
+    return {"maps/index.json": json.dumps({**MAP_INDEX_DOC, **index}).encode(),
+            "maps/map.pat1": pat1(MAP, georef=georef), "policy.json": POLICY}
 
 
 def cnn1() -> bytes:
@@ -237,6 +249,20 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
       "policy.json": POLICY},
      ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"],
      "map index maps/index.json placements must be [row, col] pairs"),
+    (alert_maps(placements=[[9999, 0]]), ALERT, "placement [9999, 0] is no 256 px"),
+    (alert_maps(placements=[[-256, 0]]), ALERT, "placement [-256, 0] is no 256 px"),
+    (alert_maps(scene_width=10), ALERT, "inside the 10x256 scene"),
+    (alert_maps(patch_size=0), ALERT, "patch size must be >= 1"),
+    (alert_maps(gsd=0), ALERT, "gsd must be positive"),
+    (alert_maps(placements=[[10, 0]]), ALERT, "placement [10, 0] is no 256 px"),
+    (alert_maps(scene_width=512, placements=[[0, 256], [0, 256]],
+                maps=["map.pat1", "map.pat1"]), ALERT, "placements repeat"),
+    ({"policy.json": json.dumps({"parameter": sensor.TURBIDITY, "upper_bound": 10,
+                                 "cloud_invalid_fraction": 0.3}).encode()},
+     ALERT, "unknown policy keys: cloud_invalid_fraction"),
+    ({"net.cnn1": cnn1(), "scene.pat1": pat1(SCENE)},
+     ["infer", "--net", "net.cnn1", "--scene", "scene.pat1", "--out", "maps",
+      "--cloud-fraction", "0.3"], "unrecognized arguments: --cloud-fraction 0.3"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "plot_band_past_last", "plot_negative_band", "simulate_bad_degrade",
@@ -252,7 +278,12 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
         "simulate_negative_noise", "simulate_negative_blobs",
         "simulate_reversed_turbidity_range", "simulate_ph_range_past_14",
         "alert_index_not_an_object", "alert_index_missing_keys",
-        "alert_index_maps_not_a_list", "alert_index_placement_not_a_pair"])
+        "alert_index_maps_not_a_list", "alert_index_placement_not_a_pair",
+        "alert_index_placement_outside_scene", "alert_index_negative_placement",
+        "alert_index_scene_narrower_than_a_patch", "alert_index_zero_patch_size",
+        "alert_index_zero_gsd", "alert_index_placement_off_grid",
+        "alert_index_duplicate_placement", "alert_policy_cloud_fraction_key",
+        "infer_cloud_fraction_option"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)
@@ -264,49 +295,6 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
     assert err.count("\n") == 1 and err.startswith("error: ") and says in err
     if "--out" in argv:  # nothing is written
         assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
-
-
-def test_alert_refuses_a_policy_whose_cloud_fraction_infer_did_not_apply(
-        tmp_path, capsys):
-    spec = sensor.SceneSpec.from_json({"width": 256, "height": 256})
-    scene, _ = sensor.generate_synthetic_scene(spec, SEED)
-    raster.write_pat1(tmp_path / "scene.pat1", scene, georef=spec.georef())
-    cloud = np.zeros((256, 256), dtype=np.uint8)
-    cloud[:100] = 1
-    raster.write_pat1(tmp_path / "mask.pat1", raster.BandStack.from_array(
-        cloud, spec.gsd, band_ids=("cloud",)))
-    (tmp_path / "net.cnn1").write_bytes(cnn1())
-    for fraction in (0.3, 0.5):
-        (tmp_path / f"policy{fraction}.json").write_text(json.dumps(
-            {"parameter": sensor.TURBIDITY, "upper_bound": 10.0,
-             "cloud_invalid_fraction": fraction}))
-
-    def run(*argv):
-        code = cli.main([str(a) for a in argv])
-        return code, capsys.readouterr().err
-
-    infer = ["infer", "--net", tmp_path / "net.cnn1", "--scene",
-             tmp_path / "scene.pat1"]
-    assert run(*infer, "--out", tmp_path / "masked", "--masks",
-               tmp_path / "mask.pat1")[0] == 0
-    assert run(*infer, "--out", tmp_path / "clear")[0] == 0
-    index = json.loads((tmp_path / "masked" / "index.json").read_text())
-    assert index["cloud_invalid_fraction"] == cli.INVALID_CLOUD_FRACTION == 0.5
-    index = json.loads((tmp_path / "clear" / "index.json").read_text())
-    assert index["cloud_invalid_fraction"] is None
-
-    def alert(maps, fraction):
-        return run("alert", "--maps", tmp_path / maps, "--policy",
-                   tmp_path / f"policy{fraction}.json", "--out",
-                   tmp_path / f"{maps}{fraction}.jsonl")
-
-    code, err = alert("masked", 0.3)
-    assert code == 2
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "0.5" in err and "0.3" in err
-    assert alert("masked", 0.5) == (0, "")
-    # maps inferred without masks were invalidated at no fraction
-    assert alert("clear", 0.3) == (0, "")
 
 
 def test_alert_on_a_scene_whose_id_overflows_the_message_exits_2(tmp_path, capsys):

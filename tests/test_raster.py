@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import tracemalloc
 
@@ -291,6 +292,27 @@ class TestMosaic:
         grids = [np.full((25, 25), 1.0) for _ in result.patches]
         out = mosaic(grids, result.index)
         assert np.all(out.data == 1.0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(height=st.integers(256, 800), width=st.integers(256, 800))
+    def test_tile_then_mosaic_puts_each_grid_at_its_placement(self, height, width):
+        data = np.zeros((7, height, width), np.float32)
+        data[0] = np.arange(height * width).reshape(height, width)
+        result = tile_scene(BandStack.from_array(data, 4.75))
+        index = result.index
+        # the index tile_scene builds passes TileIndex's own checks again
+        assert dataclasses.replace(index) == index
+        assert len(set(index.placements)) == len(result.patches) == (
+            height // 256 * (width // 256))
+        for patch, (r0, c0) in zip(result.patches, index.placements):
+            assert r0 % 256 == c0 % 256 == 0
+            assert r0 + 256 <= height and c0 + 256 <= width
+            assert np.array_equal(patch.raster.data, data[:, r0 : r0 + 256, c0 : c0 + 256])
+        out = mosaic([np.full((5, 5), k) for k in range(len(result.patches))], index)
+        assert out.data.shape == (1, 5 * (height // 256), 5 * (width // 256))
+        for k, (r0, c0) in enumerate(index.placements):
+            assert np.all(out.data[0, r0 // 256 * 5 : r0 // 256 * 5 + 5,
+                                   c0 // 256 * 5 : c0 // 256 * 5 + 5] == k)
 
 
 class TestPatchInvariants:
