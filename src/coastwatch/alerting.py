@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -67,6 +68,10 @@ class ThresholdPolicy:
             raise SchemaError(f"unknown parameter {self.parameter!r}")
         if self.lower_bound is None and self.upper_bound is None:
             raise SchemaError("policy needs at least one bound")
+        for name in ("lower_bound", "upper_bound"):
+            bound = getattr(self, name)
+            if bound is not None and not math.isfinite(bound):
+                raise SchemaError(f"{name} must be finite, got {bound}")
         if (self.lower_bound is not None and self.upper_bound is not None
                 and not self.lower_bound < self.upper_bound):
             raise SchemaError("lower bound must be below upper bound")
@@ -105,8 +110,6 @@ class AlertMap:
     cells: np.ndarray              # uint8, 1 where the policy is violated
     invalid: np.ndarray            # bool, NaN or cloud-invalidated windows
     policy_id: str
-    georef: GeoRef
-    parameter: str
 
     def __post_init__(self):
         self.cells = np.asarray(self.cells, dtype=np.uint8)
@@ -147,8 +150,6 @@ def threshold(cmap: ContaminantMap, policy: ThresholdPolicy) -> AlertMap:
         cells=violate.astype(np.uint8),
         invalid=invalid,
         policy_id=policy.policy_id,
-        georef=cmap.georef,
-        parameter=cmap.parameter,
     )
 
 

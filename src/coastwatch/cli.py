@@ -11,7 +11,14 @@ module that writes it; all four share the ``_container`` framing.
 ``infer`` and ``alert`` are the library's scene path split at the map
 files: ``infer`` runs ``alerting.infer_scene`` and writes its maps and their
 index; ``alert`` reads them back and runs ``alerting.alert_scene``, the two
-steps ``alerting.run_scene`` composes.
+steps ``alerting.run_scene`` composes. Each map PAT1 carries its own
+placement: its manifest holds the patch's georef and, in ``extra``, its
+``patch_id`` and ``placement`` (the patch's ``[row, col]`` pixel origin in
+the scene); the map raster's pitch is the window's. ``maps/index.json``
+holds what the maps share: ``scene_id``, ``parameter``, ``scene_width``,
+``scene_height``, the scene's ``gsd`` and the ``maps`` file names, in the
+order ``alert`` reports their messages. ``alert`` places each map by the
+placement its file records, so the order of ``maps`` moves no cell.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alerting, convnet, dataset, mlp, quantbench, raster, sensor
-from .errors import CoastwatchError, SchemaError, check_document
+from .errors import CoastwatchError, SchemaError, check_document, is_json_kind
 
 # not an option: the benchmark reads the fraction here
 INVALID_CLOUD_FRACTION = alerting.CLOUD_INVALID_FRACTION
@@ -216,11 +223,10 @@ def cmd_infer(args) -> int:
         grids.append(cmap.values.astype(np.float32))
         raster.write_pat1(
             out / f"map_{patch.patch_id}.pat1",
-            raster.BandStack.from_array(
-                grids[-1][None], gsd=cmap.window_gsd, band_ids=(net.parameter,),
-            ),
-            georef=raster.GeoRef(cmap.georef.center_lat, cmap.georef.center_lon,
-                                 cmap.window_gsd, cmap.georef.acquisition_date),
+            raster.BandStack.from_array(grids[-1][None],
+                                        gsd=patch.raster.gsd * raster.WINDOW,
+                                        band_ids=(net.parameter,)),
+            georef=cmap.georef,
             extra={"patch_id": patch.patch_id, "placement": list(placement)},
         )
     mosaic = raster.mosaic(grids, tiles.index, band_ids=(net.parameter,))
@@ -230,9 +236,7 @@ def cmd_infer(args) -> int:
         "parameter": net.parameter,
         "scene_width": tiles.index.scene_width,
         "scene_height": tiles.index.scene_height,
-        "patch_size": tiles.index.patch_size,
         "gsd": tiles.index.gsd,
-        "placements": [list(p) for p in tiles.index.placements],
         "maps": [f"map_{p.patch_id}.pat1" for p in tiles.patches],
     }
     (out / "index.json").write_text(json.dumps(index_doc, indent=2))
@@ -252,18 +256,24 @@ def _load_cloud_plane(path: Path) -> np.ndarray:
 # the map index infer writes and alert reads
 _MAP_INDEX_KINDS = {
     "scene_id": "a string", "parameter": "a string", "scene_width": "an integer",
-    "scene_height": "an integer", "patch_size": "an integer", "gsd": "a number",
-    "placements": "a list of integer lists", "maps": "a list of strings",
+    "scene_height": "an integer", "gsd": "a number", "maps": "a list of strings",
 }
 
 
 def _load_map_index(path: Path) -> dict:
     doc = json.loads(path.read_text())
-    what = f"map index {path}"
-    check_document(doc, what, _MAP_INDEX_KINDS, _MAP_INDEX_KINDS)
-    if any(len(p) != 2 for p in doc["placements"]):
-        raise SchemaError(f"{what} placements must be [row, col] pairs")
+    check_document(doc, f"map index {path}", _MAP_INDEX_KINDS, _MAP_INDEX_KINDS)
     return doc
+
+
+def _placement(path: Path, manifest: dict) -> tuple[int, int]:
+    """The ``[row, col]`` placement a map PAT1 records in its ``extra``."""
+    extra = manifest.get("extra")
+    placement = extra.get("placement") if isinstance(extra, dict) else None
+    if not (is_json_kind(placement, "a list of integers") and len(placement) == 2):
+        raise SchemaError(f"{path}: placement must be an integer [row, col] "
+                          f"pair, got {placement!r}")
+    return tuple(placement)
 
 
 def cmd_alert(args) -> int:
@@ -275,23 +285,20 @@ def cmd_alert(args) -> int:
             f"maps are {index_doc['parameter']!r}, policy is "
             f"{policy.parameter!r}"
         )
+    maps, placements = [], []
+    for name in index_doc["maps"]:
+        path = maps_dir / name
+        stack, manifest = raster.read_pat1(path)
+        placements.append(_placement(path, manifest))
+        maps.append(convnet.ContaminantMap(values=stack.data[0],
+                                           parameter=index_doc["parameter"],
+                                           georef=_georef(path, manifest)))
     index = raster.TileIndex(
         scene_width=index_doc["scene_width"],
         scene_height=index_doc["scene_height"],
-        placements=tuple(tuple(p) for p in index_doc["placements"]),
-        patch_size=index_doc["patch_size"],
+        placements=tuple(placements),
         gsd=index_doc["gsd"],
     )
-    maps = []
-    for name in index_doc["maps"]:
-        stack, manifest = raster.read_pat1(maps_dir / name)
-        georef = _georef(maps_dir / name, manifest)
-        maps.append(convnet.ContaminantMap(
-            values=stack.data[0],
-            parameter=index_doc["parameter"],
-            georef=raster.GeoRef(georef.center_lat, georef.center_lon,
-                                 index.gsd, georef.acquisition_date),
-        ))
     result = alerting.alert_scene(maps, index, policy, index_doc["scene_id"])
 
     with open(args.out, "wb") as fh:

@@ -19,7 +19,15 @@ exact in eval mode:
 For every patch P and window w the identity ConvNet(P)[w] =
 FC(mean_10x10(P, w)) holds up to float rounding; ``verify_equivalence``
 certifies it against the independent FC route and the CNN1 file records the
-report hash of the run that blessed a deployed model.
+report of the run that blessed a deployed model.
+
+A network is its layers: the channel widths are read off the kernels, and
+every layer but the last applies ReLU, the only network ``fc_to_cnn``
+builds. The CNN1 manifest therefore holds ``window``, ``channels`` (the
+payload's layout: per layer its kernel, then its bias), ``dtype``,
+``parameter`` and ``equivalence``; the loader ignores any other key, so a
+file that also records the former ``front_layer``, ``layers``, ``meta`` or
+``equivalence_sha256`` loads to the same layers.
 
 Parameters are float32, the dtype a CNN1 file deploys, and the served path
 (``infer_raster``/``infer_patch``) runs the 1x1 stack in float32 on window
@@ -33,10 +41,8 @@ arithmetic; the served route's own deviation is reported beside it.
 
 from __future__ import annotations
 
-import hashlib
 import io
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +66,6 @@ class ConvLayer:
 
     kernel: np.ndarray   # (out_channels, in_channels), a 1x1 convolution
     bias: np.ndarray     # (out_channels,)
-    relu: bool
 
     def __post_init__(self):
         self.kernel = np.asarray(self.kernel, dtype=np.float32)
@@ -74,28 +79,34 @@ class ConvNet:
     ``layers`` excludes the front averaging layer, which is structural and
     the same for every network: depthwise, kernel ``WINDOW x WINDOW``,
     stride ``WINDOW``, every weight exactly ``1 / WINDOW**2``, bias 0,
-    untrainable. No layer after it changes the spatial dimensions.
+    untrainable. No layer after it changes the spatial dimensions. Every
+    layer but the last applies ReLU.
     """
 
-    channels: tuple[int, ...]
     layers: list[ConvLayer]
     dtype: str = "f32"
     parameter: str = "unknown"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.layers) != len(self.channels) - 1:
-            raise TransferError("one 1x1 layer per channel transition required")
+        if not self.layers:
+            raise TransferError("a network needs at least one 1x1 layer")
+        width = self.layers[0].kernel.shape[-1]
         for k, layer in enumerate(self.layers):
-            expect = (self.channels[k + 1], self.channels[k])
-            if layer.kernel.shape != expect:
-                raise TransferError(
-                    f"layer {k + 1}: kernel {layer.kernel.shape}, expected {expect}"
-                )
-            if layer.bias.shape != (self.channels[k + 1],):
+            if layer.kernel.ndim != 2 or layer.kernel.shape[1] != width:
+                raise TransferError(f"layer {k + 1}: kernel {layer.kernel.shape} "
+                                    f"does not take {width} channels")
+            width = layer.kernel.shape[0]
+            if layer.bias.shape != (width,):
                 raise TransferError(f"layer {k + 1}: bias shape mismatch")
         if self.dtype not in ("f32", "f16"):
             raise ValueError(f"unknown dtype {self.dtype!r}")
+
+    @property
+    def channels(self) -> tuple[int, ...]:
+        """Channel widths from the input bands to the output, read off the
+        kernels."""
+        return (self.layers[0].kernel.shape[1],
+                *(layer.kernel.shape[0] for layer in self.layers))
 
 
 @dataclass
@@ -117,11 +128,6 @@ class ContaminantMap:
             raise DimensionError(
                 f"contaminant map must be 25x25, got {self.values.shape}"
             )
-
-    @property
-    def window_gsd(self) -> float:
-        """Ground size of one map cell: the patch gsd times ``WINDOW``."""
-        return self.georef.gsd * WINDOW
 
 
 def fc_to_cnn(params: MLPParams, stats: NormStats, parameter: str) -> ConvNet:
@@ -147,19 +153,14 @@ def fc_to_cnn(params: MLPParams, stats: NormStats, parameter: str) -> ConvNet:
         scale = params.bn_gamma[k] / np.sqrt(params.bn_var[k] + BN_EPS)
         kernel = w * scale[:, None]
         bias = (b - params.bn_mean[k]) * scale + params.bn_beta[k]
-        layers.append(ConvLayer(kernel, bias, relu=True))
+        layers.append(ConvLayer(kernel, bias))
     # output layer: no batch-norm, no activation; absorb target
     # de-standardization so the map is in physical units
     w_out = params.weights[-1].astype(np.float64) * stats.target_std
     b_out = params.biases[-1].astype(np.float64) * stats.target_std
     b_out = b_out + stats.target_mean
-    layers.append(ConvLayer(w_out, b_out, relu=False))
-    return ConvNet(
-        channels=tuple(params.layer_dims),
-        layers=layers,
-        parameter=parameter,
-        meta={"normalization_absorbed": True, "output_units": "physical"},
-    )
+    layers.append(ConvLayer(w_out, b_out))
+    return ConvNet(layers, parameter=parameter)
 
 
 def _stack_on_means(net: ConvNet, means: np.ndarray) -> np.ndarray:
@@ -168,21 +169,21 @@ def _stack_on_means(net: ConvNet, means: np.ndarray) -> np.ndarray:
     The arithmetic runs in ``means.dtype``: float32 on the served path,
     float64 on the certificate's reference route (the float32 parameters
     widen exactly). ``means`` is only read, so one set of window means can
-    feed several networks or routes.
+    feed several networks or routes. Every layer but the last applies ReLU.
     """
     bands, rows, cols = means.shape
-    if bands != net.channels[0]:
-        raise DimensionError(
-            f"raster has {bands} bands, network expects {net.channels[0]}"
-        )
+    expect = net.layers[0].kernel.shape[1]
+    if bands != expect:
+        raise DimensionError(f"raster has {bands} bands, network expects {expect}")
     dtype = means.dtype
     act = means.reshape(bands, -1)
+    last = len(net.layers) - 1
     for k, layer in enumerate(net.layers):
         act = layer.kernel.astype(dtype, copy=False) @ act
         act += layer.bias.astype(dtype, copy=False)[:, None]
         if not np.isfinite(act).all():
             raise NumericError(f"non-finite activations at conv layer {k + 1}")
-        if layer.relu:
+        if k < last:
             np.maximum(act, 0.0, out=act)
     return act.reshape(rows, cols)
 
@@ -220,11 +221,6 @@ class EquivalenceReport:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_json(), sort_keys=True).encode()
-        ).hexdigest()
 
 
 def verify_equivalence(
@@ -293,24 +289,10 @@ def cnn1_bytes(net: ConvNet, equivalence: EquivalenceReport | None = None) -> by
     manifest = {
         "format": "CNN1",
         "window": WINDOW,
-        "front_layer": {
-            "kind": "depthwise_average",
-            "kernel": [WINDOW, WINDOW],
-            "stride": WINDOW,
-            "weight": 1.0 / WINDOW**2,
-            "trainable": False,
-        },
         "channels": list(net.channels),
-        "layers": [
-            {"out": int(l.kernel.shape[0]), "in": int(l.kernel.shape[1]),
-             "relu": l.relu}
-            for l in net.layers
-        ],
         "dtype": net.dtype,
         "parameter": net.parameter,
-        "meta": net.meta,
         "equivalence": equivalence.to_json() if equivalence else None,
-        "equivalence_sha256": equivalence.digest() if equivalence else None,
     }
     arrays = (arr for l in net.layers for arr in (l.kernel, l.bias))
     buffer = io.BytesIO()
@@ -331,8 +313,9 @@ def _cnn1_layout(manifest: dict) -> tuple[list[tuple[int, ...]], np.dtype]:
     dtype = manifest["dtype"]
     if dtype not in _CNN1_DTYPES:
         raise ValueError(f"unknown dtype {dtype!r}")
-    shapes = [shape for spec in manifest["layers"]
-              for shape in ((spec["out"], spec["in"]), (spec["out"],))]
+    channels = manifest["channels"]
+    shapes = [shape for c_in, c_out in zip(channels[:-1], channels[1:])
+              for shape in ((c_out, c_in), (c_out,))]
     return shapes, _CNN1_DTYPES[dtype]
 
 
@@ -344,16 +327,8 @@ def load_cnn1(path: str | Path) -> tuple[ConvNet, dict]:
         if manifest["window"] != WINDOW:
             raise FormatError(f"{path}: front end averages "
                               f"{manifest['window']!r} px windows, not {WINDOW}")
-        specs = manifest["layers"]
-        layers = [
-            ConvLayer(kernel, bias, relu=bool(spec["relu"]))
-            for spec, kernel, bias in zip(specs, arrays[0::2], arrays[1::2])
-        ]
-        net = ConvNet(
-            channels=tuple(manifest["channels"]),
-            layers=layers,
-            dtype=manifest["dtype"],
-            parameter=manifest.get("parameter", "unknown"),
-            meta=manifest.get("meta", {}),
-        )
+        layers = [ConvLayer(kernel, bias)
+                  for kernel, bias in zip(arrays[0::2], arrays[1::2])]
+        net = ConvNet(layers, dtype=manifest["dtype"],
+                      parameter=manifest.get("parameter", "unknown"))
     return net, manifest

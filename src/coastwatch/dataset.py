@@ -165,19 +165,21 @@ class MatchResult:
     unmatched: list[tuple[InSituRecord, str]]
 
 
-def locate_window(georef: GeoRef, lat: float, lon: float) -> tuple[int, int] | None:
-    """Window (row, col) of the patch containing ``(lat, lon)``; None when the
-    point falls outside the patch footprint.
+def locate_window(georef: GeoRef, gsd: float, lat: float,
+                  lon: float) -> tuple[int, int] | None:
+    """Window (row, col) of the patch at ``georef`` whose pixels are ``gsd``
+    metres that contains ``(lat, lon)``; None when the point falls outside
+    the patch footprint.
 
     Points landing in the 6 px margin never covered by a full averaging
     window are assigned the nearest edge window.
     """
     north_m, east_m = georef.latlon_offset_m(lat, lon)
-    half = PATCH_SIZE / 2 * georef.gsd
+    half = PATCH_SIZE / 2 * gsd
     if abs(north_m) > half or abs(east_m) > half:
         return None
-    row_px = PATCH_SIZE / 2 - north_m / georef.gsd
-    col_px = PATCH_SIZE / 2 + east_m / georef.gsd
+    row_px = PATCH_SIZE / 2 - north_m / gsd
+    col_px = PATCH_SIZE / 2 + east_m / gsd
     grid = (PATCH_SIZE - WINDOW) // WINDOW + 1
     row = min(max(int(row_px // WINDOW), 0), grid - 1)
     col = min(max(int(col_px // WINDOW), 0), grid - 1)
@@ -212,7 +214,7 @@ def match(
         m_lat, m_lon = meters_per_degree(georef.center_lat)
         north = np.abs((lat - georef.center_lat) * m_lat)
         east = np.abs((lon - georef.center_lon) * m_lon)
-        half = patch.raster.width / 2 * georef.gsd
+        half = patch.raster.width / 2 * patch.raster.gsd
         dist = np.maximum(north, east)
         better = ((days <= tolerance_days) & (north <= half) & (east <= half)
                   & ((dist < best_dist)
@@ -229,7 +231,7 @@ def match(
             unmatched.append((rec, "no patch within footprint and tolerance"))
             continue
         patch = patch_catalog[idx]
-        window = locate_window(patch.georef, rec.lat, rec.lon)
+        window = locate_window(patch.georef, patch.raster.gsd, rec.lat, rec.lon)
         if idx not in features_cache:
             features_cache[idx] = window_average(patch.raster, WINDOW).data
         wr, wc = window

@@ -56,8 +56,7 @@ def is_json_kind(value, kind: str) -> bool:
 
 _ITEM_KINDS = {"a list of integers": "an integer", "a list of numbers": "a number",
                "a list of strings": "a string",
-               "a list of number lists": "a list of numbers",
-               "a list of integer lists": "a list of integers"}
+               "a list of number lists": "a list of numbers"}
 
 
 def check_document(doc, what: str, kinds: dict, required=()) -> None:

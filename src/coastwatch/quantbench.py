@@ -52,8 +52,7 @@ def quantize_fp16(net: ConvNet) -> ConvNet:
                 )
             rounded[name] = arr
         layers.append(replace(layer, **rounded))
-    return replace(net, layers=layers, dtype="f16",
-                   meta=dict(net.meta, quantized="fp16_round_nearest_even"))
+    return replace(net, layers=layers, dtype="f16")
 
 
 @dataclass

@@ -4,6 +4,8 @@ Conventions used across the whole package:
 
 * arrays are band-planar, shape ``(bands, height, width)``, C order;
 * row 0 is the northern edge, column 0 the western edge;
+* a GeoRef is a centre and a date; the pitch is the raster's
+  (``BandStack.gsd``, and ``TileIndex.gsd`` for a tiled scene);
 * a patch is 256x256 px (a 1216 m square at the 4.75 m/px product pitch);
 * the inference front end averages non-overlapping 10x10 windows, so one
   256 px patch maps onto a 25x25 grid and the last 6 rows/columns of the
@@ -33,6 +35,7 @@ import datetime as dt
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -62,11 +65,11 @@ def meters_per_degree(lat: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GeoRef:
-    """Center-point georeference of a raster."""
+    """Center-point georeference of a raster: where and when, not the pitch,
+    which is the raster's own ``gsd``."""
 
     center_lat: float
     center_lon: float
-    gsd: float
     acquisition_date: dt.date
 
     def __post_init__(self):
@@ -74,8 +77,6 @@ class GeoRef:
             raise ValueError(f"latitude {self.center_lat} outside [-90, 90]")
         if not -180.0 <= self.center_lon <= 180.0:
             raise ValueError(f"longitude {self.center_lon} outside [-180, 180]")
-        if not self.gsd > 0:
-            raise ValueError("gsd must be positive")
 
     def offset_latlon(self, north_m: float, east_m: float) -> tuple[float, float]:
         """Lat/lon of a point displaced from the center by metres."""
@@ -91,7 +92,6 @@ class GeoRef:
         return {
             "center_lat": self.center_lat,
             "center_lon": self.center_lon,
-            "gsd": self.gsd,
             "acquisition_date": self.acquisition_date.isoformat(),
         }
 
@@ -100,7 +100,6 @@ class GeoRef:
         return cls(
             center_lat=float(doc["center_lat"]),
             center_lon=float(doc["center_lon"]),
-            gsd=float(doc["gsd"]),
             acquisition_date=dt.date.fromisoformat(doc["acquisition_date"]),
         )
 
@@ -205,18 +204,16 @@ class TileIndex:
     ``placements`` holds ``(patch_row_origin, patch_col_origin)`` pixel
     origins into the source scene, stride ``patch_size``, zero overlap:
     each is a distinct multiple of ``patch_size`` whose patch lies inside
-    the scene.
+    the scene. ``gsd`` is the scene's pitch.
     """
 
     scene_width: int
     scene_height: int
     placements: tuple[tuple[int, int], ...]
-    patch_size: int = PATCH_SIZE
     gsd: float = PRODUCT_GSD
+    patch_size: ClassVar[int] = PATCH_SIZE  # the one size a Patch takes
 
     def __post_init__(self):
-        if self.patch_size < 1:
-            raise DimensionError(f"patch size must be >= 1, got {self.patch_size}")
         if not self.gsd > 0:
             raise DimensionError(f"gsd must be positive, got {self.gsd}")
         ps = self.patch_size
@@ -314,8 +311,8 @@ def tile_scene(
     Patches cover the maximal patch-aligned sub-scene anchored at the
     north-west corner; leftover margins (< 256 px) are excluded and
     reported in the result. Patch georefs are derived from the scene center
-    when ``scene_georef`` is given, otherwise a placeholder at (0, 0) with
-    the scene gsd is used.
+    when ``scene_georef`` is given, otherwise from a placeholder at (0, 0)
+    acquired 1970-01-01; the pitch is ``scene.gsd``.
 
     Each patch's data is a read-only view into ``scene.data``, not a copy:
     writing to a patch raises ``ValueError``, a live patch keeps the scene
@@ -333,7 +330,7 @@ def tile_scene(
     across = scene.width // PATCH_SIZE
 
     if scene_georef is None:
-        scene_georef = GeoRef(0.0, 0.0, scene.gsd, dt.date(1970, 1, 1))
+        scene_georef = GeoRef(0.0, 0.0, dt.date(1970, 1, 1))
 
     placements = []
     patches = []
@@ -347,7 +344,7 @@ def tile_scene(
             north_m = (scene.height / 2.0 - (r0 + PATCH_SIZE / 2.0)) * scene.gsd
             east_m = ((c0 + PATCH_SIZE / 2.0) - scene.width / 2.0) * scene.gsd
             lat, lon = scene_georef.offset_latlon(north_m, east_m)
-            georef = GeoRef(lat, lon, scene.gsd, scene_georef.acquisition_date)
+            georef = GeoRef(lat, lon, scene_georef.acquisition_date)
             patches.append(
                 Patch(
                     raster=BandStack.from_array(chip, scene.gsd, scene.band_ids),
@@ -412,7 +409,7 @@ def random_patches(n: int, seed: int) -> list[Patch]:
     Each sits at (0, 0) at the product gsd, acquired on 2024-06-15.
     """
     rng = np.random.default_rng(seed)
-    georef = GeoRef(0.0, 0.0, PRODUCT_GSD, dt.date(2024, 6, 15))
+    georef = GeoRef(0.0, 0.0, dt.date(2024, 6, 15))
     out = []
     for i in range(n):
         data = rng.uniform(0.0, 1.0, size=(7, PATCH_SIZE, PATCH_SIZE))

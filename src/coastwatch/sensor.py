@@ -410,7 +410,7 @@ class SceneSpec:
                 raise SchemaError(f"scene spec: {rule}")
 
     def georef(self) -> GeoRef:
-        return GeoRef(self.center_lat, self.center_lon, self.gsd, self.date)
+        return GeoRef(self.center_lat, self.center_lon, self.date)
 
     @classmethod
     def from_json(cls, doc: dict) -> "SceneSpec":

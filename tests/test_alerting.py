@@ -14,7 +14,7 @@ from coastwatch.sensor import TURBIDITY, MaskSet
 
 SIZE = 512
 GSD = 4.75
-GEOREF = GeoRef(44.0, 9.0, GSD, dt.date(2024, 6, 15))
+GEOREF = GeoRef(44.0, 9.0, dt.date(2024, 6, 15))
 TIMESTAMP = "2024-06-15T10:30:00+00:00"
 
 
@@ -25,12 +25,8 @@ def tiny_net(seed=0) -> ConvNet:
     def f32(*shape):
         return rng.normal(0, 1, shape).astype(np.float32).astype(np.float64)
 
-    return ConvNet(
-        channels=(7, 8, 1),
-        layers=[ConvLayer(f32(8, 7), f32(8), True),
-                ConvLayer(f32(1, 8), f32(1), False)],
-        parameter=TURBIDITY,
-    )
+    return ConvNet([ConvLayer(f32(8, 7), f32(8)), ConvLayer(f32(1, 8), f32(1))],
+                   parameter=TURBIDITY)
 
 
 def scene_and_cloud(seed=0):
@@ -72,8 +68,7 @@ def test_one_timestamp_per_scene(monkeypatch):
     monkeypatch.setattr(alerting, "dt", types.SimpleNamespace(
         datetime=TickingClock, timezone=dt.timezone, date=dt.date))
     # every cell reads 20 NTU, above the 10 NTU default bound
-    net = ConvNet(channels=(7, 1), parameter=TURBIDITY,
-                  layers=[ConvLayer(np.zeros((1, 7)), np.array([20.0]), False)])
+    net = ConvNet([ConvLayer(np.zeros((1, 7)), np.array([20.0]))], parameter=TURBIDITY)
     scene, _ = scene_and_cloud()
     result = alerting.run_scene(scene, net,
                                 alerting.ThresholdPolicy.default_for(TURBIDITY),
@@ -177,6 +172,44 @@ def test_cli_alerts_and_mosaic_equal_alert_scene_on_the_maps(tmp_path):
     assert np.array_equal(mosaic.data, expected.mosaic.data)
 
 
+def test_alert_places_each_map_by_the_placement_its_file_records(tmp_path):
+    scene, _ = scene_and_cloud(2)
+    net = tiny_net(2)
+    raster.write_pat1(tmp_path / "scene.pat1", scene, georef=GEOREF)
+    save_cnn1(tmp_path / "net.cnn1", net)
+    _, maps = alerting.infer_scene(scene, net, GEOREF)
+    policy = policy_for(maps)
+    (tmp_path / "policy.json").write_text(json.dumps(
+        {"parameter": TURBIDITY, "lower_bound": policy.lower_bound,
+         "upper_bound": policy.upper_bound}))
+    assert cli.main(["infer", "--net", str(tmp_path / "net.cnn1"), "--scene",
+                     str(tmp_path / "scene.pat1"), "--out", str(tmp_path / "maps")]) == 0
+
+    def alert(name):
+        assert cli.main(["alert", "--maps", str(tmp_path / "maps"), "--policy",
+                         str(tmp_path / "policy.json"), "--out",
+                         str(tmp_path / f"{name}.jsonl"), "--mosaic",
+                         str(tmp_path / f"{name}.pat1")]) == 0
+        messages = [alerting.parse_alert(line) for line in
+                    (tmp_path / f"{name}.jsonl").read_bytes().splitlines()]
+        for m in messages:
+            m.timestamp = ""
+        return raster.read_pat1(tmp_path / f"{name}.pat1")[0].data, messages
+
+    mosaic, messages = alert("in_order")
+    index_path = tmp_path / "maps" / "index.json"
+    index = json.loads(index_path.read_text())
+    index["maps"][0], index["maps"][3] = index["maps"][3], index["maps"][0]
+    index_path.write_text(json.dumps(index))
+    swapped_mosaic, swapped = alert("swapped")
+    # the maps differ, so a map placed by its position would move cells
+    assert not np.array_equal(alerting.threshold(maps[0], policy).cells,
+                              alerting.threshold(maps[3], policy).cells)
+    assert np.array_equal(swapped_mosaic, mosaic)
+    assert len(swapped) == len(messages) > 1
+    assert sorted(map(repr, swapped)) == sorted(map(repr, messages))
+
+
 @pytest.mark.parametrize("doc", [
     {"parameter": TURBIDITY, "lower_bound": 5, "upper_bound": 1},
     {"parameter": TURBIDITY},
@@ -186,6 +219,11 @@ def test_cli_alerts_and_mosaic_equal_alert_scene_on_the_maps(tmp_path):
     {"parameter": TURBIDITY, "upper_bound": True},
     {"parameter": TURBIDITY, "upper_bound": "12"},
     {"upper_bound": 10},
+    # json.loads reads NaN and Infinity; a NaN bound would silence the policy
+    {"parameter": TURBIDITY, "upper_bound": float("nan")},
+    {"parameter": TURBIDITY, "lower_bound": float("nan")},
+    {"parameter": TURBIDITY, "lower_bound": 1, "upper_bound": float("inf")},
+    {"parameter": TURBIDITY, "lower_bound": float("-inf"), "upper_bound": 1},
 ])
 def test_invalid_policy_is_a_schema_error(doc):
     with pytest.raises(SchemaError):

@@ -132,18 +132,21 @@ MAP = raster.BandStack.from_array(np.zeros((1, 25, 25), np.float32), 47.5,
                                   band_ids=(sensor.TURBIDITY,))
 MAP_INDEX_DOC = {
     "scene_id": "s", "parameter": sensor.TURBIDITY, "scene_width": 256,
-    "scene_height": 256, "patch_size": 256, "gsd": 4.75, "placements": [[0, 0]],
-    "maps": ["map.pat1"]}
+    "scene_height": 256, "gsd": 4.75, "maps": ["map.pat1"]}
 MAP_INDEX = json.dumps(MAP_INDEX_DOC).encode()
 POLICY = json.dumps({"parameter": sensor.TURBIDITY, "upper_bound": 10.0}).encode()
 ALERT = ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"]
 
 
-def alert_maps(**index) -> dict:
-    """A readable one-map directory for ``alert`` whose index has ``index``."""
-    georef = raster.GeoRef(44.0, 9.0, 47.5, sensor.SceneSpec().date)
-    return {"maps/index.json": json.dumps({**MAP_INDEX_DOC, **index}).encode(),
-            "maps/map.pat1": pat1(MAP, georef=georef), "policy.json": POLICY}
+def alert_maps(placements=([0, 0],), **index) -> dict:
+    """A readable map directory for ``alert``: one map per placement, each
+    recording its own, and an index with ``index``."""
+    georef = raster.GeoRef(44.0, 9.0, sensor.SceneSpec().date)
+    names = [f"map{k}.pat1" for k in range(len(placements))]
+    files = {f"maps/{name}": pat1(MAP, georef=georef, extra={"placement": placement})
+             for name, placement in zip(names, placements)}
+    doc = {**MAP_INDEX_DOC, "maps": names, **index}
+    return {"maps/index.json": json.dumps(doc).encode(), **files, "policy.json": POLICY}
 
 
 def cnn1() -> bytes:
@@ -181,8 +184,8 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
                                "--band", "-1"], "--band -1"),
     ({"spec.json": b'{"degrade": {"mtf": 2}}'},
      ["simulate", "--spec", "spec.json", "--out", "sim"], "mtf"),
-    ({"maps/index.json": MAP_INDEX, "maps/map.pat1": pat1(MAP),
-      "policy.json": POLICY},
+    ({"maps/index.json": MAP_INDEX,
+      "maps/map.pat1": pat1(MAP, extra={"placement": [0, 0]}), "policy.json": POLICY},
      ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"],
      "georef"),
     ({"net.cnn1": cnn1(), "scene.pat1": pat1(SCENE)},
@@ -245,18 +248,26 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
       "policy.json": POLICY},
      ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"],
      "map index maps/index.json maps must be a list of strings"),
-    ({"maps/index.json": json.dumps({**MAP_INDEX_DOC, "placements": [[0]]}).encode(),
-      "policy.json": POLICY},
-     ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"],
-     "map index maps/index.json placements must be [row, col] pairs"),
+    (alert_maps(placements=[[0]]), ALERT,
+     "maps/map0.pat1: placement must be an integer [row, col] pair, got [0]"),
     (alert_maps(placements=[[9999, 0]]), ALERT, "placement [9999, 0] is no 256 px"),
     (alert_maps(placements=[[-256, 0]]), ALERT, "placement [-256, 0] is no 256 px"),
     (alert_maps(scene_width=10), ALERT, "inside the 10x256 scene"),
-    (alert_maps(patch_size=0), ALERT, "patch size must be >= 1"),
+    ({**alert_maps(), "maps/index.json": json.dumps(
+        {**MAP_INDEX_DOC, "maps": ["map0.pat1"], "patch_size": 256,
+         "placements": [[0, 0]]}).encode()},
+     ALERT, "unknown map index maps/index.json keys: patch_size, placements"),
     (alert_maps(gsd=0), ALERT, "gsd must be positive"),
     (alert_maps(placements=[[10, 0]]), ALERT, "placement [10, 0] is no 256 px"),
-    (alert_maps(scene_width=512, placements=[[0, 256], [0, 256]],
-                maps=["map.pat1", "map.pat1"]), ALERT, "placements repeat"),
+    (alert_maps(scene_width=512, placements=[[0, 256], [0, 256]]), ALERT,
+     "placements repeat"),
+    ({"maps/index.json": MAP_INDEX, "maps/map.pat1": pat1(MAP, georef=raster.GeoRef(
+        44.0, 9.0, sensor.SceneSpec().date)), "policy.json": POLICY},
+     ALERT, "maps/map.pat1: placement must be an integer [row, col] pair, got None"),
+    (alert_maps(placements=[[0, 2.5]]), ALERT,
+     "maps/map0.pat1: placement must be an integer [row, col] pair, got [0, 2.5]"),
+    ({"policy.json": b'{"parameter": "turbidity_NTU", "upper_bound": NaN}'},
+     ALERT, "upper_bound must be finite, got nan"),
     ({"policy.json": json.dumps({"parameter": sensor.TURBIDITY, "upper_bound": 10,
                                  "cloud_invalid_fraction": 0.3}).encode()},
      ALERT, "unknown policy keys: cloud_invalid_fraction"),
@@ -280,10 +291,11 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
         "alert_index_not_an_object", "alert_index_missing_keys",
         "alert_index_maps_not_a_list", "alert_index_placement_not_a_pair",
         "alert_index_placement_outside_scene", "alert_index_negative_placement",
-        "alert_index_scene_narrower_than_a_patch", "alert_index_zero_patch_size",
+        "alert_index_scene_narrower_than_a_patch", "alert_index_parent_layout",
         "alert_index_zero_gsd", "alert_index_placement_off_grid",
-        "alert_index_duplicate_placement", "alert_policy_cloud_fraction_key",
-        "infer_cloud_fraction_option"])
+        "alert_index_duplicate_placement", "alert_map_without_placement",
+        "alert_map_fractional_placement", "alert_policy_nan_bound",
+        "alert_policy_cloud_fraction_key", "infer_cloud_fraction_option"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)
@@ -301,8 +313,8 @@ def test_alert_on_a_scene_whose_id_overflows_the_message_exits_2(tmp_path, capsy
     """The scene id is the scene file's stem; 40 non-ASCII characters take
     240 bytes in the serialized alert, so ``alert`` refuses the message."""
     scene = tmp_path / f"{'é' * 40}.pat1"
-    raster.write_pat1(scene, SCENE, georef=raster.GeoRef(44.0, 9.0, 4.75,
-                                                         sensor.SceneSpec().date))
+    raster.write_pat1(scene, SCENE,
+                      georef=raster.GeoRef(44.0, 9.0, sensor.SceneSpec().date))
     (tmp_path / "net.cnn1").write_bytes(cnn1())
     (tmp_path / "policy.json").write_text(json.dumps(
         {"parameter": sensor.TURBIDITY, "upper_bound": -1e30}))  # every cell alerts

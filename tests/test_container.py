@@ -36,7 +36,7 @@ def _raster():
 # format -> (writer, loader); every format shares the 8-byte header: magic,
 # then the u32 little-endian manifest length
 FORMATS = {
-    "PAT1": (lambda p: write_pat1(p, _raster(), GeoRef(43.5, 9.25, 4.75,
+    "PAT1": (lambda p: write_pat1(p, _raster(), GeoRef(43.5, 9.25,
                                                        dt.date(2024, 7, 1))),
              read_pat1),
     "SMP1": (lambda p: save_samples(p, _samples()), load_samples),
@@ -99,7 +99,7 @@ def _edit_manifest(blob: bytes, field: str, value=None) -> bytes:
 
 @pytest.mark.parametrize("fmt, field", [
     ("MDL1", "layer_dims"), ("MDL1", "param_order"), ("MDL1", "normalization"),
-    ("CNN1", "layers"), ("CNN1", "channels"), ("CNN1", "window"),
+    ("CNN1", "dtype"), ("CNN1", "channels"), ("CNN1", "window"),
 ])
 def test_manifest_without_a_field_raises_format_error(tmp_path, fmt, field):
     write, load = FORMATS[fmt]
@@ -113,7 +113,7 @@ def test_manifest_without_a_field_raises_format_error(tmp_path, fmt, field):
 @pytest.mark.parametrize("fmt, field, value", [
     ("MDL1", "layer_dims", "abc"), ("MDL1", "normalization", [1, 2]),
     ("MDL1", "param_order", "theta"),
-    ("CNN1", "dtype", ["f32"]), ("CNN1", "layers", 3), ("CNN1", "channels", [7, 1]),
+    ("CNN1", "dtype", ["f32"]), ("CNN1", "channels", 3), ("CNN1", "channels", [7, 1]),
 ])
 def test_manifest_field_of_the_wrong_kind_raises_format_error(tmp_path, fmt, field,
                                                               value):

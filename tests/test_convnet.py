@@ -1,10 +1,17 @@
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coastwatch.convnet import (
     ConvLayer,
+    ConvNet,
     cnn1_bytes,
     fc_to_cnn,
     infer_patch,
@@ -42,15 +49,17 @@ def model(seed=0):
 
 def stack_formula(net, patch, arithmetic, deployed=np.float32):
     """The 1x1 stack written out: window means and the parameters, rounded
-    to ``deployed``, widened to ``arithmetic`` and run in it."""
+    to ``deployed``, widened to ``arithmetic`` and run in it, with ReLU after
+    every layer but the last."""
     act = window_average(patch.raster, WINDOW).data.reshape(7, -1)
     act = act.astype(arithmetic)
-    for layer in net.layers:
+    *hidden, last = net.layers
+    for layer in hidden:
         kernel = layer.kernel.astype(deployed).astype(arithmetic)
         bias = layer.bias.astype(deployed).astype(arithmetic)
-        act = kernel @ act + bias[:, None]
-        if layer.relu:
-            act = np.maximum(act, arithmetic(0))
+        act = np.maximum(kernel @ act + bias[:, None], arithmetic(0))
+    kernel = last.kernel.astype(deployed).astype(arithmetic)
+    act = kernel @ act + last.bias.astype(deployed).astype(arithmetic)[:, None]
     return act.reshape(25, 25)
 
 
@@ -59,7 +68,7 @@ def test_layers_hold_float32():
     for layer in net.layers:
         assert layer.kernel.dtype == layer.bias.dtype == np.float32
     values = np.random.default_rng(0).normal(0.0, 1.0, (3, 7))
-    layer = ConvLayer(values, values[:, 0], relu=True)
+    layer = ConvLayer(values, values[:, 0])
     assert layer.kernel.dtype == layer.bias.dtype == np.float32
     assert np.array_equal(layer.kernel, values.astype(np.float32))
 
@@ -176,3 +185,88 @@ def test_cnn1_declaring_another_window_is_a_format_error(tmp_path):
                      + blob[8 + mlen :])
     with pytest.raises(FormatError, match="8 px windows"):
         load_cnn1(path)
+
+
+@st.composite
+def nets(draw, bound=None):
+    """A small 7 -> ... -> 1 network of float32 parameters: any finite ones,
+    or those within +-``bound``."""
+    dims = (7, *draw(st.lists(st.integers(1, 6), max_size=3)), 1)
+    if bound is None:
+        values = st.floats(allow_nan=False, allow_infinity=False, width=32)
+    else:
+        values = st.floats(-bound, bound, width=32)
+    layers = [ConvLayer(draw(hnp.arrays(np.float32, (c_out, c_in), elements=values)),
+                        draw(hnp.arrays(np.float32, c_out, elements=values)))
+              for c_in, c_out in zip(dims[:-1], dims[1:])]
+    return ConvNet(layers, parameter="turbidity_NTU")
+
+
+@pytest.mark.parametrize("fp16", [False, True])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cnn1_round_trips_any_network_bit_for_bit(fp16, data):
+    net = data.draw(nets(65504.0 if fp16 else None))
+    if fp16:
+        net = quantize_fp16(net)
+    blob = cnn1_bytes(net)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "net.cnn1"
+        path.write_bytes(blob)
+        back, manifest = load_cnn1(path)
+        assert manifest["channels"] == list(net.channels) == list(back.channels)
+        assert (back.dtype, back.parameter) == (net.dtype, net.parameter)
+        for a, b in zip(net.layers, back.layers, strict=True):
+            assert b.kernel.tobytes() == a.kernel.tobytes()
+            assert b.bias.tobytes() == a.bias.tobytes()
+        assert cnn1_bytes(back) == blob
+        path.write_bytes(blob[:-1])  # one byte short
+        with pytest.raises(FormatError, match=str(path)):
+            load_cnn1(path)
+
+
+def former_manifest(net, report) -> dict:
+    """The CNN1 manifest as written before it dropped what it restates: the
+    front layer (``window``), the per-layer specs (``channels``, and ReLU on
+    every layer but the last), ``meta`` and the report's hash."""
+    last = len(net.layers) - 1
+    meta = {"normalization_absorbed": True, "output_units": "physical"}
+    if net.dtype == "f16":
+        meta["quantized"] = "fp16_round_nearest_even"
+    equivalence = report.to_json() if report else None
+    return {
+        "format": "CNN1", "window": 10,
+        "front_layer": {"kind": "depthwise_average", "kernel": [10, 10],
+                        "stride": 10, "weight": 0.01, "trainable": False},
+        "channels": list(net.channels),
+        "layers": [{"out": l.kernel.shape[0], "in": l.kernel.shape[1], "relu": k < last}
+                   for k, l in enumerate(net.layers)],
+        "dtype": net.dtype, "parameter": net.parameter, "meta": meta,
+        "equivalence": equivalence,
+        "equivalence_sha256": hashlib.sha256(json.dumps(
+            equivalence, sort_keys=True).encode()).hexdigest() if report else None,
+    }
+
+
+@pytest.mark.parametrize("fp16", [False, True])
+def test_a_cnn1_in_the_former_manifest_loads_to_the_same_layers(tmp_path, fp16):
+    params, stats = model(8)
+    net = fc_to_cnn(params, stats, "turbidity_NTU")
+    report = verify_equivalence(params, stats, net, random_patches(1, seed=9))
+    if fp16:
+        net, report = quantize_fp16(net), None
+    blob = cnn1_bytes(net, report)
+    mlen = int.from_bytes(blob[4:8], "little")
+    mbytes = json.dumps(former_manifest(net, report)).encode()
+    path = tmp_path / "former.cnn1"
+    path.write_bytes(b"CNN1" + len(mbytes).to_bytes(4, "little") + mbytes
+                     + blob[8 + mlen :])
+    back, manifest = load_cnn1(path)
+    assert manifest["layers"][0]["relu"] and not manifest["layers"][-1]["relu"]
+    assert (back.channels, back.dtype, back.parameter) == (
+        net.channels, net.dtype, net.parameter)
+    for a, b in zip(net.layers, back.layers, strict=True):
+        assert b.kernel.tobytes() == a.kernel.tobytes()
+        assert b.bias.tobytes() == a.bias.tobytes()
+    # saving it again writes the current manifest around the same payload
+    assert cnn1_bytes(back, report) == blob

@@ -45,7 +45,7 @@ def rec(station="S1", date="2024-06-15", depth=0.5, parameter=TURBIDITY,
 
 def make_patch(lat, lon, date, patch_id, seed=0):
     data = np.random.default_rng(seed).uniform(0, 1, (7, 256, 256))
-    georef = GeoRef(lat, lon, 4.75, dt.date.fromisoformat(date))
+    georef = GeoRef(lat, lon, dt.date.fromisoformat(date))
     return Patch(BandStack.from_array(data, 4.75), georef, patch_id=patch_id)
 
 
@@ -60,7 +60,7 @@ def match_reference(records, patch_catalog, tolerance_days):
             if days > tolerance_days:
                 continue
             north, east = p.georef.latlon_offset_m(r.lat, r.lon)
-            half = p.raster.width / 2 * p.georef.gsd
+            half = p.raster.width / 2 * p.raster.gsd
             if abs(north) > half or abs(east) > half:
                 continue
             key = (max(abs(north), abs(east)), days, idx)
@@ -70,7 +70,7 @@ def match_reference(records, patch_catalog, tolerance_days):
             unmatched.append((r, "no patch within footprint and tolerance"))
             continue
         p = patch_catalog[best[2]]
-        wr, wc = locate_window(p.georef, r.lat, r.lon)
+        wr, wc = locate_window(p.georef, p.raster.gsd, r.lat, r.lon)
         samples.append(Sample(
             features=window_average(p.raster, 10).data[:, wr, wc],
             target=r.value, parameter=r.parameter, patch_id=p.patch_id,
@@ -345,20 +345,20 @@ class TestMatch:
 
 class TestLocateWindow:
     def test_center_maps_to_center_window(self):
-        georef = GeoRef(44.0, 9.0, 4.75, dt.date(2024, 6, 15))
-        assert locate_window(georef, 44.0, 9.0) == (12, 12)
+        georef = GeoRef(44.0, 9.0, dt.date(2024, 6, 15))
+        assert locate_window(georef, 4.75, 44.0, 9.0) == (12, 12)
 
     def test_margin_clips_to_edge_window(self):
-        georef = GeoRef(44.0, 9.0, 4.75, dt.date(2024, 6, 15))
+        georef = GeoRef(44.0, 9.0, dt.date(2024, 6, 15))
         m_lat, _ = meters_per_degree(44.0)
         # 600 m south: row pixel 254, inside the dropped 6 px margin
         lat = 44.0 - 600.0 / m_lat
-        assert locate_window(georef, lat, 9.0) == (24, 12)
+        assert locate_window(georef, 4.75, lat, 9.0) == (24, 12)
 
     def test_outside_footprint_is_none(self):
-        georef = GeoRef(44.0, 9.0, 4.75, dt.date(2024, 6, 15))
+        georef = GeoRef(44.0, 9.0, dt.date(2024, 6, 15))
         m_lat, _ = meters_per_degree(44.0)
-        assert locate_window(georef, 44.0 + 700.0 / m_lat, 9.0) is None
+        assert locate_window(georef, 4.75, 44.0 + 700.0 / m_lat, 9.0) is None
 
 
 class TestSplit:

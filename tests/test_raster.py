@@ -224,7 +224,7 @@ class TestTileScene:
 
     def test_patch_georefs_follow_scene_center(self):
         scene = stack(RNG.uniform(0, 1, (7, 512, 512)))
-        georef = GeoRef(44.0, 9.0, 4.75, dt.date(2024, 6, 1))
+        georef = GeoRef(44.0, 9.0, dt.date(2024, 6, 1))
         result = tile_scene(scene, georef)
         lats = [p.georef.center_lat for p in result.patches]
         lons = [p.georef.center_lon for p in result.patches]
@@ -319,18 +319,18 @@ class TestPatchInvariants:
     def test_wrong_size_rejected(self):
         r = stack(RNG.uniform(0, 1, (7, 128, 128)))
         with pytest.raises(DimensionError):
-            Patch(r, GeoRef(0, 0, 4.75, dt.date(2024, 1, 1)))
+            Patch(r, GeoRef(0, 0, dt.date(2024, 1, 1)))
 
     def test_nonfinite_rejected(self):
         data = RNG.uniform(0, 1, (7, 256, 256))
         data[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
-            Patch(stack(data), GeoRef(0, 0, 4.75, dt.date(2024, 1, 1)))
+            Patch(stack(data), GeoRef(0, 0, dt.date(2024, 1, 1)))
 
     def test_out_of_range_flagged_not_fatal(self):
         data = RNG.uniform(0, 1, (7, 256, 256))
         data[0, :2, :2] = 1.5
-        patch = Patch(stack(data), GeoRef(0, 0, 4.75, dt.date(2024, 1, 1)))
+        patch = Patch(stack(data), GeoRef(0, 0, dt.date(2024, 1, 1)))
         assert patch.flagged_values == 4
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -341,7 +341,7 @@ class TestPatchInvariants:
             data[at] = value
             with pytest.raises(ValueError, match="non-finite"):
                 Patch(BandStack.from_array(data, 4.75),
-                      GeoRef(0, 0, 4.75, dt.date(2024, 1, 1)))
+                      GeoRef(0, 0, dt.date(2024, 1, 1)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_flagged_values_at_the_bounds(self, dtype):
@@ -357,13 +357,13 @@ class TestPatchInvariants:
             one = data.copy()
             one[i, 10:13, 20] = value
             patch = Patch(BandStack.from_array(one, 4.75),
-                          GeoRef(0, 0, 4.75, dt.date(2024, 1, 1)))
+                          GeoRef(0, 0, dt.date(2024, 1, 1)))
             want = np.count_nonzero((one < 0.0) | (one > REFLECTANCE_MAX))
             assert patch.flagged_values == want == (3 if flagged else 0)
         for i, (value, _) in enumerate(edges):  # all five edge values in one chip
             data[i, 10:13, 20] = value
         patch = Patch(BandStack.from_array(data, 4.75),
-                      GeoRef(0, 0, 4.75, dt.date(2024, 1, 1)))
+                      GeoRef(0, 0, dt.date(2024, 1, 1)))
         assert patch.flagged_values == 6
 
     def test_random_patches_are_valid(self):
@@ -375,7 +375,7 @@ class TestPatchInvariants:
 class TestPat1Format:
     def test_f32_roundtrip_with_sidecar(self, tmp_path):
         r = stack(RNG.uniform(0, 1, (7, 64, 48)))
-        georef = GeoRef(43.5, 9.25, 4.75, dt.date(2024, 7, 1))
+        georef = GeoRef(43.5, 9.25, dt.date(2024, 7, 1))
         path = write_pat1(tmp_path / "x.pat1", r, georef=georef,
                           extra={"k": "v"})
         back, sidecar = read_pat1(path)
@@ -427,7 +427,7 @@ class TestPat1Format:
 
     def test_one_file_per_raster(self, tmp_path):
         write_pat1(tmp_path / "x.pat1", stack(RNG.uniform(0, 1, (1, 4, 4))),
-                   georef=GeoRef(43.5, 9.25, 4.75, dt.date(2024, 7, 1)),
+                   georef=GeoRef(43.5, 9.25, dt.date(2024, 7, 1)),
                    extra={"k": "v"})
         assert [p.name for p in tmp_path.iterdir()] == ["x.pat1"]
 
@@ -451,6 +451,6 @@ class TestBandStackInvariants:
 
     def test_georef_validation(self):
         with pytest.raises(ValueError):
-            GeoRef(95.0, 0.0, 1.0, dt.date(2024, 1, 1))
+            GeoRef(95.0, 0.0, dt.date(2024, 1, 1))
         with pytest.raises(ValueError):
-            GeoRef(0.0, 0.0, -1.0, dt.date(2024, 1, 1))
+            GeoRef(0.0, 181.0, dt.date(2024, 1, 1))

@@ -330,9 +330,8 @@ def test_degrade_snr_takes_inf_null_and_integers():
 def _tiny_net() -> ConvNet:
     rng = np.random.default_rng(0)
     return ConvNet(
-        channels=(7, 8, 1),
-        layers=[ConvLayer(rng.normal(0, 1, (8, 7)), rng.normal(0, 1, 8), True),
-                ConvLayer(rng.normal(0, 1, (1, 8)), rng.normal(0, 1, 1), False)],
+        [ConvLayer(rng.normal(0, 1, (8, 7)), rng.normal(0, 1, 8)),
+         ConvLayer(rng.normal(0, 1, (1, 8)), rng.normal(0, 1, 1))],
         parameter=TURBIDITY,
     )
 
@@ -344,7 +343,7 @@ def test_run_scene_heap_peak_below_one_float32_patch():
     scene = BandStack.from_array(data, 4.75)
     net = _tiny_net()
     policy = alerting.ThresholdPolicy.default_for(TURBIDITY)
-    georef = GeoRef(44.0, 9.0, 4.75, dt.date(2024, 6, 15))
+    georef = GeoRef(44.0, 9.0, dt.date(2024, 6, 15))
     tracemalloc.start()
     try:
         result = alerting.run_scene(scene, net, policy, scene_georef=georef,
