@@ -4,9 +4,17 @@ Commands compose through the documented file formats (PAT1 rasters, SMP1
 sample stores, MDL1/CNN1 models, JSON-lines alerts) and never mutate their
 inputs; every command exits nonzero on error, and invalid input (a malformed
 file, policy, config, command line or option value) exits 2 with a one-line
-message. The commands that draw random numbers (simulate, train, transfer,
-quantize, bench) take ``--seed``. Each binary format is described in the
-module that writes it; all four share the ``_container`` framing.
+message. Only ``simulate`` takes ``--seed``; ``train`` reads its seed from
+the ``--config`` document, and the random check patches of ``transfer`` and
+``quantize`` and the patches ``bench`` draws without ``--patches`` use
+``convnet.CHECK_SEED``. Each gate and check size is one library constant:
+the station match's window is ``dataset.MATCH_TOLERANCE_DAYS``, the transfer
+certificate's ``convnet.EQUIVALENCE_TOL`` over
+``convnet.EQUIVALENCE_CHECK_PATCHES`` patches, the fp16 gate's
+``quantbench.FP16_THRESHOLD`` over ``quantbench.FP16_CHECK_PATCHES`` patches,
+and ``bench`` times ``quantbench.BENCH_REPS`` runs after
+``quantbench.BENCH_WARMUP``. Each binary format is described in the module
+that writes it; all four share the ``_container`` framing.
 
 ``infer`` and ``alert`` are the library's scene path split at the map
 files: ``infer`` runs ``alerting.infer_scene`` and writes its maps and their
@@ -50,12 +58,6 @@ def _parameter(name: str) -> str:
         raise CoastwatchError(f"unknown parameter {name!r}") from None
 
 
-def _at_least_one(value: int, flag: str) -> int:
-    if value < 1:
-        raise CoastwatchError(f"{flag} must be >= 1, got {value}")
-    return value
-
-
 def _georef(path: Path, manifest: dict) -> raster.GeoRef:
     georef = raster.sidecar_georef(manifest)
     if georef is None:
@@ -63,16 +65,12 @@ def _georef(path: Path, manifest: dict) -> raster.GeoRef:
     return georef
 
 
-def _chip_paths(directory: Path, stem: str) -> list[Path]:
-    paths = sorted(directory.glob(f"{stem}_*.pat1"))
-    if not paths:
-        raise CoastwatchError(f"no {stem}_*.pat1 files in {directory}")
-    return paths
-
-
 def _load_patches(directory: Path) -> list[raster.Patch]:
+    paths = sorted(directory.glob("chip_*.pat1"))
+    if not paths:
+        raise CoastwatchError(f"no chip_*.pat1 files in {directory}")
     patches = []
-    for path in _chip_paths(directory, "chip"):
+    for path in paths:
         stack, manifest = raster.read_pat1(path)
         patches.append(raster.Patch(stack, _georef(path, manifest), patch_id=path.stem))
     return patches
@@ -129,7 +127,7 @@ def cmd_build_dataset(args) -> int:
     ingest = dataset.ingest_records(args.records)
     surface = dataset.select_surface(ingest.records)
     patches = _load_patches(Path(args.patches))
-    result = dataset.match(surface, patches, tolerance_days=args.tolerance_days)
+    result = dataset.match(surface, patches)
     if not result.samples:
         raise CoastwatchError("no record matched any patch")
     dataset.save_samples(
@@ -137,7 +135,7 @@ def cmd_build_dataset(args) -> int:
         provenance={
             "records": str(args.records),
             "patches": str(args.patches),
-            "tolerance_days": args.tolerance_days,
+            "tolerance_days": dataset.MATCH_TOLERANCE_DAYS,
             "rejected_rows": len(ingest.rejected),
             "duplicates_removed": ingest.duplicates_removed,
             "unmatched_records": len(result.unmatched),
@@ -152,8 +150,6 @@ def cmd_build_dataset(args) -> int:
 def cmd_train(args) -> int:
     doc = json.loads(Path(args.config).read_text()) if args.config else {}
     config = mlp.TrainConfig.from_json(doc)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     samples, _, _ = dataset.load_samples(args.samples)
     parameter = _parameter(args.parameter)
     samples = [s for s in samples if s.parameter == parameter]
@@ -188,12 +184,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    # a certificate over no patch certifies nothing
-    n_check = _at_least_one(args.check_patches, "--check-patches")
     params, stats, manifest = mlp.load_mdl1(args.model)
     net = convnet.fc_to_cnn(params, stats, manifest["parameter"])
-    patches = raster.random_patches(n_check, seed=args.seed)
-    report = convnet.verify_equivalence(params, stats, net, patches, tol=args.tol)
+    patches = raster.random_patches(convnet.EQUIVALENCE_CHECK_PATCHES,
+                                    seed=convnet.CHECK_SEED)
+    report = convnet.verify_equivalence(params, stats, net, patches)
     if not report.passed:
         raise CoastwatchError(
             f"transfer equivalence failed: max deviation "
@@ -211,11 +206,11 @@ def cmd_infer(args) -> int:
     net, _ = convnet.load_cnn1(args.net)
     scene, manifest = raster.read_pat1(args.scene)
     georef = _georef(Path(args.scene), manifest)
+    cloud = _load_cloud_plane(Path(args.masks)) if args.masks else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scene_id = Path(args.scene).stem
 
-    cloud = _load_cloud_plane(Path(args.masks)) if args.masks else None
     tiles, maps = alerting.infer_scene(scene, net, georef, cloud, scene_id)
 
     grids = []
@@ -246,10 +241,11 @@ def cmd_infer(args) -> int:
 
 
 def _load_cloud_plane(path: Path) -> np.ndarray:
-    """The cloud plane (band 0) of a 1-band (cloud) or 3-band mask PAT1."""
+    """The cloud plane of a 1-band (cloud) mask PAT1."""
     stack, _ = raster.read_pat1(path)
-    if stack.bands not in (1, 3):
-        raise CoastwatchError("mask raster must have 1 (cloud) or 3 bands")
+    if stack.bands != 1:
+        raise CoastwatchError(f"{path}: a mask raster has 1 (cloud) band, "
+                              f"not {stack.bands}")
     return stack.data[0].astype(bool)
 
 
@@ -313,13 +309,15 @@ def cmd_alert(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    n_check = _at_least_one(args.check_patches, "--check-patches")
     net, _ = convnet.load_cnn1(args.net)
     net16 = quantbench.quantize_fp16(net)
-    patches = raster.random_patches(n_check, seed=args.seed)
-    report = quantbench.compare_quantized(net, net16, patches,
-                                          threshold=args.threshold)
+    patches = raster.random_patches(quantbench.FP16_CHECK_PATCHES,
+                                    seed=convnet.CHECK_SEED)
+    report = quantbench.compare_quantized(net, net16, patches)
     convnet.save_cnn1(args.out, net16)
+    # the sizes of the files read and written, certificate included
+    report = replace(report, model_bytes_fp32=Path(args.net).stat().st_size,
+                     model_bytes_fp16=Path(args.out).stat().st_size)
     if args.report:
         quantbench.write_report(args.report, report)
     status = "ok" if report.passed else "DEVIATION ABOVE THRESHOLD"
@@ -330,40 +328,18 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    reps = _at_least_one(args.reps, "--reps")
     net, _ = convnet.load_cnn1(args.net)
     if args.patches:
         patches = _load_patches(Path(args.patches))
     else:
-        patches = raster.random_patches(4, seed=args.seed)
-    report = quantbench.bench(net, patches, warmup=args.warmup, reps=reps)
+        patches = raster.random_patches(4, seed=convnet.CHECK_SEED)
+    report = quantbench.bench(net, patches)
     if args.report:
         quantbench.write_report(args.report, report)
     print(f"bench: median {report.ms_per_inference:.1f} ms/inference "
           f"(p95 {report.ms_p95:.1f} ms, {report.fps:.1f} FPS) on "
           f"{report.hardware_descriptor}; mission reference "
           f"{report.reference['ms_per_inference']} ms / {report.reference['fps']} FPS")
-    return 0
-
-
-def cmd_plot(args) -> int:
-    stack, _ = raster.read_pat1(args.map)
-    if not 0 <= args.band < stack.bands:
-        raise CoastwatchError(
-            f"--band {args.band} outside the {stack.bands} bands of {args.map}")
-    plane = stack.data[args.band].astype(np.float64)
-    if stack.data.dtype == np.uint8:
-        img = np.where(plane > 0, 255, 0).astype(np.uint8)
-    else:
-        finite = np.isfinite(plane)
-        lo = plane[finite].min() if finite.any() else 0.0
-        hi = plane[finite].max() if finite.any() else 0.0
-        span = hi - lo
-        scaled = (plane - lo) / span * 255.0 if span > 0 else np.zeros_like(plane)
-        img = np.where(finite, scaled, 0.0).round().astype(np.uint8)
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode()
-    Path(args.out).write_bytes(header + img.tobytes())
-    print(f"plot: {img.shape[1]}x{img.shape[0]} PGM -> {args.out}")
     return 0
 
 
@@ -393,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-dataset", help="match in-situ records to chips")
     p.add_argument("--records", required=True, help="in-situ CSV")
     p.add_argument("--patches", required=True, help="chip directory")
-    p.add_argument("--tolerance-days", type=int, default=3)
     p.add_argument("--out", required=True, help="output SMP1 sample store")
     p.set_defaults(fn=cmd_build_dataset)
 
@@ -402,23 +377,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parameter", required=True, help="ph or turbidity")
     p.add_argument("--config", help="TrainConfig JSON")
     p.add_argument("--out", required=True, help="output MDL1 model")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("transfer", help="convert MDL1 into a deployed CNN1")
     p.add_argument("--model", required=True, help="MDL1 model")
     p.add_argument("--out", required=True, help="output CNN1 network")
-    p.add_argument("--check-patches", type=int, default=20,
-                   help="random patches for the equivalence check")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_transfer)
 
     p = sub.add_parser("infer", help="dense maps for a scene")
     p.add_argument("--net", required=True, help="CNN1 network")
     p.add_argument("--scene", required=True, help="scene PAT1")
     p.add_argument("--out", required=True, help="output map directory")
-    p.add_argument("--masks", help="optional mask PAT1 (u8; 1 or 3 bands)")
+    p.add_argument("--masks", help="optional cloud mask PAT1 (u8, 1 band)")
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("alert", help="threshold maps into alert messages")
@@ -432,25 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="output QuantReport JSON")
-    p.add_argument("--check-patches", type=int, default=8)
-    p.add_argument("--threshold", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_quantize)
 
     p = sub.add_parser("bench", help="inference latency benchmark")
     p.add_argument("--net", required=True)
     p.add_argument("--patches", help="chip directory (random patches if omitted)")
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--warmup", type=int, default=5)
     p.add_argument("--report", help="output BenchReport JSON")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser("plot", help="render a map PAT1 as a grayscale PGM")
-    p.add_argument("--map", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--band", type=int, default=0)
-    p.set_defaults(fn=cmd_plot)
 
     return parser
 

@@ -53,6 +53,13 @@ from .errors import DimensionError, FormatError, NumericError, TransferError
 from .mlp import BN_EPS, MLPParams, forward
 from .raster import WINDOW, BandStack, GeoRef, Patch, window_average
 
+# The transfer certificate: the largest deviation it accepts, in physical
+# units, and the random patches it is checked on. CHECK_SEED draws the check
+# patches of this gate and of quantbench's fp16 gate.
+EQUIVALENCE_TOL = 1e-4
+EQUIVALENCE_CHECK_PATCHES = 20
+CHECK_SEED = 0
+
 
 @dataclass
 class ConvLayer:
@@ -80,7 +87,7 @@ class ConvNet:
     the same for every network: depthwise, kernel ``WINDOW x WINDOW``,
     stride ``WINDOW``, every weight exactly ``1 / WINDOW**2``, bias 0,
     untrainable. No layer after it changes the spatial dimensions. Every
-    layer but the last applies ReLU.
+    layer but the last applies ReLU, and the last emits the one map.
     """
 
     layers: list[ConvLayer]
@@ -98,6 +105,8 @@ class ConvNet:
             width = layer.kernel.shape[0]
             if layer.bias.shape != (width,):
                 raise TransferError(f"layer {k + 1}: bias shape mismatch")
+        if width != 1:
+            raise TransferError(f"the last layer emits {width} channels, not 1")
         if self.dtype not in ("f32", "f16"):
             raise ValueError(f"unknown dtype {self.dtype!r}")
 
@@ -228,7 +237,6 @@ def verify_equivalence(
     stats: NormStats,
     net: ConvNet,
     patches: list[Patch],
-    tol: float = 1e-4,
 ) -> EquivalenceReport:
     """Certify ConvNet(P)[w] == FC(mean window w of P) over all patches.
 
@@ -237,8 +245,8 @@ def verify_equivalence(
     runs independently (standardization, eval-mode forward,
     de-standardization). The served float32 stack (``infer_patch``) is
     measured against the same FC values and reported, not gated.
-    Deviations are in physical units. An empty patch list passes vacuously
-    with n = 0 flagged.
+    Deviations are in physical units; the gate is ``EQUIVALENCE_TOL``. An
+    empty patch list passes vacuously with n = 0 flagged.
     """
     max_dev = 0.0
     served_max = 0.0
@@ -267,8 +275,8 @@ def verify_equivalence(
         served_max_abs_deviation=served_max,
         n_patches=len(patches),
         n_cells=n_cells,
-        tol=tol,
-        passed=(max_dev <= tol) if n_cells else True,
+        tol=EQUIVALENCE_TOL,
+        passed=(max_dev <= EQUIVALENCE_TOL) if n_cells else True,
         vacuous=n_cells == 0,
         worst=worst,
     )

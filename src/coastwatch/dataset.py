@@ -10,7 +10,7 @@ degrees):
 ``parameter`` is one of ``turbidity_NTU`` or ``pH``. Matching pairs a
 surface record with the patch whose center is nearest, provided the record
 falls inside the patch footprint (608 m half-extent per axis) and the
-acquisition date is within the temporal tolerance (3 days by default).
+acquisition date is within ``MATCH_TOLERANCE_DAYS`` (3 days).
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from .errors import SchemaError
 from .raster import (PATCH_SIZE, WINDOW, BandStack, GeoRef, Patch,
                      meters_per_degree, window_average)
 from .sensor import PARAMETERS, PH, TURBIDITY, SceneTruth
+
+# the station match's temporal window: +-3 days around the acquisition
+MATCH_TOLERANCE_DAYS = 3
 
 CSV_COLUMNS = (
     "station_id", "municipality", "location_name", "distance_from_coast_m",
@@ -189,13 +192,12 @@ def locate_window(georef: GeoRef, gsd: float, lat: float,
 def match(
     records: list[InSituRecord],
     patch_catalog: list[Patch],
-    tolerance_days: int = 3,
 ) -> MatchResult:
     """Join surface records to patches in space and time.
 
     A record matches the catalog patch whose center is nearest (and whose
     footprint contains the record), with acquisition date within
-    ``tolerance_days``. Distance ties are broken by nearest acquisition
+    ``MATCH_TOLERANCE_DAYS``. Distance ties are broken by nearest acquisition
     date, then by catalog order. Unmatched records are reported, not fatal.
     Output does not depend on record ordering beyond per-record results.
     """
@@ -216,7 +218,7 @@ def match(
         east = np.abs((lon - georef.center_lon) * m_lon)
         half = patch.raster.width / 2 * patch.raster.gsd
         dist = np.maximum(north, east)
-        better = ((days <= tolerance_days) & (north <= half) & (east <= half)
+        better = ((days <= MATCH_TOLERANCE_DAYS) & (north <= half) & (east <= half)
                   & ((dist < best_dist)
                      | ((dist == best_dist) & (days < best_days))))
         best_dist[better] = dist[better]

@@ -21,10 +21,6 @@ class InconsistencyError(CoastwatchError, ValueError):
     """Related inputs disagree, e.g. grid count does not match tile placements."""
 
 
-class SingularContextError(CoastwatchError, ValueError):
-    """A radiometric conversion is not invertible for the given context."""
-
-
 class TransferError(CoastwatchError, RuntimeError):
     """Weight transfer cannot proceed, e.g. batch-norm statistics missing."""
 

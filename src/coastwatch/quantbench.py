@@ -2,9 +2,11 @@
 
 The flight accelerator is emulated numerically: parameters are rounded to
 IEEE-754 binary16 (round-to-nearest-even) and held as float32, both
-networks run the float32 stack they are served with, model size is
-measured on the serialized deployed file, and inference latency is a desk
-benchmark of the float32 served path on the local host. The flight
+networks run the float32 stack they are served with, model size is the
+byte size of a CNN1 file, and inference latency is a desk benchmark of the
+float32 served path on the local host. ``compare_quantized`` serializes
+each network without a certificate; the ``quantize`` command reports the
+sizes of the files it reads and writes. The flight
 reference figures (40.5 ms per inference, 24 FPS on the mission VPU;
 250 MB mission size ceiling) ride along as metadata and are never an
 acceptance gate for desk hardware.
@@ -24,6 +26,14 @@ from .convnet import (ConvNet, _served_means, _stack_on_means, cnn1_bytes,
                       infer_patch)
 from .errors import NumericError
 from .raster import Patch
+
+# The fp16 gate: the largest map deviation it accepts, in physical units,
+# and the random patches it is checked on (drawn with convnet.CHECK_SEED).
+FP16_THRESHOLD = 0.05
+FP16_CHECK_PATCHES = 8
+# bench's untimed and timed single-patch inferences
+BENCH_WARMUP = 5
+BENCH_REPS = 100
 
 MISSION_SIZE_LIMIT_BYTES = 250 * 1024 * 1024
 REFERENCE_VPU = {
@@ -73,13 +83,12 @@ def compare_quantized(
     net32: ConvNet,
     net16: ConvNet,
     patches: list[Patch],
-    threshold: float = 0.05,
 ) -> QuantReport:
     """Per-cell deviation statistics between the two precisions.
 
     Both networks run as served, in float32, on one set of window means per
     patch (``infer_patch``'s); deviations are in physical units. ``passed``
-    gates on the maximum deviation.
+    gates the maximum deviation on ``FP16_THRESHOLD``.
     """
     if not patches:
         raise ValueError("need at least one patch to compare")
@@ -100,8 +109,8 @@ def compare_quantized(
         max_map_deviation=max_dev,
         mean_map_deviation=total / cells,
         patches_tested=len(patches),
-        threshold=threshold,
-        passed=max_dev < threshold,
+        threshold=FP16_THRESHOLD,
+        passed=max_dev < FP16_THRESHOLD,
     )
 
 
@@ -126,26 +135,20 @@ def _hardware_descriptor() -> str:
     return f"{info.system} {info.machine} ({cpu}), python {platform.python_version()}, numpy {np.__version__}"
 
 
-def bench(
-    net: ConvNet,
-    patches: list[Patch],
-    warmup: int = 5,
-    reps: int = 100,
-) -> BenchReport:
+def bench(net: ConvNet, patches: list[Patch]) -> BenchReport:
     """Wall-clock per single-patch inference (``infer_patch``, the float32
-    served path); median and p95 over ``reps``.
+    served path); median and p95 over ``BENCH_REPS`` timed runs after
+    ``BENCH_WARMUP`` untimed ones.
 
     The workload is deterministic (patches cycled in order); only the timing
     is nondeterministic. FPS is 1000 / median by definition.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     if not patches:
         raise ValueError("need at least one patch to benchmark")
-    for i in range(warmup):
+    for i in range(BENCH_WARMUP):
         infer_patch(net, patches[i % len(patches)])
-    times_ms = np.empty(reps)
-    for i in range(reps):
+    times_ms = np.empty(BENCH_REPS)
+    for i in range(BENCH_REPS):
         patch = patches[i % len(patches)]
         t0 = time.perf_counter()
         infer_patch(net, patch)
@@ -156,8 +159,8 @@ def bench(
         ms_p95=float(np.percentile(times_ms, 95)),
         fps=1000.0 / median,
         patches=len(patches),
-        reps=reps,
-        warmup=warmup,
+        reps=BENCH_REPS,
+        warmup=BENCH_WARMUP,
         hardware_descriptor=_hardware_descriptor(),
         reference=dict(REFERENCE_VPU),
     )

@@ -160,9 +160,6 @@ class BandStack:
         return cls(width=width, height=height, bands=bands, gsd=gsd,
                    data=data, band_ids=band_ids)
 
-    def band(self, band_id: str) -> np.ndarray:
-        return self.data[self.band_ids.index(band_id)]
-
 
 @dataclass
 class Patch:
@@ -202,9 +199,10 @@ class TileIndex:
     """Row-major placement record produced by :func:`tile_scene`.
 
     ``placements`` holds ``(patch_row_origin, patch_col_origin)`` pixel
-    origins into the source scene, stride ``patch_size``, zero overlap:
-    each is a distinct multiple of ``patch_size`` whose patch lies inside
-    the scene. ``gsd`` is the scene's pitch.
+    origins into the source scene, stride ``patch_size``, zero overlap: they
+    are the cells of the scene's patch grid (the ``tiles_down`` x
+    ``tiles_across`` patches anchored at the north-west corner), each once,
+    in any order. ``gsd`` is the scene's pitch.
     """
 
     scene_width: int
@@ -217,14 +215,13 @@ class TileIndex:
         if not self.gsd > 0:
             raise DimensionError(f"gsd must be positive, got {self.gsd}")
         ps = self.patch_size
-        for r0, c0 in self.placements:
-            if (r0 % ps or c0 % ps or not 0 <= r0 <= self.scene_height - ps
-                    or not 0 <= c0 <= self.scene_width - ps):
-                raise InconsistencyError(
-                    f"placement {[r0, c0]} is no {ps} px grid cell inside the "
-                    f"{self.scene_width}x{self.scene_height} scene")
-        if len(set(self.placements)) != len(self.placements):
-            raise InconsistencyError("placements repeat a grid cell")
+        grid = [(r0, c0) for r0 in range(0, self.tiles_down * ps, ps)
+                for c0 in range(0, self.tiles_across * ps, ps)]
+        if sorted(self.placements) != grid:
+            raise InconsistencyError(
+                f"placements {[list(p) for p in self.placements]} are no "
+                f"permutation of the {len(grid)} cells of the {ps} px grid "
+                f"over the {self.scene_width}x{self.scene_height} scene")
 
     @property
     def tiles_down(self) -> int:

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import convolve1d
 
-from .errors import (DimensionError, SchemaError, SingularContextError, check_document,
-                     is_json_kind)
+from .errors import DimensionError, SchemaError, check_document, is_json_kind
 from .raster import (
     MS_BAND_IDS,
     PRODUCT_GSD,
@@ -45,9 +44,10 @@ TURBIDITY = "turbidity_NTU"
 PH = "pH"
 PARAMETERS = (TURBIDITY, PH)
 
-# Nominal exo-atmospheric solar irradiance at the band centers, W m-2 um-1.
-# Used only as a default context; the radiance conversion is exactly
-# invertible for any positive values.
+# Nominal exo-atmospheric solar irradiance at the band centers, W m-2 um-1,
+# the irradiances of every radiometric conversion. All are positive, so with
+# a zenith in [0, 90) and a distance in [0.98, 1.02] AU the conversion is
+# invertible for every valid SolarContext.
 DEFAULT_ESUN = (1950.0, 1820.0, 1510.0, 1410.0, 1300.0, 1170.0, 960.0)
 
 
@@ -67,13 +67,10 @@ def _schema(what: str):
 class SolarContext:
     """Solar metadata required for the reflectance/radiance conversions."""
 
-    esun_per_band: tuple[float, ...] = DEFAULT_ESUN
     earth_sun_distance: float = 1.0   # astronomical units
     solar_zenith: float = 0.0         # degrees
 
     def __post_init__(self):
-        if any(e <= 0 for e in self.esun_per_band):
-            raise SchemaError("esun must be positive for every band")
         if not 0.98 <= self.earth_sun_distance <= 1.02:
             raise SchemaError("earth-sun distance outside [0.98, 1.02] AU")
         if not 0.0 <= self.solar_zenith < 90.0:
@@ -164,13 +161,8 @@ def _snr(value) -> float:
 
 def _radiometric_scale(ctx: SolarContext, band: int) -> float:
     """esun_b * cos(theta_s) / (pi d^2): radiance per unit reflectance."""
-    esun = ctx.esun_per_band[band]
-    scale = esun * ctx.cos_zenith / (math.pi * ctx.earth_sun_distance**2)
-    if scale <= 0.0 or not math.isfinite(scale):
-        raise SingularContextError(
-            f"non-invertible solar context for band {band}: scale={scale}"
-        )
-    return scale
+    return (DEFAULT_ESUN[band] * ctx.cos_zenith
+            / (math.pi * ctx.earth_sun_distance**2))
 
 
 def reflectance_to_radiance(rho, ctx: SolarContext, band: int):
@@ -184,8 +176,9 @@ def reflectance_to_radiance(rho, ctx: SolarContext, band: int):
 
 def scene_to_radiance(scene: BandStack, ctx: SolarContext) -> BandStack:
     """Float64 radiance from a reflectance raster, band by band."""
-    if len(ctx.esun_per_band) < scene.bands:
-        raise DimensionError("solar context has fewer esun entries than bands")
+    if len(DEFAULT_ESUN) < scene.bands:
+        raise DimensionError(f"scene has {scene.bands} bands, DEFAULT_ESUN "
+                             f"covers {len(DEFAULT_ESUN)}")
     out = np.empty_like(scene.data, dtype=np.float64)
     for b in range(scene.bands):
         out[b] = reflectance_to_radiance(scene.data[b], ctx, b)

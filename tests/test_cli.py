@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coastwatch import _container, alerting, cli, convnet, dataset, mlp, raster, sensor
+from coastwatch import (_container, alerting, cli, convnet, dataset, mlp, quantbench,
+                        raster, sensor)
 
 SIZE = 512
 SEED = 3
@@ -58,8 +60,7 @@ def test_seven_command_chain(inputs, capsys):
          "--patches", d / "sim" / "chips", "--out", d / "samples.smp1"],
         ["train", "--samples", d / "samples.smp1", "--parameter", "turbidity",
          "--config", d / "train.json", "--out", d / "model.mdl1"],
-        ["transfer", "--model", d / "model.mdl1", "--out", d / "net.cnn1",
-         "--check-patches", 2],
+        ["transfer", "--model", d / "model.mdl1", "--out", d / "net.cnn1"],
         ["infer", "--net", d / "net.cnn1", "--scene", d / "sim" / "scene.pat1",
          "--out", d / "maps", "--masks", d / "mask.pat1"],
         ["alert", "--maps", d / "maps", "--policy", d / "policy.json",
@@ -103,10 +104,12 @@ def test_seven_command_chain(inputs, capsys):
 
     # quantize's exit code is its fp16 deviation gate
     code = cli.main(["quantize", "--net", str(d / "net.cnn1"),
-                     "--out", str(d / "net16.cnn1"),
-                     "--report", str(d / "quant.json"), "--check-patches", "2"])
+                     "--out", str(d / "net16.cnn1"), "--report", str(d / "quant.json")])
     quant = json.loads((d / "quant.json").read_text())
     assert code == (0 if quant["passed"] else 1)
+    # the sizes are those of the deployed files, the certificate included
+    assert quant["model_bytes_fp32"] == (d / "net.cnn1").stat().st_size
+    assert quant["model_bytes_fp16"] == (d / "net16.cnn1").stat().st_size
     assert quant["model_bytes_fp16"] < quant["model_bytes_fp32"]
 
 
@@ -136,14 +139,14 @@ MAP_INDEX_DOC = {
 MAP_INDEX = json.dumps(MAP_INDEX_DOC).encode()
 POLICY = json.dumps({"parameter": sensor.TURBIDITY, "upper_bound": 10.0}).encode()
 ALERT = ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"]
+GEOREF = raster.GeoRef(44.0, 9.0, sensor.SceneSpec().date)
 
 
 def alert_maps(placements=([0, 0],), **index) -> dict:
     """A readable map directory for ``alert``: one map per placement, each
     recording its own, and an index with ``index``."""
-    georef = raster.GeoRef(44.0, 9.0, sensor.SceneSpec().date)
     names = [f"map{k}.pat1" for k in range(len(placements))]
-    files = {f"maps/{name}": pat1(MAP, georef=georef, extra={"placement": placement})
+    files = {f"maps/{name}": pat1(MAP, georef=GEOREF, extra={"placement": placement})
              for name, placement in zip(names, placements)}
     doc = {**MAP_INDEX_DOC, "maps": names, **index}
     return {"maps/index.json": json.dumps(doc).encode(), **files, "policy.json": POLICY}
@@ -155,6 +158,17 @@ def cnn1() -> bytes:
     params.bn_stats_tracked = True
     stats = dataset.NormStats(np.full(7, 0.2), np.full(7, 0.05), 5.0, 2.0)
     return convnet.cnn1_bytes(convnet.fc_to_cnn(params, stats, sensor.TURBIDITY))
+
+
+def cnn1_of_two_outputs() -> bytes:
+    """A CNN1 file of one 7 -> 2 layer, which no ``ConvNet`` takes."""
+    buffer = io.BytesIO()
+    manifest = {"format": "CNN1", "window": raster.WINDOW, "channels": [7, 2],
+                "dtype": "f32", "parameter": sensor.TURBIDITY, "equivalence": None}
+    _container.write(buffer, b"CNN1", manifest,
+                     [np.ones((2, 7), np.float32), np.zeros(2, np.float32)],
+                     np.dtype("<f4"))
+    return buffer.getvalue()
 
 
 SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.75)
@@ -174,14 +188,10 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
      ["train", "--samples", "s.smp1", "--parameter", "turbidity", "--out", "m.mdl1"],
      "s.smp1"),
     ({}, ["transfer", "--model", "m.mdl1", "--out", "net.cnn1",
-          "--check-patches", "0"], "--check-patches"),
+          "--check-patches", "0"], "unrecognized arguments: --check-patches 0"),
     ({}, ["quantize", "--net", "net.cnn1", "--out", "net16.cnn1",
-          "--check-patches", "0"], "--check-patches"),
-    ({}, ["bench", "--net", "net.cnn1", "--reps", "0"], "--reps"),
-    ({"map.pat1": pat1(MAP)}, ["plot", "--map", "map.pat1", "--out", "map.pgm",
-                               "--band", "9"], "--band 9"),
-    ({"map.pat1": pat1(MAP)}, ["plot", "--map", "map.pat1", "--out", "map.pgm",
-                               "--band", "-1"], "--band -1"),
+          "--check-patches", "0"], "unrecognized arguments: --check-patches 0"),
+    ({}, ["bench", "--net", "net.cnn1", "--reps", "0"], "unrecognized arguments: --reps 0"),
     ({"spec.json": b'{"degrade": {"mtf": 2}}'},
      ["simulate", "--spec", "spec.json", "--out", "sim"], "mtf"),
     ({"maps/index.json": MAP_INDEX,
@@ -206,7 +216,7 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
      "min_exceed_fracton"),
     ({"train.json": b"[]"},
      ["train", "--samples", "s.smp1", "--parameter", "ph", "--config", "train.json",
-      "--out", "m.mdl1", "--seed", "1"], "train config must be a JSON object"),
+      "--out", "m.mdl1"], "train config must be a JSON object"),
     ({"train.json": b'{"epochs": "3"}'},
      ["train", "--samples", "s.smp1", "--parameter", "ph", "--config", "train.json",
       "--out", "m.mdl1"], "train config epochs must be an integer"),
@@ -250,19 +260,24 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
      "map index maps/index.json maps must be a list of strings"),
     (alert_maps(placements=[[0]]), ALERT,
      "maps/map0.pat1: placement must be an integer [row, col] pair, got [0]"),
-    (alert_maps(placements=[[9999, 0]]), ALERT, "placement [9999, 0] is no 256 px"),
-    (alert_maps(placements=[[-256, 0]]), ALERT, "placement [-256, 0] is no 256 px"),
-    (alert_maps(scene_width=10), ALERT, "inside the 10x256 scene"),
+    (alert_maps(placements=[[9999, 0]]), ALERT,
+     "placements [[9999, 0]] are no permutation of the 1 cells"),
+    (alert_maps(placements=[[-256, 0]]), ALERT,
+     "placements [[-256, 0]] are no permutation of the 1 cells"),
+    (alert_maps(scene_width=10), ALERT,
+     "placements [[0, 0]] are no permutation of the 0 cells of the 256 px grid "
+     "over the 10x256 scene"),
     ({**alert_maps(), "maps/index.json": json.dumps(
         {**MAP_INDEX_DOC, "maps": ["map0.pat1"], "patch_size": 256,
          "placements": [[0, 0]]}).encode()},
      ALERT, "unknown map index maps/index.json keys: patch_size, placements"),
     (alert_maps(gsd=0), ALERT, "gsd must be positive"),
-    (alert_maps(placements=[[10, 0]]), ALERT, "placement [10, 0] is no 256 px"),
+    (alert_maps(placements=[[10, 0]]), ALERT,
+     "placements [[10, 0]] are no permutation of the 1 cells"),
     (alert_maps(scene_width=512, placements=[[0, 256], [0, 256]]), ALERT,
-     "placements repeat"),
-    ({"maps/index.json": MAP_INDEX, "maps/map.pat1": pat1(MAP, georef=raster.GeoRef(
-        44.0, 9.0, sensor.SceneSpec().date)), "policy.json": POLICY},
+     "placements [[0, 256], [0, 256]] are no permutation of the 2 cells"),
+    ({"maps/index.json": MAP_INDEX, "maps/map.pat1": pat1(MAP, georef=GEOREF),
+      "policy.json": POLICY},
      ALERT, "maps/map.pat1: placement must be an integer [row, col] pair, got None"),
     (alert_maps(placements=[[0, 2.5]]), ALERT,
      "maps/map0.pat1: placement must be an integer [row, col] pair, got [0, 2.5]"),
@@ -274,9 +289,37 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
     ({"net.cnn1": cnn1(), "scene.pat1": pat1(SCENE)},
      ["infer", "--net", "net.cnn1", "--scene", "scene.pat1", "--out", "maps",
       "--cloud-fraction", "0.3"], "unrecognized arguments: --cloud-fraction 0.3"),
+    ({**alert_maps(scene_width=512, placements=[[0, 0], [0, 256]]),
+      "maps/index.json": json.dumps({**MAP_INDEX_DOC, "scene_width": 512,
+                                     "maps": ["map0.pat1"]}).encode()},
+     ALERT, "placements [[0, 0]] are no permutation of the 2 cells"),
+    ({"net.cnn1": cnn1_of_two_outputs(), "scene.pat1": pat1(SCENE, georef=GEOREF)},
+     ["infer", "--net", "net.cnn1", "--scene", "scene.pat1", "--out", "maps"],
+     "net.cnn1: the last layer emits 2 channels, not 1"),
+    ({"net.cnn1": cnn1(), "scene.pat1": pat1(SCENE, georef=GEOREF),
+      "mask.pat1": pat1(raster.BandStack.from_array(np.zeros((3, 256, 256), np.uint8),
+                                                    4.75))},
+     ["infer", "--net", "net.cnn1", "--scene", "scene.pat1", "--out", "maps",
+      "--masks", "mask.pat1"], "mask.pat1: a mask raster has 1 (cloud) band, not 3"),
+    ({}, ["plot", "--map", "map.pat1", "--out", "map.pgm"], "invalid choice: 'plot'"),
+    ({}, ["build-dataset", "--records", "r.csv", "--patches", "chips", "--out",
+          "s.smp1", "--tolerance-days", "3"], "unrecognized arguments: --tolerance-days 3"),
+    ({}, ["train", "--samples", "s.smp1", "--parameter", "ph", "--out", "m.mdl1",
+          "--seed", "1"], "unrecognized arguments: --seed 1"),
+    ({}, ["transfer", "--model", "m.mdl1", "--out", "net.cnn1", "--tol", "1e-3"],
+     "unrecognized arguments: --tol 1e-3"),
+    ({}, ["transfer", "--model", "m.mdl1", "--out", "net.cnn1", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    ({}, ["quantize", "--net", "net.cnn1", "--out", "net16.cnn1", "--threshold", "1"],
+     "unrecognized arguments: --threshold 1"),
+    ({}, ["quantize", "--net", "net.cnn1", "--out", "net16.cnn1", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    ({}, ["bench", "--net", "net.cnn1", "--warmup", "0"],
+     "unrecognized arguments: --warmup 0"),
+    ({}, ["bench", "--net", "net.cnn1", "--seed", "1"], "unrecognized arguments: --seed 1"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
-        "plot_band_past_last", "plot_negative_band", "simulate_bad_degrade",
+        "simulate_bad_degrade",
         "alert_map_without_georef", "infer_scene_without_georef",
         "simulate_spec_not_an_object", "simulate_unknown_solar_key",
         "simulate_unknown_degrade_key", "alert_policy_not_an_object",
@@ -295,7 +338,11 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
         "alert_index_zero_gsd", "alert_index_placement_off_grid",
         "alert_index_duplicate_placement", "alert_map_without_placement",
         "alert_map_fractional_placement", "alert_policy_nan_bound",
-        "alert_policy_cloud_fraction_key", "infer_cloud_fraction_option"])
+        "alert_policy_cloud_fraction_key", "infer_cloud_fraction_option",
+        "alert_index_missing_map", "infer_cnn1_of_two_outputs",
+        "infer_three_band_mask", "plot_no_command", "build_dataset_no_tolerance_days",
+        "train_no_seed", "transfer_no_tol", "transfer_no_seed", "quantize_no_threshold",
+        "quantize_no_seed", "bench_no_warmup", "bench_no_seed"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)
@@ -313,8 +360,7 @@ def test_alert_on_a_scene_whose_id_overflows_the_message_exits_2(tmp_path, capsy
     """The scene id is the scene file's stem; 40 non-ASCII characters take
     240 bytes in the serialized alert, so ``alert`` refuses the message."""
     scene = tmp_path / f"{'é' * 40}.pat1"
-    raster.write_pat1(scene, SCENE,
-                      georef=raster.GeoRef(44.0, 9.0, sensor.SceneSpec().date))
+    raster.write_pat1(scene, SCENE, georef=GEOREF)
     (tmp_path / "net.cnn1").write_bytes(cnn1())
     (tmp_path / "policy.json").write_text(json.dumps(
         {"parameter": sensor.TURBIDITY, "upper_bound": -1e30}))  # every cell alerts
@@ -327,3 +373,42 @@ def test_alert_on_a_scene_whose_id_overflows_the_message_exits_2(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: scene id is 240 bytes")
     assert not out.exists()
+
+
+def test_bench_times_the_served_path_on_random_patches(tmp_path, capsys):
+    (tmp_path / "net.cnn1").write_bytes(cnn1())
+    out = tmp_path / "bench.json"
+    assert cli.main(["bench", "--net", str(tmp_path / "net.cnn1"),
+                     "--report", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("bench: median ")
+    report = json.loads(out.read_text())
+    assert report["fps"] == 1000 / report["ms_per_inference"]
+    assert report["ms_p95"] >= report["ms_per_inference"]
+    assert (report["reps"], report["warmup"]) == (quantbench.BENCH_REPS,
+                                                  quantbench.BENCH_WARMUP)
+    assert report["reference"] == quantbench.REFERENCE_VPU
+    assert report["patches"] == 4
+
+
+# Every option of every command. A new knob shows up here as a diff: it
+# needs two callers that set different values, or it is a constant.
+COMMAND_OPTIONS = {
+    "simulate": ["--out", "--seed", "--spec"],
+    "build-dataset": ["--out", "--patches", "--records"],
+    "train": ["--config", "--out", "--parameter", "--samples"],
+    "transfer": ["--model", "--out"],
+    "infer": ["--masks", "--net", "--out", "--scene"],
+    "alert": ["--maps", "--mosaic", "--out", "--policy"],
+    "quantize": ["--net", "--out", "--report"],
+    "bench": ["--net", "--patches", "--report"],
+}
+
+
+def test_each_command_takes_exactly_the_options_of_the_table():
+    parser = cli.build_parser()
+    (commands,) = [action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {name: sorted(option for action in command._actions
+                            if action.dest != "help" for option in action.option_strings)
+               for name, command in commands.choices.items()}
+    assert options == COMMAND_OPTIONS

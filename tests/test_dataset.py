@@ -240,7 +240,7 @@ class TestMatch:
             )
             for i in range(50)
         ]
-        result = match(records, patches, tolerance_days=3)
+        result = match(records, patches)
 
         # oracle: exhaustive pairwise check
         expected = {}

@@ -1,14 +1,13 @@
 import datetime as dt
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from coastwatch import alerting, sensor
 from coastwatch.convnet import ConvLayer, ConvNet
-from coastwatch.errors import DimensionError, SchemaError, SingularContextError
+from coastwatch.errors import DimensionError, SchemaError
 from coastwatch.raster import BandStack, GeoRef, tile_scene, window_average
 from coastwatch.sensor import (
     PH,
@@ -48,7 +47,7 @@ class TestRadiometry:
     def test_analytic_inversion_to_one(self):
         # rho = pi / esun_b with zenith 0 and d = 1 gives L = 1
         ctx = SolarContext(solar_zenith=0.0, earth_sun_distance=1.0)
-        rho = math.pi / ctx.esun_per_band[2]
+        rho = math.pi / sensor.DEFAULT_ESUN[2]
         assert reflectance_to_radiance(rho, ctx, 2) == pytest.approx(1.0)
 
     def test_roundtrip_random_grid(self):
@@ -62,17 +61,6 @@ class TestRadiometry:
     def test_singular_context_rejected_at_construction(self):
         with pytest.raises(ValueError):
             SolarContext(solar_zenith=90.0)
-        with pytest.raises(ValueError):
-            SolarContext(esun_per_band=(0.0,) * 7)
-
-    def test_singular_context_error_in_op(self):
-        # a duck-typed context that bypasses construction-time validation
-        ctx = SimpleNamespace(esun_per_band=(0.0,) * 7, earth_sun_distance=1.0,
-                              cos_zenith=1.0)
-        with pytest.raises(SingularContextError):
-            sensor._to_reflectance(np.ones((1, 2, 2)), ctx)
-        with pytest.raises(SingularContextError):
-            reflectance_to_radiance(1.0, ctx, 0)
 
 
 class TestResample:
