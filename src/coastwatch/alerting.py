@@ -19,7 +19,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import ClassVar
 
@@ -155,7 +155,10 @@ def threshold(cmap: ContaminantMap, policy: ThresholdPolicy) -> AlertMap:
 
 @dataclass
 class AlertMessage:
-    """Compact downlink record for one alerting patch; no raster inside."""
+    """Compact downlink record for one alerting patch; no raster inside.
+
+    The field order below is the wire order of ``serialize_alert``.
+    """
 
     scene_id: str
     lat: float
@@ -179,14 +182,6 @@ class AlertMessage:
                               f"{MAX_SCENE_ID_BYTES}: {self.scene_id!r}")
         if self.exceed_count <= 0:
             raise ValueError("alert messages require at least one violation")
-
-
-# serialization writes fields in this fixed order
-_ALERT_FIELDS = (
-    "scene_id", "lat", "lon", "acquired", "parameter", "policy_id",
-    "exceed_count", "exceed_fraction", "invalid_count",
-    "violating_min", "violating_max", "violating_mean", "timestamp",
-)
 
 
 def make_message(
@@ -228,11 +223,12 @@ def _utc_now() -> str:
 
 
 def serialize_alert(msg: AlertMessage) -> bytes:
-    """Canonical single-line JSON record, fixed field order, <= 512 bytes."""
+    """Canonical single-line JSON record, ``AlertMessage``'s field order,
+    <= 512 bytes."""
     doc = {}
-    for name in _ALERT_FIELDS:
-        value = getattr(msg, name)
-        doc[name] = value.isoformat() if isinstance(value, dt.date) else value
+    for field in fields(msg):
+        value = getattr(msg, field.name)
+        doc[field.name] = value.isoformat() if isinstance(value, dt.date) else value
     line = json.dumps(doc, separators=(",", ":")).encode()
     if len(line) > MAX_ALERT_BYTES:
         raise ValueError(f"serialized alert is {len(line)} bytes > {MAX_ALERT_BYTES}")

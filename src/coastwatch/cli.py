@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,16 +43,16 @@ from .errors import CoastwatchError, SchemaError, check_document, is_json_kind
 
 # not an option: the benchmark reads the fraction here
 INVALID_CLOUD_FRACTION = alerting.CLOUD_INVALID_FRACTION
+# keyed by the lowercased name, so any case of a name is accepted
 PARAM_ALIASES = {
     "turbidity": sensor.TURBIDITY, "turbidity_ntu": sensor.TURBIDITY,
-    sensor.TURBIDITY: sensor.TURBIDITY,
-    "ph": sensor.PH, sensor.PH: sensor.PH,
+    "ph": sensor.PH,
 }
 
 
 def _parameter(name: str) -> str:
     try:
-        return PARAM_ALIASES[name.lower() if name != "pH" else name]
+        return PARAM_ALIASES[name.lower()]
     except KeyError:
         raise CoastwatchError(f"unknown parameter {name!r}") from None
 
@@ -157,6 +156,14 @@ def cmd_train(args) -> int:
         raise CoastwatchError(f"no {parameter} samples in {args.samples}")
 
     splits = dataset.split(samples, dataset.SplitSpec(seed=config.seed))
+    # every split is used, and batch-norm needs two train samples for a
+    # positive variance
+    n_train, n_test, n_val = map(len, (splits.train, splits.test, splits.val))
+    if n_train < 2 or not n_test or not n_val:
+        raise CoastwatchError(
+            f"{len(samples)} {parameter} samples in {args.samples} split "
+            f"{n_train}/{n_test}/{n_val} (train/test/val); training needs at "
+            f"least 2/1/1")
     train_n, stats = dataset.normalize(splits.train)
     val_n, _ = dataset.normalize(splits.val, stats)
     test_n, _ = dataset.normalize(splits.test, stats)
@@ -315,13 +322,13 @@ def cmd_quantize(args) -> int:
                                     seed=convnet.CHECK_SEED)
     report = quantbench.compare_quantized(net, net16, patches)
     convnet.save_cnn1(args.out, net16)
-    # the sizes of the files read and written, certificate included
-    report = replace(report, model_bytes_fp32=Path(args.net).stat().st_size,
-                     model_bytes_fp16=Path(args.out).stat().st_size)
+    # model sizes are those of the files read and written, certificate included
+    sizes = {"model_bytes_fp32": Path(args.net).stat().st_size,
+             "model_bytes_fp16": Path(args.out).stat().st_size}
     if args.report:
-        quantbench.write_report(args.report, report)
+        quantbench.write_report(args.report, {**sizes, **report.to_json()})
     status = "ok" if report.passed else "DEVIATION ABOVE THRESHOLD"
-    print(f"quantize: {report.model_bytes_fp32} -> {report.model_bytes_fp16} "
+    print(f"quantize: {sizes['model_bytes_fp32']} -> {sizes['model_bytes_fp16']} "
           f"bytes, max map deviation {report.max_map_deviation:.3e} ({status}) "
           f"-> {args.out}")
     return 0 if report.passed else 1
@@ -335,7 +342,7 @@ def cmd_bench(args) -> int:
         patches = raster.random_patches(4, seed=convnet.CHECK_SEED)
     report = quantbench.bench(net, patches)
     if args.report:
-        quantbench.write_report(args.report, report)
+        quantbench.write_report(args.report, report.to_json())
     print(f"bench: median {report.ms_per_inference:.1f} ms/inference "
           f"(p95 {report.ms_p95:.1f} ms, {report.fps:.1f} FPS) on "
           f"{report.hardware_descriptor}; mission reference "

@@ -3,10 +3,10 @@
 The deployed network reproduces the regression pipeline as convolutions: a
 fixed front layer averages each band over non-overlapping 10x10 windows
 (depthwise, kernel weight 1/100, untrainable), and every fully-connected
-layer becomes a 1x1 convolution over the resulting 25x25 grid. The window
-is the package constant ``raster.WINDOW``, not a property of a network: a
-CNN1 file records it and the loader refuses any other. The conversion is
-exact in eval mode:
+layer becomes a 1x1 convolution over the resulting ``raster.GRID`` x
+``GRID`` grid. The window is the package constant ``raster.WINDOW``, not a
+property of a network: a CNN1 file records it and the loader refuses any
+other. The conversion is exact in eval mode:
 
 * batch-norm is folded into the preceding layer's kernel and bias
   (w' = w * gamma / sqrt(var + eps), b' = (b - mean) * gamma /
@@ -41,7 +41,6 @@ arithmetic; the served route's own deviation is reported beside it.
 
 from __future__ import annotations
 
-import io
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -51,7 +50,7 @@ from . import _container
 from .dataset import NormStats
 from .errors import DimensionError, FormatError, NumericError, TransferError
 from .mlp import BN_EPS, MLPParams, forward
-from .raster import WINDOW, BandStack, GeoRef, Patch, window_average
+from .raster import GRID, WINDOW, BandStack, GeoRef, Patch, window_average
 
 # The transfer certificate: the largest deviation it accepts, in physical
 # units, and the random patches it is checked on. CHECK_SEED draws the check
@@ -120,7 +119,8 @@ class ConvNet:
 
 @dataclass
 class ContaminantMap:
-    """Dense 25x25 prediction grid for one patch, in physical units.
+    """Dense ``GRID`` x ``GRID`` prediction grid for one patch, in physical
+    units.
 
     ``values`` are held as float64, so thresholds and alert statistics come
     out the same for a map served in float32 and for one read from a map
@@ -133,9 +133,9 @@ class ContaminantMap:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (25, 25):
+        if self.values.shape != (GRID, GRID):
             raise DimensionError(
-                f"contaminant map must be 25x25, got {self.values.shape}"
+                f"contaminant map must be {GRID}x{GRID}, got {self.values.shape}"
             )
 
 
@@ -203,12 +203,14 @@ def _served_means(raster: BandStack) -> np.ndarray:
 
 
 def infer_raster(net: ConvNet, raster: BandStack) -> np.ndarray:
-    """Forward a 7-band raster; returns the float32 (rows, cols) grid."""
+    """Forward a raster of the network's bands; returns the float32
+    (rows, cols) grid."""
     return _stack_on_means(net, _served_means(raster))
 
 
 def infer_patch(net: ConvNet, patch: Patch) -> ContaminantMap:
-    """One forward pass over a 256x256x7 patch; 25x25 map, deterministic."""
+    """One forward pass over a patch; its ``GRID`` x ``GRID`` map,
+    deterministic."""
     return ContaminantMap(infer_raster(net, patch.raster), net.parameter,
                           patch.georef)
 
@@ -292,8 +294,10 @@ _CNN1_MAGIC = b"CNN1"
 _CNN1_DTYPES = {"f32": np.dtype("<f4"), "f16": np.dtype("<f2")}
 
 
-def cnn1_bytes(net: ConvNet, equivalence: EquivalenceReport | None = None) -> bytes:
-    dtype = _CNN1_DTYPES[net.dtype]
+def save_cnn1(
+    path: str | Path, net: ConvNet, equivalence: EquivalenceReport | None = None
+) -> Path:
+    path = Path(path)
     manifest = {
         "format": "CNN1",
         "window": WINDOW,
@@ -303,16 +307,8 @@ def cnn1_bytes(net: ConvNet, equivalence: EquivalenceReport | None = None) -> by
         "equivalence": equivalence.to_json() if equivalence else None,
     }
     arrays = (arr for l in net.layers for arr in (l.kernel, l.bias))
-    buffer = io.BytesIO()
-    _container.write(buffer, _CNN1_MAGIC, manifest, arrays, dtype)
-    return buffer.getvalue()
-
-
-def save_cnn1(
-    path: str | Path, net: ConvNet, equivalence: EquivalenceReport | None = None
-) -> Path:
-    path = Path(path)
-    path.write_bytes(cnn1_bytes(net, equivalence))
+    with open(path, "wb") as fh:
+        _container.write(fh, _CNN1_MAGIC, manifest, arrays, _CNN1_DTYPES[net.dtype])
     return path
 
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import _container
 from .errors import SchemaError
-from .raster import (PATCH_SIZE, WINDOW, BandStack, GeoRef, Patch,
-                     meters_per_degree, window_average)
+from .raster import (GRID, N_BANDS, PATCH_SIZE, WINDOW, BandStack, GeoRef, Patch,
+                     window_average)
 from .sensor import PARAMETERS, PH, TURBIDITY, SceneTruth
 
 # the station match's temporal window: +-3 days around the acquisition
@@ -71,16 +71,16 @@ class InSituRecord:
 class Sample:
     """One training sample: averaged band features and a single target."""
 
-    features: np.ndarray          # (7,) float64, window-averaged reflectances
+    features: np.ndarray          # (N_BANDS,) float64, window-averaged reflectances
     target: float
     parameter: str
     patch_id: str
-    window: tuple[int, int]       # (row, col) in the 25x25 window grid
+    window: tuple[int, int]       # (row, col) in the GRID x GRID window grid
     station_id: str
     date: dt.date
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64).reshape(7)
+        self.features = np.asarray(self.features, dtype=np.float64).reshape(N_BANDS)
         if not np.isfinite(self.features).all() or not np.isfinite(self.target):
             raise ValueError("sample features/target must be finite")
 
@@ -183,9 +183,8 @@ def locate_window(georef: GeoRef, gsd: float, lat: float,
         return None
     row_px = PATCH_SIZE / 2 - north_m / gsd
     col_px = PATCH_SIZE / 2 + east_m / gsd
-    grid = (PATCH_SIZE - WINDOW) // WINDOW + 1
-    row = min(max(int(row_px // WINDOW), 0), grid - 1)
-    col = min(max(int(col_px // WINDOW), 0), grid - 1)
+    row = min(max(int(row_px // WINDOW), 0), GRID - 1)
+    col = min(max(int(col_px // WINDOW), 0), GRID - 1)
     return row, col
 
 
@@ -201,9 +200,10 @@ def match(
     date, then by catalog order. Unmatched records are reported, not fatal.
     Output does not depend on record ordering beyond per-record results.
     """
-    # One pass per catalog patch over all records, with the float formulas
-    # of GeoRef.latlon_offset_m. A patch replaces a record's best match only
-    # on a strictly smaller (dist, |days|), so full ties keep catalog order.
+    # One pass per catalog patch over all records, each offset from
+    # GeoRef.latlon_offset_m on the arrays. A patch replaces a record's best
+    # match only on a strictly smaller (dist, |days|), so full ties keep
+    # catalog order.
     lat = np.array([rec.lat for rec in records], dtype=np.float64)
     lon = np.array([rec.lon for rec in records], dtype=np.float64)
     ordinal = np.array([rec.date.toordinal() for rec in records], dtype=np.int64)
@@ -213,9 +213,7 @@ def match(
     for idx, patch in enumerate(patch_catalog):
         georef = patch.georef
         days = np.abs(georef.acquisition_date.toordinal() - ordinal)
-        m_lat, m_lon = meters_per_degree(georef.center_lat)
-        north = np.abs((lat - georef.center_lat) * m_lat)
-        east = np.abs((lon - georef.center_lon) * m_lon)
+        north, east = map(np.abs, georef.latlon_offset_m(lat, lon))
         half = patch.raster.width / 2 * patch.raster.gsd
         dist = np.maximum(north, east)
         better = ((days <= MATCH_TOLERANCE_DAYS) & (north <= half) & (east <= half)
@@ -278,8 +276,8 @@ def split(samples: list[Sample], spec: SplitSpec) -> SplitResult:
 class NormStats:
     """Standardization statistics computed on the train split only."""
 
-    feature_mean: np.ndarray   # (7,)
-    feature_std: np.ndarray    # (7,)
+    feature_mean: np.ndarray   # (N_BANDS,)
+    feature_std: np.ndarray    # (N_BANDS,)
     target_mean: float
     target_std: float
 

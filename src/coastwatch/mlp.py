@@ -1,6 +1,7 @@
 """Fully-connected regression network, trained with Adam on an RMSE loss.
 
-Maps the 7 window-averaged band reflectances to one contaminant value.
+Maps the ``N_BANDS`` window-averaged band reflectances to one contaminant
+value.
 Default architecture: hidden layers [512, 512, 512, 512, 43], each
 Linear -> BatchNorm -> ReLU, then a final Linear to one output; training
 adds Dropout after each ReLU. Forward, backward and the optimizer are
@@ -42,9 +43,9 @@ import numpy as np
 from . import _container
 from .dataset import NormStats, Sample, as_arrays
 from .errors import NumericError, SchemaError, check_document
-from .raster import MS_BAND_IDS
+from .raster import N_BANDS
 
-DEFAULT_LAYER_DIMS = (7, 512, 512, 512, 512, 43, 1)
+DEFAULT_LAYER_DIMS = (N_BANDS, 512, 512, 512, 512, 43, 1)
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 ADAM_BETA1 = 0.9
@@ -182,8 +183,8 @@ class TrainConfig:
 
     def __post_init__(self):
         dims = self.layer_dims
-        if len(dims) < 2 or dims[0] != len(MS_BAND_IDS) or dims[-1] != 1:
-            raise SchemaError(f"layer_dims must run from {len(MS_BAND_IDS)} "
+        if len(dims) < 2 or dims[0] != N_BANDS or dims[-1] != 1:
+            raise SchemaError(f"layer_dims must run from {N_BANDS} "
                               f"bands to 1 output, got {list(dims)}")
         if min(dims) < 1:
             raise SchemaError(f"every layer width must be >= 1, got {list(dims)}")
@@ -327,7 +328,7 @@ def _forward_eval(
 
 
 def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
-    """Eval-mode predictions ``(n,)`` for a batch ``(n, 7)``: a pure function
+    """Eval-mode predictions ``(n,)`` for a batch ``(n, N_BANDS)``: a pure function
     of the inputs (running batch-norm statistics, no dropout)."""
     return _forward_eval(params, np.asarray(x, dtype=np.float64))
 

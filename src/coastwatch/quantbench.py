@@ -2,14 +2,13 @@
 
 The flight accelerator is emulated numerically: parameters are rounded to
 IEEE-754 binary16 (round-to-nearest-even) and held as float32, both
-networks run the float32 stack they are served with, model size is the
-byte size of a CNN1 file, and inference latency is a desk benchmark of the
-float32 served path on the local host. ``compare_quantized`` serializes
-each network without a certificate; the ``quantize`` command reports the
-sizes of the files it reads and writes. The flight
-reference figures (40.5 ms per inference, 24 FPS on the mission VPU;
-250 MB mission size ceiling) ride along as metadata and are never an
-acceptance gate for desk hardware.
+networks run the float32 stack they are served with, and inference latency
+is a desk benchmark of the float32 served path on the local host. Model
+size is the byte size of a CNN1 file: the sizes come from the files the
+``quantize`` command reads and writes, which it reports beside
+``compare_quantized``'s deviations. The flight reference figures (40.5 ms
+per inference, 24 FPS on the mission VPU; 250 MB mission size ceiling) ride
+along as metadata and are never an acceptance gate for desk hardware.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convnet import (ConvNet, _served_means, _stack_on_means, cnn1_bytes,
-                      infer_patch)
+from .convnet import ConvNet, _served_means, _stack_on_means, infer_patch
 from .errors import NumericError
 from .raster import Patch
 
@@ -67,8 +65,6 @@ def quantize_fp16(net: ConvNet) -> ConvNet:
 
 @dataclass
 class QuantReport:
-    model_bytes_fp32: int
-    model_bytes_fp16: int
     max_map_deviation: float
     mean_map_deviation: float
     patches_tested: int
@@ -104,8 +100,6 @@ def compare_quantized(
         total += float(dev.sum())
         cells += dev.size
     return QuantReport(
-        model_bytes_fp32=len(cnn1_bytes(net32)),
-        model_bytes_fp16=len(cnn1_bytes(net16)),
         max_map_deviation=max_dev,
         mean_map_deviation=total / cells,
         patches_tested=len(patches),
@@ -166,7 +160,8 @@ def bench(net: ConvNet, patches: list[Patch]) -> BenchReport:
     )
 
 
-def write_report(path: str | Path, report) -> Path:
+def write_report(path: str | Path, doc: dict) -> Path:
+    """A report document as indented JSON."""
     path = Path(path)
-    path.write_text(json.dumps(report.to_json(), indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=2) + "\n")
     return path

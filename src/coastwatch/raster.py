@@ -11,6 +11,12 @@ Conventions used across the whole package:
   256 px patch maps onto a 25x25 grid and the last 6 rows/columns of the
   patch are never averaged (dropped by design).
 
+Each of these facts has one owner here: ``PATCH_SIZE``, ``WINDOW``,
+``PRODUCT_GSD``, the band count ``N_BANDS`` (the length of ``MS_BAND_IDS``)
+and the map grid ``GRID`` (``PATCH_SIZE // WINDOW`` cells per side). A
+raster's own size is its array's: ``BandStack.width``, ``height`` and
+``bands`` read ``data.shape``.
+
 Containers are treated as immutable after construction: operations return
 new objects and never mutate their inputs, so everything here is safe to
 share across threads.
@@ -46,6 +52,8 @@ PATCH_SIZE = 256        # px per patch side; 1216 m at 4.75 m/px
 WINDOW = 10             # averaging window of the inference front end
 PRODUCT_GSD = 4.75      # m/px of the simulated multispectral product
 MS_BAND_IDS = ("MS1", "MS2", "MS3", "MS4", "MS5", "MS6", "MS7")
+N_BANDS = len(MS_BAND_IDS)  # bands of a patch, a scene and a sample
+GRID = PATCH_SIZE // WINDOW  # map cells per patch side
 REFLECTANCE_MAX = 1.2   # ToA overshoot tolerated before a value is flagged
 
 _EARTH_RADIUS_M = 6_371_000.0
@@ -108,23 +116,26 @@ class GeoRef:
 class BandStack:
     """Dense multi-band raster with a uniform ground sampling distance.
 
-    ``data`` is band-planar ``(bands, height, width)``; ``band_ids`` names
-    each plane in canonical ascending-band order (MS1..MS7 for the
-    multispectral product).
+    ``data`` is band-planar ``(bands, height, width)``, every dimension at
+    least 1, and the raster's size is read off it. ``band_ids`` names each
+    plane in canonical ascending-band order; left out, it is ``MS_BAND_IDS``
+    for an ``N_BANDS``-band raster and ``B0``, ``B1``, ... otherwise.
     """
 
-    width: int
-    height: int
-    bands: int
-    gsd: float
     data: np.ndarray
-    band_ids: tuple[str, ...]
+    gsd: float
+    band_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1 or self.bands < 1:
-            raise DimensionError("width, height and bands must all be >= 1")
+        self.data = np.asarray(self.data)
+        if self.data.ndim != 3 or 0 in self.data.shape:
+            raise DimensionError(f"expected a (bands, height, width) array with "
+                                 f"every dimension >= 1, got shape {self.data.shape}")
         if not self.gsd > 0:
             raise ValueError("gsd must be positive")
+        if self.band_ids is None:
+            self.band_ids = MS_BAND_IDS if self.bands == N_BANDS else tuple(
+                f"B{i}" for i in range(self.bands))
         self.band_ids = tuple(self.band_ids)
         if len(self.band_ids) != self.bands:
             raise InconsistencyError(
@@ -132,13 +143,18 @@ class BandStack:
             )
         if len(set(self.band_ids)) != self.bands:
             raise InconsistencyError("band ids must be distinct")
-        self.data = np.asarray(self.data)
-        if self.data.size != self.width * self.height * self.bands:
-            raise DimensionError(
-                f"data has {self.data.size} values, expected "
-                f"{self.width * self.height * self.bands}"
-            )
-        self.data = self.data.reshape(self.bands, self.height, self.width)
+
+    @property
+    def bands(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[2]
 
     @classmethod
     def from_array(
@@ -147,23 +163,15 @@ class BandStack:
         gsd: float,
         band_ids: tuple[str, ...] | None = None,
     ) -> "BandStack":
+        """A raster of ``data``; a 2-D array is one band."""
         data = np.asarray(data)
-        if data.ndim == 2:
-            data = data[None, :, :]
-        if data.ndim != 3:
-            raise DimensionError("expected a (bands, height, width) array")
-        bands, height, width = data.shape
-        if band_ids is None:
-            band_ids = MS_BAND_IDS if bands == 7 else tuple(
-                f"B{i}" for i in range(bands)
-            )
-        return cls(width=width, height=height, bands=bands, gsd=gsd,
-                   data=data, band_ids=band_ids)
+        return cls(data[None] if data.ndim == 2 else data, gsd, band_ids)
 
 
 @dataclass
 class Patch:
-    """One 256x256x7 reflectance chip, the unit of inference.
+    """One ``PATCH_SIZE`` px, ``N_BANDS``-band reflectance chip, the unit of
+    inference.
 
     Reflectances are expected in [0, 1.2]; out-of-range values do not make
     construction fail but their count is kept in ``flagged_values`` so
@@ -181,8 +189,8 @@ class Patch:
             raise DimensionError(
                 f"patch must be {PATCH_SIZE}x{PATCH_SIZE}, got {r.width}x{r.height}"
             )
-        if r.bands != 7:
-            raise DimensionError(f"patch must have 7 bands, got {r.bands}")
+        if r.bands != N_BANDS:
+            raise DimensionError(f"patch must have {N_BANDS} bands, got {r.bands}")
         # min and max propagate NaN and reach any infinity, so two reductions
         # check finiteness and, on in-range chips, skip the flag count
         lo, hi = r.data.min(), r.data.max()
@@ -262,11 +270,8 @@ def window_average(raster: BandStack, window: int) -> BandStack:
     numpy's own reduction order. The means are therefore bit-identical to
     copying the raster to float64 and taking ``mean`` over each block.
     """
-    means = _block_means(raster.data, window)
-    return BandStack(
-        width=means.shape[2], height=means.shape[1], bands=raster.bands,
-        gsd=raster.gsd * window, data=means, band_ids=raster.band_ids,
-    )
+    return BandStack(_block_means(raster.data, window), raster.gsd * window,
+                     raster.band_ids)
 
 
 def window_fraction(mask: np.ndarray, window: int = WINDOW) -> np.ndarray:
@@ -302,8 +307,8 @@ def tile_scene(
     scene_georef: GeoRef | None = None,
     patch_id_prefix: str = "patch",
 ) -> TileResult:
-    """Cut a 7-band scene into non-overlapping ``PATCH_SIZE`` (256) px
-    patches, the one size a ``Patch`` takes.
+    """Cut an ``N_BANDS``-band scene into non-overlapping ``PATCH_SIZE``
+    (256) px patches, the one size a ``Patch`` takes.
 
     Patches cover the maximal patch-aligned sub-scene anchored at the
     north-west corner; leftover margins (< 256 px) are excluded and
@@ -316,8 +321,8 @@ def tile_scene(
     buffer alive and reflects later writes to the scene. Copy a patch's data
     to detach it.
     """
-    if scene.bands != 7:
-        raise DimensionError(f"scene must have 7 bands, got {scene.bands}")
+    if scene.bands != N_BANDS:
+        raise DimensionError(f"scene must have {N_BANDS} bands, got {scene.bands}")
     if scene.width < PATCH_SIZE or scene.height < PATCH_SIZE:
         raise DimensionError(
             f"scene {scene.width}x{scene.height} smaller than one "
@@ -363,37 +368,32 @@ def mosaic(
     index: TileIndex,
     band_ids: tuple[str, ...] | None = None,
 ) -> BandStack:
-    """Reassemble per-patch grids into one scene-level raster.
+    """Reassemble per-patch grids into one single-band scene-level raster.
 
-    One grid per placement, all sharing shape ``(cells, cells)`` or
-    ``(bands, cells, cells)``. Grid cell (i, j) of patch k lands exactly at
-    the scene cell implied by placement k; placement copies only, so the
-    mosaic reproduces per-patch values bit for bit.
+    One square 2-D grid per placement, all of one shape. Grid cell (i, j) of
+    patch k lands exactly at the scene cell implied by placement k;
+    placement copies only, so the mosaic reproduces per-patch values bit for
+    bit.
     """
     if len(grids) != len(index.placements):
         raise InconsistencyError(
             f"{len(grids)} grids for {len(index.placements)} placements"
         )
     arrays = [np.asarray(g) for g in grids]
-    arrays = [a[None, :, :] if a.ndim == 2 else a for a in arrays]
     shapes = {a.shape for a in arrays}
     if len(shapes) != 1:
         raise InconsistencyError(f"grids disagree on shape: {sorted(shapes)}")
-    bands, cells_h, cells_w = arrays[0].shape
-    if cells_h != cells_w:
-        raise DimensionError("per-patch grids must be square")
-    cells = cells_h
+    (shape,) = shapes
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionError(f"per-patch grids must be square 2-D, got {shape}")
+    cells = shape[0]
 
-    out = np.zeros(
-        (bands, cells * index.tiles_down, cells * index.tiles_across),
-        dtype=arrays[0].dtype,
-    )
+    out = np.zeros((cells * index.tiles_down, cells * index.tiles_across),
+                   dtype=arrays[0].dtype)
     for grid, (r0, c0) in zip(arrays, index.placements):
         gr = r0 // index.patch_size * cells
         gc = c0 // index.patch_size * cells
-        out[:, gr : gr + cells, gc : gc + cells] = grid
-    if band_ids is None:
-        band_ids = tuple(f"B{i}" for i in range(bands))
+        out[gr : gr + cells, gc : gc + cells] = grid
     # each mosaic cell covers patch_size / cells scene pixels
     return BandStack.from_array(
         out, gsd=index.gsd * index.patch_size / cells, band_ids=band_ids
@@ -409,7 +409,7 @@ def random_patches(n: int, seed: int) -> list[Patch]:
     georef = GeoRef(0.0, 0.0, dt.date(2024, 6, 15))
     out = []
     for i in range(n):
-        data = rng.uniform(0.0, 1.0, size=(7, PATCH_SIZE, PATCH_SIZE))
+        data = rng.uniform(0.0, 1.0, size=(N_BANDS, PATCH_SIZE, PATCH_SIZE))
         out.append(Patch(BandStack.from_array(data, PRODUCT_GSD, MS_BAND_IDS),
                          georef, patch_id=f"random_{i:04d}"))
     return out
@@ -463,9 +463,7 @@ def read_pat1(path: str | Path) -> tuple[BandStack, dict]:
     """
     manifest, (data,) = _container.load(path, _PAT1_MAGIC, _pat1_layout)
     with _container.parsing(path):
-        stack = BandStack(width=manifest["width"], height=manifest["height"],
-                          bands=manifest["bands"], gsd=float(manifest["gsd"]),
-                          data=data, band_ids=manifest["band_ids"])
+        stack = BandStack(data, float(manifest["gsd"]), manifest["band_ids"])
     return stack, manifest
 
 

@@ -31,6 +31,7 @@ from scipy.ndimage import convolve1d
 from .errors import DimensionError, SchemaError, check_document, is_json_kind
 from .raster import (
     MS_BAND_IDS,
+    N_BANDS,
     PRODUCT_GSD,
     WINDOW,
     BandStack,
@@ -115,9 +116,9 @@ class DegradeConfig:
     shifts, each of magnitude <= 10 m as required at L1C level.
     """
 
-    snr_per_band: tuple[float, ...] = (math.inf,) * 7
+    snr_per_band: tuple[float, ...] = (math.inf,) * N_BANDS
     mtf_at_nyquist: float = 1.0
-    misalignment_per_band: tuple[tuple[float, float], ...] = ((0.0, 0.0),) * 7
+    misalignment_per_band: tuple[tuple[float, float], ...] = ((0.0, 0.0),) * N_BANDS
 
     def __post_init__(self):
         if any(s <= 0 for s in self.snr_per_band):
@@ -137,8 +138,9 @@ class DegradeConfig:
                                         "misalign_m": "a list of number lists or null"})
         snr = doc.get("snr")
         with _schema("degrade"):
-            snr_t = tuple(map(_snr, snr)) if isinstance(snr, list) else (_snr(snr),) * 7
-            mis = doc.get("misalign_m") or ((0.0, 0.0),) * 7
+            snr_t = (tuple(map(_snr, snr)) if isinstance(snr, list)
+                     else (_snr(snr),) * N_BANDS)
+            mis = doc.get("misalign_m") or ((0.0, 0.0),) * N_BANDS
             return cls(snr_per_band=snr_t, mtf_at_nyquist=float(doc.get("mtf", 1.0)),
                        misalignment_per_band=tuple(
                            (float(dx), float(dy)) for dx, dy in mis))
@@ -333,8 +335,9 @@ def simulate_l1c(
     ``_to_reflectance`` run in it in place, and the chips are read-only
     views into it. ``scene`` is not modified.
     """
-    if scene.bands != 7:
-        raise DimensionError(f"scene must have 7 multispectral bands, got {scene.bands}")
+    if scene.bands != N_BANDS:
+        raise DimensionError(f"scene must have {N_BANDS} multispectral bands, "
+                             f"got {scene.bands}")
     radiance = scene_to_radiance(scene, ctx)
     if radiance.gsd != PRODUCT_GSD:
         radiance = resample(radiance, PRODUCT_GSD)
@@ -443,8 +446,8 @@ class SceneTruth:
     fields: dict[str, np.ndarray]         # full-resolution physical fields
     window_grids: dict[str, np.ndarray]   # 10x10-window means of the fields
     ranges: dict[str, tuple[float, float]]
-    mixing_offsets: np.ndarray            # (7,)
-    mixing_matrix: np.ndarray             # (7, 2), columns: turb01, ph01
+    mixing_offsets: np.ndarray            # (N_BANDS,)
+    mixing_matrix: np.ndarray             # (N_BANDS, 2), columns: turb01, ph01
     noise_std: float
     noise_floor: dict[str, float]         # best achievable RMSE per parameter
 
@@ -474,9 +477,9 @@ def _smooth_field(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
 
 def _default_mixing(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Random well-conditioned affine mixing keeping reflectances in [0, 1]."""
-    offsets = rng.uniform(0.08, 0.25, size=7)
+    offsets = rng.uniform(0.08, 0.25, size=N_BANDS)
     for _ in range(100):
-        m = rng.uniform(-0.15, 0.15, size=(7, 2))
+        m = rng.uniform(-0.15, 0.15, size=(N_BANDS, 2))
         if np.linalg.svd(m, compute_uv=False)[-1] >= 0.05:
             return offsets, m
     raise RuntimeError("could not draw a well-conditioned mixing matrix")
@@ -502,8 +505,9 @@ def generate_synthetic_scene(
     if spec.mixing_matrix is not None:
         mix = np.asarray(spec.mixing_matrix, dtype=np.float64)
         offsets = np.asarray(spec.mixing_offsets, dtype=np.float64)
-        if mix.shape != (7, 2) or offsets.shape != (7,):
-            raise DimensionError("mixing must be a 7x2 matrix with 7 offsets")
+        if mix.shape != (N_BANDS, 2) or offsets.shape != (N_BANDS,):
+            raise DimensionError(f"mixing must be a {N_BANDS}x2 matrix with "
+                                 f"{N_BANDS} offsets")
         sv = np.linalg.svd(mix, compute_uv=False)
         if sv[-1] <= 1e-9 * sv[0]:
             raise ValueError("mixing matrix is not invertible (rank < 2)")
@@ -512,7 +516,7 @@ def generate_synthetic_scene(
 
     # one scene buffer, filled band by band: (offset + m0 * turb01) + m1 * ph01,
     # then noise drawn per band, which continues the same normal stream
-    data = np.empty((7, spec.height, spec.width))
+    data = np.empty((N_BANDS, spec.height, spec.width))
     for b, band in enumerate(data):
         np.multiply(mix[b, 0], turb01, out=band)
         band += offsets[b]
@@ -539,7 +543,7 @@ def generate_synthetic_scene(
         noise_floor={},
     )
 
-    # Best linear estimator of each field from the 7 noisy window averages:
+    # Best linear estimator of each field from the N_BANDS noisy window averages:
     # variance = sigma_avg^2 * [(M^T M)^-1]_kk scaled by the field range.
     sigma_avg = spec.noise_std / WINDOW
     gram_inv = np.linalg.inv(mix.T @ mix)

@@ -5,12 +5,14 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coastwatch import alerting, cli, raster
 from coastwatch.convnet import ConvLayer, ConvNet, infer_patch, save_cnn1
 from coastwatch.errors import SchemaError
 from coastwatch.raster import BandStack, GeoRef, tile_scene, window_fraction
-from coastwatch.sensor import TURBIDITY, MaskSet
+from coastwatch.sensor import PARAMETERS, TURBIDITY, MaskSet
 
 SIZE = 512
 GSD = 4.75
@@ -258,3 +260,59 @@ def test_a_scene_id_past_the_bound_in_json_bytes_is_a_schema_error(scene_id):
     per non-ASCII character, twelve past the BMP, two per escaped quote."""
     with pytest.raises(SchemaError, match="scene id"):
         _message(scene_id)
+
+
+# The wire format: serialize_alert writes AlertMessage's fields in this order.
+ALERT_KEYS = ["scene_id", "lat", "lon", "acquired", "parameter", "policy_id",
+              "exceed_count", "exceed_fraction", "invalid_count", "violating_min",
+              "violating_max", "violating_mean", "timestamp"]
+CELLS = raster.GRID * raster.GRID
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _within_the_scene_id_bound(text: str) -> str:
+    """The longest prefix of ``text`` an AlertMessage takes as its scene id."""
+    while len(json.dumps(text)) - 2 > alerting.MAX_SCENE_ID_BYTES:
+        text = text[:-1]
+    return text
+
+
+@st.composite
+def policies(draw, parameter):
+    """A valid ThresholdPolicy: one or two finite bounds, lower below upper."""
+    lo, hi = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+    bounds = draw(st.sampled_from([{"lower_bound": lo}, {"upper_bound": hi},
+                                   {"lower_bound": lo, "upper_bound": hi}]))
+    return alerting.ThresholdPolicy(parameter, **bounds)
+
+
+@st.composite
+def messages(draw):
+    """An AlertMessage of the values make_message can give: a scene id within
+    its bound, a map georef's place and date, a known parameter, a valid
+    policy's id, counts within one map, finite violating values and a UTC
+    timestamp at second resolution."""
+    parameter = draw(st.sampled_from(PARAMETERS))
+    exceed = draw(st.integers(1, CELLS))
+    return alerting.AlertMessage(
+        scene_id=draw(st.text(max_size=80).map(_within_the_scene_id_bound)),
+        lat=draw(st.floats(-90.0, 90.0)), lon=draw(st.floats(-180.0, 180.0)),
+        acquired=draw(st.dates()), parameter=parameter,
+        policy_id=draw(policies(parameter)).policy_id,
+        exceed_count=exceed,
+        exceed_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        invalid_count=draw(st.integers(0, CELLS - exceed)),
+        violating_min=draw(FINITE), violating_max=draw(FINITE),
+        violating_mean=draw(FINITE),
+        timestamp=draw(st.datetimes(timezones=st.just(dt.timezone.utc))).isoformat(
+            timespec="seconds"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(msg=messages())
+def test_any_alert_fits_and_round_trips_in_the_pinned_key_order(msg):
+    line = alerting.serialize_alert(msg)
+    assert len(line) <= alerting.MAX_ALERT_BYTES
+    assert b"\n" not in line
+    assert list(json.loads(line)) == ALERT_KEYS
+    assert alerting.parse_alert(line) == msg

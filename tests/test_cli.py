@@ -125,6 +125,18 @@ def smp1_pointing_past_its_patch_list() -> bytes:
     return buffer.getvalue()
 
 
+def smp1(n: int) -> bytes:
+    """An SMP1 store of ``n`` turbidity samples with random features."""
+    rng = np.random.default_rng(n)
+    samples = [dataset.Sample(features=rng.uniform(0.05, 0.3, 7), target=float(k),
+                              parameter=sensor.TURBIDITY, patch_id=f"p{k}",
+                              window=(k, k), station_id=f"s{k}",
+                              date=sensor.SceneSpec().date)
+               for k in range(n)]
+    with tempfile.TemporaryDirectory() as d:
+        return dataset.save_samples(Path(d) / "s.smp1", samples).read_bytes()
+
+
 def pat1(stack: raster.BandStack, **kwargs) -> bytes:
     """The bytes ``write_pat1`` writes for ``stack``."""
     with tempfile.TemporaryDirectory() as d:
@@ -157,7 +169,9 @@ def cnn1() -> bytes:
     params = mlp.init_mlp((7, 8, 1))
     params.bn_stats_tracked = True
     stats = dataset.NormStats(np.full(7, 0.2), np.full(7, 0.05), 5.0, 2.0)
-    return convnet.cnn1_bytes(convnet.fc_to_cnn(params, stats, sensor.TURBIDITY))
+    net = convnet.fc_to_cnn(params, stats, sensor.TURBIDITY)
+    with tempfile.TemporaryDirectory() as d:
+        return convnet.save_cnn1(Path(d) / "net.cnn1", net).read_bytes()
 
 
 def cnn1_of_two_outputs() -> bytes:
@@ -171,6 +185,7 @@ def cnn1_of_two_outputs() -> bytes:
     return buffer.getvalue()
 
 
+TRAIN = ["train", "--samples", "s.smp1", "--parameter", "turbidity", "--out", "m.mdl1"]
 SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.75)
 
 
@@ -317,6 +332,14 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
     ({}, ["bench", "--net", "net.cnn1", "--warmup", "0"],
      "unrecognized arguments: --warmup 0"),
     ({}, ["bench", "--net", "net.cnn1", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    ({"s.smp1": smp1(1)}, TRAIN,
+     "1 turbidity_NTU samples in s.smp1 split 1/0/0 (train/test/val); training "
+     "needs at least 2/1/1"),
+    ({"s.smp1": smp1(2)}, TRAIN, "2 turbidity_NTU samples in s.smp1 split 2/0/0"),
+    ({"s.smp1": smp1(3)}, TRAIN, "3 turbidity_NTU samples in s.smp1 split 1/1/1"),
+    ({"s.smp1": smp1(4)},
+     ["train", "--samples", "s.smp1", "--parameter", "chlorophyll", "--out", "m.mdl1"],
+     "unknown parameter 'chlorophyll'"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "simulate_bad_degrade",
@@ -342,7 +365,9 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
         "alert_index_missing_map", "infer_cnn1_of_two_outputs",
         "infer_three_band_mask", "plot_no_command", "build_dataset_no_tolerance_days",
         "train_no_seed", "transfer_no_tol", "transfer_no_seed", "quantize_no_threshold",
-        "quantize_no_seed", "bench_no_warmup", "bench_no_seed"])
+        "quantize_no_seed", "bench_no_warmup", "bench_no_seed",
+        "train_one_sample_store", "train_two_sample_store", "train_three_sample_store",
+        "train_unknown_parameter"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)
@@ -354,6 +379,26 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
     assert err.count("\n") == 1 and err.startswith("error: ") and says in err
     if "--out" in argv:  # nothing is written
         assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
+
+
+def test_a_four_sample_store_trains(tmp_path, capsys):
+    """Four samples split 2/1/1, the smallest store whose splits all fill."""
+    (tmp_path / "s.smp1").write_bytes(smp1(4))
+    (tmp_path / "train.json").write_text(json.dumps(
+        {"epochs": 1, "seed": 0, "layer_dims": [7, 4, 1]}))
+    assert cli.main(["train", "--samples", str(tmp_path / "s.smp1"), "--parameter",
+                     "turbidity", "--config", str(tmp_path / "train.json"),
+                     "--out", str(tmp_path / "m.mdl1")]) == 0, capsys.readouterr().err
+    training = mlp.load_mdl1(tmp_path / "m.mdl1")[2]["training"]
+    assert (training["n_train"], training["n_test"], training["n_val"]) == (2, 1, 1)
+
+
+@pytest.mark.parametrize("name, parameter", [
+    ("turbidity", sensor.TURBIDITY), ("TURBIDITY", sensor.TURBIDITY),
+    ("turbidity_NTU", sensor.TURBIDITY), ("ph", sensor.PH), ("pH", sensor.PH),
+    ("PH", sensor.PH)])
+def test_a_parameter_name_is_read_in_any_case(name, parameter):
+    assert cli._parameter(name) == parameter
 
 
 def test_alert_on_a_scene_whose_id_overflows_the_message_exits_2(tmp_path, capsys):

@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 from coastwatch.convnet import (
     ConvLayer,
     ConvNet,
-    cnn1_bytes,
     fc_to_cnn,
     infer_patch,
     infer_raster,
@@ -27,6 +26,12 @@ from coastwatch.quantbench import compare_quantized, quantize_fp16
 from coastwatch.raster import WINDOW, random_patches, window_average
 
 DIMS = (7, 32, 16, 1)
+
+
+def cnn1_bytes(net, equivalence=None) -> bytes:
+    """The bytes ``save_cnn1`` writes for ``net``."""
+    with tempfile.TemporaryDirectory() as d:
+        return save_cnn1(Path(d) / "net.cnn1", net, equivalence).read_bytes()
 
 
 def model(seed=0):

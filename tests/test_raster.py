@@ -1,15 +1,19 @@
 import dataclasses
 import datetime as dt
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coastwatch.errors import DimensionError, InconsistencyError
 from coastwatch.raster import (
     MS_BAND_IDS,
+    N_BANDS,
     REFLECTANCE_MAX,
     BandStack,
     GeoRef,
@@ -431,6 +435,34 @@ class TestPat1Format:
                    extra={"k": "v"})
         assert [p.name for p in tmp_path.iterdir()] == ["x.pat1"]
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_raster_round_trips_bit_for_bit(self, data):
+        shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 9),
+                                    st.integers(1, 9)), label="shape")
+        dtype = data.draw(st.sampled_from([np.dtype("<f4"), np.dtype("u1")]))
+        values = data.draw(hnp.arrays(dtype, shape), label="values")
+        band_ids = data.draw(st.lists(st.text(max_size=8), min_size=shape[0],
+                                      max_size=shape[0], unique=True))
+        gsd = data.draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+        georef = data.draw(st.none() | st.builds(
+            GeoRef, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0), st.dates()))
+        extra = data.draw(st.dictionaries(
+            st.text(max_size=6), st.integers() | st.text(max_size=6)
+            | st.floats(allow_nan=False) | st.lists(st.integers(), max_size=3),
+            max_size=3))
+        with tempfile.TemporaryDirectory() as d:
+            path = write_pat1(Path(d) / "x.pat1", BandStack(values, gsd, band_ids),
+                              georef=georef, extra=extra)
+            back, manifest = read_pat1(path)
+        assert back.data.dtype == dtype and back.data.shape == shape
+        assert back.data.tobytes() == values.tobytes()
+        assert (back.bands, back.height, back.width) == shape
+        assert [manifest[k] for k in ("bands", "height", "width")] == list(shape)
+        assert (back.gsd, back.band_ids) == (gsd, tuple(band_ids))
+        assert sidecar_georef(manifest) == georef
+        assert manifest.get("extra", {}) == extra
+
     def test_gsd_roundtrips_exactly(self, tmp_path):
         # a mosaic of 25-cell maps over 256 px patches at 4.75 m/px
         r = BandStack.from_array(np.zeros((1, 4, 4), np.float32), 4.75 * 256 / 25)
@@ -439,15 +471,24 @@ class TestPat1Format:
 
 
 class TestBandStackInvariants:
-    def test_size_mismatch(self):
-        with pytest.raises(DimensionError):
-            BandStack(width=4, height=4, bands=2, gsd=1.0,
-                      data=np.zeros(31), band_ids=("a", "b"))
+    def test_size_is_the_arrays(self):
+        assert [f.name for f in dataclasses.fields(BandStack)] == [
+            "data", "gsd", "band_ids"]
+        r = BandStack(np.zeros((3, 5, 7)), 1.0)
+        assert (r.bands, r.height, r.width) == (3, 5, 7)
+        assert r.band_ids == ("B0", "B1", "B2")
+        assert BandStack(np.zeros((N_BANDS, 2, 2)), 1.0).band_ids == MS_BAND_IDS
+        with pytest.raises(AttributeError):
+            r.width = 4
+
+    def test_non_3d_or_empty_data_rejected(self):
+        for shape in [(), (16,), (4, 4), (1, 1, 4, 4), (0, 4, 4), (2, 0, 4), (2, 4, 0)]:
+            with pytest.raises(DimensionError, match="every dimension >= 1"):
+                BandStack(np.zeros(shape), 1.0)
 
     def test_duplicate_band_ids(self):
         with pytest.raises(InconsistencyError):
-            BandStack(width=2, height=2, bands=2, gsd=1.0,
-                      data=np.zeros(8), band_ids=("a", "a"))
+            BandStack(np.zeros((2, 2, 2)), 1.0, ("a", "a"))
 
     def test_georef_validation(self):
         with pytest.raises(ValueError):
