@@ -3,7 +3,7 @@
 Only anomalous information leaves the pipeline: per-patch alert messages
 carry exceedance counts and summary statistics of the violating values,
 never a raster. The scene workflow, ``run_scene``, is two steps:
-``infer_scene`` (tile, infer each patch, invalidate clouded windows) and
+``infer_scene`` (tile, infer the windows cloud leaves valid) and
 ``alert_scene`` (threshold, gated messages, mosaic of the binary maps back
 to scene extent). The CLI runs the same two steps: ``infer`` calls
 ``infer_scene`` and ``alert`` calls ``alert_scene`` on the maps it reads
@@ -11,7 +11,17 @@ back.
 
 NaN map cells are invalid: they never alert and are counted separately.
 When a cloud plane is given, any window at least ``CLOUD_INVALID_FRACTION``
-(half) covered by cloud is invalidated before thresholding.
+(half) covered by cloud is invalid. ``infer_scene`` reads the cloud
+fractions before inference and never computes such a window: only the kept
+windows run through the 1x1 stack (``convnet.infer_kept``), so a scene costs
+stack time in proportion to its clear windows, and every computed cell is
+bit-identical to ``infer_patch``'s.
+
+Non-finite values: the stack raises ``NumericError`` when a computed window
+gives a non-finite activation. A window under cloud is not computed, so a
+reflectance there that would overflow the stack raises nothing, while the
+same value in a kept window raises. A non-finite reflectance is refused by
+``tile_scene`` anywhere in the scene, clouded or not.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .convnet import ContaminantMap, ConvNet, infer_patch
+from .convnet import ContaminantMap, ConvNet, infer_kept
 from .errors import DimensionError, InconsistencyError, SchemaError, check_document
 from .raster import (WINDOW, BandStack, GeoRef, TileIndex, TileResult, mosaic, tile_scene,
                      window_fraction)
@@ -257,25 +267,29 @@ def infer_scene(
     cloud: np.ndarray | None = None,
     scene_id: str = "scene",
 ) -> tuple[TileResult, list[ContaminantMap]]:
-    """Tile a scene, infer every patch and invalidate its clouded windows.
+    """Tile a scene and infer the windows of every patch that cloud leaves
+    valid.
 
     ``cloud`` is the scene's boolean cloud plane, or None for a clear scene.
-    Map cells whose window is at least ``CLOUD_INVALID_FRACTION`` covered by
-    cloud are set to NaN. Returns the tiles and their maps, ``maps[i]``
+    A window at least ``CLOUD_INVALID_FRACTION`` covered by cloud is not
+    computed: its map cell is NaN. Every other cell is bit-identical to
+    ``infer_patch``'s (``convnet.infer_kept``). The stack's non-finite check
+    covers only the computed windows, so a reflectance under cloud that
+    would overflow the stack raises nothing, while the same value in a kept
+    window raises ``NumericError``; a non-finite reflectance anywhere is
+    refused by ``tile_scene``. Returns the tiles and their maps, ``maps[i]``
     being the map of the patch at ``tiles.index.placements[i]``.
     """
     if cloud is not None and cloud.shape != (scene.height, scene.width):
         raise DimensionError(f"cloud plane {cloud.shape} does not match the "
                              f"scene {(scene.height, scene.width)}")
     tiles = tile_scene(scene, scene_georef, patch_id_prefix=scene_id)
-    maps = [infer_patch(net, p) for p in tiles.patches]
-    if cloud is not None:
-        ps = tiles.index.patch_size
-        for cmap, (r0, c0) in zip(maps, tiles.index.placements):
-            frac = window_fraction(cloud[r0 : r0 + ps, c0 : c0 + ps], WINDOW)
-            cmap.values = np.where(frac >= CLOUD_INVALID_FRACTION, np.nan,
-                                   cmap.values)
-    return tiles, maps
+    ps = tiles.index.patch_size
+    kept = (None if cloud is None else
+            window_fraction(cloud[r0 : r0 + ps, c0 : c0 + ps], WINDOW)
+            < CLOUD_INVALID_FRACTION
+            for r0, c0 in tiles.index.placements)
+    return tiles, infer_kept(net, tiles.patches, kept)
 
 
 def alert_scene(

@@ -164,6 +164,11 @@ def cmd_train(args) -> int:
             f"{len(samples)} {parameter} samples in {args.samples} split "
             f"{n_train}/{n_test}/{n_val} (train/test/val); training needs at "
             f"least 2/1/1")
+    features = dataset.as_arrays(splits.train)[0]
+    if (features.std(axis=0) < dataset.CONSTANT_STD).all():
+        raise CoastwatchError(
+            f"the {n_train} train samples of {args.samples} have the same "
+            f"features in every band; batch-norm needs a band that varies")
     train_n, stats = dataset.normalize(splits.train)
     val_n, _ = dataset.normalize(splits.val, stats)
     test_n, _ = dataset.normalize(splits.test, stats)
@@ -242,8 +247,10 @@ def cmd_infer(args) -> int:
         "maps": [f"map_{p.patch_id}.pat1" for p in tiles.patches],
     }
     (out / "index.json").write_text(json.dumps(index_doc, indent=2))
+    invalid = sum(int(np.isnan(g).sum()) for g in grids)
     print(f"infer: {len(tiles.patches)} maps + mosaic "
-          f"{mosaic.height}x{mosaic.width} -> {out}")
+          f"{mosaic.height}x{mosaic.width} -> {out}, {invalid:,} of "
+          f"{sum(g.size for g in grids):,} cells cloud-invalidated")
     return 0
 
 

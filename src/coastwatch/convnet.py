@@ -34,6 +34,9 @@ Parameters are float32, the dtype a CNN1 file deploys, and the served path
 means that ``window_average`` accumulates in float64, reducing the patch
 where it lies without a float64 copy, in numpy's order; serving a patch
 therefore allocates little beyond the stack's two float32 activation planes.
+A scene is served by ``infer_kept``, which runs only the windows cloud
+leaves valid through the stack, in calls of one patch's shape whose cells
+carry ``infer_patch``'s bits; its one extra buffer is a patch-sized block.
 The certificate runs the same stack in float64 as its reference route, so
 its deviation measures the folding and the parameter rounding, not float32
 arithmetic; the served route's own deviation is reported beside it.
@@ -41,6 +44,8 @@ arithmetic; the served route's own deviation is reported beside it.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -50,7 +55,7 @@ from . import _container
 from .dataset import NormStats
 from .errors import DimensionError, FormatError, NumericError, TransferError
 from .mlp import BN_EPS, MLPParams, forward
-from .raster import GRID, WINDOW, BandStack, GeoRef, Patch, window_average
+from .raster import GRID, N_BANDS, WINDOW, BandStack, GeoRef, Patch, window_average
 
 # The transfer certificate: the largest deviation it accepts, in physical
 # units, and the random patches it is checked on. CHECK_SEED draws the check
@@ -213,6 +218,81 @@ def infer_patch(net: ConvNet, patch: Patch) -> ContaminantMap:
     deterministic."""
     return ContaminantMap(infer_raster(net, patch.raster), net.parameter,
                           patch.georef)
+
+
+def infer_kept(net: ConvNet, patches: list[Patch],
+               kept: Iterable[np.ndarray | None]) -> list[ContaminantMap]:
+    """The maps of ``patches``, computing only their kept windows; every
+    other cell is NaN.
+
+    ``kept`` yields, per patch, its boolean ``GRID`` x ``GRID`` plane of the
+    windows to compute, or None for all of them. Each computed cell is
+    bit-identical to ``infer_patch``'s:
+
+    * The kept window means stream into one ``(bands, GRID, GRID)`` float32
+      block, which may mix patches. Every stack call has the shape of one
+      patch. A GEMM over a subset of the columns would change bits.
+    * In that shape a column's result does not depend on the other columns,
+      nor on its position among the first ``GRID**2 - 1``. The last column
+      may take a BLAS edge kernel with its own bits, so it holds only a
+      patch's last window (row-major), which queues until a block fills.
+    * The block runs through the stack whenever its shared columns are
+      full, and at the end until no last window waits. Unused columns hold
+      copies of a kept column, so padding cannot raise ``NumericError``.
+
+    A window that is not kept never enters the stack, so a reflectance there
+    that would overflow it raises nothing, and a patch with no kept window
+    costs no stack call.
+    """
+    if net.channels[0] != N_BANDS:
+        raise DimensionError(f"a patch has {N_BANDS} bands, network expects "
+                             f"{net.channels[0]}")
+    cells = GRID * GRID
+    last = cells - 1
+    block = np.empty((N_BANDS, cells), np.float32)
+    used = 0                  # shared columns filled, of block[:, :last]
+    pending = []              # (map cells, their indices, first block column)
+    tails = deque()           # (map cells, means) of kept last windows
+
+    def run() -> None:
+        if tails:
+            values, column = tails.popleft()
+            block[:, last] = column
+            pending.append((values, np.array([last]), last))
+        else:
+            block[:, last] = block[:, 0]
+        block[:, used:last] = block[:, last:]
+        out = _stack_on_means(net, block.reshape(-1, GRID, GRID)).reshape(-1)
+        for values, idx, start in pending:
+            values[idx] = out[start : start + idx.size]
+        pending.clear()
+
+    maps = []
+    for patch, keep in zip(patches, kept, strict=True):
+        cmap = ContaminantMap(np.full((GRID, GRID), np.nan), net.parameter,
+                              patch.georef)
+        maps.append(cmap)
+        idx = np.arange(cells) if keep is None else np.flatnonzero(keep)
+        if not idx.size:
+            continue
+        means = _served_means(patch.raster).reshape(N_BANDS, cells)
+        values = cmap.values.reshape(-1)
+        if idx[-1] == last:
+            tails.append((values, means[:, last].copy()))
+            idx = idx[:-1]
+        while idx.size:
+            take = min(idx.size, last - used)
+            block[:, used : used + take] = means[:, idx[:take]]
+            pending.append((values, idx[:take], used))
+            used += take
+            idx = idx[take:]
+            if used == last:
+                run()
+                used = 0
+    while used or tails:
+        run()
+        used = 0
+    return maps
 
 
 @dataclass

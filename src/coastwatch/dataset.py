@@ -272,6 +272,10 @@ def split(samples: list[Sample], spec: SplitSpec) -> SplitResult:
     return SplitResult(train, test, val)
 
 
+# a standard deviation below this is no variation: normalize divides by 1
+CONSTANT_STD = 1e-12
+
+
 @dataclass
 class NormStats:
     """Standardization statistics computed on the train split only."""
@@ -322,9 +326,9 @@ def normalize(
         t_std = float(y.std())
         stats = NormStats(
             feature_mean=X.mean(axis=0),
-            feature_std=np.where(f_std < 1e-12, 1.0, f_std),
+            feature_std=np.where(f_std < CONSTANT_STD, 1.0, f_std),
             target_mean=float(y.mean()),
-            target_std=t_std if t_std >= 1e-12 else 1.0,
+            target_std=t_std if t_std >= CONSTANT_STD else 1.0,
         )
     out = []
     for s in samples:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coastwatch import alerting, cli, raster
+from coastwatch import alerting, cli, convnet, mlp, raster
 from coastwatch.convnet import ConvLayer, ConvNet, infer_patch, save_cnn1
-from coastwatch.errors import SchemaError
+from coastwatch.errors import NumericError, SchemaError
 from coastwatch.raster import BandStack, GeoRef, tile_scene, window_fraction
 from coastwatch.sensor import PARAMETERS, TURBIDITY, MaskSet
 
@@ -138,6 +138,105 @@ def test_a_window_half_clouded_is_invalid_and_one_pixel_less_is_not():
             == alerting.CLOUD_INVALID_FRACTION == 0.5)
     assert "cloud_invalid_fraction" not in {
         f.name for f in dataclasses.fields(alerting.ThresholdPolicy)}
+
+
+def paper_net(seed=0) -> ConvNet:
+    """Random He-scaled weights at the paper's dimensions."""
+    rng = np.random.default_rng(seed)
+    dims = mlp.DEFAULT_LAYER_DIMS
+    return ConvNet([ConvLayer(rng.normal(0, np.sqrt(2 / i), (o, i)), rng.normal(0, 0.1, o))
+                    for i, o in zip(dims[:-1], dims[1:])], parameter=TURBIDITY)
+
+
+def blocky_cloud(size, cover, seed) -> np.ndarray:
+    """Cloud in 16 px blocks, which cut across the 10 px windows, over about
+    ``cover`` of the scene."""
+    coarse = np.random.default_rng(seed).random((-(-size // 16),) * 2) < cover
+    return np.kron(coarse, np.ones((16, 16), dtype=bool))[:size, :size]
+
+
+def test_infer_scene_is_tile_infer_invalidate_at_paper_dims(monkeypatch):
+    """Only kept windows reach the stack, in calls of one patch's shape, and
+    every map equals ``infer_patch`` plus the NaN mask bit for bit."""
+    size = 768
+    scene = BandStack.from_array(np.random.default_rng(3).uniform(
+        0.0, 0.4, (7, size, size)).astype(np.float32), GSD)
+    net = paper_net()
+    tiles = tile_scene(scene, GEOREF, patch_id_prefix="s")
+    served = [infer_patch(net, p).values for p in tiles.patches]
+    one_patch = np.zeros((size, size), dtype=bool)
+    one_patch[256:512, :256] = True
+    one_window = np.zeros((size, size), dtype=bool)
+    one_window[:10, :10] = True
+    planes = {"none": None, "all_clear": np.zeros((size, size), dtype=bool),
+              "quarter": blocky_cloud(size, 0.25, 1), "half": blocky_cloud(size, 0.5, 2),
+              "one_patch": one_patch, "all_clouded": np.ones((size, size), dtype=bool),
+              "one_window": one_window}
+    calls = []
+
+    def stack(net, means):
+        calls.append(means.shape)
+        return stack_on_means(net, means)
+
+    stack_on_means = convnet._stack_on_means
+    monkeypatch.setattr(convnet, "_stack_on_means", stack)
+    kept_totals, n_calls = {}, {}
+    for name, cloud in planes.items():
+        calls.clear()
+        got_tiles, got = alerting.infer_scene(scene, net, GEOREF, cloud, "s")
+        assert got_tiles.index == tiles.index
+        kept = patches_kept = 0
+        for cmap, values, (r0, c0) in zip(got, served, tiles.index.placements,
+                                          strict=True):
+            if cloud is not None:
+                frac = window_fraction(cloud[r0 : r0 + 256, c0 : c0 + 256], 10)
+                values = np.where(frac >= 0.5, np.nan, values)
+            assert np.array_equal(cmap.values, values, equal_nan=True), name
+            kept += int(np.isfinite(values).sum())
+            patches_kept += bool(np.isfinite(values).any())
+        # every call has a patch's shape; never more calls than infer_patch
+        # would make on the patches with a kept window
+        assert set(calls) <= {(7, 25, 25)}, name
+        assert -(-kept // 625) <= len(calls) <= patches_kept, name
+        kept_totals[name], n_calls[name] = kept, len(calls)
+    assert kept_totals["none"] == kept_totals["all_clear"] == 9 * 625
+    assert kept_totals["one_patch"] == 8 * 625 and kept_totals["all_clouded"] == 0
+    assert kept_totals["one_window"] == 9 * 625 - 1
+    assert [n_calls[name] for name in ("none", "all_clear", "one_patch",
+                                       "all_clouded", "one_window")] == [9, 9, 8, 0, 9]
+    # blocky cover invalidates about its share; its kept totals pad a last block
+    for name, cover in (("quarter", 0.25), ("half", 0.5)):
+        assert abs(1 - kept_totals[name] / (9 * 625) - cover) < 0.1
+        assert kept_totals[name] % 625
+
+
+def test_a_window_under_cloud_is_never_computed():
+    """A reflectance that overflows the stack raises ``NumericError`` in a
+    kept window and nothing under cloud; a non-finite reflectance is refused
+    at tiling, clouded or not."""
+    net = ConvNet([ConvLayer(np.ones((1, 7)), np.zeros(1))], parameter=TURBIDITY)
+    scene, _ = scene_and_cloud()
+    data = scene.data.copy()
+    data[:, :10, :10] = 3e38      # finite; 7 bands of it overflow float32
+    scene = BandStack.from_array(data, GSD)
+    cloud = np.zeros((SIZE, SIZE), dtype=bool)
+
+    def overflow():
+        return pytest.warns(RuntimeWarning, match="overflow encountered in matmul")
+
+    with pytest.raises(NumericError, match="conv layer 1"), overflow():
+        alerting.infer_scene(scene, net, GEOREF, cloud)
+    cloud[:5, :10] = True         # window (0, 0) half clouded: invalid
+    _, maps = alerting.infer_scene(scene, net, GEOREF, cloud)
+    assert np.isnan(maps[0].values[0, 0])
+    assert np.isfinite(maps[0].values).sum() == 624
+    cloud[4, 9] = False           # 49 px of cloud: the window is kept
+    with pytest.raises(NumericError, match="conv layer 1"), overflow():
+        alerting.infer_scene(scene, net, GEOREF, cloud)
+    cloud[4, 9] = True
+    data[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        alerting.infer_scene(BandStack.from_array(data, GSD), net, GEOREF, cloud)
 
 
 def test_cli_alerts_and_mosaic_equal_alert_scene_on_the_maps(tmp_path):

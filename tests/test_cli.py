@@ -68,6 +68,8 @@ def test_seven_command_chain(inputs, capsys):
     ]
     for argv in chain:
         assert cli.main([str(a) for a in argv]) == 0, capsys.readouterr().err
+    # the clouded north-west patch is invalid everywhere, the others nowhere
+    assert "625 of 2,500 cells cloud-invalidated" in capsys.readouterr().out
 
     samples, _, manifest = dataset.load_samples(d / "samples.smp1")
     assert len(samples) == 400
@@ -125,10 +127,12 @@ def smp1_pointing_past_its_patch_list() -> bytes:
     return buffer.getvalue()
 
 
-def smp1(n: int) -> bytes:
-    """An SMP1 store of ``n`` turbidity samples with random features."""
+def smp1(n: int, features=None) -> bytes:
+    """An SMP1 store of ``n`` turbidity samples with ``features``, or random
+    ones."""
     rng = np.random.default_rng(n)
-    samples = [dataset.Sample(features=rng.uniform(0.05, 0.3, 7), target=float(k),
+    samples = [dataset.Sample(features=rng.uniform(0.05, 0.3, 7) if features is None
+                              else features, target=float(k),
                               parameter=sensor.TURBIDITY, patch_id=f"p{k}",
                               window=(k, k), station_id=f"s{k}",
                               date=sensor.SceneSpec().date)
@@ -340,6 +344,10 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
     ({"s.smp1": smp1(4)},
      ["train", "--samples", "s.smp1", "--parameter", "chlorophyll", "--out", "m.mdl1"],
      "unknown parameter 'chlorophyll'"),
+    ({"s.smp1": smp1(8, np.full(7, 0.1)),
+      "train.json": b'{"epochs": 1, "seed": 0, "layer_dims": [7, 4, 1]}'},
+     [*TRAIN, "--config", "train.json"],
+     "the 4 train samples of s.smp1 have the same features in every band"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "simulate_bad_degrade",
@@ -367,7 +375,7 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
         "train_no_seed", "transfer_no_tol", "transfer_no_seed", "quantize_no_threshold",
         "quantize_no_seed", "bench_no_warmup", "bench_no_seed",
         "train_one_sample_store", "train_two_sample_store", "train_three_sample_store",
-        "train_unknown_parameter"])
+        "train_unknown_parameter", "train_constant_features_store"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)

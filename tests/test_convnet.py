@@ -12,7 +12,9 @@ from hypothesis.extra import numpy as hnp
 from coastwatch.convnet import (
     ConvLayer,
     ConvNet,
+    _stack_on_means,
     fc_to_cnn,
+    infer_kept,
     infer_patch,
     infer_raster,
     load_cnn1,
@@ -20,10 +22,10 @@ from coastwatch.convnet import (
     verify_equivalence,
 )
 from coastwatch.dataset import NormStats
-from coastwatch.errors import FormatError
+from coastwatch.errors import DimensionError, FormatError
 from coastwatch.mlp import forward, init_mlp
 from coastwatch.quantbench import compare_quantized, quantize_fp16
-from coastwatch.raster import WINDOW, random_patches, window_average
+from coastwatch.raster import GRID, WINDOW, random_patches, window_average
 
 DIMS = (7, 32, 16, 1)
 
@@ -275,3 +277,65 @@ def test_a_cnn1_in_the_former_manifest_loads_to_the_same_layers(tmp_path, fp16):
         assert b.bias.tobytes() == a.bias.tobytes()
     # saving it again writes the current manifest around the same payload
     assert cnn1_bytes(back, report) == blob
+
+
+def he_net(dims, rng) -> ConvNet:
+    """Random He-scaled weights, as a trained ReLU stack's are in size."""
+    return ConvNet([ConvLayer(rng.normal(0, np.sqrt(2 / i), (o, i)), rng.normal(0, 0.1, o))
+                    for i, o in zip(dims[:-1], dims[1:])])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(bands=st.integers(1, 8), hidden=st.lists(st.integers(1, 160), max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_column_of_a_patch_shaped_block_ignores_the_other_columns(
+        bands, hidden, seed):
+    """``infer_kept`` packs the kept windows of several patches into one
+    ``(bands, GRID, GRID)`` block. Its maps are bit-identical to
+    ``infer_patch``'s only if, in that shape, a column's result depends
+    neither on the other columns nor on its position among the first
+    ``GRID**2 - 1``. The last column is left in place: it may take a BLAS
+    edge kernel (OpenBLAS 0.3.31 on Haswell gives it other bits from dims
+    (1, 50, 1) on), which is why ``infer_kept`` keeps it for last windows."""
+    rng = np.random.default_rng(seed)
+    net = he_net((bands, *hidden, 1), rng)
+
+    def stack(columns):
+        # C-contiguous, as infer_kept's block: the bits may depend on the layout
+        block = np.ascontiguousarray(columns).reshape(bands, GRID, GRID)
+        return _stack_on_means(net, block).reshape(-1)
+
+    block = rng.uniform(0.0, 0.4, (bands, GRID * GRID)).astype(np.float32)
+    out = stack(block)
+    perm = np.append(rng.permutation(GRID * GRID - 1), GRID * GRID - 1)
+    assert stack(block[:, perm]).tobytes() == out[perm].tobytes()
+    keep = rng.random(GRID * GRID) < rng.random()
+    other = rng.uniform(0.0, 0.4, block.shape).astype(np.float32)
+    other[:, keep] = block[:, keep]
+    assert stack(other)[keep].tobytes() == out[keep].tobytes()
+
+
+PATCHES = random_patches(5, seed=21)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(hidden=st.lists(st.integers(1, 160), max_size=3), seed=st.integers(0, 2**32 - 1),
+       shares=st.lists(st.sampled_from([0.0, 0.3, 0.7, 0.998, 1.0]), min_size=5,
+                       max_size=5))
+def test_infer_kept_is_infer_patch_on_the_kept_windows(hidden, seed, shares):
+    """Bit for bit, at any dims and for any kept planes, the last window of
+    a patch included (dims (7, 50, 1) give the last column of a stack call
+    other bits on OpenBLAS 0.3.31, Haswell)."""
+    rng = np.random.default_rng(seed)
+    net = he_net((7, *hidden, 1), rng)
+    kept = [rng.random((GRID, GRID)) < share for share in shares]
+    for keep, cmap, patch in zip(kept, infer_kept(net, PATCHES, kept), PATCHES,
+                                 strict=True):
+        want = np.where(keep, infer_patch(net, patch).values, np.nan)
+        assert cmap.values.tobytes() == want.tobytes()
+
+
+def test_infer_kept_refuses_a_net_of_other_bands_even_with_nothing_kept():
+    net = ConvNet([ConvLayer(np.ones((1, 3)), np.zeros(1))])
+    with pytest.raises(DimensionError, match="a patch has 7 bands, network expects 3"):
+        infer_kept(net, PATCHES[:1], [np.zeros((GRID, GRID), dtype=bool)])
