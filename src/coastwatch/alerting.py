@@ -21,7 +21,7 @@ Non-finite values: the stack raises ``NumericError`` when a computed window
 gives a non-finite activation. A window under cloud is not computed, so a
 reflectance there that would overflow the stack raises nothing, while the
 same value in a kept window raises. A non-finite reflectance is refused by
-``tile_scene`` anywhere in the scene, clouded or not.
+``tile_scene`` (``NonFiniteError``) anywhere in the scene, clouded or not.
 """
 
 from __future__ import annotations

@@ -219,11 +219,11 @@ def cmd_infer(args) -> int:
     scene, manifest = raster.read_pat1(args.scene)
     georef = _georef(Path(args.scene), manifest)
     cloud = _load_cloud_plane(Path(args.masks)) if args.masks else None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     scene_id = Path(args.scene).stem
 
     tiles, maps = alerting.infer_scene(scene, net, georef, cloud, scene_id)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     grids = []
     for patch, placement, cmap in zip(tiles.patches, tiles.index.placements, maps):

@@ -29,6 +29,11 @@ class NumericError(CoastwatchError, ArithmeticError):
     """Non-finite values appeared; message carries the layer or epoch index."""
 
 
+class NonFiniteError(CoastwatchError, ValueError):
+    """An input raster holds a NaN or infinite value where reflectances must
+    be finite."""
+
+
 def is_json_kind(value, kind: str) -> bool:
     """Whether a parsed JSON value is of ``kind``, one of "a boolean",
     "a string", "an integer", "a number" or a list kind of ``_ITEM_KINDS``,

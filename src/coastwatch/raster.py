@@ -46,7 +46,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import _container
-from .errors import DimensionError, InconsistencyError
+from .errors import DimensionError, InconsistencyError, NonFiniteError
 
 PATCH_SIZE = 256        # px per patch side; 1216 m at 4.75 m/px
 WINDOW = 10             # averaging window of the inference front end
@@ -175,7 +175,8 @@ class Patch:
 
     Reflectances are expected in [0, 1.2]; out-of-range values do not make
     construction fail but their count is kept in ``flagged_values`` so
-    callers can report them. Non-finite values are rejected outright.
+    callers can report them. Non-finite values are rejected outright
+    with ``NonFiniteError``.
     """
 
     raster: BandStack
@@ -195,7 +196,7 @@ class Patch:
         # check finiteness and, on in-range chips, skip the flag count
         lo, hi = r.data.min(), r.data.max()
         if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError(f"patch {self.patch_id!r} contains non-finite values")
+            raise NonFiniteError(f"patch {self.patch_id!r} contains non-finite values")
         if lo < 0.0 or hi > REFLECTANCE_MAX:
             self.flagged_values = int(
                 np.count_nonzero((r.data < 0.0) | (r.data > REFLECTANCE_MAX))

@@ -193,6 +193,13 @@ TRAIN = ["train", "--samples", "s.smp1", "--parameter", "turbidity", "--out", "m
 SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.75)
 
 
+def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
+    """``stack`` with one reflectance of band 0 set to ``value``."""
+    data = stack.data.copy()
+    data[0, 5, 5] = value
+    return raster.BandStack.from_array(data, stack.gsd)
+
+
 @pytest.mark.parametrize("files, argv, says", [
     ({"net.cnn1": b"CNN1\x00\x00"},
      ["quantize", "--net", "net.cnn1", "--out", "net16.cnn1"], "CNN1 header"),
@@ -348,6 +355,13 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
       "train.json": b'{"epochs": 1, "seed": 0, "layer_dims": [7, 4, 1]}'},
      [*TRAIN, "--config", "train.json"],
      "the 4 train samples of s.smp1 have the same features in every band"),
+    ({"net.cnn1": cnn1(), "scene.pat1": pat1(with_value(SCENE, np.nan), georef=GEOREF)},
+     ["infer", "--net", "net.cnn1", "--scene", "scene.pat1", "--out", "maps"],
+     "patch 'scene_000_000' contains non-finite values"),
+    ({"r.csv": ",".join(dataset.CSV_COLUMNS).encode() + b"\n",
+      "chips/chip_000_000.pat1": pat1(with_value(SCENE, np.inf), georef=GEOREF)},
+     ["build-dataset", "--records", "r.csv", "--patches", "chips", "--out", "s.smp1"],
+     "patch 'chip_000_000' contains non-finite values"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "simulate_bad_degrade",
@@ -375,7 +389,8 @@ SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.7
         "train_no_seed", "transfer_no_tol", "transfer_no_seed", "quantize_no_threshold",
         "quantize_no_seed", "bench_no_warmup", "bench_no_seed",
         "train_one_sample_store", "train_two_sample_store", "train_three_sample_store",
-        "train_unknown_parameter", "train_constant_features_store"])
+        "train_unknown_parameter", "train_constant_features_store",
+        "infer_nonfinite_scene", "build_dataset_nonfinite_chip"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)

@@ -232,6 +232,18 @@ def test_cnn1_round_trips_any_network_bit_for_bit(fp16, data):
             load_cnn1(path)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=nets(65504.0))
+def test_quantize_fp16_is_idempotent(net):
+    once = quantize_fp16(net)
+    twice = quantize_fp16(once)
+    assert once.dtype == twice.dtype == "f16"
+    for a, b in zip(once.layers, twice.layers, strict=True):
+        assert b.kernel.dtype == a.kernel.dtype == np.float32
+        assert b.kernel.tobytes() == a.kernel.tobytes()
+        assert b.bias.tobytes() == a.bias.tobytes()
+
+
 def former_manifest(net, report) -> dict:
     """The CNN1 manifest as written before it dropped what it restates: the
     front layer (``window``), the per-layer specs (``channels``, and ReLU on

@@ -1,8 +1,14 @@
 import datetime as dt
 import math
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coastwatch.dataset import (
     CSV_COLUMNS,
@@ -456,6 +462,42 @@ class TestSampleStore:
             assert a.date == b.date
         assert np.array_equal(back_stats.feature_mean, stats.feature_mean)
         assert manifest["provenance"]["source"] == "test"
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_store_round_trips_and_every_truncation_is_refused(self, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        bands = hnp.arrays(np.float64, 7, elements=finite)
+        samples = data.draw(st.lists(st.builds(
+            Sample, features=bands, target=finite,
+            parameter=st.sampled_from([TURBIDITY, PH]), patch_id=st.text(max_size=6),
+            window=st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1)),
+            station_id=st.text(max_size=6), date=st.dates()), max_size=3),
+            label="samples")
+        stats = data.draw(st.none() | st.builds(NormStats, bands, bands, finite, finite),
+                          label="stats")
+        provenance = data.draw(st.dictionaries(
+            st.text(max_size=6), st.integers() | st.text(max_size=6), max_size=3),
+            label="provenance")
+        with tempfile.TemporaryDirectory() as d:
+            path = save_samples(Path(d) / "s.smp1", samples, stats, provenance)
+            blob = path.read_bytes()
+            back, back_stats, manifest = load_samples(path)
+            for n in reversed(range(len(blob))):  # every proper prefix
+                os.truncate(path, n)
+                with pytest.raises(FormatError, match=str(path)):
+                    load_samples(path)
+        assert len(back) == len(samples)
+        for a, b in zip(samples, back):
+            assert b.features.tobytes() == a.features.tobytes()
+            assert (b.target, b.parameter, b.patch_id, b.window, b.station_id,
+                    b.date) == (a.target, a.parameter, a.patch_id, a.window,
+                                a.station_id, a.date)
+        if stats is None:
+            assert back_stats is None
+        else:
+            assert back_stats.to_json() == stats.to_json()
+        assert manifest["provenance"] == provenance
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.bin"
