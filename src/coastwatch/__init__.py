@@ -20,6 +20,7 @@ from .convnet import (
 from .dataset import (
     InSituRecord,
     Sample,
+    SampleTable,
     SplitSpec,
     ingest_records,
     match,

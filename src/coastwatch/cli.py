@@ -151,7 +151,7 @@ def cmd_train(args) -> int:
     config = mlp.TrainConfig.from_json(doc)
     samples, _, _ = dataset.load_samples(args.samples)
     parameter = _parameter(args.parameter)
-    samples = [s for s in samples if s.parameter == parameter]
+    samples = samples.take(samples.parameter == parameter)
     if not samples:
         raise CoastwatchError(f"no {parameter} samples in {args.samples}")
 

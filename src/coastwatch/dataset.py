@@ -11,13 +11,24 @@ degrees):
 surface record with the patch whose center is nearest, provided the record
 falls inside the patch footprint (608 m half-extent per axis) and the
 acquisition date is within ``MATCH_TOLERANCE_DAYS`` (3 days).
+
+Samples are held as columns. ``match``, ``samples_from_scene``,
+``load_samples`` and ``split`` return a ``SampleTable``: a read-only
+sequence whose ``features`` ``(n, N_BANDS)`` and ``target`` ``(n,)`` are
+float64 arrays, beside the identifying columns (parameter, patch id,
+window, station id, date). A ``Sample`` is built, with its own constructor,
+only when a row is read; ``normalize``, ``as_arrays`` and ``save_samples``
+read the columns. A plain list of ``Sample`` is accepted wherever a table
+is, and ``as_table`` gathers it into columns.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-from dataclasses import dataclass, replace
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,14 +86,101 @@ class Sample:
     target: float
     parameter: str
     patch_id: str
-    window: tuple[int, int]       # (row, col) in the GRID x GRID window grid
+    # (row, col) of the 10x10 window in the raster the features average:
+    # the patch's GRID x GRID grid for a matched record, the whole scene's
+    # grid for ``samples_from_scene``
+    window: tuple[int, int]
     station_id: str
     date: dt.date
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64).reshape(N_BANDS)
-        if not np.isfinite(self.features).all() or not np.isfinite(self.target):
+        if not np.isfinite(self.features).all() or not math.isfinite(self.target):
             raise ValueError("sample features/target must be finite")
+
+
+def _column(shape: tuple[int, ...], dtype):
+    """A ``SampleTable`` column: one row of ``shape`` per sample, of ``dtype``."""
+    return field(metadata={"shape": shape, "dtype": dtype})
+
+
+@dataclass(frozen=True, eq=False)
+class SampleTable(Sequence):
+    """A read-only sequence of samples held as columns; row i is sample i.
+
+    Reading row i builds its ``Sample`` with the normal constructor (the
+    features a copy of the row); a slice is the list of its rows' samples,
+    as a list's slice is, and ``take`` gives the table of the chosen rows.
+    The columns are read-only arrays; the identifying ones hold Python
+    objects. Non-finite features or targets raise ``ValueError``, as
+    ``Sample`` does.
+    """
+
+    features: np.ndarray = _column((N_BANDS,), np.float64)   # C order
+    target: np.ndarray = _column((), np.float64)
+    parameter: np.ndarray = _column((), object)               # str
+    patch_id: np.ndarray = _column((), object)                # str
+    window: np.ndarray = _column((2,), np.int64)              # see ``Sample.window``
+    station_id: np.ndarray = _column((), object)              # str
+    date: np.ndarray = _column((), object)                    # datetime.date
+
+    def __post_init__(self):
+        n = len(self.target)
+        for f in fields(self):
+            shape = (n, *f.metadata["shape"])
+            # a view, so the caller's array keeps its own flags
+            column = np.ascontiguousarray(getattr(self, f.name),
+                                          dtype=f.metadata["dtype"]).view()
+            if column.shape != shape:
+                raise ValueError(f"{f.name} column of shape {column.shape}, "
+                                 f"expected {shape}")
+            column.flags.writeable = False
+            object.__setattr__(self, f.name, column)
+        if not (np.isfinite(self.features).all() and np.isfinite(self.target).all()):
+            raise ValueError("sample features/target must be finite")
+
+    def __len__(self) -> int:
+        return len(self.target)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        # any integer, negative ones too; IndexError past the end
+        i = range(len(self))[i]
+        row, col = self.window[i].tolist()
+        return Sample(features=self.features[i].copy(), target=float(self.target[i]),
+                      parameter=self.parameter[i], patch_id=self.patch_id[i],
+                      window=(row, col), station_id=self.station_id[i],
+                      date=self.date[i])
+
+    def take(self, index) -> SampleTable:
+        """The table of the rows ``index`` selects: positions or a boolean mask."""
+        return SampleTable(**{f.name: getattr(self, f.name)[index]
+                              for f in fields(self)})
+
+
+def as_table(samples: Sequence[Sample]) -> SampleTable:
+    """``samples`` as a table: a table as it is, any other sequence of
+    ``Sample`` gathered column by column."""
+    if isinstance(samples, SampleTable):
+        return samples
+    return SampleTable(
+        features=np.array([s.features for s in samples],
+                          dtype=np.float64).reshape(-1, N_BANDS),
+        target=[s.target for s in samples],
+        parameter=[s.parameter for s in samples],
+        patch_id=[s.patch_id for s in samples],
+        window=np.array([s.window for s in samples], dtype=np.int64).reshape(-1, 2),
+        station_id=[s.station_id for s in samples],
+        date=[s.date for s in samples],
+    )
+
+
+def as_arrays(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only feature matrix ``(n, N_BANDS)`` and target vector
+    ``(n,)`` of ``samples``: a table's own columns."""
+    table = as_table(samples)
+    return table.features, table.target
 
 
 # test and validation shares of the matched samples; train takes the rest
@@ -164,7 +262,7 @@ def select_surface(records: list[InSituRecord]) -> list[InSituRecord]:
 
 @dataclass
 class MatchResult:
-    samples: list[Sample]
+    samples: SampleTable
     unmatched: list[tuple[InSituRecord, str]]
 
 
@@ -223,53 +321,52 @@ def match(
         best_days[better] = days[better]
         best_idx[better] = idx
 
-    features_cache: dict[int, np.ndarray] = {}
-    samples: list[Sample] = []
-    unmatched: list[tuple[InSituRecord, str]] = []
-    for rec, idx in zip(records, best_idx.tolist()):
-        if idx < 0:
-            unmatched.append((rec, "no patch within footprint and tolerance"))
-            continue
-        patch = patch_catalog[idx]
-        window = locate_window(patch.georef, patch.raster.gsd, rec.lat, rec.lon)
-        if idx not in features_cache:
-            features_cache[idx] = window_average(patch.raster, WINDOW).data
-        wr, wc = window
-        samples.append(
-            Sample(
-                features=features_cache[idx][:, wr, wc],
-                target=rec.value,
-                parameter=rec.parameter,
-                patch_id=patch.patch_id,
-                window=(wr, wc),
-                station_id=rec.station_id,
-                date=patch.georef.acquisition_date,
-            )
-        )
+    unmatched = [(rec, "no patch within footprint and tolerance")
+                 for rec, idx in zip(records, best_idx.tolist()) if idx < 0]
+    matched = best_idx[best_idx >= 0]
+    hits = [(rec, patch_catalog[idx])
+            for rec, idx in zip(records, best_idx.tolist()) if idx >= 0]
+    windows = np.array([locate_window(p.georef, p.raster.gsd, rec.lat, rec.lon)
+                        for rec, p in hits], dtype=np.int64).reshape(-1, 2)
+    # one window-mean pass per matched patch, its rows gathered from it
+    features = np.empty((len(hits), N_BANDS))
+    for idx in np.unique(matched):
+        mine = np.flatnonzero(matched == idx)
+        means = window_average(patch_catalog[idx].raster, WINDOW).data
+        features[mine] = means[:, windows[mine, 0], windows[mine, 1]].T
+    samples = SampleTable(
+        features=features,
+        target=[rec.value for rec, _ in hits],
+        parameter=[rec.parameter for rec, _ in hits],
+        patch_id=[p.patch_id for _, p in hits],
+        window=windows,
+        station_id=[rec.station_id for rec, _ in hits],
+        date=[p.georef.acquisition_date for _, p in hits],
+    )
     return MatchResult(samples, unmatched)
 
 
 @dataclass
 class SplitResult:
-    train: list[Sample]
-    test: list[Sample]
-    val: list[Sample]
+    train: Sequence[Sample]
+    test: Sequence[Sample]
+    val: Sequence[Sample]
 
 
-def split(samples: list[Sample], spec: SplitSpec) -> SplitResult:
+def split(samples: Sequence[Sample], spec: SplitSpec) -> SplitResult:
     """Deterministic shuffled split; the test and validation sizes are
     ``TEST_FRACTION`` and ``VAL_FRACTION`` of the samples, rounded, and
-    train takes the remainder. The three lists partition the
-    input exactly."""
+    train takes the remainder. The three parts partition the input exactly:
+    tables of a table's rows, or lists of a list's own ``Sample`` objects."""
     n = len(samples)
     n_test = int(round(n * TEST_FRACTION))
     n_val = int(round(n * VAL_FRACTION))
     n_train = n - n_test - n_val
     perm = np.random.default_rng(spec.seed).permutation(n)
-    train = [samples[i] for i in perm[:n_train]]
-    test = [samples[i] for i in perm[n_train : n_train + n_test]]
-    val = [samples[i] for i in perm[n_train + n_test :]]
-    return SplitResult(train, test, val)
+    parts = np.split(perm, [n_train, n_train + n_test])
+    if isinstance(samples, SampleTable):
+        return SplitResult(*map(samples.take, parts))
+    return SplitResult(*([samples[i] for i in part] for part in parts))
 
 
 # a standard deviation below this is no variation: normalize divides by 1
@@ -310,17 +407,21 @@ class NormStats:
 
 
 def normalize(
-    samples: list[Sample], stats: NormStats | None = None
-) -> tuple[list[Sample], NormStats]:
+    samples: Sequence[Sample], stats: NormStats | None = None
+) -> tuple[SampleTable, NormStats]:
     """Standardize features and target to zero mean / unit std.
 
     Statistics are computed from ``samples`` when ``stats`` is None (do this
     on the train split) and reused verbatim otherwise (val/test). Constant
-    features get std 1 so normalization stays invertible.
+    features get std 1 so normalization stays invertible. The result is
+    ``samples`` as a table with ``(X - mean) / std`` and
+    ``(y - t_mean) / t_std`` over the whole columns, element for element
+    what each sample's own formula gives.
     """
-    if not samples:
+    table = as_table(samples)
+    if not table:
         raise ValueError("cannot normalize an empty sample list")
-    X, y = as_arrays(samples)
+    X, y = table.features, table.target
     if stats is None:
         f_std = X.std(axis=0)
         t_std = float(y.std())
@@ -330,22 +431,9 @@ def normalize(
             target_mean=float(y.mean()),
             target_std=t_std if t_std >= CONSTANT_STD else 1.0,
         )
-    out = []
-    for s in samples:
-        out.append(
-            replace(
-                s,
-                features=(s.features - stats.feature_mean) / stats.feature_std,
-                target=float(stats.normalize_target(s.target)),
-            )
-        )
+    out = replace(table, features=(X - stats.feature_mean) / stats.feature_std,
+                  target=stats.normalize_target(y))
     return out, stats
-
-
-def as_arrays(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    X = np.stack([s.features for s in samples]).astype(np.float64)
-    y = np.asarray([s.target for s in samples], dtype=np.float64)
-    return X, y
 
 
 def samples_from_scene(
@@ -354,30 +442,26 @@ def samples_from_scene(
     parameter: str,
     date: dt.date = dt.date(2024, 6, 15),
     scene_id: str = "synthetic",
-) -> list[Sample]:
+) -> SampleTable:
     """Build samples directly from a synthetic scene and its ground truth.
 
     Features are the scene-level 10x10-window band averages and targets the
-    matching window means of the requested field; used for acceptance-scale
-    corpora where no in-situ archive exists.
+    matching window means of the requested field, one row per window in
+    row-major order; used for acceptance-scale corpora where no in-situ
+    archive exists. No ``Sample`` is built until a row is read.
     """
     feats = window_average(scene, WINDOW).data
     grid = truth.window_grids[parameter]
-    samples = []
-    for r in range(grid.shape[0]):
-        for c in range(grid.shape[1]):
-            samples.append(
-                Sample(
-                    features=feats[:, r, c],
-                    target=float(grid[r, c]),
-                    parameter=parameter,
-                    patch_id=scene_id,
-                    window=(r, c),
-                    station_id=scene_id,
-                    date=date,
-                )
-            )
-    return samples
+    n = grid.size
+    return SampleTable(
+        features=feats.reshape(N_BANDS, n).T,
+        target=grid.astype(np.float64).ravel(),
+        parameter=np.full(n, parameter, dtype=object),
+        patch_id=np.full(n, scene_id, dtype=object),
+        window=np.indices(grid.shape).reshape(2, n).T,
+        station_id=np.full(n, scene_id, dtype=object),
+        date=np.full(n, date, dtype=object),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -400,52 +484,66 @@ _PARAM_NAMES = (TURBIDITY, PH)   # indexed by the record's parameter code
 _PARAM_CODES = {name: code for code, name in enumerate(_PARAM_NAMES)}
 
 
+def _codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of ``column`` and each row's index into them."""
+    values, index = np.unique(column, return_inverse=True)
+    return values, index.reshape(-1)
+
+
 def save_samples(
     path: str | Path,
-    samples: list[Sample],
+    samples: Sequence[Sample],
     stats: NormStats | None = None,
     provenance: dict | None = None,
 ) -> Path:
     path = Path(path)
-    patch_ids = sorted({s.patch_id for s in samples})
-    station_ids = sorted({s.station_id for s in samples})
-    p_idx = {p: i for i, p in enumerate(patch_ids)}
-    s_idx = {s: i for i, s in enumerate(station_ids)}
+    table = as_table(samples)
+    patch_ids, patch = _codes(table.patch_id)
+    station_ids, station = _codes(table.station_id)
+    params, param = _codes(table.parameter)
+    dates, date = _codes(table.date)
     manifest = {
-        "count": len(samples),
-        "patch_ids": patch_ids,
-        "station_ids": station_ids,
+        "count": len(table),
+        "patch_ids": patch_ids.tolist(),
+        "station_ids": station_ids.tolist(),
         "normalization": stats.to_json() if stats else None,
         "provenance": provenance or {},
     }
-    records = np.zeros(len(samples), _SMP1_RECORD)  # zeroed pad bytes
-    records[...] = [
-        (s.features, s.target, _PARAM_CODES[s.parameter], p_idx[s.patch_id],
-         s.window, s_idx[s.station_id], s.date.toordinal())
-        for s in samples
-    ]
+    records = np.zeros(len(table), _SMP1_RECORD)  # zeroed pad bytes
+    records["features"] = table.features
+    records["target"] = table.target
+    records["parameter"] = np.array([_PARAM_CODES[p] for p in params], np.uint8)[param]
+    records["patch"] = patch
+    records["window"] = table.window
+    records["station"] = station
+    records["date"] = np.array([d.toordinal() for d in dates], np.int64)[date]
+    if not np.array_equal(records["window"], table.window):
+        raise ValueError("a window index is outside SMP1's u16 range")
     with open(path, "wb") as fh:
         _container.write(fh, _SMP1_MAGIC, manifest, [records], _SMP1_RECORD)
     return path
 
 
-def load_samples(path: str | Path) -> tuple[list[Sample], NormStats | None, dict]:
+def load_samples(path: str | Path) -> tuple[SampleTable, NormStats | None, dict]:
     manifest, (records,) = _container.load(
         path, _SMP1_MAGIC, lambda m: ([(m["count"],)], _SMP1_RECORD))
     # a missing manifest list, an index past its end, an unknown parameter
-    # code or a non-finite value raises FormatError naming the file
+    # code, a date ordinal out of range or a non-finite value raises
+    # FormatError naming the file
     with _container.parsing(path):
-        patch_ids = manifest["patch_ids"]
-        station_ids = manifest["station_ids"]
-        columns = (records[name].tolist() for name in
-                   ("target", "parameter", "patch", "window", "station", "date"))
-        samples = [
-            Sample(features=features, target=target, parameter=_PARAM_NAMES[pcode],
-                   patch_id=patch_ids[pidx], window=tuple(window),
-                   station_id=station_ids[sidx], date=dt.date.fromordinal(ordinal))
-            for features, target, pcode, pidx, window, sidx, ordinal
-            in zip(records["features"], *columns)
-        ]
+        ordinals, date = _codes(records["date"])
+        patch_ids = np.array(manifest["patch_ids"], dtype=object)
+        station_ids = np.array(manifest["station_ids"], dtype=object)
+        samples = SampleTable(
+            features=records["features"],
+            target=records["target"],
+            parameter=np.array(_PARAM_NAMES, dtype=object)[records["parameter"]],
+            patch_id=patch_ids[records["patch"]],
+            window=records["window"],
+            station_id=station_ids[records["station"]],
+            date=np.array([dt.date.fromordinal(int(o)) for o in ordinals],
+                          dtype=object)[date],
+        )
         stats_doc = manifest.get("normalization")
         stats = NormStats.from_json(stats_doc) if stats_doc else None
     return samples, stats, manifest

@@ -35,6 +35,7 @@ weights.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -470,9 +471,9 @@ def recalibrate_bn(params: MLPParams, X: np.ndarray) -> None:
 
 
 def train(
-    samples: list[Sample],
+    samples: Sequence[Sample],
     config: TrainConfig,
-    val_samples: list[Sample] | None = None,
+    val_samples: Sequence[Sample] | None = None,
 ) -> tuple[MLPParams, dict]:
     """Mini-batch Adam on the RMSE loss; deterministic for a fixed seed.
 
@@ -481,7 +482,8 @@ def train(
     (and val, when provided) RMSE per epoch in normalized target units. When
     a validation set is given, the parameter snapshot with the lowest
     validation RMSE is returned instead of the final state. Divergence
-    (non-finite loss) aborts with the epoch index.
+    (non-finite loss) aborts with the epoch index; an empty ``samples``
+    raises ``ValueError``.
     """
     if not samples:
         raise ValueError("empty train split")
@@ -645,7 +647,7 @@ class EvalReport:
 
 def evaluate(
     params: MLPParams,
-    samples: list[Sample],
+    samples: Sequence[Sample],
     stats: NormStats,
     split: str = "test",
 ) -> EvalReport:
@@ -653,8 +655,11 @@ def evaluate(
 
     ``samples`` carry normalized features and targets (the training
     representation); predictions and targets are denormalized through
-    ``stats`` before computing RMSE and MAE.
+    ``stats`` before computing RMSE and MAE. An empty ``samples`` raises
+    ``ValueError`` naming ``split``.
     """
+    if not samples:
+        raise ValueError(f"empty {split} split")
     X, y = as_arrays(samples)
     preds = stats.denormalize_target(forward(params, X))
     truth = stats.denormalize_target(y)

@@ -53,7 +53,10 @@ def quantize_fp16(net: ConvNet) -> ConvNet:
     for k, layer in enumerate(net.layers):
         rounded = {}
         for name in ("kernel", "bias"):
-            arr = getattr(layer, name).astype(np.float16)
+            # the overflow is reported below, as NumericError, not as the
+            # cast's RuntimeWarning
+            with np.errstate(over="ignore"):
+                arr = getattr(layer, name).astype(np.float16)
             if not np.isfinite(arr).all():
                 raise NumericError(
                     f"layer {k + 1} {name}: value overflows binary16 range"

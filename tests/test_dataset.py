@@ -2,6 +2,7 @@ import datetime as dt
 import math
 import os
 import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from coastwatch.dataset import (
+    CONSTANT_STD,
     CSV_COLUMNS,
     InSituRecord,
     NormStats,
     Sample,
+    SampleTable,
     SplitSpec,
     as_arrays,
+    as_table,
     ingest_records,
     load_samples,
     locate_window,
@@ -32,6 +36,7 @@ from coastwatch.raster import BandStack, GeoRef, Patch, meters_per_degree, windo
 from coastwatch.sensor import PH, TURBIDITY, SceneSpec, generate_synthetic_scene
 
 RNG = np.random.default_rng(55)
+DATE = dt.date(2024, 6, 15)
 HEADER = ",".join(CSV_COLUMNS)
 
 
@@ -83,6 +88,42 @@ def match_reference(records, patch_catalog, tolerance_days):
             window=(wr, wc), station_id=r.station_id,
             date=p.georef.acquisition_date))
     return samples, unmatched
+
+
+def eager_samples_from_scene(scene, truth, parameter, date=DATE, scene_id="synthetic"):
+    """One ``Sample`` per scene window, built as it is read off the grids."""
+    feats = window_average(scene, 10).data
+    grid = truth.window_grids[parameter]
+    return [Sample(features=feats[:, r, c], target=float(grid[r, c]),
+                   parameter=parameter, patch_id=scene_id, window=(r, c),
+                   station_id=scene_id, date=date)
+            for r in range(grid.shape[0]) for c in range(grid.shape[1])]
+
+
+def normalize_per_sample(samples, stats=None):
+    """``normalize`` one ``Sample`` at a time, each with its own formula."""
+    X = np.stack([s.features for s in samples])
+    y = np.asarray([s.target for s in samples], dtype=np.float64)
+    if stats is None:
+        f_std, t_std = X.std(axis=0), float(y.std())
+        stats = NormStats(feature_mean=X.mean(axis=0),
+                          feature_std=np.where(f_std < CONSTANT_STD, 1.0, f_std),
+                          target_mean=float(y.mean()),
+                          target_std=t_std if t_std >= CONSTANT_STD else 1.0)
+    return [replace(s, features=(s.features - stats.feature_mean) / stats.feature_std,
+                    target=float(stats.normalize_target(s.target)))
+            for s in samples], stats
+
+
+def assert_same_sample(got, want):
+    """Field for field equal, features to the bit, each field of one type."""
+    assert isinstance(got, Sample)
+    assert got.features.dtype == np.float64
+    assert got.features.tobytes() == want.features.tobytes()
+    for f in fields(Sample)[1:]:
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b) and a == b, f.name
+    assert all(type(i) is int for i in got.window)
 
 
 class TestIngest:
@@ -349,6 +390,141 @@ class TestMatch:
         }
 
 
+class TestSampleTable:
+    SPEC = SceneSpec(width=256, height=256)
+
+    def test_samples_from_scene_builds_no_sample_until_one_is_read(self, monkeypatch):
+        scene, truth = generate_synthetic_scene(self.SPEC, 4)
+        built = []
+        post_init = Sample.__post_init__
+
+        def counted(sample):
+            built.append(sample.window)
+            post_init(sample)
+
+        monkeypatch.setattr(Sample, "__post_init__", counted)
+        table = samples_from_scene(scene, truth, TURBIDITY)
+        n = len(table)
+        assert n == 25 * 25 and table and built == []
+        assert len(table.take(np.arange(5))) == 5 and built == []
+        assert table[np.int64(30)].window == (1, 5) and built == [(1, 5)]
+        assert table[-1].window == (24, 24) and len(built) == 2
+        listed = []
+        listed += table[:3]
+        assert [s.window for s in listed] == [(0, 0), (0, 1), (0, 2)]
+        assert len(built) == 5
+        assert sum(1 for _ in table) == n and len(built) == 5 + n
+
+    def test_every_use_reads_what_the_eager_list_holds(self):
+        scene, truth = generate_synthetic_scene(self.SPEC, 5)
+        date = dt.date(2023, 9, 1)
+        table = samples_from_scene(scene, truth, PH, date=date, scene_id="s5")
+        eager = eager_samples_from_scene(scene, truth, PH, date=date, scene_id="s5")
+        assert len(table) == len(eager) and bool(table)
+        for got, want in zip(table, eager):
+            assert_same_sample(got, want)
+        for i in (np.int32(7), np.int64(-3), 600):
+            assert_same_sample(table[i], eager[i])
+        for got, want in zip(table[10:40:7], eager[10:40:7], strict=True):
+            assert_same_sample(got, want)
+        for got, want in zip(table.take([3, 0, 3]), [eager[3], eager[0], eager[3]],
+                             strict=True):
+            assert_same_sample(got, want)
+        for got, want in zip(as_table(eager), eager, strict=True):
+            assert_same_sample(got, want)
+        with pytest.raises(IndexError):
+            table[len(table)]
+        assert table[:0] == [] and not table.take([]) and not as_table([])
+
+    def test_columns_are_read_only_and_a_read_sample_is_its_own(self):
+        scene, truth = generate_synthetic_scene(self.SPEC, 6)
+        table = samples_from_scene(scene, truth, TURBIDITY)
+        for f in fields(SampleTable):
+            with pytest.raises(ValueError):
+                getattr(table, f.name)[0] = getattr(table, f.name)[1]
+        sample = table[0]
+        sample.features[0] = -1.0
+        assert table.features[0, 0] != -1.0
+
+    def test_non_finite_input_raises_value_error(self):
+        scene, truth = generate_synthetic_scene(self.SPEC, 7)
+        good = samples_from_scene(scene, truth, TURBIDITY)
+        huge = NormStats(np.zeros(7), np.full(7, 1e-320), 0.0, 1.0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            normalize(good, huge)
+        scene.data[2, 15, 33] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            samples_from_scene(scene, truth, TURBIDITY)
+        with pytest.raises(ValueError, match="finite"):
+            Sample(features=np.full(7, np.inf), target=0.0, parameter=TURBIDITY,
+                   patch_id="p", window=(0, 0), station_id="s", date=DATE)
+
+    def test_match_and_load_give_tables(self, tmp_path):
+        patch = make_patch(44.0, 9.0, "2024-06-15", "p0", seed=3)
+        records = [rec(station=f"S{i}", value=float(i + 1)) for i in range(4)]
+        matched = match(records, [patch]).samples
+        assert isinstance(matched, SampleTable) and len(matched) == 4
+        back, _, _ = load_samples(save_samples(tmp_path / "m.smp1", matched))
+        assert isinstance(back, SampleTable)
+        for got, want in zip(back, matched, strict=True):
+            assert_same_sample(got, want)
+        parts = split(back, SplitSpec(seed=1))
+        assert all(isinstance(p, SampleTable) for p in
+                   (parts.train, parts.test, parts.val))
+        assert sorted(s.station_id for p in (parts.train, parts.test, parts.val)
+                      for s in p) == [f"S{i}" for i in range(4)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_normalize_over_the_columns_is_each_samples_formula(data):
+    """Reflectance-like features and turbidity-like targets, where every
+    result is finite: bit for bit, with computed and with given stats."""
+    n = data.draw(st.integers(1, 40), label="n")
+    X = data.draw(hnp.arrays(np.float64, (n, 7), elements=st.floats(0.0, 1.2)),
+                  label="X")
+    y = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 60.0)), label="y")
+    samples = [Sample(features=x, target=float(t), parameter=TURBIDITY, patch_id="p",
+                      window=(i, 0), station_id=f"S{i}", date=DATE)
+               for i, (x, t) in enumerate(zip(X, y))]
+    want, stats = normalize_per_sample(samples)
+    given_stats = NormStats(stats.feature_mean + 0.01, stats.feature_std * 1.5,
+                            stats.target_mean - 1.0, stats.target_std * 0.7)
+    want_given, _ = normalize_per_sample(samples, given_stats)
+    for source in (samples, as_table(samples)):
+        got, got_stats = normalize(source)
+        assert got_stats.to_json() == stats.to_json()
+        for a, b in zip(got, want, strict=True):
+            assert_same_sample(a, b)
+        got, _ = normalize(source, given_stats)
+        for a, b in zip(got, want_given, strict=True):
+            assert_same_sample(a, b)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_standardizing_commutes_with_the_window_mean(data):
+    """(window_average(P) - mu) / sigma against window_average((P - mu) / sigma).
+
+    Equal in exact arithmetic. Each standardized pixel carries a few ulp of
+    rounding and a window mean sums 100 of them, so the two sides differ by
+    at most ~1e-13 of the scale (max|P| + |mu|) / sigma: the test allows a
+    relative tolerance of 1e-12 of that scale.
+    """
+    h, w = data.draw(st.integers(10, 34), label="h"), data.draw(st.integers(10, 34),
+                                                                label="w")
+    P = data.draw(hnp.arrays(np.float64, (7, h, w),
+                             elements=st.floats(-1e3, 1e3)), label="P")
+    mu = data.draw(hnp.arrays(np.float64, (7, 1, 1), elements=st.floats(-1e3, 1e3)),
+                   label="mu")
+    sigma = data.draw(hnp.arrays(np.float64, (7, 1, 1), elements=st.floats(1e-3, 1e3)),
+                      label="sigma")
+    means_then = (window_average(BandStack.from_array(P, 1.0), 10).data - mu) / sigma
+    then_means = window_average(BandStack.from_array((P - mu) / sigma, 1.0), 10).data
+    scale = (np.abs(P).max(axis=(1, 2), keepdims=True) + np.abs(mu)) / sigma
+    assert np.all(np.abs(means_then - then_means) <= 1e-12 * scale)
+
+
 class TestLocateWindow:
     def test_center_maps_to_center_window(self):
         georef = GeoRef(44.0, 9.0, dt.date(2024, 6, 15))
@@ -498,6 +674,22 @@ class TestSampleStore:
         else:
             assert back_stats.to_json() == stats.to_json()
         assert manifest["provenance"] == provenance
+        # every row read off either table is the eagerly built sample
+        for table in (back, as_table(samples)):
+            for got, want in zip(table, samples, strict=True):
+                assert_same_sample(got, want)
+        # normalize over the columns is each sample's own formula, bit for bit
+        with np.errstate(all="ignore"):
+            try:
+                want, want_stats = normalize_per_sample(samples, stats)
+            except ValueError:  # no samples, or a non-finite result
+                with pytest.raises(ValueError):
+                    normalize(back, stats)
+            else:
+                got, got_stats = normalize(back, stats)
+                assert got_stats.to_json() == want_stats.to_json()
+                for a, b in zip(got, want, strict=True):
+                    assert_same_sample(a, b)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.bin"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from coastwatch.dataset import NormStats, Sample
+from coastwatch.dataset import NormStats, Sample, as_table
 from coastwatch.errors import FormatError, NumericError, SchemaError
 from coastwatch.mlp import (
     ADAM_BETA1,
@@ -24,6 +24,7 @@ from coastwatch.mlp import (
     _backward,
     _forward_full,
     _vector_sizes,
+    evaluate,
     forward,
     gradient_check,
     init_mlp,
@@ -163,6 +164,15 @@ class TestTrainLoop:
         _, history = train(train_s, cfg, val_s)
         assert history["stopped_early"] and history["epochs_run"] == want
         assert history["val_rmse"] == full["val_rmse"][:want]
+
+
+@pytest.mark.parametrize("empty", [[], as_table([])], ids=["list", "table"])
+def test_train_and_evaluate_refuse_an_empty_sample_set(empty):
+    with pytest.raises(ValueError, match="^empty train split$"):
+        train(empty, TrainConfig(layer_dims=DIMS, epochs=1))
+    stats = NormStats(np.zeros(7), np.ones(7), 0.0, 1.0)
+    with pytest.raises(ValueError, match="^empty val split$"):
+        evaluate(tracked_params(), empty, stats, split="val")
 
 
 def test_recalibrated_statistics_describe_the_eval_forward():
