@@ -89,6 +89,13 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     scene, truth = sensor.generate_synthetic_scene(spec, args.seed)
+    truth_doc = {
+        "noise_std": truth.noise_std,
+        "noise_floor": truth.noise_floor,
+        "mixing_offsets": truth.mixing_offsets.tolist(),
+        "mixing_matrix": truth.mixing_matrix.tolist(),
+    }
+    del truth  # its full-resolution fields would sit beside the product buffer
     georef = spec.georef()
     raster.write_pat1(out / "scene.pat1", scene, georef=georef)
 
@@ -110,10 +117,7 @@ def cmd_simulate(args) -> int:
         "scene": "scene.pat1",
         "chips": len(tiles.patches),
         "margins": [tiles.margin_rows, tiles.margin_cols],
-        "noise_std": truth.noise_std,
-        "noise_floor": truth.noise_floor,
-        "mixing_offsets": truth.mixing_offsets.tolist(),
-        "mixing_matrix": truth.mixing_matrix.tolist(),
+        **truth_doc,
         "seed": args.seed,
     }
     (out / "truth.json").write_text(json.dumps(manifest, indent=2))

@@ -198,9 +198,10 @@ class Patch:
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NonFiniteError(f"patch {self.patch_id!r} contains non-finite values")
         if lo < 0.0 or hi > REFLECTANCE_MAX:
-            self.flagged_values = int(
-                np.count_nonzero((r.data < 0.0) | (r.data > REFLECTANCE_MAX))
-            )
+            # band by band, so the masks are one band's, not the chip's
+            self.flagged_values = sum(
+                int(np.count_nonzero((band < 0.0) | (band > REFLECTANCE_MAX)))
+                for band in r.data)
 
 
 @dataclass(frozen=True)

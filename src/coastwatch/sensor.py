@@ -20,11 +20,14 @@ call through an explicit seed.
 ``_misalign``, ``_degrade`` and :func:`generate_synthetic_scene` stream
 each band in blocks of ``_ROW_BLOCK`` rows, band by band and top to
 bottom, so their temporaries stay cache-sized: beside the buffer, a step
-holds at most one band plane of scratch (the copy that misalignment and
-blur read from) and a few row blocks. ``_to_reflectance`` is one in-place
-division per band and needs no scratch. Streaming changes no bit: every
-pixel sees the same operations in the same order as on whole planes, and
-the random draws keep their band-major, row-major order in the stream.
+holds a few row blocks. Misalignment and blur read each block's source
+rows from a slab (``_slabs``): the block's original rows and a halo above
+and below, the rows above kept from before the previous block overwrote
+them. :func:`scene_to_radiance` multiplies each band straight into its
+output band, and ``_to_reflectance`` is one in-place division per band;
+neither needs scratch. Streaming changes no bit: every pixel sees the same
+operations in the same order as on whole planes, and the random draws keep
+their band-major, row-major order in the stream.
 :func:`generate_synthetic_scene` draws its pixel noise in one worker
 thread while the calling thread evaluates the contaminant fields; the
 generator is the worker's alone once it starts.
@@ -80,6 +83,33 @@ def _block_buffer(height: int, width: int) -> np.ndarray:
     """Scratch for one row block of a (height, width) plane; a shorter last
     block uses its first rows, which stay C-contiguous."""
     return np.empty((min(_ROW_BLOCK, height), width))
+
+
+def _slabs(band: np.ndarray, above: int, below: int):
+    """Per row block of a (height, width) ``band``, top to bottom: the
+    block's rows, a slab of the band's original rows from ``above`` rows
+    over the block to ``below`` rows under it (clipped to the band), and the
+    band row the slab starts at.
+
+    The caller may overwrite the block in ``band`` before it asks for the
+    next slab: the rows a later block reads above its own were copied into a
+    halo buffer before the slab was yielded. The slab is one reused buffer,
+    valid until the next is asked for.
+    """
+    height, width = band.shape
+    slab = np.empty((min(_ROW_BLOCK, height) + above + below, width))
+    halo = np.empty((above, width))
+    for rows in _row_blocks(height):
+        top = max(rows.start - above, 0)
+        bottom = min(rows.stop + below, height)
+        kept = rows.start - top   # rows above the block, overwritten by now
+        source = slab[:bottom - top]
+        source[:kept] = halo[:kept]
+        source[kept:] = band[rows.start:bottom]
+        # the original rows the next block reads above its own
+        start = max(rows.stop - above, 0)
+        halo[:rows.stop - start] = source[start - top:rows.stop - top]
+        yield rows, source, top
 
 
 @contextlib.contextmanager
@@ -213,7 +243,8 @@ def scene_to_radiance(scene: BandStack, ctx: SolarContext) -> BandStack:
                              f"covers {len(DEFAULT_ESUN)}")
     out = np.empty_like(scene.data, dtype=np.float64)
     for b in range(scene.bands):
-        out[b] = reflectance_to_radiance(scene.data[b], ctx, b)
+        # reflectance_to_radiance's product, made in the output band
+        np.multiply(scene.data[b], _radiometric_scale(ctx, b), out=out[b])
     return BandStack.from_array(out, scene.gsd, scene.band_ids)
 
 
@@ -282,34 +313,37 @@ def _misalign(data: np.ndarray, gsd: float, cfg: DegradeConfig) -> None:
     (east_m, south_m) offset via bilinear resampling.
 
     Integer-pixel offsets reduce to exact shifts with replicate edge fill.
-    A shifted band is read from one band-plane copy and written back a row
-    block at a time: interpolation along the rows, then along the columns,
-    the order the whole-plane passes had.
+    A shifted band is written back a row block at a time from a slab of its
+    original rows (``_slabs``) whose halo spans the block's source rows:
+    interpolation along the rows, then along the columns, the order the
+    whole-plane passes had. A shift within ``MISALIGN_BOUND_M`` at the
+    product pitch reads at most three rows past the block either side.
     """
     bands, height, width = data.shape
     if len(cfg.misalignment_per_band) < bands:
         raise DimensionError("misalignment config has fewer entries than bands")
-    plane = None
+    lower = upper = None
     for b in range(bands):
         east_m, south_m = cfg.misalignment_per_band[b]
         dx = east_m / gsd   # columns
         dy = south_m / gsd  # rows
         if dx == 0.0 and dy == 0.0:
             continue
-        if plane is None:
-            plane = np.empty((height, width))
+        if lower is None:
             lower, upper = _block_buffer(height, width), _block_buffer(height, width)
         # content moves by (+dy, +dx): sample the source at x - d
         r0, r1, fy = _interp_weights(np.arange(height) - dy, height)
         c0, c1, fx = _interp_weights(np.arange(width) - dx, width)
         gy, gx = (1.0 - fy)[:, None], 1.0 - fx
         fy = fy[:, None]
-        np.copyto(plane, data[b])
-        for rows in _row_blocks(height):
+        # the farthest any row reads above and below itself
+        above = max(int((np.arange(height) - r0).max()), 0)
+        below = max(int((r1 - np.arange(height)).max()), 0)
+        for rows, source, top in _slabs(data[b], above, below):
             out = data[b, rows]
             a, u = lower[:len(out)], upper[:len(out)]
-            np.take(plane, r0[rows], axis=0, out=a, mode="clip")
-            np.take(plane, r1[rows], axis=0, out=u, mode="clip")
+            np.take(source, r0[rows] - top, axis=0, out=a, mode="clip")
+            np.take(source, r1[rows] - top, axis=0, out=u, mode="clip")
             a *= gy[rows]
             u *= fy[rows]
             a += u  # these rows of the band shifted along the rows
@@ -351,12 +385,12 @@ def _degrade(data: np.ndarray, cfg: DegradeConfig, seed: int) -> None:
 
     The blur kernel is a unit-sum separable Gaussian parameterized by the
     configured MTF at Nyquist, applied with replicate edges; identity when
-    mtf_at_nyquist is 1. The blur reads one band-plane copy: each row block
-    is blurred along the columns on a slab of the copy that carries a
-    kernel-radius halo of rows, then along the rows into the buffer. The
-    noise sigma is the blurred band's whole-plane mean over the SNR, and
-    the noise is drawn a row block at a time; it is skipped for infinite
-    SNR. Deterministic for a fixed seed.
+    mtf_at_nyquist is 1. Each row block is blurred along the columns on a
+    slab of the band's original rows with a kernel-radius halo
+    (``_slabs``), then along the rows into the buffer. The noise sigma is
+    the blurred band's whole-plane mean over the SNR, and the noise is
+    drawn a row block at a time; it is skipped for infinite SNR.
+    Deterministic for a fixed seed.
     """
     bands, height, width = data.shape
     if len(cfg.snr_per_band) < bands:
@@ -367,19 +401,15 @@ def _degrade(data: np.ndarray, cfg: DegradeConfig, seed: int) -> None:
     if sigma_px > 0.0:
         kernel = gaussian_kernel(sigma_px)
         radius = len(kernel) // 2
-        plane = np.empty((height, width))
-        slab = np.empty((len(block) + 2 * radius, width))
+        blur = np.empty((len(block) + 2 * radius, width))
     for b in range(bands):
         band = data[b]
         if sigma_px > 0.0:
-            np.copyto(plane, band)
-            for rows in _row_blocks(height):
+            for rows, source, top in _slabs(band, radius, radius):
                 # the block and up to ``radius`` rows either side, blurred
                 # along the columns; only the block's rows are kept
-                top = max(rows.start - radius, 0)
-                bottom = min(rows.stop + radius, height)
-                blurred = slab[:bottom - top]
-                convolve1d(plane[top:bottom], kernel, axis=0, output=blurred,
+                blurred = blur[:len(source)]
+                convolve1d(source, kernel, axis=0, output=blurred,
                            mode="nearest")
                 convolve1d(blurred[rows.start - top:rows.stop - top], kernel,
                            axis=1, output=band[rows], mode="nearest")
@@ -418,10 +448,8 @@ def simulate_l1c(
 
     Each band is converted, shifted, blurred and noised in turn, the last
     three a row block at a time. At the product pitch the call's heap peak
-    is the buffer plus one band plane (one band's radiance while the
-    buffer fills, then the copy misalignment and blur read from) plus a
-    few row blocks; a scene at another pitch also holds ``resample``'s
-    whole-scene temporaries.
+    is the buffer plus a few row blocks; a scene at another pitch also
+    holds ``resample``'s whole-scene temporaries.
     """
     if scene.bands != N_BANDS:
         raise DimensionError(f"scene must have {N_BANDS} multispectral bands, "

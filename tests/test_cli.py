@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,35 @@ def test_seven_command_chain(inputs, capsys):
     assert quant["model_bytes_fp32"] == (d / "net.cnn1").stat().st_size
     assert quant["model_bytes_fp16"] == (d / "net16.cnn1").stat().st_size
     assert quant["model_bytes_fp16"] < quant["model_bytes_fp32"]
+
+
+def test_simulate_holds_the_scene_the_product_buffer_and_row_blocks(tmp_path):
+    # 300 x 520 px: two chips, and a band plane (16 row blocks) well above
+    # the margin
+    width, height = 300, 520
+    doc = {"width": width, "height": height, "noise_std": 0.002,
+           "degrade": {"snr": 100, "mtf": 0.6,
+                       "misalign_m": [[0, 0], [2, -1], [-1.5, 2.25], [3, 0],
+                                      [0, -2.5], [1.3, 0.7], [-2, -2]]}}
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    argv = ["simulate", "--spec", str(tmp_path / "spec.json"),
+            "--out", str(tmp_path / "sim"), "--seed", "5"]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane = height * width * 8
+    # the truth's fields are let go and no step copies a band: beside the
+    # scene and the product buffer, the product chain's row blocks (about 5
+    # measured) and the command's own objects fit in 8 row blocks
+    margin = 8 * sensor._ROW_BLOCK * width * 8
+    assert peak <= 7 * plane + 7 * plane + margin
+    truth = json.loads((tmp_path / "sim" / "truth.json").read_text())
+    assert list(truth) == ["scene", "chips", "margins", "noise_std", "noise_floor",
+                           "mixing_offsets", "mixing_matrix", "seed"]
+    assert truth["chips"] == 2
 
 
 def smp1_pointing_past_its_patch_list() -> bytes:

@@ -1,3 +1,4 @@
+import datetime as dt
 import hashlib
 import json
 import tempfile
@@ -25,7 +26,17 @@ from coastwatch.dataset import NormStats
 from coastwatch.errors import DimensionError, FormatError
 from coastwatch.mlp import forward, init_mlp
 from coastwatch.quantbench import compare_quantized, quantize_fp16
-from coastwatch.raster import GRID, WINDOW, random_patches, window_average
+from coastwatch.raster import (
+    GRID,
+    PATCH_SIZE,
+    PRODUCT_GSD,
+    WINDOW,
+    BandStack,
+    GeoRef,
+    Patch,
+    random_patches,
+    window_average,
+)
 
 DIMS = (7, 32, 16, 1)
 
@@ -176,6 +187,70 @@ def test_equivalence_and_fp16_checks_equal_per_network_inference():
     quant = compare_quantized(net, net16, patches)
     assert quant.max_map_deviation == max(float(d.max()) for d in q_dev)
     assert quant.mean_map_deviation == sum(float(d.sum()) for d in q_dev) / (3 * 625)
+
+
+@st.composite
+def transferable_models(draw):
+    """A 7 -> ... -> 1 regressor of 1-3 small hidden layers with drawn
+    biases and batch-norm state (He-uniform weights from a drawn seed), and
+    drawn normalization statistics of reflectance-range features."""
+    hidden = draw(st.lists(st.integers(1, 24), min_size=1, max_size=3), label="hidden")
+    params = init_mlp((7, *hidden, 1), seed=draw(st.integers(0, 2**32 - 1)))
+
+    def vector(n, lo, hi):
+        return draw(hnp.arrays(np.float64, n, elements=st.floats(lo, hi)))
+
+    for k, h in enumerate(hidden):
+        params.biases[k][...] = vector(h, -1.0, 1.0)
+        params.bn_gamma[k][...] = vector(h, -2.0, 2.0)
+        params.bn_beta[k][...] = vector(h, -1.0, 1.0)
+        params.bn_mean[k][...] = vector(h, -2.0, 2.0)
+        params.bn_var[k][...] = vector(h, 0.05, 4.0)
+    params.biases[-1][...] = vector(1, -1.0, 1.0)
+    params.bn_stats_tracked = True
+    stats = NormStats(feature_mean=vector(7, 0.05, 0.5),
+                      feature_std=vector(7, 0.02, 0.3),
+                      target_mean=draw(st.floats(-50.0, 50.0), label="target_mean"),
+                      target_std=draw(st.floats(0.1, 20.0), label="target_std"))
+    return params, stats
+
+
+def float32_rounding_bound(net, means):
+    """How far rounding each folded parameter to float32 once can move the
+    float64 stack's output, to first order: a value rounds within a
+    relative u = 2**-24, ReLU moves nothing farther, so layer k's output
+    moves at most k * u * s_k, where s_0 = |means| and
+    s_k = |W_k| s_(k-1) + |b_k|. Returns the per-cell bound of the last
+    layer."""
+    s = np.abs(means.reshape(means.shape[0], -1))
+    for layer in net.layers:
+        s = (np.abs(layer.kernel.astype(np.float64)) @ s
+             + np.abs(layer.bias.astype(np.float64))[:, None])
+    return (len(net.layers) * 2.0**-24 * s).reshape(GRID, GRID)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(model=transferable_models(), seed=st.integers(0, 2**32 - 1))
+def test_each_cell_of_the_float64_stack_is_the_fc_of_its_window_mean(model, seed):
+    params, stats = model
+    net = fc_to_cnn(params, stats, "turbidity_NTU")
+    data = np.random.default_rng(seed).uniform(0.05, 0.5, (7, PATCH_SIZE, PATCH_SIZE))
+    patch = Patch(BandStack.from_array(data, PRODUCT_GSD),
+                  GeoRef(0.0, 0.0, dt.date(2024, 6, 15)))
+    # the network's route: the library's window means, the float64 stack
+    means = window_average(patch.raster, WINDOW).data
+    cnn = _stack_on_means(net, means)
+    # the FC route on each window's mean, taken here by reshaping
+    used = GRID * WINDOW
+    window_means = data[:, :used, :used].reshape(7, GRID, WINDOW, GRID, WINDOW).mean(
+        axis=(2, 4))
+    feats = window_means.reshape(7, -1).T
+    fc = stats.denormalize_target(
+        forward(params, (feats - stats.feature_mean) / stats.feature_std))
+    # twice the first-order bound covers its second-order terms and both
+    # routes' float64 arithmetic, which is 2**29 times finer
+    bound = 2.0 * float32_rounding_bound(net, means)
+    assert (np.abs(cnn - fc.reshape(GRID, GRID)) <= bound).all()
 
 
 def test_cnn1_declaring_another_window_is_a_format_error(tmp_path):

@@ -16,6 +16,7 @@ from coastwatch.mlp import (
     ADAM_BETA2,
     ADAM_EPS,
     BN_EPS,
+    EvalReport,
     MLPParams,
     TrainConfig,
     _ADAM_CHUNK,
@@ -173,6 +174,26 @@ def test_train_and_evaluate_refuse_an_empty_sample_set(empty):
     stats = NormStats(np.zeros(7), np.ones(7), 0.0, 1.0)
     with pytest.raises(ValueError, match="^empty val split$"):
         evaluate(tracked_params(), empty, stats, split="val")
+
+
+@pytest.mark.parametrize("rmse, mae", [(-1e-300, 0.0), (0.0, -1e-300), (-1.0, -2.0)])
+def test_an_eval_report_refuses_a_negative_metric(rmse, mae):
+    with pytest.raises(ValueError, match="non-negative"):
+        EvalReport(rmse=rmse, mae=mae, split="test", n=3)
+
+
+def test_an_eval_report_refuses_rmse_below_mae_past_rounding():
+    # RMSE >= MAE (power means); 1e-12 of slack absorbs float rounding
+    with pytest.raises(ValueError, match="rmse"):
+        EvalReport(rmse=2.0 - 1e-11, mae=2.0, split="test", n=3)
+    EvalReport(rmse=2.0 - 1e-13, mae=2.0, split="test", n=3)
+
+
+@pytest.mark.parametrize("value", [0.0, 0.5, 7.25])
+def test_an_eval_report_with_rmse_equal_to_mae_is_valid(value):
+    # equality holds when every residual has the same size
+    report = EvalReport(rmse=value, mae=value, split="val", n=4)
+    assert report.rmse == report.mae == value
 
 
 def test_recalibrated_statistics_describe_the_eval_forward():

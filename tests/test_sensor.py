@@ -648,7 +648,7 @@ def test_streamed_chain_equals_the_whole_plane_chain(block, data):
     assert np.array_equal(chip.raster.data, want[:, :256, :256])
 
 
-def test_simulate_l1c_heap_peak_is_the_buffer_and_one_band_plane():
+def test_simulate_l1c_heap_peak_is_the_buffer_and_row_blocks():
     # 600 x 520 px: neither side a multiple of the row block
     spec = SceneSpec(width=520, height=600, noise_std=0.002)
     scene, _ = generate_synthetic_scene(spec, 3)
@@ -661,6 +661,46 @@ def test_simulate_l1c_heap_peak_is_the_buffer_and_one_band_plane():
         tracemalloc.stop()
     assert len(product.patches) == 4
     plane = 600 * 520 * 8
-    # beside the buffer and one plane, a step holds a few row blocks
-    margin = 4 * sensor._ROW_BLOCK * 520 * 8
-    assert peak <= 7 * plane + plane + margin
+    # beside the buffer a step holds two row blocks and a slab or two of one
+    # block plus its halo (4.5 blocks measured), so 6 blocks, under a third
+    # of a plane
+    margin = 6 * sensor._ROW_BLOCK * 520 * 8
+    assert peak <= 7 * plane + margin
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@settings(max_examples=30, deadline=None, derandomize=True, phases=PHASES)
+@given(data=st.data())
+def test_each_slab_holds_the_original_rows_though_the_blocks_are_overwritten(
+        block, data):
+    height = data.draw(st.integers(1, 50), label="height")
+    above = data.draw(st.integers(0, 9), label="above")
+    below = data.draw(st.integers(0, 9), label="below")
+    original = np.random.default_rng(height).uniform(size=(height, 3))
+    band = original.copy()
+    seen = []
+    with row_block(block, height):
+        for rows, source, top in sensor._slabs(band, above, below):
+            seen.append(rows)
+            bottom = min(rows.stop + below, height)
+            assert top == max(rows.start - above, 0)
+            assert np.array_equal(source, original[top:bottom])
+            band[rows] = -1.0  # the caller writes its block back
+    assert [r for rows in seen for r in range(rows.start, rows.stop)] == \
+        list(range(height))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_misalignment_at_the_registration_bound_equals_the_whole_plane_passes(block):
+    # a 10 m shift is 2.1 px at the product pitch: each row reads three rows
+    # away, the farthest a slab's halo reaches
+    gsd, bound = 4.75, sensor.MISALIGN_BOUND_M
+    cfg = DegradeConfig(misalignment_per_band=(
+        (0.0, bound), (0.0, -bound), (bound, 0.0), (-bound, 0.0),
+        (bound / math.sqrt(2), -bound / math.sqrt(2)), (-6.0, 8.0), (0.0, 0.0)))
+    radiance = np.random.default_rng(1).uniform(0.0, 300.0, (7, 45, 37))
+    want = radiance.copy()
+    _full_plane_misalign(want, gsd, cfg)
+    with row_block(block, 45):
+        sensor._misalign(radiance, gsd, cfg)
+    assert np.array_equal(radiance, want)
