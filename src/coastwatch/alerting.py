@@ -13,9 +13,10 @@ NaN map cells are invalid: they never alert and are counted separately.
 When a cloud plane is given, any window at least ``CLOUD_INVALID_FRACTION``
 (half) covered by cloud is invalid. ``infer_scene`` reads the cloud
 fractions before inference and never computes such a window: only the kept
-windows run through the 1x1 stack (``convnet.infer_kept``), so a scene costs
-stack time in proportion to its clear windows, and every computed cell is
-bit-identical to ``infer_patch``'s.
+windows run through the 1x1 stack (``convnet.infer_kept``), window j of a
+patch in column j of a patch-shaped call. A scene costs as many calls as the
+most patches that keep one window, and every computed cell is bit-identical
+to ``infer_patch``'s, whichever BLAS micro-kernels the host selects.
 
 Non-finite values: the stack raises ``NumericError`` when a computed window
 gives a non-finite activation. A window under cloud is not computed, so a

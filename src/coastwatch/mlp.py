@@ -640,8 +640,8 @@ class EvalReport:
     def __post_init__(self):
         if self.rmse < 0 or self.mae < 0:
             raise ValueError("metrics must be non-negative")
-        # power-mean inequality, allow float rounding at equality
-        if self.rmse < self.mae - 1e-12:
+        # power-mean inequality; at equality both round by far less than 1e-12
+        if self.rmse < self.mae * (1 - 1e-12):
             raise ValueError(f"rmse {self.rmse} < mae {self.mae}")
 
 

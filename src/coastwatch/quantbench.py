@@ -135,7 +135,8 @@ def _hardware_descriptor() -> str:
 def bench(net: ConvNet, patches: list[Patch]) -> BenchReport:
     """Wall-clock per single-patch inference (``infer_patch``, the float32
     served path); median and p95 over ``BENCH_REPS`` timed runs after
-    ``BENCH_WARMUP`` untimed ones.
+    ``BENCH_WARMUP`` untimed ones. ``infer_kept`` serves a clear patch by
+    exactly this one stack call, each window in its own column.
 
     The workload is deterministic (patches cycled in order); only the timing
     is nondeterministic. FPS is 1000 / median by definition.

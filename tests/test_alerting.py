@@ -185,20 +185,19 @@ def test_infer_scene_is_tile_infer_invalidate_at_paper_dims(monkeypatch):
         calls.clear()
         got_tiles, got = alerting.infer_scene(scene, net, GEOREF, cloud, "s")
         assert got_tiles.index == tiles.index
-        kept = patches_kept = 0
+        kept = []
         for cmap, values, (r0, c0) in zip(got, served, tiles.index.placements,
                                           strict=True):
             if cloud is not None:
                 frac = window_fraction(cloud[r0 : r0 + 256, c0 : c0 + 256], 10)
                 values = np.where(frac >= 0.5, np.nan, values)
             assert np.array_equal(cmap.values, values, equal_nan=True), name
-            kept += int(np.isfinite(values).sum())
-            patches_kept += bool(np.isfinite(values).any())
-        # every call has a patch's shape; never more calls than infer_patch
-        # would make on the patches with a kept window
+            kept.append(np.isfinite(values))
+        # every call has a patch's shape and holds window j in column j, so
+        # there are as many calls as the most patches that keep one window
         assert set(calls) <= {(7, 25, 25)}, name
-        assert -(-kept // 625) <= len(calls) <= patches_kept, name
-        kept_totals[name], n_calls[name] = kept, len(calls)
+        assert len(calls) == np.sum(kept, axis=0).max(), name
+        kept_totals[name], n_calls[name] = int(np.sum(kept)), len(calls)
     assert kept_totals["none"] == kept_totals["all_clear"] == 9 * 625
     assert kept_totals["one_patch"] == 8 * 625 and kept_totals["all_clouded"] == 0
     assert kept_totals["one_window"] == 9 * 625 - 1

@@ -183,10 +183,21 @@ def test_an_eval_report_refuses_a_negative_metric(rmse, mae):
 
 
 def test_an_eval_report_refuses_rmse_below_mae_past_rounding():
-    # RMSE >= MAE (power means); 1e-12 of slack absorbs float rounding
+    # RMSE >= MAE (power means); a slack of 1e-12 of mae absorbs float rounding
     with pytest.raises(ValueError, match="rmse"):
         EvalReport(rmse=2.0 - 1e-11, mae=2.0, split="test", n=3)
     EvalReport(rmse=2.0 - 1e-13, mae=2.0, split="test", n=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(size=st.floats(1.0, 1e5), n=st.integers(1, 500))
+def test_an_eval_report_of_equal_size_residuals_is_valid(size, n):
+    """RMSE equals MAE when every residual has the same size; computed as
+    ``evaluate`` computes them, the two round apart by more than 1e-12 once
+    the residuals reach the thousands."""
+    resid = size * (-1.0) ** np.arange(n)
+    EvalReport(rmse=float(np.sqrt(np.mean(resid**2))), mae=float(np.mean(np.abs(resid))),
+               split="test", n=resid.size)
 
 
 @pytest.mark.parametrize("value", [0.0, 0.5, 7.25])
