@@ -8,9 +8,10 @@ layer becomes a 1x1 convolution over the resulting ``raster.GRID`` x
 property of a network: a CNN1 file records it and the loader refuses any
 other. The conversion is exact in eval mode:
 
-* batch-norm is folded into the preceding layer's kernel and bias
-  (w' = w * gamma / sqrt(var + eps), b' = (b - mean) * gamma /
-  sqrt(var + eps) + beta);
+* batch-norm is folded into the preceding layer's kernel, which has no
+  bias, and gives the 1x1 layer its bias (w' = w * s, b' = beta -
+  (c + mean) * s with s = gamma / sqrt(var + eps), where c = w @ mu_f /
+  sigma_f on the first layer, the standardization's shift, and 0 after);
 * the feature standardization is absorbed into the first 1x1 layer and the
   target de-standardization into the last, so the network consumes raw
   reflectance patches and emits physical units;
@@ -163,20 +164,17 @@ def fc_to_cnn(params: MLPParams, stats: NormStats, parameter: str) -> ConvNet:
     layers: list[ConvLayer] = []
     for k in range(params.n_hidden):
         w = params.weights[k].astype(np.float64)
-        b = params.biases[k].astype(np.float64)
+        shifted = params.bn_mean[k]
         if k == 0:
             # absorb feature standardization: x_norm = (f - mu_f) / sigma_f
             w = w / stats.feature_std[None, :]
-            b = b - w @ stats.feature_mean
+            shifted = shifted + w @ stats.feature_mean
         scale = params.bn_gamma[k] / np.sqrt(params.bn_var[k] + BN_EPS)
-        kernel = w * scale[:, None]
-        bias = (b - params.bn_mean[k]) * scale + params.bn_beta[k]
-        layers.append(ConvLayer(kernel, bias))
+        layers.append(ConvLayer(w * scale[:, None], params.bn_beta[k] - shifted * scale))
     # output layer: no batch-norm, no activation; absorb target
     # de-standardization so the map is in physical units
     w_out = params.weights[-1].astype(np.float64) * stats.target_std
-    b_out = params.biases[-1].astype(np.float64) * stats.target_std
-    b_out = b_out + stats.target_mean
+    b_out = params.bias.astype(np.float64) * stats.target_std + stats.target_mean
     layers.append(ConvLayer(w_out, b_out))
     return ConvNet(layers, parameter=parameter)
 

@@ -221,6 +221,11 @@ def ingest_records(csv_source: str | Path) -> IngestResult:
         seen: set[tuple] = set()
         duplicates = 0
         for idx, row in enumerate(reader, start=1):
+            # DictReader pads a short row with None and keys a long row's rest None
+            fields = len(header) - [*row.values()].count(None) + len(row.get(None, ()))
+            if fields != len(header):
+                rejected.append((idx, f"{fields} fields, the header has {len(header)}"))
+                continue
             try:
                 rec = InSituRecord(
                     station_id=row["station_id"].strip(),

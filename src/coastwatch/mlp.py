@@ -3,9 +3,12 @@
 Maps the ``N_BANDS`` window-averaged band reflectances to one contaminant
 value.
 Default architecture: hidden layers [512, 512, 512, 512, 43], each
-Linear -> BatchNorm -> ReLU, then a final Linear to one output; training
-adds Dropout after each ReLU. Forward, backward and the optimizer are
-implemented directly on numpy arrays so the weight transfer into the
+Linear without bias -> BatchNorm -> ReLU, then a final Linear with a bias to
+one output; training adds Dropout after each ReLU. A hidden layer has no
+bias: the batch norm after it subtracts the mean, so a bias could not
+change the output, and BatchNorm's beta takes its role (Ioffe & Szegedy
+2015, arXiv:1502.03167, section 3.2). Forward, backward and the optimizer
+are implemented directly on numpy arrays so the weight transfer into the
 convolutional form (and its verification) has full access to every
 parameter, and so gradients can be checked against finite differences.
 
@@ -57,21 +60,21 @@ ADAM_EPS = 1e-8
 def _vector_sizes(dims: tuple[int, ...]) -> tuple[int, int]:
     """Lengths of ``theta`` and ``bn_state`` for ``dims``."""
     hidden = sum(dims[1:-1])
-    layers = sum((i + 1) * o for i, o in zip(dims[:-1], dims[1:]))
-    return layers + 2 * hidden, 2 * hidden
+    weights = sum(i * o for i, o in zip(dims[:-1], dims[1:]))
+    return weights + dims[-1] + 2 * hidden, 2 * hidden
 
 
 def _theta_views(theta: np.ndarray, dims: tuple[int, ...]):
-    """Per-layer views of a vector in ``theta``'s layout: the weights, the
-    biases, the batch-norm gammas and the batch-norm betas."""
+    """Views of a vector in ``theta``'s layout: the per-layer weights, the
+    output layer's bias, then the per-hidden-layer batch-norm gammas and
+    betas. No hidden layer has a bias."""
     n_layers, n_hidden = len(dims) - 1, len(dims) - 2
-    layers = list(zip(dims[1:], dims[:-1]))
     hidden = [(h,) for h in dims[1:-1]]
     views = _container.views(
-        theta, [*layers, *[(o,) for o, _ in layers], *hidden, *hidden])
-    return (views[:n_layers], views[n_layers : 2 * n_layers],
-            views[2 * n_layers : 2 * n_layers + n_hidden],
-            views[2 * n_layers + n_hidden :])
+        theta, [*zip(dims[1:], dims[:-1]), (dims[-1],), *hidden, *hidden])
+    return (views[:n_layers], views[n_layers],
+            views[n_layers + 1 : n_layers + 1 + n_hidden],
+            views[n_layers + 1 + n_hidden :])
 
 
 @dataclass
@@ -79,16 +82,17 @@ class MLPParams:
     """All parameters and batch-norm state of the regressor, in two vectors.
 
     ``layer_dims`` chains input, hidden and output sizes; there is one
-    weight/bias pair per adjacent pair of dims and one batch-norm parameter
-    set per hidden layer. ``theta`` holds every trainable value and
-    ``bn_state`` the running means, then the running variances; the order
-    inside ``theta`` is ``_theta_views``'s. ``weights``, ``biases``,
-    ``bn_gamma``, ``bn_beta``, ``bn_mean`` and ``bn_var`` are per-layer
-    lists of views into those two vectors, built once: writing into a view
-    (``params.weights[k][...] = w``) writes the vector. ``clone`` and
-    ``astype`` copy the vectors. ``bn_stats_tracked`` records whether the
-    running statistics have ever been updated by training (or load); the
-    transfer into convolutional form refuses to run on untracked stats.
+    weight matrix per adjacent pair of dims, one batch-norm parameter set
+    per hidden layer and one bias, the output layer's. ``theta`` holds every
+    trainable value and ``bn_state`` the running means, then the running
+    variances; the order inside ``theta`` is ``_theta_views``'s.
+    ``weights``, ``bn_gamma``, ``bn_beta``, ``bn_mean`` and ``bn_var`` are
+    per-layer lists of views into those two vectors and ``bias`` is one
+    view, built once: writing into a view (``params.weights[k][...] = w``)
+    writes the vector. ``clone`` and ``astype`` copy the vectors.
+    ``bn_stats_tracked`` records whether the running statistics have ever
+    been updated by training (or load); the transfer into convolutional
+    form refuses to run on untracked stats.
     No training setting lives here: dropout belongs to ``TrainConfig``.
     """
 
@@ -109,7 +113,7 @@ class MLPParams:
             raise ValueError("parameters must be finite")
         if not (self.bn_state[self.bn_state.size // 2 :] > 0).all():
             raise ValueError("running variance must be positive")
-        self.weights, self.biases, self.bn_gamma, self.bn_beta = _theta_views(
+        self.weights, self.bias, self.bn_gamma, self.bn_beta = _theta_views(
             self.theta, dims)
         state = _container.views(self.bn_state, [(h,) for h in dims[1:-1]] * 2)
         self.bn_mean, self.bn_var = state[: self.n_hidden], state[self.n_hidden :]
@@ -131,8 +135,8 @@ def init_mlp(
     layer_dims: tuple[int, ...] = DEFAULT_LAYER_DIMS, seed: int = 0
 ) -> MLPParams:
     """He-uniform fan-in initialization for the ReLU stack, drawn layer by
-    layer into a zero ``theta``; zero biases, identity batch-norm with unit
-    running variance."""
+    layer into a zero ``theta``; a zero output bias, identity batch-norm with
+    unit running variance."""
     dims = tuple(layer_dims)
     n_theta, n_state = _vector_sizes(dims)
     params = MLPParams(dims, np.zeros(n_theta), np.ones(n_state))
@@ -253,7 +257,7 @@ def _forward_full(
     keep = dtype.type(1.0 - dropout_p)
     act = X
     for k in range(params.n_hidden):
-        Z = act @ params.weights[k].T + params.biases[k]
+        Z = act @ params.weights[k].T
         if not np.isfinite(Z).all():
             raise NumericError(f"non-finite activations at hidden layer {k}")
         if mode == "train":
@@ -263,13 +267,9 @@ def _forward_full(
                 # unbiased variance feeds the running estimate
                 var_u = var * n / (n - 1) if n > 1 else var
                 params.bn_mean[k] *= 1.0 - BN_MOMENTUM
-                params.bn_mean[k] += BN_MOMENTUM * mu.astype(
-                    params.bn_mean[k].dtype
-                )
+                params.bn_mean[k] += BN_MOMENTUM * mu.astype(params.bn_mean[k].dtype)
                 params.bn_var[k] *= 1.0 - BN_MOMENTUM
-                params.bn_var[k] += BN_MOMENTUM * var_u.astype(
-                    params.bn_var[k].dtype
-                )
+                params.bn_var[k] += BN_MOMENTUM * var_u.astype(params.bn_var[k].dtype)
         else:
             mu = params.bn_mean[k].astype(dtype)
             var = params.bn_var[k].astype(dtype)
@@ -287,7 +287,7 @@ def _forward_full(
         cache["A"].append(A)
         cache["comb"].append(comb)
         act = A
-    out = act @ params.weights[-1].T + params.biases[-1]
+    out = act @ params.weights[-1].T + params.bias
     if not np.isfinite(out).all():
         raise NumericError(f"non-finite output at layer {len(params.weights) - 1}")
     return out[:, 0], cache
@@ -310,7 +310,6 @@ def _forward_eval(
     n = len(act)
     for k in range(params.n_hidden):
         Z = act @ params.weights[k].T
-        Z += params.biases[k]
         if not np.isfinite(Z).all():
             raise NumericError(f"non-finite activations at hidden layer {k}")
         if store_bn_stats:
@@ -322,7 +321,7 @@ def _forward_eval(
         Z *= params.bn_gamma[k]
         Z += params.bn_beta[k]
         act = np.maximum(Z, 0.0, out=Z)
-    out = act @ params.weights[-1].T + params.biases[-1]
+    out = act @ params.weights[-1].T + params.bias
     if not np.isfinite(out).all():
         raise NumericError(f"non-finite output at layer {len(params.weights) - 1}")
     return out[:, 0]
@@ -368,13 +367,12 @@ def _backward(params: MLPParams, cache: dict, dpred: np.ndarray) -> np.ndarray:
     mode = cache["mode"]
     dtype = params.theta.dtype
     grad = np.empty_like(params.theta)
-    g_weights, g_biases, g_gamma, g_beta = _theta_views(grad, params.layer_dims)
-    last = len(params.weights) - 1
+    g_weights, g_bias, g_gamma, g_beta = _theta_views(grad, params.layer_dims)
     a_last = cache["A"][-1] if params.n_hidden else cache["X"]
     dout = dpred[:, None].astype(dtype)
-    np.matmul(dout.T, a_last, out=g_weights[last])
-    np.sum(dout, axis=0, out=g_biases[last])
-    dA = dout @ params.weights[last]
+    np.matmul(dout.T, a_last, out=g_weights[-1])
+    np.sum(dout, axis=0, out=g_bias)
+    dA = dout @ params.weights[-1]
 
     for k in range(params.n_hidden - 1, -1, -1):
         # comb already folds the ReLU derivative and the dropout scaling
@@ -385,16 +383,11 @@ def _backward(params: MLPParams, cache: dict, dpred: np.ndarray) -> np.ndarray:
         dZhat = dH * params.bn_gamma[k]
         inv = cache["inv"][k]
         if mode == "train":
-            dZ = (
-                dZhat
-                - dZhat.mean(axis=0)
-                - Zhat * (dZhat * Zhat).mean(axis=0)
-            ) * inv
+            dZ = (dZhat - dZhat.mean(axis=0) - Zhat * (dZhat * Zhat).mean(axis=0)) * inv
         else:
             dZ = dZhat * inv
         a_prev = cache["A"][k - 1] if k > 0 else cache["X"]
         np.matmul(dZ.T, a_prev, out=g_weights[k])
-        np.sum(dZ, axis=0, out=g_biases[k])
         dA = dZ @ params.weights[k]
     return grad
 
@@ -614,9 +607,9 @@ def gradient_check(
             worst_i = i
     worst = ("", -1, -1)
     # each array's view of theta's positions says where the worst entry lies
-    positions = _theta_views(np.arange(theta.size), params.layer_dims)
+    w, b, gamma, beta = _theta_views(np.arange(theta.size), params.layer_dims)
     arrays = [(kind, a) for kind, views in zip(
-        ("weights", "biases", "bn_gamma", "bn_beta"), positions) for a in views]
+        ("weights", "bias", "bn_gamma", "bn_beta"), (w, [b], gamma, beta)) for a in views]
     for a_idx, (kind, a) in enumerate(arrays):
         if a.flat[0] <= worst_i <= a.flat[-1]:
             worst = (kind, a_idx, worst_i - int(a.flat[0]))
@@ -676,7 +669,9 @@ def evaluate(
 # MDL1 model file: "MDL1" magic, u32 manifest length, JSON manifest, then the
 # little-endian float64 ``theta`` and ``bn_state``, each as it lies in memory
 # (the framing is ``_container``'s). ``param_order`` must name just those two:
-# the former per-layer order has the same payload size, so it is refused.
+# the former per-layer order is refused by name. A file written while hidden
+# layers had biases holds a longer ``theta`` and fails the size check; a net
+# with no hidden layer, such as (7, 1), has the same layout either way.
 # ---------------------------------------------------------------------------
 
 _MDL1_MAGIC = b"MDL1"

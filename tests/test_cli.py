@@ -392,6 +392,11 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
       "chips/chip_000_000.pat1": pat1(with_value(SCENE, np.inf), georef=GEOREF)},
      ["build-dataset", "--records", "r.csv", "--patches", "chips", "--out", "s.smp1"],
      "patch 'chip_000_000' contains non-finite values"),
+    ({"r.csv": ",".join(dataset.CSV_COLUMNS).encode()
+      + f"\nS1,m,l,100,2024-06-15,0.5,{sensor.TURBIDITY},3.2,44.0\n".encode(),
+      "chips/chip_000_000.pat1": pat1(SCENE, georef=GEOREF)},
+     ["build-dataset", "--records", "r.csv", "--patches", "chips", "--out", "s.smp1"],
+     "no record matched any patch"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "simulate_bad_degrade",
@@ -420,7 +425,8 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
         "quantize_no_seed", "bench_no_warmup", "bench_no_seed",
         "train_one_sample_store", "train_two_sample_store", "train_three_sample_store",
         "train_unknown_parameter", "train_constant_features_store",
-        "infer_nonfinite_scene", "build_dataset_nonfinite_chip"])
+        "infer_nonfinite_scene", "build_dataset_nonfinite_chip",
+        "build_dataset_short_row"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)

@@ -180,23 +180,61 @@ def test_old_layouts_raise_format_error(tmp_path):
         load_samples(smp1)
 
 
+def _hidden_biases(params) -> list[np.ndarray]:
+    """Per layer the bias it had while hidden layers had one: zero, but the
+    output layer's."""
+    return [np.zeros(w.shape[0]) for w in params.weights[:-1]] + [params.bias]
+
+
 def test_mdl1_in_the_per_layer_order_raises_format_error(tmp_path):
     """An MDL1 in the former layout (per layer its weight and bias, then per
-    hidden layer its bn_gamma, bn_beta, bn_mean and bn_var) has exactly the
-    payload size of the current one, so only its param_order tells it apart;
-    it is refused, not loaded scrambled."""
+    hidden layer its bn_gamma, bn_beta, bn_mean and bn_var) is refused by its
+    param_order, not loaded scrambled."""
     params = init_mlp((7, 8, 6, 1), seed=0)
     path = save_mdl1(tmp_path / "old.mdl1", params, _model()[1], TURBIDITY)
     manifest, payload = _split(path.read_bytes())
     named = []
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+    for k, (w, b) in enumerate(zip(params.weights, _hidden_biases(params))):
         named += [(f"weight[{k}]", w), (f"bias[{k}]", b)]
     for k in range(params.n_hidden):
         named += [(f"{kind}[{k}]", getattr(params, kind)[k])
                   for kind in ("bn_gamma", "bn_beta", "bn_mean", "bn_var")]
     old = b"".join(a.astype("<f8").tobytes() for _, a in named)
-    assert len(old) == len(payload) and old != payload
     manifest.update(dropout_p=0.25, param_order=[name for name, _ in named])
     path.write_bytes(_join(b"MDL1", manifest, old))
     with pytest.raises(FormatError, match=f"{path}: param_order"):
         load_mdl1(path)
+
+
+def _former_theta(params) -> np.ndarray:
+    """``theta`` in its former layout: every weight, then every layer's
+    bias, then the gammas and the betas."""
+    return np.concatenate([a.ravel() for a in (
+        *params.weights, *_hidden_biases(params), *params.bn_gamma, *params.bn_beta)])
+
+
+def test_mdl1_with_hidden_layer_biases_raises_format_error(tmp_path):
+    """An MDL1 written while hidden layers had a bias holds a longer theta
+    (153 values at (7, 8, 6, 1), 139 now); the size check refuses it."""
+    params = init_mlp((7, 8, 6, 1), seed=0)
+    path = save_mdl1(tmp_path / "old.mdl1", params, _model()[1], TURBIDITY)
+    manifest, _ = _split(path.read_bytes())
+    theta = _former_theta(params)
+    assert (theta.size, params.theta.size) == (153, 139)
+    payload = np.concatenate([theta, params.bn_state]).astype("<f8").tobytes()
+    path.write_bytes(_join(b"MDL1", manifest, payload))
+    with pytest.raises(FormatError, match=f"{path}: payload is"):
+        load_mdl1(path)
+
+
+def test_mdl1_of_a_net_without_hidden_layers_keeps_its_layout(tmp_path):
+    """(7, 1) had no hidden bias to drop: it is written as the former layout
+    wrote it, and a file in that layout loads to the same arrays."""
+    params = init_mlp((7, 1), seed=4)
+    params.bias[...] = 0.75
+    path = save_mdl1(tmp_path / "m.mdl1", params, _model()[1], TURBIDITY)
+    assert _split(path.read_bytes())[1] == _former_theta(params).astype("<f8").tobytes()
+    back, _, _ = load_mdl1(path)
+    assert back.layer_dims == (7, 1) and back.bn_state.size == 0
+    assert back.weights[0].tobytes() == params.weights[0].tobytes()
+    assert back.bias.tobytes() == params.bias.tobytes()

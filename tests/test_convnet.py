@@ -49,12 +49,13 @@ def cnn1_bytes(net, equivalence=None) -> bytes:
 
 
 def model(seed=0):
-    """A transferable regressor with random batch-norm state and stats."""
+    """A transferable regressor with a random output bias, batch-norm state
+    and stats."""
     params = init_mlp(DIMS, seed=seed)
     rng = np.random.default_rng(seed + 100)
+    params.bias[...] = rng.normal(0.0, 0.5, 1)
     for k in range(params.n_hidden):
         h = DIMS[k + 1]
-        params.biases[k][...] = rng.normal(0.0, 0.5, h)
         params.bn_gamma[k][...] = rng.uniform(0.5, 1.5, h)
         params.bn_beta[k][...] = rng.normal(0.0, 0.3, h)
         params.bn_mean[k][...] = rng.normal(0.0, 1.0, h)
@@ -192,8 +193,8 @@ def test_equivalence_and_fp16_checks_equal_per_network_inference():
 
 @st.composite
 def transferable_models(draw):
-    """A 7 -> ... -> 1 regressor of 1-3 small hidden layers with drawn
-    biases and batch-norm state (He-uniform weights from a drawn seed), and
+    """A 7 -> ... -> 1 regressor of 1-3 small hidden layers with a drawn
+    output bias and batch-norm state (He-uniform weights from a drawn seed), and
     drawn normalization statistics of reflectance-range features."""
     hidden = draw(st.lists(st.integers(1, 24), min_size=1, max_size=3), label="hidden")
     params = init_mlp((7, *hidden, 1), seed=draw(st.integers(0, 2**32 - 1)))
@@ -202,12 +203,11 @@ def transferable_models(draw):
         return draw(hnp.arrays(np.float64, n, elements=st.floats(lo, hi)))
 
     for k, h in enumerate(hidden):
-        params.biases[k][...] = vector(h, -1.0, 1.0)
         params.bn_gamma[k][...] = vector(h, -2.0, 2.0)
         params.bn_beta[k][...] = vector(h, -1.0, 1.0)
         params.bn_mean[k][...] = vector(h, -2.0, 2.0)
         params.bn_var[k][...] = vector(h, 0.05, 4.0)
-    params.biases[-1][...] = vector(1, -1.0, 1.0)
+    params.bias[...] = vector(1, -1.0, 1.0)
     params.bn_stats_tracked = True
     stats = NormStats(feature_mean=vector(7, 0.05, 0.5),
                       feature_std=vector(7, 0.02, 0.3),

@@ -155,6 +155,22 @@ class TestIngest:
         assert not result.records
         assert result.rejected[0][0] == 1
 
+    @pytest.mark.parametrize("row, fields", [
+        (f"S1,Genova,Punta,150,2024-06-15,0.5,{TURBIDITY}", 7),
+        (f"S1,Genova,Punta,150,2024-06-15,0.5,{TURBIDITY},3.2,44.0", 9),
+        (f"S1,Genova,Punta,150,2024-06-15,0.5,{TURBIDITY},3.2,44.0,9.0,x", 11),
+        (f"S1,Genova,Punta,150,2024-06-15,0.5,{TURBIDITY},3.2,44.0,9.0,,", 12),
+    ], ids=["seven_fields", "no_lon", "one_extra", "two_empty_extra"])
+    def test_row_of_another_width_than_the_header_rejected(self, tmp_path, row,
+                                                            fields):
+        """A short row would reach float(None), and a long row's surplus
+        would pass unseen; both are rejected with their field count."""
+        good = f"S2,Genova,Punta,150,2024-06-15,0.5,{TURBIDITY},3.2,44.0,9.0"
+        result = ingest_records(write_csv(tmp_path / "in.csv", [good, row, good]))
+        assert [r.station_id for r in result.records] == ["S2"]
+        assert result.rejected == [(2, f"{fields} fields, the header has 10")]
+        assert result.duplicates_removed == 1
+
     def test_duplicates_removed_and_counted(self, tmp_path):
         row = f"S1,Genova,Punta,150,2024-06-15,0.5,{TURBIDITY},3.2,44.0,9.0"
         csv = write_csv(tmp_path / "in.csv", [row, row, row])

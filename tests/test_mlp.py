@@ -41,12 +41,13 @@ DIMS = (7, 32, 16, 1)
 
 
 def tracked_params(dims=DIMS, seed=0, dtype=np.float64):
-    """Initialized parameters with random batch-norm affine and statistics."""
+    """Initialized parameters with a random output bias and random
+    batch-norm affine and statistics."""
     params = init_mlp(dims, seed=seed)
     rng = np.random.default_rng(seed + 100)
+    params.bias[...] = rng.normal(0.0, 0.5, dims[-1])
     for k in range(params.n_hidden):
         h = dims[k + 1]
-        params.biases[k][...] = rng.normal(0.0, 0.5, h)
         params.bn_gamma[k][...] = rng.uniform(0.5, 1.5, h)
         params.bn_beta[k][...] = rng.normal(0.0, 0.3, h)
         params.bn_mean[k][...] = rng.normal(0.0, 1.0, h)
@@ -216,7 +217,7 @@ def test_recalibrated_statistics_describe_the_eval_forward():
     assert params.bn_stats_tracked
     act = X
     for k in range(params.n_hidden):
-        Z = act @ params.weights[k].T + params.biases[k]
+        Z = act @ params.weights[k].T
         mean, var = params.bn_mean[k], params.bn_var[k]
         assert np.all(np.abs(Z.mean(axis=0) - mean) <= 1e-12 * np.sqrt(var))
         assert np.all(np.abs(Z.var(axis=0, ddof=1) / var - 1.0) <= 1e-12)
@@ -278,7 +279,7 @@ class TestParameterVectors:
             bound = np.sqrt(6.0 / fan_in)
             want = rng.uniform(-bound, bound, size=(fan_out, fan_in))
             assert np.array_equal(params.weights[k], want)
-            assert np.array_equal(params.biases[k], np.zeros(fan_out))
+        assert np.array_equal(params.bias, np.zeros(1))
         for h, g, b, m, v in zip(DIMS[1:-1], params.bn_gamma, params.bn_beta,
                                  params.bn_mean, params.bn_var, strict=True):
             assert np.array_equal(g, np.ones(h)) and np.array_equal(b, np.zeros(h))
@@ -286,16 +287,23 @@ class TestParameterVectors:
 
     def test_layer_arrays_are_views_into_the_vectors(self):
         params = init_mlp(DIMS, seed=1)
-        # theta: weights (32, 7), (16, 32), (1, 16), then biases 32, 16, 1, ...
+        # theta: weights (32, 7), (16, 32), (1, 16), the output bias, then
+        # gammas 32, 16 and betas 32, 16; no hidden layer has a bias
         params.weights[1][...] = np.arange(16 * 32).reshape(16, 32)
         assert np.array_equal(params.theta[7 * 32 : 7 * 32 + 16 * 32],
                               np.arange(16 * 32))
-        params.biases[2][0] = -4.0
-        assert params.theta[7 * 32 + 16 * 32 + 16 + 32 + 16] == -4.0
+        params.bias[0] = -4.0
+        assert params.theta[7 * 32 + 16 * 32 + 16] == -4.0
+        params.bn_gamma[0][...] = 3.0
+        assert np.array_equal(params.theta[7 * 32 + 16 * 32 + 16 + 1 :][:32],
+                              np.full(32, 3.0))
+        params.bn_beta[1][...] = 0.5
+        assert np.array_equal(params.theta[-16:], np.full(16, 0.5))
         # bn_state: means 32, 16, then variances 32, 16
         params.bn_var[1][...] = 2.5
         assert np.array_equal(params.bn_state[32 + 16 + 32 :], np.full(16, 2.5))
-        for name in ("weights", "biases", "bn_gamma", "bn_beta"):
+        assert np.shares_memory(params.bias, params.theta)
+        for name in ("weights", "bn_gamma", "bn_beta"):
             assert all(np.shares_memory(a, params.theta) for a in getattr(params, name))
         for name in ("bn_mean", "bn_var"):
             assert all(np.shares_memory(a, params.bn_state)
@@ -320,12 +328,12 @@ def per_array_backward(params, cache, dpred):
     """The per-array gradient expressions, concatenated in theta's order."""
     dtype = params.weights[0].dtype
     n = len(params.weights)
-    gw, gb = [None] * n, [None] * n
+    gw = [None] * n
     gg, gbeta = [None] * params.n_hidden, [None] * params.n_hidden
     a_last = cache["A"][-1] if params.n_hidden else cache["X"]
     dout = dpred[:, None].astype(dtype)
     gw[-1] = dout.T @ a_last
-    gb[-1] = dout.sum(axis=0)
+    gb = dout.sum(axis=0)
     dA = dout @ params.weights[-1]
     for k in range(params.n_hidden - 1, -1, -1):
         dH = dA * cache["comb"][k]
@@ -340,9 +348,8 @@ def per_array_backward(params, cache, dpred):
             dZ = dZhat * cache["inv"][k]
         a_prev = cache["A"][k - 1] if k > 0 else cache["X"]
         gw[k] = dZ.T @ a_prev
-        gb[k] = dZ.sum(axis=0)
         dA = dZ @ params.weights[k]
-    return np.concatenate([g.ravel() for g in (*gw, *gb, *gg, *gbeta)])
+    return np.concatenate([g.ravel() for g in (*gw, gb, *gg, *gbeta)])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -362,36 +369,30 @@ def test_backward_vector_equals_per_array_expressions(dtype, mode):
 class TestGradientCheck:
     DIMS = (7, 8, 6, 1)
 
-    def _case(self):
-        params = tracked_params(self.DIMS, seed=2)
+    @staticmethod
+    def _case(dims):
+        params = tracked_params(dims, seed=2)
         rng = np.random.default_rng(5)
         return params, rng.normal(0.0, 1.0, (16, 7)), rng.normal(0.0, 1.0, 16)
 
     def test_eval_mode_passes(self):
-        params, X, t = self._case()
+        params, X, t = self._case(self.DIMS)
         theta = params.theta.copy()
         report = gradient_check(params, X, t, mode="eval")
         assert report.passed and report.fraction_within_tol == 1.0
-        assert report.n_parameters == params.theta.size == 153
+        assert report.n_parameters == params.theta.size == 139
         assert np.array_equal(params.theta, theta)  # every entry restored
 
-    def test_train_mode_fails_only_on_the_pre_batch_norm_biases(self):
-        """Known defect (ROADMAP item 4): BN subtracts the batch mean, so the
-        gradient of a BN-followed layer's bias is zero up to rounding and the
-        check divides finite-difference noise by its 1e-10 floor. Every other
-        entry is within tolerance."""
-        params, X, t = self._case()
-        pre_bn = sum(self.DIMS[1:-1])
+    @pytest.mark.parametrize("dims", [(7, 8, 6, 1), (7, 32, 16, 1), (7, 16, 8, 4, 1)],
+                             ids=str)
+    def test_train_mode_passes(self, dims):
+        """The batch-statistics backward agrees with finite differences on
+        every entry at the default tolerance: no hidden layer has a bias,
+        whose gradient batch norm would make zero up to rounding."""
+        params, X, t = self._case(dims)
         report = gradient_check(params, X, t, mode="train")
-        n_failed = round((1.0 - report.fraction_within_tol) * report.n_parameters)
-        assert n_failed <= pre_bn
-        kind, index, _ = report.worst
-        n_layers = len(self.DIMS) - 1
-        assert kind == "biases" and n_layers <= index < n_layers + len(self.DIMS) - 2
-        preds, cache = _forward_full(params, X, "train")
-        grad = _backward(params, cache, loss_rmse_grad(preds, t)[1])
-        start = sum(o * i for i, o in zip(self.DIMS[:-1], self.DIMS[1:]))
-        assert np.abs(grad[start : start + pre_bn]).max() < 1e-12  # biases 0, 1
+        assert report.passed and report.fraction_within_tol == 1.0
+        assert report.n_parameters == _vector_sizes(dims)[0]
 
 
 def test_mdl1_round_trips_bit_for_bit(tmp_path):
@@ -404,10 +405,11 @@ def test_mdl1_round_trips_bit_for_bit(tmp_path):
     path = save_mdl1(tmp_path / "m.mdl1", params, stats, "turbidity_NTU", training)
     back, back_stats, manifest = load_mdl1(path)
 
-    for name in ("weights", "biases", "bn_gamma", "bn_beta", "bn_mean", "bn_var"):
+    for name in ("weights", "bn_gamma", "bn_beta", "bn_mean", "bn_var"):
         for a, b in zip(getattr(params, name), getattr(back, name), strict=True):
             assert a.dtype == b.dtype == np.float64
             assert a.tobytes() == b.tobytes()
+    assert back.bias.tobytes() == params.bias.tobytes()
     assert back.layer_dims == params.layer_dims
     assert manifest["param_order"] == ["theta", "bn_state"]
     assert back.bn_stats_tracked
