@@ -200,9 +200,10 @@ def make_message(
     cmap: ContaminantMap,
     amap: AlertMap,
     policy: ThresholdPolicy,
-    timestamp: str | None = None,
+    timestamp: str,
 ) -> AlertMessage | None:
-    """Build the patch message, or None when the alert gate is not met.
+    """Build the patch message stamped ``timestamp``, or None when the alert
+    gate is not met.
 
     A message requires at least one violating cell and an exceed fraction
     strictly above the policy minimum.
@@ -210,8 +211,6 @@ def make_message(
     if amap.exceed_count == 0 or amap.exceed_fraction <= policy.min_exceed_fraction:
         return None
     violating = cmap.values[amap.cells.astype(bool)]
-    if timestamp is None:
-        timestamp = _utc_now()
     return AlertMessage(
         scene_id=scene_id,
         lat=cmap.georef.center_lat,
@@ -227,10 +226,6 @@ def make_message(
         violating_mean=float(violating.mean()),
         timestamp=timestamp,
     )
-
-
-def _utc_now() -> str:
-    return dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds")
 
 
 def serialize_alert(msg: AlertMessage) -> bytes:
@@ -307,7 +302,7 @@ def alert_scene(
     cells exactly.
     """
     if timestamp is None:
-        timestamp = _utc_now()
+        timestamp = dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds")
     alert_maps = [threshold(m, policy) for m in maps]
     messages = []
     for cmap, amap in zip(maps, alert_maps):

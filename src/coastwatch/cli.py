@@ -130,6 +130,10 @@ def cmd_build_dataset(args) -> int:
     ingest = dataset.ingest_records(args.records)
     surface = dataset.select_surface(ingest.records)
     patches = _load_patches(Path(args.patches))
+    if not ingest.records and ingest.rejected:
+        row, reason = ingest.rejected[0]
+        raise CoastwatchError(f"ingest rejected every row of {args.records} "
+                              f"({len(ingest.rejected)} rejected); row {row}: {reason}")
     result = dataset.match(surface, patches)
     if not result.samples:
         raise CoastwatchError("no record matched any patch")

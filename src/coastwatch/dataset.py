@@ -353,25 +353,24 @@ def match(
 
 @dataclass
 class SplitResult:
-    train: Sequence[Sample]
-    test: Sequence[Sample]
-    val: Sequence[Sample]
+    train: SampleTable
+    test: SampleTable
+    val: SampleTable
 
 
 def split(samples: Sequence[Sample], spec: SplitSpec) -> SplitResult:
     """Deterministic shuffled split; the test and validation sizes are
     ``TEST_FRACTION`` and ``VAL_FRACTION`` of the samples, rounded, and
-    train takes the remainder. The three parts partition the input exactly:
-    tables of a table's rows, or lists of a list's own ``Sample`` objects."""
-    n = len(samples)
+    train takes the remainder. The three parts are tables that partition
+    the input's rows exactly."""
+    table = as_table(samples)
+    n = len(table)
     n_test = int(round(n * TEST_FRACTION))
     n_val = int(round(n * VAL_FRACTION))
     n_train = n - n_test - n_val
     perm = np.random.default_rng(spec.seed).permutation(n)
     parts = np.split(perm, [n_train, n_train + n_test])
-    if isinstance(samples, SampleTable):
-        return SplitResult(*map(samples.take, parts))
-    return SplitResult(*([samples[i] for i in part] for part in parts))
+    return SplitResult(*map(table.take, parts))
 
 
 # a standard deviation below this is no variation: normalize divides by 1

@@ -17,15 +17,17 @@ the steps in it, so the chain never holds a second copy of the scene, and
 the chips are read-only views into that buffer. Randomness is owned per
 call through an explicit seed.
 
-``_misalign``, ``_degrade`` and :func:`generate_synthetic_scene` stream
-each band in blocks of ``_ROW_BLOCK`` rows, band by band and top to
-bottom, so their temporaries stay cache-sized: beside the buffer, a step
-holds a few row blocks. Misalignment and blur read each block's source
-rows from a slab (``_slabs``): the block's original rows and a halo above
-and below, the rows above kept from before the previous block overwrote
-them. :func:`scene_to_radiance` multiplies each band straight into its
-output band, and ``_to_reflectance`` is one in-place division per band;
-neither needs scratch. Streaming changes no bit: every pixel sees the same
+:func:`resample`, ``_misalign``, ``_degrade`` and
+:func:`generate_synthetic_scene` stream each band in blocks of
+``_ROW_BLOCK`` rows, band by band and top to bottom, so their temporaries
+stay cache-sized: beside the buffer, a step holds a few row blocks.
+Resampling and misalignment share one bilinear row-block step
+(``_interp_block``). Misalignment and blur read each block's source rows
+from a slab (``_slabs``): the block's original rows and a halo above and
+below, the rows above kept from before the previous block overwrote them.
+:func:`scene_to_radiance` multiplies each band straight into its output
+band, and ``_to_reflectance`` is one in-place division per band; neither
+needs scratch. Streaming changes no bit: every pixel sees the same
 operations in the same order as on whole planes, and the random draws keep
 their band-major, row-major order in the stream.
 :func:`generate_synthetic_scene` draws its pixel noise in one worker
@@ -269,19 +271,24 @@ def _interp_weights(coords: np.ndarray, n: int):
     return i0, np.minimum(i0 + 1, n - 1), pos - i0
 
 
-def _interp_axis(data: np.ndarray, coords: np.ndarray, axis: int) -> np.ndarray:
-    """Linear interpolation of ``data`` at fractional ``coords`` along ``axis``
-    (see ``_interp_weights``)."""
-    i0, i1, frac = _interp_weights(coords, data.shape[axis])
-    a = np.take(data, i0, axis=axis)
-    b = np.take(data, i1, axis=axis)
-    shape = [1] * data.ndim
-    shape[axis] = frac.size
-    f = frac.reshape(shape)
-    a *= 1.0 - f
-    b *= f
-    a += b
-    return a
+def _interp_block(out, source, rows, cols, scratch) -> None:
+    """Row block ``out`` of the bilinear interpolation of a float64 plane
+    ``source``: rows r0/r1 weighted by 1 - f and f, then columns c0/c1 the
+    same way, with ``rows`` and ``cols`` the ``_interp_weights`` of the
+    block's rows and of the columns. ``scratch`` is two row blocks of the
+    source's width and one of ``out``'s, which may be the second."""
+    (r0, r1, fy), (c0, c1, fx) = rows, cols
+    a, u, v = (buffer[:len(out)] for buffer in scratch)
+    np.take(source, r0, axis=0, out=a, mode="clip")
+    np.take(source, r1, axis=0, out=u, mode="clip")
+    a *= 1.0 - fy[:, None]
+    u *= fy[:, None]
+    a += u  # the block's rows, interpolated along the rows
+    np.take(a, c0, axis=1, out=out, mode="clip")
+    np.take(a, c1, axis=1, out=v, mode="clip")
+    out *= 1.0 - fx
+    v *= fx
+    out += v
 
 
 def resample(raster: BandStack, target_gsd: float) -> BandStack:
@@ -289,7 +296,9 @@ def resample(raster: BandStack, target_gsd: float) -> BandStack:
 
     Sample points are grid nodes: source node i sits at ``i * gsd`` metres,
     and the output covers the same node extent, so resampling to the native
-    gsd is the identity and corner samples are always preserved.
+    gsd is the identity and corner samples are always preserved. Each band
+    is read, widened to float64 if need be, into the output a row block at
+    a time.
     """
     if target_gsd <= 0:
         raise ValueError("target gsd must be positive")
@@ -300,11 +309,16 @@ def resample(raster: BandStack, target_gsd: float) -> BandStack:
     ratio = target_gsd / raster.gsd
     out_h = int(math.floor((raster.height - 1) / ratio)) + 1
     out_w = int(math.floor((raster.width - 1) / ratio)) + 1
-    rows = np.arange(out_h) * ratio
-    cols = np.arange(out_w) * ratio
-    data = raster.data.astype(np.float64)
-    data = _interp_axis(data, rows, axis=1)
-    data = _interp_axis(data, cols, axis=2)
+    rows = _interp_weights(np.arange(out_h) * ratio, raster.height)
+    cols = _interp_weights(np.arange(out_w) * ratio, raster.width)
+    data = np.empty((raster.bands, out_h, out_w))
+    scratch = [_block_buffer(out_h, w) for w in (raster.width, raster.width, out_w)]
+    for b in range(raster.bands):
+        # np.take cannot cast into a float64 out
+        band = raster.data[b].astype(np.float64, copy=False)
+        for block in _row_blocks(out_h):
+            _interp_block(data[b, block], band, [w[block] for w in rows], cols,
+                          scratch)
     return BandStack.from_array(data, target_gsd, raster.band_ids)
 
 
@@ -313,45 +327,32 @@ def _misalign(data: np.ndarray, gsd: float, cfg: DegradeConfig) -> None:
     (east_m, south_m) offset via bilinear resampling.
 
     Integer-pixel offsets reduce to exact shifts with replicate edge fill.
-    A shifted band is written back a row block at a time from a slab of its
-    original rows (``_slabs``) whose halo spans the block's source rows:
-    interpolation along the rows, then along the columns, the order the
-    whole-plane passes had. A shift within ``MISALIGN_BOUND_M`` at the
-    product pitch reads at most three rows past the block either side.
+    A shifted band is written back a row block at a time (``_interp_block``)
+    from a slab of its original rows (``_slabs``) whose halo spans the
+    block's source rows. A shift within ``MISALIGN_BOUND_M`` at the product
+    pitch reads at most three rows past the block either side.
     """
     bands, height, width = data.shape
     if len(cfg.misalignment_per_band) < bands:
         raise DimensionError("misalignment config has fewer entries than bands")
-    lower = upper = None
+    upper = _block_buffer(height, width)
+    scratch = (_block_buffer(height, width), upper, upper)
     for b in range(bands):
         east_m, south_m = cfg.misalignment_per_band[b]
         dx = east_m / gsd   # columns
         dy = south_m / gsd  # rows
         if dx == 0.0 and dy == 0.0:
             continue
-        if lower is None:
-            lower, upper = _block_buffer(height, width), _block_buffer(height, width)
         # content moves by (+dy, +dx): sample the source at x - d
         r0, r1, fy = _interp_weights(np.arange(height) - dy, height)
-        c0, c1, fx = _interp_weights(np.arange(width) - dx, width)
-        gy, gx = (1.0 - fy)[:, None], 1.0 - fx
-        fy = fy[:, None]
+        cols = _interp_weights(np.arange(width) - dx, width)
         # the farthest any row reads above and below itself
         above = max(int((np.arange(height) - r0).max()), 0)
         below = max(int((r1 - np.arange(height)).max()), 0)
         for rows, source, top in _slabs(data[b], above, below):
-            out = data[b, rows]
-            a, u = lower[:len(out)], upper[:len(out)]
-            np.take(source, r0[rows] - top, axis=0, out=a, mode="clip")
-            np.take(source, r1[rows] - top, axis=0, out=u, mode="clip")
-            a *= gy[rows]
-            u *= fy[rows]
-            a += u  # these rows of the band shifted along the rows
-            np.take(a, c0, axis=1, out=out, mode="clip")
-            np.take(a, c1, axis=1, out=u, mode="clip")
-            out *= gx
-            u *= fx
-            out += u
+            _interp_block(data[b, rows], source,
+                          (r0[rows] - top, r1[rows] - top, fy[rows]),
+                          cols, scratch)
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +447,10 @@ def simulate_l1c(
     ``_to_reflectance`` run in it in place, and the chips are read-only
     views into it. ``scene`` is not modified.
 
-    Each band is converted, shifted, blurred and noised in turn, the last
-    three a row block at a time. At the product pitch the call's heap peak
-    is the buffer plus a few row blocks; a scene at another pitch also
-    holds ``resample``'s whole-scene temporaries.
+    Each band is converted, resampled, shifted, blurred and noised in turn,
+    all but the conversion a row block at a time. The call's heap peak is
+    the buffer plus a few row blocks, and for a scene at another pitch the
+    radiance at that pitch, which ``resample`` reads.
     """
     if scene.bands != N_BANDS:
         raise DimensionError(f"scene must have {N_BANDS} multispectral bands, "
@@ -561,7 +562,6 @@ class SceneTruth:
 
     fields: dict[str, np.ndarray]         # full-resolution physical fields
     window_grids: dict[str, np.ndarray]   # 10x10-window means of the fields
-    ranges: dict[str, tuple[float, float]]
     mixing_offsets: np.ndarray            # (N_BANDS,)
     mixing_matrix: np.ndarray             # (N_BANDS, 2), columns: turb01, ph01
     noise_std: float
@@ -717,7 +717,6 @@ def generate_synthetic_scene(
         window_grids={name: window_average(BandStack.from_array(f, 1.0),
                                            WINDOW).data[0]
                       for name, f in fields.items()},
-        ranges={TURBIDITY: (t_lo, t_hi), PH: (p_lo, p_hi)},
         mixing_offsets=offsets,
         mixing_matrix=mix,
         noise_std=spec.noise_std,

@@ -145,6 +145,36 @@ def test_simulate_holds_the_scene_the_product_buffer_and_row_blocks(tmp_path):
     assert truth["chips"] == 2
 
 
+def test_simulate_at_10_m_holds_the_input_pitch_radiance_and_the_product_buffer(
+        tmp_path):
+    # a 10 m scene of 300 x 280 px resamples to 630 x 588 px at 4.75 m: four
+    # chips, and a product band plane (over 18 row blocks) well above the margin
+    width, height = 300, 280
+    doc = {"width": width, "height": height, "gsd": 10, "noise_std": 0.002,
+           "degrade": {"snr": 100, "mtf": 0.6,
+                       "misalign_m": [[0, 0], [2, -1], [-1.5, 2.25], [3, 0],
+                                      [0, -2.5], [1.3, 0.7], [-2, -2]]}}
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    argv = ["simulate", "--spec", str(tmp_path / "spec.json"),
+            "--out", str(tmp_path / "sim"), "--seed", "5"]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane = height * width * 8
+    product_width = 630
+    product_plane = 588 * product_width * 8
+    # resample reads the radiance at the input pitch a row block at a time
+    # into the product buffer: beside the scene, that radiance and the
+    # buffer, the row blocks and the command's own objects (about 3 measured)
+    # fit in 8 row blocks of the product's width
+    margin = 8 * sensor._ROW_BLOCK * product_width * 8
+    assert peak <= 7 * plane + 7 * plane + 7 * product_plane + margin
+    assert json.loads((tmp_path / "sim" / "truth.json").read_text())["chips"] == 4
+
+
 def smp1_pointing_past_its_patch_list() -> bytes:
     """An SMP1 file whose one record has patch index 1, but whose manifest
     lists one patch."""
@@ -396,7 +426,15 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
       + f"\nS1,m,l,100,2024-06-15,0.5,{sensor.TURBIDITY},3.2,44.0\n".encode(),
       "chips/chip_000_000.pat1": pat1(SCENE, georef=GEOREF)},
      ["build-dataset", "--records", "r.csv", "--patches", "chips", "--out", "s.smp1"],
-     "no record matched any patch"),
+     "ingest rejected every row of r.csv (1 rejected); row 1: 9 fields, the header "
+     "has 10"),
+    ({"r.csv": ",".join(dataset.CSV_COLUMNS).encode()
+      + f"\nS1,m,l,100,2024-06-15,0.5,{sensor.TURBIDITY},abc,44.0,9.0".encode()
+      + f"\nS2,m,l,100,2024-06-15,0.5,{sensor.TURBIDITY},3.2,44.0\n".encode(),
+      "chips/chip_000_000.pat1": pat1(SCENE, georef=GEOREF)},
+     ["build-dataset", "--records", "r.csv", "--patches", "chips", "--out", "s.smp1"],
+     "ingest rejected every row of r.csv (2 rejected); row 1: could not convert "
+     "string to float: 'abc'"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "simulate_bad_degrade",
@@ -426,7 +464,7 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
         "train_one_sample_store", "train_two_sample_store", "train_three_sample_store",
         "train_unknown_parameter", "train_constant_features_store",
         "infer_nonfinite_scene", "build_dataset_nonfinite_chip",
-        "build_dataset_short_row"])
+        "build_dataset_short_row", "build_dataset_every_row_rejected"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)

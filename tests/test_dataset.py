@@ -584,12 +584,18 @@ class TestSplit:
         assert [s.target for s in a.val] == [s.target for s in b.val]
 
     def test_partition_exact(self):
+        # each sample's target is its position, so the targets name the rows
         for n in (1, 10, 37, 100, 1001):
             samples = self._samples(n)
             out = split(samples, SplitSpec(seed=3))
-            ids = [id(s) for s in out.train + out.test + out.val]
-            assert len(ids) == n and len(set(ids)) == n
-            assert set(ids) == {id(s) for s in samples}
+            rows = np.concatenate([p.target for p in (out.train, out.test, out.val)])
+            assert sorted(rows) == list(range(n))
+            for part in (out.train, out.test, out.val):
+                assert isinstance(part, SampleTable)
+                for got in part:
+                    want = samples[int(got.target)]
+                    assert np.array_equal(got.features, want.features)
+                    assert got.station_id == want.station_id
 
 
 class TestNormalize:

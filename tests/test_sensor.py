@@ -628,6 +628,39 @@ def test_streamed_steps_equal_the_whole_plane_steps(block, data):
     assert np.array_equal(got, want)
 
 
+def _full_plane_resample(data, gsd, target_gsd):
+    """resample as two whole-plane passes on the float64 scene: rows, then
+    columns, at the output grid's nodes."""
+    ratio = target_gsd / gsd
+    height, width = data.shape[1:]
+    rows = np.arange(int(math.floor((height - 1) / ratio)) + 1) * ratio
+    cols = np.arange(int(math.floor((width - 1) / ratio)) + 1) * ratio
+    along_rows = _full_plane_interp_axis(data.astype(np.float64), rows, 1)
+    return _full_plane_interp_axis(along_rows, cols, 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("block", BLOCKS)
+@settings(max_examples=15, deadline=None, derandomize=True, phases=PHASES)
+@given(data=st.data())
+def test_streamed_resample_equals_the_whole_plane_passes(block, dtype, data):
+    bands = data.draw(st.integers(1, 3), label="bands")
+    # 2 px is the smallest extent resample takes
+    height = data.draw(st.just(2) | st.integers(2, 60), label="height")
+    width = data.draw(st.just(2) | st.integers(2, 60), label="width")
+    gsd = data.draw(st.sampled_from([4.0, 4.75, 10.0]), label="gsd")
+    # up- or down-sampling, by up to 4x
+    ratio = data.draw(st.floats(0.25, 0.95) | st.floats(1.05, 4.0), label="ratio")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    source = np.random.default_rng(seed).uniform(0.0, 300.0, (bands, height, width))
+    scene = BandStack.from_array(source.astype(dtype), gsd)
+    want = _full_plane_resample(scene.data, gsd, gsd * ratio)
+    with row_block(block, want.shape[1]):
+        got = resample(scene, gsd * ratio)
+    assert got.data.dtype == np.float64
+    assert np.array_equal(got.data, want)
+
+
 @pytest.mark.parametrize("block", BLOCKS)
 @settings(max_examples=3, deadline=None, derandomize=True, phases=PHASES)
 @given(data=st.data())
