@@ -7,7 +7,8 @@ file, policy, config, command line or option value) exits 2 with a one-line
 message. Only ``simulate`` takes ``--seed``; ``train`` reads its seed from
 the ``--config`` document, and the random check patches of ``transfer`` and
 ``quantize`` and the patches ``bench`` draws without ``--patches`` use
-``convnet.CHECK_SEED``. Each gate and check size is one library constant:
+``convnet.CHECK_SEED``; a check draws its patches one at a time as it reads
+them. Each gate and check size is one library constant:
 the station match's window is ``dataset.MATCH_TOLERANCE_DAYS``, the transfer
 certificate's ``convnet.EQUIVALENCE_TOL`` over
 ``convnet.EQUIVALENCE_CHECK_PATCHES`` patches, the fp16 gate's
@@ -95,12 +96,14 @@ def cmd_simulate(args) -> int:
         "mixing_offsets": truth.mixing_offsets.tolist(),
         "mixing_matrix": truth.mixing_matrix.tolist(),
     }
-    del truth  # its full-resolution fields would sit beside the product buffer
+    del truth  # its full-resolution fields would sit beside the scene
     georef = spec.georef()
     raster.write_pat1(out / "scene.pat1", scene, georef=georef)
 
-    tiles = sensor.simulate_l1c(scene, ctx, cfg, seed=args.seed + 1,
-                                scene_georef=georef)
+    # the scene is not read again: simulate_l1c's chain, run in the scene's
+    # own float64 buffer instead of a radiance copy
+    sensor._to_radiance(scene.data, ctx)
+    tiles = sensor._radiance_to_chips(scene, ctx, cfg, args.seed + 1, georef)
 
     chips_dir = out / "chips"
     chips_dir.mkdir(exist_ok=True)
@@ -354,7 +357,7 @@ def cmd_bench(args) -> int:
     if args.patches:
         patches = _load_patches(Path(args.patches))
     else:
-        patches = raster.random_patches(4, seed=convnet.CHECK_SEED)
+        patches = list(raster.random_patches(4, seed=convnet.CHECK_SEED))
     report = quantbench.bench(net, patches)
     if args.report:
         quantbench.write_report(args.report, report.to_json())

@@ -12,8 +12,9 @@ other. The conversion is exact in eval mode:
   bias, and gives the 1x1 layer its bias (w' = w * s, b' = beta -
   (c + mean) * s with s = gamma / sqrt(var + eps), where c = w @ mu_f /
   sigma_f on the first layer, the standardization's shift, and 0 after);
-* the feature standardization is absorbed into the first 1x1 layer and the
-  target de-standardization into the last, so the network consumes raw
+* the feature standardization is absorbed into the first 1x1 layer (the
+  only one, for a regressor without hidden layers) and the target
+  de-standardization into the last, so the network consumes raw
   reflectance patches and emits physical units;
 * dropout disappears (eval semantics).
 
@@ -161,21 +162,23 @@ def fc_to_cnn(params: MLPParams, stats: NormStats, parameter: str) -> ConvNet:
             "batch-norm running statistics never updated; train or load a "
             "model before transfer"
         )
+    # absorb feature standardization into the first layer, hidden or output:
+    # x_norm = (f - mu_f) / sigma_f, so W x_norm = (W / sigma_f) f - c
+    first = params.weights[0].astype(np.float64) / stats.feature_std[None, :]
+    shift = first @ stats.feature_mean   # c
     layers: list[ConvLayer] = []
     for k in range(params.n_hidden):
-        w = params.weights[k].astype(np.float64)
-        shifted = params.bn_mean[k]
-        if k == 0:
-            # absorb feature standardization: x_norm = (f - mu_f) / sigma_f
-            w = w / stats.feature_std[None, :]
-            shifted = shifted + w @ stats.feature_mean
+        w, shifted = ((first, params.bn_mean[k] + shift) if k == 0 else
+                      (params.weights[k].astype(np.float64), params.bn_mean[k]))
         scale = params.bn_gamma[k] / np.sqrt(params.bn_var[k] + BN_EPS)
         layers.append(ConvLayer(w * scale[:, None], params.bn_beta[k] - shifted * scale))
     # output layer: no batch-norm, no activation; absorb target
     # de-standardization so the map is in physical units
-    w_out = params.weights[-1].astype(np.float64) * stats.target_std
-    b_out = params.bias.astype(np.float64) * stats.target_std + stats.target_mean
-    layers.append(ConvLayer(w_out, b_out))
+    w_out, b_out = params.weights[-1].astype(np.float64), params.bias.astype(np.float64)
+    if not params.n_hidden:
+        w_out, b_out = first, b_out - shift
+    layers.append(ConvLayer(w_out * stats.target_std,
+                            b_out * stats.target_std + stats.target_mean))
     return ConvNet(layers, parameter=parameter)
 
 
@@ -311,7 +314,7 @@ def verify_equivalence(
     params: MLPParams,
     stats: NormStats,
     net: ConvNet,
-    patches: list[Patch],
+    patches: Iterable[Patch],
 ) -> EquivalenceReport:
     """Certify ConvNet(P)[w] == FC(mean window w of P) over all patches.
 
@@ -320,16 +323,21 @@ def verify_equivalence(
     runs independently (standardization, eval-mode forward,
     de-standardization). The served float32 stack (``infer_patch``) is
     measured against the same FC values and reported, not gated.
-    Deviations are in physical units; the gate is ``EQUIVALENCE_TOL``. An
-    empty patch list passes vacuously with n = 0 flagged.
+    Deviations are in physical units; the gate is ``EQUIVALENCE_TOL``, and
+    ``worst`` names the first cell holding the maximum. ``patches`` may be
+    any iterable, counted as it is read; each patch is let go once its
+    means are taken, so a lazy source such as ``raster.random_patches``
+    has one patch alive at a time. An empty iterable passes vacuously with
+    n = 0 flagged.
     """
     max_dev = 0.0
     served_max = 0.0
     sum_dev = 0.0
-    n_cells = 0
+    n_patches = n_cells = 0
     worst = (-1, -1, -1)
-    for p_idx, patch in enumerate(patches):
-        means = window_average(patch.raster, WINDOW).data
+    # map holds no patch once its means are taken
+    for means in map(lambda patch: window_average(patch.raster, WINDOW).data,
+                     patches):
         cnn_map = _stack_on_means(net, means)
         rows, cols = cnn_map.shape
         feats = means.reshape(means.shape[0], -1).T
@@ -337,18 +345,19 @@ def verify_equivalence(
         fc = stats.denormalize_target(forward(params, feats_norm))
         dev = np.abs(cnn_map.reshape(-1) - fc)
         idx = int(np.argmax(dev))
-        if dev[idx] > max_dev:
+        if not n_cells or dev[idx] > max_dev:
             max_dev = float(dev[idx])
-            worst = (p_idx, idx // cols, idx % cols)
+            worst = (n_patches, idx // cols, idx % cols)
         sum_dev += float(dev.sum())
         n_cells += dev.size
+        n_patches += 1
         served = _stack_on_means(net, means.astype(np.float32))
         served_max = max(served_max, float(np.abs(served.reshape(-1) - fc).max()))
     return EquivalenceReport(
         max_abs_deviation=max_dev,
         mean_abs_deviation=sum_dev / n_cells if n_cells else 0.0,
         served_max_abs_deviation=served_max,
-        n_patches=len(patches),
+        n_patches=n_patches,
         n_cells=n_cells,
         tol=EQUIVALENCE_TOL,
         passed=(max_dev <= EQUIVALENCE_TOL) if n_cells else True,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import platform
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -81,31 +82,35 @@ class QuantReport:
 def compare_quantized(
     net32: ConvNet,
     net16: ConvNet,
-    patches: list[Patch],
+    patches: Iterable[Patch],
 ) -> QuantReport:
     """Per-cell deviation statistics between the two precisions.
 
     Both networks run as served, in float32, on one set of window means per
     patch (``infer_patch``'s); deviations are in physical units. ``passed``
-    gates the maximum deviation on ``FP16_THRESHOLD``.
+    gates the maximum deviation on ``FP16_THRESHOLD``. ``patches`` may be
+    any iterable, counted as it is read; each patch is let go once its
+    means are taken, so a lazy source such as ``raster.random_patches``
+    has one patch alive at a time. An empty iterable is a ``ValueError``.
     """
-    if not patches:
-        raise ValueError("need at least one patch to compare")
     max_dev = 0.0
     total = 0.0
-    cells = 0
-    for patch in patches:
-        means = _served_means(patch.raster)
+    cells = n_patches = 0
+    # map holds no patch once its means are taken
+    for means in map(lambda patch: _served_means(patch.raster), patches):
         a = _stack_on_means(net32, means)
         b = _stack_on_means(net16, means)
         dev = np.abs(np.subtract(a, b, dtype=np.float64))
         max_dev = max(max_dev, float(dev.max()))
         total += float(dev.sum())
         cells += dev.size
+        n_patches += 1
+    if not n_patches:
+        raise ValueError("need at least one patch to compare")
     return QuantReport(
         max_map_deviation=max_dev,
         mean_map_deviation=total / cells,
-        patches_tested=len(patches),
+        patches_tested=n_patches,
         threshold=FP16_THRESHOLD,
         passed=max_dev < FP16_THRESHOLD,
     )

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
@@ -402,19 +403,39 @@ def mosaic(
     )
 
 
-def random_patches(n: int, seed: int) -> list[Patch]:
-    """Uniform-random reflectance patches in [0, 1]; seeded, for checks.
+def random_patches(n: int, seed: int) -> Iterable[Patch]:
+    """``n`` uniform-random reflectance patches in [0, 1]; seeded, for checks.
 
-    Each sits at (0, 0) at the product gsd, acquired on 2024-06-15.
+    Each sits at (0, 0) at the product gsd, acquired on 2024-06-15. The
+    patches are drawn one at a time as they are iterated, so a check that
+    lets each go holds one; ``len`` gives ``n``, and ``list(...)`` keeps them
+    all for a caller that indexes or reuses them. Every iteration draws the
+    same patches from ``seed`` again.
     """
-    rng = np.random.default_rng(seed)
-    georef = GeoRef(0.0, 0.0, dt.date(2024, 6, 15))
-    out = []
-    for i in range(n):
-        data = rng.uniform(0.0, 1.0, size=(N_BANDS, PATCH_SIZE, PATCH_SIZE))
-        out.append(Patch(BandStack.from_array(data, PRODUCT_GSD, MS_BAND_IDS),
-                         georef, patch_id=f"random_{i:04d}"))
-    return out
+    return _RandomPatches(n, seed)
+
+
+class _RandomPatches:
+    """:func:`random_patches`: its ``n`` patches, each drawn when iteration
+    reaches it, in one ``default_rng(seed)`` stream. A sized iterable, not a
+    generator, so that a check's patch count can be read with ``len`` before
+    it runs (the traced benchmark counts patches so)."""
+
+    def __init__(self, n: int, seed: int):
+        self._n, self._seed = n, seed
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator[Patch]:
+        rng = np.random.default_rng(self._seed)
+        georef = GeoRef(0.0, 0.0, dt.date(2024, 6, 15))
+        for i in range(self._n):
+            # no name holds the data, so a patch the caller dropped is freed
+            # before the next is drawn
+            yield Patch(BandStack.from_array(
+                rng.uniform(0.0, 1.0, size=(N_BANDS, PATCH_SIZE, PATCH_SIZE)),
+                PRODUCT_GSD, MS_BAND_IDS), georef, patch_id=f"random_{i:04d}")
 
 
 # ---------------------------------------------------------------------------

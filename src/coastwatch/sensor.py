@@ -11,11 +11,15 @@ so downstream accuracy can be gated quantitatively.
 :func:`scene_to_radiance` and :func:`resample` return a new raster and never
 mutate their input. Each later step is one private helper that updates a
 float64 (bands, h, w) buffer in place band by band: ``_misalign``,
-``_degrade`` and ``_to_reflectance``. :func:`simulate_l1c` and
-:func:`generate_synthetic_scene` own one scene-sized working buffer and run
-the steps in it, so the chain never holds a second copy of the scene, and
-the chips are read-only views into that buffer. Randomness is owned per
-call through an explicit seed.
+``_degrade`` and ``_to_reflectance``. ``_radiance_to_chips`` runs resample
+(only at another pitch), the three steps and the chipping in a float64
+radiance buffer its caller gives up, and the chips are read-only views into
+that buffer. :func:`simulate_l1c` gives it a copy (:func:`scene_to_radiance`),
+so its scene is left as it was; ``cli simulate``, which does not read its
+scene again, converts the scene to radiance in place (``_to_radiance``) and
+gives up the scene's own buffer. :func:`generate_synthetic_scene` owns one
+scene-sized buffer and scales its two field planes into the truth fields in
+place. Randomness is owned per call through an explicit seed.
 
 :func:`resample`, ``_misalign``, ``_degrade`` and
 :func:`generate_synthetic_scene` stream each band in blocks of
@@ -250,6 +254,13 @@ def scene_to_radiance(scene: BandStack, ctx: SolarContext) -> BandStack:
     return BandStack.from_array(out, scene.gsd, scene.band_ids)
 
 
+def _to_radiance(data: np.ndarray, ctx: SolarContext) -> None:
+    """Reflectance to radiance in place on a float64 (bands, h, w) buffer:
+    :func:`scene_to_radiance`'s product, made in each band itself."""
+    for b in range(data.shape[0]):
+        data[b] *= _radiometric_scale(ctx, b)
+
+
 def _to_reflectance(data: np.ndarray, ctx: SolarContext) -> None:
     """Radiance to reflectance in place on a float64 (bands, h, w) buffer."""
     for b in range(data.shape[0]):
@@ -442,10 +453,11 @@ def simulate_l1c(
     """Run the product chain and chip the result into 256 px patches.
 
     reflectance -> radiance -> resample to 4.75 m -> band misalignment ->
-    SNR/MTF degradation -> reflectance -> chips. The radiance raster is this
-    call's one float64 working buffer: ``_misalign``, ``_degrade`` and
-    ``_to_reflectance`` run in it in place, and the chips are read-only
-    views into it. ``scene`` is not modified.
+    SNR/MTF degradation -> reflectance -> chips. The radiance raster
+    (:func:`scene_to_radiance`, a copy) is this call's one float64 working
+    buffer: ``_radiance_to_chips`` runs the later steps in it in place, and
+    the chips are read-only views into it. ``scene``, of any dtype, is not
+    modified.
 
     Each band is converted, resampled, shifted, blurred and noised in turn,
     all but the conversion a row block at a time. The call's heap peak is
@@ -455,7 +467,21 @@ def simulate_l1c(
     if scene.bands != N_BANDS:
         raise DimensionError(f"scene must have {N_BANDS} multispectral bands, "
                              f"got {scene.bands}")
-    radiance = scene_to_radiance(scene, ctx)
+    return _radiance_to_chips(scene_to_radiance(scene, ctx), ctx, cfg, seed,
+                              scene_georef)
+
+
+def _radiance_to_chips(
+    radiance: BandStack,
+    ctx: SolarContext,
+    cfg: DegradeConfig,
+    seed: int,
+    scene_georef: GeoRef | None,
+) -> TileResult:
+    """:func:`simulate_l1c` after the radiance: resample (only if the pitch
+    is not the product's), ``_misalign``, ``_degrade``, ``_to_reflectance``
+    and ``tile_scene``, in the float64 ``radiance`` buffer, which the caller
+    gives up: at the product pitch the chips are views into it."""
     if radiance.gsd != PRODUCT_GSD:
         radiance = resample(radiance, PRODUCT_GSD)
     _misalign(radiance.data, radiance.gsd, cfg)
@@ -660,8 +686,8 @@ def generate_synthetic_scene(
     evaluates the two fields. Each band's mix, (offset + m0 * turb01) +
     m1 * ph01, is then added onto its noise a row block at a time; addition
     commutes, so the bits are those of the mix plus the noise. Beside the
-    scene the call holds the two normalized field planes, the two truth
-    fields made from them, and a few row blocks.
+    scene the call holds two field planes, normalized and then scaled in
+    place into the two truth fields, and a few row blocks.
     """
     rng = np.random.default_rng(seed)
     turb_draws = _field_draws(spec, rng)
@@ -704,14 +730,18 @@ def generate_synthetic_scene(
 
     t_lo, t_hi = spec.turbidity_range
     p_lo, p_hi = spec.ph_range
-    # fresh arrays, not the normalized planes scaled in place: planes made
-    # this early can sit on the heap below later allocations, and once the
-    # truth is dropped they stayed resident (12 MB more peak RSS over the
-    # seven-command CLI chain with glibc's allocator)
-    fields = {
-        TURBIDITY: t_lo + (t_hi - t_lo) * turb01,
-        PH: p_lo + (p_hi - p_lo) * ph01,
-    }
+    # each normalized plane becomes its truth field in place: f * (hi - lo)
+    # + lo is lo + (hi - lo) * f bit for bit. Fresh field arrays hold two
+    # planes more at the peak but leave glibc's allocator less to keep
+    # resident: over cli_chain (seed 1, 4 runs each, 2-core x86-64) they
+    # read op_heap_peak_mb 88.7 MB and peak_rss_mb 167.2 MB, this form 73.0
+    # and 183.0 MB. The heap peak is what the chain asks for on any
+    # allocator, so it is the one kept low.
+    turb01 *= t_hi - t_lo
+    turb01 += t_lo
+    ph01 *= p_hi - p_lo
+    ph01 += p_lo
+    fields = {TURBIDITY: turb01, PH: ph01}
     truth = SceneTruth(
         fields=fields,
         window_grids={name: window_average(BandStack.from_array(f, 1.0),

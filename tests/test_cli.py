@@ -116,6 +116,16 @@ def test_seven_command_chain(inputs, capsys):
     assert quant["model_bytes_fp16"] < quant["model_bytes_fp32"]
 
 
+def heap_peak_of(argv) -> int:
+    """The tracemalloc heap peak of one ``cli.main`` call, which must exit 0."""
+    tracemalloc.start()
+    try:
+        assert cli.main([str(a) for a in argv]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_simulate_holds_the_scene_the_product_buffer_and_row_blocks(tmp_path):
     # 300 x 520 px: two chips, and a band plane (16 row blocks) well above
     # the margin
@@ -125,20 +135,15 @@ def test_simulate_holds_the_scene_the_product_buffer_and_row_blocks(tmp_path):
                        "misalign_m": [[0, 0], [2, -1], [-1.5, 2.25], [3, 0],
                                       [0, -2.5], [1.3, 0.7], [-2, -2]]}}
     (tmp_path / "spec.json").write_text(json.dumps(doc))
-    argv = ["simulate", "--spec", str(tmp_path / "spec.json"),
-            "--out", str(tmp_path / "sim"), "--seed", "5"]
-    tracemalloc.start()
-    try:
-        assert cli.main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = heap_peak_of(["simulate", "--spec", tmp_path / "spec.json",
+                         "--out", tmp_path / "sim", "--seed", 5])
     plane = height * width * 8
-    # the truth's fields are let go and no step copies a band: beside the
-    # scene and the product buffer, the product chain's row blocks (about 5
-    # measured) and the command's own objects fit in 8 row blocks
+    # the product chain runs in the scene's own buffer, after the truth's
+    # fields are let go, so the peak is the scene generation's: the scene,
+    # its two field planes and a few row blocks; those and the command's own
+    # objects (about 6.5 row blocks measured) fit in 8 row blocks
     margin = 8 * sensor._ROW_BLOCK * width * 8
-    assert peak <= 7 * plane + 7 * plane + margin
+    assert peak <= 7 * plane + 2 * plane + margin
     truth = json.loads((tmp_path / "sim" / "truth.json").read_text())
     assert list(truth) == ["scene", "chips", "margins", "noise_std", "noise_floor",
                            "mixing_offsets", "mixing_matrix", "seed"]
@@ -155,24 +160,49 @@ def test_simulate_at_10_m_holds_the_input_pitch_radiance_and_the_product_buffer(
                        "misalign_m": [[0, 0], [2, -1], [-1.5, 2.25], [3, 0],
                                       [0, -2.5], [1.3, 0.7], [-2, -2]]}}
     (tmp_path / "spec.json").write_text(json.dumps(doc))
-    argv = ["simulate", "--spec", str(tmp_path / "spec.json"),
-            "--out", str(tmp_path / "sim"), "--seed", "5"]
-    tracemalloc.start()
-    try:
-        assert cli.main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = heap_peak_of(["simulate", "--spec", tmp_path / "spec.json",
+                         "--out", tmp_path / "sim", "--seed", 5])
     plane = height * width * 8
     product_width = 630
     product_plane = 588 * product_width * 8
-    # resample reads the radiance at the input pitch a row block at a time
-    # into the product buffer: beside the scene, that radiance and the
-    # buffer, the row blocks and the command's own objects (about 3 measured)
-    # fit in 8 row blocks of the product's width
+    # the scene's own buffer becomes the radiance at the input pitch, which
+    # resample reads a row block at a time into the product buffer: beside
+    # the two, the row blocks and the command's own objects (about 5
+    # measured) fit in 8 row blocks of the product's width
     margin = 8 * sensor._ROW_BLOCK * product_width * 8
-    assert peak <= 7 * plane + 7 * plane + 7 * product_plane + margin
+    assert peak <= 7 * plane + 7 * product_plane + margin
     assert json.loads((tmp_path / "sim" / "truth.json").read_text())["chips"] == 4
+
+
+# At small dims a check patch (float64, 3.5 MiB) dwarfs the model, the window
+# means and the stack's activations. Each check draws a patch only once the
+# last is let go: about 0.2 MiB beside the one patch measured.
+CHECK_PATCH = raster.N_BANDS * raster.PATCH_SIZE**2 * 8
+
+
+@pytest.fixture
+def small_model(tmp_path):
+    params = mlp.init_mlp((7, 16, 8, 1), seed=1)
+    params.bn_stats_tracked = True
+    stats = dataset.NormStats(np.full(7, 0.3), np.full(7, 0.1), 5.0, 2.0)
+    return mlp.save_mdl1(tmp_path / "m.mdl1", params, stats, sensor.TURBIDITY, {})
+
+
+def test_transfer_holds_one_check_patch_at_a_time(small_model, tmp_path):
+    net = tmp_path / "net.cnn1"
+    assert heap_peak_of(["transfer", "--model", small_model, "--out", net]) \
+        <= CHECK_PATCH + CHECK_PATCH // 4
+    _, manifest = convnet.load_cnn1(net)
+    assert manifest["equivalence"]["n_patches"] == convnet.EQUIVALENCE_CHECK_PATCHES
+
+
+def test_quantize_holds_one_check_patch_at_a_time(small_model, tmp_path):
+    net, report = tmp_path / "net.cnn1", tmp_path / "quant.json"
+    assert cli.main(["transfer", "--model", str(small_model), "--out", str(net)]) == 0
+    assert heap_peak_of(["quantize", "--net", net, "--out", tmp_path / "net16.cnn1",
+                         "--report", report]) <= CHECK_PATCH + CHECK_PATCH // 4
+    assert json.loads(report.read_text())["patches_tested"] == \
+        quantbench.FP16_CHECK_PATCHES
 
 
 def smp1_pointing_past_its_patch_list() -> bytes:

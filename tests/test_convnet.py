@@ -164,13 +164,59 @@ def test_equivalence_certified():
     assert report.n_cells == 3 * 625
 
 
+def test_a_net_without_a_hidden_layer_keeps_the_feature_standardization():
+    # (7, 1), the linear reference TrainConfig accepts: the standardization
+    # folds into its one layer, the output layer
+    params = init_mlp((7, 1), seed=2)
+    params.bias[...] = 0.7
+    params.bn_stats_tracked = True
+    stats = NormStats(feature_mean=np.linspace(0.3, 0.6, 7),
+                      feature_std=np.linspace(0.1, 0.2, 7),
+                      target_mean=5.0, target_std=2.0)
+    net = fc_to_cnn(params, stats, "turbidity_NTU")
+    report = verify_equivalence(params, stats, net, random_patches(2, seed=3))
+    assert report.passed and report.max_abs_deviation < 1e-5
+    assert net.channels == (7, 1)
+
+
+def test_worst_names_the_first_cell_of_the_maximum_when_every_deviation_is_zero():
+    params = init_mlp((7, 4, 1), seed=0)
+    params.theta[...] = 0.0   # every map is target_mean on both routes
+    params.bn_stats_tracked = True
+    stats = NormStats(np.full(7, 0.5), np.full(7, 0.2), 5.0, 2.0)
+    net = fc_to_cnn(params, stats, "turbidity_NTU")
+    report = verify_equivalence(params, stats, net, random_patches(2, seed=1))
+    assert (report.max_abs_deviation, report.n_cells) == (0.0, 2 * 625)
+    assert report.worst == (0, 0, 0)
+
+
+def test_the_checks_read_any_iterable_as_they_read_a_list():
+    params, stats = model(6)
+    net = fc_to_cnn(params, stats, "turbidity_NTU")
+    net16 = quantize_fp16(net)
+    patches = list(random_patches(3, seed=7))
+    want = verify_equivalence(params, stats, net, patches)
+    assert verify_equivalence(params, stats, net, iter(patches)) == want
+    assert verify_equivalence(params, stats, net, random_patches(3, seed=7)) == want
+    assert want.n_patches == 3
+    quant = compare_quantized(net, net16, patches)
+    assert compare_quantized(net, net16, (p for p in patches)) == quant
+    assert quant.patches_tested == 3
+    # nothing to check: the certificate is vacuous, the fp16 check refuses
+    empty = verify_equivalence(params, stats, net, iter(()))
+    assert empty.vacuous and empty.passed and empty.n_patches == 0
+    assert empty.worst == (-1, -1, -1)
+    with pytest.raises(ValueError, match="at least one patch"):
+        compare_quantized(net, net16, iter(()))
+
+
 def test_equivalence_and_fp16_checks_equal_per_network_inference():
     # the certificate is the float64 stack against the FC route; the served
     # deviation and the fp16 check are what infer_patch serves, in float32
     params, stats = model(6)
     net = fc_to_cnn(params, stats, "turbidity_NTU")
     net16 = quantize_fp16(net)
-    patches = random_patches(3, seed=7)
+    patches = list(random_patches(3, seed=7))
     eq_dev, served_dev, q_dev = [], [], []
     for patch in patches:
         feats = window_average(patch.raster, WINDOW).data.reshape(7, -1).T
@@ -193,10 +239,10 @@ def test_equivalence_and_fp16_checks_equal_per_network_inference():
 
 @st.composite
 def transferable_models(draw):
-    """A 7 -> ... -> 1 regressor of 1-3 small hidden layers with a drawn
+    """A 7 -> ... -> 1 regressor of 0-3 small hidden layers with a drawn
     output bias and batch-norm state (He-uniform weights from a drawn seed), and
     drawn normalization statistics of reflectance-range features."""
-    hidden = draw(st.lists(st.integers(1, 24), min_size=1, max_size=3), label="hidden")
+    hidden = draw(st.lists(st.integers(1, 24), max_size=3), label="hidden")
     params = init_mlp((7, *hidden, 1), seed=draw(st.integers(0, 2**32 - 1)))
 
     def vector(n, lo, hi):
@@ -401,7 +447,7 @@ def test_a_column_of_a_patch_shaped_block_ignores_the_other_columns(
     assert stack(other)[keep].tobytes() == out[keep].tobytes()
 
 
-PATCHES = random_patches(5, seed=21)
+PATCHES = list(random_patches(5, seed=21))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -52,7 +52,7 @@ def test_a_value_past_binary16_range_names_its_layer_and_array(name):
 
 
 def test_bench_reports_its_fixed_repetitions_and_the_reference():
-    report = bench(net_of((7, 4, 1)), random_patches(1, seed=2))
+    report = bench(net_of((7, 4, 1)), list(random_patches(1, seed=2)))
     assert report.reps == BENCH_REPS and report.warmup == BENCH_WARMUP
     assert report.fps == 1000.0 / report.ms_per_inference
     assert report.ms_p95 >= report.ms_per_inference > 0.0

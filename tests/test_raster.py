@@ -371,9 +371,23 @@ class TestPatchInvariants:
         assert patch.flagged_values == 6
 
     def test_random_patches_are_valid(self):
-        patches = random_patches(2, seed=0)
+        patches = list(random_patches(2, seed=0))
         assert all(p.flagged_values == 0 for p in patches)
         assert patches[0].raster.band_ids == MS_BAND_IDS
+
+    def test_random_patches_are_drawn_in_order_from_one_stream(self):
+        # one generator, each patch's draw after the last, as a list of
+        # eager draws; every iteration draws the same patches again
+        rng = np.random.default_rng(11)
+        want = [rng.uniform(0.0, 1.0, size=(7, 256, 256)) for _ in range(3)]
+        patches = random_patches(3, seed=11)
+        assert len(patches) == 3
+        for _ in range(2):
+            drawn = list(patches)
+            assert [p.patch_id for p in drawn] == ["random_0000", "random_0001",
+                                                   "random_0002"]
+            for patch, data in zip(drawn, want, strict=True):
+                assert patch.raster.data.tobytes() == data.tobytes()
 
 
 class TestPat1Format:

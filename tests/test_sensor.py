@@ -701,6 +701,25 @@ def test_simulate_l1c_heap_peak_is_the_buffer_and_row_blocks():
     assert peak <= 7 * plane + margin
 
 
+def test_generate_synthetic_scene_heap_peak_is_the_scene_two_planes_and_row_blocks():
+    # 300 x 520 px, the CLI simulate test's scene: the truth fields are the
+    # two normalized planes scaled in place
+    spec = SceneSpec(width=300, height=520, noise_std=0.002)
+    tracemalloc.start()
+    try:
+        scene, truth = generate_synthetic_scene(spec, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert truth.fields[TURBIDITY].shape == scene.data.shape[1:]
+    plane = 520 * 300 * 8
+    # beside the scene and the two planes, the field and mixing row blocks,
+    # the coordinate vectors and the noise worker (about 5.5 row blocks
+    # measured) fit in 8 row blocks
+    margin = 8 * sensor._ROW_BLOCK * 300 * 8
+    assert peak <= 7 * plane + 2 * plane + margin
+
+
 @pytest.mark.parametrize("block", BLOCKS)
 @settings(max_examples=30, deadline=None, derandomize=True, phases=PHASES)
 @given(data=st.data())
