@@ -59,7 +59,6 @@ from .sensor import (
     SceneSpec,
     SolarContext,
     generate_synthetic_scene,
-    reflectance_to_radiance,
     resample,
     simulate_l1c,
 )

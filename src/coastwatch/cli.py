@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import alerting, convnet, dataset, mlp, quantbench, raster, sensor
+from . import _container, alerting, convnet, dataset, mlp, quantbench, raster, sensor
 from .errors import CoastwatchError, SchemaError, check_document, is_json_kind
 
 # not an option: the benchmark reads the fraction here
@@ -59,7 +59,8 @@ def _parameter(name: str) -> str:
 
 
 def _georef(path: Path, manifest: dict) -> raster.GeoRef:
-    georef = raster.sidecar_georef(manifest)
+    with _container.parsing(path):
+        georef = raster.sidecar_georef(manifest)
     if georef is None:
         raise CoastwatchError(f"{path}: PAT1 manifest lacks a georef")
     return georef
@@ -101,9 +102,8 @@ def cmd_simulate(args) -> int:
     raster.write_pat1(out / "scene.pat1", scene, georef=georef)
 
     # the scene is not read again: simulate_l1c's chain, run in the scene's
-    # own float64 buffer instead of a radiance copy
-    sensor._to_radiance(scene.data, ctx)
-    tiles = sensor._radiance_to_chips(scene, ctx, cfg, args.seed + 1, georef)
+    # own float64 buffer instead of a fresh one
+    tiles = sensor._simulate_into(scene, scene.data, ctx, cfg, args.seed + 1, georef)
 
     chips_dir = out / "chips"
     chips_dir.mkdir(exist_ok=True)

@@ -32,10 +32,11 @@ file that also records the former ``front_layer``, ``layers``, ``meta`` or
 ``equivalence_sha256`` loads to the same layers.
 
 Parameters are float32, the dtype a CNN1 file deploys, and the served path
-(``infer_raster``/``infer_patch``) runs the 1x1 stack in float32 on window
-means that ``window_average`` accumulates in float64, reducing the patch
-where it lies without a float64 copy, in numpy's order; serving a patch
-therefore allocates little beyond the stack's two float32 activation planes.
+(``infer_raster``/``infer_patch``) runs the 1x1 stack in float32 on the
+window means of the patch's array, which ``window_average`` returns as a
+float64 array, reducing the patch where it lies without a float64 copy, in
+numpy's order; serving a patch therefore allocates little beyond the
+stack's two float32 activation planes.
 A scene is served by ``infer_kept``, which runs only the windows cloud
 leaves valid, window j of a patch in column j of a patch-shaped stack call
 (``infer_patch``'s bits on any BLAS core), from ``OPEN_BLOCKS`` blocks.
@@ -209,7 +210,7 @@ def _stack_on_means(net: ConvNet, means: np.ndarray) -> np.ndarray:
 
 def _served_means(raster: BandStack) -> np.ndarray:
     """Window means accumulated in float64, served to the stack as float32."""
-    return window_average(raster, WINDOW).data.astype(np.float32)
+    return window_average(raster.data).astype(np.float32)
 
 
 def infer_raster(net: ConvNet, raster: BandStack) -> np.ndarray:
@@ -336,8 +337,7 @@ def verify_equivalence(
     n_patches = n_cells = 0
     worst = (-1, -1, -1)
     # map holds no patch once its means are taken
-    for means in map(lambda patch: window_average(patch.raster, WINDOW).data,
-                     patches):
+    for means in map(lambda patch: window_average(patch.raster.data), patches):
         cnn_map = _stack_on_means(net, means)
         rows, cols = cnn_map.shape
         feats = means.reshape(means.shape[0], -1).T

@@ -66,8 +66,9 @@ class InSituRecord:
     def __post_init__(self):
         if self.parameter not in PARAMETERS:
             raise ValueError(f"unknown parameter {self.parameter!r}")
-        if not np.isfinite(self.value):
-            raise ValueError("value must be finite")
+        if not all(map(math.isfinite,
+                       (self.value, self.depth, self.distance_from_coast))):
+            raise ValueError("value, depth and distance from coast must be finite")
         if self.parameter == TURBIDITY and self.value < 0:
             raise ValueError("turbidity must be >= 0")
         if self.parameter == PH and not 0.0 <= self.value <= 14.0:
@@ -337,7 +338,7 @@ def match(
     features = np.empty((len(hits), N_BANDS))
     for idx in np.unique(matched):
         mine = np.flatnonzero(matched == idx)
-        means = window_average(patch_catalog[idx].raster, WINDOW).data
+        means = window_average(patch_catalog[idx].raster.data)
         features[mine] = means[:, windows[mine, 0], windows[mine, 1]].T
     samples = SampleTable(
         features=features,
@@ -454,7 +455,7 @@ def samples_from_scene(
     row-major order; used for acceptance-scale corpora where no in-situ
     archive exists. No ``Sample`` is built until a row is read.
     """
-    feats = window_average(scene, WINDOW).data
+    feats = window_average(scene.data)
     grid = truth.window_grids[parameter]
     n = grid.size
     return SampleTable(

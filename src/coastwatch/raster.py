@@ -29,9 +29,11 @@ alive, and it shows any later write to the scene; copy a patch's data
 reader fills the returned array straight from the file and the writer
 converts one band at a time, without staging the file's bytes.
 
-Window means (:func:`window_average`, :func:`window_fraction`) copy nothing
-either: they reduce the blocks where they lie with a float64 accumulator, in
-numpy's own reduction order, so a float32 patch or a bool mask is never
+Window means are plain arrays: :func:`window_average` takes a
+band-planar raster or a 2-D plane and returns its float64 means, and
+:func:`window_fraction` is its 2-D case for a mask. They copy nothing
+either: the blocks are reduced where they lie with a float64 accumulator,
+in numpy's own reduction order, so a float32 patch or a bool mask is never
 converted whole to float64.
 """
 
@@ -259,50 +261,41 @@ class TileResult:
         return self.index.scene_width % self.index.patch_size
 
 
-def window_average(raster: BandStack, window: int) -> BandStack:
-    """Mean over non-overlapping window x window blocks, per band.
+def window_average(data: np.ndarray, window: int = WINDOW) -> np.ndarray:
+    """float64 means over the non-overlapping window x window blocks of the
+    last two axes of an array, such as a (bands, height, width) raster or a
+    (height, width) plane; the leading axes are kept.
 
     Output size per axis is ``floor((size - window) / window) + 1``; trailing
     rows/columns not covered by a full window are dropped (for a 256 px patch
-    and window 10 that is the last 6 rows and columns). The output gsd is
-    scaled by the window size.
+    and window 10 that is the last 6 rows and columns).
 
-    Accumulation is in float64, with no copy of the raster: the cropped
+    Accumulation is in float64, with no copy of the array: the cropped
     blocks are reduced where they lie by ``np.add.reduce`` with a float64
-    accumulator, which casts a float32 raster a small buffer at a time, in
-    numpy's own reduction order. The means are therefore bit-identical to
-    copying the raster to float64 and taking ``mean`` over each block.
+    accumulator, which casts a float32 or bool array a small buffer at a
+    time, in numpy's own reduction order, then divided once. The means are
+    therefore bit-identical to copying the array to float64 and taking
+    ``mean`` over each block.
     """
-    return BandStack(_block_means(raster.data, window), raster.gsd * window,
-                     raster.band_ids)
-
-
-def window_fraction(mask: np.ndarray, window: int = WINDOW) -> np.ndarray:
-    """Fraction of true pixels per non-overlapping window of a 2-D mask.
-
-    The bool mask is reduced where it lies with a float64 accumulator, as in
-    :func:`window_average`, without a float64 copy.
-    """
-    if mask.ndim != 2:
-        raise DimensionError(f"expected a 2-D mask, got {mask.ndim}-D")
-    return _block_means(mask[None], window)[0]
-
-
-def _block_means(data: np.ndarray, window: int) -> np.ndarray:
-    """float64 means of the full window x window blocks of a band-planar
-    array: ``np.add.reduce`` over the blocks where they lie, then one
-    division, as ``mean`` does."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    bands, h, w = data.shape
+    *bands, h, w = data.shape
     if w < window or h < window:
         raise DimensionError(f"window {window} larger than raster {w}x{h}")
     out_h, out_w = h // window, w // window
-    blocks = data[:, : out_h * window, : out_w * window].reshape(
-        bands, out_h, window, out_w, window)
-    means = np.add.reduce(blocks, axis=(2, 4), dtype=np.float64)
+    blocks = data[..., : out_h * window, : out_w * window].reshape(
+        *bands, out_h, window, out_w, window)
+    means = np.add.reduce(blocks, axis=(-3, -1), dtype=np.float64)
     means /= window * window
     return means
+
+
+def window_fraction(mask: np.ndarray, window: int = WINDOW) -> np.ndarray:
+    """Fraction of true pixels per non-overlapping window of a 2-D mask: its
+    :func:`window_average`, without a float64 copy."""
+    if mask.ndim != 2:
+        raise DimensionError(f"expected a 2-D mask, got {mask.ndim}-D")
+    return window_average(mask, window)
 
 
 def tile_scene(

@@ -8,18 +8,18 @@ A synthetic-scene generator replaces external data access: it produces
 reflectance scenes whose turbidity/pH fields are known analytic functions,
 so downstream accuracy can be gated quantitatively.
 
-:func:`scene_to_radiance` and :func:`resample` return a new raster and never
-mutate their input. Each later step is one private helper that updates a
-float64 (bands, h, w) buffer in place band by band: ``_misalign``,
-``_degrade`` and ``_to_reflectance``. ``_radiance_to_chips`` runs resample
-(only at another pitch), the three steps and the chipping in a float64
-radiance buffer its caller gives up, and the chips are read-only views into
-that buffer. :func:`simulate_l1c` gives it a copy (:func:`scene_to_radiance`),
-so its scene is left as it was; ``cli simulate``, which does not read its
-scene again, converts the scene to radiance in place (``_to_radiance``) and
-gives up the scene's own buffer. :func:`generate_synthetic_scene` owns one
-scene-sized buffer and scales its two field planes into the truth fields in
-place. Randomness is owned per call through an explicit seed.
+The chain has one entry, ``_simulate_into``: it converts the scene to
+radiance (``_to_radiance``, in float64, so any scene dtype is widened
+before it is scaled) into a float64 (bands, h, w) buffer its caller gives
+up, which may be the scene's own, then resamples (only at another pitch,
+into a new raster) and runs the later steps in place band by band:
+``_misalign``, ``_degrade`` and ``_to_reflectance``. The chips are
+read-only views into that buffer. :func:`simulate_l1c` gives it a fresh
+buffer, so its scene is left as it was; ``cli simulate``, which does not
+read its scene again, gives the scene's own buffer.
+:func:`generate_synthetic_scene` owns one scene-sized buffer and scales its
+two field planes into the truth fields in place. Randomness is owned per
+call through an explicit seed.
 
 :func:`resample`, ``_misalign``, ``_degrade`` and
 :func:`generate_synthetic_scene` stream each band in blocks of
@@ -29,9 +29,9 @@ Resampling and misalignment share one bilinear row-block step
 (``_interp_block``). Misalignment and blur read each block's source rows
 from a slab (``_slabs``): the block's original rows and a halo above and
 below, the rows above kept from before the previous block overwrote them.
-:func:`scene_to_radiance` multiplies each band straight into its output
-band, and ``_to_reflectance`` is one in-place division per band; neither
-needs scratch. Streaming changes no bit: every pixel sees the same
+``_to_radiance`` multiplies each band straight into its buffer band, and
+``_to_reflectance`` is one in-place division per band; neither needs
+scratch. Streaming changes no bit: every pixel sees the same
 operations in the same order as on whole planes, and the random draws keep
 their band-major, row-major order in the stream.
 :func:`generate_synthetic_scene` draws its pixel noise in one worker
@@ -233,32 +233,18 @@ def _radiometric_scale(ctx: SolarContext, band: int) -> float:
             / (math.pi * ctx.earth_sun_distance**2))
 
 
-def reflectance_to_radiance(rho, ctx: SolarContext, band: int):
-    """ToA radiance from reflectance: L = rho * esun_b * cos(theta_s) / (pi d^2).
-
-    Works element-wise on scalars or arrays; ``_to_reflectance`` divides by
-    the same scale, so the conversion is invertible for any valid context.
-    """
-    return rho * _radiometric_scale(ctx, band)
-
-
-def scene_to_radiance(scene: BandStack, ctx: SolarContext) -> BandStack:
-    """Float64 radiance from a reflectance raster, band by band."""
-    if len(DEFAULT_ESUN) < scene.bands:
-        raise DimensionError(f"scene has {scene.bands} bands, DEFAULT_ESUN "
-                             f"covers {len(DEFAULT_ESUN)}")
-    out = np.empty_like(scene.data, dtype=np.float64)
-    for b in range(scene.bands):
-        # reflectance_to_radiance's product, made in the output band
-        np.multiply(scene.data[b], _radiometric_scale(ctx, b), out=out[b])
-    return BandStack.from_array(out, scene.gsd, scene.band_ids)
-
-
-def _to_radiance(data: np.ndarray, ctx: SolarContext) -> None:
-    """Reflectance to radiance in place on a float64 (bands, h, w) buffer:
-    :func:`scene_to_radiance`'s product, made in each band itself."""
-    for b in range(data.shape[0]):
-        data[b] *= _radiometric_scale(ctx, b)
+def _to_radiance(source: np.ndarray, ctx: SolarContext,
+                 out: np.ndarray | None = None) -> None:
+    """Radiance L = rho * esun_b * cos(theta_s) / (pi d^2) of a (bands, h, w)
+    reflectance ``source`` of any dtype into the float64 ``out``, by default
+    ``source`` itself: one multiplication per band, in float64, so a float32
+    or integer band is widened before it is scaled. ``_to_reflectance``
+    divides by the same scale, so the conversion is invertible for any
+    valid context."""
+    out = source if out is None else out
+    for b in range(len(source)):
+        np.multiply(source[b], _radiometric_scale(ctx, b), out=out[b],
+                    dtype=np.float64)
 
 
 def _to_reflectance(data: np.ndarray, ctx: SolarContext) -> None:
@@ -453,11 +439,10 @@ def simulate_l1c(
     """Run the product chain and chip the result into 256 px patches.
 
     reflectance -> radiance -> resample to 4.75 m -> band misalignment ->
-    SNR/MTF degradation -> reflectance -> chips. The radiance raster
-    (:func:`scene_to_radiance`, a copy) is this call's one float64 working
-    buffer: ``_radiance_to_chips`` runs the later steps in it in place, and
-    the chips are read-only views into it. ``scene``, of any dtype, is not
-    modified.
+    SNR/MTF degradation -> reflectance -> chips. The chain
+    (``_simulate_into``) runs in one fresh float64 buffer of the scene's
+    shape, and the chips are read-only views into it. ``scene``, of any
+    dtype, is not modified.
 
     Each band is converted, resampled, shifted, blurred and noised in turn,
     all but the conversion a row block at a time. The call's heap peak is
@@ -467,21 +452,26 @@ def simulate_l1c(
     if scene.bands != N_BANDS:
         raise DimensionError(f"scene must have {N_BANDS} multispectral bands, "
                              f"got {scene.bands}")
-    return _radiance_to_chips(scene_to_radiance(scene, ctx), ctx, cfg, seed,
-                              scene_georef)
+    return _simulate_into(scene, np.empty(scene.data.shape), ctx, cfg, seed,
+                          scene_georef)
 
 
-def _radiance_to_chips(
-    radiance: BandStack,
+def _simulate_into(
+    scene: BandStack,
+    buffer: np.ndarray,
     ctx: SolarContext,
     cfg: DegradeConfig,
     seed: int,
     scene_georef: GeoRef | None,
 ) -> TileResult:
-    """:func:`simulate_l1c` after the radiance: resample (only if the pitch
-    is not the product's), ``_misalign``, ``_degrade``, ``_to_reflectance``
-    and ``tile_scene``, in the float64 ``radiance`` buffer, which the caller
-    gives up: at the product pitch the chips are views into it."""
+    """:func:`simulate_l1c`'s chain in the float64 ``buffer`` of the scene's
+    shape, which may be ``scene.data`` itself: ``_to_radiance`` from the
+    scene into the buffer, resample (only if the pitch is not the
+    product's), ``_misalign``, ``_degrade``, ``_to_reflectance`` and
+    ``tile_scene``. The caller gives the buffer up: at the product pitch
+    the chips are views into it."""
+    _to_radiance(scene.data, ctx, out=buffer)
+    radiance = BandStack.from_array(buffer, scene.gsd, scene.band_ids)
     if radiance.gsd != PRODUCT_GSD:
         radiance = resample(radiance, PRODUCT_GSD)
     _misalign(radiance.data, radiance.gsd, cfg)
@@ -744,9 +734,7 @@ def generate_synthetic_scene(
     fields = {TURBIDITY: turb01, PH: ph01}
     truth = SceneTruth(
         fields=fields,
-        window_grids={name: window_average(BandStack.from_array(f, 1.0),
-                                           WINDOW).data[0]
-                      for name, f in fields.items()},
+        window_grids={name: window_average(f) for name, f in fields.items()},
         mixing_offsets=offsets,
         mixing_matrix=mix,
         noise_std=spec.noise_std,

@@ -5,6 +5,7 @@ import json
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -248,6 +249,12 @@ ALERT = ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl
 GEOREF = raster.GeoRef(44.0, 9.0, sensor.SceneSpec().date)
 
 
+def raw_georef(**fields) -> SimpleNamespace:
+    """Stands for a georef in ``write_pat1``: GEOREF's document with
+    ``fields`` put in, recorded as it is, valid or not."""
+    return SimpleNamespace(to_json=lambda: {**GEOREF.to_json(), **fields})
+
+
 def alert_maps(placements=([0, 0],), **index) -> dict:
     """A readable map directory for ``alert``: one map per placement, each
     recording its own, and an index with ``index``."""
@@ -465,6 +472,17 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
      ["build-dataset", "--records", "r.csv", "--patches", "chips", "--out", "s.smp1"],
      "ingest rejected every row of r.csv (2 rejected); row 1: could not convert "
      "string to float: 'abc'"),
+    ({"net.cnn1": cnn1(),
+      "scene.pat1": pat1(SCENE, georef=raw_georef(acquisition_date="June"))},
+     ["infer", "--net", "net.cnn1", "--scene", "scene.pat1", "--out", "maps"],
+     "scene.pat1: Invalid isoformat string: 'June'"),
+    ({"r.csv": ",".join(dataset.CSV_COLUMNS).encode() + b"\n",
+      "chips/chip_000_000.pat1": pat1(SCENE, georef=raw_georef(center_lat=95))},
+     ["build-dataset", "--records", "r.csv", "--patches", "chips", "--out", "s.smp1"],
+     "chip_000_000.pat1: latitude 95.0 outside [-90, 90]"),
+    ({**alert_maps(), "maps/map0.pat1": pat1(MAP, georef=raw_georef(center_lon="x"),
+                                              extra={"placement": [0, 0]})},
+     ALERT, "map0.pat1: could not convert string to float: 'x'"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "simulate_bad_degrade",
@@ -494,7 +512,9 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
         "train_one_sample_store", "train_two_sample_store", "train_three_sample_store",
         "train_unknown_parameter", "train_constant_features_store",
         "infer_nonfinite_scene", "build_dataset_nonfinite_chip",
-        "build_dataset_short_row", "build_dataset_every_row_rejected"])
+        "build_dataset_short_row", "build_dataset_every_row_rejected",
+        "infer_scene_georef_bad_date", "build_dataset_chip_georef_past_pole",
+        "alert_map_georef_bad_longitude"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)

@@ -71,7 +71,7 @@ def stack_formula(net, patch, arithmetic, deployed=np.float32):
     """The 1x1 stack written out: window means and the parameters, rounded
     to ``deployed``, widened to ``arithmetic`` and run in it, with ReLU after
     every layer but the last."""
-    act = window_average(patch.raster, WINDOW).data.reshape(7, -1)
+    act = window_average(patch.raster.data, WINDOW).reshape(7, -1)
     act = act.astype(arithmetic)
     *hidden, last = net.layers
     for layer in hidden:
@@ -219,7 +219,7 @@ def test_equivalence_and_fp16_checks_equal_per_network_inference():
     patches = list(random_patches(3, seed=7))
     eq_dev, served_dev, q_dev = [], [], []
     for patch in patches:
-        feats = window_average(patch.raster, WINDOW).data.reshape(7, -1).T
+        feats = window_average(patch.raster.data, WINDOW).reshape(7, -1).T
         fc = stats.denormalize_target(
             forward(params, (feats - stats.feature_mean) / stats.feature_std))
         cnn64 = stack_formula(net, patch, np.float64).reshape(-1)
@@ -285,7 +285,7 @@ def test_each_cell_of_the_float64_stack_is_the_fc_of_its_window_mean(model, seed
     patch = Patch(BandStack.from_array(data, PRODUCT_GSD),
                   GeoRef(0.0, 0.0, dt.date(2024, 6, 15)))
     # the network's route: the library's window means, the float64 stack
-    means = window_average(patch.raster, WINDOW).data
+    means = window_average(patch.raster.data, WINDOW)
     cnn = _stack_on_means(net, means)
     # the FC route on each window's mean, taken here by reshaping
     used = GRID * WINDOW

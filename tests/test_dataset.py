@@ -83,7 +83,7 @@ def match_reference(records, patch_catalog, tolerance_days):
         p = patch_catalog[best[2]]
         wr, wc = locate_window(p.georef, p.raster.gsd, r.lat, r.lon)
         samples.append(Sample(
-            features=window_average(p.raster, 10).data[:, wr, wc],
+            features=window_average(p.raster.data, 10)[:, wr, wc],
             target=r.value, parameter=r.parameter, patch_id=p.patch_id,
             window=(wr, wc), station_id=r.station_id,
             date=p.georef.acquisition_date))
@@ -92,7 +92,7 @@ def match_reference(records, patch_catalog, tolerance_days):
 
 def eager_samples_from_scene(scene, truth, parameter, date=DATE, scene_id="synthetic"):
     """One ``Sample`` per scene window, built as it is read off the grids."""
-    feats = window_average(scene, 10).data
+    feats = window_average(scene.data, 10)
     grid = truth.window_grids[parameter]
     return [Sample(features=feats[:, r, c], target=float(grid[r, c]),
                    parameter=parameter, patch_id=scene_id, window=(r, c),
@@ -146,6 +146,21 @@ class TestIngest:
         assert len(result.records) == 1
         assert len(result.rejected) == 1
         assert result.rejected[0][0] == 1  # first data row
+
+    @pytest.mark.parametrize("row", [
+        f"S1,Genova,Punta,150,2024-06-15,0.5,{TURBIDITY},nan,44.0,9.0",
+        f"S1,Genova,Punta,150,2024-06-15,nan,{TURBIDITY},99.0,44.0,9.0",
+        f"S1,Genova,Punta,150,2024-06-15,inf,{TURBIDITY},99.0,44.0,9.0",
+        f"S1,Genova,Punta,nan,2024-06-15,0.5,{TURBIDITY},99.0,44.0,9.0",
+        f"S1,Genova,Punta,-inf,2024-06-15,0.5,{TURBIDITY},99.0,44.0,9.0",
+    ], ids=["value_nan", "depth_nan", "depth_inf", "distance_nan", "distance_minus_inf"])
+    def test_non_finite_number_rejected(self, tmp_path, row):
+        """A NaN depth would win no depth comparison and lose none, so
+        ``select_surface`` could keep it as the surface value."""
+        good = f"S1,Genova,Punta,150,2024-06-15,0.5,{TURBIDITY},3.0,44.0,9.0"
+        result = ingest_records(write_csv(tmp_path / "in.csv", [row, good]))
+        assert [r.value for r in select_surface(result.records)] == [3.0]
+        assert [i for i, _ in result.rejected] == [1]
 
     def test_unparseable_value_rejected_with_row(self, tmp_path):
         csv = write_csv(tmp_path / "in.csv", [
@@ -272,7 +287,7 @@ class TestMatch:
         result = match([rec()], [patch])
         sample = result.samples[0]
         wr, wc = sample.window
-        expected = window_average(patch.raster, 10).data[:, wr, wc]
+        expected = window_average(patch.raster.data, 10)[:, wr, wc]
         assert np.array_equal(sample.features, expected)
 
     def test_nearest_date_wins_distance_tie(self):
@@ -535,8 +550,8 @@ def test_standardizing_commutes_with_the_window_mean(data):
                    label="mu")
     sigma = data.draw(hnp.arrays(np.float64, (7, 1, 1), elements=st.floats(1e-3, 1e3)),
                       label="sigma")
-    means_then = (window_average(BandStack.from_array(P, 1.0), 10).data - mu) / sigma
-    then_means = window_average(BandStack.from_array((P - mu) / sigma, 1.0), 10).data
+    means_then = (window_average(P, 10) - mu) / sigma
+    then_means = window_average((P - mu) / sigma, 10)
     scale = (np.abs(P).max(axis=(1, 2), keepdims=True) + np.abs(mu)) / sigma
     assert np.all(np.abs(means_then - then_means) <= 1e-12 * scale)
 
@@ -724,7 +739,7 @@ class TestSampleStore:
         spec = SceneSpec(width=256, height=256)
         scene, truth = generate_synthetic_scene(spec, 12)
         samples = samples_from_scene(scene, truth, PH)
-        avg = window_average(scene, 10).data
+        avg = window_average(scene.data, 10)
         for s in samples[::37]:
             r, c = s.window
             assert np.array_equal(s.features, avg[:, r, c])

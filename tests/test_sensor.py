@@ -22,9 +22,7 @@ from coastwatch.sensor import (
     gaussian_kernel,
     generate_synthetic_scene,
     mtf_blur_sigma_px,
-    reflectance_to_radiance,
     resample,
-    scene_to_radiance,
     simulate_l1c,
 )
 
@@ -46,19 +44,21 @@ def in_copy(step, scene, *args):
 class TestRadiometry:
     def test_zero_reflectance_zero_radiance(self):
         ctx = SolarContext()
-        assert reflectance_to_radiance(0.0, ctx, 0) == 0.0
+        assert (in_copy(sensor._to_radiance, stack(np.zeros((7, 1, 1))), ctx) == 0.0).all()
 
     def test_analytic_inversion_to_one(self):
         # rho = pi / esun_b with zenith 0 and d = 1 gives L = 1
         ctx = SolarContext(solar_zenith=0.0, earth_sun_distance=1.0)
         rho = math.pi / sensor.DEFAULT_ESUN[2]
-        assert reflectance_to_radiance(rho, ctx, 2) == pytest.approx(1.0)
+        radiance = in_copy(sensor._to_radiance, stack(np.full((7, 1, 1), rho)), ctx)
+        assert radiance[2, 0, 0] == pytest.approx(1.0)
 
     def test_roundtrip_random_grid(self):
         ctx = SolarContext(solar_zenith=37.0, earth_sun_distance=1.013)
         rho = RNG.uniform(0, 1.2, (7, 40, 40))
         scene = stack(rho)
-        back = in_copy(sensor._to_reflectance, scene_to_radiance(scene, ctx), ctx)
+        back = in_copy(sensor._to_reflectance,
+                       stack(in_copy(sensor._to_radiance, scene, ctx)), ctx)
         rel = np.abs(back - rho) / np.maximum(np.abs(rho), 1e-12)
         assert rel.max() < 1e-6
 
@@ -251,12 +251,11 @@ class TestSimulateL1cWorkingBuffer:
 
     def test_chips_equal_the_chain_of_public_steps(self):
         spec, scene, _, product = self.product()
-        radiance = scene_to_radiance(scene, self.CTX)
-        data = radiance.data.copy()
-        sensor._misalign(data, radiance.gsd, self.CFG)
+        data = in_copy(sensor._to_radiance, scene, self.CTX)
+        sensor._misalign(data, scene.gsd, self.CFG)
         sensor._degrade(data, self.CFG, 23)
         sensor._to_reflectance(data, self.CTX)
-        reference = tile_scene(BandStack.from_array(data, radiance.gsd),
+        reference = tile_scene(BandStack.from_array(data, scene.gsd),
                                spec.georef(), patch_id_prefix="chip")
         assert product.index == reference.index
         assert len(product.patches) == len(reference.patches) == 4
@@ -289,8 +288,26 @@ class TestSimulateL1cWorkingBuffer:
     def test_public_steps_leave_their_input_unchanged(self):
         scene = stack(RNG.uniform(0.05, 0.5, (7, 64, 64)))
         before = scene.data.copy()
-        scene_to_radiance(scene, self.CTX)
         resample(scene, 3.0)
+        assert np.array_equal(scene.data, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int16, np.uint8])
+    def test_a_narrow_scene_has_the_product_of_its_float64_cast(self, dtype):
+        # the radiance widens each band before it scales it, so the chips
+        # are those of the scene cast to float64, bit for bit
+        rng = np.random.default_rng(5)
+        if np.issubdtype(dtype, np.integer):
+            data = rng.integers(0, 100, (7, 256, 256)).astype(dtype)
+        else:
+            data = rng.uniform(0.0, 1.0, (7, 256, 256)).astype(dtype)
+        scene = BandStack.from_array(data, 4.75)
+        before = data.copy()
+        got = simulate_l1c(scene, self.CTX, self.CFG, seed=23)
+        want = simulate_l1c(BandStack.from_array(data.astype(np.float64), 4.75),
+                            self.CTX, self.CFG, seed=23)
+        (got_chip,), (want_chip,) = got.patches, want.patches
+        assert np.array_equal(got_chip.raster.data, want_chip.raster.data)
+        assert scene.data.dtype == dtype
         assert np.array_equal(scene.data, before)
 
 
@@ -412,7 +429,7 @@ class TestSyntheticScene:
         # ground truth, the property the regressor relies on
         spec = SceneSpec(width=256, height=256, noise_std=0.0)
         scene, truth = generate_synthetic_scene(spec, 8)
-        feats = window_average(scene, 10).data.reshape(7, -1).T
+        feats = window_average(scene.data, 10).reshape(7, -1).T
         design = np.c_[
             truth.window_grids[TURBIDITY].reshape(-1),
             truth.window_grids[PH].reshape(-1),
@@ -605,7 +622,7 @@ def test_streamed_scene_equals_the_whole_plane_scene(block, data):
     for name, field in fields.items():
         assert np.array_equal(truth.fields[name], field)
         assert np.array_equal(truth.window_grids[name],
-                              window_average(BandStack.from_array(field, 1.0), 10).data[0])
+                              window_average(field, 10))
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -673,7 +690,7 @@ def test_streamed_chain_equals_the_whole_plane_chain(block, data):
     ctx = SolarContext(solar_zenith=data.draw(st.floats(0.0, 80.0), label="zenith"))
     with row_block(block, spec.height):
         product = simulate_l1c(scene, ctx, cfg, seed=9, scene_georef=spec.georef())
-    want = scene_to_radiance(scene, ctx).data
+    want = in_copy(sensor._to_radiance, scene, ctx)
     _full_plane_misalign(want, scene.gsd, cfg)
     _full_plane_degrade(want, cfg, 9)
     sensor._to_reflectance(want, ctx)
