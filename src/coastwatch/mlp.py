@@ -48,6 +48,7 @@ from . import _container
 from .dataset import NormStats, Sample, as_arrays
 from .errors import NumericError, SchemaError, check_document
 from .raster import N_BANDS
+from .sensor import PARAMETERS
 
 DEFAULT_LAYER_DIMS = (N_BANDS, 512, 512, 512, 512, 43, 1)
 BN_EPS = 1e-5
@@ -715,10 +716,12 @@ def save_mdl1(
 
 def load_mdl1(path: str | Path) -> tuple[MLPParams, NormStats, dict]:
     """Read an MDL1 file; the model's vectors are views of the one payload
-    buffer. A malformed file, or one whose values ``MLPParams`` rejects
-    (non-finite, running variance <= 0), raises ``FormatError``."""
+    buffer. A malformed file, one for an unknown parameter or one whose values
+    ``MLPParams`` rejects (non-finite, running variance <= 0) raises FormatError."""
     manifest, (theta, bn_state) = _container.load(path, _MDL1_MAGIC, _mdl1_layout)
     with _container.parsing(path):
+        if manifest["parameter"] not in PARAMETERS:
+            raise ValueError(f"unknown parameter {manifest['parameter']!r}")
         stats = NormStats.from_json(manifest["normalization"])
         params = MLPParams(tuple(int(d) for d in manifest["layer_dims"]), theta,
                            bn_state, bool(manifest.get("bn_stats_tracked", False)))

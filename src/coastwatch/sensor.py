@@ -28,7 +28,9 @@ stay cache-sized: beside the buffer, a step holds a few row blocks.
 Resampling and misalignment share one bilinear row-block step
 (``_interp_block``). Misalignment and blur read each block's source rows
 from a slab (``_slabs``): the block's original rows and a halo above and
-below, the rows above kept from before the previous block overwrote them.
+below (rows past the band's edge repeat its edge row), the rows above kept
+from before the previous block overwrote them. The blur sums shifted slices
+in scipy's order (``_convolve_lines``).
 ``_to_radiance`` multiplies each band straight into its buffer band, and
 ``_to_reflectance`` is one in-place division per band; neither needs
 scratch. Streaming changes no bit: every pixel sees the same
@@ -48,7 +50,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .errors import DimensionError, SchemaError, check_document, is_json_kind
 from .raster import (
@@ -94,28 +95,26 @@ def _block_buffer(height: int, width: int) -> np.ndarray:
 def _slabs(band: np.ndarray, above: int, below: int):
     """Per row block of a (height, width) ``band``, top to bottom: the
     block's rows, a slab of the band's original rows from ``above`` rows
-    over the block to ``below`` rows under it (clipped to the band), and the
-    band row the slab starts at.
+    over the block to ``below`` rows under it, and the band row ``top`` the
+    slab starts at: slab row j is original row clip(top + j, 0, height - 1).
 
     The caller may overwrite the block in ``band`` before it asks for the
-    next slab: the rows a later block reads above its own were copied into a
-    halo buffer before the slab was yielded. The slab is one reused buffer,
-    valid until the next is asked for.
+    next slab: the rows a later block reads above its own are carried over
+    from the slab before. The slab is one reused buffer, valid until the
+    next is asked for.
     """
     height, width = band.shape
     slab = np.empty((min(_ROW_BLOCK, height) + above + below, width))
-    halo = np.empty((above, width))
+    slab[:above] = band[0]
     for rows in _row_blocks(height):
-        top = max(rows.start - above, 0)
+        n = rows.stop - rows.start
         bottom = min(rows.stop + below, height)
-        kept = rows.start - top   # rows above the block, overwritten by now
-        source = slab[:bottom - top]
-        source[:kept] = halo[:kept]
-        source[kept:] = band[rows.start:bottom]
+        source = slab[:n + above + below]
+        source[above:above + bottom - rows.start] = band[rows.start:bottom]
+        source[above + bottom - rows.start:] = band[-1]
+        yield rows, source, rows.start - above
         # the original rows the next block reads above its own
-        start = max(rows.stop - above, 0)
-        halo[:rows.stop - start] = source[start - top:rows.stop - top]
-        yield rows, source, top
+        slab[:above] = source[n:n + above]
 
 
 @contextlib.contextmanager
@@ -187,14 +186,14 @@ class DegradeConfig:
     misalignment_per_band: tuple[tuple[float, float], ...] = ((0.0, 0.0),) * N_BANDS
 
     def __post_init__(self):
-        if any(s <= 0 for s in self.snr_per_band):
+        if any(not s > 0 for s in self.snr_per_band):
             raise SchemaError("snr must be positive (use inf for noiseless)")
         if not 0.0 < self.mtf_at_nyquist <= 1.0:
             raise SchemaError("mtf_at_nyquist must be in (0, 1]")
         for dx, dy in self.misalignment_per_band:
-            if math.hypot(dx, dy) > MISALIGN_BOUND_M:
+            if not math.hypot(dx, dy) <= MISALIGN_BOUND_M:
                 raise SchemaError(
-                    f"misalignment ({dx}, {dy}) m exceeds the "
+                    f"misalignment ({dx}, {dy}) m is not within the "
                     f"{MISALIGN_BOUND_M} m registration bound"
                 )
 
@@ -377,17 +376,30 @@ def gaussian_kernel(sigma_px: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _convolve_lines(out, lines, kernel, scratch) -> None:
+    """Each ``out[i]`` is ``lines[i:i + len(kernel)]`` convolved with an odd
+    symmetric ``kernel``, summed as scipy's convolve1d does: the centre tap,
+    then (lines[i+r-k] + lines[i+r+k]) * kernel[r-k] added for k = r .. 1."""
+    r, n = len(kernel) // 2, len(out)
+    np.multiply(lines[r:r + n], kernel[r], out=out)
+    for k in range(r, 0, -1):
+        np.add(lines[r - k:r - k + n], lines[r + k:r + k + n], out=scratch)
+        scratch *= kernel[r - k]
+        out += scratch
+
+
 def _degrade(data: np.ndarray, cfg: DegradeConfig, seed: int) -> None:
     """MTF blur then Gaussian noise at sigma = mean / SNR, in place band by
     band on a float64 (bands, h, w) buffer.
 
     The blur kernel is a unit-sum separable Gaussian parameterized by the
     configured MTF at Nyquist, applied with replicate edges; identity when
-    mtf_at_nyquist is 1. Each row block is blurred along the columns on a
-    slab of the band's original rows with a kernel-radius halo
-    (``_slabs``), then along the rows into the buffer. The noise sigma is
-    the blurred band's whole-plane mean over the SNR, and the noise is
-    drawn a row block at a time; it is skipped for infinite SNR.
+    mtf_at_nyquist is 1. Each row block is blurred along the columns from a
+    slab with a kernel-radius halo (``_slabs``) into a block padded by the
+    radius, edge columns repeated, then along the rows into the buffer: the
+    bits of scipy's ``convolve1d(mode="nearest")`` on each axis. The noise
+    sigma is the blurred band's whole-plane mean over the SNR, and the noise
+    is drawn a row block at a time; it is skipped for infinite SNR.
     Deterministic for a fixed seed.
     """
     bands, height, width = data.shape
@@ -398,19 +410,19 @@ def _degrade(data: np.ndarray, cfg: DegradeConfig, seed: int) -> None:
     sigma_px = mtf_blur_sigma_px(cfg.mtf_at_nyquist)
     if sigma_px > 0.0:
         kernel = gaussian_kernel(sigma_px)
-        radius = len(kernel) // 2
-        blur = np.empty((len(block) + 2 * radius, width))
+        r = len(kernel) // 2
+        padded = np.empty((len(block), r + width + r))
     for b in range(bands):
         band = data[b]
         if sigma_px > 0.0:
-            for rows, source, top in _slabs(band, radius, radius):
-                # the block and up to ``radius`` rows either side, blurred
-                # along the columns; only the block's rows are kept
-                blurred = blur[:len(source)]
-                convolve1d(source, kernel, axis=0, output=blurred,
-                           mode="nearest")
-                convolve1d(blurred[rows.start - top:rows.stop - top], kernel,
-                           axis=1, output=band[rows], mode="nearest")
+            for rows, source, _ in _slabs(band, r, r):
+                scratch = block[:rows.stop - rows.start]  # the noise's block
+                blurred = padded[:len(scratch)]
+                _convolve_lines(blurred[:, r:-r], source, kernel, scratch)
+                blurred[:, :r] = blurred[:, r:r + 1]  # edge columns repeated
+                blurred[:, -r:] = blurred[:, -r - 1:-r]
+                # along the rows: the lines of the transposed views
+                _convolve_lines(band[rows].T, blurred.T, kernel, scratch.T)
         snr = cfg.snr_per_band[b]
         if math.isinf(snr):
             continue

@@ -275,6 +275,22 @@ def cnn1() -> bytes:
         return convnet.save_cnn1(Path(d) / "net.cnn1", net).read_bytes()
 
 
+def mdl1_for(parameter: str | None) -> bytes:
+    """A small MDL1 model whose manifest names ``parameter``, or no
+    parameter for None."""
+    params = mlp.init_mlp((7, 8, 1))
+    stats = dataset.NormStats(np.full(7, 0.2), np.full(7, 0.05), 5.0, 2.0)
+    with tempfile.TemporaryDirectory() as d:
+        path = mlp.save_mdl1(Path(d) / "m.mdl1", params, stats, sensor.TURBIDITY)
+        manifest, arrays = _container.load(path, b"MDL1", mlp._mdl1_layout)
+    del manifest["parameter"]
+    if parameter is not None:
+        manifest["parameter"] = parameter
+    buffer = io.BytesIO()
+    _container.write(buffer, b"MDL1", manifest, arrays, "<f8")
+    return buffer.getvalue()
+
+
 def cnn1_of_two_outputs() -> bytes:
     """A CNN1 file of one 7 -> 2 layer, which no ``ConvNet`` takes."""
     buffer = io.BytesIO()
@@ -483,6 +499,22 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
     ({**alert_maps(), "maps/map0.pat1": pat1(MAP, georef=raw_georef(center_lon="x"),
                                               extra={"placement": [0, 0]})},
      ALERT, "map0.pat1: could not convert string to float: 'x'"),
+    ({"spec.json": b'{"degrade": {"snr": NaN}}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"],
+     "snr must be positive (use inf for noiseless)"),
+    ({"spec.json": b'{"degrade": {"snr": [100, 100, NaN, 100, 100, 100, 100]}}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"],
+     "snr must be positive (use inf for noiseless)"),
+    ({"spec.json": b'{"degrade": {"misalign_m": [[0, 0], [NaN, 1], [0, 0], [0, 0], '
+                   b'[0, 0], [0, 0], [0, 0]]}}'},
+     ["simulate", "--spec", "spec.json", "--out", "sim"],
+     "misalignment (nan, 1.0) m is not within the 10.0 m registration bound"),
+    ({"m.mdl1": mdl1_for("chlorophyll")},
+     ["transfer", "--model", "m.mdl1", "--out", "net.cnn1"],
+     "m.mdl1: unknown parameter 'chlorophyll'"),
+    ({"m.mdl1": mdl1_for(None)},
+     ["transfer", "--model", "m.mdl1", "--out", "net.cnn1"],
+     "m.mdl1: manifest lacks field 'parameter'"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "simulate_bad_degrade",
@@ -514,7 +546,9 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
         "infer_nonfinite_scene", "build_dataset_nonfinite_chip",
         "build_dataset_short_row", "build_dataset_every_row_rejected",
         "infer_scene_georef_bad_date", "build_dataset_chip_georef_past_pole",
-        "alert_map_georef_bad_longitude"])
+        "alert_map_georef_bad_longitude", "simulate_nan_snr", "simulate_nan_in_snr_list",
+        "simulate_nan_misalignment", "transfer_unknown_parameter",
+        "transfer_no_parameter"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)

@@ -751,9 +751,11 @@ def test_each_slab_holds_the_original_rows_though_the_blocks_are_overwritten(
     with row_block(block, height):
         for rows, source, top in sensor._slabs(band, above, below):
             seen.append(rows)
-            bottom = min(rows.stop + below, height)
-            assert top == max(rows.start - above, 0)
-            assert np.array_equal(source, original[top:bottom])
+            assert top == rows.start - above
+            assert len(source) == rows.stop - rows.start + above + below
+            # rows past the band's edge repeat its edge row
+            want = original[np.clip(np.arange(top, top + len(source)), 0, height - 1)]
+            assert np.array_equal(source, want)
             band[rows] = -1.0  # the caller writes its block back
     assert [r for rows in seen for r in range(rows.start, rows.stop)] == \
         list(range(height))
@@ -772,4 +774,24 @@ def test_misalignment_at_the_registration_bound_equals_the_whole_plane_passes(bl
     _full_plane_misalign(want, gsd, cfg)
     with row_block(block, 45):
         sensor._misalign(radiance, gsd, cfg)
+    assert np.array_equal(radiance, want)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@settings(max_examples=40, deadline=None, derandomize=True, phases=PHASES)
+@given(data=st.data())
+def test_blur_is_scipys_convolve1d_along_each_axis(block, data):
+    # at MTF 0.01 the kernel radius is 4 px, so the shortest bands are
+    # shorter than the radius
+    height = data.draw(st.integers(1, 70), label="height")
+    width = data.draw(st.integers(1, 70), label="width")
+    mtf = data.draw(st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+                    label="mtf")
+    radiance = np.random.default_rng(height * 71 + width).uniform(
+        0.0, 300.0, (2, height, width))
+    kernel = gaussian_kernel(mtf_blur_sigma_px(mtf))
+    want = [convolve1d(convolve1d(plane, kernel, axis=0, mode="nearest"), kernel,
+                       axis=1, mode="nearest") for plane in radiance]
+    with row_block(block, height):
+        sensor._degrade(radiance, DegradeConfig(mtf_at_nyquist=mtf), seed=0)
     assert np.array_equal(radiance, want)
