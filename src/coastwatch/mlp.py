@@ -24,20 +24,24 @@ Two forwards: ``_forward_full`` (train or eval mode, keeping the cache
 ``TrainConfig.dropout_p`` (dropout is a training setting, not part of the
 model), and the gradient check, without dropout; ``_forward_eval`` is the
 one eval forward, bit-identical to ``_forward_full``'s eval mode, behind
-``forward``, ``evaluate``, train's per-epoch monitor and ``recalibrate_bn``.
+``forward``, ``evaluate``, train's per-epoch val score and ``recalibrate_bn``.
 The public ``forward`` is eval-only: a deployed model never normalizes with
 batch statistics and never drops units.
 
 Training follows one recipe: Adam with the textbook constants
 (``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``) at a constant learning rate
 on the RMSE loss, computed in float32, keeping the best-validation snapshot.
-It is single-threaded and bit-deterministic for a fixed seed. One model per
-contaminant; the two models share hyperparameters and differ only in their
-weights.
+An epoch's ``train_rmse`` is the RMS of its own train-mode mini-batch
+residuals, summed from the batch losses, so the only eval forward an epoch
+runs scores the val set; without one, the stopping aids read ``train_rmse``
+and no eval forward runs until recalibration. It is single-threaded and
+bit-deterministic for a fixed seed. One model per contaminant; the two
+models share hyperparameters and differ only in their weights.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -173,7 +177,10 @@ class TrainConfig:
     training ends, measured on the eval forward's own activations, which
     removes the eval-time noise of the momentum estimates.
     ``early_stop_val_rmse`` and ``patience`` end a run before the epoch
-    budget.
+    budget; ``early_stop_val_rmse`` is compared with the epoch's val RMSE or,
+    without a val set, its ``train_rmse`` (the RMS of the epoch's train-mode
+    mini-batch residuals, not an eval-mode score), and ``patience`` counts
+    epochs without a new best val RMSE.
     """
 
     layer_dims: tuple[int, ...] = DEFAULT_LAYER_DIMS
@@ -294,6 +301,34 @@ def _forward_full(
     return out[:, 0], cache
 
 
+# rows of squares ``_centred_var`` sums at a time
+_BN_CHUNK = 256
+
+
+def _centred_var(Z: np.ndarray) -> np.ndarray:
+    """``Z.var(axis=0)`` bit for bit, for a C-ordered ``(n, h)`` ``Z`` already
+    centred on ``Z.mean(axis=0)`` (the mean ``var`` subtracts first).
+
+    numpy sums the squares of such an array row after row when ``h > 1``, so
+    summing ``_BN_CHUNK`` rows at a time, each chunk after the running sum,
+    keeps that order with no ``(n, h)`` temporary. A single column numpy sums
+    pairwise instead; its squares are one column and are summed whole.
+    """
+    n, h = Z.shape
+    if h == 1:
+        sq = np.square(Z).sum(axis=0)
+    else:
+        buf = np.empty((min(n, _BN_CHUNK) + 1, h), Z.dtype)
+        sq = np.zeros(h, Z.dtype)
+        for start in range(0, n, _BN_CHUNK):
+            rows = Z[start : start + _BN_CHUNK]
+            buf[0] = sq
+            np.square(rows, out=buf[1 : len(rows) + 1])
+            np.sum(buf[: len(rows) + 1], axis=0, out=sq)
+    # numpy's own division: by the count as an intp, cast back unsafely
+    return np.true_divide(sq, np.intp(n), out=sq, casting="unsafe")
+
+
 def _forward_eval(
     params: MLPParams, X: np.ndarray, store_bn_stats: bool = False
 ) -> np.ndarray:
@@ -304,7 +339,9 @@ def _forward_eval(
     ``_forward_full(params, X, "eval")[0]``. With ``store_bn_stats`` each
     hidden layer first stores the mean and unbiased variance of its pre-BN
     activations over ``X`` as its running statistics, then normalizes with
-    them, so layer k+1 measures what the eval forward feeds it.
+    them, so layer k+1 measures what the eval forward feeds it; the variance
+    is taken on the activations centred in place (``_centred_var``), so the
+    pass holds two activation planes, as without ``store_bn_stats``.
     """
     dtype = params.weights[0].dtype
     act = np.ascontiguousarray(np.asarray(X), dtype=dtype)
@@ -315,9 +352,10 @@ def _forward_eval(
             raise NumericError(f"non-finite activations at hidden layer {k}")
         if store_bn_stats:
             params.bn_mean[k][...] = Z.mean(axis=0)
-            params.bn_var[k][...] = Z.var(axis=0) * n / max(n - 1, 1)
-        var = params.bn_var[k].astype(dtype)
         Z -= params.bn_mean[k].astype(dtype)
+        if store_bn_stats:
+            params.bn_var[k][...] = _centred_var(Z) * n / max(n - 1, 1)
+        var = params.bn_var[k].astype(dtype)
         Z *= 1.0 / np.sqrt(var + dtype.type(BN_EPS))
         Z *= params.bn_gamma[k]
         Z += params.bn_beta[k]
@@ -472,12 +510,17 @@ def train(
     """Mini-batch Adam on the RMSE loss; deterministic for a fixed seed.
 
     ``samples`` must be normalized. The loop computes in float32; the
-    returned parameters are float64. The history records eval-mode train
-    (and val, when provided) RMSE per epoch in normalized target units. When
-    a validation set is given, the parameter snapshot with the lowest
-    validation RMSE is returned instead of the final state. Divergence
-    (non-finite loss) aborts with the epoch index; an empty ``samples``
-    raises ``ValueError``.
+    returned parameters are float64. The history records, per epoch in
+    normalized target units, ``train_rmse``, the RMS of that epoch's own
+    train-mode mini-batch residuals (dropout on, batch statistics, the
+    parameters of each step), summed from the batch losses; and, when a
+    validation set is given, ``val_rmse``, the eval forward's RMSE on it,
+    the only eval forward an epoch runs. The stopping aids read ``val_rmse``,
+    or ``train_rmse`` without a validation set. When a validation set is
+    given, the parameter snapshot with the lowest validation RMSE is returned
+    instead of the final state; it is copied into one buffer. Adam's moments
+    are dropped before ``recalibrate_bn`` runs. Divergence (non-finite loss)
+    aborts with the epoch index; an empty ``samples`` raises ``ValueError``.
     """
     if not samples:
         raise ValueError("empty train split")
@@ -499,6 +542,7 @@ def train(
     lr = config.learning_rate
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        sq_sum = 0.0   # the epoch's squared train residuals, batch by batch
         try:
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
@@ -508,11 +552,12 @@ def train(
                 loss, dpred = loss_rmse_grad(preds, y[idx])
                 if not np.isfinite(loss):
                     raise NumericError("training diverged (loss NaN)")
+                sq_sum += loss * loss * len(idx)
                 adam.step(params.theta, _backward(params, cache, dpred), lr)
             params.bn_stats_tracked = True
+            train_rmse = math.sqrt(sq_sum / n)
             # the monitor calls the private eval forward: ``forward`` would
             # round-trip every epoch's inputs through float64
-            train_rmse = loss_rmse(_forward_eval(params, X), y)
             val_rmse = None if Xv is None else loss_rmse(_forward_eval(params, Xv), yv)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from None
@@ -527,7 +572,11 @@ def train(
             if val_rmse < best_val - 1e-12:
                 best_val = val_rmse
                 stale = 0
-                best_params = params.clone()
+                if best_params is None:
+                    best_params = params.clone()
+                else:
+                    best_params.theta[...] = params.theta
+                    best_params.bn_state[...] = params.bn_state
             else:
                 stale += 1
         if (config.early_stop_val_rmse is not None
@@ -538,6 +587,7 @@ def train(
             history["stopped_early"] = True
             break
 
+    del adam   # its moments are twice theta; recalibration needs none of it
     if best_params is not None:
         params = best_params
     if config.recalibrate_bn:
@@ -694,6 +744,11 @@ def save_mdl1(
     parameter: str,
     training: dict | None = None,
 ) -> Path:
+    """Write ``params`` as an MDL1 file for ``parameter``, one of
+    ``sensor.PARAMETERS``; any other name raises ``ValueError`` before the
+    file is opened, as ``load_mdl1`` would refuse the file."""
+    if parameter not in PARAMETERS:
+        raise ValueError(f"unknown parameter {parameter!r}")
     path = Path(path)
     manifest = {
         "format": "MDL1",

@@ -427,7 +427,7 @@ class _RandomPatches:
             # no name holds the data, so a patch the caller dropped is freed
             # before the next is drawn
             yield Patch(BandStack.from_array(
-                rng.uniform(0.0, 1.0, size=(N_BANDS, PATCH_SIZE, PATCH_SIZE)),
+                rng.random((N_BANDS, PATCH_SIZE, PATCH_SIZE)),
                 PRODUCT_GSD, MS_BAND_IDS), georef, patch_id=f"random_{i:04d}")
 
 

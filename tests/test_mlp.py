@@ -1,6 +1,8 @@
 import dataclasses
 import datetime as dt
+import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from coastwatch import mlp
 from coastwatch.dataset import NormStats, Sample, as_table
 from coastwatch.errors import FormatError, NumericError, SchemaError
 from coastwatch.mlp import (
@@ -20,9 +23,11 @@ from coastwatch.mlp import (
     MLPParams,
     TrainConfig,
     _ADAM_CHUNK,
+    _BN_CHUNK,
     _CONFIG_KINDS,
     _Adam,
     _backward,
+    _forward_eval,
     _forward_full,
     _vector_sizes,
     evaluate,
@@ -131,18 +136,106 @@ def patience_stop(val_rmse, patience):
     return len(val_rmse)
 
 
+def recorded_batch_losses(monkeypatch):
+    """Wrap ``train``'s ``loss_rmse_grad``; the returned list collects one
+    (loss, batch size) pair per call."""
+    calls = []
+
+    def recording(predictions, targets):
+        loss, grad = loss_rmse_grad(predictions, targets)
+        calls.append((loss, len(predictions)))
+        return loss, grad
+
+    monkeypatch.setattr(mlp, "loss_rmse_grad", recording)
+    return calls
+
+
+def epoch_rms(calls, n):
+    """RMS over an epoch's ``n`` residuals from its (loss, batch size)
+    pairs: each batch's loss is the RMS of its residuals."""
+    sq_sum = 0.0
+    for loss, size in calls:
+        sq_sum += loss * loss * size
+    return math.sqrt(sq_sum / n)
+
+
 class TestTrainLoop:
     CFG = TrainConfig(layer_dims=DIMS, epochs=8, seed=2, learning_rate=0.03)
 
-    def test_monitor_scores_with_the_eval_forward(self):
+    def test_monitor_scores_with_the_eval_forward(self, monkeypatch):
         (X, y, train_s), (Xv, yv, val_s) = linear_split(11)
+        calls = recorded_batch_losses(monkeypatch)
         cfg = dataclasses.replace(self.CFG, recalibrate_bn=False)
         params, history = train(train_s, cfg, val_s)
         best = int(np.argmin(history["val_rmse"]))
         assert 0 < best < cfg.epochs - 1  # keep-best returns a middle epoch
         params32 = params.astype(np.float32)
         assert history["val_rmse"][best] == loss_rmse(forward(params32, Xv), yv)
-        assert history["train_rmse"][best] == loss_rmse(forward(params32, X), y)
+        # the train score is the epoch's own mini-batch residuals, not a forward
+        per_epoch = len(calls) // cfg.epochs
+        assert history["train_rmse"][best] == epoch_rms(
+            calls[best * per_epoch : (best + 1) * per_epoch], len(X))
+
+    @pytest.mark.parametrize("with_val", [True, False], ids=["val", "no-val"])
+    def test_train_rmse_is_the_rms_of_the_epoch_batch_losses(
+            self, monkeypatch, with_val):
+        (X, _, train_s), (_, _, val_s) = linear_split(11, sizes=(250, 64))
+        calls = recorded_batch_losses(monkeypatch)
+        evals = []
+
+        def counted(params, X, **kwargs):
+            evals.append(len(X))
+            return _forward_eval(params, X, **kwargs)
+
+        monkeypatch.setattr(mlp, "_forward_eval", counted)
+        cfg = dataclasses.replace(self.CFG, epochs=3, batch_size=64)
+        _, history = train(train_s, cfg, val_s if with_val else None)
+        per_epoch = math.ceil(len(X) / cfg.batch_size)
+        assert len(calls) == cfg.epochs * per_epoch
+        assert history["train_rmse"] == [
+            epoch_rms(calls[e * per_epoch : (e + 1) * per_epoch], len(X))
+            for e in range(cfg.epochs)]
+        # one eval forward an epoch, over the val set, then recalibration's
+        want = [len(val_s)] * cfg.epochs if with_val else []
+        assert evals == want + [len(X)]
+
+    def test_without_val_set_early_stop_reads_the_train_rmse(self):
+        (_, _, train_s), _ = linear_split(11)
+        _, full = train(train_s, self.CFG)
+        assert full["val_rmse"] == []
+        target = full["train_rmse"][2]
+        want = next(e for e, v in enumerate(full["train_rmse"]) if v <= target) + 1
+        cfg = dataclasses.replace(self.CFG, early_stop_val_rmse=target)
+        _, history = train(train_s, cfg)
+        assert history["stopped_early"] and history["epochs_run"] == want
+        assert history["train_rmse"] == full["train_rmse"][:want]
+
+    def test_heap_peak_holds_only_what_picks_the_model(self):
+        """Train's heap peak at 512-wide layers, with a train set eight
+        times the val set: the parameters, Adam's moments and scratch, one
+        snapshot, one step's cache and gradient, and two activation planes
+        of the train set, the set recalibration's eval forward reads."""
+        dims, n_train, n_val = (7, 512, 512, 1), 4000, 500
+        (X, _, train_s), (_, _, val_s) = linear_split(3, sizes=(n_train, n_val))
+        cfg = TrainConfig(layer_dims=dims, epochs=2, seed=1)
+        f32 = np.dtype(np.float32).itemsize
+        n_theta, n_state = _vector_sizes(dims)
+        # the live parameters, Adam's two moments, the snapshot and a gradient
+        vectors = 5 * n_theta * f32 + 2 * n_state * f32
+        adam_scratch = 2 * min(n_theta, _ADAM_CHUNK) * f32
+        params = init_mlp(dims).astype(np.float32)
+        _, cache = _forward_full(params, X[: cfg.batch_size], "train",
+                                 np.random.default_rng(0), dropout_p=0.25)
+        step = sum(a.nbytes for key in ("Zhat", "A", "comb") for a in cache[key])
+        planes = 2 * n_train * max(dims) * f32
+        tracemalloc.start()
+        try:
+            train(train_s, cfg, val_s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the inputs' float64 and float32 copies and Python objects fit in 1 MiB
+        assert peak <= vectors + adam_scratch + 2 * step + planes + 2**20
 
     def test_early_stop_at_the_first_epoch_reaching_the_target(self):
         (_, _, train_s), (_, _, val_s) = linear_split(11)
@@ -206,6 +299,36 @@ def test_an_eval_report_with_rmse_equal_to_mae_is_valid(value):
     # equality holds when every residual has the same size
     report = EvalReport(rmse=value, mae=value, split="val", n=4)
     assert report.rmse == report.mae == value
+
+
+def recalibrated_by_formula(params, X):
+    """``recalibrate_bn``'s statistics from numpy's ``mean`` and ``var`` on
+    each layer's whole pre-BN activations, normalized as the eval forward
+    normalizes."""
+    params = params.clone()
+    dtype = params.weights[0].dtype
+    act, n = X.astype(dtype), len(X)
+    for k in range(params.n_hidden):
+        Z = act @ params.weights[k].T
+        params.bn_mean[k][...] = Z.mean(axis=0)
+        params.bn_var[k][...] = Z.var(axis=0) * n / max(n - 1, 1)
+        inv = 1.0 / np.sqrt(params.bn_var[k] + dtype.type(BN_EPS))
+        H = (Z - params.bn_mean[k]) * inv * params.bn_gamma[k] + params.bn_beta[k]
+        act = np.maximum(H, 0.0)
+    return params.bn_state
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 2, _BN_CHUNK - 1, _BN_CHUNK + 1, 3300]),
+       hidden=st.lists(st.sampled_from([1, 2, 5, 43]), min_size=1, max_size=3),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**16))
+def test_recalibration_stores_the_bits_of_numpy_mean_and_var(n, hidden, dtype, seed):
+    params = tracked_params((7, *hidden, 1), seed=seed, dtype=dtype)
+    X = np.random.default_rng(seed).normal(0.5, 2.0, (n, 7))
+    want = recalibrated_by_formula(params, X)
+    recalibrate_bn(params, X)
+    assert params.bn_state.tobytes() == want.tobytes()
 
 
 def test_recalibrated_statistics_describe_the_eval_forward():
@@ -393,6 +516,14 @@ class TestGradientCheck:
         report = gradient_check(params, X, t, mode="train")
         assert report.passed and report.fraction_within_tol == 1.0
         assert report.n_parameters == _vector_sizes(dims)[0]
+
+
+def test_save_mdl1_refuses_an_unknown_parameter_before_writing(tmp_path):
+    stats = NormStats(np.full(7, 0.2), np.full(7, 0.05), 5.0, 2.0)
+    path = tmp_path / "m.mdl1"
+    with pytest.raises(ValueError, match="unknown parameter 'chlorophyll'"):
+        save_mdl1(path, tracked_params(), stats, "chlorophyll")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mdl1_round_trips_bit_for_bit(tmp_path):

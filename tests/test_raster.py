@@ -382,6 +382,16 @@ class TestPatchInvariants:
             for patch, data in zip(drawn, want, strict=True):
                 assert patch.raster.data.tobytes() == data.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_random_patches_are_the_uniform_draws(self, seed):
+        # the patches draw ``rng.random``, which is ``uniform(0, 1)``'s stream
+        # bit for bit (0 + 1 * u is u): the 20 check patches of the transfer
+        # certificate, drawn from its seed 0, keep their bits
+        rng = np.random.default_rng(seed)
+        for patch in random_patches(20, seed=seed):
+            want = rng.uniform(0.0, 1.0, size=(7, 256, 256))
+            assert patch.raster.data.tobytes() == want.tobytes()
+
 
 class TestPat1Format:
     def test_f32_roundtrip_with_sidecar(self, tmp_path):
