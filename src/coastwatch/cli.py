@@ -83,6 +83,8 @@ def _load_patches(directory: Path) -> list[raster.Patch]:
 
 
 def cmd_simulate(args) -> int:
+    if not args.seed >= 0:
+        raise CoastwatchError(f"--seed must be >= 0, got {args.seed}")
     spec_doc = json.loads(Path(args.spec).read_text())
     spec = sensor.SceneSpec.from_json(spec_doc)
     ctx = sensor.SolarContext.from_json(spec_doc.get("solar", {}))
@@ -175,8 +177,7 @@ def cmd_train(args) -> int:
             f"{len(samples)} {parameter} samples in {args.samples} split "
             f"{n_train}/{n_test}/{n_val} (train/test/val); training needs at "
             f"least 2/1/1")
-    features = dataset.as_arrays(splits.train)[0]
-    if (features.std(axis=0) < dataset.CONSTANT_STD).all():
+    if (splits.train.features.std(axis=0) < dataset.CONSTANT_STD).all():
         raise CoastwatchError(
             f"the {n_train} train samples of {args.samples} have the same "
             f"features in every band; batch-norm needs a band that varies")
@@ -442,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (CoastwatchError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (CoastwatchError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,9 +17,10 @@ Samples are held as columns. ``match``, ``samples_from_scene``,
 sequence whose ``features`` ``(n, N_BANDS)`` and ``target`` ``(n,)`` are
 float64 arrays, beside the identifying columns (parameter, patch id,
 window, station id, date). A ``Sample`` is built, with its own constructor,
-only when a row is read; ``normalize``, ``as_arrays`` and ``save_samples``
-read the columns. A plain list of ``Sample`` is accepted wherever a table
-is, and ``as_table`` gathers it into columns.
+only when a row is read by an integer index; a slice of a table is a table.
+``split`` is where a plain list of ``Sample`` enters: it gathers the list
+into columns with ``as_table``, and everything past it (``normalize``,
+``save_samples``, ``mlp.train`` and ``mlp.evaluate``) takes and reads tables.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ class SampleTable(Sequence):
     """A read-only sequence of samples held as columns; row i is sample i.
 
     Reading row i builds its ``Sample`` with the normal constructor (the
-    features a copy of the row); a slice is the list of its rows' samples,
-    as a list's slice is, and ``take`` gives the table of the chosen rows.
+    features a copy of the row); a slice is the table of its rows, as
+    ``take`` of the same positions is.
     The columns are read-only arrays; the identifying ones hold Python
     objects. Non-finite features or targets raise ``ValueError``, as
     ``Sample`` does.
@@ -145,7 +146,7 @@ class SampleTable(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
+            return self.take(i)
         # any integer, negative ones too; IndexError past the end
         i = range(len(self))[i]
         row, col = self.window[i].tolist()
@@ -155,7 +156,8 @@ class SampleTable(Sequence):
                       date=self.date[i])
 
     def take(self, index) -> SampleTable:
-        """The table of the rows ``index`` selects: positions or a boolean mask."""
+        """The table of the rows ``index`` selects: positions, a slice or a
+        boolean mask."""
         return SampleTable(**{f.name: getattr(self, f.name)[index]
                               for f in fields(self)})
 
@@ -175,13 +177,6 @@ def as_table(samples: Sequence[Sample]) -> SampleTable:
         station_id=[s.station_id for s in samples],
         date=[s.date for s in samples],
     )
-
-
-def as_arrays(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only feature matrix ``(n, N_BANDS)`` and target vector
-    ``(n,)`` of ``samples``: a table's own columns."""
-    table = as_table(samples)
-    return table.features, table.target
 
 
 # test and validation shares of the matched samples; train takes the rest
@@ -362,8 +357,8 @@ class SplitResult:
 def split(samples: Sequence[Sample], spec: SplitSpec) -> SplitResult:
     """Deterministic shuffled split; the test and validation sizes are
     ``TEST_FRACTION`` and ``VAL_FRACTION`` of the samples, rounded, and
-    train takes the remainder. The three parts are tables that partition
-    the input's rows exactly."""
+    train takes the remainder. ``samples`` is a table or any sequence of
+    ``Sample``; the three parts are tables that partition its rows exactly."""
     table = as_table(samples)
     n = len(table)
     n_test = int(round(n * TEST_FRACTION))
@@ -412,21 +407,20 @@ class NormStats:
 
 
 def normalize(
-    samples: Sequence[Sample], stats: NormStats | None = None
+    samples: SampleTable, stats: NormStats | None = None
 ) -> tuple[SampleTable, NormStats]:
     """Standardize features and target to zero mean / unit std.
 
     Statistics are computed from ``samples`` when ``stats`` is None (do this
     on the train split) and reused verbatim otherwise (val/test). Constant
     features get std 1 so normalization stays invertible. The result is
-    ``samples`` as a table with ``(X - mean) / std`` and
+    the table ``samples`` with ``(X - mean) / std`` and
     ``(y - t_mean) / t_std`` over the whole columns, element for element
     what each sample's own formula gives.
     """
-    table = as_table(samples)
-    if not table:
-        raise ValueError("cannot normalize an empty sample list")
-    X, y = table.features, table.target
+    if not samples:
+        raise ValueError("cannot normalize an empty table")
+    X, y = samples.features, samples.target
     if stats is None:
         f_std = X.std(axis=0)
         t_std = float(y.std())
@@ -436,7 +430,7 @@ def normalize(
             target_mean=float(y.mean()),
             target_std=t_std if t_std >= CONSTANT_STD else 1.0,
         )
-    out = replace(table, features=(X - stats.feature_mean) / stats.feature_std,
+    out = replace(samples, features=(X - stats.feature_mean) / stats.feature_std,
                   target=stats.normalize_target(y))
     return out, stats
 
@@ -497,32 +491,31 @@ def _codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def save_samples(
     path: str | Path,
-    samples: Sequence[Sample],
+    samples: SampleTable,
     stats: NormStats | None = None,
     provenance: dict | None = None,
 ) -> Path:
     path = Path(path)
-    table = as_table(samples)
-    patch_ids, patch = _codes(table.patch_id)
-    station_ids, station = _codes(table.station_id)
-    params, param = _codes(table.parameter)
-    dates, date = _codes(table.date)
+    patch_ids, patch = _codes(samples.patch_id)
+    station_ids, station = _codes(samples.station_id)
+    params, param = _codes(samples.parameter)
+    dates, date = _codes(samples.date)
     manifest = {
-        "count": len(table),
+        "count": len(samples),
         "patch_ids": patch_ids.tolist(),
         "station_ids": station_ids.tolist(),
         "normalization": stats.to_json() if stats else None,
         "provenance": provenance or {},
     }
-    records = np.zeros(len(table), _SMP1_RECORD)  # zeroed pad bytes
-    records["features"] = table.features
-    records["target"] = table.target
+    records = np.zeros(len(samples), _SMP1_RECORD)  # zeroed pad bytes
+    records["features"] = samples.features
+    records["target"] = samples.target
     records["parameter"] = np.array([_PARAM_CODES[p] for p in params], np.uint8)[param]
     records["patch"] = patch
-    records["window"] = table.window
+    records["window"] = samples.window
     records["station"] = station
     records["date"] = np.array([d.toordinal() for d in dates], np.int64)[date]
-    if not np.array_equal(records["window"], table.window):
+    if not np.array_equal(records["window"], samples.window):
         raise ValueError("a window index is outside SMP1's u16 range")
     with open(path, "wb") as fh:
         _container.write(fh, _SMP1_MAGIC, manifest, [records], _SMP1_RECORD)

@@ -31,10 +31,10 @@ batch statistics and never drops units.
 Training follows one recipe: Adam with the textbook constants
 (``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``) at a constant learning rate
 on the RMSE loss, computed in float32, keeping the best-validation snapshot.
-An epoch's ``train_rmse`` is the RMS of its own train-mode mini-batch
-residuals, summed from the batch losses, so the only eval forward an epoch
-runs scores the val set; without one, the stopping aids read ``train_rmse``
-and no eval forward runs until recalibration. It is single-threaded and
+Every epoch has one monitor, the val RMSE, scored by the only eval forward
+the epoch runs; it picks the snapshot and both stopping aids read it. An
+epoch's ``train_rmse``, the RMS of its own train-mode mini-batch residuals
+summed from the batch losses, is recorded only. It is single-threaded and
 bit-deterministic for a fixed seed. One model per contaminant; the two
 models share hyperparameters and differ only in their weights.
 """
@@ -42,14 +42,13 @@ models share hyperparameters and differ only in their weights.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import _container
-from .dataset import NormStats, Sample, as_arrays
+from .dataset import NormStats, SampleTable
 from .errors import NumericError, SchemaError, check_document
 from .raster import N_BANDS
 from .sensor import PARAMETERS
@@ -177,10 +176,11 @@ class TrainConfig:
     training ends, measured on the eval forward's own activations, which
     removes the eval-time noise of the momentum estimates.
     ``early_stop_val_rmse`` and ``patience`` end a run before the epoch
-    budget; ``early_stop_val_rmse`` is compared with the epoch's val RMSE or,
-    without a val set, its ``train_rmse`` (the RMS of the epoch's train-mode
-    mini-batch residuals, not an eval-mode score), and ``patience`` counts
-    epochs without a new best val RMSE.
+    budget, both on the one monitor, the epoch's val RMSE:
+    ``early_stop_val_rmse`` is compared with it, and ``patience`` counts
+    epochs without a new best of it. A setting the recipe cannot use (a
+    non-finite learning rate or stop target, a negative seed) is a
+    ``SchemaError``.
     """
 
     layer_dims: tuple[int, ...] = DEFAULT_LAYER_DIMS
@@ -207,8 +207,13 @@ class TrainConfig:
             raise SchemaError("patience must be >= 0")
         if self.epochs < 1:
             raise SchemaError("epochs must be >= 1")
-        if self.learning_rate < 0:
-            raise SchemaError("learning rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise SchemaError("learning_rate must be finite and >= 0")
+        if (self.early_stop_val_rmse is not None
+                and not 0 <= self.early_stop_val_rmse < math.inf):
+            raise SchemaError("early_stop_val_rmse must be finite and >= 0")
+        if not self.seed >= 0:
+            raise SchemaError("seed must be >= 0")
         if self.batch_size < 1:
             raise SchemaError("batch size must be >= 1")
 
@@ -503,32 +508,33 @@ def recalibrate_bn(params: MLPParams, X: np.ndarray) -> None:
 
 
 def train(
-    samples: Sequence[Sample],
+    samples: SampleTable,
     config: TrainConfig,
-    val_samples: Sequence[Sample] | None = None,
+    val_samples: SampleTable,
 ) -> tuple[MLPParams, dict]:
     """Mini-batch Adam on the RMSE loss; deterministic for a fixed seed.
 
-    ``samples`` must be normalized. The loop computes in float32; the
-    returned parameters are float64. The history records, per epoch in
-    normalized target units, ``train_rmse``, the RMS of that epoch's own
-    train-mode mini-batch residuals (dropout on, batch statistics, the
-    parameters of each step), summed from the batch losses; and, when a
-    validation set is given, ``val_rmse``, the eval forward's RMSE on it,
-    the only eval forward an epoch runs. The stopping aids read ``val_rmse``,
-    or ``train_rmse`` without a validation set. When a validation set is
-    given, the parameter snapshot with the lowest validation RMSE is returned
-    instead of the final state; it is copied into one buffer. Adam's moments
-    are dropped before ``recalibrate_bn`` runs. Divergence (non-finite loss)
-    aborts with the epoch index; an empty ``samples`` raises ``ValueError``.
+    ``samples`` (train) and ``val_samples`` are normalized tables. The loop
+    computes in float32; the returned parameters are float64. The history
+    records, per epoch in normalized target units, ``train_rmse``, the RMS
+    of that epoch's own train-mode mini-batch residuals (dropout on, batch
+    statistics, the parameters of each step), summed from the batch losses;
+    and ``val_rmse``, the eval forward's RMSE on the val set, the only eval
+    forward an epoch runs. ``val_rmse`` is the one monitor: the snapshot
+    with the lowest one is returned instead of the final state (copied into
+    one buffer), and both stopping aids read it. The first epoch always
+    takes the snapshot: the eval forward refuses a non-finite output, so its
+    val RMSE is finite. Adam's moments are dropped before ``recalibrate_bn``
+    runs. Divergence (non-finite loss) aborts with the epoch index; an empty
+    ``samples`` or ``val_samples`` raises ``ValueError`` naming the split.
     """
     if not samples:
         raise ValueError("empty train split")
-    X, y = (a.astype(np.float32) for a in as_arrays(samples))
-    if val_samples:
-        Xv, yv = (a.astype(np.float32) for a in as_arrays(val_samples))
-    else:
-        Xv = yv = None
+    if not val_samples:
+        raise ValueError("empty val split")
+    X, y = samples.features.astype(np.float32), samples.target.astype(np.float32)
+    Xv = val_samples.features.astype(np.float32)
+    yv = val_samples.target.astype(np.float32)
     params = init_mlp(config.layer_dims, seed=config.seed).astype(np.float32)
     rng = np.random.default_rng(config.seed + 1)
     adam = _Adam(params.theta)
@@ -558,29 +564,26 @@ def train(
             train_rmse = math.sqrt(sq_sum / n)
             # the monitor calls the private eval forward: ``forward`` would
             # round-trip every epoch's inputs through float64
-            val_rmse = None if Xv is None else loss_rmse(_forward_eval(params, Xv), yv)
+            val_rmse = loss_rmse(_forward_eval(params, Xv), yv)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from None
 
         history["train_rmse"].append(train_rmse)
+        history["val_rmse"].append(val_rmse)
         history["lr"].append(lr)
         history["epochs_run"] = epoch + 1
-        monitored = train_rmse
-        if val_rmse is not None:
-            history["val_rmse"].append(val_rmse)
-            monitored = val_rmse
-            if val_rmse < best_val - 1e-12:
-                best_val = val_rmse
-                stale = 0
-                if best_params is None:
-                    best_params = params.clone()
-                else:
-                    best_params.theta[...] = params.theta
-                    best_params.bn_state[...] = params.bn_state
+        if val_rmse < best_val - 1e-12:
+            best_val = val_rmse
+            stale = 0
+            if best_params is None:
+                best_params = params.clone()
             else:
-                stale += 1
+                best_params.theta[...] = params.theta
+                best_params.bn_state[...] = params.bn_state
+        else:
+            stale += 1
         if (config.early_stop_val_rmse is not None
-                and monitored <= config.early_stop_val_rmse):
+                and val_rmse <= config.early_stop_val_rmse):
             history["stopped_early"] = True
             break
         if config.patience is not None and stale > config.patience:
@@ -588,8 +591,7 @@ def train(
             break
 
     del adam   # its moments are twice theta; recalibration needs none of it
-    if best_params is not None:
-        params = best_params
+    params = best_params
     if config.recalibrate_bn:
         recalibrate_bn(params, X)
     return params.astype(np.float64), history
@@ -691,22 +693,21 @@ class EvalReport:
 
 def evaluate(
     params: MLPParams,
-    samples: Sequence[Sample],
+    samples: SampleTable,
     stats: NormStats,
     split: str = "test",
 ) -> EvalReport:
     """Eval-mode metrics in physical units.
 
-    ``samples`` carry normalized features and targets (the training
+    ``samples`` is a table of normalized features and targets (the training
     representation); predictions and targets are denormalized through
     ``stats`` before computing RMSE and MAE. An empty ``samples`` raises
     ``ValueError`` naming ``split``.
     """
     if not samples:
         raise ValueError(f"empty {split} split")
-    X, y = as_arrays(samples)
-    preds = stats.denormalize_target(forward(params, X))
-    truth = stats.denormalize_target(y)
+    preds = stats.denormalize_target(forward(params, samples.features))
+    truth = stats.denormalize_target(samples.target)
     resid = preds - truth
     return EvalReport(
         rmse=float(np.sqrt(np.mean(resid**2))),

@@ -538,6 +538,8 @@ class SceneSpec:
     def __post_init__(self):
         # the contaminant bounds are those InSituRecord accepts
         (t_lo, t_hi), (p_lo, p_hi) = self.turbidity_range, self.ph_range
+        mixing = [*(self.mixing_offsets or ()),
+                  *(x for row in self.mixing_matrix or () for x in row)]
         for ok, rule in [
             (self.width >= 1 and self.height >= 1, "width and height must be >= 1"),
             (self.gsd > 0, "gsd must be > 0"),
@@ -546,6 +548,7 @@ class SceneSpec:
             (self.noise_std >= 0 and self.blobs >= 0, "noise_std, blobs must be >= 0"),
             (0 <= t_lo < t_hi, "turbidity_range must have 0 <= lo < hi"),
             (0 <= p_lo < p_hi <= 14, "ph_range must have 0 <= lo < hi <= 14"),
+            (all(map(math.isfinite, mixing)), "mixing offsets and matrix must be finite"),
         ]:
             if not ok:
                 raise SchemaError(f"scene spec: {rule}")

@@ -229,7 +229,8 @@ def smp1(n: int, features=None) -> bytes:
                               date=sensor.SceneSpec().date)
                for k in range(n)]
     with tempfile.TemporaryDirectory() as d:
-        return dataset.save_samples(Path(d) / "s.smp1", samples).read_bytes()
+        return dataset.save_samples(Path(d) / "s.smp1",
+                                    dataset.as_table(samples)).read_bytes()
 
 
 def pat1(stack: raster.BandStack, **kwargs) -> bytes:
@@ -303,6 +304,10 @@ def cnn1_of_two_outputs() -> bytes:
 
 
 TRAIN = ["train", "--samples", "s.smp1", "--parameter", "turbidity", "--out", "m.mdl1"]
+SIMULATE = ["simulate", "--spec", "spec.json", "--out", "sim"]
+# a small scene with a well-conditioned mixing, for rows that break one entry
+MIXING_SPEC = json.dumps({"width": 256, "height": 256, "mixing": {
+    "offsets": [0.05] * 7, "matrix": [[0.1, 0.2]] + [[0.2, 0.1]] * 6}}).encode()
 SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.75)
 
 
@@ -515,6 +520,20 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
     ({"m.mdl1": mdl1_for(None)},
      ["transfer", "--model", "m.mdl1", "--out", "net.cnn1"],
      "m.mdl1: manifest lacks field 'parameter'"),
+    ({"train.json": b'{"learning_rate": NaN}'}, [*TRAIN, "--config", "train.json"],
+     "learning_rate must be finite and >= 0"),
+    ({"train.json": b'{"early_stop_val_rmse": NaN}'}, [*TRAIN, "--config", "train.json"],
+     "early_stop_val_rmse must be finite and >= 0"),
+    ({"train.json": b'{"seed": -1}'}, [*TRAIN, "--config", "train.json"],
+     "seed must be >= 0"),
+    ({"spec.json": b"{}"}, ["simulate", "--spec", "spec.json", "--out", "sim",
+                           "--seed", "-5"], "--seed must be >= 0, got -5"),
+    ({"spec.json": MIXING_SPEC.replace(b"[0.1, 0.2]", b"[NaN, 0.2]", 1)}, SIMULATE,
+     "scene spec: mixing offsets and matrix must be finite"),
+    ({"spec.json": MIXING_SPEC.replace(b"0.05", b"NaN", 1)}, SIMULATE,
+     "scene spec: mixing offsets and matrix must be finite"),
+    ({"spec.json": MIXING_SPEC.replace(b"0.05", b"Infinity", 1)}, SIMULATE,
+     "scene spec: mixing offsets and matrix must be finite"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "simulate_bad_degrade",
@@ -548,7 +567,9 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
         "infer_scene_georef_bad_date", "build_dataset_chip_georef_past_pole",
         "alert_map_georef_bad_longitude", "simulate_nan_snr", "simulate_nan_in_snr_list",
         "simulate_nan_misalignment", "transfer_unknown_parameter",
-        "transfer_no_parameter"])
+        "transfer_no_parameter", "train_nan_learning_rate", "train_nan_early_stop",
+        "train_negative_seed", "simulate_negative_seed", "simulate_nan_mixing_matrix",
+        "simulate_nan_mixing_offset", "simulate_infinite_mixing_offset"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)
@@ -560,6 +581,17 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
     assert err.count("\n") == 1 and err.startswith("error: ") and says in err
     if "--out" in argv:  # nothing is written
         assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
+
+
+def test_a_key_error_inside_a_command_is_not_invalid_input(monkeypatch):
+    """Every reader turns a missing key into a SchemaError or FormatError, so
+    a bare KeyError is a programming error: it propagates, never exit 2."""
+    def broken(args):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_bench", broken)
+    with pytest.raises(KeyError, match="a bug"):
+        cli.main(["bench", "--net", "net.cnn1"])
 
 
 def test_a_four_sample_store_trains(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from coastwatch import dataset
 from coastwatch.convnet import fc_to_cnn, load_cnn1, save_cnn1
-from coastwatch.dataset import NormStats, Sample, load_samples, save_samples
+from coastwatch.dataset import NormStats, Sample, as_table, load_samples, save_samples
 from coastwatch.errors import FormatError
 from coastwatch.mlp import init_mlp, load_mdl1, save_mdl1
 from coastwatch.raster import BandStack, GeoRef, read_pat1, write_pat1
@@ -23,10 +23,10 @@ def _model():
 
 
 def _samples():
-    return [Sample(features=np.arange(7.0) + i, target=float(i), parameter=TURBIDITY,
-                   patch_id=f"p{i}", window=(i, 0), station_id="s",
-                   date=dt.date(2024, 6, 15))
-            for i in range(3)]
+    return as_table([Sample(features=np.arange(7.0) + i, target=float(i),
+                            parameter=TURBIDITY, patch_id=f"p{i}", window=(i, 0),
+                            station_id="s", date=dt.date(2024, 6, 15))
+                     for i in range(3)])
 
 
 def _raster():

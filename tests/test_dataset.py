@@ -19,7 +19,6 @@ from coastwatch.dataset import (
     Sample,
     SampleTable,
     SplitSpec,
-    as_arrays,
     as_table,
     ingest_records,
     load_samples,
@@ -124,6 +123,17 @@ def assert_same_sample(got, want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert type(a) is type(b) and a == b, f.name
     assert all(type(i) is int for i in got.window)
+
+
+def assert_same_table(got, want):
+    """Both tables, column for column of one dtype, the floats to the bit."""
+    assert isinstance(got, SampleTable) and isinstance(want, SampleTable)
+    for f in fields(SampleTable):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, f.name
+        same = a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes()
+        assert same, f.name
+        assert a.flags.c_contiguous and not a.flags.writeable, f.name
 
 
 class TestIngest:
@@ -465,7 +475,16 @@ class TestSampleTable:
             assert_same_sample(got, want)
         with pytest.raises(IndexError):
             table[len(table)]
-        assert table[:0] == [] and not table.take([]) and not as_table([])
+        assert not table[:0] and not table.take([]) and not as_table([])
+
+    def test_a_slice_is_the_table_take_gives_of_its_positions(self):
+        scene, truth = generate_synthetic_scene(self.SPEC, 8)
+        table = samples_from_scene(scene, truth, PH)
+        n = len(table)
+        for s in (slice(None), slice(10, 40, 7), slice(-5, None), slice(None, None, -3),
+                  slice(n, n + 5), slice(3, 3)):
+            assert_same_table(table[s], table.take(np.arange(n)[s]))
+        assert len(table[10:40:7]) == 5 and len(table[n:]) == 0
 
     def test_columns_are_read_only_and_a_read_sample_is_its_own(self):
         scene, truth = generate_synthetic_scene(self.SPEC, 6)
@@ -522,14 +541,14 @@ def test_normalize_over_the_columns_is_each_samples_formula(data):
     given_stats = NormStats(stats.feature_mean + 0.01, stats.feature_std * 1.5,
                             stats.target_mean - 1.0, stats.target_std * 0.7)
     want_given, _ = normalize_per_sample(samples, given_stats)
-    for source in (samples, as_table(samples)):
-        got, got_stats = normalize(source)
-        assert got_stats.to_json() == stats.to_json()
-        for a, b in zip(got, want, strict=True):
-            assert_same_sample(a, b)
-        got, _ = normalize(source, given_stats)
-        for a, b in zip(got, want_given, strict=True):
-            assert_same_sample(a, b)
+    table = as_table(samples)
+    got, got_stats = normalize(table)
+    assert got_stats.to_json() == stats.to_json()
+    for a, b in zip(got, want, strict=True):
+        assert_same_sample(a, b)
+    got, _ = normalize(table, given_stats)
+    for a, b in zip(got, want_given, strict=True):
+        assert_same_sample(a, b)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -591,6 +610,15 @@ class TestSplit:
         out = split(self._samples(1), SplitSpec(seed=0))
         assert (len(out.train), len(out.test), len(out.val)) == (1, 0, 0)
 
+    def test_a_list_splits_as_its_table_does(self):
+        """A list of ``Sample`` enters at ``split``, the one gatherer."""
+        samples = self._samples(37)
+        for seed in (0, 5):
+            a = split(samples, SplitSpec(seed=seed))
+            b = split(as_table(samples), SplitSpec(seed=seed))
+            for got, want in zip((a.train, a.test, a.val), (b.train, b.test, b.val)):
+                assert_same_table(got, want)
+
     def test_same_seed_identical(self):
         samples = self._samples(37)
         a = split(samples, SplitSpec(seed=5))
@@ -624,25 +652,25 @@ class TestNormalize:
         ]
 
     def test_train_stats_standardize(self):
-        out, stats = normalize(self._samples(500))
-        X, y = as_arrays(out)
+        out, stats = normalize(as_table(self._samples(500)))
+        X, y = out.features, out.target
         assert np.abs(X.mean(axis=0)).max() < 1e-9
         assert np.abs(X.std(axis=0) - 1).max() < 1e-9
         assert abs(y.mean()) < 1e-9 and abs(y.std() - 1) < 1e-9
 
     def test_stored_stats_applied_verbatim(self):
-        _, stats = normalize(self._samples(100))
+        _, stats = normalize(as_table(self._samples(100)))
         c = Sample(features=np.full(7, 0.5), target=7.0, parameter=TURBIDITY,
                    patch_id="p", window=(0, 0), station_id="S",
                    date=dt.date(2024, 6, 15))
-        out, _ = normalize([c], stats)
+        out, _ = normalize(as_table([c]), stats)
         expected = (0.5 - stats.feature_mean) / stats.feature_std
         assert np.allclose(out[0].features, expected)
         assert out[0].target == pytest.approx((7.0 - stats.target_mean)
                                               / stats.target_std)
 
     def test_target_roundtrip(self):
-        _, stats = normalize(self._samples(100))
+        _, stats = normalize(as_table(self._samples(100)))
         t = np.linspace(0.1, 40, 50)
         back = stats.denormalize_target(stats.normalize_target(t))
         assert np.abs(back - t).max() < 1e-7
@@ -651,7 +679,7 @@ class TestNormalize:
         samples = self._samples(50)
         for s in samples:
             s.features[3] = 2.0
-        out, stats = normalize(samples)
+        out, stats = normalize(as_table(samples))
         assert stats.feature_std[3] == 1.0
         assert all(s.features[3] == 0.0 for s in out)
 
@@ -660,8 +688,8 @@ class TestSampleStore:
     def test_smp1_roundtrip(self, tmp_path):
         spec = SceneSpec(width=256, height=256)
         scene, truth = generate_synthetic_scene(spec, 6)
-        samples = samples_from_scene(scene, truth, TURBIDITY)[:40]
-        samples += samples_from_scene(scene, truth, PH)[:10]
+        samples = as_table([*samples_from_scene(scene, truth, TURBIDITY)[:40],
+                            *samples_from_scene(scene, truth, PH)[:10]])
         _, stats = normalize(samples[:40])
         path = save_samples(tmp_path / "s.bin", samples, stats,
                             provenance={"source": "test"})
@@ -693,7 +721,8 @@ class TestSampleStore:
             st.text(max_size=6), st.integers() | st.text(max_size=6), max_size=3),
             label="provenance")
         with tempfile.TemporaryDirectory() as d:
-            path = save_samples(Path(d) / "s.smp1", samples, stats, provenance)
+            path = save_samples(Path(d) / "s.smp1", as_table(samples), stats,
+                                provenance)
             blob = path.read_bytes()
             back, back_stats, manifest = load_samples(path)
             for n in reversed(range(len(blob))):  # every proper prefix

@@ -81,8 +81,9 @@ class TestEvalForward:
         rng = np.random.default_rng(2)
         X = rng.normal(0.0, 1.0, (300, 7))
         y = X @ rng.normal(0.0, 1.0, 7)
-        samples = [_sample(x, t) for x, t in zip(X, y)]
-        params, _ = train(samples, TrainConfig(layer_dims=DIMS, epochs=2))
+        samples = as_table([_sample(x, t) for x, t in zip(X, y)])
+        params, _ = train(samples[:240], TrainConfig(layer_dims=DIMS, epochs=2),
+                          samples[240:])
         assert np.array_equal(forward(params, X),
                               _forward_full(params, X, "eval")[0])
 
@@ -114,7 +115,7 @@ class TestEvalForward:
 
 
 def linear_split(seed, sizes=(256, 128)):
-    """(X, y, samples) per size from one noisy linear relation; X and y hold
+    """(X, y, table) per size from one noisy linear relation; X and y hold
     float32 values, so training's float32 cast keeps them exactly."""
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 1.0, 7)
@@ -122,7 +123,7 @@ def linear_split(seed, sizes=(256, 128)):
     for n in sizes:
         X = rng.normal(0.0, 1.0, (n, 7)).astype(np.float32).astype(np.float64)
         y = (X @ w + rng.normal(0.0, 0.1, n)).astype(np.float32).astype(np.float64)
-        out.append((X, y, [_sample(x, t) for x, t in zip(X, y)]))
+        out.append((X, y, as_table([_sample(x, t) for x, t in zip(X, y)])))
     return out
 
 
@@ -176,9 +177,7 @@ class TestTrainLoop:
         assert history["train_rmse"][best] == epoch_rms(
             calls[best * per_epoch : (best + 1) * per_epoch], len(X))
 
-    @pytest.mark.parametrize("with_val", [True, False], ids=["val", "no-val"])
-    def test_train_rmse_is_the_rms_of_the_epoch_batch_losses(
-            self, monkeypatch, with_val):
+    def test_train_rmse_is_the_rms_of_the_epoch_batch_losses(self, monkeypatch):
         (X, _, train_s), (_, _, val_s) = linear_split(11, sizes=(250, 64))
         calls = recorded_batch_losses(monkeypatch)
         evals = []
@@ -189,26 +188,14 @@ class TestTrainLoop:
 
         monkeypatch.setattr(mlp, "_forward_eval", counted)
         cfg = dataclasses.replace(self.CFG, epochs=3, batch_size=64)
-        _, history = train(train_s, cfg, val_s if with_val else None)
+        _, history = train(train_s, cfg, val_s)
         per_epoch = math.ceil(len(X) / cfg.batch_size)
         assert len(calls) == cfg.epochs * per_epoch
         assert history["train_rmse"] == [
             epoch_rms(calls[e * per_epoch : (e + 1) * per_epoch], len(X))
             for e in range(cfg.epochs)]
         # one eval forward an epoch, over the val set, then recalibration's
-        want = [len(val_s)] * cfg.epochs if with_val else []
-        assert evals == want + [len(X)]
-
-    def test_without_val_set_early_stop_reads_the_train_rmse(self):
-        (_, _, train_s), _ = linear_split(11)
-        _, full = train(train_s, self.CFG)
-        assert full["val_rmse"] == []
-        target = full["train_rmse"][2]
-        want = next(e for e, v in enumerate(full["train_rmse"]) if v <= target) + 1
-        cfg = dataclasses.replace(self.CFG, early_stop_val_rmse=target)
-        _, history = train(train_s, cfg)
-        assert history["stopped_early"] and history["epochs_run"] == want
-        assert history["train_rmse"] == full["train_rmse"][:want]
+        assert evals == [len(val_s)] * cfg.epochs + [len(X)]
 
     def test_heap_peak_holds_only_what_picks_the_model(self):
         """Train's heap peak at 512-wide layers, with a train set eight
@@ -261,10 +248,23 @@ class TestTrainLoop:
         assert history["val_rmse"] == full["val_rmse"][:want]
 
 
-@pytest.mark.parametrize("empty", [[], as_table([])], ids=["list", "table"])
-def test_train_and_evaluate_refuse_an_empty_sample_set(empty):
+@pytest.mark.parametrize("val", [None, as_table([])], ids=["missing", "empty"])
+def test_train_refuses_a_missing_or_empty_val_set(val):
+    """Every epoch's monitor is the val RMSE, so there is no run without one."""
+    (_, _, train_s), = linear_split(0, sizes=(8,))
+    cfg = TrainConfig(layer_dims=DIMS, epochs=1)
+    with pytest.raises(ValueError, match="^empty val split$"):
+        train(train_s, cfg, val)
+    with pytest.raises(TypeError, match="val_samples"):
+        train(train_s, cfg)
+
+
+@pytest.mark.parametrize("slicing", [False, True], ids=["table", "slice"])
+def test_train_and_evaluate_refuse_an_empty_sample_set(slicing):
+    (_, _, val_s), = linear_split(0, sizes=(8,))
+    empty = val_s[8:] if slicing else as_table([])
     with pytest.raises(ValueError, match="^empty train split$"):
-        train(empty, TrainConfig(layer_dims=DIMS, epochs=1))
+        train(empty, TrainConfig(layer_dims=DIMS, epochs=1), val_s)
     stats = NormStats(np.zeros(7), np.ones(7), 0.0, 1.0)
     with pytest.raises(ValueError, match="^empty val split$"):
         evaluate(tracked_params(), empty, stats, split="val")
@@ -385,10 +385,10 @@ class TestAdam:
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(6)
         X = rng.normal(0.0, 1.0, (200, 7))
-        samples = [_sample(x, t) for x, t in zip(X, X.sum(axis=1))]
+        samples = as_table([_sample(x, t) for x, t in zip(X, X.sum(axis=1))])
         cfg = TrainConfig(layer_dims=DIMS, epochs=2, seed=3)
-        a, ha = train(samples, cfg)
-        b, hb = train(samples, cfg)
+        a, ha = train(samples[:150], cfg, samples[150:])
+        b, hb = train(samples[:150], cfg, samples[150:])
         assert ha == hb
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.bn_state, b.bn_state)
@@ -600,6 +600,10 @@ def test_mdl1_round_trips_any_model(params):
     {"layer_dims": [7]}, {"layer_dims": [8, 4, 1]}, {"layer_dims": [7, 8, 2]},
     {"layer_dims": [7, 0, 1]}, {"dropout_p": 1.5}, {"dropout_p": -0.1},
     {"patience": -1},
+    # a value the recipe cannot use: NaN fails every comparison
+    {"learning_rate": math.nan}, {"learning_rate": math.inf},
+    {"early_stop_val_rmse": math.nan}, {"early_stop_val_rmse": -0.1},
+    {"early_stop_val_rmse": math.inf}, {"seed": -1},
 ])
 def test_bad_train_config_is_a_schema_error(doc):
     with pytest.raises(SchemaError):
