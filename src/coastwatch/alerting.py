@@ -37,7 +37,7 @@ from typing import ClassVar
 import numpy as np
 
 from .convnet import ContaminantMap, ConvNet, infer_kept
-from .errors import DimensionError, InconsistencyError, SchemaError, check_document
+from .errors import DimensionError, InconsistencyError, SchemaError, read_document
 from .raster import (WINDOW, BandStack, GeoRef, TileIndex, TileResult, mosaic, tile_scene,
                      window_fraction)
 from .sensor import MaskSet, PARAMETERS, PH, TURBIDITY
@@ -56,21 +56,17 @@ DEFAULT_POLICIES = {
 
 # The JSON kind of each ``ThresholdPolicy`` field.
 _POLICY_KINDS = {"parameter": "a string", "lower_bound": "a number or null",
-                 "upper_bound": "a number or null", "min_exceed_fraction": "a number"}
+                 "upper_bound": "a number or null"}
 
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Bounds for one parameter plus the patch-level alert gate.
-
-    ``min_exceed_fraction`` is the fraction of valid cells that must violate
-    before a patch emits a message (default 0: any violation alerts).
-    """
+    """Bounds for one parameter; a patch with any valid cell outside them
+    alerts."""
 
     parameter: str
     lower_bound: float | None = None
     upper_bound: float | None = None
-    min_exceed_fraction: float = 0.0
     # not a field: the benchmark reads the fraction here
     cloud_invalid_fraction: ClassVar[float] = CLOUD_INVALID_FRACTION
 
@@ -86,8 +82,6 @@ class ThresholdPolicy:
         if (self.lower_bound is not None and self.upper_bound is not None
                 and not self.lower_bound < self.upper_bound):
             raise SchemaError("lower bound must be below upper bound")
-        if not 0.0 <= self.min_exceed_fraction <= 1.0:
-            raise SchemaError("min_exceed_fraction must be in [0, 1]")
 
     @property
     def policy_id(self) -> str:
@@ -104,10 +98,7 @@ class ThresholdPolicy:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ThresholdPolicy":
-        check_document(doc, "policy", _POLICY_KINDS)
-        numbers = {key: None if value is None else float(value)
-                   for key, value in doc.items() if key != "parameter"}
-        return cls(parameter=doc.get("parameter"), **numbers)
+        return cls(**read_document(doc, "policy", _POLICY_KINDS, required=("parameter",)))
 
     @classmethod
     def load(cls, path: str | Path) -> "ThresholdPolicy":
@@ -120,7 +111,6 @@ class AlertMap:
 
     cells: np.ndarray              # uint8, 1 where the policy is violated
     invalid: np.ndarray            # bool, NaN or cloud-invalidated windows
-    policy_id: str
 
     def __post_init__(self):
         self.cells = np.asarray(self.cells, dtype=np.uint8)
@@ -157,11 +147,7 @@ def threshold(cmap: ContaminantMap, policy: ThresholdPolicy) -> AlertMap:
         if policy.upper_bound is not None:
             violate |= values > policy.upper_bound
     violate &= ~invalid
-    return AlertMap(
-        cells=violate.astype(np.uint8),
-        invalid=invalid,
-        policy_id=policy.policy_id,
-    )
+    return AlertMap(cells=violate.astype(np.uint8), invalid=invalid)
 
 
 @dataclass
@@ -202,13 +188,9 @@ def make_message(
     policy: ThresholdPolicy,
     timestamp: str,
 ) -> AlertMessage | None:
-    """Build the patch message stamped ``timestamp``, or None when the alert
-    gate is not met.
-
-    A message requires at least one violating cell and an exceed fraction
-    strictly above the policy minimum.
-    """
-    if amap.exceed_count == 0 or amap.exceed_fraction <= policy.min_exceed_fraction:
+    """Build the patch message stamped ``timestamp``, or None when no cell
+    violates ``policy``."""
+    if amap.exceed_count == 0:
         return None
     violating = cmap.values[amap.cells.astype(bool)]
     return AlertMessage(
@@ -217,7 +199,7 @@ def make_message(
         lon=cmap.georef.center_lon,
         acquired=cmap.georef.acquisition_date,
         parameter=cmap.parameter,
-        policy_id=amap.policy_id,
+        policy_id=policy.policy_id,
         exceed_count=amap.exceed_count,
         exceed_fraction=amap.exceed_fraction,
         invalid_count=int(amap.invalid.sum()),

@@ -14,8 +14,11 @@ certificate's ``convnet.EQUIVALENCE_TOL`` over
 ``convnet.EQUIVALENCE_CHECK_PATCHES`` patches, the fp16 gate's
 ``quantbench.FP16_THRESHOLD`` over ``quantbench.FP16_CHECK_PATCHES`` patches,
 and ``bench`` times ``quantbench.BENCH_REPS`` runs after
-``quantbench.BENCH_WARMUP``. Each binary format is described in the module
-that writes it; all four share the ``_container`` framing.
+``quantbench.BENCH_WARMUP``, cycling ``quantbench.BENCH_PATCHES`` random
+patches without ``--patches``. ``quantize`` writes its network and report
+either way, then exits 1 when the fp16 gate fails. Each binary format is
+described in the module that writes it; all four share the ``_container``
+framing.
 
 ``infer`` and ``alert`` are the library's scene path split at the map
 files: ``infer`` runs ``alerting.infer_scene`` and writes its maps and their
@@ -40,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _container, alerting, convnet, dataset, mlp, quantbench, raster, sensor
-from .errors import CoastwatchError, SchemaError, check_document, is_json_kind
+from .errors import CoastwatchError, SchemaError, is_json_kind, read_document
 
 # not an option: the benchmark reads the fraction here
 INVALID_CLOUD_FRACTION = alerting.CLOUD_INVALID_FRACTION
@@ -283,9 +286,8 @@ _MAP_INDEX_KINDS = {
 
 
 def _load_map_index(path: Path) -> dict:
-    doc = json.loads(path.read_text())
-    check_document(doc, f"map index {path}", _MAP_INDEX_KINDS, _MAP_INDEX_KINDS)
-    return doc
+    return read_document(json.loads(path.read_text()), f"map index {path}",
+                         _MAP_INDEX_KINDS, required=_MAP_INDEX_KINDS)
 
 
 def _placement(path: Path, manifest: dict) -> tuple[int, int]:
@@ -358,7 +360,8 @@ def cmd_bench(args) -> int:
     if args.patches:
         patches = _load_patches(Path(args.patches))
     else:
-        patches = list(raster.random_patches(4, seed=convnet.CHECK_SEED))
+        patches = list(raster.random_patches(quantbench.BENCH_PATCHES,
+                                             seed=convnet.CHECK_SEED))
     report = quantbench.bench(net, patches)
     if args.report:
         quantbench.write_report(args.report, report.to_json())

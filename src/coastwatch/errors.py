@@ -1,4 +1,7 @@
-"""Exception hierarchy for the coastwatch package."""
+"""Exception hierarchy for the coastwatch package, and the one reader of
+the JSON documents that steer it."""
+
+import datetime as dt
 
 
 class CoastwatchError(Exception):
@@ -36,8 +39,9 @@ class NonFiniteError(CoastwatchError, ValueError):
 
 def is_json_kind(value, kind: str) -> bool:
     """Whether a parsed JSON value is of ``kind``, one of "a boolean",
-    "a string", "an integer", "a number" or a list kind of ``_ITEM_KINDS``,
-    each optionally followed by " or null". A boolean is no number."""
+    "a string", "a date" (an ISO date string), "an integer", "a number" or a
+    list kind of ``_ITEM_KINDS``, each optionally followed by " or null". A
+    boolean is no number."""
     if value is None:
         return kind.endswith(" or null")
     kind = kind.removesuffix(" or null")
@@ -45,6 +49,12 @@ def is_json_kind(value, kind: str) -> bool:
         return isinstance(value, bool)
     if kind == "a string":
         return isinstance(value, str)
+    if kind == "a date":
+        try:
+            dt.date.fromisoformat(value)
+        except (TypeError, ValueError):
+            return False
+        return True
     if isinstance(value, bool):
         return False
     if kind == "an integer":
@@ -60,11 +70,28 @@ _ITEM_KINDS = {"a list of integers": "an integer", "a list of numbers": "a numbe
                "a list of number lists": "a list of numbers"}
 
 
-def check_document(doc, what: str, kinds: dict, required=()) -> None:
-    """Raise ``SchemaError`` unless ``doc`` is a JSON object whose keys all
-    lie in ``kinds``, that holds every key of ``required``, and whose values
-    are of the JSON kind ``kinds`` maps them to (a kind of None leaves the
-    value to the caller); ``what`` names the document in the message."""
+def _python(value, kind: str | None):
+    """A value of JSON ``kind`` in Python form: a number as a float, a list as
+    a tuple, a date as a ``datetime.date``; a null or a kind of None as is."""
+    if value is None or kind is None:
+        return value
+    kind = kind.removesuffix(" or null")
+    if kind == "a number":
+        return float(value)
+    if kind == "a date":
+        return dt.date.fromisoformat(value)
+    if kind in _ITEM_KINDS:
+        return tuple(_python(v, _ITEM_KINDS[kind]) for v in value)
+    return value
+
+
+def read_document(doc, what: str, kinds: dict, required=()) -> dict:
+    """The values of ``doc`` in Python form (``_python``), keyed as in
+    ``doc``. Raise ``SchemaError`` unless ``doc`` is a JSON object whose keys
+    all lie in ``kinds``, that holds every key of ``required``, and whose
+    values are of the JSON kind ``kinds`` maps them to; a kind of None leaves
+    the value to the caller, as parsed. ``what`` names the document in the
+    message."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{what} must be a JSON object")
     unknown = sorted(set(doc) - set(kinds))
@@ -77,3 +104,4 @@ def check_document(doc, what: str, kinds: dict, required=()) -> None:
         kind = kinds[key]
         if kind is not None and not is_json_kind(value, kind):
             raise SchemaError(f"{what} {key} must be {kind}, got {value!r}")
+    return {key: _python(value, kinds[key]) for key, value in doc.items()}

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import _container
 from .dataset import NormStats, SampleTable
-from .errors import NumericError, SchemaError, check_document
+from .errors import NumericError, SchemaError, read_document
 from .raster import N_BANDS
 from .sensor import PARAMETERS
 
@@ -219,11 +219,7 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrainConfig":
-        check_document(doc, "train config", _CONFIG_KINDS)
-        kwargs = dict(doc)
-        if "layer_dims" in kwargs:
-            kwargs["layer_dims"] = tuple(kwargs["layer_dims"])
-        return cls(**kwargs)
+        return cls(**read_document(doc, "train config", _CONFIG_KINDS))
 
 
 # ---------------------------------------------------------------------------

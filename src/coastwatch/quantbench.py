@@ -30,9 +30,11 @@ from .raster import Patch
 # and the random patches it is checked on (drawn with convnet.CHECK_SEED).
 FP16_THRESHOLD = 0.05
 FP16_CHECK_PATCHES = 8
-# bench's untimed and timed single-patch inferences
+# bench's untimed and timed single-patch inferences, and the random patches
+# (drawn with convnet.CHECK_SEED) the CLI cycles through when given none
 BENCH_WARMUP = 5
 BENCH_REPS = 100
+BENCH_PATCHES = 4
 
 MISSION_SIZE_LIMIT_BYTES = 250 * 1024 * 1024
 REFERENCE_VPU = {
@@ -88,10 +90,11 @@ def compare_quantized(
 
     Both networks run as served, in float32, on one set of window means per
     patch (``infer_patch``'s); deviations are in physical units. ``passed``
-    gates the maximum deviation on ``FP16_THRESHOLD``. ``patches`` may be
-    any iterable, counted as it is read; each patch is let go once its
-    means are taken, so a lazy source such as ``raster.random_patches``
-    has one patch alive at a time. An empty iterable is a ``ValueError``.
+    holds when the maximum deviation is at most ``FP16_THRESHOLD``.
+    ``patches`` may be any iterable, counted as it is read; each patch is
+    let go once its means are taken, so a lazy source such as
+    ``raster.random_patches`` has one patch alive at a time. An empty
+    iterable is a ``ValueError``.
     """
     max_dev = 0.0
     total = 0.0
@@ -112,7 +115,7 @@ def compare_quantized(
         mean_map_deviation=total / cells,
         patches_tested=n_patches,
         threshold=FP16_THRESHOLD,
-        passed=max_dev < FP16_THRESHOLD,
+        passed=max_dev <= FP16_THRESHOLD,
     )
 
 

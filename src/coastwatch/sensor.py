@@ -43,7 +43,6 @@ generator is the worker's alone once it starts.
 
 from __future__ import annotations
 
-import contextlib
 import datetime as dt
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -51,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SchemaError, check_document, is_json_kind
+from .errors import DimensionError, SchemaError, is_json_kind, read_document
 from .raster import (
     MS_BAND_IDS,
     N_BANDS,
@@ -117,16 +116,8 @@ def _slabs(band: np.ndarray, above: int, below: int):
         slab[:above] = source[n:n + above]
 
 
-@contextlib.contextmanager
-def _schema(what: str):
-    """Turn a missing key or a value of the wrong kind or range raised inside
-    the block into a ``SchemaError`` naming the document part ``what``."""
-    try:
-        yield
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise SchemaError(f"{what}: {exc}") from None
+# The JSON kind of each key of a ``solar`` document.
+_SOLAR_KINDS = {"zenith": "a number", "distance_au": "a number"}
 
 
 @dataclass(frozen=True)
@@ -144,9 +135,9 @@ class SolarContext:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolarContext":
-        check_document(doc, "solar", {"zenith": "a number", "distance_au": "a number"})
-        return cls(solar_zenith=float(doc.get("zenith", 0.0)),
-                   earth_sun_distance=float(doc.get("distance_au", 1.0)))
+        doc = read_document(doc, "solar", _SOLAR_KINDS)
+        return cls(solar_zenith=doc.get("zenith", 0.0),
+                   earth_sun_distance=doc.get("distance_au", 1.0))
 
     @property
     def cos_zenith(self) -> float:
@@ -171,14 +162,18 @@ class MaskSet:
 
 MISALIGN_BOUND_M = 10.0  # L1C band-to-band registration requirement
 
+# The JSON kind of each key of a ``degrade`` document; ``_snr_per_band`` reads snr.
+_DEGRADE_KINDS = {"snr": None, "mtf": "a number",
+                  "misalign_m": "a list of number lists or null"}
+
 
 @dataclass(frozen=True)
 class DegradeConfig:
     """Signal degradation knobs: SNR, MTF at Nyquist, per-band shifts.
 
-    ``snr_per_band`` entries may be ``math.inf`` (no noise); ``mtf_at_nyquist``
-    1.0 means no blur. ``misalignment_per_band`` holds (east_m, south_m)
-    shifts, each of magnitude <= 10 m as required at L1C level.
+    ``snr_per_band`` (``math.inf``: no noise) and ``misalignment_per_band``
+    ((east_m, south_m) shifts, each of magnitude <= 10 m as required at L1C
+    level) hold one entry per band; ``mtf_at_nyquist`` 1.0 means no blur.
     """
 
     snr_per_band: tuple[float, ...] = (math.inf,) * N_BANDS
@@ -186,10 +181,17 @@ class DegradeConfig:
     misalignment_per_band: tuple[tuple[float, float], ...] = ((0.0, 0.0),) * N_BANDS
 
     def __post_init__(self):
+        for name, entries in (("snr", self.snr_per_band),
+                              ("misalignment", self.misalignment_per_band)):
+            if len(entries) != N_BANDS:
+                raise SchemaError(f"{name} must hold {N_BANDS} entries, one per "
+                                  f"band, got {len(entries)}")
         if any(not s > 0 for s in self.snr_per_band):
             raise SchemaError("snr must be positive (use inf for noiseless)")
         if not 0.0 < self.mtf_at_nyquist <= 1.0:
             raise SchemaError("mtf_at_nyquist must be in (0, 1]")
+        if any(len(shift) != 2 for shift in self.misalignment_per_band):
+            raise SchemaError("each misalignment must be an (east_m, south_m) pair")
         for dx, dy in self.misalignment_per_band:
             if not math.hypot(dx, dy) <= MISALIGN_BOUND_M:
                 raise SchemaError(
@@ -199,26 +201,21 @@ class DegradeConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DegradeConfig":
-        check_document(doc, "degrade", {"snr": None, "mtf": "a number",
-                                        "misalign_m": "a list of number lists or null"})
-        snr = doc.get("snr")
-        with _schema("degrade"):
-            snr_t = (tuple(map(_snr, snr)) if isinstance(snr, list)
-                     else (_snr(snr),) * N_BANDS)
-            mis = doc.get("misalign_m") or ((0.0, 0.0),) * N_BANDS
-            return cls(snr_per_band=snr_t, mtf_at_nyquist=float(doc.get("mtf", 1.0)),
-                       misalignment_per_band=tuple(
-                           (float(dx), float(dy)) for dx, dy in mis))
+        doc = read_document(doc, "degrade", _DEGRADE_KINDS)
+        return cls(snr_per_band=_snr_per_band(doc.get("snr")),
+                   mtf_at_nyquist=doc.get("mtf", 1.0),
+                   misalignment_per_band=doc.get("misalign_m") or ((0.0, 0.0),) * N_BANDS)
 
 
-def _snr(value) -> float:
-    """One SNR entry of a degrade document: a number, or "inf" or null for
-    no noise."""
-    if value is None or value == "inf":
-        return math.inf
-    if not is_json_kind(value, "a number"):
-        raise SchemaError(f'degrade snr must be a number, "inf" or null, got {value!r}')
-    return float(value)
+def _snr_per_band(snr) -> tuple[float, ...]:
+    """The SNRs of a degrade document's ``snr``: one entry for every band or
+    a list of one per band, each a number, or "inf" or null for no noise."""
+    entries = [math.inf if value is None or value == "inf" else value
+               for value in (snr if isinstance(snr, list) else [snr] * N_BANDS)]
+    if not is_json_kind(entries, "a list of numbers"):
+        raise SchemaError('degrade snr must be a number, "inf" or null, or a list of '
+                          f'those, got {snr!r}')
+    return tuple(map(float, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +326,6 @@ def _misalign(data: np.ndarray, gsd: float, cfg: DegradeConfig) -> None:
     pitch reads at most three rows past the block either side.
     """
     bands, height, width = data.shape
-    if len(cfg.misalignment_per_band) < bands:
-        raise DimensionError("misalignment config has fewer entries than bands")
     upper = _block_buffer(height, width)
     scratch = (_block_buffer(height, width), upper, upper)
     for b in range(bands):
@@ -403,8 +398,6 @@ def _degrade(data: np.ndarray, cfg: DegradeConfig, seed: int) -> None:
     Deterministic for a fixed seed.
     """
     bands, height, width = data.shape
-    if len(cfg.snr_per_band) < bands:
-        raise DimensionError("snr config has fewer entries than bands")
     rng = np.random.default_rng(seed)
     block = _block_buffer(height, width)
     sigma_px = mtf_blur_sigma_px(cfg.mtf_at_nyquist)
@@ -498,14 +491,16 @@ def _simulate_into(
 
 
 # The JSON kind of each key of a ``simulate`` document; the three objects are
-# checked where they are read.
+# read by their own readers.
 _SPEC_KINDS = {
     "width": "an integer", "height": "an integer", "gsd": "a number",
     "turbidity_range": "a list of numbers", "ph_range": "a list of numbers",
     "noise_std": "a number", "blobs": "an integer", "ramp": "a boolean",
-    "center_lat": "a number", "center_lon": "a number", "date": "a string",
+    "center_lat": "a number", "center_lon": "a number", "date": "a date",
     "mixing": None, "solar": None, "degrade": None,
 }
+# The JSON kind of each key of a spec's ``mixing``, which must hold both.
+_MIXING_KINDS = {"offsets": "a list of numbers", "matrix": "a list of number lists"}
 
 
 @dataclass
@@ -517,8 +512,9 @@ class SceneSpec:
 
         rho_b = offset_b + M[b, 0] * turb01 + M[b, 1] * ph01 + noise
 
-    The mixing must be invertible (full column rank) so a regressor can in
-    principle recover the fields exactly from the seven bands.
+    The mixing (7 offsets and a 7x2 matrix, drawn at random when not given)
+    must be invertible (rank 2) so a regressor can in principle recover the
+    fields exactly from the seven bands.
     """
 
     width: int = 512
@@ -536,22 +532,32 @@ class SceneSpec:
     date: dt.date = dt.date(2024, 6, 15)
 
     def __post_init__(self):
-        # the contaminant bounds are those InSituRecord accepts
-        (t_lo, t_hi), (p_lo, p_hi) = self.turbidity_range, self.ph_range
-        mixing = [*(self.mixing_offsets or ()),
-                  *(x for row in self.mixing_matrix or () for x in row)]
-        for ok, rule in [
-            (self.width >= 1 and self.height >= 1, "width and height must be >= 1"),
-            (self.gsd > 0, "gsd must be > 0"),
-            (-90 <= self.center_lat <= 90, "center_lat must be in [-90, 90]"),
-            (-180 <= self.center_lon <= 180, "center_lon must be in [-180, 180]"),
-            (self.noise_std >= 0 and self.blobs >= 0, "noise_std, blobs must be >= 0"),
-            (0 <= t_lo < t_hi, "turbidity_range must have 0 <= lo < hi"),
-            (0 <= p_lo < p_hi <= 14, "ph_range must have 0 <= lo < hi <= 14"),
-            (all(map(math.isfinite, mixing)), "mixing offsets and matrix must be finite"),
-        ]:
+        def require(ok: bool, rule: str) -> None:
             if not ok:
                 raise SchemaError(f"scene spec: {rule}")
+
+        require(self.width >= 1 and self.height >= 1, "width and height must be >= 1")
+        require(self.gsd > 0, "gsd must be > 0")
+        require(-90 <= self.center_lat <= 90, "center_lat must be in [-90, 90]")
+        require(-180 <= self.center_lon <= 180, "center_lon must be in [-180, 180]")
+        require(self.noise_std >= 0 and self.blobs >= 0, "noise_std, blobs must be >= 0")
+        # the contaminant bounds are those InSituRecord accepts
+        require(len(self.turbidity_range) == len(self.ph_range) == 2,
+                "turbidity_range and ph_range must be [lo, hi] pairs")
+        (t_lo, t_hi), (p_lo, p_hi) = self.turbidity_range, self.ph_range
+        require(0 <= t_lo < t_hi, "turbidity_range must have 0 <= lo < hi")
+        require(0 <= p_lo < p_hi <= 14, "ph_range must have 0 <= lo < hi <= 14")
+        offsets, matrix = self.mixing_offsets, self.mixing_matrix
+        if offsets is None and matrix is None:
+            return
+        require(offsets is not None and matrix is not None
+                and len(offsets) == len(matrix) == N_BANDS
+                and all(len(row) == 2 for row in matrix),
+                f"mixing must be {N_BANDS} offsets and a {N_BANDS}x2 matrix, or neither")
+        require(all(map(math.isfinite, [*offsets, *(x for row in matrix for x in row)])),
+                "mixing offsets and matrix must be finite")
+        sv = np.linalg.svd(np.asarray(matrix, dtype=np.float64), compute_uv=False)
+        require(sv[-1] > 1e-9 * sv[0], "mixing matrix must have rank 2")
 
     def georef(self) -> GeoRef:
         return GeoRef(self.center_lat, self.center_lon, self.date)
@@ -559,31 +565,18 @@ class SceneSpec:
     @classmethod
     def from_json(cls, doc: dict) -> "SceneSpec":
         """The spec from a ``simulate`` document: the keys of ``_SPEC_KINDS``,
-        where ``mixing`` holds ``offsets`` and ``matrix`` and ``solar`` and
-        ``degrade`` are the documents :meth:`SolarContext.from_json` and
+        where ``mixing`` holds both ``offsets`` and ``matrix`` and ``solar``
+        and ``degrade`` are the documents :meth:`SolarContext.from_json` and
         :meth:`DegradeConfig.from_json` read. Any other key, and a value of
         the wrong JSON kind, is a ``SchemaError``."""
-        check_document(doc, "scene spec", _SPEC_KINDS)
-        kwargs = {key: doc[key] for key in ("width", "height", "blobs", "ramp")
-                  if key in doc}
-        with _schema("scene spec"):
-            for key in ("gsd", "noise_std", "center_lat", "center_lon"):
-                if key in doc:
-                    kwargs[key] = float(doc[key])
-            for key in ("turbidity_range", "ph_range"):
-                if key in doc:
-                    lo, hi = doc[key]
-                    kwargs[key] = (float(lo), float(hi))
-            if "date" in doc:
-                kwargs["date"] = dt.date.fromisoformat(doc["date"])
-            mixing = doc.get("mixing")
-            if mixing:
-                check_document(mixing, "scene spec mixing", {
-                    "offsets": "a list of numbers", "matrix": "a list of number lists"})
-                kwargs["mixing_offsets"] = tuple(float(x) for x in mixing["offsets"])
-                kwargs["mixing_matrix"] = tuple(
-                    (float(a), float(b)) for a, b in mixing["matrix"]
-                )
+        kwargs = read_document(doc, "scene spec", _SPEC_KINDS)
+        kwargs.pop("solar", None)
+        kwargs.pop("degrade", None)
+        if "mixing" in kwargs:
+            mixing = read_document(kwargs.pop("mixing"), "scene spec mixing",
+                                   _MIXING_KINDS, required=("offsets", "matrix"))
+            kwargs["mixing_offsets"], kwargs["mixing_matrix"] = (
+                mixing["offsets"], mixing["matrix"])
         return cls(**kwargs)
 
 
@@ -700,12 +693,6 @@ def generate_synthetic_scene(
     if spec.mixing_matrix is not None:
         mix = np.asarray(spec.mixing_matrix, dtype=np.float64)
         offsets = np.asarray(spec.mixing_offsets, dtype=np.float64)
-        if mix.shape != (N_BANDS, 2) or offsets.shape != (N_BANDS,):
-            raise DimensionError(f"mixing must be a {N_BANDS}x2 matrix with "
-                                 f"{N_BANDS} offsets")
-        sv = np.linalg.svd(mix, compute_uv=False)
-        if sv[-1] <= 1e-9 * sv[0]:
-            raise ValueError("mixing matrix is not invertible (rank < 2)")
     else:
         offsets, mix = _default_mixing(rng)
 

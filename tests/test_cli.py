@@ -534,6 +534,15 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
      "scene spec: mixing offsets and matrix must be finite"),
     ({"spec.json": MIXING_SPEC.replace(b"0.05", b"Infinity", 1)}, SIMULATE,
      "scene spec: mixing offsets and matrix must be finite"),
+    ({"spec.json": MIXING_SPEC.replace(b"[0.2, 0.1]", b"[0.1, 0.2]")}, SIMULATE,
+     "scene spec: mixing matrix must have rank 2"),
+    ({"spec.json": b'{"width": 256, "height": 256, "degrade": {"snr": [100, 100, 100]}}'},
+     SIMULATE, "snr must hold 7 entries, one per band, got 3"),
+    ({"spec.json": json.dumps({"width": 256, "height": 256,
+                               "degrade": {"misalign_m": [[0, 0]] * 8}}).encode()},
+     SIMULATE, "misalignment must hold 7 entries, one per band, got 8"),
+    ({"spec.json": json.dumps({"mixing": {"offsets": [0.05] * 7}}).encode()}, SIMULATE,
+     "scene spec mixing lacks keys: matrix"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "simulate_bad_degrade",
@@ -569,7 +578,9 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
         "simulate_nan_misalignment", "transfer_unknown_parameter",
         "transfer_no_parameter", "train_nan_learning_rate", "train_nan_early_stop",
         "train_negative_seed", "simulate_negative_seed", "simulate_nan_mixing_matrix",
-        "simulate_nan_mixing_offset", "simulate_infinite_mixing_offset"])
+        "simulate_nan_mixing_offset", "simulate_infinite_mixing_offset",
+        "simulate_singular_mixing", "simulate_three_snr_entries",
+        "simulate_eight_misalignments", "simulate_mixing_without_matrix"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)

@@ -164,6 +164,18 @@ def test_equivalence_certified():
     assert report.n_cells == 3 * 625
 
 
+def test_the_certificate_accepts_a_deviation_equal_to_its_tolerance(monkeypatch):
+    params, stats = model(4)
+    net = fc_to_cnn(params, stats, "turbidity_NTU")
+    patches = list(random_patches(2, seed=5))
+    measured = verify_equivalence(params, stats, net, patches).max_abs_deviation
+    assert measured > 0.0
+    monkeypatch.setattr(convnet, "EQUIVALENCE_TOL", measured)
+    assert verify_equivalence(params, stats, net, patches).passed
+    monkeypatch.setattr(convnet, "EQUIVALENCE_TOL", float(np.nextafter(measured, 0.0)))
+    assert not verify_equivalence(params, stats, net, patches).passed
+
+
 def test_a_net_without_a_hidden_layer_keeps_the_feature_standardization():
     # (7, 1), the linear reference TrainConfig accepts: the standardization
     # folds into its one layer, the output layer

@@ -4,6 +4,7 @@ report documents."""
 import numpy as np
 import pytest
 
+from coastwatch import quantbench
 from coastwatch.convnet import ConvLayer, ConvNet
 from coastwatch.errors import NumericError
 from coastwatch.quantbench import (
@@ -35,6 +36,18 @@ def test_a_net_compared_with_itself_deviates_by_nothing_and_passes():
     assert report.patches_tested == 2
     assert report.threshold == FP16_THRESHOLD
     assert report.passed
+
+
+def test_the_fp16_gate_accepts_a_deviation_equal_to_its_threshold(monkeypatch):
+    net = net_of((7, 16, 1), seed=3)
+    net16 = quantize_fp16(net)
+    patches = list(random_patches(2, seed=4))
+    measured = compare_quantized(net, net16, patches).max_map_deviation
+    assert measured > 0.0
+    monkeypatch.setattr(quantbench, "FP16_THRESHOLD", measured)
+    assert compare_quantized(net, net16, patches).passed
+    monkeypatch.setattr(quantbench, "FP16_THRESHOLD", float(np.nextafter(measured, 0.0)))
+    assert not compare_quantized(net, net16, patches).passed
 
 
 def test_an_empty_patch_list_is_refused():

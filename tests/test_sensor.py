@@ -178,7 +178,8 @@ class TestDegrade:
 
     def test_noise_sigma_matches_snr(self):
         scene = stack(np.full((1, 128, 128), 5.0), band_ids=("a",))
-        cfg = DegradeConfig(snr_per_band=(100.0,))
+        # a config holds one SNR per product band; the one band reads the first
+        cfg = DegradeConfig(snr_per_band=(100.0,) + (math.inf,) * 6)
         out = in_copy(sensor._degrade, scene, cfg, 3)
         sigma = float((out[0] - 5.0).std())
         assert abs(sigma - 0.05) / 0.05 < 0.15  # >= 1e4 pixels
@@ -336,6 +337,56 @@ def test_degrade_snr_takes_inf_null_and_integers():
     assert cfg.mtf_at_nyquist == 1.0
 
 
+MIXING = ((0.1, 0.2),) + ((0.2, 0.1),) * 6
+
+
+@pytest.mark.parametrize("build, says", [
+    (lambda: DegradeConfig(snr_per_band=(100.0,) * 3),
+     "snr must hold 7 entries, one per band, got 3"),
+    (lambda: DegradeConfig(misalignment_per_band=((0.0, 0.0),) * 8),
+     "misalignment must hold 7 entries, one per band, got 8"),
+    (lambda: DegradeConfig(misalignment_per_band=((0.0, 0.0, 1.0),) * 7),
+     "each misalignment must be an"),
+    (lambda: SceneSpec(turbidity_range=(1.0, 2.0, 3.0)), "must be \\[lo, hi\\] pairs"),
+    (lambda: SceneSpec(ph_range=(7.0,)), "must be \\[lo, hi\\] pairs"),
+    (lambda: SceneSpec(mixing_offsets=(0.1,) * 7), "7x2 matrix, or neither"),
+    (lambda: SceneSpec(mixing_matrix=MIXING), "7x2 matrix, or neither"),
+    (lambda: SceneSpec(mixing_offsets=(0.1,) * 6, mixing_matrix=MIXING),
+     "mixing must be 7 offsets and a 7x2 matrix"),
+    (lambda: SceneSpec(mixing_offsets=(0.1,) * 7, mixing_matrix=((0.1, 0.2, 0.3),) * 7),
+     "mixing must be 7 offsets and a 7x2 matrix"),
+    (lambda: SceneSpec(mixing_offsets=(0.1,) * 7, mixing_matrix=((0.0, 0.0),) * 7),
+     "mixing matrix must have rank 2"),
+    (lambda: SceneSpec.from_json({"mixing": {"matrix": [list(r) for r in MIXING]}}),
+     "scene spec mixing lacks keys: offsets"),
+    (lambda: SceneSpec.from_json({"mixing": {}}),
+     "scene spec mixing lacks keys: offsets, matrix"),
+    (lambda: SceneSpec.from_json({"date": "June"}), "scene spec date must be a date"),
+], ids=["three_snrs", "eight_shifts", "three_coordinate_shift", "turbidity_triple",
+        "ph_single", "offsets_only", "matrix_only", "six_offsets", "seven_by_three_matrix",
+        "zero_matrix", "document_without_offsets", "empty_mixing_document",
+        "document_date_not_iso"])
+def test_each_rule_is_checked_where_its_value_is_built(build, says):
+    with pytest.raises(SchemaError, match=says):
+        build()
+
+
+def test_a_spec_document_reads_as_the_spec_of_its_values():
+    doc = {"width": 256, "gsd": 5, "turbidity_range": [1, 20], "date": "2024-07-01",
+           "mixing": {"offsets": [0.1] * 7, "matrix": [list(r) for r in MIXING]},
+           "solar": {"zenith": 10}, "degrade": {"mtf": 1}}
+    spec = SceneSpec.from_json(doc)
+    assert spec == SceneSpec(width=256, gsd=5.0, turbidity_range=(1.0, 20.0),
+                             date=dt.date(2024, 7, 1), mixing_offsets=(0.1,) * 7,
+                             mixing_matrix=MIXING)
+    assert type(spec.gsd) is float and type(spec.turbidity_range[0]) is float
+    # the solar and degrade parts are left to their readers, and the
+    # document to them as it was
+    assert doc["solar"] == {"zenith": 10} and "mixing" in doc
+    assert SolarContext.from_json(doc["solar"]) == SolarContext(solar_zenith=10.0)
+    assert DegradeConfig.from_json(doc["degrade"]) == DegradeConfig()
+
+
 def _tiny_net() -> ConvNet:
     rng = np.random.default_rng(0)
     return ConvNet(
@@ -465,10 +516,9 @@ class TestSyntheticScene:
 
     def test_rank_deficient_mixing_rejected(self):
         mix = tuple((0.05 * (b + 1), -0.03 * (b + 1)) for b in range(7))
-        spec = SceneSpec(width=128, height=128, mixing_offsets=(0.2,) * 7,
-                         mixing_matrix=mix)
-        with pytest.raises(ValueError):
-            generate_synthetic_scene(spec, 2)
+        with pytest.raises(SchemaError, match="mixing matrix must have rank 2"):
+            SceneSpec(width=128, height=128, mixing_offsets=(0.2,) * 7,
+                      mixing_matrix=mix)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +641,8 @@ PIXEL_SHIFTS = [(0, 0), (1, 0), (0, -1), (-1, 1), (2, 0), (0, 2), (-1, -1)]
 @st.composite
 def degrade_configs(draw, bands: int, gsd: float):
     """Per band an integer or fractional shift, an SNR or none, and an MTF
-    of 1 (no blur) or below."""
+    of 1 (no blur) or below. A config holds an entry per product band: the
+    bands past ``bands`` get no shift and no noise, and no step reads them."""
     shifts = []
     for _ in range(bands):
         if draw(st.booleans()):
@@ -601,8 +652,10 @@ def degrade_configs(draw, bands: int, gsd: float):
             shifts.append(draw(st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0))))
     snr = [draw(st.just(math.inf) | st.floats(5.0, 500.0)) for _ in range(bands)]
     mtf = draw(st.just(1.0) | st.floats(0.02, 0.99))
-    return DegradeConfig(snr_per_band=tuple(snr), mtf_at_nyquist=mtf,
-                         misalignment_per_band=tuple(shifts))
+    pad = 7 - bands
+    return DegradeConfig(snr_per_band=tuple(snr) + (math.inf,) * pad,
+                         mtf_at_nyquist=mtf,
+                         misalignment_per_band=tuple(shifts) + ((0.0, 0.0),) * pad)
 
 
 @pytest.mark.parametrize("block", BLOCKS)
