@@ -7,8 +7,12 @@ order and shapes the manifest declares. ``write`` streams each array plane
 by plane, so at most one plane is ever cast or made contiguous. ``load``
 checks the payload size against the declared shapes before it allocates
 anything, reads the payload into one writable buffer and returns views of
-it. Every malformed file raises ``FormatError``, a manifest that lacks a
-field or declares values the model rejects included (``parsing``).
+it. Each format declares the JSON kind of every manifest key its loader
+reads, and ``load`` reads those keys with ``errors.read_document``, all of
+them required, before it lays out the payload; a key no table declares is
+carried as parsed. Every malformed file raises ``FormatError`` naming it, a
+manifest that lacks a declared key, holds one of another kind or declares
+values the model rejects included (``parsing``).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import FormatError, TransferError
+from .errors import FormatError, TransferError, read_document
 
 _LENGTH = struct.Struct("<I")
 _HEADER_BYTES = 4 + _LENGTH.size
@@ -45,13 +49,16 @@ def write(
 def load(
     path: str | Path,
     magic: bytes,
+    kinds: dict,
     layout: Callable[[dict], tuple[list[tuple[int, ...]], object]],
 ) -> tuple[dict, list[np.ndarray]]:
     """The manifest of the file at ``path`` and views of its payload.
 
-    ``layout`` turns the manifest into the payload's array shapes and its
-    dtype. The payload must be exactly their size: a cut or a trailing byte
-    raises, and nothing is allocated before the size is checked.
+    The manifest keys of ``kinds`` are required and read in Python form
+    (``read_document``); any other key keeps its parsed value. ``layout``
+    turns the manifest into the payload's array shapes and its dtype. The
+    payload must be exactly their size: a cut or a trailing byte raises, and
+    nothing is allocated before the size is checked.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_BYTES)
@@ -72,6 +79,9 @@ def load(
         if not isinstance(manifest, dict):
             raise FormatError(f"{path}: manifest is not a JSON object")
         with parsing(path):
+            declared = {key: value for key, value in manifest.items() if key in kinds}
+            manifest |= read_document(declared, f"{magic.decode()} manifest", kinds,
+                                      required=kinds)
             shapes, dtype = layout(manifest)
             if any(n < 0 for shape in shapes for n in shape):
                 raise ValueError(f"negative array dimension in {shapes}")
@@ -98,16 +108,13 @@ def views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
 
 @contextlib.contextmanager
 def parsing(path: str | Path):
-    """Turn a missing manifest field (``KeyError``), a field of the wrong
-    kind, an index past the end of a manifest list or a value the model
-    rejects (``TypeError``, ``IndexError``, ``ValueError``,
-    ``TransferError``) raised inside the block into a ``FormatError`` that
-    names ``path``."""
+    """Turn a manifest off its kinds (``SchemaError``), an index past the end
+    of a manifest list or a value the model rejects (``TypeError``,
+    ``IndexError``, ``ValueError``, ``TransferError``) raised inside the
+    block into a ``FormatError`` that names ``path``."""
     try:
         yield
     except FormatError:
         raise
-    except KeyError as exc:
-        raise FormatError(f"{path}: manifest lacks field {exc}") from None
     except (TypeError, IndexError, ValueError, TransferError) as exc:
         raise FormatError(f"{path}: {exc}") from None

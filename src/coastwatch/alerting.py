@@ -223,10 +223,22 @@ def serialize_alert(msg: AlertMessage) -> bytes:
     return line
 
 
+# The JSON kind of each field of a serialized ``AlertMessage``, in its wire order.
+_ALERT_KINDS = {
+    "scene_id": "a string", "lat": "a number", "lon": "a number", "acquired": "a date",
+    "parameter": "a string", "policy_id": "a string", "exceed_count": "an integer",
+    "exceed_fraction": "a number", "invalid_count": "an integer",
+    "violating_min": "a number", "violating_max": "a number",
+    "violating_mean": "a number", "timestamp": "a string",
+}
+
+
 def parse_alert(line: bytes | str) -> AlertMessage:
-    doc = json.loads(line)
-    doc["acquired"] = dt.date.fromisoformat(doc["acquired"])
-    return AlertMessage(**doc)
+    """The message of one serialized alert line; a line without every field,
+    with another key or with a value of another JSON kind raises
+    ``SchemaError``."""
+    return AlertMessage(**read_document(json.loads(line), "alert", _ALERT_KINDS,
+                                        required=_ALERT_KINDS))
 
 
 @dataclass

@@ -18,7 +18,11 @@ and ``bench`` times ``quantbench.BENCH_REPS`` runs after
 patches without ``--patches``. ``quantize`` writes its network and report
 either way, then exits 1 when the fp16 gate fails. Each binary format is
 described in the module that writes it; all four share the ``_container``
-framing.
+framing, whose ``load`` checks every manifest key a loader reads with
+``errors.read_document`` and carries any undeclared key as parsed. So every
+JSON value a command reads (a document, a manifest key, the georef and
+normalization objects a manifest holds) is read by its declared kind; only
+the in-situ CSV is parsed by hand.
 
 ``infer`` and ``alert`` are the library's scene path split at the map
 files: ``infer`` runs ``alerting.infer_scene`` and writes its maps and their
@@ -43,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _container, alerting, convnet, dataset, mlp, quantbench, raster, sensor
-from .errors import CoastwatchError, SchemaError, is_json_kind, read_document
+from .errors import CoastwatchError, SchemaError, read_document
 
 # not an option: the benchmark reads the fraction here
 INVALID_CLOUD_FRACTION = alerting.CLOUD_INVALID_FRACTION
@@ -92,6 +96,13 @@ def cmd_simulate(args) -> int:
     spec = sensor.SceneSpec.from_json(spec_doc)
     ctx = sensor.SolarContext.from_json(spec_doc.get("solar", {}))
     cfg = sensor.DegradeConfig.from_json(spec_doc.get("degrade", {}))
+    height, width = sensor.resampled_shape(spec.height, spec.width, spec.gsd,
+                                           raster.PRODUCT_GSD)
+    if height < raster.PATCH_SIZE or width < raster.PATCH_SIZE:
+        raise CoastwatchError(
+            f"scene {spec.width}x{spec.height} at {spec.gsd:g} m is {width}x{height} "
+            f"at the {raster.PRODUCT_GSD:g} m product pitch, smaller than one "
+            f"{raster.PATCH_SIZE} px patch")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -290,14 +301,18 @@ def _load_map_index(path: Path) -> dict:
                          _MAP_INDEX_KINDS, required=_MAP_INDEX_KINDS)
 
 
+# the ``extra`` infer writes into each map PAT1
+_MAP_EXTRA_KINDS = {"patch_id": "a string", "placement": "a list of integers"}
+
+
 def _placement(path: Path, manifest: dict) -> tuple[int, int]:
     """The ``[row, col]`` placement a map PAT1 records in its ``extra``."""
-    extra = manifest.get("extra")
-    placement = extra.get("placement") if isinstance(extra, dict) else None
-    if not (is_json_kind(placement, "a list of integers") and len(placement) == 2):
+    placement = read_document(manifest.get("extra", {}), f"map {path} extra",
+                              _MAP_EXTRA_KINDS, required=("placement",))["placement"]
+    if len(placement) != 2:
         raise SchemaError(f"{path}: placement must be an integer [row, col] "
-                          f"pair, got {placement!r}")
-    return tuple(placement)
+                          f"pair, got {placement}")
+    return placement
 
 
 def cmd_alert(args) -> int:

@@ -27,9 +27,10 @@ A network is its layers: the channel widths are read off the kernels, and
 every layer but the last applies ReLU, the only network ``fc_to_cnn``
 builds. The CNN1 manifest therefore holds ``window``, ``channels`` (the
 payload's layout: per layer its kernel, then its bias), ``dtype``,
-``parameter`` and ``equivalence``; the loader ignores any other key, so a
-file that also records the former ``front_layer``, ``layers``, ``meta`` or
-``equivalence_sha256`` loads to the same layers.
+``parameter`` (one of ``sensor.PARAMETERS``) and ``equivalence``. The loader
+reads the first four by their declared JSON kinds and carries any other key
+as parsed, so a file that also records the former ``front_layer``,
+``layers``, ``meta`` or ``equivalence_sha256`` loads to the same layers.
 
 Parameters are float32, the dtype a CNN1 file deploys, and the served path
 (``infer_raster``/``infer_patch``) runs the 1x1 stack in float32 on the
@@ -58,6 +59,7 @@ from .dataset import NormStats
 from .errors import DimensionError, FormatError, NumericError, TransferError
 from .mlp import BN_EPS, MLPParams, forward
 from .raster import GRID, N_BANDS, WINDOW, BandStack, GeoRef, Patch, window_average
+from .sensor import PARAMETERS
 
 # The transfer certificate: the largest deviation it accepts, in physical
 # units, and the random patches it is checked on. CHECK_SEED draws the check
@@ -374,6 +376,9 @@ def verify_equivalence(
 
 _CNN1_MAGIC = b"CNN1"
 _CNN1_DTYPES = {"f32": np.dtype("<f4"), "f16": np.dtype("<f2")}
+# The JSON kind of each CNN1 manifest key ``load_cnn1`` reads.
+_CNN1_KINDS = {"window": "an integer", "channels": "a list of integers",
+               "dtype": "a string", "parameter": "a string"}
 
 
 def save_cnn1(
@@ -406,15 +411,17 @@ def _cnn1_layout(manifest: dict) -> tuple[list[tuple[int, ...]], np.dtype]:
 
 
 def load_cnn1(path: str | Path) -> tuple[ConvNet, dict]:
-    """Read a CNN1 file; a malformed one, or one whose front end averages
-    another window than ``WINDOW``, raises ``FormatError``."""
-    manifest, arrays = _container.load(path, _CNN1_MAGIC, _cnn1_layout)
+    """Read a CNN1 file; a malformed one, one whose front end averages
+    another window than ``WINDOW`` or one for a parameter outside
+    ``sensor.PARAMETERS`` raises ``FormatError``."""
+    manifest, arrays = _container.load(path, _CNN1_MAGIC, _CNN1_KINDS, _cnn1_layout)
     with _container.parsing(path):
         if manifest["window"] != WINDOW:
             raise FormatError(f"{path}: front end averages "
                               f"{manifest['window']!r} px windows, not {WINDOW}")
+        if manifest["parameter"] not in PARAMETERS:
+            raise ValueError(f"unknown parameter {manifest['parameter']!r}")
         layers = [ConvLayer(kernel, bias)
                   for kernel, bias in zip(arrays[0::2], arrays[1::2])]
-        net = ConvNet(layers, dtype=manifest["dtype"],
-                      parameter=manifest.get("parameter", "unknown"))
+        net = ConvNet(layers, dtype=manifest["dtype"], parameter=manifest["parameter"])
     return net, manifest

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _container
-from .errors import SchemaError
+from .errors import SchemaError, read_document
 from .raster import (GRID, N_BANDS, PATCH_SIZE, WINDOW, BandStack, GeoRef, Patch,
                      window_average)
 from .sensor import PARAMETERS, PH, TURBIDITY, SceneTruth
@@ -373,14 +373,34 @@ def split(samples: Sequence[Sample], spec: SplitSpec) -> SplitResult:
 CONSTANT_STD = 1e-12
 
 
+# The JSON kind of each key of a ``NormStats`` document.
+_NORM_KINDS = {"feature_mean": "a list of numbers", "feature_std": "a list of numbers",
+               "target_mean": "a number", "target_std": "a number"}
+
+
 @dataclass
 class NormStats:
-    """Standardization statistics computed on the train split only."""
+    """Standardization statistics computed on the train split only: a finite
+    mean and a finite std > 0 per band and for the target."""
 
     feature_mean: np.ndarray   # (N_BANDS,)
     feature_std: np.ndarray    # (N_BANDS,)
     target_mean: float
     target_std: float
+
+    def __post_init__(self):
+        self.feature_mean = np.asarray(self.feature_mean, dtype=np.float64)
+        self.feature_std = np.asarray(self.feature_std, dtype=np.float64)
+        for name in ("feature_mean", "feature_std"):
+            shape = getattr(self, name).shape
+            if shape != (N_BANDS,):
+                raise ValueError(f"normalization {name} must hold {N_BANDS} values, "
+                                 f"one per band, got shape {shape}")
+        if not (np.isfinite(self.feature_mean).all() and math.isfinite(self.target_mean)):
+            raise ValueError("normalization means must be finite")
+        if not (np.isfinite(self.feature_std).all() and (self.feature_std > 0).all()
+                and math.isfinite(self.target_std) and self.target_std > 0):
+            raise ValueError("normalization stds must be finite and > 0")
 
     def to_json(self) -> dict:
         return {
@@ -392,12 +412,8 @@ class NormStats:
 
     @classmethod
     def from_json(cls, doc: dict) -> "NormStats":
-        return cls(
-            feature_mean=np.asarray(doc["feature_mean"], dtype=np.float64),
-            feature_std=np.asarray(doc["feature_std"], dtype=np.float64),
-            target_mean=float(doc["target_mean"]),
-            target_std=float(doc["target_std"]),
-        )
+        return cls(**read_document(doc, "normalization", _NORM_KINDS,
+                                   required=_NORM_KINDS))
 
     def normalize_target(self, t):
         return (t - self.target_mean) / self.target_std
@@ -467,9 +483,9 @@ def samples_from_scene(
 # SMP1 sample store, in the ``_container`` framing. The manifest holds the
 # record count, the patch and station string tables, provenance and the
 # optional normalization stats; the payload is ``count`` packed 88-byte
-# little-endian records: 7 x f64 features, f64 target, u8 parameter code,
-# u32 patch index, u16 window row and column, u32 station index, i32 date
-# ordinal, 7 pad bytes.
+# little-endian records: 7 x f64 features, f64 target, u8 parameter code (an
+# index into ``sensor.PARAMETERS``), u32 patch index, u16 window row and
+# column, u32 station index, i32 date ordinal, 7 pad bytes.
 # ---------------------------------------------------------------------------
 
 _SMP1_MAGIC = b"SMP1"
@@ -479,8 +495,11 @@ _SMP1_RECORD = np.dtype({
     "formats": [("<f8", (7,)), "<f8", "u1", "<u4", ("<u2", (2,)), "<u4", "<i4"],
     "itemsize": 88,
 })
-_PARAM_NAMES = (TURBIDITY, PH)   # indexed by the record's parameter code
-_PARAM_CODES = {name: code for code, name in enumerate(_PARAM_NAMES)}
+_PARAM_CODES = {name: code for code, name in enumerate(PARAMETERS)}
+# The JSON kind of each SMP1 manifest key ``load_samples`` reads; a null
+# normalization is a store without stats.
+_SMP1_KINDS = {"count": "an integer", "patch_ids": "a list of strings",
+               "station_ids": "a list of strings", "normalization": None}
 
 
 def _codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -524,10 +543,10 @@ def save_samples(
 
 def load_samples(path: str | Path) -> tuple[SampleTable, NormStats | None, dict]:
     manifest, (records,) = _container.load(
-        path, _SMP1_MAGIC, lambda m: ([(m["count"],)], _SMP1_RECORD))
-    # a missing manifest list, an index past its end, an unknown parameter
-    # code, a date ordinal out of range or a non-finite value raises
-    # FormatError naming the file
+        path, _SMP1_MAGIC, _SMP1_KINDS, lambda m: ([(m["count"],)], _SMP1_RECORD))
+    # an index past the end of a manifest list, an unknown parameter code, a
+    # date ordinal out of range or a non-finite value raises FormatError
+    # naming the file
     with _container.parsing(path):
         ordinals, date = _codes(records["date"])
         patch_ids = np.array(manifest["patch_ids"], dtype=object)
@@ -535,13 +554,13 @@ def load_samples(path: str | Path) -> tuple[SampleTable, NormStats | None, dict]
         samples = SampleTable(
             features=records["features"],
             target=records["target"],
-            parameter=np.array(_PARAM_NAMES, dtype=object)[records["parameter"]],
+            parameter=np.array(PARAMETERS, dtype=object)[records["parameter"]],
             patch_id=patch_ids[records["patch"]],
             window=records["window"],
             station_id=station_ids[records["station"]],
             date=np.array([dt.date.fromordinal(int(o)) for o in ordinals],
                           dtype=object)[date],
         )
-        stats_doc = manifest.get("normalization")
-        stats = NormStats.from_json(stats_doc) if stats_doc else None
+        stats_doc = manifest["normalization"]
+        stats = None if stats_doc is None else NormStats.from_json(stats_doc)
     return samples, stats, manifest

@@ -1,5 +1,11 @@
 """Exception hierarchy for the coastwatch package, and the one reader of
-the JSON documents that steer it."""
+every JSON value it reads.
+
+``read_document`` reads the documents that steer the package (scene spec,
+training config, policy, map index), every manifest key a file loader reads
+(``_container.load`` passes it the keys its format declares; an undeclared
+key is carried as parsed), the georef and normalization objects a manifest
+holds, and each alert line."""
 
 import datetime as dt
 

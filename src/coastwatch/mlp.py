@@ -723,15 +723,18 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 _MDL1_MAGIC = b"MDL1"
-_MDL1_ORDER = ["theta", "bn_state"]
+_MDL1_ORDER = ("theta", "bn_state")
+# The JSON kind of each MDL1 manifest key ``load_mdl1`` reads.
+_MDL1_KINDS = {"layer_dims": "a list of integers", "parameter": "a string",
+               "normalization": None, "bn_stats_tracked": "a boolean",
+               "param_order": "a list of strings"}
 
 
 def _mdl1_layout(manifest: dict) -> tuple[list[tuple[int, ...]], str]:
     """Two f64 vectors: ``theta``, then ``bn_state``."""
     if manifest["param_order"] != _MDL1_ORDER:
         raise ValueError(f"param_order is not {_MDL1_ORDER}: another MDL1 layout")
-    dims = tuple(int(d) for d in manifest["layer_dims"])
-    return [(size,) for size in _vector_sizes(dims)], "<f8"
+    return [(size,) for size in _vector_sizes(manifest["layer_dims"])], "<f8"
 
 
 def save_mdl1(
@@ -770,11 +773,12 @@ def load_mdl1(path: str | Path) -> tuple[MLPParams, NormStats, dict]:
     """Read an MDL1 file; the model's vectors are views of the one payload
     buffer. A malformed file, one for an unknown parameter or one whose values
     ``MLPParams`` rejects (non-finite, running variance <= 0) raises FormatError."""
-    manifest, (theta, bn_state) = _container.load(path, _MDL1_MAGIC, _mdl1_layout)
+    manifest, (theta, bn_state) = _container.load(path, _MDL1_MAGIC, _MDL1_KINDS,
+                                                  _mdl1_layout)
     with _container.parsing(path):
         if manifest["parameter"] not in PARAMETERS:
             raise ValueError(f"unknown parameter {manifest['parameter']!r}")
         stats = NormStats.from_json(manifest["normalization"])
-        params = MLPParams(tuple(int(d) for d in manifest["layer_dims"]), theta,
-                           bn_state, bool(manifest.get("bn_stats_tracked", False)))
+        params = MLPParams(manifest["layer_dims"], theta, bn_state,
+                           manifest["bn_stats_tracked"])
     return params, stats, manifest

@@ -49,7 +49,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import _container
-from .errors import DimensionError, InconsistencyError, NonFiniteError
+from .errors import DimensionError, InconsistencyError, NonFiniteError, read_document
 
 PATCH_SIZE = 256        # px per patch side; 1216 m at 4.75 m/px
 WINDOW = 10             # averaging window of the inference front end
@@ -62,6 +62,12 @@ REFLECTANCE_MAX = 1.2   # ToA overshoot tolerated before a value is flagged
 _EARTH_RADIUS_M = 6_371_000.0
 _PAT1_MAGIC = b"PAT1"
 _PAT1_DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
+# The JSON kind of each PAT1 manifest key ``read_pat1`` reads, and of each
+# key of a georef document.
+_PAT1_KINDS = {"width": "an integer", "height": "an integer", "bands": "an integer",
+               "gsd": "a number", "dtype": "a string", "band_ids": "a list of strings"}
+_GEOREF_KINDS = {"center_lat": "a number", "center_lon": "a number",
+                 "acquisition_date": "a date"}
 
 
 def meters_per_degree(lat: float) -> tuple[float, float]:
@@ -108,11 +114,7 @@ class GeoRef:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GeoRef":
-        return cls(
-            center_lat=float(doc["center_lat"]),
-            center_lon=float(doc["center_lon"]),
-            acquisition_date=dt.date.fromisoformat(doc["acquisition_date"]),
-        )
+        return cls(**read_document(doc, "georef", _GEOREF_KINDS, required=_GEOREF_KINDS))
 
 
 @dataclass
@@ -477,12 +479,12 @@ def read_pat1(path: str | Path) -> tuple[BandStack, dict]:
     The data is read straight from the file into the returned (writable)
     array.
     """
-    manifest, (data,) = _container.load(path, _PAT1_MAGIC, _pat1_layout)
+    manifest, (data,) = _container.load(path, _PAT1_MAGIC, _PAT1_KINDS, _pat1_layout)
     with _container.parsing(path):
-        stack = BandStack(data, float(manifest["gsd"]), manifest["band_ids"])
+        stack = BandStack(data, manifest["gsd"], manifest["band_ids"])
     return stack, manifest
 
 
 def sidecar_georef(sidecar: dict) -> GeoRef | None:
-    doc = sidecar.get("georef")
-    return GeoRef.from_json(doc) if doc else None
+    """The georef a PAT1 manifest records, or None when it records none."""
+    return GeoRef.from_json(sidecar["georef"]) if "georef" in sidecar else None

@@ -65,6 +65,7 @@ from .raster import (
 
 TURBIDITY = "turbidity_NTU"
 PH = "pH"
+# in the order of SMP1's parameter codes: a record's code is its index here
 PARAMETERS = (TURBIDITY, PH)
 
 # Nominal exo-atmospheric solar irradiance at the band centers, W m-2 um-1,
@@ -284,6 +285,14 @@ def _interp_block(out, source, rows, cols, scratch) -> None:
     out += v
 
 
+def resampled_shape(height: int, width: int, gsd: float,
+                    target_gsd: float) -> tuple[int, int]:
+    """The (height, width) ``resample`` gives a raster of ``gsd`` at
+    ``target_gsd``: the grid nodes that fit in the raster's node extent."""
+    ratio = target_gsd / gsd
+    return tuple(int(math.floor((n - 1) / ratio)) + 1 for n in (height, width))
+
+
 def resample(raster: BandStack, target_gsd: float) -> BandStack:
     """Bilinear resampling onto a grid of pitch ``target_gsd``.
 
@@ -300,8 +309,7 @@ def resample(raster: BandStack, target_gsd: float) -> BandStack:
     if target_gsd == raster.gsd:
         return BandStack.from_array(raster.data.copy(), raster.gsd, raster.band_ids)
     ratio = target_gsd / raster.gsd
-    out_h = int(math.floor((raster.height - 1) / ratio)) + 1
-    out_w = int(math.floor((raster.width - 1) / ratio)) + 1
+    out_h, out_w = resampled_shape(raster.height, raster.width, raster.gsd, target_gsd)
     rows = _interp_weights(np.arange(out_h) * ratio, raster.height)
     cols = _interp_weights(np.arange(out_w) * ratio, raster.width)
     data = np.empty((raster.bands, out_h, out_w))

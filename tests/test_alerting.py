@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from json_kinds import another_kind
 
 from coastwatch import alerting, cli, convnet, mlp, raster
 from coastwatch.convnet import ConvLayer, ConvNet, infer_patch, save_cnn1
@@ -414,3 +415,39 @@ def test_any_alert_fits_and_round_trips_in_the_pinned_key_order(msg):
     assert b"\n" not in line
     assert list(json.loads(line)) == ALERT_KEYS
     assert alerting.parse_alert(line) == msg
+
+
+# the JSON kind of each field of an alert line, in its wire order
+ALERT_KINDS = dict(zip(ALERT_KEYS, [
+    "a string", "a number", "a number", "a date", "a string", "a string",
+    "an integer", "a number", "an integer", "a number", "a number", "a number",
+    "a string"]))
+
+
+def test_the_alert_kinds_are_the_message_fields_in_wire_order():
+    assert list(alerting._ALERT_KINDS) == ALERT_KEYS == [
+        f.name for f in dataclasses.fields(alerting.AlertMessage)]
+
+
+@pytest.mark.parametrize("field", ALERT_KEYS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_an_alert_field_of_another_json_kind_is_a_schema_error(field, data):
+    """Any field of a well-formed line set to a value of another JSON kind
+    is refused as a SchemaError: the line never parses, and nothing else is
+    raised."""
+    doc = json.loads(alerting.serialize_alert(_message("scene")))
+    doc[field] = data.draw(another_kind(ALERT_KINDS[field]), label="value")
+    with pytest.raises(SchemaError, match=f"^alert {field} must be "):
+        alerting.parse_alert(json.dumps(doc))
+
+
+@pytest.mark.parametrize("edit, says", [
+    (lambda doc: doc.pop("policy_id"), "alert lacks keys: policy_id"),
+    (lambda doc: doc.update(cells=[1, 0]), "unknown alert keys: cells"),
+], ids=["missing_field", "raster_field"])
+def test_an_alert_line_off_its_fields_is_a_schema_error(edit, says):
+    doc = json.loads(alerting.serialize_alert(_message("scene")))
+    edit(doc)
+    with pytest.raises(SchemaError, match=f"^{says}$"):
+        alerting.parse_alert(json.dumps(doc))

@@ -213,7 +213,7 @@ def smp1_pointing_past_its_patch_list() -> bytes:
     record[0] = ([0.1] * 7, 1.0, 0, 1, (0, 0), 0, 739000)
     buffer = io.BytesIO()
     _container.write(buffer, b"SMP1", {"count": 1, "patch_ids": ["p0"],
-                                       "station_ids": ["s"]},
+                                       "station_ids": ["s"], "normalization": None},
                      [record], dataset._SMP1_RECORD)
     return buffer.getvalue()
 
@@ -266,30 +266,36 @@ def alert_maps(placements=([0, 0],), **index) -> dict:
     return {"maps/index.json": json.dumps(doc).encode(), **files, "policy.json": POLICY}
 
 
+STATS = dataset.NormStats(np.full(7, 0.2), np.full(7, 0.05), 5.0, 2.0)
+
+
 def cnn1() -> bytes:
     """A small valid CNN1 network."""
     params = mlp.init_mlp((7, 8, 1))
     params.bn_stats_tracked = True
-    stats = dataset.NormStats(np.full(7, 0.2), np.full(7, 0.05), 5.0, 2.0)
-    net = convnet.fc_to_cnn(params, stats, sensor.TURBIDITY)
+    net = convnet.fc_to_cnn(params, STATS, sensor.TURBIDITY)
     with tempfile.TemporaryDirectory() as d:
         return convnet.save_cnn1(Path(d) / "net.cnn1", net).read_bytes()
 
 
-def mdl1_for(parameter: str | None) -> bytes:
-    """A small MDL1 model whose manifest names ``parameter``, or no
-    parameter for None."""
-    params = mlp.init_mlp((7, 8, 1))
-    stats = dataset.NormStats(np.full(7, 0.2), np.full(7, 0.05), 5.0, 2.0)
+def edit_manifest(blob: bytes, drop=(), **fields) -> bytes:
+    """The file ``blob`` in the ``_container`` framing with the manifest keys
+    of ``drop`` removed and ``fields`` set, its payload unchanged."""
+    length = int.from_bytes(blob[4:8], "little")
+    manifest = json.loads(blob[8 : 8 + length])
+    for key in drop:
+        del manifest[key]
+    mbytes = json.dumps({**manifest, **fields}).encode()
+    return blob[:4] + len(mbytes).to_bytes(4, "little") + mbytes + blob[8 + length :]
+
+
+def mdl1(dims=(7, 8, 1)) -> bytes:
+    """A small MDL1 turbidity model that transfers."""
+    params = mlp.init_mlp(dims)
+    params.bn_stats_tracked = True
     with tempfile.TemporaryDirectory() as d:
-        path = mlp.save_mdl1(Path(d) / "m.mdl1", params, stats, sensor.TURBIDITY)
-        manifest, arrays = _container.load(path, b"MDL1", mlp._mdl1_layout)
-    del manifest["parameter"]
-    if parameter is not None:
-        manifest["parameter"] = parameter
-    buffer = io.BytesIO()
-    _container.write(buffer, b"MDL1", manifest, arrays, "<f8")
-    return buffer.getvalue()
+        return mlp.save_mdl1(Path(d) / "m.mdl1", params, STATS,
+                             sensor.TURBIDITY).read_bytes()
 
 
 def cnn1_of_two_outputs() -> bytes:
@@ -305,6 +311,8 @@ def cnn1_of_two_outputs() -> bytes:
 
 TRAIN = ["train", "--samples", "s.smp1", "--parameter", "turbidity", "--out", "m.mdl1"]
 SIMULATE = ["simulate", "--spec", "spec.json", "--out", "sim"]
+TRANSFER = ["transfer", "--model", "m.mdl1", "--out", "net.cnn1"]
+INFER = ["infer", "--net", "net.cnn1", "--scene", "scene.pat1", "--out", "maps"]
 # a small scene with a well-conditioned mixing, for rows that break one entry
 MIXING_SPEC = json.dumps({"width": 256, "height": 256, "mixing": {
     "offsets": [0.05] * 7, "matrix": [[0.1, 0.2]] + [[0.2, 0.1]] * 6}}).encode()
@@ -403,7 +411,7 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
      ["alert", "--maps", "maps", "--policy", "policy.json", "--out", "a.jsonl"],
      "map index maps/index.json maps must be a list of strings"),
     (alert_maps(placements=[[0]]), ALERT,
-     "maps/map0.pat1: placement must be an integer [row, col] pair, got [0]"),
+     "maps/map0.pat1: placement must be an integer [row, col] pair, got (0,)"),
     (alert_maps(placements=[[9999, 0]]), ALERT,
      "placements [[9999, 0]] are no permutation of the 1 cells"),
     (alert_maps(placements=[[-256, 0]]), ALERT,
@@ -422,9 +430,9 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
      "placements [[0, 256], [0, 256]] are no permutation of the 2 cells"),
     ({"maps/index.json": MAP_INDEX, "maps/map.pat1": pat1(MAP, georef=GEOREF),
       "policy.json": POLICY},
-     ALERT, "maps/map.pat1: placement must be an integer [row, col] pair, got None"),
+     ALERT, "map maps/map.pat1 extra lacks keys: placement"),
     (alert_maps(placements=[[0, 2.5]]), ALERT,
-     "maps/map0.pat1: placement must be an integer [row, col] pair, got [0, 2.5]"),
+     "map maps/map0.pat1 extra placement must be a list of integers, got [0, 2.5]"),
     ({"policy.json": b'{"parameter": "turbidity_NTU", "upper_bound": NaN}'},
      ALERT, "upper_bound must be finite, got nan"),
     ({"policy.json": json.dumps({"parameter": sensor.TURBIDITY, "upper_bound": 10,
@@ -496,14 +504,14 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
     ({"net.cnn1": cnn1(),
       "scene.pat1": pat1(SCENE, georef=raw_georef(acquisition_date="June"))},
      ["infer", "--net", "net.cnn1", "--scene", "scene.pat1", "--out", "maps"],
-     "scene.pat1: Invalid isoformat string: 'June'"),
+     "scene.pat1: georef acquisition_date must be a date, got 'June'"),
     ({"r.csv": ",".join(dataset.CSV_COLUMNS).encode() + b"\n",
       "chips/chip_000_000.pat1": pat1(SCENE, georef=raw_georef(center_lat=95))},
      ["build-dataset", "--records", "r.csv", "--patches", "chips", "--out", "s.smp1"],
      "chip_000_000.pat1: latitude 95.0 outside [-90, 90]"),
     ({**alert_maps(), "maps/map0.pat1": pat1(MAP, georef=raw_georef(center_lon="x"),
                                               extra={"placement": [0, 0]})},
-     ALERT, "map0.pat1: could not convert string to float: 'x'"),
+     ALERT, "map0.pat1: georef center_lon must be a number, got 'x'"),
     ({"spec.json": b'{"degrade": {"snr": NaN}}'},
      ["simulate", "--spec", "spec.json", "--out", "sim"],
      "snr must be positive (use inf for noiseless)"),
@@ -514,12 +522,12 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
                    b'[0, 0], [0, 0], [0, 0]]}}'},
      ["simulate", "--spec", "spec.json", "--out", "sim"],
      "misalignment (nan, 1.0) m is not within the 10.0 m registration bound"),
-    ({"m.mdl1": mdl1_for("chlorophyll")},
+    ({"m.mdl1": edit_manifest(mdl1(), parameter="chlorophyll")},
      ["transfer", "--model", "m.mdl1", "--out", "net.cnn1"],
      "m.mdl1: unknown parameter 'chlorophyll'"),
-    ({"m.mdl1": mdl1_for(None)},
+    ({"m.mdl1": edit_manifest(mdl1(), drop=("parameter",))},
      ["transfer", "--model", "m.mdl1", "--out", "net.cnn1"],
-     "m.mdl1: manifest lacks field 'parameter'"),
+     "m.mdl1: MDL1 manifest lacks keys: parameter"),
     ({"train.json": b'{"learning_rate": NaN}'}, [*TRAIN, "--config", "train.json"],
      "learning_rate must be finite and >= 0"),
     ({"train.json": b'{"early_stop_val_rmse": NaN}'}, [*TRAIN, "--config", "train.json"],
@@ -543,6 +551,38 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
      SIMULATE, "misalignment must hold 7 entries, one per band, got 8"),
     ({"spec.json": json.dumps({"mixing": {"offsets": [0.05] * 7}}).encode()}, SIMULATE,
      "scene spec mixing lacks keys: matrix"),
+    ({"net.cnn1": cnn1(), "scene.pat1": edit_manifest(pat1(SCENE, georef=GEOREF),
+                                                      gsd=True)},
+     INFER, "scene.pat1: PAT1 manifest gsd must be a number, got True"),
+    ({"r.csv": ",".join(dataset.CSV_COLUMNS).encode() + b"\n",
+      "chips/chip_000_000.pat1": edit_manifest(pat1(SCENE, georef=GEOREF),
+                                               band_ids="ABCDEFG")},
+     ["build-dataset", "--records", "r.csv", "--patches", "chips", "--out", "s.smp1"],
+     "chip_000_000.pat1: PAT1 manifest band_ids must be a list of strings, "
+     "got 'ABCDEFG'"),
+    ({"m.mdl1": edit_manifest(mdl1(), bn_stats_tracked="no")}, TRANSFER,
+     "m.mdl1: MDL1 manifest bn_stats_tracked must be a boolean, got 'no'"),
+    ({"m.mdl1": edit_manifest(mdl1((7, 4, 1)), layer_dims=[7, 4.9, 1])}, TRANSFER,
+     "m.mdl1: MDL1 manifest layer_dims must be a list of integers, got [7, 4.9, 1]"),
+    ({"m.mdl1": edit_manifest(mdl1(), normalization={**STATS.to_json(),
+                                                     "target_std": -2.0})},
+     TRANSFER, "m.mdl1: normalization stds must be finite and > 0"),
+    ({"m.mdl1": edit_manifest(mdl1(), normalization={**STATS.to_json(),
+                                                     "feature_mean": [0.2] * 3})},
+     TRANSFER, "m.mdl1: normalization feature_mean must hold 7 values, one per "
+     "band, got shape (3,)"),
+    ({"net.cnn1": edit_manifest(cnn1(), parameter="chlorophyll"),
+      "scene.pat1": pat1(SCENE, georef=GEOREF)},
+     INFER, "net.cnn1: unknown parameter 'chlorophyll'"),
+    ({"net.cnn1": edit_manifest(cnn1(), parameter=5),
+      "scene.pat1": pat1(SCENE, georef=GEOREF)},
+     INFER, "net.cnn1: CNN1 manifest parameter must be a string, got 5"),
+    ({"spec.json": b'{"width": 100, "height": 100}'}, SIMULATE,
+     "scene 100x100 at 4.75 m is 100x100 at the 4.75 m product pitch, smaller "
+     "than one 256 px patch"),
+    ({"spec.json": b'{"width": 1, "height": 1, "gsd": 10}'}, SIMULATE,
+     "scene 1x1 at 10 m is 1x1 at the 4.75 m product pitch, smaller than one "
+     "256 px patch"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "simulate_bad_degrade",
@@ -580,7 +620,12 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
         "train_negative_seed", "simulate_negative_seed", "simulate_nan_mixing_matrix",
         "simulate_nan_mixing_offset", "simulate_infinite_mixing_offset",
         "simulate_singular_mixing", "simulate_three_snr_entries",
-        "simulate_eight_misalignments", "simulate_mixing_without_matrix"])
+        "simulate_eight_misalignments", "simulate_mixing_without_matrix",
+        "infer_scene_boolean_gsd", "build_dataset_chip_band_ids_string",
+        "transfer_bn_stats_tracked_string", "transfer_fractional_layer_dim",
+        "transfer_negative_target_std", "transfer_three_feature_means",
+        "infer_cnn1_for_chlorophyll", "infer_cnn1_numeric_parameter",
+        "simulate_scene_smaller_than_a_patch", "simulate_one_pixel_scene_at_10_m"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)

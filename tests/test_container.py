@@ -2,12 +2,18 @@
 
 import datetime as dt
 import json
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from json_kinds import another_kind
 
-from coastwatch import dataset
+from coastwatch import cli, convnet, dataset, mlp, raster
 from coastwatch.convnet import fc_to_cnn, load_cnn1, save_cnn1
 from coastwatch.dataset import NormStats, Sample, as_table, load_samples, save_samples
 from coastwatch.errors import FormatError
@@ -106,7 +112,7 @@ def test_manifest_without_a_field_raises_format_error(tmp_path, fmt, field):
     path = tmp_path / "model.bin"
     write(path)
     path.write_bytes(_edit_manifest(path.read_bytes(), field))
-    with pytest.raises(FormatError, match=f"{path}: manifest lacks field '{field}'"):
+    with pytest.raises(FormatError, match=f"{path}: {fmt} manifest lacks keys: {field}$"):
         load(path)
 
 
@@ -238,3 +244,76 @@ def test_mdl1_of_a_net_without_hidden_layers_keeps_its_layout(tmp_path):
     assert back.layer_dims == (7, 1) and back.bn_state.size == 0
     assert back.weights[0].tobytes() == params.weights[0].tobytes()
     assert back.bias.tobytes() == params.bias.tobytes()
+
+
+# Every manifest key a loader reads, the georef a PAT1 manifest holds and the
+# normalization an SMP1 or MDL1 manifest holds, key by key, with the JSON
+# kind of its value.
+GEOREF_KEYS = [(("georef",), "an object"), (("georef", "center_lat"), "a number"),
+               (("georef", "center_lon"), "a number"),
+               (("georef", "acquisition_date"), "a date")]
+NORMALIZATION_KEYS = [
+    (("normalization", "feature_mean"), "a list of numbers"),
+    (("normalization", "feature_std"), "a list of numbers"),
+    (("normalization", "target_mean"), "a number"),
+    (("normalization", "target_std"), "a number")]
+DECLARED = {
+    "PAT1": [(("width",), "an integer"), (("height",), "an integer"),
+             (("bands",), "an integer"), (("gsd",), "a number"),
+             (("dtype",), "a string"), (("band_ids",), "a list of strings"),
+             *GEOREF_KEYS],
+    "SMP1": [(("count",), "an integer"), (("patch_ids",), "a list of strings"),
+             (("station_ids",), "a list of strings"),
+             (("normalization",), "an object or null"), *NORMALIZATION_KEYS],
+    "MDL1": [(("layer_dims",), "a list of integers"), (("parameter",), "a string"),
+             (("normalization",), "an object"), (("bn_stats_tracked",), "a boolean"),
+             (("param_order",), "a list of strings"), *NORMALIZATION_KEYS],
+    "CNN1": [(("window",), "an integer"), (("channels",), "a list of integers"),
+             (("dtype",), "a string"), (("parameter",), "a string")],
+}
+# format -> (writer of a file that sets every key above, the CLI's reader)
+AS_THE_CLI_READS = {
+    "PAT1": (FORMATS["PAT1"][0], lambda p: cli._georef(p, read_pat1(p)[1])),
+    "SMP1": (lambda p: save_samples(p, _samples(), _model()[1]), load_samples),
+    "MDL1": FORMATS["MDL1"],
+    "CNN1": FORMATS["CNN1"],
+}
+
+
+def test_the_declared_keys_are_every_key_the_loaders_read():
+    tables = {"PAT1": raster._PAT1_KINDS, "SMP1": dataset._SMP1_KINDS,
+              "MDL1": mlp._MDL1_KINDS, "CNN1": convnet._CNN1_KINDS}
+    for fmt, table in tables.items():
+        top = [path[0] for path, _ in DECLARED[fmt] if len(path) == 1]
+        assert top == list(table) + (["georef"] if fmt == "PAT1" else [])
+    assert [path[1] for path, _ in GEOREF_KEYS[1:]] == list(raster._GEOREF_KINDS)
+    assert [path[1] for path, _ in NORMALIZATION_KEYS] == list(dataset._NORM_KINDS)
+
+
+def _set(manifest: dict, path: tuple, value) -> None:
+    for key in path[:-1]:
+        manifest = manifest[key]
+    manifest[path[-1]] = value
+
+
+@pytest.mark.parametrize("fmt, key, kind", [
+    (fmt, key, kind) for fmt, keys in DECLARED.items() for key, kind in keys],
+    ids=lambda x: ".".join(x) if isinstance(x, tuple) else x.replace(" ", "_"))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_manifest_value_of_another_json_kind_is_refused_naming_the_file(
+        fmt, key, kind, data):
+    """Any declared key, or any key of the georef or normalization object,
+    set to a value of another JSON kind: reading the file the way the CLI
+    does raises FormatError naming it, never loads, never raises otherwise."""
+    value = data.draw(another_kind(kind), label="value")
+    write, read = AS_THE_CLI_READS[fmt]
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "file.bin"
+        write(path)
+        read(path)  # the file as written loads
+        manifest, payload = _split(path.read_bytes())
+        _set(manifest, key, value)
+        path.write_bytes(_join(fmt.encode(), manifest, payload))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
+            read(path)

@@ -355,7 +355,7 @@ def test_cnn1_round_trips_any_network_bit_for_bit(fp16, data):
         path = Path(d) / "net.cnn1"
         path.write_bytes(blob)
         back, manifest = load_cnn1(path)
-        assert manifest["channels"] == list(net.channels) == list(back.channels)
+        assert manifest["channels"] == net.channels == back.channels
         assert (back.dtype, back.parameter) == (net.dtype, net.parameter)
         for a, b in zip(net.layers, back.layers, strict=True):
             assert b.kernel.tobytes() == a.kernel.tobytes()

@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 import math
 import os
 import tempfile
@@ -525,6 +526,35 @@ class TestSampleTable:
                       for s in p) == [f"S{i}" for i in range(4)]
 
 
+GOOD_STATS = dict(feature_mean=np.full(7, 0.2), feature_std=np.full(7, 0.05),
+                  target_mean=5.0, target_std=2.0)
+
+
+@pytest.mark.parametrize("field, value, says", [
+    ("feature_mean", np.full(3, 0.2), "feature_mean must hold 7 values"),
+    ("feature_std", np.full(8, 0.05), "feature_std must hold 7 values"),
+    ("feature_mean", np.full((7, 1), 0.2), "feature_mean must hold 7 values"),
+    ("feature_mean", np.r_[np.nan, np.full(6, 0.2)], "means must be finite"),
+    ("target_mean", math.inf, "means must be finite"),
+    ("feature_std", np.r_[np.full(6, 0.05), 0.0], "stds must be finite and > 0"),
+    ("feature_std", np.r_[np.full(6, 0.05), np.inf], "stds must be finite and > 0"),
+    ("target_std", -2.0, "stds must be finite and > 0"),
+    ("target_std", 0.0, "stds must be finite and > 0"),
+    ("target_std", math.nan, "stds must be finite and > 0"),
+])
+def test_norm_stats_hold_a_finite_mean_and_positive_std_per_band_and_target(
+        field, value, says):
+    with pytest.raises(ValueError, match=f"normalization {says}"):
+        NormStats(**{**GOOD_STATS, field: value})
+
+
+def test_norm_stats_read_from_json_are_the_stats_written():
+    stats = NormStats(**GOOD_STATS)
+    back = NormStats.from_json(json.loads(json.dumps(stats.to_json())))
+    assert back.to_json() == stats.to_json()
+    assert back.feature_mean.dtype == back.feature_std.dtype == np.float64
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_normalize_over_the_columns_is_each_samples_formula(data):
@@ -715,7 +745,10 @@ class TestSampleStore:
             window=st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1)),
             station_id=st.text(max_size=6), date=st.dates()), max_size=3),
             label="samples")
-        stats = data.draw(st.none() | st.builds(NormStats, bands, bands, finite, finite),
+        # NormStats takes a finite mean and a finite std > 0 only
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        stds = hnp.arrays(np.float64, 7, elements=positive)
+        stats = data.draw(st.none() | st.builds(NormStats, bands, stds, finite, positive),
                           label="stats")
         provenance = data.draw(st.dictionaries(
             st.text(max_size=6), st.integers() | st.text(max_size=6), max_size=3),

@@ -542,7 +542,7 @@ def test_mdl1_round_trips_bit_for_bit(tmp_path):
             assert a.tobytes() == b.tobytes()
     assert back.bias.tobytes() == params.bias.tobytes()
     assert back.layer_dims == params.layer_dims
-    assert manifest["param_order"] == ["theta", "bn_state"]
+    assert manifest["param_order"] == ("theta", "bn_state")
     assert back.bn_stats_tracked
     assert back_stats.feature_mean.tobytes() == stats.feature_mean.tobytes()
     assert back_stats.feature_std.tobytes() == stats.feature_std.tobytes()

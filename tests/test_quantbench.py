@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coastwatch import quantbench
-from coastwatch.convnet import ConvLayer, ConvNet
+from coastwatch.convnet import ConvLayer, ConvNet, infer_patch
 from coastwatch.errors import NumericError
 from coastwatch.quantbench import (
     BENCH_REPS,
@@ -48,6 +48,24 @@ def test_the_fp16_gate_accepts_a_deviation_equal_to_its_threshold(monkeypatch):
     assert compare_quantized(net, net16, patches).passed
     monkeypatch.setattr(quantbench, "FP16_THRESHOLD", float(np.nextafter(measured, 0.0)))
     assert not compare_quantized(net, net16, patches).passed
+
+
+def test_a_deviation_fp16_rounding_makes_is_each_cells_served_deviation():
+    """On a net whose binary16 rounding moves the maps, the report's maximum
+    and mean are those of |infer_patch(net32) - infer_patch(net16)| over
+    every cell of every patch, and a lazy source is counted as it is read."""
+    net = net_of((7, 16, 1), seed=3)
+    net16 = quantize_fp16(net)
+    report = compare_quantized(net, net16, random_patches(3, seed=5))
+    dev = np.concatenate([
+        np.abs(np.subtract(infer_patch(net, p).values, infer_patch(net16, p).values,
+                           dtype=np.float64)).ravel()
+        for p in random_patches(3, seed=5)])
+    assert report.patches_tested == 3
+    assert dev.size == 3 * 25 * 25 and dev.max() > 0.0
+    assert report.max_map_deviation == dev.max()
+    assert report.mean_map_deviation == pytest.approx(dev.mean(), rel=1e-12)
+    assert report.passed == (dev.max() <= FP16_THRESHOLD)
 
 
 def test_an_empty_patch_list_is_refused():
