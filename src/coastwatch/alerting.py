@@ -31,7 +31,6 @@ import datetime as dt
 import json
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -40,7 +39,7 @@ from .convnet import ContaminantMap, ConvNet, infer_kept
 from .errors import DimensionError, InconsistencyError, SchemaError, read_document
 from .raster import (WINDOW, BandStack, GeoRef, TileIndex, TileResult, mosaic, tile_scene,
                      window_fraction)
-from .sensor import MaskSet, PARAMETERS, PH, TURBIDITY
+from .sensor import PH, TURBIDITY, MaskSet, check_parameter
 
 MAX_ALERT_BYTES = 512
 MAX_SCENE_ID_BYTES = 64  # counted as serialized, JSON-escaped
@@ -71,8 +70,7 @@ class ThresholdPolicy:
     cloud_invalid_fraction: ClassVar[float] = CLOUD_INVALID_FRACTION
 
     def __post_init__(self):
-        if self.parameter not in PARAMETERS:
-            raise SchemaError(f"unknown parameter {self.parameter!r}")
+        check_parameter(self.parameter)
         if self.lower_bound is None and self.upper_bound is None:
             raise SchemaError("policy needs at least one bound")
         for name in ("lower_bound", "upper_bound"):
@@ -99,10 +97,6 @@ class ThresholdPolicy:
     @classmethod
     def from_json(cls, doc: dict) -> "ThresholdPolicy":
         return cls(**read_document(doc, "policy", _POLICY_KINDS, required=("parameter",)))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ThresholdPolicy":
-        return cls.from_json(json.loads(Path(path).read_text()))
 
 
 @dataclass
@@ -172,6 +166,7 @@ class AlertMessage:
     timestamp: str                # ISO-8601 UTC, second resolution
 
     def __post_init__(self):
+        check_parameter(self.parameter)
         # serialize_alert escapes each non-ASCII character to 6 or 12 bytes
         size = len(json.dumps(self.scene_id)) - 2
         if size > MAX_SCENE_ID_BYTES:

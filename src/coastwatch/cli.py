@@ -19,10 +19,12 @@ patches without ``--patches``. ``quantize`` writes its network and report
 either way, then exits 1 when the fp16 gate fails. Each binary format is
 described in the module that writes it; all four share the ``_container``
 framing, whose ``load`` checks every manifest key a loader reads with
-``errors.read_document`` and carries any undeclared key as parsed. So every
-JSON value a command reads (a document, a manifest key, the georef and
-normalization objects a manifest holds) is read by its declared kind; only
-the in-situ CSV is parsed by hand.
+``errors.read_document`` and carries any undeclared key as parsed. One
+function, ``_read_json``, reads every JSON document file (spec, train config,
+policy, map index) as UTF-8, and a file it cannot decode or parse is invalid
+input named in the message. So every JSON value a command reads is read by
+its declared kind; only the in-situ CSV, UTF-8 too, is parsed by hand. Every
+document a command writes, its two reports included, is ``_write_json``'s.
 
 ``infer`` and ``alert`` are the library's scene path split at the map
 files: ``infer`` runs ``alerting.infer_scene`` and writes its maps and their
@@ -65,6 +67,19 @@ def _parameter(name: str) -> str:
         raise CoastwatchError(f"unknown parameter {name!r}") from None
 
 
+def _read_json(path) -> object:
+    """The JSON value of the document file at ``path``, decoded as UTF-8; a
+    file that is no UTF-8 JSON is a ``SchemaError`` that names it."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise SchemaError(f"{path}: not a UTF-8 JSON document ({exc})") from None
+
+
+def _write_json(path, doc: dict) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2))
+
+
 def _georef(path: Path, manifest: dict) -> raster.GeoRef:
     with _container.parsing(path):
         georef = raster.sidecar_georef(manifest)
@@ -92,7 +107,7 @@ def _load_patches(directory: Path) -> list[raster.Patch]:
 def cmd_simulate(args) -> int:
     if not args.seed >= 0:
         raise CoastwatchError(f"--seed must be >= 0, got {args.seed}")
-    spec_doc = json.loads(Path(args.spec).read_text())
+    spec_doc = _read_json(args.spec)
     spec = sensor.SceneSpec.from_json(spec_doc)
     ctx = sensor.SolarContext.from_json(spec_doc.get("solar", {}))
     cfg = sensor.DegradeConfig.from_json(spec_doc.get("degrade", {}))
@@ -139,7 +154,7 @@ def cmd_simulate(args) -> int:
         **truth_doc,
         "seed": args.seed,
     }
-    (out / "truth.json").write_text(json.dumps(manifest, indent=2))
+    _write_json(out / "truth.json", manifest)
     print(f"simulate: {len(tiles.patches)} chips -> {chips_dir} "
           f"(margins {tiles.margin_rows}x{tiles.margin_cols} px)")
     return 0
@@ -174,8 +189,7 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_train(args) -> int:
-    doc = json.loads(Path(args.config).read_text()) if args.config else {}
-    config = mlp.TrainConfig.from_json(doc)
+    config = mlp.TrainConfig.from_json(_read_json(args.config) if args.config else {})
     samples, _, _ = dataset.load_samples(args.samples)
     parameter = _parameter(args.parameter)
     samples = samples.take(samples.parameter == parameter)
@@ -212,9 +226,7 @@ def cmd_train(args) -> int:
         "seed": config.seed, "dropout_p": config.dropout_p,
     }
     mlp.save_mdl1(args.out, params, stats, parameter, training_meta)
-    Path(args.out).with_suffix(".history.json").write_text(
-        json.dumps(history, indent=2)
-    )
+    _write_json(Path(args.out).with_suffix(".history.json"), history)
     print(f"train: {parameter} {history['epochs_run']} epochs, "
           f"val RMSE {val_report.rmse:.4f} MAE {val_report.mae:.4f}, "
           f"test RMSE {test_report.rmse:.4f} MAE {test_report.mae:.4f} -> {args.out}")
@@ -272,7 +284,7 @@ def cmd_infer(args) -> int:
         "gsd": tiles.index.gsd,
         "maps": [f"map_{p.patch_id}.pat1" for p in tiles.patches],
     }
-    (out / "index.json").write_text(json.dumps(index_doc, indent=2))
+    _write_json(out / "index.json", index_doc)
     invalid = sum(int(np.isnan(g).sum()) for g in grids)
     print(f"infer: {len(tiles.patches)} maps + mosaic "
           f"{mosaic.height}x{mosaic.width} -> {out}, {invalid:,} of "
@@ -296,11 +308,6 @@ _MAP_INDEX_KINDS = {
 }
 
 
-def _load_map_index(path: Path) -> dict:
-    return read_document(json.loads(path.read_text()), f"map index {path}",
-                         _MAP_INDEX_KINDS, required=_MAP_INDEX_KINDS)
-
-
 # the ``extra`` infer writes into each map PAT1
 _MAP_EXTRA_KINDS = {"patch_id": "a string", "placement": "a list of integers"}
 
@@ -316,9 +323,10 @@ def _placement(path: Path, manifest: dict) -> tuple[int, int]:
 
 
 def cmd_alert(args) -> int:
-    policy = alerting.ThresholdPolicy.load(args.policy)
-    maps_dir = Path(args.maps)
-    index_doc = _load_map_index(maps_dir / "index.json")
+    policy = alerting.ThresholdPolicy.from_json(_read_json(args.policy))
+    index_path = Path(args.maps) / "index.json"
+    index_doc = read_document(_read_json(index_path), f"map index {index_path}",
+                              _MAP_INDEX_KINDS, required=_MAP_INDEX_KINDS)
     if policy.parameter != index_doc["parameter"]:
         raise CoastwatchError(
             f"maps are {index_doc['parameter']!r}, policy is "
@@ -326,7 +334,7 @@ def cmd_alert(args) -> int:
         )
     maps, placements = [], []
     for name in index_doc["maps"]:
-        path = maps_dir / name
+        path = index_path.parent / name
         stack, manifest = raster.read_pat1(path)
         placements.append(_placement(path, manifest))
         maps.append(convnet.ContaminantMap(values=stack.data[0],
@@ -362,7 +370,7 @@ def cmd_quantize(args) -> int:
     sizes = {"model_bytes_fp32": Path(args.net).stat().st_size,
              "model_bytes_fp16": Path(args.out).stat().st_size}
     if args.report:
-        quantbench.write_report(args.report, {**sizes, **report.to_json()})
+        _write_json(args.report, {**sizes, **report.to_json()})
     status = "ok" if report.passed else "DEVIATION ABOVE THRESHOLD"
     print(f"quantize: {sizes['model_bytes_fp32']} -> {sizes['model_bytes_fp16']} "
           f"bytes, max map deviation {report.max_map_deviation:.3e} ({status}) "
@@ -379,7 +387,7 @@ def cmd_bench(args) -> int:
                                              seed=convnet.CHECK_SEED))
     report = quantbench.bench(net, patches)
     if args.report:
-        quantbench.write_report(args.report, report.to_json())
+        _write_json(args.report, report.to_json())
     print(f"bench: median {report.ms_per_inference:.1f} ms/inference "
           f"(p95 {report.ms_p95:.1f} ms, {report.fps:.1f} FPS) on "
           f"{report.hardware_descriptor}; mission reference "
@@ -461,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (CoastwatchError, OSError, json.JSONDecodeError) as exc:
+    except (CoastwatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

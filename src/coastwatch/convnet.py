@@ -59,7 +59,7 @@ from .dataset import NormStats
 from .errors import DimensionError, FormatError, NumericError, TransferError
 from .mlp import BN_EPS, MLPParams, forward
 from .raster import GRID, N_BANDS, WINDOW, BandStack, GeoRef, Patch, window_average
-from .sensor import PARAMETERS
+from .sensor import check_parameter
 
 # The transfer certificate: the largest deviation it accepts, in physical
 # units, and the random patches it is checked on. CHECK_SEED draws the check
@@ -100,12 +100,13 @@ class ConvNet:
     the same for every network: depthwise, kernel ``WINDOW x WINDOW``,
     stride ``WINDOW``, every weight exactly ``1 / WINDOW**2``, bias 0,
     untrainable. No layer after it changes the spatial dimensions. Every
-    layer but the last applies ReLU, and the last emits the one map.
+    layer but the last applies ReLU, and the last emits the one map, of
+    ``parameter``, one of ``sensor.PARAMETERS``.
     """
 
     layers: list[ConvLayer]
+    parameter: str
     dtype: str = "f32"
-    parameter: str = "unknown"
 
     def __post_init__(self):
         if not self.layers:
@@ -122,6 +123,7 @@ class ConvNet:
             raise TransferError(f"the last layer emits {width} channels, not 1")
         if self.dtype not in ("f32", "f16"):
             raise ValueError(f"unknown dtype {self.dtype!r}")
+        check_parameter(self.parameter)
 
     @property
     def channels(self) -> tuple[int, ...]:
@@ -134,7 +136,7 @@ class ConvNet:
 @dataclass
 class ContaminantMap:
     """Dense ``GRID`` x ``GRID`` prediction grid for one patch, in physical
-    units.
+    units of ``parameter``, one of ``sensor.PARAMETERS``.
 
     ``values`` are held as float64, so thresholds and alert statistics come
     out the same for a map served in float32 and for one read from a map
@@ -151,6 +153,7 @@ class ContaminantMap:
             raise DimensionError(
                 f"contaminant map must be {GRID}x{GRID}, got {self.values.shape}"
             )
+        check_parameter(self.parameter)
 
 
 def fc_to_cnn(params: MLPParams, stats: NormStats, parameter: str) -> ConvNet:
@@ -412,16 +415,14 @@ def _cnn1_layout(manifest: dict) -> tuple[list[tuple[int, ...]], np.dtype]:
 
 def load_cnn1(path: str | Path) -> tuple[ConvNet, dict]:
     """Read a CNN1 file; a malformed one, one whose front end averages
-    another window than ``WINDOW`` or one for a parameter outside
-    ``sensor.PARAMETERS`` raises ``FormatError``."""
+    another window than ``WINDOW`` or one ``ConvNet`` refuses (a parameter
+    outside ``sensor.PARAMETERS``, say) raises ``FormatError``."""
     manifest, arrays = _container.load(path, _CNN1_MAGIC, _CNN1_KINDS, _cnn1_layout)
     with _container.parsing(path):
         if manifest["window"] != WINDOW:
             raise FormatError(f"{path}: front end averages "
                               f"{manifest['window']!r} px windows, not {WINDOW}")
-        if manifest["parameter"] not in PARAMETERS:
-            raise ValueError(f"unknown parameter {manifest['parameter']!r}")
         layers = [ConvLayer(kernel, bias)
                   for kernel, bias in zip(arrays[0::2], arrays[1::2])]
-        net = ConvNet(layers, dtype=manifest["dtype"], parameter=manifest["parameter"])
+        net = ConvNet(layers, manifest["parameter"], manifest["dtype"])
     return net, manifest

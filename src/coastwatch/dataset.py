@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
@@ -36,9 +37,8 @@ import numpy as np
 
 from . import _container
 from .errors import SchemaError, read_document
-from .raster import (GRID, N_BANDS, PATCH_SIZE, WINDOW, BandStack, GeoRef, Patch,
-                     window_average)
-from .sensor import PARAMETERS, PH, TURBIDITY, SceneTruth
+from .raster import GRID, N_BANDS, PATCH_SIZE, WINDOW, BandStack, Patch, window_average
+from .sensor import PARAMETERS, PH, TURBIDITY, SceneTruth, check_parameter
 
 # the station match's temporal window: +-3 days around the acquisition
 MATCH_TOLERANCE_DAYS = 3
@@ -65,8 +65,7 @@ class InSituRecord:
     lon: float
 
     def __post_init__(self):
-        if self.parameter not in PARAMETERS:
-            raise ValueError(f"unknown parameter {self.parameter!r}")
+        check_parameter(self.parameter)
         if not all(map(math.isfinite,
                        (self.value, self.depth, self.distance_from_coast))):
             raise ValueError("value, depth and distance from coast must be finite")
@@ -203,10 +202,15 @@ def ingest_records(csv_source: str | Path) -> IngestResult:
     """Parse the in-situ CSV; invalid rows are rejected with diagnostics.
 
     Duplicate (station, date, depth, parameter) rows are removed keeping the
-    first occurrence, and the count is reported.
+    first occurrence, and the count is reported. The file is read as UTF-8;
+    one that is not is a ``SchemaError`` naming it.
     """
     path = Path(csv_source)
-    with path.open(newline="") as fh:
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from None
+    with io.StringIO(text, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in CSV_COLUMNS if c not in header]
@@ -267,26 +271,6 @@ class MatchResult:
     unmatched: list[tuple[InSituRecord, str]]
 
 
-def locate_window(georef: GeoRef, gsd: float, lat: float,
-                  lon: float) -> tuple[int, int] | None:
-    """Window (row, col) of the patch at ``georef`` whose pixels are ``gsd``
-    metres that contains ``(lat, lon)``; None when the point falls outside
-    the patch footprint.
-
-    Points landing in the 6 px margin never covered by a full averaging
-    window are assigned the nearest edge window.
-    """
-    north_m, east_m = georef.latlon_offset_m(lat, lon)
-    half = PATCH_SIZE / 2 * gsd
-    if abs(north_m) > half or abs(east_m) > half:
-        return None
-    row_px = PATCH_SIZE / 2 - north_m / gsd
-    col_px = PATCH_SIZE / 2 + east_m / gsd
-    row = min(max(int(row_px // WINDOW), 0), GRID - 1)
-    col = min(max(int(col_px // WINDOW), 0), GRID - 1)
-    return row, col
-
-
 def match(
     records: list[InSituRecord],
     patch_catalog: list[Patch],
@@ -298,6 +282,10 @@ def match(
     ``MATCH_TOLERANCE_DAYS``. Distance ties are broken by nearest acquisition
     date, then by catalog order. Unmatched records are reported, not fatal.
     Output does not depend on record ordering beyond per-record results.
+
+    A matched record's sample is the window (row, col) of its patch that
+    holds it; a record in the 6 px margin no full averaging window covers
+    takes the nearest edge window.
     """
     # One pass per catalog patch over all records, each offset from
     # GeoRef.latlon_offset_m on the arrays. A patch replaces a record's best
@@ -309,26 +297,29 @@ def match(
     best_dist = np.full(len(records), np.inf)
     best_days = np.zeros(len(records), dtype=np.int64)
     best_idx = np.full(len(records), -1, dtype=np.int64)
+    # the winner's (south, east) offset of each record from its centre, in px
+    best_px = np.zeros((len(records), 2))
     for idx, patch in enumerate(patch_catalog):
-        georef = patch.georef
+        georef, gsd = patch.georef, patch.raster.gsd
         days = np.abs(georef.acquisition_date.toordinal() - ordinal)
-        north, east = map(np.abs, georef.latlon_offset_m(lat, lon))
-        half = patch.raster.width / 2 * patch.raster.gsd
-        dist = np.maximum(north, east)
-        better = ((days <= MATCH_TOLERANCE_DAYS) & (north <= half) & (east <= half)
+        north, east = georef.latlon_offset_m(lat, lon)
+        dist = np.maximum(np.abs(north), np.abs(east))
+        better = ((days <= MATCH_TOLERANCE_DAYS) & (dist <= PATCH_SIZE / 2 * gsd)
                   & ((dist < best_dist)
                      | ((dist == best_dist) & (days < best_days))))
         best_dist[better] = dist[better]
         best_days[better] = days[better]
         best_idx[better] = idx
+        best_px[better] = np.stack([-north[better], east[better]], axis=1) / gsd
 
     unmatched = [(rec, "no patch within footprint and tolerance")
                  for rec, idx in zip(records, best_idx.tolist()) if idx < 0]
     matched = best_idx[best_idx >= 0]
     hits = [(rec, patch_catalog[idx])
             for rec, idx in zip(records, best_idx.tolist()) if idx >= 0]
-    windows = np.array([locate_window(p.georef, p.raster.gsd, rec.lat, rec.lon)
-                        for rec, p in hits], dtype=np.int64).reshape(-1, 2)
+    # the window each record's pixel falls in; the margin clips to the edge
+    windows = np.clip((PATCH_SIZE / 2 + best_px[best_idx >= 0]) // WINDOW,
+                      0, GRID - 1).astype(np.int64)
     # one window-mean pass per matched patch, its rows gathered from it
     features = np.empty((len(hits), N_BANDS))
     for idx in np.unique(matched):

@@ -2,12 +2,13 @@
 every JSON value it reads.
 
 ``read_document`` reads the documents that steer the package (scene spec,
-training config, policy, map index), every manifest key a file loader reads
-(``_container.load`` passes it the keys its format declares; an undeclared
-key is carried as parsed), the georef and normalization objects a manifest
-holds, and each alert line."""
+with its degrade ``snr``, training config, policy, map index), every
+manifest key a file loader reads (``_container.load`` passes it the keys its
+format declares; an undeclared key is carried as parsed), the georef and
+normalization objects a manifest holds, and each alert line."""
 
 import datetime as dt
+import math
 
 
 class CoastwatchError(Exception):
@@ -43,11 +44,19 @@ class NonFiniteError(CoastwatchError, ValueError):
     be finite."""
 
 
-def is_json_kind(value, kind: str) -> bool:
+# The degrade document's snr: one entry or a list of entries, each a number,
+# or "inf" or null for infinity.
+_INF_NUMBERS = 'a number, "inf" or null, or a list of those'
+
+
+def _is_json_kind(value, kind: str) -> bool:
     """Whether a parsed JSON value is of ``kind``, one of "a boolean",
     "a string", "a date" (an ISO date string), "an integer", "a number" or a
-    list kind of ``_ITEM_KINDS``, each optionally followed by " or null". A
-    boolean is no number."""
+    list kind of ``_ITEM_KINDS``, each optionally followed by " or null", or
+    ``_INF_NUMBERS``. A boolean is no number."""
+    if kind == _INF_NUMBERS:
+        return all(v is None or v == "inf" or _is_json_kind(v, "a number")
+                   for v in (value if isinstance(value, list) else [value]))
     if value is None:
         return kind.endswith(" or null")
     kind = kind.removesuffix(" or null")
@@ -67,7 +76,7 @@ def is_json_kind(value, kind: str) -> bool:
         return isinstance(value, int)
     if kind == "a number":
         return isinstance(value, (int, float))
-    return isinstance(value, list) and all(is_json_kind(v, _ITEM_KINDS[kind])
+    return isinstance(value, list) and all(_is_json_kind(v, _ITEM_KINDS[kind])
                                            for v in value)
 
 
@@ -77,8 +86,13 @@ _ITEM_KINDS = {"a list of integers": "an integer", "a list of numbers": "a numbe
 
 
 def _python(value, kind: str | None):
-    """A value of JSON ``kind`` in Python form: a number as a float, a list as
-    a tuple, a date as a ``datetime.date``; a null or a kind of None as is."""
+    """A value of JSON ``kind`` in Python form: a number as a float (an
+    ``_INF_NUMBERS`` entry of "inf" or null as infinity), a list as a tuple, a
+    date as a ``datetime.date``; any other null or a kind of None as is."""
+    if kind == _INF_NUMBERS:
+        if isinstance(value, list):
+            return tuple(_python(v, kind) for v in value)
+        return math.inf if value is None else float(value)
     if value is None or kind is None:
         return value
     kind = kind.removesuffix(" or null")
@@ -108,6 +122,6 @@ def read_document(doc, what: str, kinds: dict, required=()) -> dict:
         raise SchemaError(f"{what} lacks keys: {', '.join(missing)}")
     for key, value in doc.items():
         kind = kinds[key]
-        if kind is not None and not is_json_kind(value, kind):
+        if kind is not None and not _is_json_kind(value, kind):
             raise SchemaError(f"{what} {key} must be {kind}, got {value!r}")
     return {key: _python(value, kinds[key]) for key, value in doc.items()}

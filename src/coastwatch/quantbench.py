@@ -13,12 +13,10 @@ along as metadata and are never an acceptance gate for desk hardware.
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -170,10 +168,3 @@ def bench(net: ConvNet, patches: list[Patch]) -> BenchReport:
         hardware_descriptor=_hardware_descriptor(),
         reference=dict(REFERENCE_VPU),
     )
-
-
-def write_report(path: str | Path, doc: dict) -> Path:
-    """A report document as indented JSON."""
-    path = Path(path)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path

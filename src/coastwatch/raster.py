@@ -312,7 +312,8 @@ def tile_scene(
     north-west corner; leftover margins (< 256 px) are excluded and
     reported in the result. Patch georefs are derived from the scene center
     when ``scene_georef`` is given, otherwise from a placeholder at (0, 0)
-    acquired 1970-01-01; the pitch is ``scene.gsd``.
+    acquired 1970-01-01; the pitch is ``scene.gsd``. A patch centre past a
+    pole or the antimeridian raises ``DimensionError`` naming the patch.
 
     Each patch's data is a read-only view into ``scene.data``, not a copy:
     writing to a patch raises ``ValueError``, a live patch keeps the scene
@@ -344,12 +345,17 @@ def tile_scene(
             north_m = (scene.height / 2.0 - (r0 + PATCH_SIZE / 2.0)) * scene.gsd
             east_m = ((c0 + PATCH_SIZE / 2.0) - scene.width / 2.0) * scene.gsd
             lat, lon = scene_georef.offset_latlon(north_m, east_m)
-            georef = GeoRef(lat, lon, scene_georef.acquisition_date)
+            patch_id = f"{patch_id_prefix}_{i:03d}_{j:03d}"
+            try:
+                georef = GeoRef(lat, lon, scene_georef.acquisition_date)
+            except ValueError as exc:
+                raise DimensionError(f"patch {patch_id!r} centre {exc}: the scene "
+                                     "crosses a pole or the antimeridian") from None
             patches.append(
                 Patch(
                     raster=BandStack.from_array(chip, scene.gsd, scene.band_ids),
                     georef=georef,
-                    patch_id=f"{patch_id_prefix}_{i:03d}_{j:03d}",
+                    patch_id=patch_id,
                 )
             )
     index = TileIndex(

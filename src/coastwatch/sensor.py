@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SchemaError, is_json_kind, read_document
+from .errors import DimensionError, SchemaError, read_document
 from .raster import (
     MS_BAND_IDS,
     N_BANDS,
@@ -59,6 +59,7 @@ from .raster import (
     BandStack,
     GeoRef,
     TileResult,
+    meters_per_degree,
     tile_scene,
     window_average,
 )
@@ -67,6 +68,13 @@ TURBIDITY = "turbidity_NTU"
 PH = "pH"
 # in the order of SMP1's parameter codes: a record's code is its index here
 PARAMETERS = (TURBIDITY, PH)
+
+
+def check_parameter(name: str) -> None:
+    """Refuse a contaminant name outside ``PARAMETERS`` (``SchemaError``)."""
+    if name not in PARAMETERS:
+        raise SchemaError(f"unknown parameter {name!r}")
+
 
 # Nominal exo-atmospheric solar irradiance at the band centers, W m-2 um-1,
 # the irradiances of every radiometric conversion. All are positive, so with
@@ -163,9 +171,9 @@ class MaskSet:
 
 MISALIGN_BOUND_M = 10.0  # L1C band-to-band registration requirement
 
-# The JSON kind of each key of a ``degrade`` document; ``_snr_per_band`` reads snr.
-_DEGRADE_KINDS = {"snr": None, "mtf": "a number",
-                  "misalign_m": "a list of number lists or null"}
+# The JSON kind of each key of a ``degrade`` document.
+_DEGRADE_KINDS = {"snr": 'a number, "inf" or null, or a list of those',
+                  "mtf": "a number", "misalign_m": "a list of number lists or null"}
 
 
 @dataclass(frozen=True)
@@ -203,20 +211,11 @@ class DegradeConfig:
     @classmethod
     def from_json(cls, doc: dict) -> "DegradeConfig":
         doc = read_document(doc, "degrade", _DEGRADE_KINDS)
-        return cls(snr_per_band=_snr_per_band(doc.get("snr")),
+        # one snr for every band, or a list of one per band
+        snr = doc.get("snr", math.inf)
+        return cls(snr_per_band=snr if isinstance(snr, tuple) else (snr,) * N_BANDS,
                    mtf_at_nyquist=doc.get("mtf", 1.0),
                    misalignment_per_band=doc.get("misalign_m") or ((0.0, 0.0),) * N_BANDS)
-
-
-def _snr_per_band(snr) -> tuple[float, ...]:
-    """The SNRs of a degrade document's ``snr``: one entry for every band or
-    a list of one per band, each a number, or "inf" or null for no noise."""
-    entries = [math.inf if value is None or value == "inf" else value
-               for value in (snr if isinstance(snr, list) else [snr] * N_BANDS)]
-    if not is_json_kind(entries, "a list of numbers"):
-        raise SchemaError('degrade snr must be a number, "inf" or null, or a list of '
-                          f'those, got {snr!r}')
-    return tuple(map(float, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +547,12 @@ class SceneSpec:
         require(self.gsd > 0, "gsd must be > 0")
         require(-90 <= self.center_lat <= 90, "center_lat must be in [-90, 90]")
         require(-180 <= self.center_lon <= 180, "center_lon must be in [-180, 180]")
+        # a footprint on the globe tiles into patches whose centres are on it
+        m_lat, m_lon = meters_per_degree(self.center_lat)
+        require(abs(self.center_lat) + self.height / 2 * self.gsd / m_lat <= 90
+                and abs(self.center_lon) + self.width / 2 * self.gsd / m_lon <= 180,
+                f"the {self.width}x{self.height} px footprint at {self.gsd:g} m "
+                "must not cross a pole or the antimeridian")
         require(self.noise_std >= 0 and self.blobs >= 0, "noise_std, blobs must be >= 0")
         # the contaminant bounds are those InSituRecord accepts
         require(len(self.turbidity_range) == len(self.ph_range) == 2,

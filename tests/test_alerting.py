@@ -344,6 +344,11 @@ def _message(scene_id: str) -> alerting.AlertMessage:
         violating_mean=wide, timestamp=TIMESTAMP)
 
 
+def test_a_message_for_an_unknown_parameter_is_a_schema_error():
+    with pytest.raises(SchemaError, match="unknown parameter 'chlorophyll'"):
+        dataclasses.replace(_message("s"), parameter="chlorophyll")
+
+
 @pytest.mark.parametrize("scene_id", ["a" * 64, "é" * 10, '"' * 32],
                          ids=["ascii_64", "e_acute_10", "quote_32"])
 def test_a_scene_id_within_the_bound_fits_the_alert(scene_id):

@@ -111,6 +111,10 @@ def test_seven_command_chain(inputs, capsys):
                      "--out", str(d / "net16.cnn1"), "--report", str(d / "quant.json")])
     quant = json.loads((d / "quant.json").read_text())
     assert code == (0 if quant["passed"] else 1)
+    # the report is written as every document the CLI writes
+    for doc in ("quant.json", "maps/index.json", "sim/truth.json"):
+        text = (d / doc).read_text()
+        assert text == json.dumps(json.loads(text), indent=2)
     # the sizes are those of the deployed files, the certificate included
     assert quant["model_bytes_fp32"] == (d / "net.cnn1").stat().st_size
     assert quant["model_bytes_fp16"] == (d / "net16.cnn1").stat().st_size
@@ -317,6 +321,9 @@ INFER = ["infer", "--net", "net.cnn1", "--scene", "scene.pat1", "--out", "maps"]
 MIXING_SPEC = json.dumps({"width": 256, "height": 256, "mixing": {
     "offsets": [0.05] * 7, "matrix": [[0.1, 0.2]] + [[0.2, 0.1]] * 6}}).encode()
 SCENE = raster.BandStack.from_array(np.full((7, 256, 256), 0.1, np.float32), 4.75)
+# two patches, each centred 608 m off the scene centre; at the pole one lies past it
+TALL_SCENE = raster.BandStack.from_array(np.full((7, 512, 256), 0.1, np.float32), 4.75)
+POLE = raster.GeoRef(90.0, 9.0, sensor.SceneSpec().date)
 
 
 def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
@@ -583,6 +590,33 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
     ({"spec.json": b'{"width": 1, "height": 1, "gsd": 10}'}, SIMULATE,
      "scene 1x1 at 10 m is 1x1 at the 4.75 m product pitch, smaller than one "
      "256 px patch"),
+    ({"spec.json": b'{"width": 256, "height": 256, "note": "Sestri Levante \xe9"}'},
+     SIMULATE, "spec.json: not a UTF-8 JSON document ('utf-8' codec can't decode"),
+    ({"train.json": b'{"epochs": 3, "note": "\xe9t\xe9"}'},
+     [*TRAIN, "--config", "train.json"],
+     "train.json: not a UTF-8 JSON document ('utf-8' codec can't decode"),
+    ({**alert_maps(), "policy.json": b'{"parameter": "turbidity_NTU", "\xb5g": 1}'}, ALERT,
+     "policy.json: not a UTF-8 JSON document ('utf-8' codec can't decode"),
+    ({**alert_maps(), "maps/index.json": MAP_INDEX.replace(b'"s"', b'"\xe9"')}, ALERT,
+     "maps/index.json: not a UTF-8 JSON document ('utf-8' codec can't decode"),
+    ({"spec.json": b'{"width": 256, "height": 25'}, SIMULATE,
+     "spec.json: not a UTF-8 JSON document (Expecting ',' delimiter"),
+    ({**alert_maps(), "maps/index.json": MAP_INDEX[:-9]}, ALERT,
+     "maps/index.json: not a UTF-8 JSON document (Unterminated string"),
+    ({"r.csv": ",".join(dataset.CSV_COLUMNS).encode()
+      + f"\nS1,m,Cala d'Or\xe9,100,2024-06-15,0.5,{sensor.TURBIDITY},3.2,44.0,9.0\n".encode(
+          "latin-1"),
+      "chips/chip_000_000.pat1": pat1(SCENE, georef=GEOREF)},
+     ["build-dataset", "--records", "r.csv", "--patches", "chips", "--out", "s.smp1"],
+     "r.csv: not UTF-8 text ('utf-8' codec can't decode"),
+    ({"spec.json": b'{"width": 300, "height": 300, "center_lat": 90}'}, SIMULATE,
+     "scene spec: the 300x300 px footprint at 4.75 m must not cross a pole or the "
+     "antimeridian"),
+    ({"spec.json": b'{"width": 600, "height": 300, "center_lon": 179.999}'}, SIMULATE,
+     "scene spec: the 600x300 px footprint at 4.75 m must not cross a pole or the "
+     "antimeridian"),
+    ({"net.cnn1": cnn1(), "scene.pat1": pat1(TALL_SCENE, georef=POLE)}, INFER,
+     "patch 'scene_000_000' centre latitude 90.0054"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "simulate_bad_degrade",
@@ -625,7 +659,11 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
         "transfer_bn_stats_tracked_string", "transfer_fractional_layer_dim",
         "transfer_negative_target_std", "transfer_three_feature_means",
         "infer_cnn1_for_chlorophyll", "infer_cnn1_numeric_parameter",
-        "simulate_scene_smaller_than_a_patch", "simulate_one_pixel_scene_at_10_m"])
+        "simulate_scene_smaller_than_a_patch", "simulate_one_pixel_scene_at_10_m",
+        "simulate_spec_not_utf8", "train_config_not_utf8", "alert_policy_not_utf8",
+        "alert_index_not_utf8", "simulate_truncated_spec", "alert_truncated_index",
+        "build_dataset_latin1_csv", "simulate_footprint_past_pole",
+        "simulate_footprint_past_antimeridian", "infer_scene_past_pole"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 import datetime as dt
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from coastwatch import convnet
 from coastwatch.convnet import (
     ConvLayer,
     ConvNet,
+    ContaminantMap,
     _stack_on_means,
     fc_to_cnn,
     infer_kept,
@@ -24,7 +26,7 @@ from coastwatch.convnet import (
     verify_equivalence,
 )
 from coastwatch.dataset import NormStats
-from coastwatch.errors import DimensionError, FormatError
+from coastwatch.errors import DimensionError, FormatError, SchemaError, TransferError
 from coastwatch.mlp import forward, init_mlp
 from coastwatch.quantbench import compare_quantized, quantize_fp16
 from coastwatch.raster import (
@@ -38,6 +40,7 @@ from coastwatch.raster import (
     random_patches,
     window_average,
 )
+from coastwatch.sensor import TURBIDITY
 
 DIMS = (7, 32, 16, 1)
 
@@ -428,7 +431,7 @@ def test_a_cnn1_in_the_former_manifest_loads_to_the_same_layers(tmp_path, fp16):
 def he_net(dims, rng) -> ConvNet:
     """Random He-scaled weights, as a trained ReLU stack's are in size."""
     return ConvNet([ConvLayer(rng.normal(0, np.sqrt(2 / i), (o, i)), rng.normal(0, 0.1, o))
-                    for i, o in zip(dims[:-1], dims[1:])])
+                    for i, o in zip(dims[:-1], dims[1:])], TURBIDITY)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -496,12 +499,64 @@ def test_infer_kept_makes_as_few_stack_calls_as_its_column_rule_allows(
     stack_on_means = convnet._stack_on_means
     monkeypatch.setattr(convnet, "_stack_on_means",
                         lambda net, means: calls.append(1) or stack_on_means(net, means))
-    net = ConvNet([ConvLayer(np.ones((1, 7)), np.zeros(1))])
+    net = ConvNet([ConvLayer(np.ones((1, 7)), np.zeros(1))], TURBIDITY)
     infer_kept(net, PATCHES[:1] * len(kept), kept)
     assert len(calls) == np.sum(kept, axis=0).max()
 
 
 def test_infer_kept_refuses_a_net_of_other_bands_even_with_nothing_kept():
-    net = ConvNet([ConvLayer(np.ones((1, 3)), np.zeros(1))])
+    net = ConvNet([ConvLayer(np.ones((1, 3)), np.zeros(1))], TURBIDITY)
     with pytest.raises(DimensionError, match="a patch has 7 bands, network expects 3"):
         infer_kept(net, PATCHES[:1], [np.zeros((GRID, GRID), dtype=bool)])
+
+
+def layer(out_channels, in_channels, bias=None):
+    return ConvLayer(np.ones((out_channels, in_channels)),
+                     np.zeros(out_channels if bias is None else bias))
+
+
+@pytest.mark.parametrize("layers, kwargs, error, says", [
+    ([], {}, TransferError, "a network needs at least one 1x1 layer"),
+    ([layer(4, 7), layer(1, 5)], {}, TransferError,
+     "layer 2: kernel (1, 5) does not take 4 channels"),
+    ([ConvLayer(np.ones(7), np.zeros(1))], {}, TransferError,
+     "layer 1: kernel (7,) does not take 7 channels"),
+    ([layer(4, 7), layer(1, 4, bias=2)], {}, TransferError, "layer 2: bias shape mismatch"),
+    ([layer(2, 7)], {}, TransferError, "the last layer emits 2 channels, not 1"),
+    ([layer(1, 7)], {"dtype": "f64"}, ValueError, "unknown dtype 'f64'"),
+    ([layer(1, 7)], {"parameter": "chlorophyll"}, SchemaError,
+     "unknown parameter 'chlorophyll'"),
+    ([layer(1, 7)], {"parameter": "unknown"}, SchemaError, "unknown parameter 'unknown'"),
+], ids=["no_layer", "kernel_off_the_previous_width", "one_dimensional_kernel",
+        "bias_shape", "last_layer_wider_than_1", "unknown_dtype", "unknown_parameter",
+        "former_default_parameter"])
+def test_a_network_refuses_what_it_cannot_serve(layers, kwargs, error, says):
+    with pytest.raises(error, match=re.escape(says)):
+        ConvNet(layers, **{"parameter": TURBIDITY, **kwargs})
+
+
+def test_a_network_needs_its_contaminant_name():
+    with pytest.raises(TypeError, match="parameter"):
+        ConvNet([layer(1, 7)])
+
+
+@pytest.mark.parametrize("values, parameter, error, says", [
+    (np.zeros((GRID - 1, GRID)), TURBIDITY, DimensionError,
+     f"contaminant map must be {GRID}x{GRID}, got ({GRID - 1}, {GRID})"),
+    (np.zeros(GRID * GRID), TURBIDITY, DimensionError,
+     f"contaminant map must be {GRID}x{GRID}, got ({GRID * GRID},)"),
+    (np.zeros((GRID, GRID)), "chlorophyll", SchemaError,
+     "unknown parameter 'chlorophyll'"),
+    (np.zeros((GRID, GRID)), "turbidity", SchemaError, "unknown parameter 'turbidity'"),
+], ids=["one_row_short", "flat", "unknown_parameter", "alias_not_a_parameter"])
+def test_a_contaminant_map_refuses_another_shape_or_parameter(values, parameter, error,
+                                                              says):
+    with pytest.raises(error, match=re.escape(says)):
+        ContaminantMap(values, parameter, GeoRef(44.0, 9.0, dt.date(2024, 6, 15)))
+
+
+def test_transfer_refuses_untracked_batch_norm_statistics():
+    params, stats = model(0)
+    params.bn_stats_tracked = False
+    with pytest.raises(TransferError, match="batch-norm running statistics never updated"):
+        fc_to_cnn(params, stats, TURBIDITY)

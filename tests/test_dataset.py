@@ -23,7 +23,6 @@ from coastwatch.dataset import (
     as_table,
     ingest_records,
     load_samples,
-    locate_window,
     match,
     normalize,
     samples_from_scene,
@@ -81,7 +80,11 @@ def match_reference(records, patch_catalog, tolerance_days):
             unmatched.append((r, "no patch within footprint and tolerance"))
             continue
         p = patch_catalog[best[2]]
-        wr, wc = locate_window(p.georef, p.raster.gsd, r.lat, r.lon)
+        # the pixel holding the record, the 6 px margin clipped to the edge window
+        north, east = p.georef.latlon_offset_m(r.lat, r.lon)
+        row_px = p.raster.height / 2 - north / p.raster.gsd
+        col_px = p.raster.width / 2 + east / p.raster.gsd
+        wr, wc = (min(max(int(px // 10), 0), 24) for px in (row_px, col_px))
         samples.append(Sample(
             features=window_average(p.raster.data, 10)[:, wr, wc],
             target=r.value, parameter=r.parameter, patch_id=p.patch_id,
@@ -212,6 +215,18 @@ class TestIngest:
         result = ingest_records(csv)
         assert len(result.records) == 2
 
+    def test_the_file_is_read_as_utf8(self, tmp_path):
+        row = f"S1,Citt\u00e0,Cala d\u2019Or,150,2024-06-15,0.5,{TURBIDITY},3.2,44.0,9.0"
+        path = tmp_path / "in.csv"
+        path.write_bytes(f"{HEADER}\n{row}\n".encode("utf-8"))
+        (record,) = ingest_records(path).records
+        assert (record.municipality, record.location_name) == ("Citt\u00e0",
+                                                               "Cala d\u2019Or")
+        latin1 = row.replace("\u2019", "'")
+        path.write_bytes(f"{HEADER}\n{latin1}\n".encode("latin-1"))
+        with pytest.raises(SchemaError, match=f"{path}: not UTF-8 text"):
+            ingest_records(path)
+
     def test_missing_column_schema_error(self, tmp_path):
         path = tmp_path / "in.csv"
         path.write_text("station_id,date,value\nS1,2024-06-15,3\n")
@@ -292,6 +307,25 @@ class TestMatch:
         patch = make_patch(44.0, 9.0, "2024-06-15", "p0")
         result = match([rec(lat=44.0 + 1000.0 / m_lat)], [patch])
         assert not result.samples
+
+    def test_center_record_takes_the_center_window(self):
+        patch = make_patch(44.0, 9.0, "2024-06-15", "p0")
+        assert match([rec(lat=44.0, lon=9.0)], [patch]).samples[0].window == (12, 12)
+
+    def test_margin_record_takes_the_edge_window(self):
+        m_lat, m_lon = meters_per_degree(44.0)
+        patch = make_patch(44.0, 9.0, "2024-06-15", "p0")
+        # 600 m south or east: pixel 254, inside the dropped 6 px margin
+        records = [rec(lat=44.0 - 600.0 / m_lat),
+                   rec(station="S2", lon=9.0 + 600.0 / m_lon)]
+        assert match(records, [patch]).samples.window.tolist() == [[24, 12], [12, 24]]
+
+    def test_record_just_outside_footprint_unmatched(self):
+        # 700 m north is past the 608 m half extent
+        m_lat, _ = meters_per_degree(44.0)
+        patch = make_patch(44.0, 9.0, "2024-06-15", "p0")
+        result = match([rec(lat=44.0 + 700.0 / m_lat)], [patch])
+        assert not result.samples and len(result.unmatched) == 1
 
     def test_features_are_window_average_of_patch(self):
         patch = make_patch(44.0, 9.0, "2024-06-15", "p0", seed=9)
@@ -603,24 +637,6 @@ def test_standardizing_commutes_with_the_window_mean(data):
     then_means = window_average((P - mu) / sigma, 10)
     scale = (np.abs(P).max(axis=(1, 2), keepdims=True) + np.abs(mu)) / sigma
     assert np.all(np.abs(means_then - then_means) <= 1e-12 * scale)
-
-
-class TestLocateWindow:
-    def test_center_maps_to_center_window(self):
-        georef = GeoRef(44.0, 9.0, dt.date(2024, 6, 15))
-        assert locate_window(georef, 4.75, 44.0, 9.0) == (12, 12)
-
-    def test_margin_clips_to_edge_window(self):
-        georef = GeoRef(44.0, 9.0, dt.date(2024, 6, 15))
-        m_lat, _ = meters_per_degree(44.0)
-        # 600 m south: row pixel 254, inside the dropped 6 px margin
-        lat = 44.0 - 600.0 / m_lat
-        assert locate_window(georef, 4.75, lat, 9.0) == (24, 12)
-
-    def test_outside_footprint_is_none(self):
-        georef = GeoRef(44.0, 9.0, dt.date(2024, 6, 15))
-        m_lat, _ = meters_per_degree(44.0)
-        assert locate_window(georef, 4.75, 44.0 + 700.0 / m_lat, 9.0) is None
 
 
 class TestSplit:

@@ -2,6 +2,7 @@
 messages."""
 
 import datetime as dt
+import math
 import re
 
 import pytest
@@ -49,3 +50,21 @@ def test_a_document_off_its_kinds_is_a_schema_error(doc, says):
 def test_the_missing_required_keys_are_named_in_their_order():
     with pytest.raises(SchemaError, match="doc lacks keys: s, n"):
         read_document({"i": 1}, "doc", KINDS, required=("s", "n", "i"))
+
+
+SNR = 'a number, "inf" or null, or a list of those'
+
+
+def test_a_number_inf_or_null_reads_as_a_float_or_a_tuple_of_floats():
+    read = lambda value: read_document({"snr": value}, "degrade", {"snr": SNR})["snr"]
+    assert read(100) == 100.0 and type(read(100)) is float
+    assert read("inf") == read(None) == math.inf
+    assert read([None, "inf", 7, 50.5]) == (math.inf, math.inf, 7.0, 50.5)
+    assert read([]) == ()
+
+
+@pytest.mark.parametrize("value", [True, "100", "INF", [True], [[100]], {"a": 1}])
+def test_anything_else_keeps_the_snr_message(value):
+    says = f'degrade snr must be a number, "inf" or null, or a list of those, got {value!r}'
+    with pytest.raises(SchemaError, match=re.escape(says)):
+        read_document({"snr": value}, "degrade", {"snr": SNR})

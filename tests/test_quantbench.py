@@ -19,13 +19,14 @@ from coastwatch.quantbench import (
     quantize_fp16,
 )
 from coastwatch.raster import random_patches
+from coastwatch.sensor import TURBIDITY
 
 
 def net_of(dims=(7, 4, 1), seed=0):
     """A random float32 1x1 stack with layer widths ``dims``."""
     rng = np.random.default_rng(seed)
     return ConvNet([ConvLayer(rng.normal(0.0, 0.5, (o, i)), rng.normal(0.0, 0.1, o))
-                    for i, o in zip(dims[:-1], dims[1:])])
+                    for i, o in zip(dims[:-1], dims[1:])], TURBIDITY)
 
 
 def test_a_net_compared_with_itself_deviates_by_nothing_and_passes():
@@ -98,3 +99,19 @@ def test_quant_report_json_carries_the_mission_size_limit():
     doc = report.to_json()
     assert doc["mission_size_limit_bytes"] == MISSION_SIZE_LIMIT_BYTES
     assert doc["max_map_deviation"] == 0.01 and doc["passed"] is True
+
+
+def test_fp16_keeps_the_layout_and_contaminant_and_leaves_the_source_as_it_was():
+    net = net_of((7, 16, 8, 1), seed=2)
+    before = [layer.kernel.copy() for layer in net.layers]
+    net16 = quantize_fp16(net)
+    assert (net16.dtype, net16.parameter, net16.channels) == ("f16", TURBIDITY,
+                                                             net.channels)
+    assert net.dtype == "f32"
+    assert all(np.array_equal(layer.kernel, kernel)
+               for layer, kernel in zip(net.layers, before))
+
+
+def test_bench_refuses_an_empty_patch_list():
+    with pytest.raises(ValueError, match="at least one patch to benchmark"):
+        bench(net_of(), [])

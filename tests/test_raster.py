@@ -209,6 +209,16 @@ class TestTileScene:
         with pytest.raises(DimensionError):
             tile_scene(stack(RNG.uniform(0, 1, (3, 512, 512))))
 
+    @pytest.mark.parametrize("shape, georef, says", [
+        ((7, 512, 256), GeoRef(90.0, 9.0, dt.date(2024, 6, 1)),
+         "patch 'patch_000_000' centre latitude 90.005"),
+        ((7, 256, 512), GeoRef(-44.0, 180.0, dt.date(2024, 6, 1)),
+         "patch 'patch_000_001' centre longitude 180.007"),
+    ], ids=["past_the_pole", "past_the_antimeridian"])
+    def test_a_patch_centre_off_the_globe_names_the_patch(self, shape, georef, says):
+        with pytest.raises(DimensionError, match=says):
+            tile_scene(stack(np.full(shape, 0.1)), georef)
+
     def test_placements_disjoint_and_aligned(self):
         scene = stack(RNG.uniform(0, 1, (7, 1024, 768)))
         result = tile_scene(scene)

@@ -12,7 +12,8 @@ from scipy.ndimage import convolve1d
 from coastwatch import alerting, sensor
 from coastwatch.convnet import ConvLayer, ConvNet
 from coastwatch.errors import DimensionError, SchemaError
-from coastwatch.raster import BandStack, GeoRef, tile_scene, window_average
+from coastwatch.raster import (BandStack, GeoRef, meters_per_degree, tile_scene,
+                               window_average)
 from coastwatch.sensor import (
     PH,
     TURBIDITY,
@@ -362,13 +363,34 @@ MIXING = ((0.1, 0.2),) + ((0.2, 0.1),) * 6
     (lambda: SceneSpec.from_json({"mixing": {}}),
      "scene spec mixing lacks keys: offsets, matrix"),
     (lambda: SceneSpec.from_json({"date": "June"}), "scene spec date must be a date"),
+    (lambda: SceneSpec(width=300, height=300, center_lat=90.0),
+     "the 300x300 px footprint at 4.75 m must not cross a pole"),
+    (lambda: SceneSpec(width=256, height=256, center_lat=-89.999),
+     "the 256x256 px footprint at 4.75 m must not cross a pole"),
+    (lambda: SceneSpec(width=600, height=300, center_lon=179.999),
+     "the 600x300 px footprint at 4.75 m must not cross a pole or the antimeridian"),
+    (lambda: SceneSpec(width=256, height=256, gsd=10.0, center_lon=-179.99),
+     "the 256x256 px footprint at 10 m must not cross a pole or the antimeridian"),
 ], ids=["three_snrs", "eight_shifts", "three_coordinate_shift", "turbidity_triple",
         "ph_single", "offsets_only", "matrix_only", "six_offsets", "seven_by_three_matrix",
         "zero_matrix", "document_without_offsets", "empty_mixing_document",
-        "document_date_not_iso"])
+        "document_date_not_iso", "footprint_past_north_pole",
+        "footprint_past_south_pole", "footprint_past_antimeridian_east",
+        "footprint_past_antimeridian_west"])
 def test_each_rule_is_checked_where_its_value_is_built(build, says):
     with pytest.raises(SchemaError, match=says):
         build()
+
+
+def test_a_footprint_reaching_the_pole_or_antimeridian_tiles_on_the_globe():
+    """A spec whose footprint just fits is accepted, and every patch it tiles
+    into has a georef."""
+    m_lat, m_lon = meters_per_degree(0.0)
+    for spec in (SceneSpec(width=256, height=512, center_lat=90.0 - 256 * 4.75 / m_lat),
+                 SceneSpec(width=512, height=256, center_lat=0.0,
+                           center_lon=-180.0 + 256 * 4.75 / m_lon)):
+        scene = BandStack.from_array(np.full((7, spec.height, spec.width), 0.1), spec.gsd)
+        assert len(tile_scene(scene, spec.georef()).patches) == 2
 
 
 def test_a_spec_document_reads_as_the_spec_of_its_values():
