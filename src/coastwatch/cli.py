@@ -5,10 +5,14 @@ sample stores, MDL1/CNN1 models, JSON-lines alerts) and never mutate their
 inputs; every command exits nonzero on error, and invalid input (a malformed
 file, policy, config, command line or option value) exits 2 with a one-line
 message. Only ``simulate`` takes ``--seed``; ``train`` reads its seed from
-the ``--config`` document, and the random check patches of ``transfer`` and
+the ``--config`` document, and the check patches of ``transfer`` and
 ``quantize`` and the patches ``bench`` draws without ``--patches`` use
 ``convnet.CHECK_SEED``; a check draws its patches one at a time as it reads
-them. Each gate and check size is one library constant:
+them. ``transfer`` certifies the one route ``infer`` serves (float64
+standardization, float32 1x1 stack, float64 de-standardization to a float32
+map) on ``convnet.check_patches``, drawn in the model's own distribution
+from the normalization its MDL1 records; ``quantize`` and ``bench`` draw
+U[0,1] patches. Each gate and check size is one library constant:
 the station match's window is ``dataset.MATCH_TOLERANCE_DAYS``, the transfer
 certificate's ``convnet.EQUIVALENCE_TOL`` over
 ``convnet.EQUIVALENCE_CHECK_PATCHES`` patches, the fp16 gate's
@@ -236,9 +240,7 @@ def cmd_train(args) -> int:
 def cmd_transfer(args) -> int:
     params, stats, manifest = mlp.load_mdl1(args.model)
     net = convnet.fc_to_cnn(params, stats, manifest["parameter"])
-    patches = raster.random_patches(convnet.EQUIVALENCE_CHECK_PATCHES,
-                                    seed=convnet.CHECK_SEED)
-    report = convnet.verify_equivalence(params, stats, net, patches)
+    report = convnet.verify_equivalence(params, stats, net, convnet.check_patches(stats))
     if not report.passed:
         raise CoastwatchError(
             f"transfer equivalence failed: max deviation "
@@ -246,8 +248,7 @@ def cmd_transfer(args) -> int:
             f"patch {report.worst[0]} cell {report.worst[1:]}; refusing to emit"
         )
     convnet.save_cnn1(args.out, net, report)
-    print(f"transfer: equivalence max {report.max_abs_deviation:.3e} "
-          f"(served f32 {report.served_max_abs_deviation:.3e}) over "
+    print(f"transfer: equivalence max {report.max_abs_deviation:.3e} over "
           f"{report.n_patches} patches -> {args.out}")
     return 0
 

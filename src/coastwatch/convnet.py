@@ -1,55 +1,62 @@
 """Conversion of the trained regressor into a fully-convolutional network.
 
 The deployed network reproduces the regression pipeline as convolutions: a
-fixed front layer averages each band over non-overlapping 10x10 windows
-(depthwise, kernel weight 1/100, untrainable), and every fully-connected
-layer becomes a 1x1 convolution over the resulting ``raster.GRID`` x
-``GRID`` grid. The window is the package constant ``raster.WINDOW``, not a
-property of a network: a CNN1 file records it and the loader refuses any
-other. The conversion is exact in eval mode:
+fixed front end averages each band over non-overlapping 10x10 windows
+(depthwise, kernel weight 1/100, untrainable) and standardizes each window
+mean by the model's feature statistics, every fully-connected layer becomes
+a 1x1 convolution over the resulting ``raster.GRID`` x ``GRID`` grid, and a
+fixed back end de-standardizes the output into physical units. The window
+is the package constant ``raster.WINDOW``, not a property of a network: a
+CNN1 file records it and the loader refuses any other. The conversion is
+exact in eval mode:
 
 * batch-norm is folded into the preceding layer's kernel, which has no
-  bias, and gives the 1x1 layer its bias (w' = w * s, b' = beta -
-  (c + mean) * s with s = gamma / sqrt(var + eps), where c = w @ mu_f /
-  sigma_f on the first layer, the standardization's shift, and 0 after);
-* the feature standardization is absorbed into the first 1x1 layer (the
-  only one, for a regressor without hidden layers) and the target
-  de-standardization into the last, so the network consumes raw
-  reflectance patches and emits physical units;
+  bias, and gives the 1x1 layer its bias (w' = w * s, b' = beta - mean * s
+  with s = gamma / sqrt(var + eps)); nothing else is folded, so the
+  kernels keep the trained weights' size;
+* the network holds the model's ``NormStats``: the front end applies the
+  feature standardization and the back end the target de-standardization,
+  both in float64;
 * dropout disappears (eval semantics).
 
 For every patch P and window w the identity ConvNet(P)[w] =
 FC(mean_10x10(P, w)) holds up to float rounding; ``verify_equivalence``
-certifies it against the independent FC route and the CNN1 file records the
-report of the run that blessed a deployed model.
+certifies it for the route that is served, against the independent FC
+route, and the CNN1 file records the report of the run that blessed a
+deployed model. ``check_patches`` draws the certificate's patches from the
+model's own distribution: constant per window, band b uniform in mu_b +-
+sqrt(3) sigma_b, which has that band's training mean and std.
 
-A network is its layers: the channel widths are read off the kernels, and
-every layer but the last applies ReLU, the only network ``fc_to_cnn``
-builds. The CNN1 manifest therefore holds ``window``, ``channels`` (the
-payload's layout: per layer its kernel, then its bias), ``dtype``,
-``parameter`` (one of ``sensor.PARAMETERS``) and ``equivalence``. The loader
-reads the first four by their declared JSON kinds and carries any other key
-as parsed, so a file that also records the former ``front_layer``,
-``layers``, ``meta`` or ``equivalence_sha256`` loads to the same layers.
+A network is its layers and its statistics: the channel widths are read
+off the kernels, and every layer but the last applies ReLU, the only
+network ``fc_to_cnn`` builds. The CNN1 manifest therefore holds ``window``,
+``channels`` (the payload's layout: per layer its kernel, then its bias),
+``dtype``, ``parameter`` (one of ``sensor.PARAMETERS``), ``normalization``
+(read by ``NormStats.from_json``, as an MDL1's is) and ``equivalence``. The
+loader reads the first five by their declared JSON kinds and carries any
+other key as parsed, so a file that also records the former
+``front_layer``, ``layers``, ``meta`` or ``equivalence_sha256`` loads to the
+same layers. A file without ``normalization`` is the former layout, whose
+first layer folded the standardization in; the loader refuses it by that
+missing key, and transferring its MDL1 again gives the current layout.
 
-Parameters are float32, the dtype a CNN1 file deploys, and the served path
-(``infer_raster``/``infer_patch``) runs the 1x1 stack in float32 on the
+Parameters are float32, the dtype a CNN1 file deploys. There is one served
+route (``infer_raster``/``infer_patch``, ``infer_kept`` and the checks): the
 window means of the patch's array, which ``window_average`` returns as a
-float64 array, reducing the patch where it lies without a float64 copy, in
-numpy's order; serving a patch therefore allocates little beyond the
-stack's two float32 activation planes.
-A scene is served by ``infer_kept``, which runs only the windows cloud
-leaves valid, window j of a patch in column j of a patch-shaped stack call
-(``infer_patch``'s bits on any BLAS core), from ``OPEN_BLOCKS`` blocks.
-The certificate runs the same stack in float64 as its reference route, so
-its deviation measures the folding and the parameter rounding, not float32
-arithmetic; the served route's own deviation is reported beside it.
+float64 array, reducing the patch where it lies without a float64 copy, are
+standardized in float64 and rounded to float32, the 1x1 stack runs in
+float32, and its output is de-standardized in float64 and rounded to a
+float32 map, so a map read back from its file equals the one served.
+Serving a patch allocates little beyond the stack's two float32 activation
+planes. A scene is served by ``infer_kept``, which runs only the windows
+cloud leaves valid, window j of a patch in column j of a patch-shaped stack
+call (``infer_patch``'s bits on any BLAS core), from ``OPEN_BLOCKS`` blocks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,12 +65,13 @@ from . import _container
 from .dataset import NormStats
 from .errors import DimensionError, FormatError, NumericError, TransferError
 from .mlp import BN_EPS, MLPParams, forward
-from .raster import GRID, N_BANDS, WINDOW, BandStack, GeoRef, Patch, window_average
+from .raster import (GRID, N_BANDS, WINDOW, BandStack, GeoRef, Patch, window_average,
+                     window_patches)
 from .sensor import check_parameter
 
 # The transfer certificate: the largest deviation it accepts, in physical
-# units, and the random patches it is checked on. CHECK_SEED draws the check
-# patches of this gate and of quantbench's fp16 gate.
+# units, and the patches it is checked on (``check_patches``). CHECK_SEED
+# draws the check patches of this gate and of quantbench's fp16 gate.
 EQUIVALENCE_TOL = 1e-4
 EQUIVALENCE_CHECK_PATCHES = 20
 CHECK_SEED = 0
@@ -94,19 +102,25 @@ class ConvLayer:
 
 @dataclass
 class ConvNet:
-    """The transferred network: fixed averaging front end + 1x1 conv stack.
+    """The transferred network: fixed front end + 1x1 conv stack + fixed
+    back end.
 
     ``layers`` excludes the front averaging layer, which is structural and
     the same for every network: depthwise, kernel ``WINDOW x WINDOW``,
     stride ``WINDOW``, every weight exactly ``1 / WINDOW**2``, bias 0,
     untrainable. No layer after it changes the spatial dimensions. Every
-    layer but the last applies ReLU, and the last emits the one map, of
-    ``parameter``, one of ``sensor.PARAMETERS``.
+    layer has at least one channel; every layer but the last applies ReLU,
+    and the last emits the one map, of ``parameter``, one of
+    ``sensor.PARAMETERS``. ``stats`` standardizes the window means in front
+    of the stack and de-standardizes its output; it defaults to the
+    identity, for a stack that takes window means and emits the map.
     """
 
     layers: list[ConvLayer]
     parameter: str
     dtype: str = "f32"
+    stats: NormStats = field(default_factory=lambda: NormStats(
+        np.zeros(N_BANDS), np.ones(N_BANDS), 0.0, 1.0))
 
     def __post_init__(self):
         if not self.layers:
@@ -121,6 +135,9 @@ class ConvNet:
                 raise TransferError(f"layer {k + 1}: bias shape mismatch")
         if width != 1:
             raise TransferError(f"the last layer emits {width} channels, not 1")
+        if min(self.channels) < 1:
+            raise TransferError(f"every layer width must be >= 1, got "
+                                f"{list(self.channels)}")
         if self.dtype not in ("f32", "f16"):
             raise ValueError(f"unknown dtype {self.dtype!r}")
         check_parameter(self.parameter)
@@ -160,68 +177,61 @@ def fc_to_cnn(params: MLPParams, stats: NormStats, parameter: str) -> ConvNet:
     """Transplant the trained regressor into the convolutional form.
 
     Requires populated batch-norm running statistics (eval mode is what the
-    conversion reproduces). All folding algebra runs in float64; the layers
-    round the folded kernels and biases to float32, the deployed dtype.
+    conversion reproduces). Batch-norm folds into the hidden layers in
+    float64; the layers round the folded kernels and biases to float32, the
+    deployed dtype, and the network keeps ``stats`` for its front and back
+    ends.
     """
     if not params.bn_stats_tracked:
         raise TransferError(
             "batch-norm running statistics never updated; train or load a "
             "model before transfer"
         )
-    # absorb feature standardization into the first layer, hidden or output:
-    # x_norm = (f - mu_f) / sigma_f, so W x_norm = (W / sigma_f) f - c
-    first = params.weights[0].astype(np.float64) / stats.feature_std[None, :]
-    shift = first @ stats.feature_mean   # c
-    layers: list[ConvLayer] = []
+    layers = []
     for k in range(params.n_hidden):
-        w, shifted = ((first, params.bn_mean[k] + shift) if k == 0 else
-                      (params.weights[k].astype(np.float64), params.bn_mean[k]))
         scale = params.bn_gamma[k] / np.sqrt(params.bn_var[k] + BN_EPS)
-        layers.append(ConvLayer(w * scale[:, None], params.bn_beta[k] - shifted * scale))
-    # output layer: no batch-norm, no activation; absorb target
-    # de-standardization so the map is in physical units
-    w_out, b_out = params.weights[-1].astype(np.float64), params.bias.astype(np.float64)
-    if not params.n_hidden:
-        w_out, b_out = first, b_out - shift
-    layers.append(ConvLayer(w_out * stats.target_std,
-                            b_out * stats.target_std + stats.target_mean))
-    return ConvNet(layers, parameter=parameter)
+        layers.append(ConvLayer(params.weights[k] * scale[:, None],
+                                params.bn_beta[k] - params.bn_mean[k] * scale))
+    # output layer: no batch-norm, no activation
+    layers.append(ConvLayer(params.weights[-1], params.bias))
+    return ConvNet(layers, parameter, stats=stats)
 
 
-def _stack_on_means(net: ConvNet, means: np.ndarray) -> np.ndarray:
-    """The 1x1 stack over (bands, rows, cols) window means -> (rows, cols).
-
-    The arithmetic runs in ``means.dtype``: float32 on the served path,
-    float64 on the certificate's reference route (the float32 parameters
-    widen exactly). ``means`` is only read, so one set of window means can
-    feed several networks or routes. Every layer but the last applies ReLU.
-    """
-    bands, rows, cols = means.shape
-    expect = net.layers[0].kernel.shape[1]
+def _front(net: ConvNet, means: np.ndarray) -> np.ndarray:
+    """The served route's front end: float64 (bands, rows, cols) window
+    means, standardized by the network's statistics in float64 and rounded
+    to float32."""
+    bands, expect = means.shape[0], net.channels[0]
     if bands != expect:
         raise DimensionError(f"raster has {bands} bands, network expects {expect}")
-    dtype = means.dtype
-    act = means.reshape(bands, -1)
+    return ((means - net.stats.feature_mean[:, None, None])
+            / net.stats.feature_std[:, None, None]).astype(np.float32)
+
+
+def _stack_on_means(net: ConvNet, act: np.ndarray) -> np.ndarray:
+    """The rest of the served route: the float32 1x1 stack over ``_front``'s
+    (bands, rows, cols) standardized means, every layer but the last
+    applying ReLU, then the back end, which de-standardizes the output in
+    float64 and rounds it to the float32 (rows, cols) map. ``act`` is only
+    read."""
+    bands, rows, cols = act.shape
+    act = act.reshape(bands, -1)
     last = len(net.layers) - 1
     for k, layer in enumerate(net.layers):
-        act = layer.kernel.astype(dtype, copy=False) @ act
-        act += layer.bias.astype(dtype, copy=False)[:, None]
+        act = layer.kernel @ act
+        act += layer.bias[:, None]
         if not np.isfinite(act).all():
             raise NumericError(f"non-finite activations at conv layer {k + 1}")
         if k < last:
             np.maximum(act, 0.0, out=act)
-    return act.reshape(rows, cols)
-
-
-def _served_means(raster: BandStack) -> np.ndarray:
-    """Window means accumulated in float64, served to the stack as float32."""
-    return window_average(raster.data).astype(np.float32)
+    out = net.stats.denormalize_target(act.astype(np.float64)).astype(np.float32)
+    return out.reshape(rows, cols)
 
 
 def infer_raster(net: ConvNet, raster: BandStack) -> np.ndarray:
     """Forward a raster of the network's bands; returns the float32
     (rows, cols) grid."""
-    return _stack_on_means(net, _served_means(raster))
+    return _stack_on_means(net, _front(net, window_average(raster.data)))
 
 
 def infer_patch(net: ConvNet, patch: Patch) -> ContaminantMap:
@@ -240,9 +250,10 @@ def infer_kept(net: ConvNet, patches: list[Patch],
     windows to compute, or None for all of them. Each computed cell is
     bit-identical to ``infer_patch``'s:
 
-    * The kept window means stream into ``(bands, GRID, GRID)`` float32
-      blocks, which may mix patches. Every stack call has the shape of one
-      patch. A GEMM over a subset of the columns would change bits.
+    * The kept standardized window means stream into ``(bands, GRID,
+      GRID)`` float32 blocks, which may mix patches. Every stack call has
+      the shape of one patch. A GEMM over a subset of the columns would
+      change bits.
     * Window j (row-major) goes into column j of the oldest open block where
       that column is free: on every BLAS core a column's bits may depend on
       its position, but not on the other columns.
@@ -274,7 +285,7 @@ def infer_kept(net: ConvNet, patches: list[Patch],
         todo = np.ones(cells, bool) if keep is None else np.ravel(keep).astype(bool)
         if not todo.any():
             continue
-        means = _served_means(patch.raster).reshape(N_BANDS, cells)
+        means = _front(net, window_average(patch.raster.data)).reshape(N_BANDS, cells)
         values = cmap.values.reshape(-1)
         for block, free, pending in blocks:
             idx = np.flatnonzero(todo & free)
@@ -299,12 +310,10 @@ def infer_kept(net: ConvNet, patches: list[Patch],
 
 @dataclass
 class EquivalenceReport:
-    """The certificate (float64 stack against the FC route) and, ungated,
-    the served float32 stack's maximum deviation against the same route."""
+    """The certificate: the served route against the FC route."""
 
     max_abs_deviation: float
     mean_abs_deviation: float
-    served_max_abs_deviation: float
     n_patches: int
     n_cells: int
     tol: float
@@ -316,6 +325,17 @@ class EquivalenceReport:
         return asdict(self)
 
 
+def check_patches(stats: NormStats) -> Iterable[Patch]:
+    """The certificate's ``EQUIVALENCE_CHECK_PATCHES`` patches, drawn from
+    ``CHECK_SEED`` in the model's own distribution: constant per window,
+    band b uniform in mu_b +- sqrt(3) sigma_b of ``stats``' features, so
+    each band has its training mean and std. Lazy and sized, as
+    ``raster.random_patches``."""
+    mean = stats.feature_mean[:, None, None]
+    half = np.sqrt(3.0) * stats.feature_std[:, None, None]
+    return window_patches(EQUIVALENCE_CHECK_PATCHES, CHECK_SEED, mean - half, mean + half)
+
+
 def verify_equivalence(
     params: MLPParams,
     stats: NormStats,
@@ -324,26 +344,23 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Certify ConvNet(P)[w] == FC(mean window w of P) over all patches.
 
-    All routes start from the same float64 window means, computed once
-    per patch. The certificate runs the 1x1 stack in float64; the FC route
-    runs independently (standardization, eval-mode forward,
-    de-standardization). The served float32 stack (``infer_patch``) is
-    measured against the same FC values and reported, not gated.
-    Deviations are in physical units; the gate is ``EQUIVALENCE_TOL``, and
-    ``worst`` names the first cell holding the maximum. ``patches`` may be
-    any iterable, counted as it is read; each patch is let go once its
-    means are taken, so a lazy source such as ``raster.random_patches``
-    has one patch alive at a time. An empty iterable passes vacuously with
-    n = 0 flagged.
+    Both routes start from the same float64 window means, computed once
+    per patch. The network runs the route ``infer_patch`` serves; the FC
+    route runs independently (standardization by ``stats``, eval-mode
+    forward, de-standardization). Deviations are in physical units; the
+    gate is ``EQUIVALENCE_TOL``, and ``worst`` names the first cell holding
+    the maximum. ``patches`` may be any iterable, counted as it is read;
+    each patch is let go once its means are taken, so a lazy source such as
+    ``check_patches`` has one patch alive at a time. An empty iterable
+    passes vacuously with n = 0 flagged.
     """
     max_dev = 0.0
-    served_max = 0.0
     sum_dev = 0.0
     n_patches = n_cells = 0
     worst = (-1, -1, -1)
     # map holds no patch once its means are taken
     for means in map(lambda patch: window_average(patch.raster.data), patches):
-        cnn_map = _stack_on_means(net, means)
+        cnn_map = _stack_on_means(net, _front(net, means))
         rows, cols = cnn_map.shape
         feats = means.reshape(means.shape[0], -1).T
         feats_norm = (feats - stats.feature_mean) / stats.feature_std
@@ -356,12 +373,9 @@ def verify_equivalence(
         sum_dev += float(dev.sum())
         n_cells += dev.size
         n_patches += 1
-        served = _stack_on_means(net, means.astype(np.float32))
-        served_max = max(served_max, float(np.abs(served.reshape(-1) - fc).max()))
     return EquivalenceReport(
         max_abs_deviation=max_dev,
         mean_abs_deviation=sum_dev / n_cells if n_cells else 0.0,
-        served_max_abs_deviation=served_max,
         n_patches=n_patches,
         n_cells=n_cells,
         tol=EQUIVALENCE_TOL,
@@ -381,7 +395,7 @@ _CNN1_MAGIC = b"CNN1"
 _CNN1_DTYPES = {"f32": np.dtype("<f4"), "f16": np.dtype("<f2")}
 # The JSON kind of each CNN1 manifest key ``load_cnn1`` reads.
 _CNN1_KINDS = {"window": "an integer", "channels": "a list of integers",
-               "dtype": "a string", "parameter": "a string"}
+               "dtype": "a string", "parameter": "a string", "normalization": None}
 
 
 def save_cnn1(
@@ -394,6 +408,7 @@ def save_cnn1(
         "channels": list(net.channels),
         "dtype": net.dtype,
         "parameter": net.parameter,
+        "normalization": net.stats.to_json(),
         "equivalence": equivalence.to_json() if equivalence else None,
     }
     arrays = (arr for l in net.layers for arr in (l.kernel, l.bias))
@@ -414,9 +429,10 @@ def _cnn1_layout(manifest: dict) -> tuple[list[tuple[int, ...]], np.dtype]:
 
 
 def load_cnn1(path: str | Path) -> tuple[ConvNet, dict]:
-    """Read a CNN1 file; a malformed one, one whose front end averages
-    another window than ``WINDOW`` or one ``ConvNet`` refuses (a parameter
-    outside ``sensor.PARAMETERS``, say) raises ``FormatError``."""
+    """Read a CNN1 file; a malformed one, one of the former layout (no
+    ``normalization``), one whose front end averages another window than
+    ``WINDOW`` or one ``ConvNet`` refuses (a parameter outside
+    ``sensor.PARAMETERS``, say) raises ``FormatError``."""
     manifest, arrays = _container.load(path, _CNN1_MAGIC, _CNN1_KINDS, _cnn1_layout)
     with _container.parsing(path):
         if manifest["window"] != WINDOW:
@@ -424,5 +440,6 @@ def load_cnn1(path: str | Path) -> tuple[ConvNet, dict]:
                               f"{manifest['window']!r} px windows, not {WINDOW}")
         layers = [ConvLayer(kernel, bias)
                   for kernel, bias in zip(arrays[0::2], arrays[1::2])]
-        net = ConvNet(layers, manifest["parameter"], manifest["dtype"])
+        net = ConvNet(layers, manifest["parameter"], manifest["dtype"],
+                      NormStats.from_json(manifest["normalization"]))
     return net, manifest

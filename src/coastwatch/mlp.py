@@ -87,7 +87,8 @@ class MLPParams:
 
     ``layer_dims`` chains input, hidden and output sizes; there is one
     weight matrix per adjacent pair of dims, one batch-norm parameter set
-    per hidden layer and one bias, the output layer's. ``theta`` holds every
+    per hidden layer and one bias, the output layer's; every width is at
+    least 1, as ``TrainConfig`` requires. ``theta`` holds every
     trainable value and ``bn_state`` the running means, then the running
     variances; the order inside ``theta`` is ``_theta_views``'s.
     ``weights``, ``bn_gamma``, ``bn_beta``, ``bn_mean`` and ``bn_var`` are
@@ -109,6 +110,8 @@ class MLPParams:
         dims = self.layer_dims
         if len(dims) < 2:
             raise ValueError("need at least input and output dims")
+        if min(dims) < 1:
+            raise ValueError(f"every layer width must be >= 1, got {list(dims)}")
         for name, size in zip(("theta", "bn_state"), _vector_sizes(dims)):
             shape = getattr(self, name).shape
             if shape != (size,):

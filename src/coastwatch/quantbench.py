@@ -1,14 +1,18 @@
 """FP16 deployment checks: quantization, size accounting, latency benchmark.
 
 The flight accelerator is emulated numerically: parameters are rounded to
-IEEE-754 binary16 (round-to-nearest-even) and held as float32, both
-networks run the float32 stack they are served with, and inference latency
-is a desk benchmark of the float32 served path on the local host. Model
-size is the byte size of a CNN1 file: the sizes come from the files the
-``quantize`` command reads and writes, which it reports beside
-``compare_quantized``'s deviations. The flight reference figures (40.5 ms
-per inference, 24 FPS on the mission VPU; 250 MB mission size ceiling) ride
-along as metadata and are never an acceptance gate for desk hardware.
+IEEE-754 binary16 (round-to-nearest-even) and held as float32, the
+network's standardization statistics stay float64, both networks run the
+one route they are served with (standardization in float64, the 1x1 stack
+in float32, de-standardization in float64), and inference latency is a desk
+benchmark of that served route on the local host. The fp16 gate is checked
+on ``FP16_CHECK_PATCHES`` U[0,1] patches, whose windows standardize far
+outside the training range. Model size is the byte size of a CNN1 file:
+the sizes come from the files the ``quantize`` command reads and writes,
+which it reports beside ``compare_quantized``'s deviations. The flight
+reference figures (40.5 ms per inference, 24 FPS on the mission VPU; 250 MB
+mission size ceiling) ride along as metadata and are never an acceptance
+gate for desk hardware.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .convnet import ConvNet, _served_means, _stack_on_means, infer_patch
+from .convnet import ConvNet, _front, _stack_on_means, infer_patch
 from .errors import NumericError
-from .raster import Patch
+from .raster import Patch, window_average
 
 # The fp16 gate: the largest map deviation it accepts, in physical units,
 # and the random patches it is checked on (drawn with convnet.CHECK_SEED).
@@ -86,8 +90,8 @@ def compare_quantized(
 ) -> QuantReport:
     """Per-cell deviation statistics between the two precisions.
 
-    Both networks run as served, in float32, on one set of window means per
-    patch (``infer_patch``'s); deviations are in physical units. ``passed``
+    Both networks run the route ``infer_patch`` serves, on one set of
+    window means per patch; deviations are in physical units. ``passed``
     holds when the maximum deviation is at most ``FP16_THRESHOLD``.
     ``patches`` may be any iterable, counted as it is read; each patch is
     let go once its means are taken, so a lazy source such as
@@ -98,9 +102,9 @@ def compare_quantized(
     total = 0.0
     cells = n_patches = 0
     # map holds no patch once its means are taken
-    for means in map(lambda patch: _served_means(patch.raster), patches):
-        a = _stack_on_means(net32, means)
-        b = _stack_on_means(net16, means)
+    for means in map(lambda patch: window_average(patch.raster.data), patches):
+        a = _stack_on_means(net32, _front(net32, means))
+        b = _stack_on_means(net16, _front(net16, means))
         dev = np.abs(np.subtract(a, b, dtype=np.float64))
         max_dev = max(max_dev, float(dev.max()))
         total += float(dev.sum())
@@ -139,8 +143,8 @@ def _hardware_descriptor() -> str:
 
 
 def bench(net: ConvNet, patches: list[Patch]) -> BenchReport:
-    """Wall-clock per single-patch inference (``infer_patch``, the float32
-    served path); median and p95 over ``BENCH_REPS`` timed runs after
+    """Wall-clock per single-patch inference (``infer_patch``, the served
+    route); median and p95 over ``BENCH_REPS`` timed runs after
     ``BENCH_WARMUP`` untimed ones. ``infer_kept`` serves a clear patch by
     exactly this one stack call, each window in its own column.
 

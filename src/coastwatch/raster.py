@@ -413,17 +413,31 @@ def random_patches(n: int, seed: int) -> Iterable[Patch]:
     all for a caller that indexes or reuses them. Every iteration draws the
     same patches from ``seed`` again.
     """
-    return _RandomPatches(n, seed)
+    return _RandomPatches(n, seed, lambda rng: rng.random((N_BANDS, PATCH_SIZE,
+                                                           PATCH_SIZE)))
+
+
+def window_patches(n: int, seed: int, low, high) -> Iterable[Patch]:
+    """``n`` seeded patches that are constant on every window, band b of
+    each window uniform in [``low[b]``, ``high[b]``) (two float arrays of
+    shape ``(N_BANDS, 1, 1)``); a side holds ``ceil(PATCH_SIZE / WINDOW)``
+    windows, the last cut by the patch edge and averaged by no map cell.
+    Drawn, placed and iterated as ``random_patches``'."""
+    cell = np.arange(PATCH_SIZE) // WINDOW   # pixel -> its window along a side
+    shape = (N_BANDS, cell[-1] + 1, cell[-1] + 1)
+    return _RandomPatches(n, seed, lambda rng: rng.uniform(low, high, shape)[
+        :, cell[:, None], cell])
 
 
 class _RandomPatches:
-    """:func:`random_patches`: its ``n`` patches, each drawn when iteration
-    reaches it, in one ``default_rng(seed)`` stream. A sized iterable, not a
-    generator, so that a check's patch count can be read with ``len`` before
-    it runs (the traced benchmark counts patches so)."""
+    """The seeded patches of :func:`random_patches` and
+    :func:`window_patches`: ``n`` of them, each drawn by ``draw`` from one
+    ``default_rng(seed)`` stream when iteration reaches it. A sized
+    iterable, not a generator, so that a check's patch count can be read
+    with ``len`` before it runs (the traced benchmark counts patches so)."""
 
-    def __init__(self, n: int, seed: int):
-        self._n, self._seed = n, seed
+    def __init__(self, n: int, seed: int, draw):
+        self._n, self._seed, self._draw = n, seed, draw
 
     def __len__(self) -> int:
         return self._n
@@ -434,9 +448,8 @@ class _RandomPatches:
         for i in range(self._n):
             # no name holds the data, so a patch the caller dropped is freed
             # before the next is drawn
-            yield Patch(BandStack.from_array(
-                rng.random((N_BANDS, PATCH_SIZE, PATCH_SIZE)),
-                PRODUCT_GSD, MS_BAND_IDS), georef, patch_id=f"random_{i:04d}")
+            yield Patch(BandStack.from_array(self._draw(rng), PRODUCT_GSD, MS_BAND_IDS),
+                        georef, patch_id=f"random_{i:04d}")
 
 
 # ---------------------------------------------------------------------------

@@ -78,11 +78,10 @@ def test_seven_command_chain(inputs, capsys):
     assert manifest["provenance"]["unmatched_records"] == 0
     # dropout is a training setting: its rate is provenance of the model
     assert mlp.load_mdl1(d / "model.mdl1")[2]["training"]["dropout_p"] == 0.25
-    _, cnn = convnet.load_cnn1(d / "net.cnn1")
+    net, cnn = convnet.load_cnn1(d / "net.cnn1")
+    # the certificate is of the route infer serves, on the check patches
     assert cnn["equivalence"]["passed"]
-    # the served f32 route's deviation rides along, ungated
-    served = cnn["equivalence"]["served_max_abs_deviation"]
-    assert isinstance(served, float) and 0.0 < served < 1.0
+    assert cnn["equivalence"]["n_patches"] == convnet.EQUIVALENCE_CHECK_PATCHES
 
     # simulate writes the chips the chain reads, and no ground-truth grids
     assert sorted(p.name for p in (d / "sim" / "chips").iterdir()) == [
@@ -92,6 +91,12 @@ def test_seven_command_chain(inputs, capsys):
     assert len(index["maps"]) == 4
     maps = [raster.read_pat1(d / "maps" / name)[0].data[0]
             for name in index["maps"]]
+    # a map read back from its file is the one served
+    scene, _ = raster.read_pat1(d / "sim" / "scene.pat1")
+    tiles = raster.tile_scene(scene)
+    for values, patch in zip(maps[1:], tiles.patches[1:], strict=True):
+        assert values.tobytes() == convnet.infer_patch(net, patch).values.astype(
+            np.float32).tobytes()
     # the clouded north-west patch is invalid everywhere, the others nowhere
     assert np.isnan(maps[0]).all()
     assert all(np.isfinite(m).all() for m in maps[1:])
@@ -282,15 +287,18 @@ def cnn1() -> bytes:
         return convnet.save_cnn1(Path(d) / "net.cnn1", net).read_bytes()
 
 
-def edit_manifest(blob: bytes, drop=(), **fields) -> bytes:
+def edit_manifest(blob: bytes, drop=(), payload=None, **fields) -> bytes:
     """The file ``blob`` in the ``_container`` framing with the manifest keys
-    of ``drop`` removed and ``fields`` set, its payload unchanged."""
+    of ``drop`` removed and ``fields`` set, its payload unchanged or
+    replaced by the bytes ``payload``."""
     length = int.from_bytes(blob[4:8], "little")
     manifest = json.loads(blob[8 : 8 + length])
     for key in drop:
         del manifest[key]
     mbytes = json.dumps({**manifest, **fields}).encode()
-    return blob[:4] + len(mbytes).to_bytes(4, "little") + mbytes + blob[8 + length :]
+    if payload is None:
+        payload = blob[8 + length :]
+    return blob[:4] + len(mbytes).to_bytes(4, "little") + mbytes + payload
 
 
 def mdl1(dims=(7, 8, 1)) -> bytes:
@@ -306,7 +314,8 @@ def cnn1_of_two_outputs() -> bytes:
     """A CNN1 file of one 7 -> 2 layer, which no ``ConvNet`` takes."""
     buffer = io.BytesIO()
     manifest = {"format": "CNN1", "window": raster.WINDOW, "channels": [7, 2],
-                "dtype": "f32", "parameter": sensor.TURBIDITY, "equivalence": None}
+                "dtype": "f32", "parameter": sensor.TURBIDITY,
+                "normalization": STATS.to_json(), "equivalence": None}
     _container.write(buffer, b"CNN1", manifest,
                      [np.ones((2, 7), np.float32), np.zeros(2, np.float32)],
                      np.dtype("<f4"))
@@ -617,6 +626,20 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
      "antimeridian"),
     ({"net.cnn1": cnn1(), "scene.pat1": pat1(TALL_SCENE, georef=POLE)}, INFER,
      "patch 'scene_000_000' centre latitude 90.0054"),
+    # [7, 0, 1] lays out one value, the output bias
+    ({"m.mdl1": edit_manifest(mdl1(), layer_dims=[7, 0, 1],
+                              payload=np.ones(1, "<f8").tobytes())},
+     TRANSFER, "m.mdl1: every layer width must be >= 1, got [7, 0, 1]"),
+    ({"net.cnn1": edit_manifest(cnn1(), channels=[7, 0, 1],
+                                payload=np.ones(1, "<f4").tobytes()),
+      "scene.pat1": pat1(SCENE, georef=GEOREF)},
+     INFER, "net.cnn1: every layer width must be >= 1, got [7, 0, 1]"),
+    ({"net.cnn1": edit_manifest(cnn1(), drop=("normalization",)),
+      "scene.pat1": pat1(SCENE, georef=GEOREF)},
+     INFER, "net.cnn1: CNN1 manifest lacks keys: normalization"),
+    ({"net.cnn1": edit_manifest(cnn1(), drop=("normalization",))},
+     ["quantize", "--net", "net.cnn1", "--out", "net16.cnn1"],
+     "net.cnn1: CNN1 manifest lacks keys: normalization"),
 ], ids=["malformed_cnn1", "bad_policy", "unknown_config_key", "smp1_index_past_list",
         "transfer_no_check_patches", "quantize_no_check_patches", "bench_no_reps",
         "simulate_bad_degrade",
@@ -663,7 +686,9 @@ def with_value(stack: raster.BandStack, value: float) -> raster.BandStack:
         "simulate_spec_not_utf8", "train_config_not_utf8", "alert_policy_not_utf8",
         "alert_index_not_utf8", "simulate_truncated_spec", "alert_truncated_index",
         "build_dataset_latin1_csv", "simulate_footprint_past_pole",
-        "simulate_footprint_past_antimeridian", "infer_scene_past_pole"])
+        "simulate_footprint_past_antimeridian", "infer_scene_past_pole",
+        "transfer_zero_width_hidden_layer", "infer_cnn1_zero_width_hidden_layer",
+        "infer_former_layout_cnn1", "quantize_former_layout_cnn1"])
 def test_invalid_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                              files, argv, says):
     monkeypatch.chdir(tmp_path)

@@ -106,6 +106,7 @@ def _edit_manifest(blob: bytes, field: str, value=None) -> bytes:
 @pytest.mark.parametrize("fmt, field", [
     ("MDL1", "layer_dims"), ("MDL1", "param_order"), ("MDL1", "normalization"),
     ("CNN1", "dtype"), ("CNN1", "channels"), ("CNN1", "window"),
+    ("CNN1", "normalization"),
 ])
 def test_manifest_without_a_field_raises_format_error(tmp_path, fmt, field):
     write, load = FORMATS[fmt]
@@ -269,7 +270,8 @@ DECLARED = {
              (("normalization",), "an object"), (("bn_stats_tracked",), "a boolean"),
              (("param_order",), "a list of strings"), *NORMALIZATION_KEYS],
     "CNN1": [(("window",), "an integer"), (("channels",), "a list of integers"),
-             (("dtype",), "a string"), (("parameter",), "a string")],
+             (("dtype",), "a string"), (("parameter",), "a string"),
+             (("normalization",), "an object"), *NORMALIZATION_KEYS],
 }
 # format -> (writer of a file that sets every key above, the CLI's reader)
 AS_THE_CLI_READS = {

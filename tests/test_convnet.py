@@ -17,6 +17,7 @@ from coastwatch.convnet import (
     ConvNet,
     ContaminantMap,
     _stack_on_means,
+    check_patches,
     fc_to_cnn,
     infer_kept,
     infer_patch,
@@ -70,20 +71,25 @@ def model(seed=0):
     return params, stats
 
 
-def stack_formula(net, patch, arithmetic, deployed=np.float32):
-    """The 1x1 stack written out: window means and the parameters, rounded
-    to ``deployed``, widened to ``arithmetic`` and run in it, with ReLU after
-    every layer but the last."""
-    act = window_average(patch.raster.data, WINDOW).reshape(7, -1)
-    act = act.astype(arithmetic)
+def served_formula(net, patch, deployed=np.float32):
+    """The served route written out: the window means standardized by the
+    network's statistics in float64 and rounded to float32; the 1x1 stack
+    run in float32 on the parameters rounded to ``deployed``, with ReLU
+    after every layer but the last; its output de-standardized in float64
+    and rounded to float32."""
+    stats = net.stats
+    means = window_average(patch.raster.data, WINDOW).reshape(7, -1)
+    act = ((means - stats.feature_mean[:, None])
+           / stats.feature_std[:, None]).astype(np.float32)
     *hidden, last = net.layers
     for layer in hidden:
-        kernel = layer.kernel.astype(deployed).astype(arithmetic)
-        bias = layer.bias.astype(deployed).astype(arithmetic)
-        act = np.maximum(kernel @ act + bias[:, None], arithmetic(0))
-    kernel = last.kernel.astype(deployed).astype(arithmetic)
-    act = kernel @ act + last.bias.astype(deployed).astype(arithmetic)[:, None]
-    return act.reshape(25, 25)
+        kernel = layer.kernel.astype(deployed).astype(np.float32)
+        bias = layer.bias.astype(deployed).astype(np.float32)
+        act = np.maximum(kernel @ act + bias[:, None], np.float32(0))
+    kernel = last.kernel.astype(deployed).astype(np.float32)
+    act = kernel @ act + last.bias.astype(deployed).astype(np.float32)[:, None]
+    out = act.astype(np.float64) * stats.target_std + stats.target_mean
+    return out.astype(np.float32).reshape(25, 25)
 
 
 def test_layers_hold_float32():
@@ -98,13 +104,13 @@ def test_layers_hold_float32():
 
 @pytest.mark.parametrize("fp16", [False, True])
 def test_infer_patch_matches_deployed_dtype_formula(fp16):
-    # the served maps are the float32 stack, bit for bit
+    # the served maps are the served route written out, bit for bit
     net = fc_to_cnn(*model(1), "turbidity_NTU")
     deployed = np.float32
     if fp16:
         net, deployed = quantize_fp16(net), np.float16
     for patch in random_patches(2, seed=3):
-        want = stack_formula(net, patch, np.float32, deployed)
+        want = served_formula(net, patch, deployed)
         grid = infer_raster(net, patch.raster)
         assert grid.dtype == np.float32
         assert np.array_equal(grid, want)
@@ -156,6 +162,7 @@ def test_cnn1_stores_deployed_dtype_and_round_trips(tmp_path, fp16, itemsize):
         assert b.kernel.dtype == b.bias.dtype == np.float32
         assert np.array_equal(a.kernel, b.kernel)
         assert np.array_equal(a.bias, b.bias)
+    assert loaded.stats.to_json() == net.stats.to_json()
     assert cnn1_bytes(loaded) == blob
 
 
@@ -180,8 +187,8 @@ def test_the_certificate_accepts_a_deviation_equal_to_its_tolerance(monkeypatch)
 
 
 def test_a_net_without_a_hidden_layer_keeps_the_feature_standardization():
-    # (7, 1), the linear reference TrainConfig accepts: the standardization
-    # folds into its one layer, the output layer
+    # (7, 1), the linear reference TrainConfig accepts: its one layer is the
+    # output layer, and the standardization stays in the front end
     params = init_mlp((7, 1), seed=2)
     params.bias[...] = 0.7
     params.bn_stats_tracked = True
@@ -226,27 +233,23 @@ def test_the_checks_read_any_iterable_as_they_read_a_list():
 
 
 def test_equivalence_and_fp16_checks_equal_per_network_inference():
-    # the certificate is the float64 stack against the FC route; the served
-    # deviation and the fp16 check are what infer_patch serves, in float32
+    # the certificate and the fp16 check are what infer_patch serves: the
+    # certificate against the FC route, the fp16 check against the f32 net
     params, stats = model(6)
     net = fc_to_cnn(params, stats, "turbidity_NTU")
     net16 = quantize_fp16(net)
     patches = list(random_patches(3, seed=7))
-    eq_dev, served_dev, q_dev = [], [], []
+    eq_dev, q_dev = [], []
     for patch in patches:
         feats = window_average(patch.raster.data, WINDOW).reshape(7, -1).T
         fc = stats.denormalize_target(
             forward(params, (feats - stats.feature_mean) / stats.feature_std))
-        cnn64 = stack_formula(net, patch, np.float64).reshape(-1)
-        eq_dev.append(np.abs(cnn64 - fc))
-        served_dev.append(np.abs(infer_patch(net, patch).values.reshape(-1) - fc))
+        eq_dev.append(np.abs(infer_patch(net, patch).values.reshape(-1) - fc))
         q_dev.append(np.abs(infer_patch(net, patch).values
                             - infer_patch(net16, patch).values))
     report = verify_equivalence(params, stats, net, patches)
     assert report.max_abs_deviation == max(float(d.max()) for d in eq_dev)
     assert report.mean_abs_deviation == sum(float(d.sum()) for d in eq_dev) / (3 * 625)
-    assert report.served_max_abs_deviation == max(float(d.max()) for d in served_dev)
-    assert report.served_max_abs_deviation != report.max_abs_deviation
     quant = compare_quantized(net, net16, patches)
     assert quant.max_map_deviation == max(float(d.max()) for d in q_dev)
     assert quant.mean_map_deviation == sum(float(d.sum()) for d in q_dev) / (3 * 625)
@@ -277,31 +280,44 @@ def transferable_models(draw):
     return params, stats
 
 
-def float32_rounding_bound(net, means):
-    """How far rounding each folded parameter to float32 once can move the
-    float64 stack's output, to first order: a value rounds within a
-    relative u = 2**-24, ReLU moves nothing farther, so layer k's output
-    moves at most k * u * s_k, where s_0 = |means| and
-    s_k = |W_k| s_(k-1) + |b_k|. Returns the per-cell bound of the last
-    layer."""
-    s = np.abs(means.reshape(means.shape[0], -1))
+def served_rounding_bound(net, means):
+    """How far the served route's float32 rounding can move each cell's map
+    value from exact arithmetic, to first order, with u = 2**-24. In the
+    stack's standardized units, s_0 = |x| for the standardized means x and
+    s_k = |W_k| s_(k-1) + |b_k|, and layer k adds:
+
+    * the rounding of its folded parameters to float32 once, u s_k;
+    * its float32 dot product over n_in terms and the bias, (n_in + 1) u s_k;
+
+    the means' own rounding to float32 adds u s_0 in front. Each error
+    propagates through |W| of the layers after it, and ReLU moves nothing
+    farther. The back end scales the stack's bound by ``target_std``, and the
+    map's rounding to float32 adds u times its magnitude, at most
+    target_std s_L + |target_mean|, or 2**-150, half the least float32
+    subnormal, where the value underflows. Returns the per-cell bound."""
+    u = 2.0**-24
+    stats = net.stats
+    s = np.abs((means.reshape(means.shape[0], -1) - stats.feature_mean[:, None])
+               / stats.feature_std[:, None])
+    err = u * s
     for layer in net.layers:
-        s = (np.abs(layer.kernel.astype(np.float64)) @ s
-             + np.abs(layer.bias.astype(np.float64))[:, None])
-    return (len(net.layers) * 2.0**-24 * s).reshape(GRID, GRID)
+        kernel = np.abs(layer.kernel.astype(np.float64))
+        s = kernel @ s + np.abs(layer.bias.astype(np.float64))[:, None]
+        err = kernel @ err + (kernel.shape[1] + 2) * u * s
+    magnitude = stats.target_std * s + abs(stats.target_mean)
+    return (stats.target_std * err + u * magnitude + 2.0**-150).reshape(GRID, GRID)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(model=transferable_models(), seed=st.integers(0, 2**32 - 1))
-def test_each_cell_of_the_float64_stack_is_the_fc_of_its_window_mean(model, seed):
+def test_each_cell_of_the_served_route_is_the_fc_of_its_window_mean(model, seed):
     params, stats = model
     net = fc_to_cnn(params, stats, "turbidity_NTU")
     data = np.random.default_rng(seed).uniform(0.05, 0.5, (7, PATCH_SIZE, PATCH_SIZE))
     patch = Patch(BandStack.from_array(data, PRODUCT_GSD),
                   GeoRef(0.0, 0.0, dt.date(2024, 6, 15)))
-    # the network's route: the library's window means, the float64 stack
-    means = window_average(patch.raster.data, WINDOW)
-    cnn = _stack_on_means(net, means)
+    # the network's route: the map infer_patch serves
+    cnn = infer_patch(net, patch).values
     # the FC route on each window's mean, taken here by reshaping
     used = GRID * WINDOW
     window_means = data[:, :used, :used].reshape(7, GRID, WINDOW, GRID, WINDOW).mean(
@@ -311,8 +327,34 @@ def test_each_cell_of_the_float64_stack_is_the_fc_of_its_window_mean(model, seed
         forward(params, (feats - stats.feature_mean) / stats.feature_std))
     # twice the first-order bound covers its second-order terms and both
     # routes' float64 arithmetic, which is 2**29 times finer
-    bound = 2.0 * float32_rounding_bound(net, means)
+    bound = 2.0 * served_rounding_bound(net, window_average(data, WINDOW))
     assert (np.abs(cnn - fc.reshape(GRID, GRID)) <= bound).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_patches_are_window_constant_draws_of_the_training_distribution(seed):
+    """Sized before it is read, the same patches on every iteration, one
+    value per window (the partial windows at the patch edge included), and
+    every window's standardized mean inside [-sqrt(3), sqrt(3)], the box of
+    a uniform variable of mean 0 and std 1, which its draws fill."""
+    stats = model(seed)[1]
+    patches = check_patches(stats)
+    assert len(patches) == convnet.EQUIVALENCE_CHECK_PATCHES
+    cell = np.arange(PATCH_SIZE) // WINDOW
+    standardized = []
+    for a, b in zip(patches, patches, strict=True):
+        assert a.raster.data.tobytes() == b.raster.data.tobytes()
+        # each pixel holds the value of its window's first pixel
+        firsts = a.raster.data[:, ::WINDOW, ::WINDOW]
+        assert (a.raster.data == firsts[:, cell[:, None], cell]).all()
+        means = window_average(a.raster.data, WINDOW)
+        standardized.append((means - stats.feature_mean[:, None, None])
+                            / stats.feature_std[:, None, None])
+    z = np.stack(standardized, axis=1).reshape(7, -1)
+    assert np.abs(z).max() <= np.sqrt(3.0) + 1e-9
+    # 12,500 draws per band: its mean and std sit within 5 standard errors
+    assert np.abs(z.mean(axis=1)).max() < 0.05
+    assert np.abs(z.std(axis=1) - 1.0).max() < 0.05
 
 
 def test_cnn1_declaring_another_window_is_a_format_error(tmp_path):
@@ -360,6 +402,7 @@ def test_cnn1_round_trips_any_network_bit_for_bit(fp16, data):
         back, manifest = load_cnn1(path)
         assert manifest["channels"] == net.channels == back.channels
         assert (back.dtype, back.parameter) == (net.dtype, net.parameter)
+        assert back.stats.to_json() == net.stats.to_json()
         for a, b in zip(net.layers, back.layers, strict=True):
             assert b.kernel.tobytes() == a.kernel.tobytes()
             assert b.bias.tobytes() == a.bias.tobytes()
@@ -384,7 +427,8 @@ def test_quantize_fp16_is_idempotent(net):
 def former_manifest(net, report) -> dict:
     """The CNN1 manifest as written before it dropped what it restates: the
     front layer (``window``), the per-layer specs (``channels``, and ReLU on
-    every layer but the last), ``meta`` and the report's hash."""
+    every layer but the last), ``meta`` and the report's hash, beside the
+    ``normalization`` a network holds now."""
     last = len(net.layers) - 1
     meta = {"normalization_absorbed": True, "output_units": "physical"}
     if net.dtype == "f16":
@@ -398,7 +442,7 @@ def former_manifest(net, report) -> dict:
         "layers": [{"out": l.kernel.shape[0], "in": l.kernel.shape[1], "relu": k < last}
                    for k, l in enumerate(net.layers)],
         "dtype": net.dtype, "parameter": net.parameter, "meta": meta,
-        "equivalence": equivalence,
+        "normalization": net.stats.to_json(), "equivalence": equivalence,
         "equivalence_sha256": hashlib.sha256(json.dumps(
             equivalence, sort_keys=True).encode()).hexdigest() if report else None,
     }
@@ -523,12 +567,14 @@ def layer(out_channels, in_channels, bias=None):
      "layer 1: kernel (7,) does not take 7 channels"),
     ([layer(4, 7), layer(1, 4, bias=2)], {}, TransferError, "layer 2: bias shape mismatch"),
     ([layer(2, 7)], {}, TransferError, "the last layer emits 2 channels, not 1"),
+    ([layer(0, 7), layer(1, 0)], {}, TransferError,
+     "every layer width must be >= 1, got [7, 0, 1]"),
     ([layer(1, 7)], {"dtype": "f64"}, ValueError, "unknown dtype 'f64'"),
     ([layer(1, 7)], {"parameter": "chlorophyll"}, SchemaError,
      "unknown parameter 'chlorophyll'"),
     ([layer(1, 7)], {"parameter": "unknown"}, SchemaError, "unknown parameter 'unknown'"),
 ], ids=["no_layer", "kernel_off_the_previous_width", "one_dimensional_kernel",
-        "bias_shape", "last_layer_wider_than_1", "unknown_dtype", "unknown_parameter",
+        "bias_shape", "last_layer_wider_than_1", "zero_width_layer", "unknown_dtype", "unknown_parameter",
         "former_default_parameter"])
 def test_a_network_refuses_what_it_cannot_serve(layers, kwargs, error, says):
     with pytest.raises(error, match=re.escape(says)):
