@@ -5,30 +5,31 @@ sample stores, MDL1/CNN1 models, JSON-lines alerts) and never mutate their
 inputs; every command exits nonzero on error, and invalid input (a malformed
 file, policy, config, command line or option value) exits 2 with a one-line
 message. Only ``simulate`` takes ``--seed``; ``train`` reads its seed from
-the ``--config`` document, and the check patches of ``transfer`` and
-``quantize`` and the patches ``bench`` draws without ``--patches`` use
-``convnet.CHECK_SEED``; a check draws its patches one at a time as it reads
-them. ``transfer`` certifies the one route ``infer`` serves (float64
-standardization, float32 1x1 stack, float64 de-standardization to a float32
-map) on ``convnet.check_patches``, drawn in the model's own distribution
-from the normalization its MDL1 records; ``quantize`` and ``bench`` draw
-U[0,1] patches. Each gate and check size is one library constant:
-the station match's window is ``dataset.MATCH_TOLERANCE_DAYS``, the transfer
-certificate's ``convnet.EQUIVALENCE_TOL`` over
-``convnet.EQUIVALENCE_CHECK_PATCHES`` patches, the fp16 gate's
-``quantbench.FP16_THRESHOLD`` over ``quantbench.FP16_CHECK_PATCHES`` patches,
-and ``bench`` times ``quantbench.BENCH_REPS`` runs after
-``quantbench.BENCH_WARMUP``, cycling ``quantbench.BENCH_PATCHES`` random
-patches without ``--patches``. ``quantize`` writes its network and report
-either way, then exits 1 when the fp16 gate fails. Each binary format is
-described in the module that writes it; all four share the ``_container``
-framing, whose ``load`` checks every manifest key a loader reads with
-``errors.read_document`` and carries any undeclared key as parsed. One
-function, ``_read_json``, reads every JSON document file (spec, train config,
-policy, map index) as UTF-8, and a file it cannot decode or parse is invalid
-input named in the message. So every JSON value a command reads is read by
-its declared kind; only the in-situ CSV, UTF-8 too, is parsed by hand. Every
-document a command writes, its two reports included, is ``_write_json``'s.
+the ``--config`` document. ``transfer``, ``quantize`` and ``bench`` without
+``--patches`` all read the first patches of one stream,
+``convnet.check_patches`` (drawn from ``convnet.CHECK_SEED`` in the model's
+own distribution, from the normalization its MDL1 or CNN1 records); a check
+draws its patches one at a time as it reads them. ``transfer`` certifies the
+one route ``infer`` serves (float64 standardization, float32 1x1 stack,
+float64 de-standardization to a float32 map) against the FC route, and
+``quantize`` the fp16 network's served route against it. Each gate and check
+size is one library constant: the station match's window is
+``dataset.MATCH_TOLERANCE_DAYS``, the transfer certificate's
+``convnet.EQUIVALENCE_TOL`` over ``convnet.EQUIVALENCE_CHECK_PATCHES``
+patches, the fp16 gate's ``quantbench.FP16_THRESHOLD`` over
+``quantbench.FP16_CHECK_PATCHES`` patches, and ``bench`` times
+``quantbench.BENCH_REPS`` runs after ``quantbench.BENCH_WARMUP``, cycling
+``quantbench.BENCH_PATCHES`` check patches without ``--patches``.
+``quantize`` writes its network and report either way, then exits 1 when the
+fp16 gate fails. Each binary format is described in the module that writes
+it; all four share the ``_container`` framing, whose ``load`` checks every
+manifest key a loader reads with ``errors.read_document`` and carries any
+undeclared key as parsed. One function, ``_read_json``, reads every JSON
+document file (spec, train config, policy, map index) as UTF-8, and a file it
+cannot decode or parse is invalid input named in the message. So every JSON
+value a command reads is read by its declared kind; only the in-situ CSV,
+UTF-8 too, is parsed by hand. Every document a command writes, its two
+reports included, is ``_write_json``'s.
 
 ``infer`` and ``alert`` are the library's scene path split at the map
 files: ``infer`` runs ``alerting.infer_scene`` and writes its maps and their
@@ -240,7 +241,8 @@ def cmd_train(args) -> int:
 def cmd_transfer(args) -> int:
     params, stats, manifest = mlp.load_mdl1(args.model)
     net = convnet.fc_to_cnn(params, stats, manifest["parameter"])
-    report = convnet.verify_equivalence(params, stats, net, convnet.check_patches(stats))
+    patches = convnet.check_patches(stats, convnet.EQUIVALENCE_CHECK_PATCHES)
+    report = convnet.verify_equivalence(params, stats, net, patches)
     if not report.passed:
         raise CoastwatchError(
             f"transfer equivalence failed: max deviation "
@@ -363,8 +365,7 @@ def cmd_alert(args) -> int:
 def cmd_quantize(args) -> int:
     net, _ = convnet.load_cnn1(args.net)
     net16 = quantbench.quantize_fp16(net)
-    patches = raster.random_patches(quantbench.FP16_CHECK_PATCHES,
-                                    seed=convnet.CHECK_SEED)
+    patches = convnet.check_patches(net.stats, quantbench.FP16_CHECK_PATCHES)
     report = quantbench.compare_quantized(net, net16, patches)
     convnet.save_cnn1(args.out, net16)
     # model sizes are those of the files read and written, certificate included
@@ -384,8 +385,7 @@ def cmd_bench(args) -> int:
     if args.patches:
         patches = _load_patches(Path(args.patches))
     else:
-        patches = list(raster.random_patches(quantbench.BENCH_PATCHES,
-                                             seed=convnet.CHECK_SEED))
+        patches = list(convnet.check_patches(net.stats, quantbench.BENCH_PATCHES))
     report = quantbench.bench(net, patches)
     if args.report:
         _write_json(args.report, report.to_json())
@@ -459,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="inference latency benchmark")
     p.add_argument("--net", required=True)
-    p.add_argument("--patches", help="chip directory (random patches if omitted)")
+    p.add_argument("--patches", help="chip directory (the model's check patches "
+                   "if omitted)")
     p.add_argument("--report", help="output BenchReport JSON")
     p.set_defaults(fn=cmd_bench)
 

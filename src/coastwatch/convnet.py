@@ -23,9 +23,14 @@ For every patch P and window w the identity ConvNet(P)[w] =
 FC(mean_10x10(P, w)) holds up to float rounding; ``verify_equivalence``
 certifies it for the route that is served, against the independent FC
 route, and the CNN1 file records the report of the run that blessed a
-deployed model. ``check_patches`` draws the certificate's patches from the
-model's own distribution: constant per window, band b uniform in mu_b +-
-sqrt(3) sigma_b, which has that band's training mean and std.
+deployed model. ``check_patches`` is the one source of the patches every
+deployment check runs on: one stream from ``CHECK_SEED`` in the model's own
+distribution, constant per window, band b uniform in mu_b +- sqrt(3)
+sigma_b, which has that band's training mean and std; each check reads as
+many of its first patches as its caller asks. ``deviations`` is the one
+loop of both gates: per patch, the served route against a reference (the
+FC route for the certificate, the fp16 network's served route for
+``quantbench.compare_quantized``).
 
 A network is its layers and its statistics: the channel widths are read
 off the kernels, and every layer but the last applies ReLU, the only
@@ -41,12 +46,14 @@ first layer folded the standardization in; the loader refuses it by that
 missing key, and transferring its MDL1 again gives the current layout.
 
 Parameters are float32, the dtype a CNN1 file deploys. There is one served
-route (``infer_raster``/``infer_patch``, ``infer_kept`` and the checks): the
-window means of the patch's array, which ``window_average`` returns as a
-float64 array, reducing the patch where it lies without a float64 copy, are
-standardized in float64 and rounded to float32, the 1x1 stack runs in
-float32, and its output is de-standardized in float64 and rounded to a
-float32 map, so a map read back from its file equals the one served.
+route, a ``ConvNet`` called on window means (``infer_raster``/``infer_patch``
+and the checks call it; ``infer_kept`` runs its two halves on blocks of
+windows): the window means of the patch's array, which ``window_average``
+returns as a float64 array, reducing the patch where it lies without a
+float64 copy, are standardized in float64 and rounded to float32, the 1x1
+stack runs in float32, and its output is de-standardized in float64 and
+rounded to a float32 map, so a map read back from its file equals the one
+served.
 Serving a patch allocates little beyond the stack's two float32 activation
 planes. A scene is served by ``infer_kept``, which runs only the windows
 cloud leaves valid, window j of a patch in column j of a patch-shaped stack
@@ -55,7 +62,7 @@ call (``infer_patch``'s bits on any BLAS core), from ``OPEN_BLOCKS`` blocks.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -70,8 +77,9 @@ from .raster import (GRID, N_BANDS, WINDOW, BandStack, GeoRef, Patch, window_ave
 from .sensor import check_parameter
 
 # The transfer certificate: the largest deviation it accepts, in physical
-# units, and the patches it is checked on (``check_patches``). CHECK_SEED
-# draws the check patches of this gate and of quantbench's fp16 gate.
+# units, and how many check patches it reads. CHECK_SEED draws the one
+# stream of check patches (``check_patches``) that this gate, quantbench's
+# fp16 gate and the CLI's ``bench`` each read the first patches of.
 EQUIVALENCE_TOL = 1e-4
 EQUIVALENCE_CHECK_PATCHES = 20
 CHECK_SEED = 0
@@ -148,6 +156,11 @@ class ConvNet:
         kernels."""
         return (self.layers[0].kernel.shape[1],
                 *(layer.kernel.shape[0] for layer in self.layers))
+
+    def __call__(self, means: np.ndarray) -> np.ndarray:
+        """The served route on float64 (bands, rows, cols) window means: the
+        float32 (rows, cols) map."""
+        return _stack_on_means(self, _front(self, means))
 
 
 @dataclass
@@ -231,7 +244,7 @@ def _stack_on_means(net: ConvNet, act: np.ndarray) -> np.ndarray:
 def infer_raster(net: ConvNet, raster: BandStack) -> np.ndarray:
     """Forward a raster of the network's bands; returns the float32
     (rows, cols) grid."""
-    return _stack_on_means(net, _front(net, window_average(raster.data)))
+    return net(window_average(raster.data))
 
 
 def infer_patch(net: ConvNet, patch: Patch) -> ContaminantMap:
@@ -325,15 +338,30 @@ class EquivalenceReport:
         return asdict(self)
 
 
-def check_patches(stats: NormStats) -> Iterable[Patch]:
-    """The certificate's ``EQUIVALENCE_CHECK_PATCHES`` patches, drawn from
-    ``CHECK_SEED`` in the model's own distribution: constant per window,
-    band b uniform in mu_b +- sqrt(3) sigma_b of ``stats``' features, so
-    each band has its training mean and std. Lazy and sized, as
+def check_patches(stats: NormStats, n: int) -> Iterable[Patch]:
+    """The first ``n`` check patches, drawn from ``CHECK_SEED`` in the
+    model's own distribution: constant per window, band b uniform in mu_b
+    +- sqrt(3) sigma_b of ``stats``' features, so each band has its training
+    mean and std. One stream for any ``n``: a smaller ``n`` gives the first
+    patches of a larger one, bit for bit. Lazy and sized, as
     ``raster.random_patches``."""
     mean = stats.feature_mean[:, None, None]
     half = np.sqrt(3.0) * stats.feature_std[:, None, None]
-    return window_patches(EQUIVALENCE_CHECK_PATCHES, CHECK_SEED, mean - half, mean + half)
+    return window_patches(n, CHECK_SEED, mean - half, mean + half)
+
+
+def deviations(net: ConvNet, reference: Callable[[np.ndarray], np.ndarray],
+               patches: Iterable[Patch]) -> Iterator[np.ndarray]:
+    """Per patch, the float64 (rows, cols) |difference| between the map
+    ``net`` serves and ``reference``'s, both from the patch's float64
+    (bands, rows, cols) window means, taken once. ``reference`` maps those
+    means to a (rows, cols) map; another ``ConvNet`` is one. ``patches`` may
+    be any iterable, read as the deviations are; each patch is let go once
+    its means are taken, so a lazy source such as ``check_patches`` has one
+    patch alive at a time."""
+    # map holds no patch once its means are taken
+    for means in map(lambda patch: window_average(patch.raster.data), patches):
+        yield np.abs(np.subtract(net(means), reference(means), dtype=np.float64))
 
 
 def verify_equivalence(
@@ -344,32 +372,26 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Certify ConvNet(P)[w] == FC(mean window w of P) over all patches.
 
-    Both routes start from the same float64 window means, computed once
-    per patch. The network runs the route ``infer_patch`` serves; the FC
-    route runs independently (standardization by ``stats``, eval-mode
+    ``deviations`` runs the route ``infer_patch`` serves against the FC
+    route, which runs independently (standardization by ``stats``, eval-mode
     forward, de-standardization). Deviations are in physical units; the
     gate is ``EQUIVALENCE_TOL``, and ``worst`` names the first cell holding
-    the maximum. ``patches`` may be any iterable, counted as it is read;
-    each patch is let go once its means are taken, so a lazy source such as
-    ``check_patches`` has one patch alive at a time. An empty iterable
-    passes vacuously with n = 0 flagged.
+    the maximum. ``patches`` may be any iterable, counted as it is read. An
+    empty iterable passes vacuously with n = 0 flagged.
     """
-    max_dev = 0.0
-    sum_dev = 0.0
+    def fc(means: np.ndarray) -> np.ndarray:
+        feats = means.reshape(means.shape[0], -1).T
+        out = forward(params, (feats - stats.feature_mean) / stats.feature_std)
+        return stats.denormalize_target(out).reshape(means.shape[1:])
+
+    max_dev = sum_dev = 0.0
     n_patches = n_cells = 0
     worst = (-1, -1, -1)
-    # map holds no patch once its means are taken
-    for means in map(lambda patch: window_average(patch.raster.data), patches):
-        cnn_map = _stack_on_means(net, _front(net, means))
-        rows, cols = cnn_map.shape
-        feats = means.reshape(means.shape[0], -1).T
-        feats_norm = (feats - stats.feature_mean) / stats.feature_std
-        fc = stats.denormalize_target(forward(params, feats_norm))
-        dev = np.abs(cnn_map.reshape(-1) - fc)
+    for dev in deviations(net, fc, patches):
         idx = int(np.argmax(dev))
-        if not n_cells or dev[idx] > max_dev:
-            max_dev = float(dev[idx])
-            worst = (n_patches, idx // cols, idx % cols)
+        if not n_cells or dev.flat[idx] > max_dev:
+            max_dev = float(dev.flat[idx])
+            worst = (n_patches, *divmod(idx, dev.shape[1]))
         sum_dev += float(dev.sum())
         n_cells += dev.size
         n_patches += 1

@@ -454,8 +454,10 @@ def samples_from_scene(
     Features are the scene-level 10x10-window band averages and targets the
     matching window means of the requested field, one row per window in
     row-major order; used for acceptance-scale corpora where no in-situ
-    archive exists. No ``Sample`` is built until a row is read.
+    archive exists. No ``Sample`` is built until a row is read. A
+    ``parameter`` outside ``sensor.PARAMETERS`` raises ``SchemaError``.
     """
+    check_parameter(parameter)
     feats = window_average(scene.data)
     grid = truth.window_grids[parameter]
     n = grid.size

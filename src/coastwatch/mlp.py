@@ -51,7 +51,7 @@ from . import _container
 from .dataset import NormStats, SampleTable
 from .errors import NumericError, SchemaError, read_document
 from .raster import N_BANDS
-from .sensor import PARAMETERS
+from .sensor import check_parameter
 
 DEFAULT_LAYER_DIMS = (N_BANDS, 512, 512, 512, 512, 43, 1)
 BN_EPS = 1e-5
@@ -748,10 +748,9 @@ def save_mdl1(
     training: dict | None = None,
 ) -> Path:
     """Write ``params`` as an MDL1 file for ``parameter``, one of
-    ``sensor.PARAMETERS``; any other name raises ``ValueError`` before the
+    ``sensor.PARAMETERS``; any other name raises ``SchemaError`` before the
     file is opened, as ``load_mdl1`` would refuse the file."""
-    if parameter not in PARAMETERS:
-        raise ValueError(f"unknown parameter {parameter!r}")
+    check_parameter(parameter)
     path = Path(path)
     manifest = {
         "format": "MDL1",
@@ -779,8 +778,7 @@ def load_mdl1(path: str | Path) -> tuple[MLPParams, NormStats, dict]:
     manifest, (theta, bn_state) = _container.load(path, _MDL1_MAGIC, _MDL1_KINDS,
                                                   _mdl1_layout)
     with _container.parsing(path):
-        if manifest["parameter"] not in PARAMETERS:
-            raise ValueError(f"unknown parameter {manifest['parameter']!r}")
+        check_parameter(manifest["parameter"])
         stats = NormStats.from_json(manifest["normalization"])
         params = MLPParams(manifest["layer_dims"], theta, bn_state,
                            manifest["bn_stats_tracked"])

@@ -5,9 +5,12 @@ IEEE-754 binary16 (round-to-nearest-even) and held as float32, the
 network's standardization statistics stay float64, both networks run the
 one route they are served with (standardization in float64, the 1x1 stack
 in float32, de-standardization in float64), and inference latency is a desk
-benchmark of that served route on the local host. The fp16 gate is checked
-on ``FP16_CHECK_PATCHES`` U[0,1] patches, whose windows standardize far
-outside the training range. Model size is the byte size of a CNN1 file:
+benchmark of that served route on the local host. The fp16 gate runs
+``convnet.deviations``, the transfer certificate's loop, with the fp16
+network's served route as the reference; the ``quantize`` command checks it
+on the first ``FP16_CHECK_PATCHES`` of ``convnet.check_patches``, the
+certificate's patches, drawn in the model's own distribution, which is the
+distribution the network serves. Model size is the byte size of a CNN1 file:
 the sizes come from the files the ``quantize`` command reads and writes,
 which it reports beside ``compare_quantized``'s deviations. The flight
 reference figures (40.5 ms per inference, 24 FPS on the mission VPU; 250 MB
@@ -24,16 +27,17 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .convnet import ConvNet, _front, _stack_on_means, infer_patch
+from .convnet import ConvNet, Patch, deviations, infer_patch
 from .errors import NumericError
-from .raster import Patch, window_average
 
 # The fp16 gate: the largest map deviation it accepts, in physical units,
-# and the random patches it is checked on (drawn with convnet.CHECK_SEED).
+# and how many of convnet.check_patches it reads: the first 8 of the
+# certificate's 20, since at paper dims compare_quantized took 0.33 s on
+# all 20 against 0.14 s on 8 (2-core x86-64, numpy 2.4).
 FP16_THRESHOLD = 0.05
 FP16_CHECK_PATCHES = 8
-# bench's untimed and timed single-patch inferences, and the random patches
-# (drawn with convnet.CHECK_SEED) the CLI cycles through when given none
+# bench's untimed and timed single-patch inferences, and how many of
+# convnet.check_patches the CLI cycles through when given no patches
 BENCH_WARMUP = 5
 BENCH_REPS = 100
 BENCH_PATCHES = 4
@@ -90,22 +94,16 @@ def compare_quantized(
 ) -> QuantReport:
     """Per-cell deviation statistics between the two precisions.
 
-    Both networks run the route ``infer_patch`` serves, on one set of
-    window means per patch; deviations are in physical units. ``passed``
-    holds when the maximum deviation is at most ``FP16_THRESHOLD``.
-    ``patches`` may be any iterable, counted as it is read; each patch is
-    let go once its means are taken, so a lazy source such as
-    ``raster.random_patches`` has one patch alive at a time. An empty
-    iterable is a ``ValueError``.
+    ``convnet.deviations`` runs both networks on the route ``infer_patch``
+    serves, from one set of window means per patch; deviations are in
+    physical units. ``passed`` holds when the maximum deviation is at most
+    ``FP16_THRESHOLD``. ``patches`` may be any iterable, counted as it is
+    read, one patch alive at a time from a lazy source such as
+    ``convnet.check_patches``. An empty iterable is a ``ValueError``.
     """
-    max_dev = 0.0
-    total = 0.0
+    max_dev = total = 0.0
     cells = n_patches = 0
-    # map holds no patch once its means are taken
-    for means in map(lambda patch: window_average(patch.raster.data), patches):
-        a = _stack_on_means(net32, _front(net32, means))
-        b = _stack_on_means(net16, _front(net16, means))
-        dev = np.abs(np.subtract(a, b, dtype=np.float64))
+    for dev in deviations(net32, net16, patches):
         max_dev = max(max_dev, float(dev.max()))
         total += float(dev.sum())
         cells += dev.size

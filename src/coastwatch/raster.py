@@ -405,7 +405,9 @@ def mosaic(
 
 
 def random_patches(n: int, seed: int) -> Iterable[Patch]:
-    """``n`` uniform-random reflectance patches in [0, 1]; seeded, for checks.
+    """``n`` uniform-random reflectance patches in [0, 1], seeded: a stress
+    input far outside a model's training range (the package's own checks
+    read ``convnet.check_patches``).
 
     Each sits at (0, 0) at the product gsd, acquired on 2024-06-15. The
     patches are drawn one at a time as they are iterated, so a check that

@@ -211,8 +211,14 @@ def test_quantize_holds_one_check_patch_at_a_time(small_model, tmp_path):
     assert cli.main(["transfer", "--model", str(small_model), "--out", str(net)]) == 0
     assert heap_peak_of(["quantize", "--net", net, "--out", tmp_path / "net16.cnn1",
                          "--report", report]) <= CHECK_PATCH + CHECK_PATCH // 4
-    assert json.loads(report.read_text())["patches_tested"] == \
-        quantbench.FP16_CHECK_PATCHES
+    # the fp16 gate reads the first of the certificate's check patches
+    doc = json.loads(report.read_text())
+    net32, _ = convnet.load_cnn1(net)
+    want = quantbench.compare_quantized(
+        net32, quantbench.quantize_fp16(net32),
+        convnet.check_patches(net32.stats, quantbench.FP16_CHECK_PATCHES)).to_json()
+    assert {key: doc[key] for key in want} == want
+    assert doc["patches_tested"] == quantbench.FP16_CHECK_PATCHES
 
 
 def smp1_pointing_past_its_patch_list() -> bytes:
@@ -752,11 +758,18 @@ def test_alert_on_a_scene_whose_id_overflows_the_message_exits_2(tmp_path, capsy
     assert not out.exists()
 
 
-def test_bench_times_the_served_path_on_random_patches(tmp_path, capsys):
+def test_bench_times_the_served_path_on_check_patches(tmp_path, capsys, monkeypatch):
     (tmp_path / "net.cnn1").write_bytes(cnn1())
     out = tmp_path / "bench.json"
+    timed, bench = [], quantbench.bench
+    monkeypatch.setattr(quantbench, "bench",
+                        lambda net, patches: timed.extend(patches) or bench(net, patches))
     assert cli.main(["bench", "--net", str(tmp_path / "net.cnn1"),
                      "--report", str(out)]) == 0
+    net, _ = convnet.load_cnn1(tmp_path / "net.cnn1")
+    want = convnet.check_patches(net.stats, quantbench.BENCH_PATCHES)
+    assert [p.raster.data.tobytes() for p in timed] == [
+        p.raster.data.tobytes() for p in want]
     assert capsys.readouterr().out.startswith("bench: median ")
     report = json.loads(out.read_text())
     assert report["fps"] == 1000 / report["ms_per_inference"]

@@ -119,7 +119,7 @@ def test_manifest_without_a_field_raises_format_error(tmp_path, fmt, field):
 
 @pytest.mark.parametrize("fmt, field, value", [
     ("MDL1", "layer_dims", "abc"), ("MDL1", "normalization", [1, 2]),
-    ("MDL1", "param_order", "theta"),
+    ("MDL1", "param_order", "theta"), ("MDL1", "parameter", "chlorophyll"),
     ("CNN1", "dtype", ["f32"]), ("CNN1", "channels", 3), ("CNN1", "channels", [7, 1]),
 ])
 def test_manifest_field_of_the_wrong_kind_raises_format_error(tmp_path, fmt, field,

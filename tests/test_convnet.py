@@ -29,7 +29,7 @@ from coastwatch.convnet import (
 from coastwatch.dataset import NormStats
 from coastwatch.errors import DimensionError, FormatError, SchemaError, TransferError
 from coastwatch.mlp import forward, init_mlp
-from coastwatch.quantbench import compare_quantized, quantize_fp16
+from coastwatch.quantbench import FP16_CHECK_PATCHES, compare_quantized, quantize_fp16
 from coastwatch.raster import (
     GRID,
     PATCH_SIZE,
@@ -336,10 +336,14 @@ def test_check_patches_are_window_constant_draws_of_the_training_distribution(se
     """Sized before it is read, the same patches on every iteration, one
     value per window (the partial windows at the patch edge included), and
     every window's standardized mean inside [-sqrt(3), sqrt(3)], the box of
-    a uniform variable of mean 0 and std 1, which its draws fill."""
+    a uniform variable of mean 0 and std 1, which its draws fill. The fp16
+    gate's patches are the first of the certificate's, bit for bit."""
     stats = model(seed)[1]
-    patches = check_patches(stats)
+    patches = check_patches(stats, convnet.EQUIVALENCE_CHECK_PATCHES)
     assert len(patches) == convnet.EQUIVALENCE_CHECK_PATCHES
+    fp16 = check_patches(stats, FP16_CHECK_PATCHES)
+    assert [p.raster.data.tobytes() for p in fp16] == [
+        p.raster.data.tobytes() for p, _ in zip(patches, range(FP16_CHECK_PATCHES))]
     cell = np.arange(PATCH_SIZE) // WINDOW
     standardized = []
     for a, b in zip(patches, patches, strict=True):

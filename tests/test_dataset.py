@@ -544,6 +544,11 @@ class TestSampleTable:
             Sample(features=np.full(7, np.inf), target=0.0, parameter=TURBIDITY,
                    patch_id="p", window=(0, 0), station_id="s", date=DATE)
 
+    def test_samples_from_scene_refuses_a_name_outside_the_parameters(self):
+        scene, truth = generate_synthetic_scene(self.SPEC, 7)
+        with pytest.raises(SchemaError, match="unknown parameter 'chlorophyll'"):
+            samples_from_scene(scene, truth, "chlorophyll")
+
     def test_match_and_load_give_tables(self, tmp_path):
         patch = make_patch(44.0, 9.0, "2024-06-15", "p0", seed=3)
         records = [rec(station=f"S{i}", value=float(i + 1)) for i in range(4)]

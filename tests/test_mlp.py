@@ -521,7 +521,7 @@ class TestGradientCheck:
 def test_save_mdl1_refuses_an_unknown_parameter_before_writing(tmp_path):
     stats = NormStats(np.full(7, 0.2), np.full(7, 0.05), 5.0, 2.0)
     path = tmp_path / "m.mdl1"
-    with pytest.raises(ValueError, match="unknown parameter 'chlorophyll'"):
+    with pytest.raises(SchemaError, match="unknown parameter 'chlorophyll'"):
         save_mdl1(path, tracked_params(), stats, "chlorophyll")
     assert list(tmp_path.iterdir()) == []
 
