@@ -7,12 +7,22 @@ order and shapes the manifest declares. ``write`` streams each array plane
 by plane, so at most one plane is ever cast or made contiguous. ``load``
 checks the payload size against the declared shapes before it allocates
 anything, reads the payload into one writable buffer and returns views of
-it. Each format declares the JSON kind of every manifest key its loader
-reads, and ``load`` reads those keys with ``errors.read_document``, all of
-them required, before it lays out the payload; a key no table declares is
-carried as parsed. Every malformed file raises ``FormatError`` naming it, a
-manifest that lacks a declared key, holds one of another kind or declares
-values the model rejects included (``parsing``).
+it. That buffer is a private anonymous memory map of its own, not a heap
+block: glibc raises its mmap threshold to the size of each mmapped block
+it frees (up to 32 MiB), so after one command frees a 28 MiB scene, payloads
+up to that size land on the heap and stay resident once dropped, under a
+trim threshold of twice that. A mapping goes back to the system when its
+last view is dropped: on the cli_chain benchmark (1024² scene, 16 chips)
+peak RSS falls from 163.3 to 135.3 MB, and the chain time stays within its
+run-to-run spread. The mapping holds no file descriptor, is page aligned
+and writable, and a file cut or replaced after the read cannot fault it,
+as a map of the file could. Each format declares the JSON kind of every
+manifest key its loader reads, and ``load`` reads those keys with
+``errors.read_document``, all of them required, before it lays out the
+payload; a key no table declares is carried as parsed. Every malformed
+file raises ``FormatError`` naming it, a manifest that lacks a declared key,
+holds one of another kind or declares values the model rejects included
+(``parsing``).
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import mmap
 import os
 import struct
 from collections.abc import Callable, Iterable
@@ -58,7 +69,9 @@ def load(
     (``read_document``); any other key keeps its parsed value. ``layout``
     turns the manifest into the payload's array shapes and its dtype. The
     payload must be exactly their size: a cut or a trailing byte raises, and
-    nothing is allocated before the size is checked.
+    nothing is allocated before the size is checked. The payload is read into
+    a private anonymous mapping (the module docstring says why), which is
+    unmapped when the last returned view is dropped.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_BYTES)
@@ -90,7 +103,10 @@ def load(
             if size != count * dtype.itemsize:
                 raise FormatError(f"{path}: payload is {size} bytes, "
                                   f"expected {count * dtype.itemsize}")
-            flat = np.empty(count, dtype)
+            # a mapping cannot be empty: a 0-byte payload gets one unused byte
+            buffer = mmap.mmap(-1, max(size, 1),
+                               flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+            flat = np.frombuffer(buffer, dtype, count)
             if fh.readinto(flat) != size:
                 raise FormatError(f"{path}: payload shorter than {size} bytes")
             return manifest, views(flat, shapes)

@@ -29,7 +29,11 @@ document file (spec, train config, policy, map index) as UTF-8, and a file it
 cannot decode or parse is invalid input named in the message. So every JSON
 value a command reads is read by its declared kind; only the in-situ CSV,
 UTF-8 too, is parsed by hand. Every document a command writes, its two
-reports included, is ``_write_json``'s.
+reports included, is ``_write_json``'s. ``simulate`` owns the ``chips``
+directory of its ``--out``: before it writes a chip it removes every
+``chip_*.pat1`` there, so a run into an earlier run's directory leaves only
+the chips its own ``truth.json`` counts, and ``build-dataset`` reads one
+scene. Other files there are left as they are.
 
 ``infer`` and ``alert`` are the library's scene path split at the map
 files: ``infer`` runs ``alerting.infer_scene`` and writes its maps and their
@@ -63,6 +67,8 @@ PARAM_ALIASES = {
     "turbidity": sensor.TURBIDITY, "turbidity_ntu": sensor.TURBIDITY,
     "ph": sensor.PH,
 }
+# the chip files simulate writes and build-dataset and bench read
+CHIP_GLOB = "chip_*.pat1"
 
 
 def _parameter(name: str) -> str:
@@ -94,9 +100,9 @@ def _georef(path: Path, manifest: dict) -> raster.GeoRef:
 
 
 def _load_patches(directory: Path) -> list[raster.Patch]:
-    paths = sorted(directory.glob("chip_*.pat1"))
+    paths = sorted(directory.glob(CHIP_GLOB))
     if not paths:
-        raise CoastwatchError(f"no chip_*.pat1 files in {directory}")
+        raise CoastwatchError(f"no {CHIP_GLOB} files in {directory}")
     patches = []
     for path in paths:
         stack, manifest = raster.read_pat1(path)
@@ -143,6 +149,9 @@ def cmd_simulate(args) -> int:
 
     chips_dir = out / "chips"
     chips_dir.mkdir(exist_ok=True)
+    # an earlier run's chips in this --out would be read beside this scene's
+    for stale in chips_dir.glob(CHIP_GLOB):
+        stale.unlink()
     for patch, placement in zip(tiles.patches, tiles.index.placements):
         extra = {
             "patch_id": patch.patch_id,
@@ -364,12 +373,14 @@ def cmd_alert(args) -> int:
 
 def cmd_quantize(args) -> int:
     net, _ = convnet.load_cnn1(args.net)
+    # model sizes are those of the files read and written, certificate included;
+    # the input's is taken before the write, which may replace it (--out = --net)
+    fp32_bytes = Path(args.net).stat().st_size
     net16 = quantbench.quantize_fp16(net)
     patches = convnet.check_patches(net.stats, quantbench.FP16_CHECK_PATCHES)
     report = quantbench.compare_quantized(net, net16, patches)
     convnet.save_cnn1(args.out, net16)
-    # model sizes are those of the files read and written, certificate included
-    sizes = {"model_bytes_fp32": Path(args.net).stat().st_size,
+    sizes = {"model_bytes_fp32": fp32_bytes,
              "model_bytes_fp16": Path(args.out).stat().st_size}
     if args.report:
         _write_json(args.report, {**sizes, **report.to_json()})

@@ -136,6 +136,22 @@ def heap_peak_of(argv) -> int:
         tracemalloc.stop()
 
 
+def test_simulate_into_an_earlier_run_leaves_only_its_own_chips(tmp_path):
+    """A 512² run writes four chips, then a 300² run into the same ``--out``
+    writes one: the other three are removed, so the chips are the ones
+    truth.json counts, and a file that is no chip stays."""
+    out, spec = tmp_path / "sim", tmp_path / "spec.json"
+    for size in (512, 300):
+        spec.write_text(json.dumps({"width": size, "height": size}))
+        assert cli.main(["simulate", "--spec", str(spec), "--out", str(out)]) == 0
+        (out / "chips" / "notes.txt").write_text("kept")
+    truth = json.loads((out / "truth.json").read_text())
+    assert truth["chips"] == 1
+    assert sorted(p.name for p in (out / "chips").iterdir()) == [
+        "chip_000_000.pat1", "notes.txt"]
+    assert [p.patch_id for p in cli._load_patches(out / "chips")] == ["chip_000_000"]
+
+
 def test_simulate_holds_the_scene_the_product_buffer_and_row_blocks(tmp_path):
     # 300 x 520 px: two chips, and a band plane (16 row blocks) well above
     # the margin
@@ -219,6 +235,22 @@ def test_quantize_holds_one_check_patch_at_a_time(small_model, tmp_path):
         convnet.check_patches(net32.stats, quantbench.FP16_CHECK_PATCHES)).to_json()
     assert {key: doc[key] for key in want} == want
     assert doc["patches_tested"] == quantbench.FP16_CHECK_PATCHES
+
+
+def test_quantize_in_place_reports_the_size_of_the_network_it_read(small_model,
+                                                                   tmp_path):
+    """With ``--out`` equal to ``--net`` the fp16 network replaces the one
+    read; the report's fp32 size is still that of the file read."""
+    net, report = tmp_path / "net.cnn1", tmp_path / "quant.json"
+    assert cli.main(["transfer", "--model", str(small_model), "--out", str(net)]) == 0
+    fp32_bytes = net.stat().st_size
+    # the exit code is the fp16 gate's
+    assert cli.main(["quantize", "--net", str(net), "--out", str(net),
+                     "--report", str(report)]) in (0, 1)
+    doc = json.loads(report.read_text())
+    assert doc["model_bytes_fp32"] == fp32_bytes
+    assert doc["model_bytes_fp16"] == net.stat().st_size < fp32_bytes
+    assert convnet.load_cnn1(net)[1]["dtype"] == "f16"
 
 
 def smp1_pointing_past_its_patch_list() -> bytes:

@@ -2,8 +2,11 @@
 
 import datetime as dt
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from json_kinds import another_kind
 
+import coastwatch
 from coastwatch import cli, convnet, dataset, mlp, raster
 from coastwatch.convnet import fc_to_cnn, load_cnn1, save_cnn1
 from coastwatch.dataset import NormStats, Sample, as_table, load_samples, save_samples
@@ -319,3 +323,44 @@ def test_a_manifest_value_of_another_json_kind_is_refused_naming_the_file(
         path.write_bytes(_join(fmt.encode(), manifest, payload))
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
             read(path)
+
+
+# In a fresh interpreter: make and free a 28 MiB array, the size of a 1024²
+# seven-band f32 scene, which glibc serves from a mapping of its own and, on
+# freeing it, raises its mmap threshold to (and its trim threshold to twice)
+# that size. Then read a 24 MiB PAT1 and drop it. Prints current RSS in MiB
+# before the read, while the payload is held and after it is dropped.
+READ_AND_DROP = """
+import os, sys
+import numpy as np
+from coastwatch import raster
+
+def rss_mib():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+scene = np.ones(28 * 2**20 // 8)
+del scene
+before = rss_mib()
+stack, _ = raster.read_pat1(sys.argv[1])
+held = rss_mib()
+del stack
+print(before, held, rss_mib())
+"""
+
+
+def test_a_dropped_payload_goes_back_to_the_system(tmp_path):
+    """A payload on the heap, under the thresholds an earlier buffer raised,
+    would stay resident once dropped; its own mapping is unmapped."""
+    if not Path("/proc/self/statm").exists():
+        pytest.skip("current RSS is read from /proc/self/statm")
+    path = write_pat1(tmp_path / "scene.pat1", BandStack.from_array(
+        np.ones((6, 1024, 1024), np.float32), 4.75))
+    # the child imports the coastwatch this process tests
+    env = dict(os.environ, PYTHONPATH=str(Path(coastwatch.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", READ_AND_DROP, str(path)],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    before, held, after = map(float, child.stdout.split())
+    assert held - before > 20  # the 24 MiB payload was resident
+    assert after - before < 4

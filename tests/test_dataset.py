@@ -754,6 +754,11 @@ class TestSampleStore:
             assert a.date == b.date
         assert np.array_equal(back_stats.feature_mean, stats.feature_mean)
         assert manifest["provenance"]["source"] == "test"
+        # a store of no samples: a 0-byte payload, which no mapping can hold
+        back, back_stats, _ = load_samples(save_samples(tmp_path / "e.bin",
+                                                        as_table([])))
+        assert len(back) == 0 and back.features.shape == (0, 7)
+        assert back_stats is None
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(data=st.data())
