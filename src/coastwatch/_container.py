@@ -4,7 +4,8 @@ MDL1 models and CNN1 networks.
 Layout: 4-byte magic, u32 little-endian manifest length, UTF-8 JSON
 manifest, then the arrays back to back, C order, in the one dtype and the
 order and shapes the manifest declares. ``write`` streams each array plane
-by plane, so at most one plane is ever cast or made contiguous. ``load``
+by plane and a plane a block of rows at a time, so at most ``_WRITE_BLOCK``
+bytes are ever cast or made contiguous at once. ``load``
 checks the payload size against the declared shapes before it allocates
 anything, reads the payload into one writable buffer and returns views of
 it. That buffer is a private anonymous memory map of its own, not a heap
@@ -43,18 +44,26 @@ from .errors import FormatError, TransferError, read_document
 
 _LENGTH = struct.Struct("<I")
 _HEADER_BYTES = 4 + _LENGTH.size
+# the most bytes ``write`` casts or makes contiguous at once
+_WRITE_BLOCK = 1 << 18
 
 
 def write(
     fh: BinaryIO, magic: bytes, manifest: dict, arrays: Iterable[np.ndarray], dtype
 ) -> None:
-    """Frame ``manifest`` and ``arrays`` (each cast to ``dtype``) into ``fh``."""
+    """Frame ``manifest`` and ``arrays`` (each cast to ``dtype``) into ``fh``,
+    reading each array only when the one before is written."""
+    dtype = np.dtype(dtype)
     mbytes = json.dumps(manifest).encode()
     fh.write(magic + _LENGTH.pack(len(mbytes)) + mbytes)
     for array in arrays:
-        # an array of three or more dimensions goes out one plane at a time
+        # an array of three or more dimensions goes out one plane at a time,
+        # a plane in blocks of rows of at most _WRITE_BLOCK bytes once cast
         for plane in array if array.ndim > 2 else (array,):
-            fh.write(np.ascontiguousarray(plane, dtype=dtype).data)
+            row = dtype.itemsize * math.prod(plane.shape[1:])
+            rows = max(1, _WRITE_BLOCK // max(row, 1))
+            for start in range(0, len(plane), rows):
+                fh.write(np.ascontiguousarray(plane[start:start + rows], dtype=dtype).data)
 
 
 def load(

@@ -29,11 +29,21 @@ document file (spec, train config, policy, map index) as UTF-8, and a file it
 cannot decode or parse is invalid input named in the message. So every JSON
 value a command reads is read by its declared kind; only the in-situ CSV,
 UTF-8 too, is parsed by hand. Every document a command writes, its two
-reports included, is ``_write_json``'s. ``simulate`` owns the ``chips``
-directory of its ``--out``: before it writes a chip it removes every
-``chip_*.pat1`` there, so a run into an earlier run's directory leaves only
-the chips its own ``truth.json`` counts, and ``build-dataset`` reads one
-scene. Other files there are left as they are.
+reports included, is ``_write_json``'s.
+
+``simulate`` writes, byte for byte, what ``raster.write_pat1`` writes of
+``sensor.generate_synthetic_scene``'s scene and of ``sensor.simulate_l1c``'s
+chips, but runs the chain band by band: each scene band is made in one
+float64 plane, written into ``scene.pat1`` as it comes
+(``raster.write_pat1_bands``), run through the chain in place and rounded
+into the float32 product the chips are cut from. So it holds the two truth
+field planes until the last band is mixed, one float64 band (two at
+another pitch) and the float32 product, never the float64 scene; each
+chip's ``flagged_values`` is counted on the float64 band. ``simulate`` owns
+the ``chips`` directory of its ``--out``: before it writes a chip it removes
+every ``chip_*.pat1`` there, so a run into an earlier run's directory leaves
+only the chips its own ``truth.json`` counts, and ``build-dataset`` reads
+one scene. Other files there are left as they are.
 
 ``infer`` and ``alert`` are the library's scene path split at the map
 files: ``infer`` runs ``alerting.infer_scene`` and writes its maps and their
@@ -58,7 +68,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _container, alerting, convnet, dataset, mlp, quantbench, raster, sensor
-from .errors import CoastwatchError, SchemaError, read_document
+from .errors import CoastwatchError, NonFiniteError, SchemaError, read_document
 
 # not an option: the benchmark reads the fraction here
 INVALID_CLOUD_FRACTION = alerting.CLOUD_INVALID_FRACTION
@@ -132,45 +142,72 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    scene, truth = sensor.generate_synthetic_scene(spec, args.seed)
+    source = sensor._SceneSource(spec, args.seed)
     truth_doc = {
-        "noise_std": truth.noise_std,
-        "noise_floor": truth.noise_floor,
-        "mixing_offsets": truth.mixing_offsets.tolist(),
-        "mixing_matrix": truth.mixing_matrix.tolist(),
+        "noise_std": spec.noise_std,
+        "noise_floor": source.noise_floor(),
+        "mixing_offsets": source.offsets.tolist(),
+        "mixing_matrix": source.mix.tolist(),
     }
-    del truth  # its full-resolution fields would sit beside the scene
     georef = spec.georef()
-    raster.write_pat1(out / "scene.pat1", scene, georef=georef)
+    size = raster.PATCH_SIZE
+    chips = list(raster.patch_grid(height, width, raster.PRODUCT_GSD, georef, "chip"))
+    # simulate_l1c's chain band by band: each scene band is made in one
+    # plane, written into scene.pat1, run through the chain in place (at
+    # another pitch resampled into one product-pitch plane) and rounded
+    # into its float32 product plane, which the chips store. Each chip's
+    # count of the float64 product's values a Patch flags (None: one is not
+    # finite) is taken on the way. The product is one block per band, none
+    # larger than a float64 plane: glibc raises its mmap threshold to the
+    # size of a freed mapped block, and after one 28 MiB product block
+    # (1024^2) the next chain's planes stayed resident on the heap, which
+    # raised cli_chain's peak RSS by 4 MB.
+    product = []
+    band_out = None if spec.gsd == raster.PRODUCT_GSD else np.empty((height, width))
+    rng = np.random.default_rng(args.seed + 1)  # _degrade's, read across the bands
+    flagged = [0] * len(chips)
 
-    # the scene is not read again: simulate_l1c's chain, run in the scene's
-    # own float64 buffer instead of a fresh one
-    tiles = sensor._simulate_into(scene, scene.data, ctx, cfg, args.seed + 1, georef)
+    def scene_bands():
+        plane = np.empty((spec.height, spec.width))
+        for b, band in enumerate(source.bands([plane])):
+            yield band  # written before the chain overwrites it
+            reflectance = band if band_out is None else band_out
+            sensor._simulate_band(band, b, spec.gsd, ctx, cfg, rng, band, reflectance)
+            product.append(reflectance.astype(np.float32))
+            for k, (_, (r0, c0), _) in enumerate(chips):
+                n = raster.count_flagged(reflectance[r0:r0 + size, c0:c0 + size])
+                flagged[k] = None if n is None or flagged[k] is None else flagged[k] + n
+
+    raster.write_pat1_bands(out / "scene.pat1", scene_bands(), spec.gsd,
+                            raster.MS_BAND_IDS, georef=georef)
+    # every chip is checked, as tile_scene checks them, before one is written
+    for (patch_id, _, _), n in zip(chips, flagged):
+        if n is None:
+            raise NonFiniteError(f"patch {patch_id!r} contains non-finite values")
 
     chips_dir = out / "chips"
     chips_dir.mkdir(exist_ok=True)
     # an earlier run's chips in this --out would be read beside this scene's
     for stale in chips_dir.glob(CHIP_GLOB):
         stale.unlink()
-    for patch, placement in zip(tiles.patches, tiles.index.placements):
-        extra = {
-            "patch_id": patch.patch_id,
-            "placement": list(placement),
-            "flagged_values": patch.flagged_values,
-        }
-        raster.write_pat1(chips_dir / f"{patch.patch_id}.pat1", patch.raster,
-                          georef=patch.georef, extra=extra)
+    for (patch_id, (r0, c0), chip_georef), n in zip(chips, flagged):
+        extra = {"patch_id": patch_id, "placement": [r0, c0], "flagged_values": n}
+        raster.write_pat1_bands(chips_dir / f"{patch_id}.pat1",
+                                (p[r0:r0 + size, c0:c0 + size] for p in product),
+                                raster.PRODUCT_GSD, raster.MS_BAND_IDS,
+                                georef=chip_georef, extra=extra)
 
+    margins = [height % size, width % size]  # rows south, columns east
     manifest = {
         "scene": "scene.pat1",
-        "chips": len(tiles.patches),
-        "margins": [tiles.margin_rows, tiles.margin_cols],
+        "chips": len(chips),
+        "margins": margins,
         **truth_doc,
         "seed": args.seed,
     }
     _write_json(out / "truth.json", manifest)
-    print(f"simulate: {len(tiles.patches)} chips -> {chips_dir} "
-          f"(margins {tiles.margin_rows}x{tiles.margin_cols} px)")
+    print(f"simulate: {len(chips)} chips -> {chips_dir} "
+          f"(margins {margins[0]}x{margins[1]} px)")
     return 0
 
 

@@ -226,7 +226,8 @@ def _stack_on_means(net: ConvNet, act: np.ndarray) -> np.ndarray:
     (bands, rows, cols) standardized means, every layer but the last
     applying ReLU, then the back end, which de-standardizes the output in
     float64 and rounds it to the float32 (rows, cols) map. ``act`` is only
-    read."""
+    read. Non-finite activations, and a map past float32's range, raise
+    ``NumericError``."""
     bands, rows, cols = act.shape
     act = act.reshape(bands, -1)
     last = len(net.layers) - 1
@@ -237,7 +238,11 @@ def _stack_on_means(net: ConvNet, act: np.ndarray) -> np.ndarray:
             raise NumericError(f"non-finite activations at conv layer {k + 1}")
         if k < last:
             np.maximum(act, 0.0, out=act)
-    out = net.stats.denormalize_target(act.astype(np.float64)).astype(np.float32)
+    # an overflow is reported below, as NumericError, not as a RuntimeWarning
+    with np.errstate(over="ignore"):
+        out = net.stats.denormalize_target(act.astype(np.float64)).astype(np.float32)
+    if not np.isfinite(out).all():
+        raise NumericError("the de-standardized map overflows float32")
     return out.reshape(rows, cols)
 
 

@@ -97,14 +97,16 @@ def compare_quantized(
     ``convnet.deviations`` runs both networks on the route ``infer_patch``
     serves, from one set of window means per patch; deviations are in
     physical units. ``passed`` holds when the maximum deviation is at most
-    ``FP16_THRESHOLD``. ``patches`` may be any iterable, counted as it is
-    read, one patch alive at a time from a lazy source such as
-    ``convnet.check_patches``. An empty iterable is a ``ValueError``.
+    ``FP16_THRESHOLD``; a NaN deviation makes the maximum NaN, which fails.
+    ``patches`` may be any iterable, counted as it is read, one patch alive
+    at a time from a lazy source such as ``convnet.check_patches``. An empty
+    iterable is a ``ValueError``.
     """
     max_dev = total = 0.0
     cells = n_patches = 0
     for dev in deviations(net32, net16, patches):
-        max_dev = max(max_dev, float(dev.max()))
+        # np.maximum propagates NaN, where Python's max would skip it
+        max_dev = float(np.maximum(max_dev, dev.max()))
         total += float(dev.sum())
         cells += dev.size
         n_patches += 1

@@ -27,7 +27,8 @@ alive, and it shows any later write to the scene; copy a patch's data
 (``patch.raster.data.copy()``) to detach it. A PAT1 file is one
 ``_container`` file: its manifest carries the georef and band ids, the
 reader fills the returned array straight from the file and the writer
-converts one band at a time, without staging the file's bytes.
+takes the bands as they come, converting a block of rows at a time,
+without staging the file's bytes.
 
 Window means are plain arrays: :func:`window_average` takes a
 band-planar raster or a 2-D plane and returns its float64 means, and
@@ -40,6 +41,7 @@ converted whole to float64.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -197,16 +199,25 @@ class Patch:
             )
         if r.bands != N_BANDS:
             raise DimensionError(f"patch must have {N_BANDS} bands, got {r.bands}")
-        # min and max propagate NaN and reach any infinity, so two reductions
-        # check finiteness and, on in-range chips, skip the flag count
-        lo, hi = r.data.min(), r.data.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        # band by band, so the masks are one band's, not the chip's
+        counts = [count_flagged(band) for band in r.data]
+        if None in counts:
             raise NonFiniteError(f"patch {self.patch_id!r} contains non-finite values")
-        if lo < 0.0 or hi > REFLECTANCE_MAX:
-            # band by band, so the masks are one band's, not the chip's
-            self.flagged_values = sum(
-                int(np.count_nonzero((band < 0.0) | (band > REFLECTANCE_MAX)))
-                for band in r.data)
+        self.flagged_values = sum(counts)
+
+
+def count_flagged(values: np.ndarray) -> int | None:
+    """How many reflectance ``values`` lie outside [0, ``REFLECTANCE_MAX``],
+    the values a ``Patch`` flags, or None when one is not finite.
+
+    min and max propagate NaN and reach any infinity, so two reductions
+    check finiteness and, on in-range values, skip the count."""
+    lo, hi = values.min(), values.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        return None
+    if lo < 0.0 or hi > REFLECTANCE_MAX:
+        return int(np.count_nonzero((values < 0.0) | (values > REFLECTANCE_MAX)))
+    return 0
 
 
 @dataclass(frozen=True)
@@ -306,14 +317,12 @@ def tile_scene(
     patch_id_prefix: str = "patch",
 ) -> TileResult:
     """Cut an ``N_BANDS``-band scene into non-overlapping ``PATCH_SIZE``
-    (256) px patches, the one size a ``Patch`` takes.
+    (256) px patches, the one size a ``Patch`` takes, on the grid of
+    :func:`patch_grid`.
 
     Patches cover the maximal patch-aligned sub-scene anchored at the
     north-west corner; leftover margins (< 256 px) are excluded and
-    reported in the result. Patch georefs are derived from the scene center
-    when ``scene_georef`` is given, otherwise from a placeholder at (0, 0)
-    acquired 1970-01-01; the pitch is ``scene.gsd``. A patch centre past a
-    pole or the antimeridian raises ``DimensionError`` naming the patch.
+    reported in the result.
 
     Each patch's data is a read-only view into ``scene.data``, not a copy:
     writing to a patch raises ``ValueError``, a live patch keeps the scene
@@ -327,37 +336,15 @@ def tile_scene(
             f"scene {scene.width}x{scene.height} smaller than one "
             f"{PATCH_SIZE} px patch"
         )
-    down = scene.height // PATCH_SIZE
-    across = scene.width // PATCH_SIZE
-
-    if scene_georef is None:
-        scene_georef = GeoRef(0.0, 0.0, dt.date(1970, 1, 1))
-
     placements = []
     patches = []
-    for i in range(down):
-        for j in range(across):
-            r0, c0 = i * PATCH_SIZE, j * PATCH_SIZE
-            placements.append((r0, c0))
-            chip = scene.data[:, r0 : r0 + PATCH_SIZE, c0 : c0 + PATCH_SIZE]
-            chip.flags.writeable = False
-            # patch center offset from the scene center, in metres
-            north_m = (scene.height / 2.0 - (r0 + PATCH_SIZE / 2.0)) * scene.gsd
-            east_m = ((c0 + PATCH_SIZE / 2.0) - scene.width / 2.0) * scene.gsd
-            lat, lon = scene_georef.offset_latlon(north_m, east_m)
-            patch_id = f"{patch_id_prefix}_{i:03d}_{j:03d}"
-            try:
-                georef = GeoRef(lat, lon, scene_georef.acquisition_date)
-            except ValueError as exc:
-                raise DimensionError(f"patch {patch_id!r} centre {exc}: the scene "
-                                     "crosses a pole or the antimeridian") from None
-            patches.append(
-                Patch(
-                    raster=BandStack.from_array(chip, scene.gsd, scene.band_ids),
-                    georef=georef,
-                    patch_id=patch_id,
-                )
-            )
+    for patch_id, (r0, c0), georef in patch_grid(scene.height, scene.width, scene.gsd,
+                                                 scene_georef, patch_id_prefix):
+        placements.append((r0, c0))
+        chip = scene.data[:, r0 : r0 + PATCH_SIZE, c0 : c0 + PATCH_SIZE]
+        chip.flags.writeable = False
+        patches.append(Patch(BandStack.from_array(chip, scene.gsd, scene.band_ids),
+                             georef, patch_id))
     index = TileIndex(
         scene_width=scene.width,
         scene_height=scene.height,
@@ -365,6 +352,41 @@ def tile_scene(
         gsd=scene.gsd,
     )
     return TileResult(patches, index)
+
+
+def patch_grid(
+    height: int,
+    width: int,
+    gsd: float,
+    scene_georef: GeoRef | None = None,
+    patch_id_prefix: str = "patch",
+) -> Iterator[tuple[str, tuple[int, int], GeoRef]]:
+    """The ``PATCH_SIZE`` px patches of a (height, width) scene at ``gsd``,
+    row-major from the north-west corner: each one's id
+    (``{patch_id_prefix}_{row:03d}_{col:03d}``), its (row, col) pixel origin
+    and its georef.
+
+    Patch georefs are derived from the scene center when ``scene_georef``
+    is given, otherwise from a placeholder at (0, 0) acquired 1970-01-01. A
+    patch centre past a pole or the antimeridian raises ``DimensionError``
+    naming the patch, when iteration reaches it.
+    """
+    if scene_georef is None:
+        scene_georef = GeoRef(0.0, 0.0, dt.date(1970, 1, 1))
+    for i in range(height // PATCH_SIZE):
+        for j in range(width // PATCH_SIZE):
+            r0, c0 = i * PATCH_SIZE, j * PATCH_SIZE
+            # patch center offset from the scene center, in metres
+            north_m = (height / 2.0 - (r0 + PATCH_SIZE / 2.0)) * gsd
+            east_m = ((c0 + PATCH_SIZE / 2.0) - width / 2.0) * gsd
+            lat, lon = scene_georef.offset_latlon(north_m, east_m)
+            patch_id = f"{patch_id_prefix}_{i:03d}_{j:03d}"
+            try:
+                georef = GeoRef(lat, lon, scene_georef.acquisition_date)
+            except ValueError as exc:
+                raise DimensionError(f"patch {patch_id!r} centre {exc}: the scene "
+                                     "crosses a pole or the antimeridian") from None
+            yield patch_id, (r0, c0), georef
 
 
 def mosaic(
@@ -467,22 +489,40 @@ def write_pat1(
     georef: GeoRef | None = None,
     extra: dict | None = None,
 ) -> Path:
-    """Write a BandStack as one PAT1 file.
+    """Write a BandStack as one PAT1 file: ``write_pat1_bands`` of its
+    planes."""
+    return write_pat1_bands(path, stack.data, stack.gsd, stack.band_ids, georef, extra)
 
-    u8 data is stored as u8, anything else as f32; the payload is written
-    band by band, so at most one band is ever converted or made contiguous.
+
+def write_pat1_bands(
+    path: str | Path,
+    bands: Iterable[np.ndarray],
+    gsd: float,
+    band_ids: tuple[str, ...],
+    georef: GeoRef | None = None,
+    extra: dict | None = None,
+) -> Path:
+    """Write a raster as one PAT1 file from the (height, width) planes
+    ``bands`` yields, one per id of ``band_ids`` in order, each written as
+    it comes: a caller may make a plane once the one before is written.
+
+    The first plane gives the raster's size and storage: u8 data is stored
+    as u8, anything else as f32, converted a block of rows at a time.
     """
     path = Path(path)
-    dtype = "u8" if stack.data.dtype == np.uint8 else "f32"
-    manifest = {"width": stack.width, "height": stack.height, "bands": stack.bands,
-                "gsd": float(stack.gsd), "dtype": dtype,
-                "band_ids": list(stack.band_ids)}
+    bands = iter(bands)
+    first = next(bands)
+    dtype = "u8" if first.dtype == np.uint8 else "f32"
+    height, width = first.shape
+    manifest = {"width": width, "height": height, "bands": len(band_ids),
+                "gsd": float(gsd), "dtype": dtype, "band_ids": list(band_ids)}
     if georef is not None:
         manifest["georef"] = georef.to_json()
     if extra:
         manifest["extra"] = extra
     with open(path, "wb") as fh:
-        _container.write(fh, _PAT1_MAGIC, manifest, [stack.data], _PAT1_DTYPES[dtype])
+        _container.write(fh, _PAT1_MAGIC, manifest, itertools.chain([first], bands),
+                         _PAT1_DTYPES[dtype])
     return path
 
 

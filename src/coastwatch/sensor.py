@@ -8,36 +8,37 @@ A synthetic-scene generator replaces external data access: it produces
 reflectance scenes whose turbidity/pH fields are known analytic functions,
 so downstream accuracy can be gated quantitatively.
 
-The chain has one entry, ``_simulate_into``: it converts the scene to
-radiance (``_to_radiance``, in float64, so any scene dtype is widened
-before it is scaled) into a float64 (bands, h, w) buffer its caller gives
-up, which may be the scene's own, then resamples (only at another pitch,
-into a new raster) and runs the later steps in place band by band:
-``_misalign``, ``_degrade`` and ``_to_reflectance``. The chips are
-read-only views into that buffer. :func:`simulate_l1c` gives it a fresh
-buffer, so its scene is left as it was; ``cli simulate``, which does not
-read its scene again, gives the scene's own buffer.
-:func:`generate_synthetic_scene` owns one scene-sized buffer and scales its
-two field planes into the truth fields in place. Randomness is owned per
-call through an explicit seed.
+The chain is one per-band step sequence, ``_simulate_band``: band b's
+reflectance to radiance (``_to_radiance``, in float64, so a band of any
+dtype is widened before it is scaled) into a float64 plane its caller
+gives up, which may be the band's own; resampling (only at another pitch,
+into a product-pitch plane); then ``_misalign``, ``_degrade`` and
+``_to_reflectance`` in place. ``_degrade`` reads one generator across the
+bands in their order. :func:`simulate_l1c` runs the sequence into one
+float64 (bands, h, w) buffer whose read-only views are the chips, and
+leaves its scene as it was; ``cli simulate`` runs it on each scene band in
+the band's own plane as ``_SceneSource`` makes it. ``_SceneSource`` makes
+the bands of :func:`generate_synthetic_scene` one at a time, into planes
+its caller gives: the scene's own for :func:`generate_synthetic_scene`,
+one reused plane for ``cli simulate``. Randomness is owned per call
+through an explicit seed.
 
-:func:`resample`, ``_misalign``, ``_degrade`` and
-:func:`generate_synthetic_scene` stream each band in blocks of
-``_ROW_BLOCK`` rows, band by band and top to bottom, so their temporaries
-stay cache-sized: beside the buffer, a step holds a few row blocks.
-Resampling and misalignment share one bilinear row-block step
+:func:`resample`, ``_misalign``, ``_degrade`` and ``_SceneSource`` stream
+each band in blocks of ``_ROW_BLOCK`` rows, top to bottom, so their
+temporaries stay cache-sized: beside its planes, a step holds a few row
+blocks. Resampling and misalignment share one bilinear row-block step
 (``_interp_block``). Misalignment and blur read each block's source rows
 from a slab (``_slabs``): the block's original rows and a halo above and
 below (rows past the band's edge repeat its edge row), the rows above kept
 from before the previous block overwrote them. The blur sums shifted slices
 in scipy's order (``_convolve_lines``).
-``_to_radiance`` multiplies each band straight into its buffer band, and
-``_to_reflectance`` is one in-place division per band; neither needs
-scratch. Streaming changes no bit: every pixel sees the same
-operations in the same order as on whole planes, and the random draws keep
-their band-major, row-major order in the stream.
-:func:`generate_synthetic_scene` draws its pixel noise in one worker
-thread while the calling thread evaluates the contaminant fields; the
+``_to_radiance`` multiplies a band straight into its plane, and
+``_to_reflectance`` is one in-place division; neither needs scratch.
+Streaming changes no bit: every pixel sees the same operations in the same
+order as on whole planes and whole scenes, and the random draws keep their
+band-major, row-major order in each stream.
+``_SceneSource`` draws its pixel noise in one worker thread while the
+calling thread evaluates the contaminant fields and mixes the bands; the
 generator is the worker's alone once it starts.
 """
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -229,24 +231,21 @@ def _radiometric_scale(ctx: SolarContext, band: int) -> float:
             / (math.pi * ctx.earth_sun_distance**2))
 
 
-def _to_radiance(source: np.ndarray, ctx: SolarContext,
+def _to_radiance(source: np.ndarray, b: int, ctx: SolarContext,
                  out: np.ndarray | None = None) -> None:
-    """Radiance L = rho * esun_b * cos(theta_s) / (pi d^2) of a (bands, h, w)
-    reflectance ``source`` of any dtype into the float64 ``out``, by default
-    ``source`` itself: one multiplication per band, in float64, so a float32
-    or integer band is widened before it is scaled. ``_to_reflectance``
-    divides by the same scale, so the conversion is invertible for any
-    valid context."""
-    out = source if out is None else out
-    for b in range(len(source)):
-        np.multiply(source[b], _radiometric_scale(ctx, b), out=out[b],
-                    dtype=np.float64)
+    """Radiance L = rho * esun_b * cos(theta_s) / (pi d^2) of band ``b``'s
+    reflectance plane ``source``, of any dtype, into the float64 plane
+    ``out``, by default ``source`` itself: one multiplication in float64,
+    so a float32 or integer band is widened before it is scaled.
+    ``_to_reflectance`` divides by the same scale, so the conversion is
+    invertible for any valid context."""
+    np.multiply(source, _radiometric_scale(ctx, b),
+                out=source if out is None else out, dtype=np.float64)
 
 
-def _to_reflectance(data: np.ndarray, ctx: SolarContext) -> None:
-    """Radiance to reflectance in place on a float64 (bands, h, w) buffer."""
-    for b in range(data.shape[0]):
-        data[b] /= _radiometric_scale(ctx, b)
+def _to_reflectance(band: np.ndarray, b: int, ctx: SolarContext) -> None:
+    """Band ``b``'s radiance to reflectance in place on a float64 plane."""
+    band /= _radiometric_scale(ctx, b)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def resample(raster: BandStack, target_gsd: float) -> BandStack:
     and the output covers the same node extent, so resampling to the native
     gsd is the identity and corner samples are always preserved. Each band
     is read, widened to float64 if need be, into the output a row block at
-    a time.
+    a time (``_resample_into``).
     """
     if target_gsd <= 0:
         raise ValueError("target gsd must be positive")
@@ -307,50 +306,57 @@ def resample(raster: BandStack, target_gsd: float) -> BandStack:
         raise DimensionError("raster too small to resample (degenerate extent)")
     if target_gsd == raster.gsd:
         return BandStack.from_array(raster.data.copy(), raster.gsd, raster.band_ids)
-    ratio = target_gsd / raster.gsd
-    out_h, out_w = resampled_shape(raster.height, raster.width, raster.gsd, target_gsd)
-    rows = _interp_weights(np.arange(out_h) * ratio, raster.height)
-    cols = _interp_weights(np.arange(out_w) * ratio, raster.width)
-    data = np.empty((raster.bands, out_h, out_w))
-    scratch = [_block_buffer(out_h, w) for w in (raster.width, raster.width, out_w)]
-    for b in range(raster.bands):
+    data = np.empty((raster.bands, *resampled_shape(raster.height, raster.width,
+                                                    raster.gsd, target_gsd)))
+    for band, out in zip(raster.data, data):
         # np.take cannot cast into a float64 out
-        band = raster.data[b].astype(np.float64, copy=False)
-        for block in _row_blocks(out_h):
-            _interp_block(data[b, block], band, [w[block] for w in rows], cols,
-                          scratch)
+        _resample_into(band.astype(np.float64, copy=False), raster.gsd,
+                       target_gsd, out)
     return BandStack.from_array(data, target_gsd, raster.band_ids)
 
 
-def _misalign(data: np.ndarray, gsd: float, cfg: DegradeConfig) -> None:
-    """Shift each band of a float64 (bands, h, w) buffer in place by its
+def _resample_into(band: np.ndarray, gsd: float, target_gsd: float,
+                   out: np.ndarray) -> None:
+    """:func:`resample` of one float64 plane at ``gsd`` into the float64
+    plane ``out`` of its ``resampled_shape`` at ``target_gsd``, a row block
+    at a time."""
+    ratio = target_gsd / gsd
+    (height, width), (out_h, out_w) = band.shape, out.shape
+    rows = _interp_weights(np.arange(out_h) * ratio, height)
+    cols = _interp_weights(np.arange(out_w) * ratio, width)
+    scratch = [_block_buffer(out_h, w) for w in (width, width, out_w)]
+    for block in _row_blocks(out_h):
+        _interp_block(out[block], band, [w[block] for w in rows], cols, scratch)
+
+
+def _misalign(band: np.ndarray, b: int, gsd: float, cfg: DegradeConfig) -> None:
+    """Shift band ``b``, a float64 plane at ``gsd``, in place by its
     (east_m, south_m) offset via bilinear resampling.
 
     Integer-pixel offsets reduce to exact shifts with replicate edge fill.
-    A shifted band is written back a row block at a time (``_interp_block``)
-    from a slab of its original rows (``_slabs``) whose halo spans the
-    block's source rows. A shift within ``MISALIGN_BOUND_M`` at the product
-    pitch reads at most three rows past the block either side.
+    The shifted band is written back a row block at a time
+    (``_interp_block``) from a slab of its original rows (``_slabs``) whose
+    halo spans the block's source rows. A shift within ``MISALIGN_BOUND_M``
+    at the product pitch reads at most three rows past the block either
+    side.
     """
-    bands, height, width = data.shape
+    east_m, south_m = cfg.misalignment_per_band[b]
+    dx = east_m / gsd   # columns
+    dy = south_m / gsd  # rows
+    if dx == 0.0 and dy == 0.0:
+        return
+    height, width = band.shape
     upper = _block_buffer(height, width)
     scratch = (_block_buffer(height, width), upper, upper)
-    for b in range(bands):
-        east_m, south_m = cfg.misalignment_per_band[b]
-        dx = east_m / gsd   # columns
-        dy = south_m / gsd  # rows
-        if dx == 0.0 and dy == 0.0:
-            continue
-        # content moves by (+dy, +dx): sample the source at x - d
-        r0, r1, fy = _interp_weights(np.arange(height) - dy, height)
-        cols = _interp_weights(np.arange(width) - dx, width)
-        # the farthest any row reads above and below itself
-        above = max(int((np.arange(height) - r0).max()), 0)
-        below = max(int((r1 - np.arange(height)).max()), 0)
-        for rows, source, top in _slabs(data[b], above, below):
-            _interp_block(data[b, rows], source,
-                          (r0[rows] - top, r1[rows] - top, fy[rows]),
-                          cols, scratch)
+    # content moves by (+dy, +dx): sample the source at x - d
+    r0, r1, fy = _interp_weights(np.arange(height) - dy, height)
+    cols = _interp_weights(np.arange(width) - dx, width)
+    # the farthest any row reads above and below itself
+    above = max(int((np.arange(height) - r0).max()), 0)
+    below = max(int((r1 - np.arange(height)).max()), 0)
+    for rows, source, top in _slabs(band, above, below):
+        _interp_block(band[rows], source, (r0[rows] - top, r1[rows] - top, fy[rows]),
+                      cols, scratch)
 
 
 # ---------------------------------------------------------------------------
@@ -390,50 +396,48 @@ def _convolve_lines(out, lines, kernel, scratch) -> None:
         out += scratch
 
 
-def _degrade(data: np.ndarray, cfg: DegradeConfig, seed: int) -> None:
-    """MTF blur then Gaussian noise at sigma = mean / SNR, in place band by
-    band on a float64 (bands, h, w) buffer.
+def _degrade(band: np.ndarray, b: int, cfg: DegradeConfig,
+             rng: np.random.Generator) -> None:
+    """MTF blur then Gaussian noise at sigma = mean / SNR, in place on band
+    ``b``, a float64 plane, drawing the noise from ``rng``, the one
+    generator the chain reads across the bands in their order.
 
     The blur kernel is a unit-sum separable Gaussian parameterized by the
     configured MTF at Nyquist, applied with replicate edges; identity when
     mtf_at_nyquist is 1. Each row block is blurred along the columns from a
     slab with a kernel-radius halo (``_slabs``) into a block padded by the
-    radius, edge columns repeated, then along the rows into the buffer: the
+    radius, edge columns repeated, then along the rows into the band: the
     bits of scipy's ``convolve1d(mode="nearest")`` on each axis. The noise
     sigma is the blurred band's whole-plane mean over the SNR, and the noise
-    is drawn a row block at a time; it is skipped for infinite SNR.
-    Deterministic for a fixed seed.
+    is drawn a row block at a time; it is skipped, and ``rng`` not read,
+    for infinite SNR.
     """
-    bands, height, width = data.shape
-    rng = np.random.default_rng(seed)
+    height, width = band.shape
     block = _block_buffer(height, width)
     sigma_px = mtf_blur_sigma_px(cfg.mtf_at_nyquist)
     if sigma_px > 0.0:
         kernel = gaussian_kernel(sigma_px)
         r = len(kernel) // 2
         padded = np.empty((len(block), r + width + r))
-    for b in range(bands):
-        band = data[b]
-        if sigma_px > 0.0:
-            for rows, source, _ in _slabs(band, r, r):
-                scratch = block[:rows.stop - rows.start]  # the noise's block
-                blurred = padded[:len(scratch)]
-                _convolve_lines(blurred[:, r:-r], source, kernel, scratch)
-                blurred[:, :r] = blurred[:, r:r + 1]  # edge columns repeated
-                blurred[:, -r:] = blurred[:, -r - 1:-r]
-                # along the rows: the lines of the transposed views
-                _convolve_lines(band[rows].T, blurred.T, kernel, scratch.T)
-        snr = cfg.snr_per_band[b]
-        if math.isinf(snr):
-            continue
-        sigma = abs(float(band.mean())) / snr
-        if sigma > 0.0:
-            for rows in _row_blocks(height):
-                out = band[rows]
-                noise = block[:len(out)]
-                rng.standard_normal(out=noise)
-                noise *= sigma
-                out += noise
+        for rows, source, _ in _slabs(band, r, r):
+            scratch = block[:rows.stop - rows.start]  # the noise's block
+            blurred = padded[:len(scratch)]
+            _convolve_lines(blurred[:, r:-r], source, kernel, scratch)
+            blurred[:, :r] = blurred[:, r:r + 1]  # edge columns repeated
+            blurred[:, -r:] = blurred[:, -r - 1:-r]
+            # along the rows: the lines of the transposed views
+            _convolve_lines(band[rows].T, blurred.T, kernel, scratch.T)
+    snr = cfg.snr_per_band[b]
+    if math.isinf(snr):
+        return
+    sigma = abs(float(band.mean())) / snr
+    if sigma > 0.0:
+        for rows in _row_blocks(height):
+            out = band[rows]
+            noise = block[:len(out)]
+            rng.standard_normal(out=noise)
+            noise *= sigma
+            out += noise
 
 
 # ---------------------------------------------------------------------------
@@ -451,45 +455,47 @@ def simulate_l1c(
     """Run the product chain and chip the result into 256 px patches.
 
     reflectance -> radiance -> resample to 4.75 m -> band misalignment ->
-    SNR/MTF degradation -> reflectance -> chips. The chain
-    (``_simulate_into``) runs in one fresh float64 buffer of the scene's
-    shape, and the chips are read-only views into it. ``scene``, of any
-    dtype, is not modified.
+    SNR/MTF degradation -> reflectance -> chips, band by band
+    (``_simulate_band``), into one fresh float64 buffer of the product's
+    (bands, h, w) shape; the chips are read-only views into it. ``scene``,
+    of any dtype, is not modified.
 
-    Each band is converted, resampled, shifted, blurred and noised in turn,
-    all but the conversion a row block at a time. The call's heap peak is
-    the buffer plus a few row blocks, and for a scene at another pitch the
-    radiance at that pitch, which ``resample`` reads.
+    At the product pitch each band is made in its buffer plane, so the
+    call holds the buffer and a few row blocks at its peak. At another
+    pitch each band's radiance is made in one float64 plane of the scene's
+    size, which is resampled into the buffer: the buffer, that one plane
+    and a few row blocks.
     """
     if scene.bands != N_BANDS:
         raise DimensionError(f"scene must have {N_BANDS} multispectral bands, "
                              f"got {scene.bands}")
-    return _simulate_into(scene, np.empty(scene.data.shape), ctx, cfg, seed,
-                          scene_georef)
+    buffer = np.empty((N_BANDS, *resampled_shape(scene.height, scene.width,
+                                                 scene.gsd, PRODUCT_GSD)))
+    radiance = (None if scene.gsd == PRODUCT_GSD
+                else np.empty((scene.height, scene.width)))
+    rng = np.random.default_rng(seed)
+    for b, (source, out) in enumerate(zip(scene.data, buffer)):
+        _simulate_band(source, b, scene.gsd, ctx, cfg, rng,
+                       out if radiance is None else radiance, out)
+    return tile_scene(BandStack.from_array(buffer, PRODUCT_GSD, scene.band_ids),
+                      scene_georef, patch_id_prefix="chip")
 
 
-def _simulate_into(
-    scene: BandStack,
-    buffer: np.ndarray,
-    ctx: SolarContext,
-    cfg: DegradeConfig,
-    seed: int,
-    scene_georef: GeoRef | None,
-) -> TileResult:
-    """:func:`simulate_l1c`'s chain in the float64 ``buffer`` of the scene's
-    shape, which may be ``scene.data`` itself: ``_to_radiance`` from the
-    scene into the buffer, resample (only if the pitch is not the
-    product's), ``_misalign``, ``_degrade``, ``_to_reflectance`` and
-    ``tile_scene``. The caller gives the buffer up: at the product pitch
-    the chips are views into it."""
-    _to_radiance(scene.data, ctx, out=buffer)
-    radiance = BandStack.from_array(buffer, scene.gsd, scene.band_ids)
-    if radiance.gsd != PRODUCT_GSD:
-        radiance = resample(radiance, PRODUCT_GSD)
-    _misalign(radiance.data, radiance.gsd, cfg)
-    _degrade(radiance.data, cfg, seed)
-    _to_reflectance(radiance.data, ctx)
-    return tile_scene(radiance, scene_georef, patch_id_prefix="chip")
+def _simulate_band(source: np.ndarray, b: int, gsd: float, ctx: SolarContext,
+                   cfg: DegradeConfig, rng: np.random.Generator,
+                   radiance: np.ndarray, out: np.ndarray) -> None:
+    """Band ``b`` of the product chain from its reflectance plane
+    ``source`` (any dtype) at ``gsd``: ``_to_radiance`` into the float64
+    plane ``radiance``, which may be ``source`` itself; resampling into the
+    float64 product-pitch plane ``out`` (only at another pitch: at the
+    product pitch ``out`` is ``radiance``); then ``_misalign``, ``_degrade``
+    (reading ``rng``) and ``_to_reflectance`` in place on ``out``."""
+    _to_radiance(source, b, ctx, out=radiance)
+    if gsd != PRODUCT_GSD:
+        _resample_into(radiance, gsd, PRODUCT_GSD, out)
+    _misalign(out, b, PRODUCT_GSD, cfg)
+    _degrade(out, b, cfg, rng)
+    _to_reflectance(out, b, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +625,10 @@ def _field_draws(spec: SceneSpec, rng: np.random.Generator):
     return ramp, blobs
 
 
-def _smooth_field(spec: SceneSpec, ramp, blobs) -> np.ndarray:
-    """Analytic scalar field in [0, 1] from :func:`_field_draws`: optional
-    linear ramp plus Gaussian blobs, min-max normalized (constant 0.5 if
-    degenerate).
+def _smooth_field(spec: SceneSpec, ramp, blobs, f: np.ndarray) -> None:
+    """Analytic scalar field in [0, 1] from :func:`_field_draws` into the
+    float64 (height, width) plane ``f``: optional linear ramp plus Gaussian
+    blobs, min-max normalized (constant 0.5 if degenerate).
 
     The field is summed a row block at a time, each blob's ``exp``
     evaluated into one block-sized buffer."""
@@ -633,7 +639,7 @@ def _smooth_field(spec: SceneSpec, ramp, blobs) -> np.ndarray:
         ramp_x, ramp_y = ramp[0] * xx, ramp[1] * yy
     blobs = [((yy - cy) ** 2, (xx - cx) ** 2, 2 * s**2, amp)
              for cy, cx, s, amp in blobs]
-    f = np.zeros((h, w))
+    f.fill(0.0)
     buffer = _block_buffer(h, w)
     for rows in _row_blocks(h):
         out = f[rows]
@@ -652,10 +658,9 @@ def _smooth_field(spec: SceneSpec, ramp, blobs) -> np.ndarray:
     lo, hi = f.min(), f.max()
     if hi - lo < 1e-12:
         f.fill(0.5)
-        return f
+        return
     f -= lo
     f /= hi - lo
-    return f
 
 
 def _draw_noise(band: np.ndarray, rng: np.random.Generator, std: float) -> None:
@@ -677,6 +682,92 @@ def _default_mixing(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     raise RuntimeError("could not draw a well-conditioned mixing matrix")
 
 
+class _SceneSource:
+    """The bands of ``generate_synthetic_scene(spec, seed)``, bit for bit,
+    one at a time.
+
+    Every random parameter is drawn on construction, in the stream's order:
+    the turbidity field's, the pH field's, then the mixing when the spec
+    gives none. The pixel noise follows in the stream, band-major and then
+    row-major, drawn by :meth:`bands`.
+    """
+
+    def __init__(self, spec: SceneSpec, seed: int):
+        self.spec = spec
+        self.rng = np.random.default_rng(seed)
+        self.field_draws = (_field_draws(spec, self.rng), _field_draws(spec, self.rng))
+        if spec.mixing_matrix is not None:
+            self.mix = np.asarray(spec.mixing_matrix, dtype=np.float64)
+            self.offsets = np.asarray(spec.mixing_offsets, dtype=np.float64)
+        else:
+            self.offsets, self.mix = _default_mixing(self.rng)
+
+    def noise_floor(self) -> dict[str, float]:
+        """The best linear estimator's RMSE of each field from the
+        ``N_BANDS`` noisy window averages: variance = sigma_avg^2 *
+        [(M^T M)^-1]_kk, scaled by the field's range."""
+        spec = self.spec
+        (t_lo, t_hi), (p_lo, p_hi) = spec.turbidity_range, spec.ph_range
+        sigma_avg = spec.noise_std / WINDOW
+        gram_inv = np.linalg.inv(self.mix.T @ self.mix)
+        return {
+            TURBIDITY: float((t_hi - t_lo) * sigma_avg * math.sqrt(gram_inv[0, 0])),
+            PH: float((p_hi - p_lo) * sigma_avg * math.sqrt(gram_inv[1, 1])),
+        }
+
+    def bands(self, planes, fields=None) -> Iterator[np.ndarray]:
+        """Band b of the scene, for b in band order, made in the float64
+        (height, width) plane ``planes[b % len(planes)]``.
+
+        A band's plane may be made again once the next band is asked for,
+        so the caller may work on each band in place until then. The two
+        normalized field planes (turbidity, pH) are evaluated into
+        ``fields`` when given, else into two planes of the source's own,
+        let go once the last band is mixed.
+
+        One worker thread draws the noise into the planes in band order, a
+        row block at a time: first into every plane, while this thread
+        evaluates the two fields, then into each plane as its band is let
+        go. Each band's mix, (offset + m0 * turb01) + m1 * ph01, is added
+        onto its noise a row block at a time; addition commutes, so the
+        bits are those of the mix plus the noise.
+        """
+        spec, n = self.spec, len(planes)
+        shape = (spec.height, spec.width)
+        turb01, ph01 = fields if fields is not None else (np.empty(shape), np.empty(shape))
+        buffers = [_block_buffer(*shape) for _ in range(2)]
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            # one worker runs the draws in the order submitted
+            def draw(b):
+                return worker.submit(_draw_noise, planes[b % n], self.rng, spec.noise_std)
+
+            noise = ([draw(b) for b in range(min(n, N_BANDS))]
+                     if spec.noise_std > 0.0 else None)
+            _smooth_field(spec, *self.field_draws[0], turb01)
+            _smooth_field(spec, *self.field_draws[1], ph01)
+            for b in range(N_BANDS):
+                band = planes[b % n]
+                if noise is not None:
+                    # band b - 1 was let go: its plane takes band b - 1 + n
+                    if b and b - 1 + n < N_BANDS:
+                        noise.append(draw(b - 1 + n))
+                    noise[b].result()
+                for rows in _row_blocks(spec.height):
+                    out = band[rows]
+                    mixed, term = (buffer[:len(out)] for buffer in buffers)
+                    np.multiply(self.mix[b, 0], turb01[rows], out=mixed)
+                    mixed += self.offsets[b]
+                    np.multiply(self.mix[b, 1], ph01[rows], out=term)
+                    mixed += term
+                    if noise is None:
+                        np.copyto(out, mixed)
+                    else:
+                        out += mixed
+                if b == N_BANDS - 1:
+                    turb01 = ph01 = None  # the last band is mixed
+                yield band
+
+
 def generate_synthetic_scene(
     spec: SceneSpec, seed: int
 ) -> tuple[BandStack, SceneTruth]:
@@ -690,58 +781,24 @@ def generate_synthetic_scene(
     ``noise_floor`` is the RMSE of the best linear estimator under that
     noise, per parameter.
 
-    Every random parameter is drawn first; the noise, which takes most of
-    the time and needs nothing but the generator, is then drawn into the
-    scene by one worker thread, band by band and a row block at a time
-    (band-major, then row-major in the stream), while this thread
-    evaluates the two fields. Each band's mix, (offset + m0 * turb01) +
-    m1 * ph01, is then added onto its noise a row block at a time; addition
-    commutes, so the bits are those of the mix plus the noise. Beside the
-    scene the call holds two field planes, normalized and then scaled in
-    place into the two truth fields, and a few row blocks.
+    The bands are ``_SceneSource``'s, made in the scene's own planes, so the
+    worker thread draws every band's noise while this thread evaluates the
+    two fields and mixes the bands before. Beside the scene the call holds
+    the two field planes, normalized and then scaled in place into the two
+    truth fields, and a few row blocks.
     """
-    rng = np.random.default_rng(seed)
-    turb_draws = _field_draws(spec, rng)
-    ph_draws = _field_draws(spec, rng)
-    if spec.mixing_matrix is not None:
-        mix = np.asarray(spec.mixing_matrix, dtype=np.float64)
-        offsets = np.asarray(spec.mixing_offsets, dtype=np.float64)
-    else:
-        offsets, mix = _default_mixing(rng)
-
+    source = _SceneSource(spec, seed)
     data = np.empty((N_BANDS, spec.height, spec.width))
-    buffers = [_block_buffer(spec.height, spec.width) for _ in range(2)]
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        # one worker runs the bands in the order submitted
-        noise = ([worker.submit(_draw_noise, band, rng, spec.noise_std)
-                  for band in data] if spec.noise_std > 0.0 else None)
-        turb01 = _smooth_field(spec, *turb_draws)
-        ph01 = _smooth_field(spec, *ph_draws)
-        for b, band in enumerate(data):
-            if noise is not None:
-                noise[b].result()
-            for rows in _row_blocks(spec.height):
-                out = band[rows]
-                mixed, term = (buffer[:len(out)] for buffer in buffers)
-                np.multiply(mix[b, 0], turb01[rows], out=mixed)
-                mixed += offsets[b]
-                np.multiply(mix[b, 1], ph01[rows], out=term)
-                mixed += term
-                if noise is None:
-                    np.copyto(out, mixed)
-                else:
-                    out += mixed
+    turb01, ph01 = np.empty(data.shape[1:]), np.empty(data.shape[1:])
+    for _ in source.bands(data, (turb01, ph01)):
+        pass
     scene = BandStack.from_array(data, spec.gsd, MS_BAND_IDS)
 
     t_lo, t_hi = spec.turbidity_range
     p_lo, p_hi = spec.ph_range
-    # each normalized plane becomes its truth field in place: f * (hi - lo)
-    # + lo is lo + (hi - lo) * f bit for bit. Fresh field arrays hold two
-    # planes more at the peak but leave glibc's allocator less to keep
-    # resident: over cli_chain (seed 1, 4 runs each, 2-core x86-64) they
-    # read op_heap_peak_mb 88.7 MB and peak_rss_mb 167.2 MB, this form 73.0
-    # and 183.0 MB. The heap peak is what the chain asks for on any
-    # allocator, so it is the one kept low.
+    # each normalized plane becomes its truth field in place, so the truth
+    # holds no plane beyond the two: f * (hi - lo) + lo is lo + (hi - lo) * f
+    # bit for bit
     turb01 *= t_hi - t_lo
     turb01 += t_lo
     ph01 *= p_hi - p_lo
@@ -750,18 +807,9 @@ def generate_synthetic_scene(
     truth = SceneTruth(
         fields=fields,
         window_grids={name: window_average(f) for name, f in fields.items()},
-        mixing_offsets=offsets,
-        mixing_matrix=mix,
+        mixing_offsets=source.offsets,
+        mixing_matrix=source.mix,
         noise_std=spec.noise_std,
-        noise_floor={},
+        noise_floor=source.noise_floor(),
     )
-
-    # Best linear estimator of each field from the N_BANDS noisy window averages:
-    # variance = sigma_avg^2 * [(M^T M)^-1]_kk scaled by the field range.
-    sigma_avg = spec.noise_std / WINDOW
-    gram_inv = np.linalg.inv(mix.T @ mix)
-    truth.noise_floor = {
-        TURBIDITY: float((t_hi - t_lo) * sigma_avg * math.sqrt(gram_inv[0, 0])),
-        PH: float((p_hi - p_lo) * sigma_avg * math.sqrt(gram_inv[1, 1])),
-    }
     return scene, truth

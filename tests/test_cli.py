@@ -12,6 +12,7 @@ import pytest
 
 from coastwatch import (_container, alerting, cli, convnet, dataset, mlp, quantbench,
                         raster, sensor)
+from coastwatch.errors import NonFiniteError
 
 SIZE = 512
 SEED = 3
@@ -152,52 +153,112 @@ def test_simulate_into_an_earlier_run_leaves_only_its_own_chips(tmp_path):
     assert [p.patch_id for p in cli._load_patches(out / "chips")] == ["chip_000_000"]
 
 
-def test_simulate_holds_the_scene_the_product_buffer_and_row_blocks(tmp_path):
+DEGRADE = {"snr": 100, "mtf": 0.6,
+           "misalign_m": [[0, 0], [2, -1], [-1.5, 2.25], [3, 0], [0, -2.5],
+                          [1.3, 0.7], [-2, -2]]}
+
+
+def test_simulate_holds_the_fields_a_band_and_the_float32_product(tmp_path):
     # 300 x 520 px: two chips, and a band plane (16 row blocks) well above
     # the margin
     width, height = 300, 520
-    doc = {"width": width, "height": height, "noise_std": 0.002,
-           "degrade": {"snr": 100, "mtf": 0.6,
-                       "misalign_m": [[0, 0], [2, -1], [-1.5, 2.25], [3, 0],
-                                      [0, -2.5], [1.3, 0.7], [-2, -2]]}}
+    doc = {"width": width, "height": height, "noise_std": 0.002, "degrade": DEGRADE}
     (tmp_path / "spec.json").write_text(json.dumps(doc))
     peak = heap_peak_of(["simulate", "--spec", tmp_path / "spec.json",
                          "--out", tmp_path / "sim", "--seed", 5])
     plane = height * width * 8
-    # the product chain runs in the scene's own buffer, after the truth's
-    # fields are let go, so the peak is the scene generation's: the scene,
-    # its two field planes and a few row blocks; those and the command's own
-    # objects (about 6.5 row blocks measured) fit in 8 row blocks
+    # the chain runs band by band, so the float64 scene is never held: the
+    # two field planes, at most two float64 band planes (one at this pitch)
+    # and the float32 product, made a plane at a time (6.25 planes measured
+    # in all); the row blocks and the command's own objects fit in the margin
     margin = 8 * sensor._ROW_BLOCK * width * 8
-    assert peak <= 7 * plane + 2 * plane + margin
+    assert peak <= 2 * plane + 2 * plane + 7 * plane // 2 + margin
     truth = json.loads((tmp_path / "sim" / "truth.json").read_text())
     assert list(truth) == ["scene", "chips", "margins", "noise_std", "noise_floor",
                            "mixing_offsets", "mixing_matrix", "seed"]
     assert truth["chips"] == 2
 
 
-def test_simulate_at_10_m_holds_the_input_pitch_radiance_and_the_product_buffer(
+def test_simulate_at_10_m_holds_the_fields_two_band_planes_and_the_float32_product(
         tmp_path):
     # a 10 m scene of 300 x 280 px resamples to 630 x 588 px at 4.75 m: four
     # chips, and a product band plane (over 18 row blocks) well above the margin
     width, height = 300, 280
     doc = {"width": width, "height": height, "gsd": 10, "noise_std": 0.002,
-           "degrade": {"snr": 100, "mtf": 0.6,
-                       "misalign_m": [[0, 0], [2, -1], [-1.5, 2.25], [3, 0],
-                                      [0, -2.5], [1.3, 0.7], [-2, -2]]}}
+           "degrade": DEGRADE}
     (tmp_path / "spec.json").write_text(json.dumps(doc))
     peak = heap_peak_of(["simulate", "--spec", tmp_path / "spec.json",
                          "--out", tmp_path / "sim", "--seed", 5])
     plane = height * width * 8
     product_width = 630
     product_plane = 588 * product_width * 8
-    # the scene's own buffer becomes the radiance at the input pitch, which
-    # resample reads a row block at a time into the product buffer: beside
-    # the two, the row blocks and the command's own objects (about 5
-    # measured) fit in 8 row blocks of the product's width
+    # the two field planes at the scene's pitch, two float64 band planes (the
+    # band at the scene's pitch, resampled into one at the product's) and
+    # the float32 product, made a plane at a time (14.3 MB measured in all,
+    # under the planes alone); the row blocks and the command's own objects
+    # fit in 8 row blocks of the product's width
     margin = 8 * sensor._ROW_BLOCK * product_width * 8
-    assert peak <= 7 * plane + 7 * product_plane + margin
+    assert peak <= 2 * plane + plane + product_plane + 7 * product_plane // 2 + margin
     assert json.loads((tmp_path / "sim" / "truth.json").read_text())["chips"] == 4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows themselves
+def test_simulate_refuses_a_non_finite_product_before_it_writes_a_chip(tmp_path):
+    # reflectances near 1e306 overflow to inf as radiance: every chip holds
+    # non-finite values, and the first is named, as tile_scene names it
+    mixing = {"offsets": [1e306] * 7, "matrix": MIXING["matrix"]}
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"width": 512, "height": 300, "mixing": mixing}))
+    assert cli.main(["simulate", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "sim")]) == 2
+    assert sorted(p.name for p in (tmp_path / "sim").iterdir()) == ["scene.pat1"]
+    with pytest.raises(NonFiniteError, match="patch 'chip_000_000' contains non-finite"):
+        sensor.simulate_l1c(raster.read_pat1(tmp_path / "sim" / "scene.pat1")[0],
+                            sensor.SolarContext(), sensor.DegradeConfig(), 1)
+
+
+# offsets low enough that some reflectances fall below 0, so chips flag values
+MIXING = {"offsets": [0.03, 0.05, 0.08, 0.1, 0.06, 0.04, 0.02],
+          "matrix": [[0.1, -0.05], [0.08, 0.04], [-0.06, 0.09], [0.05, 0.05],
+                     [0.12, -0.02], [-0.03, 0.07], [-0.05, 0.01]]}
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param({"width": 300, "height": 520, "noise_std": 0.01, "mixing": MIXING,
+                  "degrade": DEGRADE}, id="product_pitch"),
+    pytest.param({"width": 300, "height": 280, "gsd": 10, "noise_std": 0.01,
+                  "mixing": MIXING, "degrade": DEGRADE}, id="resampled_from_10_m"),
+    pytest.param({"width": 300, "height": 520, "noise_std": 0, "mixing": MIXING,
+                  "degrade": {"snr": "inf", "mtf": 1}}, id="no_noise_no_blur"),
+    pytest.param({"width": 300, "height": 520, "noise_std": 0.01, "degrade": DEGRADE},
+                 id="default_mixing"),
+])
+def test_simulate_writes_the_library_scene_and_chips_byte_for_byte(tmp_path, doc):
+    """``simulate``'s band-by-band chain writes what ``write_pat1`` writes of
+    ``generate_synthetic_scene`` and of ``simulate_l1c``'s chips, manifests
+    (flag counts included) and payloads alike."""
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "sim"), "--seed", "5"]) == 0
+    spec = sensor.SceneSpec.from_json(doc)
+    scene, _ = sensor.generate_synthetic_scene(spec, 5)
+    want = tmp_path / "want"
+    want.mkdir()
+    raster.write_pat1(want / "scene.pat1", scene, georef=spec.georef())
+    tiles = sensor.simulate_l1c(scene, sensor.SolarContext(),
+                                sensor.DegradeConfig.from_json(doc["degrade"]), 6,
+                                spec.georef())
+    for patch, placement in zip(tiles.patches, tiles.index.placements):
+        raster.write_pat1(want / f"{patch.patch_id}.pat1", patch.raster,
+                          georef=patch.georef,
+                          extra={"patch_id": patch.patch_id, "placement": list(placement),
+                                 "flagged_values": patch.flagged_values})
+    assert sum(p.flagged_values for p in tiles.patches) > 0
+    chips = sorted(p.name for p in (tmp_path / "sim" / "chips").iterdir())
+    assert chips == sorted(f"{p.patch_id}.pat1" for p in tiles.patches)
+    for got, name in [(tmp_path / "sim" / "scene.pat1", "scene.pat1"),
+                      *((tmp_path / "sim" / "chips" / chip, chip) for chip in chips)]:
+        assert got.read_bytes() == (want / name).read_bytes(), name
 
 
 # At small dims a check patch (float64, 3.5 MiB) dwarfs the model, the window

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from coastwatch import quantbench
-from coastwatch.convnet import ConvLayer, ConvNet, infer_patch
+from coastwatch.convnet import ConvLayer, ConvNet, check_patches, infer_patch
+from coastwatch.dataset import NormStats
 from coastwatch.errors import NumericError
 from coastwatch.quantbench import (
     BENCH_REPS,
@@ -67,6 +68,33 @@ def test_a_deviation_fp16_rounding_makes_is_each_cells_served_deviation():
     assert report.max_map_deviation == dev.max()
     assert report.mean_map_deviation == pytest.approx(dev.mean(), rel=1e-12)
     assert report.passed == (dev.max() <= FP16_THRESHOLD)
+
+
+def test_a_map_past_float32_range_raises_instead_of_passing_the_gate():
+    """A 7 -> 1 net whose target std de-standardizes its output past
+    float32's range: the served map would round to inf, and inf - inf
+    deviations to NaN."""
+    net = net_of((7, 1), seed=1)
+    net.layers[0].bias[0] = 8.0   # outputs near 8, mapped near 8e38
+    net.stats = NormStats(np.full(7, 0.3), np.full(7, 0.1), 0.0, 1e38)
+    with pytest.raises(NumericError, match="overflows float32"):
+        compare_quantized(net, quantize_fp16(net), check_patches(net.stats, 2))
+
+
+def test_a_nan_deviation_past_the_first_patch_fails_the_gate():
+    net = net_of()
+    calls = iter(range(2))
+
+    def reference(means):
+        out = net(means).astype(np.float64)
+        if next(calls) == 1:
+            out[3, 4] = np.nan  # one cell of the second patch
+        return out
+
+    report = compare_quantized(net, reference, random_patches(2, seed=1))
+    assert report.patches_tested == 2
+    assert np.isnan(report.max_map_deviation)
+    assert not report.passed
 
 
 def test_an_empty_patch_list_is_refused():

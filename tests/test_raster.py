@@ -27,6 +27,7 @@ from coastwatch.raster import (
     window_average,
     window_fraction,
     write_pat1,
+    write_pat1_bands,
 )
 
 RNG = np.random.default_rng(1234)
@@ -455,6 +456,33 @@ class TestPat1Format:
         a = write_pat1(tmp_path / "view.pat1", view).read_bytes()
         b = write_pat1(tmp_path / "copy.pat1", copy).read_bytes()
         assert a == b and a.endswith(np.ascontiguousarray(view.data).tobytes())
+
+    def test_bands_are_written_as_they_come_a_block_of_rows_at_a_time(self, tmp_path):
+        """``write_pat1_bands`` reads a band only once the one before is
+        written, and casts a float64 band a block of rows at a time: the
+        file of bands made one at a time is ``write_pat1``'s of the stack,
+        written under half of one band's float32 cast."""
+        data = RNG.uniform(0, 1, (3, 512, 512))
+        written = []
+
+        def bands():
+            for band in data:
+                yield band
+                written.append((tmp_path / "b.pat1").stat().st_size)
+
+        tracemalloc.start()
+        try:
+            write_pat1_bands(tmp_path / "b.pat1", bands(), 4.75, ("a", "b", "c"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        whole = write_pat1(tmp_path / "s.pat1", BandStack(data, 4.75, ("a", "b", "c")))
+        assert (tmp_path / "b.pat1").read_bytes() == whole.read_bytes()
+        band_bytes = 512 * 512 * 4
+        header = whole.stat().st_size - 3 * band_bytes
+        # buffered, each band is at least begun before the next is read
+        assert all(size > header + k * band_bytes for k, size in enumerate(written))
+        assert peak < band_bytes // 2
 
     def test_one_file_per_raster(self, tmp_path):
         write_pat1(tmp_path / "x.pat1", stack(RNG.uniform(0, 1, (1, 4, 4))),

@@ -34,12 +34,23 @@ def stack(data, gsd=4.75, band_ids=None):
     return BandStack.from_array(np.asarray(data, dtype=np.float64), gsd, band_ids)
 
 
+def each_band(step, data, *args):
+    """Run the per-band ``step`` in place on each band of a (bands, h, w)
+    array, in band order, as ``simulate_l1c`` runs it."""
+    for b, band in enumerate(data):
+        step(band, b, *args)
+
+
 def in_copy(step, scene, *args):
-    """The data ``step`` leaves when run in place on a float64 copy of
-    ``scene``'s data, as ``simulate_l1c`` runs it on its working buffer."""
+    """The data ``step`` leaves when run band by band in place on a float64
+    copy of ``scene``'s data."""
     data = scene.data.astype(np.float64)
-    step(data, *args)
+    each_band(step, data, *args)
     return data
+
+
+def rng(seed):
+    return np.random.default_rng(seed)
 
 
 class TestRadiometry:
@@ -174,14 +185,14 @@ class TestMisalignment:
 class TestDegrade:
     def test_identity_sentinels(self):
         scene = stack(RNG.uniform(0, 1, (7, 32, 32)))
-        out = in_copy(sensor._degrade, scene, DegradeConfig(), 5)
+        out = in_copy(sensor._degrade, scene, DegradeConfig(), rng(5))
         assert np.array_equal(out, scene.data)
 
     def test_noise_sigma_matches_snr(self):
         scene = stack(np.full((1, 128, 128), 5.0), band_ids=("a",))
         # a config holds one SNR per product band; the one band reads the first
         cfg = DegradeConfig(snr_per_band=(100.0,) + (math.inf,) * 6)
-        out = in_copy(sensor._degrade, scene, cfg, 3)
+        out = in_copy(sensor._degrade, scene, cfg, rng(3))
         sigma = float((out[0] - 5.0).std())
         assert abs(sigma - 0.05) / 0.05 < 0.15  # >= 1e4 pixels
 
@@ -193,7 +204,7 @@ class TestDegrade:
     def test_blur_preserves_constant_mean(self):
         scene = stack(np.full((1, 64, 64), 2.5), band_ids=("a",))
         cfg = DegradeConfig(mtf_at_nyquist=0.3)
-        out = in_copy(sensor._degrade, scene, cfg, 0)
+        out = in_copy(sensor._degrade, scene, cfg, rng(0))
         assert np.allclose(out, 2.5, rtol=1e-6)
 
     def test_mtf_sigma_inversion(self):
@@ -205,10 +216,10 @@ class TestDegrade:
     def test_seed_bit_reproducible(self):
         scene = stack(RNG.uniform(0, 1, (7, 32, 32)))
         cfg = DegradeConfig(snr_per_band=(50.0,) * 7, mtf_at_nyquist=0.4)
-        a = in_copy(sensor._degrade, scene, cfg, 11)
-        b = in_copy(sensor._degrade, scene, cfg, 11)
+        a = in_copy(sensor._degrade, scene, cfg, rng(11))
+        b = in_copy(sensor._degrade, scene, cfg, rng(11))
         assert np.array_equal(a, b)
-        c = in_copy(sensor._degrade, scene, cfg, 12)
+        c = in_copy(sensor._degrade, scene, cfg, rng(12))
         assert not np.array_equal(a, c)
 
 
@@ -254,9 +265,11 @@ class TestSimulateL1cWorkingBuffer:
     def test_chips_equal_the_chain_of_public_steps(self):
         spec, scene, _, product = self.product()
         data = in_copy(sensor._to_radiance, scene, self.CTX)
-        sensor._misalign(data, scene.gsd, self.CFG)
-        sensor._degrade(data, self.CFG, 23)
-        sensor._to_reflectance(data, self.CTX)
+        # step by step over all bands: the chain's band-major order keeps
+        # the bits, since only _degrade reads the generator
+        each_band(sensor._misalign, data, scene.gsd, self.CFG)
+        each_band(sensor._degrade, data, self.CFG, rng(23))
+        each_band(sensor._to_reflectance, data, self.CTX)
         reference = tile_scene(BandStack.from_array(data, scene.gsd),
                                spec.georef(), patch_id_prefix="chip")
         assert product.index == reference.index
@@ -281,6 +294,26 @@ class TestSimulateL1cWorkingBuffer:
         for chip in chips:
             assert not np.shares_memory(chip, scene.data)
             assert not chip.flags.writeable
+
+    def test_a_scene_at_another_pitch_has_the_chips_of_the_stepwise_chain(self):
+        # 10 m, 300 x 280 px: 630 x 588 px at the product pitch, four chips
+        spec = SceneSpec(width=300, height=280, gsd=10.0, noise_std=0.002)
+        scene, _ = generate_synthetic_scene(spec, 17)
+        product = simulate_l1c(scene, self.CTX, self.CFG, seed=23,
+                               scene_georef=spec.georef())
+        radiance = BandStack.from_array(in_copy(sensor._to_radiance, scene, self.CTX),
+                                        scene.gsd)
+        data = resample(radiance, sensor.PRODUCT_GSD).data
+        each_band(sensor._misalign, data, sensor.PRODUCT_GSD, self.CFG)
+        each_band(sensor._degrade, data, self.CFG, rng(23))
+        each_band(sensor._to_reflectance, data, self.CTX)
+        reference = tile_scene(BandStack.from_array(data, sensor.PRODUCT_GSD),
+                               spec.georef(), patch_id_prefix="chip")
+        assert product.index == reference.index
+        assert len(product.patches) == 4
+        for got, want in zip(product.patches, reference.patches, strict=True):
+            assert got.flagged_values == want.flagged_values
+            assert np.array_equal(got.raster.data, want.raster.data)
 
     def test_input_scene_unchanged(self):
         _, scene, before, _ = self.product()
@@ -715,8 +748,8 @@ def test_streamed_steps_equal_the_whole_plane_steps(block, data):
     _full_plane_degrade(want, cfg, seed)
     got = radiance.copy()
     with row_block(block, height):
-        sensor._misalign(got, 4.75, cfg)
-        sensor._degrade(got, cfg, seed)
+        each_band(sensor._misalign, got, 4.75, cfg)
+        each_band(sensor._degrade, got, cfg, rng(seed))
     assert np.array_equal(got, want)
 
 
@@ -768,7 +801,7 @@ def test_streamed_chain_equals_the_whole_plane_chain(block, data):
     want = in_copy(sensor._to_radiance, scene, ctx)
     _full_plane_misalign(want, scene.gsd, cfg)
     _full_plane_degrade(want, cfg, 9)
-    sensor._to_reflectance(want, ctx)
+    each_band(sensor._to_reflectance, want, ctx)
     (chip,) = product.patches
     assert np.array_equal(chip.raster.data, want[:, :256, :256])
 
@@ -791,6 +824,45 @@ def test_simulate_l1c_heap_peak_is_the_buffer_and_row_blocks():
     # of a plane
     margin = 6 * sensor._ROW_BLOCK * 520 * 8
     assert peak <= 7 * plane + margin
+
+
+def test_simulate_l1c_at_another_pitch_holds_the_buffer_one_band_and_row_blocks():
+    # 10 m, 300 x 280 px: the product buffer is 7 planes of 630 x 588 px
+    spec = SceneSpec(width=300, height=280, gsd=10.0, noise_std=0.002)
+    scene, _ = generate_synthetic_scene(spec, 3)
+    cfg, ctx = TestSimulateL1cWorkingBuffer.CFG, TestSimulateL1cWorkingBuffer.CTX
+    tracemalloc.start()
+    try:
+        product = simulate_l1c(scene, ctx, cfg, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(product.patches) == 4
+    # each band's radiance is made in one plane at the scene's pitch, then
+    # resampled into the buffer; the row blocks (about 4 measured) fit in 6
+    # of the product's width, as at the product pitch
+    margin = 6 * sensor._ROW_BLOCK * 630 * 8
+    assert peak <= 7 * 588 * 630 * 8 + 280 * 300 * 8 + margin
+
+
+@pytest.mark.parametrize("planes", [1, 2, 7])
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+def test_the_scene_source_yields_the_bands_of_the_scene(planes, noise):
+    """Made into one plane, two or seven, the bands are the scene's bit for
+    bit, and so are the normalized fields made into given planes."""
+    spec = SceneSpec(width=70, height=45, noise_std=noise)
+    scene, truth = generate_synthetic_scene(spec, 8)
+    source = sensor._SceneSource(spec, 8)
+    fields = np.empty((2, 45, 70))
+    bands = [band.copy() for band in source.bands(np.empty((planes, 45, 70)), fields)]
+    assert np.array_equal(np.stack(bands), scene.data)
+    for name, field, (lo, hi) in zip((TURBIDITY, PH), fields,
+                                     (spec.turbidity_range, spec.ph_range)):
+        field *= hi - lo
+        field += lo
+        assert np.array_equal(field, truth.fields[name])
+    assert np.array_equal(source.mix, truth.mixing_matrix)
+    assert source.noise_floor() == truth.noise_floor
 
 
 def test_generate_synthetic_scene_heap_peak_is_the_scene_two_planes_and_row_blocks():
@@ -848,7 +920,7 @@ def test_misalignment_at_the_registration_bound_equals_the_whole_plane_passes(bl
     want = radiance.copy()
     _full_plane_misalign(want, gsd, cfg)
     with row_block(block, 45):
-        sensor._misalign(radiance, gsd, cfg)
+        each_band(sensor._misalign, radiance, gsd, cfg)
     assert np.array_equal(radiance, want)
 
 
@@ -868,5 +940,5 @@ def test_blur_is_scipys_convolve1d_along_each_axis(block, data):
     want = [convolve1d(convolve1d(plane, kernel, axis=0, mode="nearest"), kernel,
                        axis=1, mode="nearest") for plane in radiance]
     with row_block(block, height):
-        sensor._degrade(radiance, DegradeConfig(mtf_at_nyquist=mtf), seed=0)
+        each_band(sensor._degrade, radiance, DegradeConfig(mtf_at_nyquist=mtf), rng(0))
     assert np.array_equal(radiance, want)
