@@ -59,7 +59,6 @@ from .sensor import (
     SceneSpec,
     SolarContext,
     generate_synthetic_scene,
-    resample,
     simulate_l1c,
 )
 

@@ -53,17 +53,26 @@ def write(
 ) -> None:
     """Frame ``manifest`` and ``arrays`` (each cast to ``dtype``) into ``fh``,
     reading each array only when the one before is written."""
-    dtype = np.dtype(dtype)
+    write_header(fh, magic, manifest)
+    for array in arrays:
+        write_array(fh, array, dtype)
+
+
+def write_header(fh: BinaryIO, magic: bytes, manifest: dict) -> None:
+    """The magic, the manifest length and the manifest of a file."""
     mbytes = json.dumps(manifest).encode()
     fh.write(magic + _LENGTH.pack(len(mbytes)) + mbytes)
-    for array in arrays:
-        # an array of three or more dimensions goes out one plane at a time,
-        # a plane in blocks of rows of at most _WRITE_BLOCK bytes once cast
-        for plane in array if array.ndim > 2 else (array,):
-            row = dtype.itemsize * math.prod(plane.shape[1:])
-            rows = max(1, _WRITE_BLOCK // max(row, 1))
-            for start in range(0, len(plane), rows):
-                fh.write(np.ascontiguousarray(plane[start:start + rows], dtype=dtype).data)
+
+
+def write_array(fh: BinaryIO, array: np.ndarray, dtype) -> None:
+    """One payload array cast to ``dtype``, a plane at a time and a plane in
+    blocks of rows of at most ``_WRITE_BLOCK`` bytes once cast."""
+    dtype = np.dtype(dtype)
+    for plane in array if array.ndim > 2 else (array,):
+        row = dtype.itemsize * math.prod(plane.shape[1:])
+        rows = max(1, _WRITE_BLOCK // max(row, 1))
+        for start in range(0, len(plane), rows):
+            fh.write(np.ascontiguousarray(plane[start:start + rows], dtype=dtype).data)
 
 
 def load(

@@ -33,13 +33,14 @@ reports included, is ``_write_json``'s.
 
 ``simulate`` writes, byte for byte, what ``raster.write_pat1`` writes of
 ``sensor.generate_synthetic_scene``'s scene and of ``sensor.simulate_l1c``'s
-chips, but runs the chain band by band: each scene band is made in one
-float64 plane, written into ``scene.pat1`` as it comes
-(``raster.write_pat1_bands``), run through the chain in place and rounded
-into the float32 product the chips are cut from. So it holds the two truth
-field planes until the last band is mixed, one float64 band (two at
-another pitch) and the float32 product, never the float64 scene; each
-chip's ``flagged_values`` is counted on the float64 band. ``simulate`` owns
+chips, but runs the chain band by band: ``sensor.SceneSource`` makes each
+scene band in one float64 plane, ``raster.write_pat1_bands`` writes it into
+``scene.pat1`` and hands it on, ``sensor.product_bands`` runs the chain in
+that plane, and the band is rounded into the float32 product the chips are
+cut from. So it holds the two truth field planes until the last band is
+mixed, one float64 band (two at another pitch) and the float32 product,
+never the float64 scene; each chip's ``flagged_values`` is counted on the
+float64 band. ``simulate`` owns
 the ``chips`` directory of its ``--out``: before it writes a chip it removes
 every ``chip_*.pat1`` there, so a run into an earlier run's directory leaves
 only the chips its own ``truth.json`` counts, and ``build-dataset`` reads
@@ -142,44 +143,26 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    source = sensor._SceneSource(spec, args.seed)
-    truth_doc = {
-        "noise_std": spec.noise_std,
-        "noise_floor": source.noise_floor(),
-        "mixing_offsets": source.offsets.tolist(),
-        "mixing_matrix": source.mix.tolist(),
-    }
+    source = sensor.SceneSource(spec, args.seed)
     georef = spec.georef()
     size = raster.PATCH_SIZE
     chips = list(raster.patch_grid(height, width, raster.PRODUCT_GSD, georef, "chip"))
-    # simulate_l1c's chain band by band: each scene band is made in one
-    # plane, written into scene.pat1, run through the chain in place (at
-    # another pitch resampled into one product-pitch plane) and rounded
-    # into its float32 product plane, which the chips store. Each chip's
-    # count of the float64 product's values a Patch flags (None: one is not
-    # finite) is taken on the way. The product is one block per band, none
-    # larger than a float64 plane: glibc raises its mmap threshold to the
-    # size of a freed mapped block, and after one 28 MiB product block
+    # Each chip's count of the values a Patch flags (None: one is not finite)
+    # is taken on the float64 band. The product is one float32 block per
+    # band, none larger than a float64 plane: glibc raises its mmap threshold
+    # to the size of a freed mapped block, and after one 28 MiB product block
     # (1024^2) the next chain's planes stayed resident on the heap, which
     # raised cli_chain's peak RSS by 4 MB.
-    product = []
-    band_out = None if spec.gsd == raster.PRODUCT_GSD else np.empty((height, width))
-    rng = np.random.default_rng(args.seed + 1)  # _degrade's, read across the bands
-    flagged = [0] * len(chips)
-
-    def scene_bands():
-        plane = np.empty((spec.height, spec.width))
-        for b, band in enumerate(source.bands([plane])):
-            yield band  # written before the chain overwrites it
-            reflectance = band if band_out is None else band_out
-            sensor._simulate_band(band, b, spec.gsd, ctx, cfg, rng, band, reflectance)
-            product.append(reflectance.astype(np.float32))
-            for k, (_, (r0, c0), _) in enumerate(chips):
-                n = raster.count_flagged(reflectance[r0:r0 + size, c0:c0 + size])
-                flagged[k] = None if n is None or flagged[k] is None else flagged[k] + n
-
-    raster.write_pat1_bands(out / "scene.pat1", scene_bands(), spec.gsd,
-                            raster.MS_BAND_IDS, georef=georef)
+    scene = raster.write_pat1_bands(out / "scene.pat1",
+                                    source.bands([np.empty((spec.height, spec.width))]),
+                                    spec.gsd, raster.MS_BAND_IDS, georef=georef)
+    product, flagged = [], [0] * len(chips)
+    for band in sensor.product_bands(scene, spec.gsd, ctx, cfg, args.seed + 1):
+        product.append(band.astype(np.float32))
+        for k, (_, (r0, c0), _) in enumerate(chips):
+            n = raster.count_flagged(band[r0:r0 + size, c0:c0 + size])
+            flagged[k] = None if n is None or flagged[k] is None else flagged[k] + n
+    del band  # at another pitch the chain's own plane, not needed for the chips
     # every chip is checked, as tile_scene checks them, before one is written
     for (patch_id, _, _), n in zip(chips, flagged):
         if n is None:
@@ -192,17 +175,20 @@ def cmd_simulate(args) -> int:
         stale.unlink()
     for (patch_id, (r0, c0), chip_georef), n in zip(chips, flagged):
         extra = {"patch_id": patch_id, "placement": [r0, c0], "flagged_values": n}
-        raster.write_pat1_bands(chips_dir / f"{patch_id}.pat1",
-                                (p[r0:r0 + size, c0:c0 + size] for p in product),
-                                raster.PRODUCT_GSD, raster.MS_BAND_IDS,
-                                georef=chip_georef, extra=extra)
+        chip = np.stack([p[r0:r0 + size, c0:c0 + size] for p in product])
+        raster.write_pat1(chips_dir / f"{patch_id}.pat1",
+                          raster.BandStack(chip, raster.PRODUCT_GSD, raster.MS_BAND_IDS),
+                          georef=chip_georef, extra=extra)
 
     margins = [height % size, width % size]  # rows south, columns east
     manifest = {
         "scene": "scene.pat1",
         "chips": len(chips),
         "margins": margins,
-        **truth_doc,
+        "noise_std": spec.noise_std,
+        "noise_floor": source.noise_floor(),
+        "mixing_offsets": source.offsets.tolist(),
+        "mixing_matrix": source.mix.tolist(),
         "seed": args.seed,
     }
     _write_json(out / "truth.json", manifest)

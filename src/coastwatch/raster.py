@@ -27,8 +27,8 @@ alive, and it shows any later write to the scene; copy a patch's data
 (``patch.raster.data.copy()``) to detach it. A PAT1 file is one
 ``_container`` file: its manifest carries the georef and band ids, the
 reader fills the returned array straight from the file and the writer
-takes the bands as they come, converting a block of rows at a time,
-without staging the file's bytes.
+takes the bands as they come and hands each on once it is written,
+converting a block of rows at a time, without staging the file's bytes.
 
 Window means are plain arrays: :func:`window_average` takes a
 band-planar raster or a 2-D plane and returns its float64 means, and
@@ -41,7 +41,6 @@ converted whole to float64.
 from __future__ import annotations
 
 import datetime as dt
-import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -263,16 +262,6 @@ class TileResult:
     patches: list[Patch]
     index: TileIndex
 
-    @property
-    def margin_rows(self) -> int:
-        """Scene rows south of the last patch row, left untiled."""
-        return self.index.scene_height % self.index.patch_size
-
-    @property
-    def margin_cols(self) -> int:
-        """Scene columns east of the last patch column, left untiled."""
-        return self.index.scene_width % self.index.patch_size
-
 
 def window_average(data: np.ndarray, window: int = WINDOW) -> np.ndarray:
     """float64 means over the non-overlapping window x window blocks of the
@@ -490,8 +479,10 @@ def write_pat1(
     extra: dict | None = None,
 ) -> Path:
     """Write a BandStack as one PAT1 file: ``write_pat1_bands`` of its
-    planes."""
-    return write_pat1_bands(path, stack.data, stack.gsd, stack.band_ids, georef, extra)
+    planes, run to the end."""
+    for _ in write_pat1_bands(path, stack.data, stack.gsd, stack.band_ids, georef, extra):
+        pass
+    return Path(path)
 
 
 def write_pat1_bands(
@@ -501,29 +492,47 @@ def write_pat1_bands(
     band_ids: tuple[str, ...],
     georef: GeoRef | None = None,
     extra: dict | None = None,
-) -> Path:
+) -> Iterator[np.ndarray]:
     """Write a raster as one PAT1 file from the (height, width) planes
-    ``bands`` yields, one per id of ``band_ids`` in order, each written as
-    it comes: a caller may make a plane once the one before is written.
+    ``bands`` yields, one per id of ``band_ids`` in order, yielding each
+    plane once its bytes are in the file: the caller may then overwrite it,
+    and ``bands`` make the next. The file is complete when the iteration
+    ends; if it does not end, the partial file is removed.
 
     The first plane gives the raster's size and storage: u8 data is stored
-    as u8, anything else as f32, converted a block of rows at a time.
+    as u8, anything else as f32, converted a block of rows at a time. A
+    plane that does not fit the manifest (its size, its storage or the
+    count of ids), or too few planes, raise ``DimensionError``.
     """
     path = Path(path)
-    bands = iter(bands)
-    first = next(bands)
-    dtype = "u8" if first.dtype == np.uint8 else "f32"
-    height, width = first.shape
-    manifest = {"width": width, "height": height, "bands": len(band_ids),
-                "gsd": float(gsd), "dtype": dtype, "band_ids": list(band_ids)}
-    if georef is not None:
-        manifest["georef"] = georef.to_json()
-    if extra:
-        manifest["extra"] = extra
-    with open(path, "wb") as fh:
-        _container.write(fh, _PAT1_MAGIC, manifest, itertools.chain([first], bands),
-                         _PAT1_DTYPES[dtype])
-    return path
+    try:
+        with open(path, "wb") as fh:
+            count = 0
+            for count, plane in enumerate(bands, 1):
+                if count == 1:
+                    shape, dtype = plane.shape, "u8" if plane.dtype == np.uint8 else "f32"
+                if (count > len(band_ids) or len(shape) != 2 or plane.shape != shape
+                        or (plane.dtype == np.uint8) != (dtype == "u8")):
+                    raise DimensionError(
+                        f"{path}: plane {count - 1} ({plane.dtype}, {plane.shape}) does not "
+                        f"fit {len(band_ids)} band ids of {dtype} (height, width) {shape}")
+                if count == 1:
+                    manifest = {"width": shape[1], "height": shape[0],
+                                "bands": len(band_ids), "gsd": float(gsd),
+                                "dtype": dtype, "band_ids": list(band_ids)}
+                    if georef is not None:
+                        manifest["georef"] = georef.to_json()
+                    if extra:
+                        manifest["extra"] = extra
+                    _container.write_header(fh, _PAT1_MAGIC, manifest)
+                _container.write_array(fh, plane, _PAT1_DTYPES[dtype])
+                fh.flush()
+                yield plane
+            if not count or count < len(band_ids):
+                raise DimensionError(f"{path}: {count} planes for {len(band_ids)} band ids")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _pat1_layout(manifest: dict) -> tuple[list[tuple[int, ...]], np.dtype]:

@@ -8,23 +8,22 @@ A synthetic-scene generator replaces external data access: it produces
 reflectance scenes whose turbidity/pH fields are known analytic functions,
 so downstream accuracy can be gated quantitatively.
 
-The chain is one per-band step sequence, ``_simulate_band``: band b's
+The chain is one generator over bands, :func:`product_bands`: band b's
 reflectance to radiance (``_to_radiance``, in float64, so a band of any
-dtype is widened before it is scaled) into a float64 plane its caller
-gives up, which may be the band's own; resampling (only at another pitch,
-into a product-pitch plane); then ``_misalign``, ``_degrade`` and
-``_to_reflectance`` in place. ``_degrade`` reads one generator across the
-bands in their order. :func:`simulate_l1c` runs the sequence into one
-float64 (bands, h, w) buffer whose read-only views are the chips, and
-leaves its scene as it was; ``cli simulate`` runs it on each scene band in
-the band's own plane as ``_SceneSource`` makes it. ``_SceneSource`` makes
-the bands of :func:`generate_synthetic_scene` one at a time, into planes
-its caller gives: the scene's own for :func:`generate_synthetic_scene`,
-one reused plane for ``cli simulate``. Randomness is owned per call
-through an explicit seed.
+dtype is widened before it is scaled), resampling (``_resample_into``, only
+at another pitch, into a product-pitch plane), then ``_misalign``,
+``_degrade`` and ``_to_reflectance`` in place; ``_degrade`` reads one
+generator across the bands in their order. :func:`simulate_l1c` runs it
+into one float64 (bands, h, w) buffer whose read-only views are the chips,
+and leaves its scene as it was; ``cli simulate`` runs it on the bands of a
+:class:`SceneSource` as the scene file takes them, in each band's own plane.
+:class:`SceneSource` makes the bands of :func:`generate_synthetic_scene`
+one at a time, into planes its caller gives: the scene's own for
+:func:`generate_synthetic_scene`, one reused plane for ``cli simulate``.
+Randomness is owned per call through an explicit seed.
 
-:func:`resample`, ``_misalign``, ``_degrade`` and ``_SceneSource`` stream
-each band in blocks of ``_ROW_BLOCK`` rows, top to bottom, so their
+``_resample_into``, ``_misalign``, ``_degrade`` and :class:`SceneSource`
+stream each band in blocks of ``_ROW_BLOCK`` rows, top to bottom, so their
 temporaries stay cache-sized: beside its planes, a step holds a few row
 blocks. Resampling and misalignment share one bilinear row-block step
 (``_interp_block``). Misalignment and blur read each block's source rows
@@ -37,7 +36,7 @@ in scipy's order (``_convolve_lines``).
 Streaming changes no bit: every pixel sees the same operations in the same
 order as on whole planes and whole scenes, and the random draws keep their
 band-major, row-major order in each stream.
-``_SceneSource`` draws its pixel noise in one worker thread while the
+:class:`SceneSource` draws its pixel noise in one worker thread while the
 calling thread evaluates the contaminant fields and mixes the bands; the
 generator is the worker's alone once it starts.
 """
@@ -46,7 +45,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -285,41 +284,18 @@ def _interp_block(out, source, rows, cols, scratch) -> None:
 
 def resampled_shape(height: int, width: int, gsd: float,
                     target_gsd: float) -> tuple[int, int]:
-    """The (height, width) ``resample`` gives a raster of ``gsd`` at
+    """The (height, width) of a raster of ``gsd`` resampled to
     ``target_gsd``: the grid nodes that fit in the raster's node extent."""
     ratio = target_gsd / gsd
     return tuple(int(math.floor((n - 1) / ratio)) + 1 for n in (height, width))
 
 
-def resample(raster: BandStack, target_gsd: float) -> BandStack:
-    """Bilinear resampling onto a grid of pitch ``target_gsd``.
-
-    Sample points are grid nodes: source node i sits at ``i * gsd`` metres,
-    and the output covers the same node extent, so resampling to the native
-    gsd is the identity and corner samples are always preserved. Each band
-    is read, widened to float64 if need be, into the output a row block at
-    a time (``_resample_into``).
-    """
-    if target_gsd <= 0:
-        raise ValueError("target gsd must be positive")
-    if raster.width < 2 or raster.height < 2:
-        raise DimensionError("raster too small to resample (degenerate extent)")
-    if target_gsd == raster.gsd:
-        return BandStack.from_array(raster.data.copy(), raster.gsd, raster.band_ids)
-    data = np.empty((raster.bands, *resampled_shape(raster.height, raster.width,
-                                                    raster.gsd, target_gsd)))
-    for band, out in zip(raster.data, data):
-        # np.take cannot cast into a float64 out
-        _resample_into(band.astype(np.float64, copy=False), raster.gsd,
-                       target_gsd, out)
-    return BandStack.from_array(data, target_gsd, raster.band_ids)
-
-
 def _resample_into(band: np.ndarray, gsd: float, target_gsd: float,
                    out: np.ndarray) -> None:
-    """:func:`resample` of one float64 plane at ``gsd`` into the float64
+    """Bilinear resampling of one float64 plane at ``gsd`` into the float64
     plane ``out`` of its ``resampled_shape`` at ``target_gsd``, a row block
-    at a time."""
+    at a time. Sample points are grid nodes (node i at ``i * gsd`` metres),
+    so the corner samples are kept."""
     ratio = target_gsd / gsd
     (height, width), (out_h, out_w) = band.shape, out.shape
     rows = _interp_weights(np.arange(out_h) * ratio, height)
@@ -445,6 +421,54 @@ def _degrade(band: np.ndarray, b: int, cfg: DegradeConfig,
 # ---------------------------------------------------------------------------
 
 
+def product_bands(
+    bands: Iterable[np.ndarray],
+    gsd: float,
+    ctx: SolarContext,
+    cfg: DegradeConfig,
+    seed: int,
+    out: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """Band b's float64 product at ``PRODUCT_GSD`` for each reflectance
+    plane b that ``bands`` yields at ``gsd``, yielded before the next plane
+    is pulled: the chain of the module docstring, ``_degrade`` reading one
+    generator made from ``seed``. A band past ``N_BANDS`` raises
+    ``DimensionError``.
+
+    With ``out`` (float64, ``(N_BANDS, h, w)`` at the product pitch) band b
+    is made in ``out[b]``, and the planes pulled are not written. Without
+    it the chain may overwrite each plane it pulls: it runs in the band's
+    own plane, which at another pitch takes the radiance and one reused
+    product-pitch plane the product. A radiance with no such plane (beside
+    ``out`` at another pitch, or of a plane that is not writable float64)
+    goes into one reused float64 plane of the scene's size.
+    """
+    rng = np.random.default_rng(seed)
+    resampling = gsd != PRODUCT_GSD
+    radiance = product = None  # reused planes at the scene's pitch and the product's
+    for b, source in enumerate(bands):
+        if b >= N_BANDS:
+            raise DimensionError(f"band {b} is past the product's {N_BANDS} bands")
+        if out is not None and not resampling:
+            plane = out[b]
+        elif out is None and source.dtype == np.float64 and source.flags.writeable:
+            plane = source
+        else:
+            plane = radiance = np.empty(source.shape) if radiance is None else radiance
+        _to_radiance(source, b, ctx, out=plane)
+        if resampling:
+            if out is not None:
+                product = out[b]
+            elif product is None:
+                product = np.empty(resampled_shape(*source.shape, gsd, PRODUCT_GSD))
+            _resample_into(plane, gsd, PRODUCT_GSD, product)
+            plane = product
+        _misalign(plane, b, PRODUCT_GSD, cfg)
+        _degrade(plane, b, cfg, rng)
+        _to_reflectance(plane, b, ctx)
+        yield plane
+
+
 def simulate_l1c(
     scene: BandStack,
     ctx: SolarContext,
@@ -452,50 +476,22 @@ def simulate_l1c(
     seed: int,
     scene_georef: GeoRef | None = None,
 ) -> TileResult:
-    """Run the product chain and chip the result into 256 px patches.
-
-    reflectance -> radiance -> resample to 4.75 m -> band misalignment ->
-    SNR/MTF degradation -> reflectance -> chips, band by band
-    (``_simulate_band``), into one fresh float64 buffer of the product's
-    (bands, h, w) shape; the chips are read-only views into it. ``scene``,
-    of any dtype, is not modified.
-
-    At the product pitch each band is made in its buffer plane, so the
-    call holds the buffer and a few row blocks at its peak. At another
-    pitch each band's radiance is made in one float64 plane of the scene's
-    size, which is resampled into the buffer: the buffer, that one plane
-    and a few row blocks.
+    """Run the product chain and chip the result into 256 px patches:
+    :func:`product_bands` of the scene's planes into one fresh float64
+    (bands, h, w) buffer, then :func:`tile_scene`, whose chips are read-only
+    views into it. ``scene``, of any dtype, is not modified. The call holds
+    the buffer and a few row blocks at its peak, and at another pitch one
+    float64 plane of the scene's size.
     """
     if scene.bands != N_BANDS:
         raise DimensionError(f"scene must have {N_BANDS} multispectral bands, "
                              f"got {scene.bands}")
     buffer = np.empty((N_BANDS, *resampled_shape(scene.height, scene.width,
                                                  scene.gsd, PRODUCT_GSD)))
-    radiance = (None if scene.gsd == PRODUCT_GSD
-                else np.empty((scene.height, scene.width)))
-    rng = np.random.default_rng(seed)
-    for b, (source, out) in enumerate(zip(scene.data, buffer)):
-        _simulate_band(source, b, scene.gsd, ctx, cfg, rng,
-                       out if radiance is None else radiance, out)
+    for _ in product_bands(scene.data, scene.gsd, ctx, cfg, seed, out=buffer):
+        pass
     return tile_scene(BandStack.from_array(buffer, PRODUCT_GSD, scene.band_ids),
                       scene_georef, patch_id_prefix="chip")
-
-
-def _simulate_band(source: np.ndarray, b: int, gsd: float, ctx: SolarContext,
-                   cfg: DegradeConfig, rng: np.random.Generator,
-                   radiance: np.ndarray, out: np.ndarray) -> None:
-    """Band ``b`` of the product chain from its reflectance plane
-    ``source`` (any dtype) at ``gsd``: ``_to_radiance`` into the float64
-    plane ``radiance``, which may be ``source`` itself; resampling into the
-    float64 product-pitch plane ``out`` (only at another pitch: at the
-    product pitch ``out`` is ``radiance``); then ``_misalign``, ``_degrade``
-    (reading ``rng``) and ``_to_reflectance`` in place on ``out``."""
-    _to_radiance(source, b, ctx, out=radiance)
-    if gsd != PRODUCT_GSD:
-        _resample_into(radiance, gsd, PRODUCT_GSD, out)
-    _misalign(out, b, PRODUCT_GSD, cfg)
-    _degrade(out, b, cfg, rng)
-    _to_reflectance(out, b, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +678,7 @@ def _default_mixing(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     raise RuntimeError("could not draw a well-conditioned mixing matrix")
 
 
-class _SceneSource:
+class SceneSource:
     """The bands of ``generate_synthetic_scene(spec, seed)``, bit for bit,
     one at a time.
 
@@ -781,13 +777,13 @@ def generate_synthetic_scene(
     ``noise_floor`` is the RMSE of the best linear estimator under that
     noise, per parameter.
 
-    The bands are ``_SceneSource``'s, made in the scene's own planes, so the
+    The bands are :class:`SceneSource`'s, made in the scene's own planes, so the
     worker thread draws every band's noise while this thread evaluates the
     two fields and mixes the bands before. Beside the scene the call holds
     the two field planes, normalized and then scaled in place into the two
     truth fields, and a few row blocks.
     """
-    source = _SceneSource(spec, seed)
+    source = SceneSource(spec, seed)
     data = np.empty((N_BANDS, spec.height, spec.width))
     turb01, ph01 = np.empty(data.shape[1:]), np.empty(data.shape[1:])
     for _ in source.bands(data, (turb01, ph01)):

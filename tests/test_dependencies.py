@@ -1,5 +1,5 @@
 """The package imports nothing beyond the standard library and numpy; scipy
-is only the tests' reference."""
+is only the tests' reference. No module reads a private name of another."""
 
 import ast
 import json
@@ -32,6 +32,29 @@ def test_runtime_imports_are_stdlib_or_numpy():
         for path in MODULES
     }
     assert {name: roots for name, roots in foreign.items() if roots} == {}
+
+
+def _private_sibling_names(tree: ast.Module) -> list[str]:
+    """``module._name`` reads and ``from .module import _name`` imports of
+    the package's own modules, as ``module._name:line``; the ``_container``
+    module itself, the framing every file format shares, may be imported."""
+    siblings = {p.stem for p in MODULES}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")):
+            found.append(f"{node.value.id}.{node.attr}:{node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            found += [f"{node.module or ''}.{alias.name}:{node.lineno}"
+                      for alias in node.names if alias.name.startswith("_")
+                      and not (node.module is None and alias.name == "_container")]
+    return found
+
+
+def test_no_module_reads_a_private_name_of_another():
+    private = {path.name: _private_sibling_names(ast.parse(path.read_text()))
+               for path in MODULES}
+    assert {name: found for name, found in private.items() if found} == {}
 
 
 # ``import scipy`` raises ImportError once its sys.modules entry is None

@@ -185,7 +185,7 @@ class TestTileScene:
         result = tile_scene(scene)
         assert len(result.patches) == 4
         assert result.index.placements == ((0, 0), (0, 256), (256, 0), (256, 256))
-        assert result.margin_rows == 0 and result.margin_cols == 0
+        assert result.index.scene_height % 256 == result.index.scene_width % 256 == 0
 
     def test_single_patch_identity(self):
         scene = stack(RNG.uniform(0, 1, (7, 256, 256)))
@@ -199,8 +199,9 @@ class TestTileScene:
         scene = stack(RNG.uniform(0, 1, (7, 600, 300)))
         result = tile_scene(scene)
         assert len(result.patches) == 2
-        assert result.margin_rows == 88
-        assert result.margin_cols == 44
+        index = result.index
+        assert index.scene_height % index.patch_size == 88
+        assert index.scene_width % index.patch_size == 44
 
     def test_scene_too_small(self):
         with pytest.raises(DimensionError):
@@ -459,30 +460,60 @@ class TestPat1Format:
 
     def test_bands_are_written_as_they_come_a_block_of_rows_at_a_time(self, tmp_path):
         """``write_pat1_bands`` reads a band only once the one before is
-        written, and casts a float64 band a block of rows at a time: the
-        file of bands made one at a time is ``write_pat1``'s of the stack,
-        written under half of one band's float32 cast."""
+        yielded, yields each only once its bytes are in the file, and casts a
+        float64 band a block of rows at a time: the file of bands overwritten
+        as soon as they are yielded is ``write_pat1``'s of the stack, written
+        under half of one band's float32 cast."""
         data = RNG.uniform(0, 1, (3, 512, 512))
-        written = []
+        whole = write_pat1(tmp_path / "s.pat1", BandStack(data, 4.75, ("a", "b", "c")))
+        pulled, sizes = [], []
 
         def bands():
-            for band in data:
+            for k, band in enumerate(data):
+                pulled.append(k)
                 yield band
-                written.append((tmp_path / "b.pat1").stat().st_size)
 
         tracemalloc.start()
         try:
-            write_pat1_bands(tmp_path / "b.pat1", bands(), 4.75, ("a", "b", "c"))
+            for k, band in enumerate(write_pat1_bands(tmp_path / "b.pat1", bands(), 4.75,
+                                                      ("a", "b", "c"))):
+                assert pulled == list(range(k + 1))
+                sizes.append((tmp_path / "b.pat1").stat().st_size)
+                band.fill(-1.0)  # the bytes are written: the plane may be reused
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        whole = write_pat1(tmp_path / "s.pat1", BandStack(data, 4.75, ("a", "b", "c")))
         assert (tmp_path / "b.pat1").read_bytes() == whole.read_bytes()
         band_bytes = 512 * 512 * 4
         header = whole.stat().st_size - 3 * band_bytes
-        # buffered, each band is at least begun before the next is read
-        assert all(size > header + k * band_bytes for k, size in enumerate(written))
+        assert sizes == [header + k * band_bytes for k in (1, 2, 3)]
         assert peak < band_bytes // 2
+
+    @pytest.mark.parametrize("planes, says", [
+        ([np.zeros((4, 4), np.float32), np.zeros((5, 5), np.float32)],
+         r"plane 1 \(float32, \(5, 5\)\) does not fit 2 band ids of f32 "
+         r"\(height, width\) \(4, 4\)"),
+        ([np.zeros((4, 4), np.float32)], "1 planes for 2 band ids"),
+        ([np.zeros((4, 4), np.float32)] * 3,
+         r"plane 2 \(float32, \(4, 4\)\) does not fit 2 band ids"),
+        # a float plane in a u8 raster was stored cast to u8: 0.7 read back 0
+        ([np.zeros((4, 4), np.uint8), np.full((4, 4), 0.7)],
+         r"plane 1 \(float64, \(4, 4\)\) does not fit 2 band ids of u8"),
+    ], ids=["a_plane_of_another_size", "too_few_planes", "too_many_planes",
+            "a_float_plane_in_a_u8_raster"])
+    def test_planes_that_do_not_fit_the_manifest_raise_and_leave_no_file(
+            self, tmp_path, planes, says):
+        path = tmp_path / "x.pat1"
+        with pytest.raises(DimensionError, match=says):
+            list(write_pat1_bands(path, iter(planes), 4.75, ("a", "b")))
+        assert not path.exists()
+
+    def test_a_write_left_before_its_end_leaves_no_file(self, tmp_path):
+        path = tmp_path / "x.pat1"
+        writer = write_pat1_bands(path, np.zeros((2, 4, 4)), 4.75, ("a", "b"))
+        next(writer)
+        writer.close()
+        assert not path.exists()
 
     def test_one_file_per_raster(self, tmp_path):
         write_pat1(tmp_path / "x.pat1", stack(RNG.uniform(0, 1, (1, 4, 4))),

@@ -23,7 +23,7 @@ from coastwatch.sensor import (
     gaussian_kernel,
     generate_synthetic_scene,
     mtf_blur_sigma_px,
-    resample,
+    product_bands,
     simulate_l1c,
 )
 
@@ -51,6 +51,16 @@ def in_copy(step, scene, *args):
 
 def rng(seed):
     return np.random.default_rng(seed)
+
+
+def resampled(data, gsd, target_gsd):
+    """The planes ``_resample_into`` makes of each plane of a (bands, h, w)
+    array, widened to float64, at ``target_gsd``."""
+    data = np.asarray(data, dtype=np.float64)
+    out = np.empty((len(data), *sensor.resampled_shape(*data.shape[1:], gsd, target_gsd)))
+    for band, plane in zip(data, out):
+        sensor._resample_into(band, gsd, target_gsd, plane)
+    return out
 
 
 class TestRadiometry:
@@ -81,29 +91,28 @@ class TestRadiometry:
 
 class TestResample:
     def test_constant_stays_constant(self):
-        scene = stack(np.full((2, 20, 20), 3.3), gsd=10.0, band_ids=("a", "b"))
-        out = resample(scene, 4.75)
-        assert np.allclose(out.data, 3.3)
-        assert out.gsd == pytest.approx(4.75)
+        out = resampled(np.full((2, 20, 20), 3.3), 10.0, 4.75)
+        assert out.shape == (2, 41, 41)
+        assert np.allclose(out, 3.3)
 
     def test_same_gsd_identity(self):
-        scene = stack(RNG.uniform(0, 1, (1, 15, 15)), gsd=10.0, band_ids=("a",))
-        out = resample(scene, 10.0)
-        assert np.array_equal(out.data, scene.data)
+        data = RNG.uniform(0, 1, (1, 15, 15))
+        assert np.array_equal(resampled(data, 10.0, 10.0), data)
 
     def test_bilinear_ramp_oracle(self):
         # node-aligned 2x upsampling of a 2x2 ramp: corners preserved,
         # midpoints are arithmetic means
-        ramp = stack([[[0.0, 1.0], [2.0, 3.0]]], gsd=10.0, band_ids=("a",))
-        out = resample(ramp, 5.0)
-        assert out.data.shape == (1, 3, 3)
+        out = resampled([[[0.0, 1.0], [2.0, 3.0]]], 10.0, 5.0)
+        assert out.shape == (1, 3, 3)
         expected = np.array([[0, 0.5, 1], [1, 1.5, 2], [2, 2.5, 3]])
-        assert np.allclose(out.data[0], expected)
+        assert np.allclose(out[0], expected)
 
-    def test_degenerate_extent(self):
-        tiny = stack(np.ones((1, 1, 5)), gsd=10.0, band_ids=("a",))
-        with pytest.raises(DimensionError):
-            resample(tiny, 5.0)
+    def test_one_row_is_interpolated_along_the_row(self):
+        # a one-row plane has no extent down: its one row is resampled alone
+        row = np.array([0.0, 2.0, 4.0, 6.0, 8.0])
+        out = resampled(row[None, None], 10.0, 5.0)
+        assert out.shape == (1, 1, 9)
+        assert np.allclose(out[0, 0], np.arange(9.0))
 
 
 class TestMisalignment:
@@ -301,9 +310,8 @@ class TestSimulateL1cWorkingBuffer:
         scene, _ = generate_synthetic_scene(spec, 17)
         product = simulate_l1c(scene, self.CTX, self.CFG, seed=23,
                                scene_georef=spec.georef())
-        radiance = BandStack.from_array(in_copy(sensor._to_radiance, scene, self.CTX),
-                                        scene.gsd)
-        data = resample(radiance, sensor.PRODUCT_GSD).data
+        data = resampled(in_copy(sensor._to_radiance, scene, self.CTX), scene.gsd,
+                         sensor.PRODUCT_GSD)
         each_band(sensor._misalign, data, sensor.PRODUCT_GSD, self.CFG)
         each_band(sensor._degrade, data, self.CFG, rng(23))
         each_band(sensor._to_reflectance, data, self.CTX)
@@ -318,12 +326,6 @@ class TestSimulateL1cWorkingBuffer:
     def test_input_scene_unchanged(self):
         _, scene, before, _ = self.product()
         assert scene.data.flags.writeable
-        assert np.array_equal(scene.data, before)
-
-    def test_public_steps_leave_their_input_unchanged(self):
-        scene = stack(RNG.uniform(0.05, 0.5, (7, 64, 64)))
-        before = scene.data.copy()
-        resample(scene, 3.0)
         assert np.array_equal(scene.data, before)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int16, np.uint8])
@@ -344,6 +346,63 @@ class TestSimulateL1cWorkingBuffer:
         assert np.array_equal(got_chip.raster.data, want_chip.raster.data)
         assert scene.data.dtype == dtype
         assert np.array_equal(scene.data, before)
+
+
+class TestProductBands:
+    """The one product chain: in the planes it pulls, or into ``out``."""
+
+    CFG, CTX = TestSimulateL1cWorkingBuffer.CFG, TestSimulateL1cWorkingBuffer.CTX
+
+    @pytest.mark.parametrize("gsd, dtype", [(4.75, np.float64), (10.0, np.float64),
+                                            (4.75, np.float32), (4.75, np.uint8),
+                                            (10.0, np.float32)])
+    def test_in_place_equals_into_out_bit_for_bit(self, gsd, dtype):
+        # 70 x 45 px: at 10 m, 146 x 93 px at the product pitch
+        values = np.random.default_rng(3).uniform(0.0, 1.0, (7, 45, 70))
+        data = (values * 200).astype(dtype) if dtype == np.uint8 else values.astype(dtype)
+        before = data.copy()
+        out = np.empty((7, *sensor.resampled_shape(45, 70, gsd, sensor.PRODUCT_GSD)))
+        for b, band in enumerate(product_bands(data, gsd, self.CTX, self.CFG, 23, out=out)):
+            assert np.shares_memory(band, out[b])
+        assert np.array_equal(data, before)  # with out, the planes pulled are not written
+        planes = [band.copy() for band in data]
+        got = [band.copy() for band in product_bands(planes, gsd, self.CTX, self.CFG, 23)]
+        assert np.array_equal(np.stack(got), out)
+
+    @pytest.mark.parametrize("gsd", [4.75, 10.0])
+    def test_in_place_the_band_takes_the_radiance(self, gsd):
+        # at the product pitch the product is the band's own plane; at
+        # another the band's plane holds the radiance, one plane the products
+        planes = list(np.random.default_rng(4).uniform(0.0, 1.0, (7, 45, 70)))
+        radiances = [sensor._radiometric_scale(self.CTX, b) * band
+                     for b, band in enumerate(planes)]
+        products = list(product_bands(planes, gsd, self.CTX, self.CFG, 23))
+        if gsd == sensor.PRODUCT_GSD:
+            assert all(band is plane for band, plane in zip(products, planes))
+        else:
+            assert all(band is products[0] for band in products)
+            assert all(np.array_equal(plane, radiance)
+                       for plane, radiance in zip(planes, radiances))
+
+    def test_band_b_plus_1_is_pulled_after_band_b_is_yielded(self):
+        events = []
+
+        def bands():
+            for b, band in enumerate(RNG.uniform(0.0, 1.0, (7, 30, 40))):
+                events.append(("pull", b))
+                yield band
+
+        for b, _ in enumerate(product_bands(bands(), 10.0, self.CTX, self.CFG, 23)):
+            events.append(("product", b))
+        assert events == [(event, b) for b in range(7) for event in ("pull", "product")]
+
+    def test_a_band_past_the_seventh_raises(self):
+        made = []
+        with pytest.raises(DimensionError, match="band 7 is past the product's 7 bands"):
+            for band in product_bands(RNG.uniform(0.0, 1.0, (8, 20, 20)), 4.75,
+                                      self.CTX, self.CFG, 23):
+                made.append(band)
+        assert len(made) == 7
 
 
 @pytest.mark.parametrize("parse, doc", [
@@ -754,7 +813,7 @@ def test_streamed_steps_equal_the_whole_plane_steps(block, data):
 
 
 def _full_plane_resample(data, gsd, target_gsd):
-    """resample as two whole-plane passes on the float64 scene: rows, then
+    """_resample_into as two whole-plane passes on the float64 scene: rows, then
     columns, at the output grid's nodes."""
     ratio = target_gsd / gsd
     height, width = data.shape[1:]
@@ -770,20 +829,18 @@ def _full_plane_resample(data, gsd, target_gsd):
 @given(data=st.data())
 def test_streamed_resample_equals_the_whole_plane_passes(block, dtype, data):
     bands = data.draw(st.integers(1, 3), label="bands")
-    # 2 px is the smallest extent resample takes
-    height = data.draw(st.just(2) | st.integers(2, 60), label="height")
-    width = data.draw(st.just(2) | st.integers(2, 60), label="width")
+    height = data.draw(st.just(1) | st.integers(1, 60), label="height")
+    width = data.draw(st.just(1) | st.integers(1, 60), label="width")
     gsd = data.draw(st.sampled_from([4.0, 4.75, 10.0]), label="gsd")
     # up- or down-sampling, by up to 4x
     ratio = data.draw(st.floats(0.25, 0.95) | st.floats(1.05, 4.0), label="ratio")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     source = np.random.default_rng(seed).uniform(0.0, 300.0, (bands, height, width))
-    scene = BandStack.from_array(source.astype(dtype), gsd)
-    want = _full_plane_resample(scene.data, gsd, gsd * ratio)
+    planes = source.astype(dtype)
+    want = _full_plane_resample(planes, gsd, gsd * ratio)
     with row_block(block, want.shape[1]):
-        got = resample(scene, gsd * ratio)
-    assert got.data.dtype == np.float64
-    assert np.array_equal(got.data, want)
+        got = resampled(planes, gsd, gsd * ratio)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -852,7 +909,7 @@ def test_the_scene_source_yields_the_bands_of_the_scene(planes, noise):
     bit, and so are the normalized fields made into given planes."""
     spec = SceneSpec(width=70, height=45, noise_std=noise)
     scene, truth = generate_synthetic_scene(spec, 8)
-    source = sensor._SceneSource(spec, 8)
+    source = sensor.SceneSource(spec, 8)
     fields = np.empty((2, 45, 70))
     bands = [band.copy() for band in source.bands(np.empty((planes, 45, 70)), fields)]
     assert np.array_equal(np.stack(bands), scene.data)
